@@ -15,21 +15,7 @@ intentional solver change, regenerate with::
 
 ``--kernel arena`` runs the same gate through the arena propagation kernel
 against the *same* baseline — the kernels are bit-identical by contract, so
-one baseline file serves both and any divergence fails loudly here.  The
-``parallel`` kernel is deliberately *not* a choice: its step counter is a
-sum over partition workers and partitioning-dependent by design, so the
-exact-steps contract cannot cover it (the fuzz oracle and the parallel
-study gate its outputs instead).
-
-``--wall-time-dir DIR`` adds a second, tolerance-based check over the
-``BENCH_<n>.json`` trajectory history a study wrote under ``DIR``
-(:mod:`repro.reporting.trajectory`): for every (study, spec, policy,
-kernel) cell present in both the newest run and at least one earlier run,
-the newest wall time must stay within ``--wall-tolerance`` (default 1.5x —
-a wide guard band, because shared CI runners are noisy) of the *fastest*
-earlier recording.  With fewer than two runs of a study in the directory
-the check passes vacuously with a note.  ``--wall-time-only`` skips the
-steps gate for a pure trajectory audit.
+one baseline file serves both and any divergence fails loudly here.
 """
 
 from __future__ import annotations
@@ -40,16 +26,12 @@ import sys
 from pathlib import Path
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
-from repro.reporting.trajectory import load_history
 from repro.workloads.generator import generate_benchmark, spec_from_reduction
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "solver_steps.json"
 
 #: Mirrors ``bench_solver_scaling._SIZES``.
 SIZES = (100, 300, 600)
-
-#: Default wall-time guard band: newest <= 1.5x the fastest earlier run.
-DEFAULT_WALL_TOLERANCE = 1.5
 
 
 def measure(kernel: str = "object") -> dict:
@@ -68,60 +50,6 @@ def measure(kernel: str = "object") -> dict:
     return measurements
 
 
-def check_wall_times(directory, tolerance: float) -> list:
-    """Audit the trajectory history under ``directory``.
-
-    Returns the failure messages (empty = pass).  Prints one line per
-    audited cell; cells without at least one earlier recording — and
-    studies with fewer than two recorded runs — pass vacuously with a
-    note, so the gate is safe to wire into CI before any history exists.
-    """
-    history = load_history(directory)
-    by_study: dict = {}
-    for index, payload in history:
-        by_study.setdefault(str(payload.get("study")), []).append(
-            (index, payload))
-
-    failures = []
-    audited = 0
-    for study in sorted(by_study):
-        runs = sorted(by_study[study])
-        if len(runs) < 2:
-            print(f"  {study}: only {len(runs)} recorded run(s); "
-                  f"wall-time check vacuously passes")
-            continue
-        newest_index, newest = runs[-1]
-        earlier = runs[:-1]
-        baselines: dict = {}
-        for _, payload in earlier:
-            for row in payload["rows"]:
-                key = (row["spec"], row["policy"], row["kernel"])
-                seconds = float(row["wall_time_seconds"])
-                if key not in baselines or seconds < baselines[key]:
-                    baselines[key] = seconds
-        for row in newest["rows"]:
-            key = (row["spec"], row["policy"], row["kernel"])
-            baseline = baselines.get(key)
-            if baseline is None:
-                continue
-            audited += 1
-            seconds = float(row["wall_time_seconds"])
-            limit = baseline * tolerance
-            marker = "OK"
-            if seconds > limit:
-                marker = "FAIL"
-                failures.append(
-                    f"{study} {'/'.join(key)}: {seconds * 1000:.1f} ms "
-                    f"exceeds {tolerance:.2f}x the fastest earlier run "
-                    f"({baseline * 1000:.1f} ms)")
-            print(f"  {study} {'/'.join(key):<40} "
-                  f"{seconds * 1000:>8.1f} ms vs best {baseline * 1000:>8.1f} "
-                  f"ms [{marker}] (run {newest_index})")
-    if audited:
-        print(f"wall times: {audited} cell(s) audited against history")
-    return failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--tolerance", type=float, default=0.10,
@@ -131,29 +59,7 @@ def main(argv=None) -> int:
                         help="propagation kernel to gate (same baseline)")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the baseline from the current measurement")
-    parser.add_argument("--wall-time-dir", type=str, default=None,
-                        help="also audit the BENCH_<n>.json trajectory "
-                             "history under this directory")
-    parser.add_argument("--wall-tolerance", type=float,
-                        default=DEFAULT_WALL_TOLERANCE,
-                        help="wall-time guard band over the fastest earlier "
-                             f"run (default {DEFAULT_WALL_TOLERANCE})")
-    parser.add_argument("--wall-time-only", action="store_true",
-                        help="skip the solver-steps gate (requires "
-                             "--wall-time-dir)")
     args = parser.parse_args(argv)
-
-    if args.wall_time_only and not args.wall_time_dir:
-        parser.error("--wall-time-only requires --wall-time-dir")
-
-    if args.wall_time_only:
-        failures = check_wall_times(args.wall_time_dir, args.wall_tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print("wall times within tolerance")
-        return 0
 
     measurements = measure(args.kernel)
     if args.update:
@@ -177,10 +83,6 @@ def main(argv=None) -> int:
                 f"{key}: {steps} steps exceeds baseline {expected} "
                 f"by more than {args.tolerance:.0%}")
         print(f"  {key:<24} steps={steps:<8} baseline={expected:<8} [{marker}]")
-
-    if args.wall_time_dir:
-        failures.extend(
-            check_wall_times(args.wall_time_dir, args.wall_tolerance))
 
     if failures:
         for failure in failures:

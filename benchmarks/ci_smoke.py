@@ -10,7 +10,7 @@ A 3-way matrix (pta, skipflow, skipflow+saturation) over the same specs
 must be assembled *entirely* from the halves those earlier runs cached —
 every shared half solved exactly once across the whole session — with
 numbers identical to the pairwise runs.  A solver-kernel *policy
-matrix* (fifo/lifo/degree scheduling × off/declared-type saturation) checks
+matrix* (fifo/degree scheduling × off/allocated-type saturation) checks
 the policy-aware cache keying: every policy half is keyed distinctly, the
 ``fifo``/``off`` column is served from the halves the first run cached (it
 *is* the default SkipFlow config), a repeat run hits every policy half, and
@@ -42,8 +42,8 @@ HALVES = 2
 #: The solver-kernel policy grid of the policy-matrix phase.  The threshold
 #: is far above any type-set width the smoke specs produce, so saturation
 #: never fires and every column must land on the identical fixed point.
-POLICY_SCHEDULINGS = ("fifo", "lifo", "degree")
-POLICY_SATURATIONS = (("off", None), ("declared-type", 64))
+POLICY_SCHEDULINGS = ("fifo", "degree")
+POLICY_SATURATIONS = (("off", None), ("allocated-type", 64))
 
 
 def _policy_grid():
@@ -327,13 +327,13 @@ def main(argv=None) -> int:
                 f"(reachable methods {sorted(reachable)})")
         for scheduling in POLICY_SCHEDULINGS:
             # The threshold never fires on the smoke specs, so each
-            # scheduling's off and declared-type columns are bit-identical.
+            # scheduling's off and allocated-type columns are bit-identical.
             off = row.report(f"{scheduling}/off")
-            sat = row.report(f"{scheduling}/declared-type")
+            sat = row.report(f"{scheduling}/allocated-type")
             if (off.solver_steps != sat.solver_steps
                     or off.metrics != sat.metrics):
                 failures.append(
-                    f"{row.benchmark}: {scheduling} off vs declared-type "
+                    f"{row.benchmark}: {scheduling} off vs allocated-type "
                     f"columns differ although saturation never fired")
         if row.as_dict() != rerun_row.as_dict():
             failures.append(

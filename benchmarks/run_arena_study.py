@@ -11,7 +11,7 @@ Usage::
                                          [--quick]
 
 For every benchmark of the DaCapo-style suite (or one ``--benchmark``) under
-the N-way policy matrix (PTA, SkipFlow, SkipFlow + declared-type saturation,
+the N-way policy matrix (PTA, SkipFlow, SkipFlow + allocated-type saturation,
 SkipFlow + degree scheduling), the script measures what one engine worker
 pays for a *cold* solve — program decode plus analysis plus image reports —
 under both propagation kernels:
@@ -70,8 +70,8 @@ def matrix_configs() -> List[Tuple[str, AnalysisConfig]]:
     return [
         ("pta", AnalysisConfig.baseline_pta()),
         ("skipflow", AnalysisConfig.skipflow()),
-        ("skipflow+sat16", AnalysisConfig.skipflow()
-            .with_saturation_policy("declared-type", 16)),
+        ("skipflow+alloc16", AnalysisConfig.skipflow()
+            .with_saturation_policy("allocated-type", 16)),
         ("skipflow+degree", AnalysisConfig.skipflow()
             .with_scheduling("degree")),
     ]

@@ -4,8 +4,8 @@ Usage::
 
     python benchmarks/run_check_smoke.py [--scale 3.0] [--specs-per-suite 2]
                                          [--suite DaCapo] [--benchmark fop]
-                                         [--schedulings fifo,lifo,degree]
-                                         [--saturations off,declared-type]
+                                         [--schedulings fifo,degree]
+                                         [--saturations off,allocated-type]
                                          [--threshold 64]
                                          [--max-overhead-percent 10.0]
 
@@ -52,8 +52,8 @@ from repro.engine.scheduler import estimated_cost
 from repro.workloads.generator import generate_benchmark
 from repro.workloads.suites import extended_suites
 
-DEFAULT_SCHEDULINGS = ("fifo", "lifo", "degree")
-DEFAULT_SATURATIONS = ("off", "declared-type")
+DEFAULT_SCHEDULINGS = ("fifo", "degree")
+DEFAULT_SATURATIONS = ("off", "allocated-type")
 DEFAULT_THRESHOLD = 64
 DEFAULT_SPECS_PER_SUITE = 2
 DEFAULT_MAX_OVERHEAD = 10.0

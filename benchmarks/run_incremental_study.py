@@ -5,7 +5,7 @@ Usage::
     python benchmarks/run_incremental_study.py [--benchmark wide-huge-512]
                                                [--steps 4]
                                                [--scheduling fifo]
-                                               [--saturation-policy declared-type
+                                               [--saturation-policy allocated-type
                                                 --threshold 16]
                                                [--cache-dir .bench-cache]
                                                [--bench-dir benchmarks/trajectories]

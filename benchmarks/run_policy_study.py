@@ -2,8 +2,9 @@
 
 Usage::
 
-    python benchmarks/run_policy_study.py [--schedulings fifo,lifo,degree,rpo,hybrid]
-                                          [--saturations off,closed-world,declared-type,allocated-type]
+    python benchmarks/run_policy_study.py [--schedulings fifo,degree]
+                                          [--saturations off,closed-world,allocated-type,
+                                                         allocated-type-reachable]
                                           [--threshold 16]
                                           [--benchmark composed-duo-112]
                                           [--jobs 4] [--cache-dir .bench-cache]
@@ -23,24 +24,22 @@ Two questions the study answers directly:
 
 * **scheduling** — which worklist order reaches the (identical) fixed point
   cheapest on megamorphic workloads;
-* **saturation** — whether the ``declared-type`` sentinel keeps the
+* **saturation** — whether the RTA-style ``allocated-type`` sentinel —
+  whose top excludes declared-but-never-allocated types — keeps the
   reachable-set re-inflation (and the solver-steps *increase* the
-  closed-world sentinel shows on this suite) smaller than ``closed-world``,
-  and whether the RTA-style ``allocated-type`` sentinel — whose top
-  excludes declared-but-never-allocated types — finally discharges the
-  rare guards and erases most of the re-inflation.
+  closed-world sentinel shows on this suite) smaller than ``closed-world``
+  by discharging the rare guards, and how much more its reachability-
+  refined variant ``allocated-type-reachable`` recovers.
 
 Every combination is one engine configuration, so each (spec, policy) half
 is cached independently under ``--cache-dir`` and the whole grid reuses any
 halves earlier runs (or the saturation study) already computed.  ``--quick``
-shrinks the grid to a CI-sized smoke (two cheap specs, fifo/lifo/degree ×
-off/declared-type).
+shrinks the grid to a CI-sized smoke (two cheap specs, fifo/degree ×
+off/allocated-type).
 
 Every run is also persisted as a versioned ``BENCH_<n>.json`` trajectory
 under ``--bench-dir`` (:mod:`repro.reporting.trajectory`), one row per
-(spec, policy) cell with its solver steps, joins, and wall time — the
-series the wall-time regression gate
-(``benchmarks/check_solver_regression.py --wall-time-dir``) audits.
+(spec, policy) cell with its solver steps, joins, and wall time.
 """
 
 from __future__ import annotations
@@ -66,13 +65,13 @@ from repro.reporting.policy import (
 from repro.reporting.trajectory import TrajectoryRow, write_trajectory
 from repro.workloads.suites import wide_hierarchy_suite
 
-DEFAULT_SCHEDULINGS = ("fifo", "lifo", "degree", "rpo", "hybrid")
-DEFAULT_SATURATIONS = ("off", "closed-world", "declared-type",
-                       "allocated-type")
+DEFAULT_SCHEDULINGS = ("fifo", "degree")
+DEFAULT_SATURATIONS = ("off", "closed-world", "allocated-type",
+                       "allocated-type-reachable")
 DEFAULT_THRESHOLD = 16
 
-QUICK_SCHEDULINGS = ("fifo", "lifo", "degree")
-QUICK_SATURATIONS = ("off", "declared-type")
+QUICK_SCHEDULINGS = ("fifo", "degree")
+QUICK_SATURATIONS = ("off", "allocated-type")
 QUICK_SPECS = 2
 
 

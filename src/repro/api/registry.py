@@ -68,10 +68,8 @@ class ConfigAnalyzer:
     cutoff; ``None`` keeps the exact paper semantics), ``saturation_policy``
     (the sentinel a saturated flow collapses to), and ``scheduling`` (the
     worklist order) — but not both forms at once — plus ``kernel``
-    (``object``/``arena``/``parallel``, the bit-identical
-    propagation-kernel choice, orthogonal to both forms) and
-    ``partitions`` (the parallel kernel's worker count; ignored by the
-    serial kernels).  ``resume`` additionally
+    (``object``/``arena``, the bit-identical propagation-kernel choice,
+    orthogonal to both forms).  ``resume`` additionally
     accepts the :class:`~repro.core.state.SolverState` of a previous solve
     to warm-start from instead of solving cold; it is deliberately *not* in
     ``supported_options`` because one state cannot back several analyzers of
@@ -87,20 +85,17 @@ class ConfigAnalyzer:
     #: uses this to route an option only to the analyzers that support it.
     supported_options = frozenset(
         {"saturation_threshold", "saturation_policy", "scheduling", "policy",
-         "kernel", "partitions"})
+         "kernel"})
 
     def config(self, saturation_threshold: Optional[int] = None,
                saturation_policy: Optional[str] = None,
                scheduling: Optional[str] = None,
                policy: Optional[SolverPolicy] = None,
-               kernel: Optional[str] = None,
-               partitions: Optional[int] = None) -> AnalysisConfig:
+               kernel: Optional[str] = None) -> AnalysisConfig:
         """The analyzer's engine configuration under the requested kernel knobs."""
         config = self.config_factory()
         if kernel is not None:
             config = config.with_kernel(kernel)
-        if partitions is not None:
-            config = config.with_partitions(partitions)
         if policy is not None:
             if (saturation_threshold is not None or saturation_policy is not None
                     or scheduling is not None):
@@ -123,10 +118,9 @@ class ConfigAnalyzer:
                 scheduling: Optional[str] = None,
                 policy: Optional[SolverPolicy] = None,
                 kernel: Optional[str] = None,
-                partitions: Optional[int] = None,
                 resume: Optional[SolverState] = None) -> AnalysisReport:
         config = self.config(saturation_threshold, saturation_policy,
-                             scheduling, policy, kernel, partitions)
+                             scheduling, policy, kernel)
         result = SkipFlowAnalysis(program, config, state=resume).run(roots)
         return AnalysisReport.from_analysis_result(result, analyzer=self.name)
 

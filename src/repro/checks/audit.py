@@ -27,7 +27,7 @@ and asserting that nothing changes:
 * **AUD005 — saturation**: the configured policy's sentinels are honored.
   With saturation off no flow is saturated; otherwise every saturated
   flow's state dominates the policy's current sentinel for it (dominance,
-  not equality: declared-type sentinels carry documented residue).
+  because a collapse joins the sentinel over the triggering state).
 * **AUD006 — snapshot**: the state round-trips through the snapshot codec,
   the restored state accepts the program (fingerprint check) and
   re-audits clean.  With :attr:`CheckContext.snapshot` bytes, those bytes

@@ -5,7 +5,7 @@ Usage::
     python -m repro analyze app.java --analysis skipflow --entry Main.main
     python -m repro analyze app.java --compare               # PTA vs SkipFlow
     python -m repro analyze app.java --scheduling degree \
-                                     --saturation-policy declared-type \
+                                     --saturation-policy allocated-type \
                                      --saturation-threshold 16
     python -m repro analyze app.java --save-state app.state  # snapshot the solve
     python -m repro analyze app2.java --resume-from app.state  # warm re-analysis
@@ -101,8 +101,6 @@ def _policy_options(args) -> dict:
         options["scheduling"] = args.scheduling
     if getattr(args, "kernel", None) is not None:
         options["kernel"] = args.kernel
-    if getattr(args, "partitions", None) is not None:
-        options["partitions"] = args.partitions
     return options
 
 
@@ -458,7 +456,7 @@ def _cmd_bench(args) -> int:
     ``ir`` column reports whether the spec's program blob is in the shared
     program store under the cache directory: ``yes`` means pickle plus its
     ``.arena`` sibling, ``pickle`` a pickle *without* the arena buffer (a
-    backfill gap — the arena and parallel kernels fall back to unpickling
+    backfill gap — the arena kernel falls back to unpickling
     there), ``no`` neither.  ``--gc`` first drops result entries, IR blobs,
     and solver-state snapshots written by other code versions.
     """
@@ -539,7 +537,7 @@ def _cmd_bench(args) -> int:
               f"(code version {cache.code_version})")
         if arena_gaps:
             print(f"{arena_gaps} pickled spec(s) lack the .arena sibling "
-                  f"(arena/parallel kernels fall back to unpickling); "
+                  f"(the arena kernel falls back to unpickling); "
                   f"rebuild them to backfill")
     else:
         print(f"\n{total} specs; pass --cache-dir to check cache status")
@@ -655,15 +653,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="solver worklist policy (default: fifo, the "
                               "bit-identical seed order)")
         sub.add_argument("--kernel", default=None, choices=list(KERNELS),
-                         help="propagation kernel: object (seed solver), "
-                              "arena (flat integer-id kernel), or parallel "
-                              "(partitioned workers over the shared-memory "
-                              "arena) — bit-identical results; unsupported "
-                              "solves fall back down the chain")
-        sub.add_argument("--partitions", type=int, default=None,
-                         help="worker count for --kernel parallel (default: "
-                              "sized from the core budget; ignored by the "
-                              "serial kernels)")
+                         help="propagation kernel: object (seed solver) or "
+                              "arena (flat integer-id kernel) — bit-identical "
+                              "results; solves the arena kernel cannot mirror "
+                              "run on the object kernel")
 
     analyze = subparsers.add_parser("analyze", help="run the analysis and print metrics")
     add_common(analyze)

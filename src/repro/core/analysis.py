@@ -31,7 +31,7 @@ from repro.ir.program import Program
 from repro.ir.validate import validate_program
 
 #: The propagation kernels a config may select (``AnalysisConfig.kernel``).
-KERNELS = ("object", "arena", "parallel")
+KERNELS = ("object", "arena")
 
 
 @dataclass(frozen=True)
@@ -72,24 +72,15 @@ class AnalysisConfig:
         :class:`~repro.core.kernel.policy.SolverPolicy` view.
     ``kernel``
         Which propagation kernel executes the solve: ``object`` (the seed
-        solver over :class:`~repro.core.flows.Flow` objects), ``arena``
+        solver over :class:`~repro.core.flows.Flow` objects) or ``arena``
         (:class:`~repro.core.kernel.arena_kernel.ArenaKernelSolver`, the
-        flat integer-id kernel over a frozen
-        :mod:`~repro.ir.arena` buffer), or ``parallel``
-        (:class:`~repro.core.kernel.parallel_kernel.ParallelKernelSolver`,
-        partitioned fid worklists over the shared-memory arena).  All
-        three produce the same reachable sets, value states, and edges
-        (``object``/``arena`` match step counts too; the parallel
-        kernel's counters depend on the partitioning), so the choice is
-        purely a performance lever; solves a kernel cannot mirror (warm
-        resumes, custom registered policies, ``declared-type`` saturation
-        under ``parallel``) fall back down the chain — parallel → serial
-        arena → object — transparently.
-    ``partitions``
-        Worker count for the ``parallel`` kernel (``None`` sizes it
-        automatically from the core budget and program size).  Ignored by
-        the serial kernels; fewer than two partitions falls back to the
-        serial arena kernel.
+        flat integer-id kernel over a frozen :mod:`~repro.ir.arena`
+        buffer).  Both produce the same reachable sets, value states,
+        edges, and step counts, so the choice is purely a performance
+        lever.  Solves the arena kernel cannot mirror (warm resumes, custom
+        registered policies) run on the object kernel instead, and the
+        result records why (:attr:`~repro.core.results.AnalysisResult.
+        fallback`).
     """
 
     name: str = "skipflow"
@@ -102,7 +93,6 @@ class AnalysisConfig:
     scheduling: str = "fifo"
     saturation_policy: str = OFF
     kernel: str = "object"
-    partitions: Optional[int] = None
 
     def __post_init__(self) -> None:
         # Canonicalize the saturation half (see the class docstring), then
@@ -116,10 +106,6 @@ class AnalysisConfig:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; available: "
                 f"{', '.join(KERNELS)}")
-        if self.partitions is not None and self.partitions < 1:
-            raise ValueError(
-                f"partitions must be a positive worker count, "
-                f"got {self.partitions!r}")
         self.solver_policy  # noqa: B018 — constructing it validates the names
 
     # ------------------------------------------------------------------ #
@@ -206,10 +192,6 @@ class AnalysisConfig:
         """This config executed by a different propagation kernel."""
         return replace(self, kernel=kernel)
 
-    def with_partitions(self, partitions: Optional[int]) -> "AnalysisConfig":
-        """This config with an explicit parallel-kernel worker count."""
-        return replace(self, partitions=partitions)
-
     @property
     def solver_policy(self) -> SolverPolicy:
         """The kernel policy bundle this config solves under."""
@@ -251,7 +233,8 @@ class SkipFlowAnalysis:
         """Solve to a fixed point and return an :class:`AnalysisResult`."""
         if self.config.validate:
             validate_program(self.program)
-        solver, elapsed, backend = self._solve(roots)
+        solver, elapsed, fallback = self._solve(roots)
+        arena = not isinstance(solver, SkipFlowSolver)
         # ``pvpg`` / ``solver_state`` are handed over as thunks: the object
         # solver already holds both (the thunk is free), while the arena
         # kernel inflates its object graph only if a consumer actually asks.
@@ -270,23 +253,25 @@ class SkipFlowAnalysis:
                 saturated_flows=solver.saturated_flows,
             ),
             solver_state=Deferred(lambda: solver.state),
-            kernel_backend=backend,
+            kernel_backend=solver if arena else None,
+            kernel_ran="arena" if arena else "object",
+            fallback=fallback,
         )
 
     def _solve(self, roots: Optional[Iterable[str]]):
-        """Run the configured kernel; fall back down the chain loudly-never.
+        """Run the configured kernel; return ``(solver, seconds, fallback)``.
 
-        The arena kernels only take cold solves they can prove
-        bit-identical; anything else raises
+        The arena kernel only takes solves it can prove bit-identical: cold
+        solves under the built-in policies.  Anything else (a warm resume,
+        a custom registered policy) makes it raise
         :class:`~repro.core.kernel.arena_kernel.ArenaKernelUnsupported`
-        before or during :meth:`solve`, and the fallback below reruns cold
-        with the next kernel down — ``parallel`` falls back to the serial
-        arena kernel (warm resumes, ``declared-type`` saturation, too few
-        cores/partitions), and both fall back to the object solver — safe
-        because the arena paths are only taken when there is no borrowed
-        state to corrupt.
+        before it propagates anything; the object solver then runs the
+        solve, and the exception's message comes back as ``fallback`` so
+        the result says which kernel ran and why (``None`` when the
+        configured kernel ran).
         """
-        if self.config.kernel in ("arena", "parallel") and self.state is None:
+        fallback: Optional[str] = None
+        if self.config.kernel == "arena":
             from repro.core.kernel.arena_kernel import (
                 ArenaKernelSolver,
                 ArenaKernelUnsupported,
@@ -296,37 +281,18 @@ class SkipFlowAnalysis:
             # into an arena is real analysis-path work (an attached
             # ``ArenaProgram`` makes it near-free, which is the point of
             # the store's arena blobs).
-            try_serial_arena = True
-            if self.config.kernel == "parallel":
-                from repro.core.kernel.parallel_kernel import (
-                    ParallelKernelSolver,
-                    ParallelKernelUnsupported,
-                )
-
-                started = time.perf_counter()
-                try:
-                    solver = ParallelKernelSolver(self.program, self.config)
-                    solver.solve(roots)
-                    return solver, time.perf_counter() - started, solver
-                except ParallelKernelUnsupported:
-                    pass  # partitioning refused; the serial arena may run
-                except ArenaKernelUnsupported:
-                    # Raised by the shared base checks (custom scheduling,
-                    # unproven saturation): the serial arena kernel would
-                    # refuse identically, so go straight to the object solver.
-                    try_serial_arena = False
-            if try_serial_arena:
-                started = time.perf_counter()
-                try:
-                    solver = ArenaKernelSolver(self.program, self.config)
-                    solver.solve(roots)
-                    return solver, time.perf_counter() - started, solver
-                except ArenaKernelUnsupported:
-                    pass
+            started = time.perf_counter()
+            try:
+                arena_solver = ArenaKernelSolver(
+                    self.program, self.config, state=self.state)
+                arena_solver.solve(roots)
+                return arena_solver, time.perf_counter() - started, None
+            except ArenaKernelUnsupported as refusal:
+                fallback = str(refusal)
         solver = SkipFlowSolver(self.program, self.config, state=self.state)
         started = time.perf_counter()
         solver.solve(roots)
-        return solver, time.perf_counter() - started, None
+        return solver, time.perf_counter() - started, fallback
 
 
 def run_skipflow(program: Program, roots: Optional[Iterable[str]] = None) -> AnalysisResult:

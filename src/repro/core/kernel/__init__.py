@@ -7,11 +7,10 @@ of the *propagation core* so they can be swapped without touching the
 solver:
 
 * :mod:`repro.core.kernel.scheduling` — who owns the worklist and in what
-  order pending flows are processed (``fifo``, ``lifo``, ``degree``,
-  ``rpo``);
+  order pending flows are processed (``fifo``, ``degree``);
 * :mod:`repro.core.kernel.saturation` — when a megamorphic flow collapses
   and which top element it collapses to (``off``, ``closed-world``,
-  ``declared-type``);
+  ``allocated-type``, ``allocated-type-reachable``);
 * :mod:`repro.core.kernel.policy` — :class:`SolverPolicy`, the hashable
   bundle of both halves plus the threshold that travels through
   ``AnalysisConfig``, the session API, the engine's cache keys, and the
@@ -44,7 +43,6 @@ from repro.core.kernel.policy import DEFAULT_POLICY, SolverPolicy
 from repro.core.kernel.saturation import (
     AllocatedTypeSaturation,
     ClosedWorldSaturation,
-    DeclaredTypeSaturation,
     ReachableAllocatedSaturation,
     SaturationContext,
     SaturationPolicy,
@@ -57,9 +55,6 @@ from repro.core.kernel.saturation import (
 from repro.core.kernel.scheduling import (
     DegreeScheduling,
     FifoScheduling,
-    HybridScheduling,
-    LifoScheduling,
-    RpoScheduling,
     SchedulingPolicy,
     available_scheduling_policies,
     make_scheduling_policy,
@@ -70,13 +65,9 @@ __all__ = [
     "DEFAULT_POLICY",
     "AllocatedTypeSaturation",
     "ClosedWorldSaturation",
-    "DeclaredTypeSaturation",
     "DegreeScheduling",
     "FifoScheduling",
-    "HybridScheduling",
-    "LifoScheduling",
     "ReachableAllocatedSaturation",
-    "RpoScheduling",
     "SaturationContext",
     "SaturationPolicy",
     "SchedulingPolicy",

@@ -76,7 +76,6 @@ from repro.core.kernel.policy import DEFAULT_POLICY, SolverPolicy
 from repro.core.kernel.saturation import (
     AllocatedTypeSaturation,
     ClosedWorldSaturation,
-    DeclaredTypeSaturation,
     ReachableAllocatedSaturation,
     make_saturation_policy,
 )
@@ -103,13 +102,12 @@ class ArenaKernelUnsupported(Exception):
 
 #: Scheduling policies the kernel mirrors with integer worklists.  A custom
 #: registered policy operates on Flow objects, which the kernel does not have.
-_SUPPORTED_SCHEDULING = frozenset({"fifo", "lifo", "degree", "rpo", "hybrid"})
+_SUPPORTED_SCHEDULING = frozenset({"fifo", "degree"})
 
 #: Saturation policies whose ``collapse``/``sentinel_for`` the kernel inlines.
 #: The check is on the *exact* type: a subclass may override either hook.
 _KNOWN_SATURATIONS = (
     ClosedWorldSaturation,
-    DeclaredTypeSaturation,
     AllocatedTypeSaturation,
     ReachableAllocatedSaturation,
 )
@@ -153,22 +151,6 @@ class _FifoFids:
         return len(self._queue)
 
 
-class _LifoFids:
-    """Mirror of ``LifoScheduling`` over fids."""
-
-    def __init__(self, solver: "ArenaKernelSolver") -> None:
-        self._stack: List[int] = []
-
-    def push(self, fid: int) -> None:
-        self._stack.append(fid)
-
-    def pop(self) -> int:
-        return self._stack.pop()
-
-    def __len__(self) -> int:
-        return len(self._stack)
-
-
 class _DegreeFids:
     """Mirror of ``DegreeScheduling``: push-time out-degree, push-order ties."""
 
@@ -189,87 +171,9 @@ class _DegreeFids:
         return len(self._heap)
 
 
-class _RpoFids:
-    """Mirror of ``RpoScheduling``: reverse-postorder batches over use edges."""
-
-    def __init__(self, solver: "ArenaKernelSolver") -> None:
-        self._solver = solver
-        self._pending: List[int] = []
-        self._batch: List[int] = []
-
-    def push(self, fid: int) -> None:
-        self._pending.append(fid)
-
-    def pop(self) -> int:
-        if not self._batch:
-            self._batch = _postorder_fids(self._solver, self._pending)
-            self._pending = []
-        return self._batch.pop()
-
-    def __len__(self) -> int:
-        return len(self._pending) + len(self._batch)
-
-
-class _HybridFids:
-    """Mirror of ``HybridScheduling``: degree priority within rpo batches."""
-
-    def __init__(self, solver: "ArenaKernelSolver") -> None:
-        self._solver = solver
-        self._pending: List[int] = []
-        self._batch: List[int] = []
-
-    def push(self, fid: int) -> None:
-        self._pending.append(fid)
-
-    def pop(self) -> int:
-        if not self._batch:
-            solver = self._solver
-            postorder = _postorder_fids(solver, self._pending)
-            rank = {fid: position
-                    for position, fid in enumerate(reversed(postorder))}
-            ordered = sorted(
-                postorder,
-                key=lambda fid: (-solver._degree(fid), rank[fid]))
-            ordered.reverse()
-            self._batch = ordered
-            self._pending = []
-        return self._batch.pop()
-
-    def __len__(self) -> int:
-        return len(self._pending) + len(self._batch)
-
-
-def _postorder_fids(solver: "ArenaKernelSolver", fids: List[int]) -> List[int]:
-    """Mirror of ``scheduling._postorder`` over fids (use edges = static + extra)."""
-    members = set(fids)
-    visited: Set[int] = set()
-    postorder: List[int] = []
-    for root in fids:
-        if root in visited:
-            continue
-        visited.add(root)
-        stack = [(root, iter(solver._uses_of(root)))]
-        while stack:
-            fid, edges = stack[-1]
-            descended = False
-            for target in edges:
-                if target in members and target not in visited:
-                    visited.add(target)
-                    stack.append((target, iter(solver._uses_of(target))))
-                    descended = True
-                    break
-            if not descended:
-                postorder.append(fid)
-                stack.pop()
-    return postorder
-
-
 _WORKLISTS = {
     "fifo": _FifoFids,
-    "lifo": _LifoFids,
     "degree": _DegreeFids,
-    "rpo": _RpoFids,
-    "hybrid": _HybridFids,
 }
 
 
@@ -678,24 +582,11 @@ class ArenaKernelSolver:
                     self._schedule(fid)
 
     def _sentinel_for(self, fid: int) -> ValueState:
-        """Mirror of ``SaturationPolicy.sentinel_for`` on fid payloads."""
-        saturation = self._saturation
-        if type(saturation) is DeclaredTypeSaturation:
-            arena = self.arena
-            kind = arena.flow_kind[fid]
-            declared: Optional[str] = None
-            if kind == schema.K_PARAMETER:
-                declared = arena.opt_string(arena.flow_aux2[fid])
-            elif kind == schema.K_FIELD:
-                declared = arena.string(arena.field_type[arena.flow_aux1[fid]])
-            top: Optional[ValueState] = None
-            if declared is not None:
-                top = saturation._declared_top(declared)
-            elif kind in (schema.K_LOAD_FIELD, schema.K_STORE_FIELD):
-                top = saturation._field_top(arena.string(arena.flow_aux1[fid]))
-            return top if top is not None else saturation._closed_world_top()
-        # Closed-world / allocated tops are flow-independent.
-        return saturation._sentinel(None)  # type: ignore[union-attr, arg-type]
+        """Mirror of ``SaturationPolicy.sentinel_for`` on fid payloads.
+
+        Every built-in top is flow-independent, so the fid is unused.
+        """
+        return self._saturation._sentinel(None)  # type: ignore[union-attr, arg-type]
 
     # ------------------------------------------------------------------ #
     # Worklist machinery

@@ -28,8 +28,8 @@ class SolverPolicy:
     """A complete, validated solver-kernel configuration.
 
     ``scheduling``
-        Name of the worklist policy (``fifo``, ``lifo``, ``degree``,
-        ``rpo``, or anything registered since).  Every scheduling policy
+        Name of the worklist policy (``fifo``, ``degree``, or anything
+        registered since).  Every scheduling policy
         reaches the same fixed point; only the solver-effort counters
         (steps, joins, transfers) differ.
     ``saturation`` / ``saturation_threshold``
@@ -75,7 +75,7 @@ class SolverPolicy:
 
     @property
     def label(self) -> str:
-        """A compact display name, e.g. ``fifo/off`` or ``rpo/declared-type@16``."""
+        """A compact display name, e.g. ``fifo/off`` or ``degree/allocated-type@16``."""
         if self.saturation == OFF:
             return f"{self.scheduling}/{OFF}"
         return f"{self.scheduling}/{self.saturation}@{self.saturation_threshold}"

@@ -24,29 +24,6 @@ Built-ins:
     an ``instanceof Rare`` guard over a saturated flow can never be
     discharged again, because the closed-world top contains every declared
     concrete type whether it is ever allocated or not.
-``declared-type``
-    A per-declared-type top: a flow that knows its declared reference type
-    collapses to the instantiable *subtypes of that declaration* plus
-    ``null`` and primitive ``Any``, memoized per declared type.
-    Parameters and field flows carry their declaration directly; load and
-    store flows collapse to the union of the tops of *every* same-named
-    field declaration in the program — a static set, so the sentinel
-    dominates whatever declaration the access resolves to later, no matter
-    how the receiver's type set grows after the collapse.  Flows without
-    any declaration fall back to the closed-world top.  This keeps
-    saturation from re-inflating the reachable set with types that could
-    never legally flow here, at the cost of assuming type-compatible
-    assignments — every value reaching a declared-``T`` flow is a subtype
-    of ``T`` — which holds for the surface language and the workload
-    generator (stores and calls respect declared types).  Under that
-    assumption the sentinel still dominates every future join, so the
-    result remains a sound over-approximation.  One place the assumption
-    does *not* hold is ``this`` parameters, which receive a call site's
-    unfiltered receiver set: there the collapse keeps whatever arrived
-    before it (joined over the sentinel, so still sound), which makes a
-    saturated flow's exact state history-dependent — reachability and call
-    edges stay canonical, but warm-resumed and cold solves may differ in
-    that residue (see ``tests/core/test_solver_state.py``).
 ``allocated-type``
     An RTA-style top: saturated flows collapse to the set of types that can
     ever *originate* in a value state — types with an allocation site
@@ -55,11 +32,11 @@ Built-ins:
     inject those even without an allocation).  Declared-but-never-allocated
     types are excluded, so an ``instanceof Rare`` guard over a saturated
     flow is still discharged when ``Rare`` is never instantiated — the
-    precision loss the closed-world and declared-type sentinels cannot
-    avoid.  Soundness rests on the closed-world origin argument: reference
-    types enter value states only through ``new`` sources, conservative
-    root seeds, and the stub effects of declared-but-bodyless callees —
-    and :func:`allocated_types` unions all three origin sets, computed
+    precision loss the closed-world sentinel cannot avoid.  Soundness rests
+    on the closed-world origin argument: reference types enter value
+    states only through ``new`` sources, conservative root seeds, and the
+    stub effects of declared-but-bodyless callees — and
+    :func:`allocated_types` unions all three origin sets, computed
     statically over the whole program text, so the sentinel dominates
     every arrival independent of reachability and of the schedule, and
     only grows under monotone program deltas.  This policy needs the
@@ -103,13 +80,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.core.flows import (
-    FieldFlow,
-    Flow,
-    LoadFieldFlow,
-    ParameterFlow,
-    StoreFieldFlow,
-)
+from repro.core.flows import Flow
 from repro.ir.instructions import Assign
 from repro.ir.types import NULL_TYPE_NAME, OBJECT_TYPE_NAME, TypeHierarchy
 from repro.ir.values import ConstKind
@@ -174,78 +145,8 @@ class ClosedWorldSaturation:
         if len(new_state.reference_types) <= self.threshold:
             return None
         # Joining over the triggering state keeps the collapse a move *up*
-        # the lattice even if the sentinel itself is narrower in some
-        # component (e.g. a declared-type top under ill-typed input).
+        # the lattice whatever sentinel a registered policy supplies.
         return new_state.join(self._sentinel(flow))
-
-
-class DeclaredTypeSaturation(ClosedWorldSaturation):
-    """Per-declared-type top: saturate within the flow's declared subtree."""
-
-    name = "declared-type"
-
-    def __init__(self, hierarchy: TypeHierarchy, threshold: int) -> None:
-        super().__init__(hierarchy, threshold)
-        self._declared_tops: Dict[str, ValueState] = {}
-        self._field_tops: Dict[str, ValueState] = {}
-
-    @staticmethod
-    def declared_reference_type(flow: Flow) -> Optional[str]:
-        """The flow's *directly recorded* declared reference type, if any."""
-        if isinstance(flow, ParameterFlow):
-            return flow.declared_type
-        if isinstance(flow, FieldFlow):
-            return flow.declaration.declared_type
-        return None
-
-    def field_declared_types(self, field_name: str) -> Tuple[str, ...]:
-        """The declared types of every program field named ``field_name``."""
-        return tuple(sorted({
-            cls.fields[field_name].declared_type
-            for cls in self.hierarchy
-            if field_name in cls.fields}))
-
-    def _declared_top(self, declared: str) -> Optional[ValueState]:
-        if declared not in self.hierarchy:
-            return None
-        top = self._declared_tops.get(declared)
-        if top is None:
-            types = set(self.hierarchy.instantiable_subtypes(declared))
-            types.add(NULL_TYPE_NAME)
-            top = ValueState.of_types(types).with_primitive(ANY)
-            self._declared_tops[declared] = top
-        return top
-
-    def _field_top(self, field_name: str) -> Optional[ValueState]:
-        """Union of the declared tops of every same-named field declaration.
-
-        Which declaration a load/store resolves to depends on the receiver's
-        type set, which keeps growing after the collapse — so the sentinel
-        must dominate *every* declaration the access could ever resolve to,
-        not just the ones visible when the flow saturates.  The set of
-        same-named declarations is static, which makes this sound; shadowed
-        or reused field names simply widen the top to the union.
-        """
-        if field_name in self._field_tops:
-            return self._field_tops[field_name]
-        top: Optional[ValueState] = None
-        for declared in self.field_declared_types(field_name):
-            declared_top = self._declared_top(declared)
-            if declared_top is None:
-                top = None  # a non-class declared type: fall back
-                break
-            top = declared_top if top is None else top.join(declared_top)
-        self._field_tops[field_name] = top
-        return top
-
-    def _sentinel(self, flow: Flow) -> ValueState:
-        top: Optional[ValueState] = None
-        declared = self.declared_reference_type(flow)
-        if declared is not None:
-            top = self._declared_top(declared)
-        elif isinstance(flow, (LoadFieldFlow, StoreFieldFlow)):
-            top = self._field_top(flow.field_name)
-        return top if top is not None else self._closed_world_top()
 
 
 class AllocatedTypeSaturation(ClosedWorldSaturation):
@@ -525,7 +426,6 @@ def _make_reachable_allocated(
 
 
 register_saturation_policy("closed-world", ClosedWorldSaturation)
-register_saturation_policy("declared-type", DeclaredTypeSaturation)
 register_saturation_policy("allocated-type", _make_allocated_type,
                            needs_context=True)
 register_saturation_policy("allocated-type-reachable",

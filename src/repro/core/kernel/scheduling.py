@@ -23,29 +23,11 @@ Built-ins:
     A plain double-ended queue, popped oldest-first.  This is the seed
     solver's schedule and the default everywhere: with it, results are
     bit-identical to the seed down to solver step counts.
-``lifo``
-    A stack, popped newest-first.  Tends to chase one propagation chain to
-    quiescence before returning to older work.
 ``degree``
     A max-priority queue on the flow's out-degree (use + observe +
     predicate edges) *at push time*, ties broken by push order.  Hub flows
     — fields feeding many loads, parameters fanning into many uses — are
     processed first, so their dependents see a settled state earlier.
-``rpo``
-    Reverse-postorder batching: pushes accumulate into a pending batch;
-    when the current batch drains, the pending flows are ordered by a
-    depth-first reverse postorder over the use edges *among themselves*
-    (producers before consumers, as far as the batch's subgraph is acyclic)
-    and become the next batch.  This approximates the round-robin
-    topological schedule of classic dataflow solvers on a graph that is
-    still growing while it is being solved.
-``hybrid``
-    ``degree`` priority inside ``rpo`` batches: pending flows still gather
-    into rounds, but within a round hub flows pop first (ties broken by the
-    round's reverse-postorder rank).  Priorities are computed when the
-    round *forms*, not when a flow is pushed, so edges the linker added
-    while the flow waited are reflected — the "priority refresh on edge
-    addition" that push-time keying (``degree``) cannot afford per edge.
 
 New policies plug in with :func:`register_scheduling_policy`; the CLI, the
 engine, and :class:`~repro.core.kernel.policy.SolverPolicy` validation all
@@ -98,24 +80,6 @@ class FifoScheduling:
         return len(self._queue)
 
 
-class LifoScheduling:
-    """A stack popped newest-first: depth-first chasing of propagation chains."""
-
-    name = "lifo"
-
-    def __init__(self) -> None:
-        self._stack: List[Flow] = []
-
-    def push(self, flow: Flow) -> None:
-        self._stack.append(flow)
-
-    def pop(self) -> Flow:
-        return self._stack.pop()
-
-    def __len__(self) -> int:
-        return len(self._stack)
-
-
 class DegreeScheduling:
     """Highest out-degree first: settle hub flows before their dependents.
 
@@ -145,108 +109,6 @@ class DegreeScheduling:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-
-class RpoScheduling:
-    """Reverse-postorder batching over the PVPG's use edges.
-
-    Pushes collect into a *pending* batch while the current batch drains.
-    When the current batch is exhausted, the pending flows are reordered by
-    a DFS reverse postorder restricted to the batch (producers before their
-    consumers wherever the batch subgraph is acyclic; back edges of loops
-    fall where DFS leaves them) and become the next batch.  Each batch is
-    one "round" of the classic round-robin iteration.
-    """
-
-    name = "rpo"
-
-    def __init__(self) -> None:
-        self._pending: List[Flow] = []
-        #: The current batch in *postorder* (reverse postorder popped from the end).
-        self._batch: List[Flow] = []
-
-    def push(self, flow: Flow) -> None:
-        self._pending.append(flow)
-
-    def pop(self) -> Flow:
-        if not self._batch:
-            self._batch = _postorder(self._pending)
-            self._pending = []
-        return self._batch.pop()
-
-    def __len__(self) -> int:
-        return len(self._pending) + len(self._batch)
-
-
-class HybridScheduling:
-    """Degree priority within reverse-postorder batches, refreshed per round.
-
-    Each round is the set of flows pushed while the previous round drained
-    (exactly :class:`RpoScheduling`'s batching).  When a round forms, every
-    member's fan-out is measured *at that moment* and the round is popped
-    highest-degree first, with the round's reverse-postorder rank breaking
-    ties deterministically.  Measuring at round formation is the priority
-    refresh: a flow that gained edges while pending is promoted, where
-    ``degree`` would still pop it at its stale push-time priority.
-    """
-
-    name = "hybrid"
-
-    def __init__(self) -> None:
-        self._pending: List[Flow] = []
-        #: The current round, ordered so ``list.pop()`` yields highest
-        #: degree first (reverse of the desired pop order).
-        self._batch: List[Flow] = []
-
-    def push(self, flow: Flow) -> None:
-        self._pending.append(flow)
-
-    def pop(self) -> Flow:
-        if not self._batch:
-            postorder = _postorder(self._pending)
-            rank = {flow.uid: position
-                    for position, flow in enumerate(reversed(postorder))}
-            ordered = sorted(
-                postorder,
-                key=lambda flow: (-DegreeScheduling._degree(flow),
-                                  rank[flow.uid]))
-            ordered.reverse()
-            self._batch = ordered
-            self._pending = []
-        return self._batch.pop()
-
-    def __len__(self) -> int:
-        return len(self._pending) + len(self._batch)
-
-
-def _postorder(flows: List[Flow]) -> List[Flow]:
-    """DFS postorder of ``flows`` over use edges restricted to ``flows``.
-
-    Popping the returned list from the end yields reverse postorder.  Roots
-    are visited in push order and edge iterators are the flows' own use
-    lists, so the order is deterministic.
-    """
-    members = {flow.uid for flow in flows}
-    visited: set = set()
-    postorder: List[Flow] = []
-    for root in flows:
-        if root.uid in visited:
-            continue
-        visited.add(root.uid)
-        stack = [(root, iter(root.uses))]
-        while stack:
-            flow, edges = stack[-1]
-            descended = False
-            for target in edges:
-                if target.uid in members and target.uid not in visited:
-                    visited.add(target.uid)
-                    stack.append((target, iter(target.uses)))
-                    descended = True
-                    break
-            if not descended:
-                postorder.append(flow)
-                stack.pop()
-    return postorder
 
 
 # ---------------------------------------------------------------------- #
@@ -287,7 +149,4 @@ def available_scheduling_policies() -> Tuple[str, ...]:
 
 
 register_scheduling_policy("fifo", FifoScheduling)
-register_scheduling_policy("lifo", LifoScheduling)
 register_scheduling_policy("degree", DegreeScheduling)
-register_scheduling_policy("rpo", RpoScheduling)
-register_scheduling_policy("hybrid", HybridScheduling)

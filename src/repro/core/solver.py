@@ -69,15 +69,15 @@ class SkipFlowSolver:
     ``config.solver_policy`` — own the rest:
 
     * a *scheduling policy* owns the worklist container and pop order
-      (``fifo``, the bit-identical seed default; ``lifo``; ``degree``;
-      ``rpo``).  Every fair order reaches the same fixed point; only the
-      effort counters differ.
+      (``fifo``, the bit-identical seed default; ``degree``).  Every fair
+      order reaches the same fixed point; only the effort counters differ.
     * a *saturation policy* decides when a megamorphic flow collapses and
       which top it collapses to (``off`` — the exact default, represented
       as no policy object at all so the hot path pays nothing;
-      ``closed-world``; ``declared-type``).  A saturated flow's joins are
-      skipped because its state already dominates anything that could
-      arrive, which keeps the result a sound over-approximation.
+      ``closed-world``; ``allocated-type``; ``allocated-type-reachable``).
+      A saturated flow's joins are skipped because its state already
+      dominates anything that could arrive, which keeps the result a sound
+      over-approximation.
 
     Two implementation notes on the hot path:
 
@@ -236,10 +236,10 @@ class SkipFlowSolver:
           must re-enter the fresh scheduling container;
         * saturated flows — their sentinel was computed against the *old*
           program, and every sentinel only widens as the world grows
-          (closed-world and allocated tops gain types, declared subtrees
-          gain subclasses).  Joins into a saturated flow are skipped, so the
-          flow must first be re-collapsed to the current sentinel or a cold
-          solve of the grown program would see more than the resumed one;
+          (closed-world and allocated tops gain types).  Joins into a
+          saturated flow are skipped, so the flow must first be re-collapsed
+          to the current sentinel or a cold solve of the grown program would
+          see more than the resumed one;
         * conservative injections — root parameter seeds and stub-callee
           effects inject ``instantiable_subtypes`` of declared types, which
           also grow with the hierarchy.  Re-playing them is a no-op join

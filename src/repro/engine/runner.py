@@ -44,7 +44,6 @@ never applies reflection mutations.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -290,17 +289,6 @@ def _program_for(spec: BenchmarkSpec,
     return program, from_store
 
 
-def _set_parallel_core_budget(budget: int) -> None:
-    """Pool-worker initializer: export this worker's intra-solve core slice.
-
-    :mod:`repro.core.kernel.parallel_kernel` reads the variable when sizing
-    its process-worker tier, so ``jobs`` pool workers × per-solve partitions
-    never exceeds the machine.
-    """
-    from repro.core.kernel.parallel_kernel import ENV_CORE_BUDGET
-    os.environ[ENV_CORE_BUDGET] = str(budget)
-
-
 def solve_config(spec: BenchmarkSpec,
                  config: AnalysisConfig,
                  store: Optional[ProgramStore] = None) -> Dict[str, Any]:
@@ -313,7 +301,7 @@ def solve_config(spec: BenchmarkSpec,
     ``program_from_store`` records whether generation was skipped.
     """
     started = time.perf_counter()
-    arena = getattr(config, "kernel", "object") in ("arena", "parallel")
+    arena = getattr(config, "kernel", "object") == "arena"
     program, from_store = _program_for(spec, store, arena=arena)
     report = NativeImageBuilder(program, config, benchmark_name=spec.name).build()
     return {
@@ -529,17 +517,8 @@ def run_config_matrix(
             pending, key=lambda item: (spec_rank[item[0]], item[1]))
 
     if parallel:
-        # Matrix-level pool workers and intra-solve parallel-kernel
-        # partitions share one core budget: each pool worker gets an even
-        # slice of the machine, so a `kernel="parallel"` half never
-        # oversubscribes (on a slice below two cores its auto mode falls
-        # back to the serial arena kernel).
         max_workers = min(jobs, len(submission_order))
-        budget = max(1, (os.cpu_count() or 1) // max_workers)
-        with ProcessPoolExecutor(
-                max_workers=max_workers,
-                initializer=_set_parallel_core_budget,
-                initargs=(budget,)) as pool:
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
             futures = {
                 pool.submit(solve_config, specs[index], configs[side],
                             program_store): (index, side)

@@ -24,10 +24,9 @@ trace is a sound oracle for all of them.
 :class:`~repro.api.AnalysisSession` replays the edit script warm
 (``update`` + ``run(resume=...)``) while a cold solve is run per prefix;
 their reachable sets, call edges, and stub sets must be identical at every
-step.  (Full value states are *not* compared: the ``declared-type``
-sentinel keeps pre-collapse arrivals on ``this`` parameter flows, which
-makes a saturated flow's exact state history-dependent by design — the
-canonical outputs above are the fixpoint-equality contract.)
+step.  (Full value-state equality of warm and cold solves is asserted by
+``tests/core/test_solver_state.py``; the oracle keeps to the canonical
+outputs, which are cheap to compare per prefix.)
 
 **Static audits.**  Every solver state the case produces — the exact and
 baseline solves, each cold combo, and every step of each warm chain — is
@@ -288,11 +287,7 @@ def check_case(script: EditScriptSpec, *,
     cold combination additionally runs under each other kernel, which must
     reproduce the reference's canonical outputs *and step count* exactly
     (the ``kernel-divergence`` invariant) on top of passing the trace and
-    audit oracles itself.  The ``parallel`` kernel is exempt from the step
-    clause only: its counters are sums over partition workers, so identity
-    there means identical canonical outputs (and, under saturation
-    policies it cannot honour bit-exactly, an automatic fallback to the
-    serial arena kernel — which the outputs comparison still covers).  Returns an :class:`OracleReport` whose
+    audit oracles itself.  Returns an :class:`OracleReport` whose
     ``violations`` is empty iff every invariant held at every edit prefix
     for every combination.
     """
@@ -353,16 +348,9 @@ def check_case(script: EditScriptSpec, *,
                         "skipflow", scheduling=scheduling,
                         saturation_policy=saturation,
                         saturation_threshold=threshold, kernel=kernel)
-                    # The parallel kernel's step counter is a sum across
-                    # partition workers and legitimately differs from the
-                    # serial schedules; its identity contract is outputs
-                    # only (reachable set, call edges, stubs).
-                    steps_diverged = (kernel != "parallel"
-                                      and alt.solver_steps
-                                      != combo.solver_steps)
                     if (_canonical_outputs(alt)
                             != cold[(scheduling, saturation, count)]
-                            or steps_diverged):
+                            or alt.solver_steps != combo.solver_steps):
                         report.violations.append(OracleViolation(
                             "kernel-divergence", klabel, count,
                             f"kernel {kernel!r} diverged from "

@@ -232,8 +232,8 @@ class TypeHierarchy:
         The first query fills the cache for *every* declared name in one
         declaration-order pass (each concrete class is bucketed under all of
         its supertypes), so N distinct queries cost one hierarchy walk
-        instead of N full scans — the declared-type saturation policy asks
-        for hundreds of distinct subtrees per solve.  Result tuples keep the
+        instead of N full scans — conservative root seeding and stub effects
+        ask for many distinct subtrees per solve.  Result tuples keep the
         classes' declaration order, exactly as the per-name scan produced.
         """
         cached = self._instantiable_subtypes_cache.get(name)

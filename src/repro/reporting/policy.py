@@ -12,7 +12,7 @@ everything else is measured against:
   a saturation column and only steps/joins/wall time move;
 * **saturation** additionally trades *precision*: the reachable delta
   against the exact reference is the precision loss, and the study shows
-  whether a smarter sentinel (``declared-type``) keeps the loss — and the
+  whether a smarter sentinel (``allocated-type``) keeps the loss — and the
   re-inflation of solver steps it causes — smaller than the classic
   ``closed-world`` top.
 """

@@ -32,11 +32,9 @@ GET_ENDPOINTS = ("sessions", "metrics", "health")
 #: :class:`~repro.api.registry.ConfigAnalyzer` options whose values are
 #: JSON scalars — ``policy`` (a live :class:`SolverPolicy` object) stays
 #: in-process only.  ``kernel`` selects the bit-identical propagation
-#: kernel (``object``/``arena``/``parallel``) and ``partitions`` the
-#: parallel kernel's worker count; both change throughput, never results.
+#: kernel (``object``/``arena``); it changes throughput, never results.
 WIRE_OPTIONS = frozenset(
-    {"saturation_threshold", "saturation_policy", "scheduling", "kernel",
-     "partitions"})
+    {"saturation_threshold", "saturation_policy", "scheduling", "kernel"})
 
 
 def endpoint(name: str) -> str:

@@ -39,21 +39,21 @@ class TestRunOptions:
             "skipflow").reachable_method_count
 
     def test_run_with_individual_knobs(self, session):
-        report = session.run("skipflow", scheduling="lifo",
-                             saturation_policy="declared-type",
+        report = session.run("skipflow", scheduling="degree",
+                             saturation_policy="allocated-type",
                              saturation_threshold=8)
         config = report.raw.config
-        assert config.scheduling == "lifo"
-        assert config.saturation_policy == "declared-type"
+        assert config.scheduling == "degree"
+        assert config.saturation_policy == "allocated-type"
         assert config.saturation_threshold == 8
 
     def test_bundled_policy_conflicts_with_knobs(self, session):
         with pytest.raises(ValueError, match="not both"):
-            session.run("skipflow", policy=SolverPolicy(), scheduling="lifo")
+            session.run("skipflow", policy=SolverPolicy(), scheduling="degree")
 
     def test_call_graph_analyzers_reject_kernel_options(self, session):
         with pytest.raises(ValueError, match="scheduling"):
-            session.run("cha", scheduling="lifo")
+            session.run("cha", scheduling="degree")
         with pytest.raises(ValueError, match="policy"):
             session.run("rta", policy=SolverPolicy())
 
@@ -72,23 +72,23 @@ class TestCompareRouting:
 
     def test_kernel_option_without_engine_column_is_an_error(self, session):
         with pytest.raises(ValueError, match="scheduling"):
-            session.compare(["cha", "rta"], scheduling="lifo")
+            session.compare(["cha", "rta"], scheduling="degree")
 
     def test_scheduling_does_not_change_the_ladder(self, session):
         plain = session.compare(["pta", "skipflow"])
-        scheduled = session.compare(["pta", "skipflow"], scheduling="rpo")
+        scheduled = session.compare(["pta", "skipflow"], scheduling="degree")
         assert (plain.reachable_counts() == scheduled.reachable_counts())
 
 
 class TestAnalyzerConfig:
     def test_config_accepts_policy(self):
-        policy = SolverPolicy(scheduling="rpo")
+        policy = SolverPolicy(scheduling="degree")
         config = get_analyzer("pta").config(policy=policy)
-        assert config.scheduling == "rpo"
+        assert config.scheduling == "degree"
         assert config.name == "PTA"
 
     def test_config_knob_composition(self):
         config = get_analyzer("skipflow").config(
-            saturation_threshold=8, saturation_policy="declared-type",
+            saturation_threshold=8, saturation_policy="allocated-type",
             scheduling="degree")
-        assert config.solver_policy.label == "degree/declared-type@8"
+        assert config.solver_policy.label == "degree/allocated-type@8"

@@ -18,8 +18,9 @@ from repro.workloads.generator import generate_benchmark
 from repro.workloads.suites import wide_hierarchy_suite
 from tests.conftest import build_virtual_threads_program
 
-SCHEDULINGS = ("fifo", "lifo", "degree")
-SATURATIONS = (("off", None), ("declared-type", 8))
+SCHEDULINGS = ("fifo", "degree")
+SATURATIONS = (("off", None), ("allocated-type", 8), ("closed-world", 8),
+               ("allocated-type-reachable", 8))
 
 SOURCE = """
 class Config {
@@ -60,6 +61,24 @@ def test_every_combo_audits_clean(analyzer_name, scheduling, saturation,
         findings = audit_state(result.solver_state, program)
         assert findings == [], (
             f"{label} [{analyzer_name} {policy.label}]: "
+            + "; ".join(d.render() for d in findings))
+
+
+@pytest.mark.parametrize("analyzer_name", config_backed_analyzers())
+@pytest.mark.parametrize("scheduling", SCHEDULINGS)
+@pytest.mark.parametrize("saturation,threshold", SATURATIONS)
+def test_arena_kernel_state_audits_clean(analyzer_name, scheduling,
+                                         saturation, threshold):
+    """The arena kernel's inflated state passes the same audits."""
+    policy = SolverPolicy(scheduling=scheduling, saturation=saturation,
+                          saturation_threshold=threshold)
+    config = get_analyzer(analyzer_name).config(policy=policy)
+    for label, program in _programs():
+        result = SkipFlowAnalysis(program, config.with_kernel("arena")).run()
+        assert result.kernel_ran == "arena", result.fallback
+        findings = audit_state(result.solver_state, program)
+        assert findings == [], (
+            f"{label} [{analyzer_name} {policy.label} arena]: "
             + "; ".join(d.render() for d in findings))
 
 

@@ -38,9 +38,9 @@ class TestParser:
 
     def test_saturation_policy_choices(self):
         args = build_parser().parse_args(
-            ["analyze", "app.lang", "--saturation-policy", "declared-type",
+            ["analyze", "app.lang", "--saturation-policy", "allocated-type",
              "--saturation-threshold", "8"])
-        assert args.saturation_policy == "declared-type"
+        assert args.saturation_policy == "allocated-type"
         assert args.saturation_threshold == 8
 
     def test_unknown_scheduling_rejected_by_parser(self, capsys):
@@ -51,15 +51,15 @@ class TestParser:
     def test_compare_carries_the_flags_too(self):
         args = build_parser().parse_args(
             ["compare", "app.lang", "pta", "skipflow",
-             "--scheduling", "lifo"])
-        assert args.scheduling == "lifo"
+             "--scheduling", "degree"])
+        assert args.scheduling == "degree"
 
 
 class TestAnalyze:
     def test_scheduling_flag_preserves_results(self, source, capsys):
         assert cli_main(["analyze", source]) == 0
         plain = capsys.readouterr().out
-        assert cli_main(["analyze", source, "--scheduling", "lifo"]) == 0
+        assert cli_main(["analyze", source, "--scheduling", "degree"]) == 0
         scheduled = capsys.readouterr().out
         # Scheduling changes effort only; the printed metrics are timings
         # aside identical.
@@ -69,12 +69,12 @@ class TestAnalyze:
 
     def test_saturation_policy_needs_threshold(self, source, capsys):
         assert cli_main(["analyze", source,
-                         "--saturation-policy", "declared-type"]) == 2
+                         "--saturation-policy", "allocated-type"]) == 2
         assert "needs a threshold" in capsys.readouterr().err
 
     def test_saturation_policy_with_threshold_runs(self, source, capsys):
         assert cli_main(["analyze", source,
-                         "--saturation-policy", "declared-type",
+                         "--saturation-policy", "allocated-type",
                          "--saturation-threshold", "8"]) == 0
         assert "reachable methods" in capsys.readouterr().out
 
@@ -86,7 +86,7 @@ class TestAnalyze:
 
     def test_call_graph_analysis_rejects_scheduling(self, source, capsys):
         assert cli_main(["analyze", source, "--analysis", "cha",
-                         "--scheduling", "lifo"]) == 2
+                         "--scheduling", "degree"]) == 2
         assert "scheduling" in capsys.readouterr().err
 
 
@@ -97,5 +97,5 @@ class TestCompare:
 
     def test_call_graph_only_columns_reject_kernel_flags(self, source, capsys):
         assert cli_main(["compare", source, "cha", "rta",
-                         "--scheduling", "lifo"]) == 2
+                         "--scheduling", "degree"]) == 2
         assert "scheduling" in capsys.readouterr().err

@@ -10,6 +10,7 @@ composed suites alike.  The grid here is the in-repo anchor for the CI
 gates (solver-steps baseline, fuzz ``kernel-divergence`` invariant).
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -18,6 +19,10 @@ from repro.core.analysis import KERNELS, AnalysisConfig, SkipFlowAnalysis
 from repro.core.kernel import (
     available_saturation_policies,
     available_scheduling_policies,
+)
+from repro.core.kernel.arena_kernel import (
+    ArenaKernelSolver,
+    ArenaKernelUnsupported,
 )
 from repro.image.builder import NativeImageBuilder
 from repro.ir.arena import freeze, open_program
@@ -63,6 +68,34 @@ def _solve(key, config):
     return SkipFlowAnalysis(_program(key), config).run()
 
 
+#: Every registered cutoff sentinel (``off`` has no sentinel to mirror).
+CUTOFFS = tuple(name for name in available_saturation_policies()
+                if name != "off")
+
+
+def _flow_states(result):
+    """Every flow's value state and saturation bit, plus linked callees.
+
+    Flow uids differ between kernels, so flows are keyed by (method,
+    label, kind) in a multiset; value states are hash-consed and compare
+    structurally.  On an arena result this walks the inflated PVPG.
+    """
+    pvpg = result.pvpg
+    states = Counter()
+    edges = set()
+    for graph in pvpg.methods.values():
+        for flow in graph.flows:
+            states[(graph.qualified_name, flow.label, flow.kind.value,
+                    flow.state, flow.saturated)] += 1
+        for invoke in graph.invoke_flows:
+            for callee in invoke.linked_callees:
+                edges.add((graph.qualified_name, invoke.label, callee))
+    for name, field_flow in pvpg.field_flows.items():
+        states[("<fields>", name, field_flow.kind.value, field_flow.state,
+                field_flow.saturated)] += 1
+    return states, edges
+
+
 class TestBitIdenticalGrid:
     @pytest.mark.parametrize("scheduling", available_scheduling_policies())
     @pytest.mark.parametrize("saturation", available_saturation_policies())
@@ -83,7 +116,7 @@ class TestBitIdenticalGrid:
         assert _canonical(arena) == _canonical(reference)
 
     @pytest.mark.parametrize("workload", ["dacapo-pmd", "composed-duo-112"])
-    @pytest.mark.parametrize("saturation", ["declared-type", "closed-world"])
+    @pytest.mark.parametrize("saturation", CUTOFFS)
     def test_saturations_on_tier1_and_composed(self, workload, saturation):
         config = (AnalysisConfig.skipflow()
                   .with_saturation_policy(saturation, 8))
@@ -96,6 +129,23 @@ class TestBitIdenticalGrid:
         reference = _solve("dacapo-pmd", config)
         arena = _solve("dacapo-pmd", config.with_kernel("arena"))
         assert _canonical(arena) == _canonical(reference)
+
+
+class TestPerFlowStates:
+    """Beyond the canonical outputs: every flow ends in the same state."""
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("scheduling", available_scheduling_policies())
+    @pytest.mark.parametrize("saturation", available_saturation_policies())
+    def test_flow_states_match_the_object_kernel(self, workload, scheduling,
+                                                  saturation):
+        config = AnalysisConfig.skipflow().with_scheduling(scheduling)
+        if saturation != "off":
+            config = config.with_saturation_policy(saturation, 4)
+        reference = _solve(workload, config)
+        arena = _solve(workload, config.with_kernel("arena"))
+        assert arena.kernel_ran == "arena"
+        assert _flow_states(arena) == _flow_states(reference)
 
 
 class TestAttachedArenaInput:
@@ -160,13 +210,49 @@ class TestFallbacks:
         config = AnalysisConfig.skipflow().with_kernel("arena")
         cold = SkipFlowAnalysis(program, config).run()
         assert cold.kernel_backend is not None
+        assert (cold.kernel_ran, cold.fallback) == ("arena", None)
         resumed = SkipFlowAnalysis(
             program, config, state=cold.solver_state).run()
         assert resumed.kernel_backend is None  # object solver took it
+        # ...and the result says so, with the arena kernel's reason.
+        assert resumed.kernel_ran == "object"
+        assert "only runs cold solves" in resumed.fallback
         assert (frozenset(resumed.reachable_methods)
                 == frozenset(cold.reachable_methods))
+
+    def test_solver_refuses_a_state_directly(self):
+        program = _program("wide-flat-64")
+        config = AnalysisConfig.skipflow().with_kernel("arena")
+        cold = SkipFlowAnalysis(program, config).run()
+        with pytest.raises(ArenaKernelUnsupported,
+                           match="only runs cold solves"):
+            ArenaKernelSolver(program, config, state=cold.solver_state)
+
+    def test_object_kernel_records_no_fallback(self):
+        result = _solve("wide-flat-64", AnalysisConfig.skipflow())
+        assert (result.kernel_ran, result.fallback) == ("object", None)
 
     def test_kernel_is_validated(self):
         with pytest.raises(ValueError):
             AnalysisConfig.skipflow().with_kernel("vectorized")
-        assert set(KERNELS) == {"object", "arena", "parallel"}
+        assert KERNELS == ("object", "arena")
+
+
+class TestPlantedArenaFault:
+    """A refusal raised from inside ``solve`` is recorded, never swallowed."""
+
+    @pytest.fixture(autouse=True)
+    def _refusing_arena_kernel(self, monkeypatch):
+        def refuse(self, roots=None):
+            raise ArenaKernelUnsupported("planted fault")
+
+        monkeypatch.setattr(ArenaKernelSolver, "solve", refuse)
+
+    def test_fallback_runs_the_object_solver_and_says_why(self):
+        config = AnalysisConfig.skipflow().with_kernel("arena")
+        result = SkipFlowAnalysis(_program("wide-flat-64"), config).run()
+        assert result.kernel_ran == "object"
+        assert result.fallback == "planted fault"
+        assert result.kernel_backend is None
+        reference = _solve("wide-flat-64", AnalysisConfig.skipflow())
+        assert _canonical(result) == _canonical(reference)

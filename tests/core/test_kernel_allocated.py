@@ -1,4 +1,4 @@
-"""The allocated-type saturation policy and the hybrid scheduling policy."""
+"""The allocated-type saturation policy."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.core.kernel import (
     SaturationContext,
     allocated_types,
     available_saturation_policies,
-    available_scheduling_policies,
     make_saturation_policy,
 )
 from repro.lang import compile_source
@@ -127,12 +126,10 @@ class TestRareGuardDischarge:
         program = generate_benchmark(WIDE_SPEC)
         exact = run_with(program, "off")
         closed = run_with(program, "closed-world")
-        declared = run_with(program, "declared-type")
         allocated = run_with(program, "allocated-type")
         assert (exact.reachable_method_count
                 <= allocated.reachable_method_count
-                < declared.reachable_method_count
-                <= closed.reachable_method_count)
+                < closed.reachable_method_count)
 
     def test_still_a_sound_over_approximation(self):
         program = generate_benchmark(WIDE_SPEC)
@@ -140,41 +137,3 @@ class TestRareGuardDischarge:
         allocated = run_with(program, "allocated-type")
         assert exact.reachable_methods <= allocated.reachable_methods
 
-
-class TestHybridScheduling:
-    def test_registered(self):
-        assert "hybrid" in available_scheduling_policies()
-
-    def test_reaches_the_fifo_fixpoint(self):
-        program = generate_benchmark(WIDE_SPEC)
-        fifo = SkipFlowAnalysis(program, AnalysisConfig.skipflow()).run()
-        hybrid = SkipFlowAnalysis(
-            program,
-            AnalysisConfig.skipflow().with_scheduling("hybrid")).run()
-        assert hybrid.reachable_methods == fifo.reachable_methods
-        assert sorted(hybrid.call_edges()) == sorted(fifo.call_edges())
-
-    def test_deterministic(self):
-        program = generate_benchmark(WIDE_SPEC)
-        config = AnalysisConfig.skipflow().with_scheduling("hybrid")
-        first = SkipFlowAnalysis(program, config).run()
-        second = SkipFlowAnalysis(program, config).run()
-        assert first.steps == second.steps
-        assert first.stats.joins == second.stats.joins
-
-    def test_refreshes_priorities_at_batch_formation(self):
-        """Degree keys on push-time fan-out; hybrid keys at round formation."""
-        from repro.core.flows import Flow
-        from repro.core.kernel.scheduling import HybridScheduling
-
-        worklist = HybridScheduling()
-        quiet = Flow("quiet")
-        hub = Flow("hub")
-        worklist.push(quiet)
-        worklist.push(hub)
-        # Edges added *after* the push, *before* the round forms.
-        for _ in range(3):
-            hub.add_use(Flow("sink"))
-        assert worklist.pop() is hub  # refreshed priority wins
-        assert worklist.pop() is quiet
-        assert len(worklist) == 0

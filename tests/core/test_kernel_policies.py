@@ -27,9 +27,9 @@ class TestSolverPolicy:
         assert policy.label == "fifo/off"
 
     def test_label_shows_threshold(self):
-        policy = SolverPolicy(scheduling="rpo", saturation="declared-type",
+        policy = SolverPolicy(scheduling="degree", saturation="allocated-type",
                               saturation_threshold=16)
-        assert policy.label == "rpo/declared-type@16"
+        assert policy.label == "degree/allocated-type@16"
         assert not policy.is_default
 
     def test_unknown_scheduling_rejected(self):
@@ -53,19 +53,18 @@ class TestSolverPolicy:
     def test_with_saturation_switches_coherently(self):
         policy = SolverPolicy().with_saturation("closed-world", 8)
         assert policy.saturation_threshold == 8
-        assert policy.with_saturation("declared-type").saturation_threshold == 8
+        assert policy.with_saturation("allocated-type").saturation_threshold == 8
         back_off = policy.with_saturation("off")
         assert back_off == DEFAULT_POLICY
 
 
 class TestRegistries:
     def test_builtin_names(self):
-        assert available_scheduling_policies()[0] == "fifo"
-        assert set(available_scheduling_policies()) >= {
-            "fifo", "lifo", "degree", "rpo"}
+        assert available_scheduling_policies() == ("fifo", "degree")
         assert available_saturation_policies()[0] == "off"
-        assert set(available_saturation_policies()) >= {
-            "off", "closed-world", "declared-type"}
+        assert set(available_saturation_policies()) == {
+            "off", "closed-world", "allocated-type",
+            "allocated-type-reachable"}
 
     def test_fresh_instance_per_solve(self):
         assert make_scheduling_policy("fifo") is not make_scheduling_policy("fifo")
@@ -102,23 +101,23 @@ class TestConfigPlumbing:
 
     def test_dropping_threshold_resets_policy_to_off(self):
         config = (AnalysisConfig.skipflow()
-                  .with_saturation_policy("declared-type", 8)
+                  .with_saturation_policy("allocated-type", 8)
                   .with_saturation_threshold(None))
         assert config.saturation_policy == "off"
         assert config.solver_policy == DEFAULT_POLICY
 
     def test_saturation_policy_without_threshold_rejected(self):
         with pytest.raises(ValueError, match="needs a threshold"):
-            AnalysisConfig.skipflow().with_saturation_policy("declared-type")
+            AnalysisConfig.skipflow().with_saturation_policy("allocated-type")
 
     def test_saturation_policy_keeps_existing_threshold(self):
         config = (AnalysisConfig.skipflow().with_saturation_threshold(8)
-                  .with_saturation_policy("declared-type"))
+                  .with_saturation_policy("allocated-type"))
         assert config.saturation_threshold == 8
-        assert config.saturation_policy == "declared-type"
+        assert config.saturation_policy == "allocated-type"
 
     def test_with_policy_round_trips(self):
-        policy = SolverPolicy(scheduling="degree", saturation="declared-type",
+        policy = SolverPolicy(scheduling="degree", saturation="allocated-type",
                               saturation_threshold=4)
         config = AnalysisConfig.skipflow().with_policy(policy)
         assert config.solver_policy == policy
@@ -126,9 +125,9 @@ class TestConfigPlumbing:
 
     def test_policy_is_part_of_config_identity(self):
         base = AnalysisConfig.skipflow()
-        assert base != base.with_scheduling("lifo")
+        assert base != base.with_scheduling("degree")
         assert (base.with_saturation_threshold(8)
-                != base.with_saturation_policy("declared-type", 8))
+                != base.with_saturation_policy("allocated-type", 8))
 
     def test_invalid_names_fail_at_construction(self):
         with pytest.raises(ValueError, match="unknown scheduling"):

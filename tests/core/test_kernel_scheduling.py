@@ -129,7 +129,7 @@ class TestEquivalence:
     def test_schedules_agree_under_saturation_too(self):
         """With a cutoff the fixpoint is coarser but still schedule-invariant."""
         config = AnalysisConfig.skipflow().with_saturation_policy(
-            "declared-type", 4)
+            "allocated-type", 4)
         reference = SkipFlowAnalysis(generate_benchmark(WIDE_SPEC), config).run()
         for scheduling in available_scheduling_policies():
             result = SkipFlowAnalysis(
@@ -139,14 +139,14 @@ class TestEquivalence:
             assert result.stats.saturated_flows > 0
 
     def test_schedules_really_differ_in_effort(self):
-        """The policies are not all secretly fifo: lifo reorders the work."""
+        """The policies are not all secretly fifo: degree reorders the work."""
         program_steps = {
             scheduling: SkipFlowAnalysis(
                 generate_benchmark(WIDE_SPEC),
                 AnalysisConfig.skipflow().with_scheduling(scheduling)).run().steps
-            for scheduling in ("fifo", "lifo")
+            for scheduling in ("fifo", "degree")
         }
-        assert program_steps["fifo"] != program_steps["lifo"]
+        assert program_steps["fifo"] != program_steps["degree"]
 
 
 class TestFifoIsTheSeed:

@@ -50,8 +50,8 @@ class Main {
 
 #: The saturation grid of the equivalence test; threshold 4 is far below the
 #: wide spec's 25-leaf field, so every cutoff actually fires.
-SATURATIONS = (("off", None), ("closed-world", 4), ("declared-type", 4),
-               ("allocated-type", 4))
+SATURATIONS = (("off", None), ("closed-world", 4), ("allocated-type", 4),
+               ("allocated-type-reachable", 4))
 
 
 def fixpoint_signature(result):
@@ -188,19 +188,24 @@ class TestWarmVsColdEquivalence:
     @pytest.mark.parametrize("saturation,threshold", SATURATIONS)
     def test_edit_sequence_reaches_the_cold_fixpoint(self, scheduling,
                                                      saturation, threshold):
-        """Warm == cold for every combination, with one honest caveat.
+        """Warm == cold for every combination: reachability, call edges,
+        and the value state of every flow, saturated ones included."""
+        self._assert_warm_chain_matches_cold(
+            config_for(scheduling, saturation, threshold), "object")
 
-        Reachability and call edges must agree everywhere.  Value states
-        must agree exactly too — except on *saturated* flows under
-        ``declared-type``: its sentinel does not dominate the unfiltered
-        receiver sets that ``this`` parameters receive, so a saturated
-        flow's state keeps whatever arrived before the collapse, and a warm
-        chain (which collapsed before some edit's types even existed) can
-        legitimately hold less residue than a cold solve.  Both are sound
-        over-approximations above the same sentinel; for those flows the
-        test checks the saturation verdict instead of the residue.
-        """
-        config = config_for(scheduling, saturation, threshold)
+    @pytest.mark.parametrize("scheduling", available_scheduling_policies())
+    @pytest.mark.parametrize("saturation,threshold", SATURATIONS)
+    def test_edit_sequence_from_an_arena_cold_solve(self, scheduling,
+                                                    saturation, threshold):
+        """The same contract when the cold solves run on the arena kernel:
+        the warm chain starts from its inflated state, and the resumes
+        themselves run on the object solver."""
+        self._assert_warm_chain_matches_cold(
+            config_for(scheduling, saturation,
+                       threshold).with_kernel("arena"), "arena")
+
+    @staticmethod
+    def _assert_warm_chain_matches_cold(config, cold_kernel):
         program = generate_benchmark(WIDE_SPEC)
         script = default_edit_script(WIDE_SPEC, steps=3)
         chain = SkipFlowAnalysis(program, config).run().solver_state
@@ -210,32 +215,10 @@ class TestWarmVsColdEquivalence:
             warm = SkipFlowAnalysis(program, config, state=chain).run()
             chain = warm.solver_state
         cold = SkipFlowAnalysis(program, config).run()
+        assert (cold.kernel_ran, warm.kernel_ran) == (cold_kernel, "object")
         assert warm.reachable_methods == cold.reachable_methods
         assert sorted(warm.call_edges()) == sorted(cold.call_edges())
-        if saturation == "declared-type":
-            self._assert_states_match_modulo_residue(warm, cold)
-        else:
-            assert fixpoint_signature(warm) == fixpoint_signature(cold)
-
-    @staticmethod
-    def _assert_states_match_modulo_residue(warm, cold):
-        """Exact state equality off the saturated flows; verdicts on them."""
-        warm_graphs, cold_graphs = warm.pvpg.methods, cold.pvpg.methods
-        assert set(warm_graphs) == set(cold_graphs)
-        for name in warm_graphs:
-            pairs = list(zip(warm_graphs[name].flows, cold_graphs[name].flows))
-            assert len(warm_graphs[name].flows) == len(cold_graphs[name].flows)
-            for flow_warm, flow_cold in pairs:
-                assert flow_warm.label == flow_cold.label
-                assert flow_warm.saturated == flow_cold.saturated
-                if not flow_warm.saturated:
-                    assert flow_warm.state == flow_cold.state, (
-                        f"{name}::{flow_warm.label}")
-        for field_name, flow_warm in warm.pvpg.field_flows.items():
-            flow_cold = cold.pvpg.field_flows[field_name]
-            assert flow_warm.saturated == flow_cold.saturated
-            if not flow_warm.saturated:
-                assert flow_warm.state == flow_cold.state, field_name
+        assert fixpoint_signature(warm) == fixpoint_signature(cold)
 
     def test_single_method_edit_is_much_cheaper_warm(self):
         program = generate_benchmark(WIDE_SPEC)

@@ -1,9 +1,8 @@
 """Property tests: each integer worklist mirrors its object counterpart.
 
 The arena kernel re-implements every scheduling policy over plain fids
-(``_FifoFids``/``_LifoFids``/``_DegreeFids``/``_RpoFids``/``_HybridFids``
-in :mod:`repro.core.kernel.arena_kernel`); the bit-identity of the whole
-kernel rests on each mirror popping fids in *exactly* the order its object
+(``_FifoFids``/``_DegreeFids`` in :mod:`repro.core.kernel.arena_kernel`);
+the bit-identity of the whole kernel rests on each mirror popping fids in *exactly* the order its object
 counterpart pops flows.  These tests check that contract directly: random
 flow graphs, random interleavings of pushes and pops (respecting the
 solver's at-most-once-pending dedup bit), and a pop-by-pop comparison —
@@ -22,24 +21,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.core.kernel.arena_kernel import (  # noqa: E402
     _DegreeFids,
     _FifoFids,
-    _HybridFids,
-    _LifoFids,
-    _RpoFids,
 )
 from repro.core.kernel.scheduling import (  # noqa: E402
     DegreeScheduling,
     FifoScheduling,
-    HybridScheduling,
-    LifoScheduling,
-    RpoScheduling,
 )
 
 PAIRS = [
     ("fifo", FifoScheduling, _FifoFids),
-    ("lifo", LifoScheduling, _LifoFids),
     ("degree", DegreeScheduling, _DegreeFids),
-    ("rpo", RpoScheduling, _RpoFids),
-    ("hybrid", HybridScheduling, _HybridFids),
 ]
 
 
@@ -54,7 +44,7 @@ class _FakeFlow:
 
 
 class _FakeSolver:
-    """The two hooks the fid mirrors call back into the arena solver."""
+    """The hook the degree mirror calls back into the arena solver."""
 
     def __init__(self, flows: List[_FakeFlow]) -> None:
         self._flows: Dict[int, _FakeFlow] = {flow.uid: flow for flow in flows}
@@ -64,16 +54,13 @@ class _FakeSolver:
         return (len(flow.uses) + len(flow.observers)
                 + len(flow.predicate_targets))
 
-    def _uses_of(self, fid: int):
-        return [use.uid for use in self._flows[fid].uses]
-
 
 def _build_graph(n: int, edges: List[int], extras: List[int]):
     """A deterministic random graph from drawn integers.
 
     ``edges`` seeds the use edges (including self loops and cycles);
     ``extras`` pads observers/predicate_targets so out-degrees differ from
-    use-edge counts (degree and hybrid keys must see the *total* fan-out).
+    use-edge counts (degree keys must see the *total* fan-out).
     """
     flows = [_FakeFlow(uid) for uid in range(n)]
     for position, raw in enumerate(edges):
@@ -150,7 +137,7 @@ class TestMirrorsPopInLockstep:
                           max_size=30))
     def test_push_all_pop_all(self, name, object_policy, fid_mirror,
                               n, edges):
-        """The batch shape both rpo variants care about: one full round."""
+        """One full round: push every flow, then drain."""
         flows = _build_graph(n, edges, [])
         solver = _FakeSolver(flows)
         reference = object_policy()
@@ -160,3 +147,25 @@ class TestMirrorsPopInLockstep:
             mirror.push(flow.uid)
         popped = [(mirror.pop(), reference.pop().uid) for _ in flows]
         assert [fid for fid, _ in popped] == [uid for _, uid in popped]
+
+    @settings(max_examples=30, deadline=None)
+    @given(scenario=_scenarios(),
+           growth=st.lists(st.integers(min_value=0, max_value=200),
+                           max_size=20))
+    def test_edges_added_while_pending(self, name, object_policy, fid_mirror,
+                                       scenario, growth):
+        """Linking grows fan-out while flows wait in the worklist; both
+        sides must keep the priority they computed at push time."""
+        n, edges, extras, _ = scenario
+        flows = _build_graph(n, edges, extras)
+        solver = _FakeSolver(flows)
+        reference = object_policy()
+        mirror = fid_mirror(solver)
+        for flow in flows:
+            reference.push(flow)
+            mirror.push(flow.uid)
+        for position, raw in enumerate(growth):
+            flows[raw % n].uses.append(flows[position % n])
+        popped = [(mirror.pop(), reference.pop().uid) for _ in flows]
+        assert [fid for fid, _ in popped] == [uid for _, uid in popped]
+        assert len(mirror) == len(reference) == 0

@@ -15,12 +15,12 @@ def _policy_configs():
     skipflow = AnalysisConfig.skipflow()
     return {
         "fifo/off": skipflow,
-        "lifo/off": skipflow.with_scheduling("lifo"),
+        "degree/off": skipflow.with_scheduling("degree"),
         "fifo/closed-world": skipflow.with_saturation_threshold(64),
-        "fifo/declared-type": skipflow.with_saturation_policy(
-            "declared-type", 64),
-        "lifo/declared-type": (skipflow.with_scheduling("lifo")
-                               .with_saturation_policy("declared-type", 64)),
+        "fifo/allocated-type": skipflow.with_saturation_policy(
+            "allocated-type", 64),
+        "degree/allocated-type": (skipflow.with_scheduling("degree")
+                                  .with_saturation_policy("allocated-type", 64)),
     }
 
 
@@ -33,8 +33,8 @@ class TestPolicyKeying:
 
     def test_same_policy_same_key(self, tmp_path):
         cache = ResultCache(tmp_path)
-        again = AnalysisConfig.skipflow().with_scheduling("lifo")
-        assert (cache.config_key(_spec(), _policy_configs()["lifo/off"])
+        again = AnalysisConfig.skipflow().with_scheduling("degree")
+        assert (cache.config_key(_spec(), _policy_configs()["degree/off"])
                 == cache.config_key(_spec(), again))
 
     def test_policy_matrix_reuses_the_default_half(self, tmp_path):

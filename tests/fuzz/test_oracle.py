@@ -112,7 +112,7 @@ class TestWarmColdEquivalence:
     def test_warm_chain_checked_per_combo(self):
         steps = (EditStepSpec(kind="add-variant", index=0),)
         report = check_case(
-            _script(steps), schedulings=("fifo", "lifo"),
+            _script(steps), schedulings=("fifo", "degree"),
             saturations=("off", "allocated-type-reachable"))
         assert report.ok
         assert report.combos_checked == 4

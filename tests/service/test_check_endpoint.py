@@ -100,7 +100,7 @@ class TestOverTheWire:
             assert any(d["id"] == "IR002" for d in lint["diagnostics"])
 
             audited = client.check("s", analysis="skipflow",
-                                   options={"scheduling": "lifo"})
+                                   options={"scheduling": "degree"})
             assert audited["counts"]["error"] == 0
 
             clean = client.analyze("s", "skipflow", audit=True)
