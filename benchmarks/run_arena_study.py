@@ -29,6 +29,12 @@ arena wall time; ``--min-speedup`` (default 1.5, the tentpole target) turns
 it into an exit-code gate.  Per-half decode time is reported separately so
 "unpickle gone" is visible, not inferred.
 
+The study also tracks what the arena blob costs to make: per spec, the
+min-of-``FREEZE_REPEATS`` (3) times of ``generate_benchmark`` and of
+``freeze`` and their ratio land on the spec's arena rows (``layers``), so
+the freeze/generate ratio is a series across runs.  It is reported, not
+gated.
+
 Every run is persisted as a versioned ``BENCH_<n>.json`` trajectory under
 ``--bench-dir`` (:mod:`repro.reporting.trajectory`); ``BENCH_1.json`` is the
 study's first recorded run and later runs extend the series that
@@ -51,13 +57,17 @@ from repro.engine import ProgramStore, ResultCache
 from repro.engine.runner import _report_payload
 from repro.engine.scheduler import estimated_cost
 from repro.image.builder import NativeImageBuilder
+from repro.ir.arena import freeze
 from repro.reporting.trajectory import TrajectoryRow, write_trajectory
+from repro.workloads.generator import generate_benchmark
 from repro.workloads.suites import dacapo_suite
 
 QUICK_SPECS = 2
 QUICK_CONFIGS = 2
 DEFAULT_MIN_SPEEDUP = 1.5
 QUICK_MIN_SPEEDUP = 1.0
+#: Generate/freeze timings per spec are the min of this many runs.
+FREEZE_REPEATS = 3
 
 #: Timing keys excluded from the bit-identity comparison (everything else
 #: in the payload — counts, sizes, step/join/transfer counters — must match
@@ -89,14 +99,29 @@ def measure_half(program, config: AnalysisConfig, spec) -> Dict[str, object]:
     return _report_payload(report)
 
 
+def measure_freeze(spec) -> Tuple[Tuple[str, float], ...]:
+    """Min-of-``FREEZE_REPEATS`` generate and freeze times of ``spec`` (ms), and their ratio."""
+    generate_s = freeze_s = float("inf")
+    for _ in range(FREEZE_REPEATS):
+        started = time.perf_counter()
+        program = generate_benchmark(spec)
+        generate_s = min(generate_s, time.perf_counter() - started)
+        started = time.perf_counter()
+        freeze(program)
+        freeze_s = min(freeze_s, time.perf_counter() - started)
+    return (("generate_ms", round(generate_s * 1000, 3)),
+            ("freeze_ms", round(freeze_s * 1000, 3)),
+            ("freeze_over_generate", round(freeze_s / generate_s, 3)))
+
+
 def run_cell(spec, label: str, config: AnalysisConfig,
-             store: ProgramStore):
+             store: ProgramStore, freeze_cost: Tuple[Tuple[str, float], ...]):
     """Measure one (spec, policy) cell under both kernels.
 
     Returns (rows, object_seconds, arena_seconds, decode_seconds pair,
     payloads_match).  Decode is *inside* the timed window for both halves —
     the study measures what a worker pays, and killing the decode is half
-    the point.
+    the point.  The arena row carries the spec's ``freeze_cost`` figures.
     """
     store.load_or_build(spec)  # Warm the disk blob; not part of either half.
 
@@ -122,7 +147,7 @@ def run_cell(spec, label: str, config: AnalysisConfig,
         TrajectoryRow(spec=spec.name, policy=label, kernel="arena",
                       steps=int(arena_payload["solver_steps"]),
                       joins=int(arena_payload["solver_joins"]),
-                      wall_time_seconds=arena_total),
+                      wall_time_seconds=arena_total, layers=freeze_cost),
     ]
     match = _strip_timing(object_payload) == _strip_timing(arena_payload)
     return rows, object_total, arena_total, (object_decode, arena_decode), match
@@ -190,11 +215,14 @@ def main(argv=None) -> int:
               f"{'speedup':>8} {'decode o/a (ms)':>16}  identical")
     lines.append(header)
     lines.append("-" * len(header))
+    freeze_costs = {spec.name: dict(measure_freeze(spec))
+                    for spec in specs}
     for spec in specs:
         for label, config in configs:
             (cell_rows, object_total, arena_total,
              (object_decode, arena_decode), match) = run_cell(
-                spec, label, config, store)
+                spec, label, config, store,
+                tuple(freeze_costs[spec.name].items()))
             rows.extend(cell_rows)
             object_sum += object_total
             arena_sum += arena_total
@@ -216,6 +244,18 @@ def main(argv=None) -> int:
     lines.append(
         f"decode: unpickle {object_decode_sum * 1000:.1f} ms total vs "
         f"arena attach {arena_decode_sum * 1000:.1f} ms total")
+    lines.append("")
+    lines.append(f"{'benchmark':<16} {'generate':>11} {'freeze':>11} "
+                 f"{'freeze/gen':>10}  (min of {FREEZE_REPEATS})")
+    for name, cost in freeze_costs.items():
+        lines.append(f"{name:<16} {cost['generate_ms']:>8.1f} ms "
+                     f"{cost['freeze_ms']:>8.1f} ms "
+                     f"{cost['freeze_over_generate']:>9.2f}x")
+    generate_total = sum(cost["generate_ms"] for cost in freeze_costs.values())
+    freeze_total = sum(cost["freeze_ms"] for cost in freeze_costs.values())
+    freeze_ratio = freeze_total / generate_total
+    lines.append(f"freeze: {freeze_total:.1f} ms total vs generate "
+                 f"{generate_total:.1f} ms -> {freeze_ratio:.2f}x")
     text = "\n".join(lines)
     print(text)
 
@@ -228,6 +268,7 @@ def main(argv=None) -> int:
             headline=("arena_cold_solve_speedup_x", round(speedup, 3)),
             extra={"benchmarks": [spec.name for spec in specs],
                    "policies": [label for label, _ in configs],
+                   "freeze_over_generate_x": round(freeze_ratio, 3),
                    "quick": args.quick},
             index=args.bench_index)
         print(f"wrote {target}", file=sys.stderr)

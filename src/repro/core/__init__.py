@@ -40,7 +40,7 @@ from repro.core.kernel import (
     register_scheduling_policy,
 )
 from repro.core.pvpg import BranchKind, BranchRecord, MethodPVPG, ProgramPVPG
-from repro.core.pvpg_builder import PVPGBuilder
+from repro.core.pvpg_builder import ObjectSink, PVPGBuilder
 from repro.core.results import AnalysisResult, MethodSummary
 from repro.core.solver import SkipFlowSolver
 from repro.core.state import SolverState, SolverStateError
@@ -60,6 +60,7 @@ __all__ = [
     "LoadFieldFlow",
     "MethodPVPG",
     "MethodSummary",
+    "ObjectSink",
     "ParameterFlow",
     "PhiFlow",
     "PhiPredFlow",

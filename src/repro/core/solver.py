@@ -47,7 +47,7 @@ from repro.core.kernel.policy import DEFAULT_POLICY, SolverPolicy
 from repro.core.kernel.saturation import make_saturation_policy
 from repro.core.kernel.scheduling import make_scheduling_policy
 from repro.core.pvpg import MethodPVPG
-from repro.core.pvpg_builder import PVPGBuilder
+from repro.core.pvpg_builder import ObjectSink, PVPGBuilder
 from repro.core.state import SolverState, SolverStateError
 from repro.ir.instructions import InvokeKind
 from repro.ir.method import Method
@@ -120,7 +120,7 @@ class SkipFlowSolver:
         #: The borrowed mutable fixpoint state (see the class docstring).
         self.state = state
         self.pvpg = state.pvpg
-        self.builder = PVPGBuilder(program, self.pvpg, config)
+        self.builder = PVPGBuilder(ObjectSink(self.pvpg, config))
         self._worklist = make_scheduling_policy(self.policy.scheduling)
         #: ``None`` when the cutoff is off — the hot path skips the feature.
         #: Built per solve (not here): program-aware policies need the roots.

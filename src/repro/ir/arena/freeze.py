@@ -1,20 +1,25 @@
 """``freeze(program)``: flatten a built program into one arena buffer.
 
-The freeze pass runs the PVPG builder over *every* method of the program
-once (the object solver builds method graphs lazily per reachable method;
-freezing all of them up front is a one-time cost paid when the program is
-stored) and lowers the resulting object graph into the struct-of-arrays
-schema of :mod:`repro.ir.arena.layout`:
+The freeze pass lowers the IR of *every* method straight into the
+struct-of-arrays schema of :mod:`repro.ir.arena.layout` (the object solver
+builds method graphs lazily per reachable method; freezing all of them up
+front is a one-time cost paid when the program is stored).  It runs the
+PVPG builder's one traversal (:class:`~repro.core.pvpg_builder.PVPGBuilder`)
+with a column sink, :class:`_ColumnSink`, whose flow handles *are* the
+integer flow ids, so no object flow, object graph or flow-id map exists:
 
 * every flow gets a dense integer id (*fid*): fid 0 is ``pred_on``, fids
   ``1..NF`` are the program's declared fields in declaration order, and
   each method owns the contiguous fid range of its flows in registration
   order — so "activate a method" becomes "enable an fid range";
 * build-time edges (uses / observers / predicate targets / incoming
-  predicates) become CSR ranges over fids.  Edges created *during* a solve
-  (field linking, call linking, ``pred_on`` fan-out to activated methods)
-  are intentionally absent: the kernel adds them to dynamic side tables,
-  exactly as the object solver grows the object graph;
+  predicates) become CSR ranges over fids: the sink appends each edge as a
+  (source, target) pair, deduplicated like the object ``add_*`` methods,
+  and a stable sort by row keeps each row in insertion order.  Edges
+  created *during* a solve (field linking, call linking, ``pred_on``
+  fan-out to activated methods) are intentionally absent: the kernel adds
+  them to dynamic side tables, exactly as the object solver grows the
+  object graph;
 * per-kind flow payloads (constants, call sites, compared operands, ...)
   become integer columns over small auxiliary tables;
 * method bodies are pickled *individually* so an attached program can thaw
@@ -24,6 +29,10 @@ schema of :mod:`repro.ir.arena.layout`:
   :class:`~repro.ir.delta.ProgramFingerprint` of the source program, so
   attach-side consumers validate against exactly what was frozen.
 
+Strings are interned in one table in a fixed order (type tables, method
+table, entry points, then flows in fid order), and sections are written in
+a fixed order, so the buffer is a pure function of the program.
+
 ``filtering_enabled`` of filter flows is *not* encoded: it is a property
 of the analysis config, reapplied when flows are inflated, which keeps the
 frozen structure config-independent (one arena serves every config).
@@ -31,31 +40,32 @@ frozen structure config-independent (one arena serves every config).
 
 from __future__ import annotations
 
+import operator
 import pickle
 from array import array
-from typing import Dict, List, Optional
+from itertools import accumulate
+from typing import Dict, List, Optional, Set
 
-from repro.core.flows import Flow, FlowKind
-from repro.core.pvpg import MethodPVPG, ProgramPVPG
+from repro.core.pvpg import BranchKind
 from repro.core.pvpg_builder import PVPGBuilder
 from repro.ir.arena import schema
 from repro.ir.arena.layout import BufferWriter
+from repro.ir.cfg import ControlFlowGraph
 from repro.ir.delta import ProgramFingerprint
 from repro.ir.instructions import (
     Assign,
+    CompareOp,
     Condition,
+    If,
     InstanceOfCondition,
+    Invoke,
 )
+from repro.ir.method import Method
 from repro.ir.program import Program
 from repro.ir.types import FieldDecl
 from repro.ir.values import ConstantExpr, ConstKind
 
-
-class _FreezeConfig:
-    """Build-time stand-in config: filters on, structure config-independent."""
-
-    filter_type_checks = True
-    filter_comparisons = True
+_NONE = schema.NONE_ID
 
 
 class _Strings:
@@ -79,24 +89,264 @@ class _Strings:
         return sid
 
     def opt(self, text: Optional[str]) -> int:
-        return schema.NONE_ID if text is None else self.intern(text)
+        return _NONE if text is None else self.intern(text)
 
     def write(self, writer: BufferWriter) -> None:
         writer.add_ints("str_offsets", self._offsets)
         writer.add_bytes("str_blob", b"".join(self._parts))
 
 
-def _add_csr(writer: BufferWriter, ptr_name: str, val_name: str,
-             rows: List[List[int]]) -> None:
-    ptr = array("q", [0])
-    val = array("q")
-    total = 0
+class _Rows:
+    """A CSR filled one row at a time: ``ptr`` + ``val`` lists."""
+
+    __slots__ = ("ptr", "val")
+
+    def __init__(self) -> None:
+        self.ptr: List[int] = [0]
+        self.val: List[int] = []
+
+    def end_row(self) -> None:
+        self.ptr.append(len(self.val))
+
+    def add_row(self, row: List[int]) -> None:
+        self.val.extend(row)
+        self.ptr.append(len(self.val))
+
+    def write(self, writer: BufferWriter, ptr_name: str, val_name: str) -> None:
+        writer.add_ints(ptr_name, self.ptr)
+        writer.add_ints(val_name, self.val)
+
+
+def _write_pairs(writer: BufferWriter, ptr_name: str, val_name: str,
+                 pairs: List[int], num_rows: int) -> None:
+    """Write flat ``(row, value, row, value, ...)`` pairs as a CSR.
+
+    ``sorted`` is stable, so every row keeps its values' insertion order.
+    """
+    rows, vals = pairs[0::2], pairs[1::2]
+    counts = [0] * (num_rows + 1)
     for row in rows:
-        total += len(row)
-        ptr.append(total)
-        val.extend(row)
-    writer.add_ints(ptr_name, ptr)
-    writer.add_ints(val_name, val)
+        counts[row + 1] += 1
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    writer.add_ints(ptr_name, array("q", accumulate(counts)))
+    writer.add_ints(val_name, array("q", map(vals.__getitem__, order)))
+
+
+#: Columns of one flow row, in the order of :attr:`_ColumnSink.flows`.
+_FLOW_COLUMNS = ("flow_kind", "flow_label", "flow_method", "flow_aux1", "flow_aux2")
+
+
+class _ColumnSink:
+    """A :class:`~repro.core.pvpg_builder.FlowSink` writing arena columns.
+
+    Handles are fids, handed out in registration order after the
+    ``pred_on`` and field rows (:meth:`global_flow`).  Strings are interned
+    label first, then payload, flow by flow.  Columns accumulate in flat
+    lists (cheaper to extend than arrays) and become arrays when written.
+    """
+
+    pred_on = 0
+
+    def __init__(self, strings: _Strings) -> None:
+        self._intern = strings.intern
+        self._opt = strings.opt
+        self._next = 0
+        self._method_id = _NONE
+        #: One ``_FLOW_COLUMNS`` row per flow, flattened.
+        self.flows: List[int] = []
+        self.flow_lo: List[int] = []
+        self.flow_hi: List[int] = []
+        # Edges as flat (source, target) pairs; ``predicates`` holds
+        # (target, source) for the incoming-predicate CSR, pred_on included,
+        # while pred_on's own fan-out goes to method_pred, not pred_targets.
+        self.uses: List[int] = []
+        self.observers: List[int] = []
+        self.pred_targets: List[int] = []
+        self.predicates: List[int] = []
+        self.method_pred = _Rows()
+        self.method_param = _Rows()
+        self.method_ret = _Rows()
+        self.method_inv = _Rows()
+        self.branch_cols: Dict[str, List[int]] = {
+            name: [] for name in ("br_kind", "br_then", "br_else", "br_block")}
+        #: The ``if`` instructions behind the ``branch_cols`` rows.
+        self.branch_ifs: List[If] = []
+        self._const_ids: Dict[ConstantExpr, int] = {}
+        self.const_kind: List[int] = []
+        self.const_int: List[int] = []
+        self.const_type: List[int] = []
+        self.cs_cols: Dict[str, List[int]] = {name: [] for name in (
+            "cs_kind", "cs_method_name", "cs_target_class",
+            "cs_result_name", "cs_result_type", "cs_recv_name", "cs_recv_type",
+        )}
+        self.cs_args = _Rows()
+        self.cs_args_type: List[int] = []
+        self.inv_args = _Rows()
+        # Edge dedup keys of the current method (build-time edges never
+        # leave a method, apart from pred_on's, whose targets are in it).
+        self._seen_use: Set[int] = set()
+        self._seen_obs: Set[int] = set()
+        self._seen_pred: Set[int] = set()
+
+    @property
+    def num_flows(self) -> int:
+        return self._next
+
+    def global_flow(self, kind: int, label: str, aux1: int = _NONE) -> None:
+        """Append a flow no method owns (``pred_on``, a field)."""
+        self._next += 1
+        self.flows.extend((kind, self._intern(label), _NONE, aux1, _NONE))
+
+    def write_flows(self, writer: BufferWriter) -> None:
+        for index, name in enumerate(_FLOW_COLUMNS):
+            writer.add_ints(name, self.flows[index::len(_FLOW_COLUMNS)])
+
+    def begin_method(self, method: Method) -> None:
+        self._method_id += 1
+        self.flow_lo.append(self._next)
+
+    def end_method(self) -> None:
+        self.flow_hi.append(self._next)
+        for rows in (self.method_pred, self.method_param,
+                     self.method_ret, self.method_inv):
+            rows.end_row()
+        self._seen_use.clear()
+        self._seen_obs.clear()
+        self._seen_pred.clear()
+
+    def _emit(self, pred: int, kind: int, label: int,
+              aux1: int = _NONE, aux2: int = _NONE) -> int:
+        """Append a method flow guarded by ``pred``; returns its fid.
+
+        The predicate edge needs no dedup (see ``FlowSink``).
+        """
+        fid = self._next
+        self._next = fid + 1
+        self.flows.extend((kind, label, self._method_id, aux1, aux2))
+        if pred:
+            self.pred_targets.extend((pred, fid))
+        else:
+            self.method_pred.val.append(fid)
+        self.predicates.extend((fid, pred))
+        return fid
+
+    # -- flows ----------------------------------------------------------- #
+    def phi_pred(self, label: str) -> int:
+        fid = self._next
+        self._next = fid + 1
+        self.flows.extend(
+            (schema.K_PHI_PRED, self._intern(label), self._method_id, _NONE, _NONE))
+        return fid
+
+    def phi(self, pred: int, label: str) -> int:
+        return self._emit(pred, schema.K_PHI, self._intern(label))
+
+    def parameter(self, pred: int, label: str, index: int,
+                  declared_type: Optional[str]) -> int:
+        sid = self._intern(label)
+        fid = self._emit(pred, schema.K_PARAMETER, sid,
+                         index, self._opt(declared_type))
+        self.method_param.val.append(fid)
+        return fid
+
+    def source(self, pred: int, label: str, expr: ConstantExpr) -> int:
+        sid = self._intern(label)
+        return self._emit(pred, schema.K_SOURCE, sid, self._const_row(expr))
+
+    def load_field(self, pred: int, label: str, field_name: str,
+                   receiver: int) -> int:
+        sid = self._intern(label)
+        return self._emit(pred, schema.K_LOAD_FIELD, sid,
+                          self._intern(field_name), receiver)
+
+    def store_field(self, pred: int, label: str, field_name: str,
+                    receiver: int) -> int:
+        sid = self._intern(label)
+        return self._emit(pred, schema.K_STORE_FIELD, sid,
+                          self._intern(field_name), receiver)
+
+    def invoke(self, pred: int, label: str, invoke: Invoke,
+               receiver: Optional[int], arguments: List[int]) -> int:
+        intern, opt, cols = self._intern, self._opt, self.cs_cols
+        sid = intern(label)
+        fid = self._emit(pred, schema.K_INVOKE, sid, len(cols["cs_kind"]),
+                         _NONE if receiver is None else receiver)
+        cols["cs_kind"].append(schema.INVOKE_INDEX[invoke.kind])
+        cols["cs_method_name"].append(intern(invoke.method_name))
+        cols["cs_target_class"].append(opt(invoke.target_class))
+        result = invoke.result
+        cols["cs_result_name"].append(_NONE if result is None else intern(result.name))
+        cols["cs_result_type"].append(
+            _NONE if result is None else opt(result.declared_type))
+        recv = invoke.receiver
+        cols["cs_recv_name"].append(_NONE if recv is None else intern(recv.name))
+        cols["cs_recv_type"].append(
+            _NONE if recv is None else opt(recv.declared_type))
+        self.cs_args.add_row([intern(value.name) for value in invoke.arguments])
+        self.cs_args_type.extend(
+            [opt(value.declared_type) for value in invoke.arguments])
+        self.inv_args.add_row(arguments)
+        self.method_inv.val.append(fid)
+        return fid
+
+    def return_(self, pred: int, label: str, returns_void: bool) -> int:
+        fid = self._emit(pred, schema.K_RETURN, self._intern(label),
+                         1 if returns_void else 0)
+        self.method_ret.val.append(fid)
+        return fid
+
+    def filter_type(self, pred: int, label: str, type_name: str,
+                    negated: bool) -> int:
+        sid = self._intern(label)
+        return self._emit(pred, schema.K_FILTER_TYPE, sid,
+                          self._intern(type_name), 1 if negated else 0)
+
+    def filter_compare(self, pred: int, label: str, op: CompareOp,
+                       observed: int) -> int:
+        return self._emit(pred, schema.K_FILTER_COMPARE, self._intern(label),
+                          schema.OP_INDEX[op], observed)
+
+    def _const_row(self, expr: ConstantExpr) -> int:
+        row = self._const_ids.get(expr)
+        if row is None:
+            row = len(self._const_ids)
+            self._const_ids[expr] = row
+            self.const_kind.append(schema.CONST_INDEX[expr.kind])
+            self.const_int.append(expr.int_value if expr.kind is ConstKind.INT else 0)
+            self.const_type.append(self._opt(expr.type_name))
+        return row
+
+    # -- edges ----------------------------------------------------------- #
+    def add_use(self, source: int, target: int) -> None:
+        key = source << 32 | target
+        if key not in self._seen_use:
+            self._seen_use.add(key)
+            self.uses.extend((source, target))
+
+    def add_observer(self, source: int, target: int) -> None:
+        key = source << 32 | target
+        if key not in self._seen_obs:
+            self._seen_obs.add(key)
+            self.observers.extend((source, target))
+
+    def add_predicate(self, source: int, target: int) -> None:
+        key = source << 32 | target
+        if key not in self._seen_pred:
+            self._seen_pred.add(key)
+            if source:
+                self.pred_targets.extend((source, target))
+            else:
+                self.method_pred.val.append(target)
+            self.predicates.extend((target, source))
+
+    def branch(self, instruction: If, kind: BranchKind, then_pred: int,
+               else_pred: int, block_pred: int) -> None:
+        self.branch_ifs.append(instruction)
+        cols = self.branch_cols
+        cols["br_kind"].append(schema.BRANCH_INDEX[kind])
+        cols["br_then"].append(then_pred)
+        cols["br_else"].append(else_pred)
+        cols["br_block"].append(block_pred)
 
 
 def _allocation_sites(method) -> List[str]:
@@ -108,6 +358,17 @@ def _allocation_sites(method) -> List[str]:
     return list(seen)
 
 
+def _branches(cfg: ControlFlowGraph) -> List[If]:
+    """The ``if`` block ends in reverse postorder.
+
+    Their strings must be interned before any flow's, so this predicts the
+    order in which the builder reports them; ``freeze`` checks the
+    prediction against the column sink's ``branch_ifs``.
+    """
+    ends = (cfg.blocks[name].end for name in cfg.reverse_postorder)
+    return [end for end in ends if isinstance(end, If)]
+
+
 def freeze(program: Program) -> bytes:
     """Flatten ``program`` into a single serialized arena buffer."""
     strings = _Strings()
@@ -117,12 +378,11 @@ def freeze(program: Program) -> bytes:
     # ------------------------------------------------------------------ #
     # Type hierarchy, signature, and field tables
     # ------------------------------------------------------------------ #
-    field_ids: Dict[str, int] = {}  # qualified field name -> field row
     field_decls: List[FieldDecl] = []
     type_name = array("q")
     type_super = array("q")
     type_flags = array("q")
-    iface_rows: List[List[int]] = []
+    iface_rows = _Rows()
     fields_ptr = array("q", [0])
     sigs_ptr = array("q", [0])
     field_class = array("q")
@@ -132,7 +392,7 @@ def freeze(program: Program) -> bytes:
     sig_name = array("q")
     sig_return = array("q")
     sig_static = array("q")
-    sig_param_rows: List[List[int]] = []
+    sig_param_rows = _Rows()
 
     for cls in program.hierarchy:
         type_name.append(strings.intern(cls.name))
@@ -140,9 +400,8 @@ def freeze(program: Program) -> bytes:
         type_flags.append(
             (schema.TYPE_FLAG_INTERFACE if cls.is_interface else 0)
             | (schema.TYPE_FLAG_ABSTRACT if cls.is_abstract else 0))
-        iface_rows.append([strings.intern(name) for name in cls.interfaces])
+        iface_rows.add_row([strings.intern(name) for name in cls.interfaces])
         for decl in cls.fields.values():
-            field_ids[decl.qualified_name] = len(field_decls)
             field_decls.append(decl)
             field_class.append(strings.intern(decl.declaring_class))
             field_name.append(strings.intern(decl.name))
@@ -153,13 +412,13 @@ def freeze(program: Program) -> bytes:
             sig_name.append(strings.intern(sig.name))
             sig_return.append(strings.intern(sig.return_type))
             sig_static.append(1 if sig.is_static else 0)
-            sig_param_rows.append([strings.intern(p) for p in sig.param_types])
+            sig_param_rows.add_row([strings.intern(p) for p in sig.param_types])
         sigs_ptr.append(len(sig_class))
 
     writer.add_ints("type_name", type_name)
     writer.add_ints("type_super", type_super)
     writer.add_ints("type_flags", type_flags)
-    _add_csr(writer, "type_ifaces_ptr", "type_ifaces_val", iface_rows)
+    iface_rows.write(writer, "type_ifaces_ptr", "type_ifaces_val")
     writer.add_ints("type_fields_ptr", fields_ptr)
     writer.add_ints("type_sigs_ptr", sigs_ptr)
     writer.add_ints("field_class", field_class)
@@ -169,95 +428,59 @@ def freeze(program: Program) -> bytes:
     writer.add_ints("sig_name", sig_name)
     writer.add_ints("sig_return", sig_return)
     writer.add_ints("sig_static", sig_static)
-    _add_csr(writer, "sig_params_ptr", "sig_params_val", sig_param_rows)
+    sig_param_rows.write(writer, "sig_params_ptr", "sig_params_val")
 
     # ------------------------------------------------------------------ #
-    # Build every method's PVPG within one shared program graph
+    # Method table (its strings precede every flow's)
     # ------------------------------------------------------------------ #
-    pvpg = ProgramPVPG()
-    builder = PVPGBuilder(program, pvpg, _FreezeConfig())
-    graphs: List[MethodPVPG] = []
-    pred_rows_flows: List[List[Flow]] = []  # pred_on targets per method
-    for method in program.methods.values():
-        before = len(pvpg.pred_on.predicate_targets)
-        graph = pvpg.add_method_graph(builder.build_method(method))
-        graphs.append(graph)
-        pred_rows_flows.append(pvpg.pred_on.predicate_targets[before:])
-
-    # Dense flow ids: 0 = pred_on, 1..NF = fields, then per-method ranges.
-    fid_of: Dict[int, int] = {pvpg.pred_on.uid: 0}
-    num_fields = len(field_decls)
-    flow_lo = array("q")
-    flow_hi = array("q")
-    next_fid = 1 + num_fields
-    for graph in graphs:
-        flow_lo.append(next_fid)
-        for flow in graph.flows:
-            fid_of[flow.uid] = next_fid
-            next_fid += 1
-        flow_hi.append(next_fid)
-    num_flows = next_fid
-
-    # ------------------------------------------------------------------ #
-    # Method table
-    # ------------------------------------------------------------------ #
+    methods = list(program.methods.values())
+    cfgs = [ControlFlowGraph(method) for method in methods]
     method_name = array("q")
     m_sig_class = array("q")
     m_sig_name = array("q")
     m_sig_return = array("q")
     m_sig_static = array("q")
-    m_sig_param_rows: List[List[int]] = []
+    m_sig_param_rows = _Rows()
     m_never_returns = array("q")
     m_instr_count = array("q")
-    pred_rows: List[List[int]] = []
-    param_rows: List[List[int]] = []
-    ret_rows: List[List[int]] = []
-    inv_rows: List[List[int]] = []
-    alloc_rows: List[List[int]] = []
+    alloc_rows = _Rows()
     body_ptr = array("q", [0])
     body_parts: List[bytes] = []
     body_size = 0
     br_ptr = array("q", [0])
-    br_count = 0
 
+    # The fid columns of each branch (br_kind/then/else/block) come from
+    # the traversal below, which must meet the ifs in this same order.
+    branch_ifs: List[If] = []
     branch_cols = {name: array("q") for name in (
-        "br_kind", "br_then", "br_else", "br_block",
         "br_then_label", "br_else_label", "br_is_instanceof",
         "br_val_name", "br_val_type", "br_type_name", "br_negated",
         "br_op", "br_left_name", "br_left_type",
         "br_right_name", "br_right_type",
     )}
 
-    for graph, method, pred_targets in zip(
-            graphs, program.methods.values(), pred_rows_flows):
+    for method, cfg in zip(methods, cfgs):
         sig = method.signature
         method_name.append(strings.intern(method.qualified_name))
         m_sig_class.append(strings.intern(sig.declaring_class))
         m_sig_name.append(strings.intern(sig.name))
         m_sig_return.append(strings.intern(sig.return_type))
         m_sig_static.append(1 if sig.is_static else 0)
-        m_sig_param_rows.append([strings.intern(p) for p in sig.param_types])
+        m_sig_param_rows.add_row([strings.intern(p) for p in sig.param_types])
         m_never_returns.append(1 if method.never_returns else 0)
         m_instr_count.append(method.instruction_count)
-        pred_rows.append([fid_of[f.uid] for f in pred_targets])
-        param_rows.append([fid_of[f.uid] for f in graph.parameter_flows])
-        ret_rows.append([fid_of[f.uid] for f in graph.return_flows])
-        inv_rows.append([fid_of[f.uid] for f in graph.invoke_flows])
-        alloc_rows.append(
+        alloc_rows.add_row(
             [strings.intern(name) for name in _allocation_sites(method)])
         blob = pickle.dumps(method.blocks, protocol=pickle.HIGHEST_PROTOCOL)
         body_parts.append(blob)
         body_size += len(blob)
         body_ptr.append(body_size)
 
-        for record in graph.branch_records:
-            instruction = record.instruction
+        ifs = _branches(cfg)
+        branch_ifs.extend(ifs)
+        for instruction in ifs:
             condition = instruction.condition
             cols = branch_cols
-            cols["br_kind"].append(schema.BRANCH_INDEX[record.kind])
-            cols["br_then"].append(fid_of[record.then_predicate.uid])
-            cols["br_else"].append(fid_of[record.else_predicate.uid])
-            cols["br_block"].append(fid_of[record.block_predicate.uid])
             cols["br_then_label"].append(strings.intern(instruction.then_label))
             cols["br_else_label"].append(strings.intern(instruction.else_label))
             if isinstance(condition, InstanceOfCondition):
@@ -269,13 +492,13 @@ def freeze(program: Program) -> bytes:
                 cols["br_negated"].append(1 if condition.negated else 0)
                 for name in ("br_op", "br_left_name", "br_left_type",
                              "br_right_name", "br_right_type"):
-                    cols[name].append(schema.NONE_ID)
+                    cols[name].append(_NONE)
             else:
                 assert isinstance(condition, Condition)
                 cols["br_is_instanceof"].append(0)
                 for name in ("br_val_name", "br_val_type",
                              "br_type_name", "br_negated"):
-                    cols[name].append(schema.NONE_ID)
+                    cols[name].append(_NONE)
                 cols["br_op"].append(schema.OP_INDEX[condition.op])
                 cols["br_left_name"].append(strings.intern(condition.left.name))
                 cols["br_left_type"].append(
@@ -283,167 +506,69 @@ def freeze(program: Program) -> bytes:
                 cols["br_right_name"].append(strings.intern(condition.right.name))
                 cols["br_right_type"].append(
                     strings.opt(condition.right.declared_type))
-            br_count += 1
-        br_ptr.append(br_count)
+        br_ptr.append(len(branch_ifs))
 
+    entry_points = array(
+        "q", [strings.intern(name) for name in program.entry_points])
+
+    # ------------------------------------------------------------------ #
+    # Flows: pred_on, the field flows, then every method's graph
+    # ------------------------------------------------------------------ #
+    sink = _ColumnSink(strings)
+    sink.global_flow(schema.K_PRED_ON, "pred_on")
+    for index, decl in enumerate(field_decls):
+        sink.global_flow(schema.K_FIELD, decl.qualified_name, index)
+    builder = PVPGBuilder(sink)
+    for method, cfg in zip(methods, cfgs):
+        builder.build_method(method, cfg)
+    assert len(sink.branch_ifs) == len(branch_ifs) and all(
+        map(operator.is_, sink.branch_ifs, branch_ifs)), (
+        "branch string columns out of step with the builder's branch order")
+    num_flows = sink.num_flows
+
+    # ------------------------------------------------------------------ #
+    # Sections, in schema order (the order is part of the bytes)
+    # ------------------------------------------------------------------ #
     writer.add_ints("method_name", method_name)
     writer.add_ints("method_sig_class", m_sig_class)
     writer.add_ints("method_sig_name", m_sig_name)
     writer.add_ints("method_sig_return", m_sig_return)
     writer.add_ints("method_sig_static", m_sig_static)
-    _add_csr(writer, "method_sig_params_ptr", "method_sig_params_val",
-             m_sig_param_rows)
+    m_sig_param_rows.write(writer, "method_sig_params_ptr", "method_sig_params_val")
     writer.add_ints("method_never_returns", m_never_returns)
     writer.add_ints("method_instr_count", m_instr_count)
-    writer.add_ints("method_flow_lo", flow_lo)
-    writer.add_ints("method_flow_hi", flow_hi)
-    _add_csr(writer, "method_pred_ptr", "method_pred_val", pred_rows)
-    _add_csr(writer, "method_param_ptr", "method_param_val", param_rows)
-    _add_csr(writer, "method_ret_ptr", "method_ret_val", ret_rows)
-    _add_csr(writer, "method_inv_ptr", "method_inv_val", inv_rows)
-    _add_csr(writer, "method_alloc_ptr", "method_alloc_val", alloc_rows)
+    writer.add_ints("method_flow_lo", sink.flow_lo)
+    writer.add_ints("method_flow_hi", sink.flow_hi)
+    sink.method_pred.write(writer, "method_pred_ptr", "method_pred_val")
+    sink.method_param.write(writer, "method_param_ptr", "method_param_val")
+    sink.method_ret.write(writer, "method_ret_ptr", "method_ret_val")
+    sink.method_inv.write(writer, "method_inv_ptr", "method_inv_val")
+    alloc_rows.write(writer, "method_alloc_ptr", "method_alloc_val")
     writer.add_ints("method_body_ptr", body_ptr)
     writer.add_bytes("body_blob", b"".join(body_parts))
     writer.add_ints("method_br_ptr", br_ptr)
+    for name in ("br_kind", "br_then", "br_else", "br_block"):
+        writer.add_ints(name, sink.branch_cols[name])
     for name, column in branch_cols.items():
         writer.add_ints(name, column)
 
-    writer.add_ints(
-        "entry_points",
-        array("q", [strings.intern(name) for name in program.entry_points]))
+    writer.add_ints("entry_points", entry_points)
 
-    # ------------------------------------------------------------------ #
-    # Flow table: kind/label/method/aux columns + edge CSRs
-    # ------------------------------------------------------------------ #
-    flow_kind = array("q")
-    flow_label = array("q")
-    flow_method = array("q")
-    flow_aux1 = array("q")
-    flow_aux2 = array("q")
-    use_rows: List[List[int]] = [[] for _ in range(num_flows)]
-    obs_rows: List[List[int]] = [[] for _ in range(num_flows)]
-    ptgt_rows: List[List[int]] = [[] for _ in range(num_flows)]
-    pin_rows: List[List[int]] = [[] for _ in range(num_flows)]
+    sink.write_flows(writer)
+    _write_pairs(writer, "use_ptr", "use_val", sink.uses, num_flows)
+    _write_pairs(writer, "obs_ptr", "obs_val", sink.observers, num_flows)
+    _write_pairs(writer, "ptgt_ptr", "ptgt_val", sink.pred_targets, num_flows)
+    _write_pairs(writer, "pin_ptr", "pin_val", sink.predicates, num_flows)
 
-    const_ids: Dict[ConstantExpr, int] = {}
-    const_kind = array("q")
-    const_int = array("q")
-    const_type = array("q")
-
-    cs_cols = {name: array("q") for name in (
-        "cs_kind", "cs_method_name", "cs_target_class",
-        "cs_result_name", "cs_result_type", "cs_recv_name", "cs_recv_type",
-    )}
-    cs_arg_name_rows: List[List[int]] = []
-    cs_arg_type_rows: List[List[int]] = []
-    inv_arg_rows: List[List[int]] = []
-
-    def const_row(expr: ConstantExpr) -> int:
-        row = const_ids.get(expr)
-        if row is None:
-            row = len(const_ids)
-            const_ids[expr] = row
-            const_kind.append(schema.CONST_INDEX[expr.kind])
-            const_int.append(expr.int_value if expr.kind is ConstKind.INT else 0)
-            const_type.append(strings.opt(expr.type_name))
-        return row
-
-    def emit_flow(flow: Flow, method_id: int) -> None:
-        kind = flow.kind
-        flow_kind.append(schema.KIND_INDEX[kind])
-        flow_label.append(strings.intern(flow.label))
-        flow_method.append(method_id)
-        aux1 = aux2 = schema.NONE_ID
-        if kind is FlowKind.SOURCE:
-            aux1 = const_row(flow.expr)
-        elif kind is FlowKind.PARAMETER:
-            aux1 = flow.index
-            aux2 = strings.opt(flow.declared_type)
-        elif kind is FlowKind.FILTER_TYPE:
-            aux1 = strings.intern(flow.type_name)
-            aux2 = 1 if flow.negated else 0
-        elif kind is FlowKind.FILTER_COMPARE:
-            aux1 = schema.OP_INDEX[flow.op]
-            aux2 = (schema.NONE_ID if flow.observed is None
-                    else fid_of[flow.observed.uid])
-        elif kind in (FlowKind.LOAD_FIELD, FlowKind.STORE_FIELD):
-            aux1 = strings.intern(flow.field_name)
-            aux2 = fid_of[flow.receiver.uid]
-        elif kind is FlowKind.INVOKE:
-            invoke = flow.invoke
-            aux1 = len(cs_cols["cs_kind"])
-            aux2 = (schema.NONE_ID if flow.receiver is None
-                    else fid_of[flow.receiver.uid])
-            cs_cols["cs_kind"].append(schema.INVOKE_INDEX[invoke.kind])
-            cs_cols["cs_method_name"].append(strings.intern(invoke.method_name))
-            cs_cols["cs_target_class"].append(strings.opt(invoke.target_class))
-            if invoke.result is None:
-                cs_cols["cs_result_name"].append(schema.NONE_ID)
-                cs_cols["cs_result_type"].append(schema.NONE_ID)
-            else:
-                cs_cols["cs_result_name"].append(
-                    strings.intern(invoke.result.name))
-                cs_cols["cs_result_type"].append(
-                    strings.opt(invoke.result.declared_type))
-            if invoke.receiver is None:
-                cs_cols["cs_recv_name"].append(schema.NONE_ID)
-                cs_cols["cs_recv_type"].append(schema.NONE_ID)
-            else:
-                cs_cols["cs_recv_name"].append(
-                    strings.intern(invoke.receiver.name))
-                cs_cols["cs_recv_type"].append(
-                    strings.opt(invoke.receiver.declared_type))
-            cs_arg_name_rows.append(
-                [strings.intern(value.name) for value in invoke.arguments])
-            cs_arg_type_rows.append(
-                [strings.opt(value.declared_type) for value in invoke.arguments])
-            inv_arg_rows.append([fid_of[f.uid] for f in flow.argument_flows])
-        elif kind is FlowKind.RETURN:
-            aux1 = 1 if flow.artificial_on_enable is not None else 0
-        flow_aux1.append(aux1)
-        flow_aux2.append(aux2)
-
-        fid = fid_of[flow.uid]
-        use_rows[fid] = [fid_of[t.uid] for t in flow.uses]
-        obs_rows[fid] = [fid_of[t.uid] for t in flow.observers]
-        if kind is not FlowKind.PRED_ON:
-            # pred_on's build-time fan-out lives in method_pred_val; the
-            # kernel replays it per method activation, in activation order.
-            ptgt_rows[fid] = [fid_of[t.uid] for t in flow.predicate_targets]
-        pin_rows[fid] = [fid_of[p.uid] for p in flow.predicates]
-
-    emit_flow(pvpg.pred_on, schema.NONE_ID)
-    for index, decl in enumerate(field_decls):
-        flow_kind.append(schema.K_FIELD)
-        flow_label.append(strings.intern(decl.qualified_name))
-        flow_method.append(schema.NONE_ID)
-        flow_aux1.append(index)
-        flow_aux2.append(schema.NONE_ID)
-    for method_id, graph in enumerate(graphs):
-        for flow in graph.flows:
-            emit_flow(flow, method_id)
-
-    writer.add_ints("flow_kind", flow_kind)
-    writer.add_ints("flow_label", flow_label)
-    writer.add_ints("flow_method", flow_method)
-    writer.add_ints("flow_aux1", flow_aux1)
-    writer.add_ints("flow_aux2", flow_aux2)
-    _add_csr(writer, "use_ptr", "use_val", use_rows)
-    _add_csr(writer, "obs_ptr", "obs_val", obs_rows)
-    _add_csr(writer, "ptgt_ptr", "ptgt_val", ptgt_rows)
-    _add_csr(writer, "pin_ptr", "pin_val", pin_rows)
-
-    writer.add_ints("const_kind", const_kind)
-    writer.add_ints("const_int", const_int)
-    writer.add_ints("const_type", const_type)
-    for name, column in cs_cols.items():
+    writer.add_ints("const_kind", sink.const_kind)
+    writer.add_ints("const_int", sink.const_int)
+    writer.add_ints("const_type", sink.const_type)
+    for name, column in sink.cs_cols.items():
         writer.add_ints(name, column)
-    _add_csr(writer, "cs_args_ptr", "cs_args_name", cs_arg_name_rows)
     # cs_args_type shares cs_args_ptr (one name and one type per argument).
-    writer.add_ints(
-        "cs_args_type",
-        array("q", [sid for row in cs_arg_type_rows for sid in row]))
-    _add_csr(writer, "inv_args_ptr", "inv_args_val", inv_arg_rows)
+    sink.cs_args.write(writer, "cs_args_ptr", "cs_args_name")
+    writer.add_ints("cs_args_type", sink.cs_args_type)
+    sink.inv_args.write(writer, "inv_args_ptr", "inv_args_val")
 
     writer.add_bytes(
         "fingerprint_blob",

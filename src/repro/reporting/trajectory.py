@@ -23,7 +23,8 @@ Schema (version 1)::
       "headline": {"name": "...", "value": x}, # the study's one number
       "rows": [
         {"spec": ..., "policy": ..., "kernel": ...,
-         "steps": n, "joins": n, "wall_time_seconds": s},
+         "steps": n, "joins": n, "wall_time_seconds": s,
+         "layers": {"freeze_ms": x, ...}},      # optional per-layer figures
         ...
       ],
       ...                                      # runners may add context
@@ -60,9 +61,16 @@ class TrajectoryRow:
     steps: int
     joins: int
     wall_time_seconds: float
+    #: Optional named per-layer figures of the cell (times in ms, ratios),
+    #: as ``(name, value)`` pairs; written as a ``layers`` object.
+    layers: Tuple[Tuple[str, float], ...] = ()
 
     def as_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        row = asdict(self)
+        row["layers"] = dict(self.layers)
+        if not self.layers:
+            del row["layers"]
+        return row
 
 
 class TrajectoryError(ValueError):
@@ -157,7 +165,9 @@ def parse_trajectory(payload: Dict[str, object]) -> List[TrajectoryRow]:
             spec=str(raw["spec"]), policy=str(raw["policy"]),
             kernel=str(raw["kernel"]), steps=int(raw["steps"]),
             joins=int(raw["joins"]),
-            wall_time_seconds=float(raw["wall_time_seconds"])))
+            wall_time_seconds=float(raw["wall_time_seconds"]),
+            layers=tuple((str(name), float(value))
+                         for name, value in dict(raw.get("layers", {})).items())))
     return rows
 
 
@@ -186,7 +196,8 @@ def format_trend(history: Sequence[Tuple[int, Dict[str, object]]]) -> str:
 
     One line per run shows the headline metric; below it, each
     (spec, policy, kernel) cell present in *every* run gets a wall-time
-    series, so a regression is visible as a rising tail.  Cells that come
+    series, so a regression is visible as a rising tail, followed by one
+    series per layer figure the cell carries in every run.  Cells that come
     and go between runs are left out of the per-cell block (their series
     would not be comparable) but still counted in the row totals.
     """
@@ -217,6 +228,11 @@ def format_trend(history: Sequence[Tuple[int, Dict[str, object]]]) -> str:
             series = " → ".join(
                 f"{cells[key].wall_time_seconds:.3f}" for cells in per_run)
             lines.append(f"    {spec} | {policy} | {kernel}: {series}")
+            for name in dict(per_run[0][key].layers):
+                values = [dict(cells[key].layers).get(name) for cells in per_run]
+                if None not in values:
+                    lines.append(f"      {name}: "
+                                 + " → ".join(f"{value:.2f}" for value in values))
     return "\n".join(lines)
 
 

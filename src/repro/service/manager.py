@@ -753,9 +753,10 @@ class SessionManager:
             raise SessionRehydrationError(
                 f"session {managed.name!r} has neither a live session nor "
                 f"an eviction record")
-        # An unedited arena-backed session spilled as its own arena blob
-        # (no pickle), so try the zero-decode attach first; edited sessions
-        # spilled a pickle and rehydrate through the ordinary load.
+        # Every spill leaves an arena blob: an unedited arena-backed session
+        # writes its own buffer back (no pickle), and an edited session is
+        # stored as a pickle plus a fresh freeze.  So the zero-decode attach
+        # comes first, and the pickle is read only when the attach misses.
         program = (self._programs.attach(evicted.program_spec)
                    or self._programs.load(evicted.program_spec))
         if program is None:

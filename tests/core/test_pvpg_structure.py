@@ -12,7 +12,7 @@ from repro.core.flows import (
     SourceFlow,
 )
 from repro.core.pvpg import BranchKind, ProgramPVPG
-from repro.core.pvpg_builder import PVPGBuilder
+from repro.core.pvpg_builder import ObjectSink, PVPGBuilder
 from repro.ir.builder import ProgramBuilder
 from repro.ir.instructions import CompareOp
 from tests.conftest import build_virtual_threads_program
@@ -20,7 +20,7 @@ from tests.conftest import build_virtual_threads_program
 
 def build_graph(program, method_name, config=None):
     pvpg = ProgramPVPG()
-    builder = PVPGBuilder(program, pvpg, config or AnalysisConfig.skipflow())
+    builder = PVPGBuilder(ObjectSink(pvpg, config or AnalysisConfig.skipflow()))
     return builder.build_method(program.method(method_name)), pvpg
 
 

@@ -72,6 +72,18 @@ class TestSchema:
         assert payload["study"] == "arena-cold-solve"
         assert parse_trajectory(payload) == rows
 
+    def test_layer_figures_round_trip_and_stay_optional(self, tmp_path):
+        # Payload keys are written sorted, so the pairs come back sorted.
+        layers = (("freeze_ms", 50.0), ("freeze_over_generate", 4.0),
+                  ("generate_ms", 12.5))
+        rows = [_row(), TrajectoryRow(spec="pmd", policy="skipflow",
+                                      kernel="arena", steps=100, joins=10,
+                                      wall_time_seconds=0.2, layers=layers)]
+        payload = json.loads(_write(tmp_path, rows=rows).read_text())
+        assert "layers" not in payload["rows"][0]
+        assert payload["rows"][1]["layers"] == dict(layers)
+        assert parse_trajectory(payload) == rows
+
     def test_empty_rows_are_rejected_at_write(self, tmp_path):
         with pytest.raises(TrajectoryError):
             _write(tmp_path, rows=[])
@@ -133,3 +145,12 @@ class TestTrend:
         series = [line for line in trend.splitlines() if " | " in line]
         assert len(series) == 1
         assert "luindex" not in trend
+
+    def test_layer_figures_get_their_own_series(self, tmp_path):
+        for ratio in (9.0, 4.5):
+            _write(tmp_path, rows=[TrajectoryRow(
+                spec="pmd", policy="skipflow", kernel="arena", steps=100,
+                joins=10, wall_time_seconds=0.2,
+                layers=(("freeze_over_generate", ratio),))])
+        trend = render_directory(tmp_path)
+        assert "      freeze_over_generate: 9.00 → 4.50" in trend
