@@ -19,6 +19,9 @@ covers warm re-analysis: an additive edit resumed from the base fixpoint
 must land on the cold fixpoint for strictly fewer steps, the resumed state
 must round-trip through the snapshot store, and a second pass must serve
 the snapshot from the store (a hit) and resume it to the same fixpoint.
+Every half the pairwise and matrix phases solve afresh is store-backed (the
+cache derives a program store), so each must report that the arena kernel
+ran it on the attached blob (``kernel_ran == "arena"``) with no fallback.
 Exits non-zero (with a message) on any violation, so it can gate CI::
 
     python benchmarks/ci_smoke.py --jobs 2 --cache-dir .bench-cache
@@ -65,6 +68,19 @@ def _smoke_specs():
         spec_from_reduction(name="smoke-medium", suite="smoke",
                             total_methods=160, reduction_percent=8.0),
     ]
+
+
+def _fresh_halves(comparisons, rows):
+    """(benchmark, column, report) of every half solved rather than cached."""
+    for result in comparisons:
+        if not result.baseline_from_cache:
+            yield result.benchmark, "baseline", result.baseline
+        if not result.skipflow_from_cache:
+            yield result.benchmark, "skipflow", result.skipflow
+    for row in rows:
+        for run in row.runs:
+            if not run.from_cache:
+                yield row.benchmark, run.name, run.report
 
 
 def _incremental_phase(cache_dir: str) -> list:
@@ -339,6 +355,17 @@ def main(argv=None) -> int:
             failures.append(
                 f"{row.benchmark}: cached policy result differs from computed")
 
+    # Every freshly solved half had a store behind it, so every one must
+    # have run on the arena kernel over the attached blob.
+    fresh = list(_fresh_halves([*first, *ablation], [*matrix, *policy_matrix]))
+    if not fresh:
+        failures.append("no freshly solved store-backed half to check")
+    for benchmark, column, report in fresh:
+        if (report.kernel_ran, report.fallback) != ("arena", None):
+            failures.append(
+                f"{benchmark} [{column}]: store-backed half ran on the "
+                f"{report.kernel_ran} kernel (fallback: {report.fallback})")
+
     if failures:
         for failure in failures:
             print(f"SMOKE FAIL: {failure}", file=sys.stderr)
@@ -347,6 +374,7 @@ def main(argv=None) -> int:
           f"second run {second_cache.hits}/{expected_hits} half hits, "
           f"ablation reused {ablation_cache.hits} baseline halves, "
           f"3-way matrix reused {matrix_cache.hits}/{expected_matrix_hits} halves, "
+          f"{len(fresh)} fresh halves on the arena kernel, "
           f"policy matrix {grid_size}x{len(specs)} keyed distinctly "
           f"(re-run {policy_rerun_cache.hits}/{expected_policy_hits} hits), "
           f"incremental edit resumed warm + snapshot round-trip, "

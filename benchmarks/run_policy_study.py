@@ -178,7 +178,8 @@ def main(argv=None) -> int:
         points = policy_points(row)
         for point in points:
             trajectory_rows.append(TrajectoryRow(
-                spec=spec.name, policy=point.label, kernel="object",
+                spec=spec.name, policy=point.label,
+                kernel=row.report(point.label).kernel_ran,
                 steps=point.solver_steps, joins=point.solver_joins,
                 wall_time_seconds=point.analysis_time_seconds))
             total_steps += point.solver_steps

@@ -456,8 +456,8 @@ def _cmd_bench(args) -> int:
     ``ir`` column reports whether the spec's program blob is in the shared
     program store under the cache directory: ``yes`` means pickle plus its
     ``.arena`` sibling, ``pickle`` a pickle *without* the arena buffer (a
-    backfill gap — the arena kernel falls back to unpickling
-    there), ``no`` neither.  ``--gc`` first drops result entries, IR blobs,
+    backfill gap — engine halves of that spec fall back to unpickling
+    until the first one backfills it), ``no`` neither.  ``--gc`` first drops result entries, IR blobs,
     and solver-state snapshots written by other code versions.
     """
     from repro.engine import ProgramStore, ResultCache, SnapshotStore
@@ -537,8 +537,8 @@ def _cmd_bench(args) -> int:
               f"(code version {cache.code_version})")
         if arena_gaps:
             print(f"{arena_gaps} pickled spec(s) lack the .arena sibling "
-                  f"(the arena kernel falls back to unpickling); "
-                  f"rebuild them to backfill")
+                  f"(engine halves fall back to unpickling them until the "
+                  f"first one backfills the arena)")
     else:
         print(f"\n{total} specs; pass --cache-dir to check cache status")
     return 0

@@ -17,9 +17,10 @@ arbitrary N-way matrix) from *how* the results are produced:
 * :mod:`repro.engine.cache` persists every configuration half as one JSON
   file, so comparisons compose from independently cached halves.
 * :mod:`repro.engine.program_store` shares built IR between halves, workers,
-  and runs: the first solve of a spec pickles the generated program into the
-  cache directory and every later solve unpickles the blob instead of
-  regenerating and re-lowering it.
+  and runs: the first solve of a spec stores the generated program (a
+  pickle plus a frozen ``.arena`` blob) in the cache directory, and every
+  store-backed half attaches the arena blob and solves it on the arena
+  kernel instead of regenerating, re-lowering or unpickling it.
 * :mod:`repro.engine.snapshots` persists *solver-state* snapshots — the
   resumable fixpoint of one (spec, configuration) solve — keyed exactly
   like result halves, so warm re-analysis after a monotone program edit
@@ -48,7 +49,9 @@ three components::
     entry — but only for that configuration: an ablation sweep over
     SkipFlow variants keeps hitting the shared baseline half, which is what
     lets a 5-point saturation sweep analyze the unsaturated baseline exactly
-    once.
+    once.  ``kernel`` is hashed at its default: store-backed halves run on
+    the arena kernel whichever kernel the config names, so the two kernel
+    choices share one entry.
 ``code_version``
     SHA-256 over every ``*.py`` source file of the ``repro`` package, so any
     code change — a solver fix, a new metric — invalidates *all* entries.

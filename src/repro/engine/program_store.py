@@ -3,27 +3,30 @@
 Generating a benchmark program from its :class:`~repro.workloads.generator.
 BenchmarkSpec` is deterministic but not free: every worker process used to
 rebuild (and re-lower) the same IR from scratch, once per configuration it
-analyzed.  The :class:`ProgramStore` removes that cost by pickling the built
-:class:`~repro.ir.program.Program` into the cache directory the first time a
+analyzed.  The :class:`ProgramStore` removes that cost by storing the built
+:class:`~repro.ir.program.Program` in the cache directory the first time a
 spec is seen; every later solve — another configuration of the same spec, a
-worker in another process, or a whole later run — unpickles the blob instead.
+worker in another process, or a whole later run — reads the blob instead.
 
 Blobs are written *before* any analysis runs over the program, so the stored
-IR is pristine; unpickling hands every solve its own fresh object graph, which
-preserves the engine's isolation guarantee (two configurations never share a
-mutable program).  Analysis results obtained from an unpickled program are
-bit-identical to results from a freshly generated one (covered by
-``tests/engine/test_program_store.py``).
+IR is pristine.  Unpickling hands every caller its own fresh object graph;
+an attached arena is read-only, so callers may share it.  Analysis results
+obtained from a stored program are bit-identical to results from a freshly
+generated one (covered by ``tests/engine/test_program_store.py``).
 
 Next to every pickle the store also writes the program's **arena blob** — the
 flat struct-of-arrays encoding of :mod:`repro.ir.arena`.  :meth:`ProgramStore.
 attach` maps that blob read-only (``mmap``) and hands back an
 :class:`~repro.ir.arena.ArenaProgram` with *zero* per-worker decode: no
 unpickling, no object graph, method bodies materialize lazily if anything
-asks.  The arena kernel solves straight on the mapped buffer, which is what
-eliminates the worker warm-up that unpickling used to cost;
-:meth:`ProgramStore.attach_or_build` is the worker-facing entry
-(:func:`repro.engine.runner._program_for` uses it for arena-kernel configs).
+asks.  :meth:`ProgramStore.attach_or_build` is the worker-facing entry, and
+the engine's only one: :func:`repro.engine.runner._program_for` takes every
+store-backed half through it and solves an attached program on the arena
+kernel, straight on the mapped buffer.  The pickle is read only when the
+arena blob is missing or corrupt, and the blob is then backfilled from it;
+when the backfill cannot be written (a read-only store) the unpickled
+:class:`~repro.ir.program.Program` is returned and the half runs under its
+config as given.
 
 Store entries are keyed by ``(spec hash, code version)`` — the same
 ``code_version`` used by :class:`~repro.engine.cache.ResultCache` — so any
@@ -165,19 +168,25 @@ class ProgramStore:
         """The program for ``spec`` as an attached arena whenever possible.
 
         Priority: attach the arena blob (zero decode); otherwise fall back
-        to :meth:`load_or_build` and backfill the missing arena blob from
-        the loaded program (store directories written before arena blobs
-        existed heal on first touch), re-attaching if the backfill
-        succeeded.  The boolean matches :meth:`load_or_build`: whether
-        program *generation* was skipped.
+        to :meth:`load_or_build` and backfill the missing or corrupt arena
+        blob from the loaded program (store directories written before
+        arena blobs existed heal on first touch), re-attaching if the
+        backfill succeeded.  A backfill that cannot be written (a read-only
+        store) leaves the plain :class:`~repro.ir.program.Program` as the
+        answer.  The boolean matches :meth:`load_or_build`: whether program
+        *generation* was skipped.
         """
         attached = self.attach(spec)
         if attached is not None:
             self.hits += 1
             return attached, True
         program, from_store = self.load_or_build(spec)
-        if not self.arena_path_for(spec).is_file():
-            self._write_atomic(self.arena_path_for(spec), freeze(program))
+        if from_store:
+            # A fresh build just wrote its own arena blob in ``store``.
+            try:
+                self._write_atomic(self.arena_path_for(spec), freeze(program))
+            except OSError:
+                return program, from_store
         attached = self.attach(spec)
         if attached is not None:
             return attached, from_store

@@ -27,19 +27,30 @@ of the same spec run on different pool workers.
 
 Workers obtain their program from the shared
 :class:`~repro.engine.program_store.ProgramStore` when one is available
-(derived automatically from the result cache directory): the first solve of a
-spec pickles the built IR, every later solve — including the other half of
-the same comparison — unpickles it instead of regenerating and re-lowering
-the program.  Halves solved under the **arena kernel** skip even the
-unpickle: the store's sibling ``.arena`` blob is mapped read-only and
-attached as an :class:`~repro.ir.arena.ArenaProgram` with zero per-worker
-decode, and the kernel propagates directly on the mapped buffer.  On top of
-the store, each worker *process* memoizes the
-unpickled programs it has already loaded (:func:`_program_for`), so an
-N-configuration matrix over one spec deserializes the IR once per process,
-not once per half — safe because the analysis treats programs as read-only
-(the solver builds its PVPG beside the IR, never into it) and the engine
-never applies reflection mutations.
+(derived automatically from the result cache directory).  The first solve of
+a spec generates it and writes the pickle plus the frozen ``.arena`` blob;
+that solve and every later one — the other halves of the same row, workers
+in other processes, whole later runs — map the arena blob read-only and
+attach it as an :class:`~repro.ir.arena.ArenaProgram` with zero per-worker
+decode.  A half whose program is such an attached arena always runs on the
+**arena kernel** (``config.with_kernel("arena")``), whatever kernel its
+config names: the kernel is bit-identical by contract, and it propagates
+directly on the mapped buffer, so nothing is unpickled and no object IR
+graph is built.  The pickle is read only when the arena blob is missing or corrupt
+(:meth:`~repro.engine.program_store.ProgramStore.attach_or_build` then
+backfills it); a half that still gets a plain
+:class:`~repro.ir.program.Program` — no store, or a backfill that could not
+be written — runs under its config as given.  Each payload records which
+kernel actually ran (``kernel_ran``) and the arena kernel's refusal message
+when it declined the solve (``fallback``, e.g. for a custom registered
+policy), so no fallback is silent.
+
+On top of the store, each worker *process* memoizes the programs it has
+already attached (:func:`_program_for`), so an N-configuration matrix over
+one spec maps the blob once per process, not once per half — safe because
+the analysis treats programs as read-only (the solver builds its state
+beside the IR, never into it) and the engine never applies reflection
+mutations.
 """
 
 from __future__ import annotations
@@ -54,6 +65,7 @@ from repro.engine.cache import ResultCache
 from repro.engine.program_store import ProgramStore
 from repro.engine.scheduler import order_by_cost
 from repro.image.builder import ImageBuildReport, NativeImageBuilder
+from repro.ir.arena import ArenaProgram
 from repro.ir.program import Program
 from repro.reporting.records import METRIC_NAMES
 from repro.workloads.generator import BenchmarkSpec, generate_benchmark
@@ -61,8 +73,10 @@ from repro.workloads.generator import BenchmarkSpec, generate_benchmark
 #: Payload schema version; bump when the payload layout changes so stale
 #: cache entries (same code version would normally prevent this, but cache
 #: directories can outlive wheels) are treated as misses.  Version 2 switched
-#: from whole-comparison payloads to per-configuration halves.
-PAYLOAD_VERSION = 2
+#: from whole-comparison payloads to per-configuration halves; version 3
+#: records which kernel ran each half (``kernel_ran``) and why the
+#: configured one did not (``fallback``).
+PAYLOAD_VERSION = 3
 
 
 
@@ -90,6 +104,11 @@ class ReportView:
     solver_joins: int
     solver_transfers: int
     saturated_flows: int
+    #: The propagation kernel that solved this half (``object``/``arena``).
+    kernel_ran: str
+    #: The arena kernel's refusal message when it declined the solve and
+    #: the object kernel ran instead; ``None`` when no fallback happened.
+    fallback: Optional[str]
 
     @property
     def reachable_methods(self) -> int:
@@ -191,7 +210,8 @@ def _report_payload(report: ImageBuildReport) -> Dict[str, Any]:
     }
 
 
-def _view_from_payload(payload: Dict[str, Any]) -> ReportView:
+def _view_from_payload(payload: Dict[str, Any], kernel_ran: str,
+                       fallback: Optional[str]) -> ReportView:
     return ReportView(
         configuration=payload["configuration"],
         metrics=MetricsView(
@@ -208,6 +228,8 @@ def _view_from_payload(payload: Dict[str, Any]) -> ReportView:
         solver_joins=payload["solver_joins"],
         solver_transfers=payload["solver_transfers"],
         saturated_flows=payload["saturated_flows"],
+        kernel_ran=kernel_ran,
+        fallback=fallback,
     )
 
 
@@ -216,7 +238,8 @@ def view_from_half(payload: Dict[str, Any]) -> ReportView:
     if payload.get("payload_version") != PAYLOAD_VERSION:
         raise ValueError(
             f"unsupported payload version {payload.get('payload_version')!r}")
-    return _view_from_payload(payload["report"])
+    return _view_from_payload(payload["report"], payload["kernel_ran"],
+                              payload["fallback"])
 
 
 def result_from_halves(baseline_payload: Dict[str, Any],
@@ -241,13 +264,14 @@ def result_from_halves(baseline_payload: Dict[str, Any],
 
 
 #: Per-process memo of programs already obtained from a store, keyed by the
-#: store blob path (which embeds the spec hash *and* the code version, so a
-#: stale entry is unreachable by construction).  Worker processes on a pool
-#: each hold their own copy; an N-configuration matrix over one spec
-#: therefore unpickles the IR once per process instead of once per half.
-#: Sharing one ``Program`` object across solves is safe because every
-#: registered analyzer treats the program as read-only and the engine never
-#: applies reflection mutations (callers that do must bypass the engine).
+#: store's arena blob path (which embeds the spec hash *and* the code
+#: version, so a stale entry is unreachable by construction).  Worker
+#: processes on a pool each hold their own copy; an N-configuration matrix
+#: over one spec therefore attaches the blob once per process instead of
+#: once per half.  Sharing one program object across solves is safe because
+#: every registered analyzer treats the program as read-only and the engine
+#: never applies reflection mutations (callers that do must bypass the
+#: engine).
 _WORKER_PROGRAMS: Dict[str, Program] = {}
 
 #: Memo capacity: oldest entries are evicted beyond this, so a long-lived
@@ -259,30 +283,24 @@ _WORKER_PROGRAM_CAPACITY = 8
 
 
 def _program_for(spec: BenchmarkSpec,
-                 store: Optional[ProgramStore],
-                 arena: bool = False) -> Tuple[Program, bool]:
+                 store: Optional[ProgramStore]) -> Tuple[Program, bool]:
     """The program for one half, via the process memo and the store.
 
     Returns the program plus whether it came from shared storage (the memo
-    or the store's blob).  Memo hits count as store hits so the store's
-    counters keep meaning "solves that skipped program generation".
-
-    With ``arena`` (arena-kernel halves) the store's ``.arena`` blob is
-    mapped and attached instead of unpickling — zero per-worker decode; the
-    attached program is memoized under the arena blob path, so the same
-    process can hold both representations of a spec without confusion.
+    or the store's blobs).  Memo hits count as store hits so the store's
+    counters keep meaning "solves that skipped program generation".  With a
+    store the program is whatever :meth:`ProgramStore.attach_or_build`
+    returns: an attached :class:`~repro.ir.arena.ArenaProgram` unless the
+    arena blob is missing and cannot be backfilled.
     """
     if store is None:
         return generate_benchmark(spec), False
-    memo_key = str(store.arena_path_for(spec) if arena else store.path_for(spec))
+    memo_key = str(store.arena_path_for(spec))
     program = _WORKER_PROGRAMS.get(memo_key)
     if program is not None:
         store.hits += 1
         return program, True
-    if arena:
-        program, from_store = store.attach_or_build(spec)
-    else:
-        program, from_store = store.load_or_build(spec)
+    program, from_store = store.attach_or_build(spec)
     _WORKER_PROGRAMS[memo_key] = program
     while len(_WORKER_PROGRAMS) > _WORKER_PROGRAM_CAPACITY:
         _WORKER_PROGRAMS.pop(next(iter(_WORKER_PROGRAMS)))
@@ -296,13 +314,16 @@ def solve_config(spec: BenchmarkSpec,
 
     Must stay a module-level function so ``ProcessPoolExecutor`` can pickle
     it; specs, configs, and the program store all pickle cleanly.  When a
-    store is provided the program is loaded from the per-process memo, the
-    on-disk blob, or freshly generated (and pickled), in that order;
-    ``program_from_store`` records whether generation was skipped.
+    store is provided the program comes from the per-process memo, the
+    store's blobs, or fresh generation (which fills the store), in that
+    order; ``program_from_store`` records whether generation was skipped.
+    An attached arena program is solved on the arena kernel; the payload's
+    ``kernel_ran`` and ``fallback`` say which kernel really ran and why.
     """
     started = time.perf_counter()
-    arena = getattr(config, "kernel", "object") == "arena"
-    program, from_store = _program_for(spec, store, arena=arena)
+    program, from_store = _program_for(spec, store)
+    if isinstance(program, ArenaProgram):
+        config = config.with_kernel("arena")
     report = NativeImageBuilder(program, config, benchmark_name=spec.name).build()
     return {
         "payload_version": PAYLOAD_VERSION,
@@ -310,6 +331,8 @@ def solve_config(spec: BenchmarkSpec,
         "suite": spec.suite,
         "config_name": config.name,
         "program_from_store": from_store,
+        "kernel_ran": report.result.kernel_ran,
+        "fallback": report.result.fallback,
         "report": _report_payload(report),
         "elapsed_seconds": time.perf_counter() - started,
     }

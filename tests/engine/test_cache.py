@@ -65,6 +65,43 @@ class TestKeyInvalidation:
                 != new.config_key(_spec(), baseline))
 
 
+class TestKernelCanonicalKey:
+    #: Keys of default-kernel configs under code version "pinned", as
+    #: computed before the kernel was canonicalised; they must not move, or
+    #: every existing cache entry would turn into a miss.
+    PINNED = (
+        (AnalysisConfig.baseline_pta(), "dc40ff624908f09242725a9b4b8ba7e8"),
+        (AnalysisConfig.skipflow(), "487a59e517f933f4ff962cd16ce33696"),
+        (AnalysisConfig.skipflow().with_saturation_policy("allocated-type", 16),
+         "591bb494a4462fa23349a8dedd5ba0bf"),
+    )
+
+    def test_default_kernel_keys_are_byte_for_byte_unchanged(self, tmp_path):
+        cache = ResultCache(tmp_path, code_version="pinned")
+        for config, key in self.PINNED:
+            assert cache.config_key(_spec(), config) == key
+
+    def test_kernel_choice_shares_one_entry(self, tmp_path):
+        """A store-backed half is the same whichever kernel the config names."""
+        cache = ResultCache(tmp_path)
+        for config in (*_configs(), AnalysisConfig.skipflow()
+                       .with_saturation_policy("allocated-type", 16)):
+            assert (cache.config_key(_spec(), config.with_kernel("arena"))
+                    == cache.config_key(_spec(), config.with_kernel("object")))
+
+    def test_arena_config_is_served_from_an_object_configs_entry(self, tmp_path):
+        from repro.engine import run_config_matrix
+
+        skipflow = AnalysisConfig.skipflow()
+        first = run_config_matrix([_spec()], [skipflow], cache=ResultCache(tmp_path))
+        cache = ResultCache(tmp_path)
+        second = run_config_matrix([_spec()], [skipflow.with_kernel("arena")],
+                                   cache=cache)
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert second[0].from_cache
+        assert second[0].runs[0].report.metrics == first[0].runs[0].report.metrics
+
+
 class TestEntries:
     def test_put_get_roundtrip_and_counters(self, tmp_path):
         cache = ResultCache(tmp_path)

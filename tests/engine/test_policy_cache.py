@@ -58,7 +58,7 @@ class TestPolicyKeying:
 
 class TestProgramMemo:
     def test_policy_matrix_unpickles_the_ir_once(self, tmp_path):
-        """N policy halves of one spec share one deserialized program."""
+        """N policy halves of one spec share one attached program."""
         _WORKER_PROGRAMS.clear()
         store = ProgramStore(tmp_path)
         configs = list(_policy_configs().values())

@@ -4,9 +4,10 @@ import pytest
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.engine import ProgramStore, ResultCache, run_specs
-from repro.engine.runner import solve_config
+from repro.engine.runner import _WORKER_PROGRAMS, solve_config
 from repro.ir.arena import ArenaProgram
 from repro.workloads.generator import generate_benchmark, spec_from_reduction
+from repro.workloads.suites import dacapo_suite, wide_hierarchy_suite
 
 
 def _spec(name="store-spec", total=90):
@@ -233,15 +234,94 @@ class TestArenaAttach:
         assert (other.arena_path_for(_spec()).read_bytes()
                 == store.arena_path_for(_spec()).read_bytes())
 
-    def test_arena_kernel_config_routes_through_attach(self, tmp_path):
-        """The engine's arena-kernel half maps the blob instead of unpickling."""
+    def test_arena_kernel_config_routes_through_attach(self, tmp_path, monkeypatch):
+        """Every store-backed half maps the blob instead of unpickling.
+
+        The default (object) config attaches too: the engine solves an
+        attached program on the arena kernel whichever kernel is named.
+        """
         store = ProgramStore(tmp_path)
-        config = AnalysisConfig.skipflow().with_kernel("arena")
+        store.load_or_build(_spec())
+        monkeypatch.setattr(ProgramStore, "load", _no_unpickle)
         cold = solve_config(_spec(), AnalysisConfig.skipflow())
-        warm = solve_config(_spec(), config, store)
-        assert warm["report"]["solver_steps"] == cold["report"]["solver_steps"]
-        assert (warm["report"]["reachable_methods"]
-                == cold["report"]["reachable_methods"])
+        assert (cold["kernel_ran"], cold["fallback"]) == ("object", None)
+        for kernel in ("object", "arena"):
+            _WORKER_PROGRAMS.clear()
+            config = AnalysisConfig.skipflow().with_kernel(kernel)
+            warm = solve_config(_spec(), config, store)
+            assert warm["program_from_store"]
+            assert (warm["kernel_ran"], warm["fallback"]) == ("arena", None)
+            assert _report(warm) == _report(cold)
+
+    def test_read_only_store_runs_the_object_kernel(self, tmp_path, monkeypatch):
+        """A backfill that cannot be written leaves a plain program."""
+        _WORKER_PROGRAMS.clear()
+        store = ProgramStore(tmp_path)
+        store.load_or_build(_spec())
+        store.arena_path_for(_spec()).unlink()
+        tmp_path.chmod(0o555)
+        # Permission bits do not stop a privileged user, so the writer is
+        # also made to fail the way a read-only directory makes it fail.
+        def _read_only(_self, target, _blob):
+            raise PermissionError(13, "Permission denied", str(target))
+        monkeypatch.setattr(ProgramStore, "_write_atomic", _read_only)
+        try:
+            program, from_store = store.attach_or_build(_spec())
+            assert from_store
+            assert not isinstance(program, ArenaProgram)
+            half = solve_config(_spec(), AnalysisConfig.skipflow(), store)
+        finally:
+            tmp_path.chmod(0o755)
+        assert half["program_from_store"]
+        assert (half["kernel_ran"], half["fallback"]) == ("object", None)
+        assert not store.has_arena(_spec())
+        assert _report(half) == _report(solve_config(_spec(), AnalysisConfig.skipflow()))
+
+
+def _no_unpickle(self, spec):
+    raise AssertionError("a store-backed half unpickled its program")
+
+
+def _report(payload):
+    """A half's report without the two wall-clock keys."""
+    return {key: value for key, value in payload["report"].items()
+            if key not in ("analysis_time_seconds", "total_time_seconds")}
+
+
+BIT_IDENTITY_CONFIGS = {
+    "pta": AnalysisConfig.baseline_pta(),
+    "skipflow": AnalysisConfig.skipflow(),
+    "skipflow-at16": AnalysisConfig.skipflow().with_saturation_policy(
+        "allocated-type", 16),
+}
+
+BIT_IDENTITY_SPECS = wide_hierarchy_suite() + [
+    spec for spec in dacapo_suite(scale=0.5) if spec.name in ("fop", "luindex")]
+
+
+@pytest.fixture(scope="module")
+def filled_store(tmp_path_factory):
+    store = ProgramStore(tmp_path_factory.mktemp("bit-identity"))
+    for spec in BIT_IDENTITY_SPECS:
+        store.load_or_build(spec)
+    return store
+
+
+@pytest.mark.parametrize("config", sorted(BIT_IDENTITY_CONFIGS))
+@pytest.mark.parametrize("spec", BIT_IDENTITY_SPECS, ids=lambda spec: spec.name)
+def test_store_backed_half_is_bit_identical_to_a_generated_one(
+        filled_store, spec, config):
+    """Arena-kernel halves on attached blobs match object-kernel halves on
+    freshly generated programs, field for field except the wall clocks."""
+    _WORKER_PROGRAMS.clear()
+    config = BIT_IDENTITY_CONFIGS[config]
+    stored = solve_config(spec, config, filled_store)
+    generated = solve_config(spec, config)
+    assert stored["program_from_store"]
+    assert (stored["kernel_ran"], stored["fallback"]) == ("arena", None)
+    assert (generated["kernel_ran"], generated["fallback"]) == ("object", None)
+    assert stored["config_name"] == generated["config_name"]
+    assert _report(stored) == _report(generated)
 
 
 class TestKeying:
