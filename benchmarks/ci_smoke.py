@@ -21,7 +21,7 @@ must round-trip through the snapshot store, and a second pass must serve
 the snapshot from the store (a hit) and resume it to the same fixpoint.
 Every half the pairwise and matrix phases solve afresh is store-backed (the
 cache derives a program store), so each must report that the arena kernel
-ran it on the attached blob (``kernel_ran == "arena"``) with no fallback.
+ran it on the attached blob (``kernel_ran == "arena"``).
 Exits non-zero (with a message) on any violation, so it can gate CI::
 
     python benchmarks/ci_smoke.py --jobs 2 --cache-dir .bench-cache
@@ -361,10 +361,10 @@ def main(argv=None) -> int:
     if not fresh:
         failures.append("no freshly solved store-backed half to check")
     for benchmark, column, report in fresh:
-        if (report.kernel_ran, report.fallback) != ("arena", None):
+        if report.kernel_ran != "arena":
             failures.append(
                 f"{benchmark} [{column}]: store-backed half ran on the "
-                f"{report.kernel_ran} kernel (fallback: {report.fallback})")
+                f"{report.kernel_ran} kernel")
 
     if failures:
         for failure in failures:

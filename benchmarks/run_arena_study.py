@@ -129,14 +129,14 @@ def run_cell(spec, label: str, config: AnalysisConfig,
     program = store.load(spec)
     object_decode = time.perf_counter() - started
     assert program is not None, f"store lost the pickle for {spec.name}"
-    object_payload = measure_half(program, config.with_kernel("object"), spec)
+    object_payload = measure_half(program, config, spec)
     object_total = time.perf_counter() - started
 
     started = time.perf_counter()
     attached = store.attach(spec)
     arena_decode = time.perf_counter() - started
     assert attached is not None, f"store lost the arena for {spec.name}"
-    arena_payload = measure_half(attached, config.with_kernel("arena"), spec)
+    arena_payload = measure_half(attached, config, spec)
     arena_total = time.perf_counter() - started
 
     rows = [

@@ -67,9 +67,7 @@ class ConfigAnalyzer:
     *or* the individual ``saturation_threshold`` (the megamorphic-flow
     cutoff; ``None`` keeps the exact paper semantics), ``saturation_policy``
     (the sentinel a saturated flow collapses to), and ``scheduling`` (the
-    worklist order) — but not both forms at once — plus ``kernel``
-    (``object``/``arena``, the bit-identical propagation-kernel choice,
-    orthogonal to both forms).  ``resume`` additionally
+    worklist order) — but not both forms at once.  ``resume`` additionally
     accepts the :class:`~repro.core.state.SolverState` of a previous solve
     to warm-start from instead of solving cold; it is deliberately *not* in
     ``supported_options`` because one state cannot back several analyzers of
@@ -84,18 +82,14 @@ class ConfigAnalyzer:
     #: Keyword options ``analyze`` understands; ``AnalysisSession.compare``
     #: uses this to route an option only to the analyzers that support it.
     supported_options = frozenset(
-        {"saturation_threshold", "saturation_policy", "scheduling", "policy",
-         "kernel"})
+        {"saturation_threshold", "saturation_policy", "scheduling", "policy"})
 
     def config(self, saturation_threshold: Optional[int] = None,
                saturation_policy: Optional[str] = None,
                scheduling: Optional[str] = None,
-               policy: Optional[SolverPolicy] = None,
-               kernel: Optional[str] = None) -> AnalysisConfig:
+               policy: Optional[SolverPolicy] = None) -> AnalysisConfig:
         """The analyzer's engine configuration under the requested kernel knobs."""
         config = self.config_factory()
-        if kernel is not None:
-            config = config.with_kernel(kernel)
         if policy is not None:
             if (saturation_threshold is not None or saturation_policy is not None
                     or scheduling is not None):
@@ -117,10 +111,9 @@ class ConfigAnalyzer:
                 saturation_policy: Optional[str] = None,
                 scheduling: Optional[str] = None,
                 policy: Optional[SolverPolicy] = None,
-                kernel: Optional[str] = None,
                 resume: Optional[SolverState] = None) -> AnalysisReport:
         config = self.config(saturation_threshold, saturation_policy,
-                             scheduling, policy, kernel)
+                             scheduling, policy)
         result = SkipFlowAnalysis(program, config, state=resume).run(roots)
         return AnalysisReport.from_analysis_result(result, analyzer=self.name)
 

@@ -53,7 +53,7 @@ from repro.api import (
     require_config_analyzer,
 )
 from repro.api.errors import EXIT_CHECK, exit_code_for
-from repro.core.analysis import KERNELS, AnalysisConfig
+from repro.core.analysis import AnalysisConfig
 from repro.core.state import SolverState
 from repro.image.builder import NativeImageBuilder
 from repro.image.optimizations import collect_optimizations
@@ -99,8 +99,6 @@ def _policy_options(args) -> dict:
         options["saturation_policy"] = args.saturation_policy
     if args.scheduling is not None:
         options["scheduling"] = args.scheduling
-    if getattr(args, "kernel", None) is not None:
-        options["kernel"] = args.kernel
     return options
 
 
@@ -563,10 +561,8 @@ def _cmd_fuzz(args) -> int:
         violations_from_dict,
     )
 
-    kernels = tuple(args.kernel) if args.kernel else ("object",)
     if args.smoke:
-        report, original, shrunk = run_mutation_smoke(seed=args.seed,
-                                                      kernels=kernels)
+        report, original, shrunk = run_mutation_smoke(seed=args.seed)
         print(f"repro fuzz: mutation smoke caught "
               f"{len(report.violations)} violation(s) from the planted "
               f"analyzer bug and shrank the case from "
@@ -580,7 +576,7 @@ def _cmd_fuzz(args) -> int:
         threshold = args.threshold
         if threshold is None:
             threshold = meta.get("threshold") or 4
-        report = check_case(script, threshold=threshold, kernels=kernels)
+        report = check_case(script, threshold=threshold)
         print(f"repro fuzz: replayed {args.replay} "
               f"({report.prefixes_checked} prefixes, "
               f"{report.combos_checked} combos; "
@@ -601,7 +597,6 @@ def _cmd_fuzz(args) -> int:
     result = run_campaign(
         seed=args.seed, cases=cases, budget_seconds=args.budget,
         profile=args.profile, threshold=args.threshold or 4,
-        kernels=kernels,
         out_dir=Path(args.out) if args.out else None,
         shrink=not args.no_shrink,
         log=lambda message: print(f"repro fuzz: {message}", flush=True))
@@ -652,11 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=available_scheduling_policies(),
                          help="solver worklist policy (default: fifo, the "
                               "bit-identical seed order)")
-        sub.add_argument("--kernel", default=None, choices=list(KERNELS),
-                         help="propagation kernel: object (seed solver) or "
-                              "arena (flat integer-id kernel) — bit-identical "
-                              "results; solves the arena kernel cannot mirror "
-                              "run on the object kernel")
 
     analyze = subparsers.add_parser("analyze", help="run the analysis and print metrics")
     add_common(analyze)
@@ -808,11 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--smoke", action="store_true",
                       help="mutation smoke: verify the oracle catches a "
                            "deliberately broken analyzer")
-    fuzz.add_argument("--kernel", choices=list(KERNELS), action="append",
-                      default=None,
-                      help="propagation kernel(s) to fuzz; repeat the flag "
-                           "to differentially compare kernels per combo "
-                           "(default: object)")
     fuzz.set_defaults(func=_cmd_fuzz)
     return parser
 

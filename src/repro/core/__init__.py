@@ -31,13 +31,9 @@ from repro.core.flows import (
 )
 from repro.core.kernel import (
     DEFAULT_POLICY,
-    SaturationPolicy,
-    SchedulingPolicy,
     SolverPolicy,
     available_saturation_policies,
     available_scheduling_policies,
-    register_saturation_policy,
-    register_scheduling_policy,
 )
 from repro.core.pvpg import BranchKind, BranchRecord, MethodPVPG, ProgramPVPG
 from repro.core.pvpg_builder import ObjectSink, PVPGBuilder
@@ -68,8 +64,6 @@ __all__ = [
     "ProgramPVPG",
     "PVPGBuilder",
     "ReturnFlow",
-    "SaturationPolicy",
-    "SchedulingPolicy",
     "SkipFlowAnalysis",
     "SkipFlowSolver",
     "SolverPolicy",
@@ -80,6 +74,4 @@ __all__ = [
     "available_saturation_policies",
     "available_scheduling_policies",
     "compare_states",
-    "register_saturation_policy",
-    "register_scheduling_policy",
 ]

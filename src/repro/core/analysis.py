@@ -22,16 +22,15 @@ import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
+from repro.core.kernel.arena_kernel import ArenaKernelSolver
 from repro.core.kernel.policy import SolverPolicy
 from repro.core.kernel.saturation import OFF
 from repro.core.results import AnalysisResult, Deferred, SolverStats
 from repro.core.solver import SkipFlowSolver
 from repro.core.state import SolverState
+from repro.ir.arena import ArenaProgram
 from repro.ir.program import Program
 from repro.ir.validate import validate_program
-
-#: The propagation kernels a config may select (``AnalysisConfig.kernel``).
-KERNELS = ("object", "arena")
 
 
 @dataclass(frozen=True)
@@ -70,17 +69,9 @@ class AnalysisConfig:
         are the seed solver, bit-identical down to step counts; see
         :attr:`solver_policy` / :meth:`with_policy` for the bundled
         :class:`~repro.core.kernel.policy.SolverPolicy` view.
-    ``kernel``
-        Which propagation kernel executes the solve: ``object`` (the seed
-        solver over :class:`~repro.core.flows.Flow` objects) or ``arena``
-        (:class:`~repro.core.kernel.arena_kernel.ArenaKernelSolver`, the
-        flat integer-id kernel over a frozen :mod:`~repro.ir.arena`
-        buffer).  Both produce the same reachable sets, value states,
-        edges, and step counts, so the choice is purely a performance
-        lever.  Solves the arena kernel cannot mirror (warm resumes, custom
-        registered policies) run on the object kernel instead, and the
-        result records why (:attr:`~repro.core.results.AnalysisResult.
-        fallback`).
+
+    Which propagation kernel runs is not a switch: it follows from the
+    program and the solve (see :meth:`SkipFlowAnalysis._solve`).
     """
 
     name: str = "skipflow"
@@ -92,7 +83,6 @@ class AnalysisConfig:
     saturation_threshold: Optional[int] = None
     scheduling: str = "fifo"
     saturation_policy: str = OFF
-    kernel: str = "object"
 
     def __post_init__(self) -> None:
         # Canonicalize the saturation half (see the class docstring), then
@@ -102,10 +92,6 @@ class AnalysisConfig:
             object.__setattr__(self, "saturation_policy", "closed-world")
         elif self.saturation_threshold is None and self.saturation_policy != OFF:
             object.__setattr__(self, "saturation_policy", OFF)
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; available: "
-                f"{', '.join(KERNELS)}")
         self.solver_policy  # noqa: B018 — constructing it validates the names
 
     # ------------------------------------------------------------------ #
@@ -188,10 +174,6 @@ class AnalysisConfig:
                        saturation_policy=policy.saturation,
                        saturation_threshold=policy.saturation_threshold)
 
-    def with_kernel(self, kernel: str) -> "AnalysisConfig":
-        """This config executed by a different propagation kernel."""
-        return replace(self, kernel=kernel)
-
     @property
     def solver_policy(self) -> SolverPolicy:
         """The kernel policy bundle this config solves under."""
@@ -233,7 +215,7 @@ class SkipFlowAnalysis:
         """Solve to a fixed point and return an :class:`AnalysisResult`."""
         if self.config.validate:
             validate_program(self.program)
-        solver, elapsed, fallback = self._solve(roots)
+        solver, elapsed = self._solve(roots)
         arena = not isinstance(solver, SkipFlowSolver)
         # ``pvpg`` / ``solver_state`` are handed over as thunks: the object
         # solver already holds both (the thunk is free), while the arena
@@ -255,44 +237,27 @@ class SkipFlowAnalysis:
             solver_state=Deferred(lambda: solver.state),
             kernel_backend=solver if arena else None,
             kernel_ran="arena" if arena else "object",
-            fallback=fallback,
         )
 
     def _solve(self, roots: Optional[Iterable[str]]):
-        """Run the configured kernel; return ``(solver, seconds, fallback)``.
+        """Run the propagation kernel; return ``(solver, seconds)``.
 
-        The arena kernel only takes solves it can prove bit-identical: cold
-        solves under the built-in policies.  Anything else (a warm resume,
-        a custom registered policy) makes it raise
-        :class:`~repro.core.kernel.arena_kernel.ArenaKernelUnsupported`
-        before it propagates anything; the object solver then runs the
-        solve, and the exception's message comes back as ``fallback`` so
-        the result says which kernel ran and why (``None`` when the
-        configured kernel ran).
+        The kernel is a structural choice, not a setting: a cold solve of
+        an attached :class:`~repro.ir.arena.ArenaProgram` runs on
+        :class:`~repro.core.kernel.arena_kernel.ArenaKernelSolver`, which
+        propagates straight on the program's flat buffer; everything else
+        — a plain program, or a warm resume of an object-graph
+        :class:`~repro.core.state.SolverState` — runs on
+        :class:`~repro.core.solver.SkipFlowSolver`.  The two reach the same
+        fixpoint with the same counters.
         """
-        fallback: Optional[str] = None
-        if self.config.kernel == "arena":
-            from repro.core.kernel.arena_kernel import (
-                ArenaKernelSolver,
-                ArenaKernelUnsupported,
-            )
-
-            # The timer covers construction too: freezing a plain program
-            # into an arena is real analysis-path work (an attached
-            # ``ArenaProgram`` makes it near-free, which is the point of
-            # the store's arena blobs).
-            started = time.perf_counter()
-            try:
-                arena_solver = ArenaKernelSolver(
-                    self.program, self.config, state=self.state)
-                arena_solver.solve(roots)
-                return arena_solver, time.perf_counter() - started, None
-            except ArenaKernelUnsupported as refusal:
-                fallback = str(refusal)
-        solver = SkipFlowSolver(self.program, self.config, state=self.state)
         started = time.perf_counter()
+        if self.state is None and isinstance(self.program, ArenaProgram):
+            solver = ArenaKernelSolver(self.program, self.config)
+        else:
+            solver = SkipFlowSolver(self.program, self.config, state=self.state)
         solver.solve(roots)
-        return solver, time.perf_counter() - started, fallback
+        return solver, time.perf_counter() - started
 
 
 def run_skipflow(program: Program, roots: Optional[Iterable[str]] = None) -> AnalysisResult:

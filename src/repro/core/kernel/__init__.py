@@ -1,4 +1,4 @@
-"""The solver kernel: pluggable scheduling, saturation, and linking layers.
+"""The solver kernel: the scheduling and saturation policies of a solve.
 
 :class:`~repro.core.solver.SkipFlowSolver` used to be a monolith in which
 worklist order, the saturation cutoff, and invoke/field linking were
@@ -44,21 +44,16 @@ from repro.core.kernel.saturation import (
     AllocatedTypeSaturation,
     ClosedWorldSaturation,
     ReachableAllocatedSaturation,
-    SaturationContext,
-    SaturationPolicy,
     allocated_types,
     available_saturation_policies,
     make_saturation_policy,
     reachable_allocated_types,
-    register_saturation_policy,
 )
 from repro.core.kernel.scheduling import (
     DegreeScheduling,
     FifoScheduling,
-    SchedulingPolicy,
     available_scheduling_policies,
     make_scheduling_policy,
-    register_scheduling_policy,
 )
 
 __all__ = [
@@ -68,9 +63,6 @@ __all__ = [
     "DegreeScheduling",
     "FifoScheduling",
     "ReachableAllocatedSaturation",
-    "SaturationContext",
-    "SaturationPolicy",
-    "SchedulingPolicy",
     "SolverPolicy",
     "allocated_types",
     "available_saturation_policies",
@@ -78,6 +70,4 @@ __all__ = [
     "make_saturation_policy",
     "make_scheduling_policy",
     "reachable_allocated_types",
-    "register_saturation_policy",
-    "register_scheduling_policy",
 ]

@@ -30,14 +30,12 @@ for statement; when editing one, edit the other (the cross-kernel grid in
 ``tests/core/test_arena_kernel.py`` and the CI solver-steps gate both fail
 loudly on drift).
 
-Because bit-identity is only *proven* for the built-in policies, the kernel
-refuses anything it cannot mirror — custom registered scheduling or
-saturation policies, and warm resumption from a prior
-:class:`~repro.core.state.SolverState` (the object solver borrows caller
-state; the arena kernel owns flat tables) — by raising
-:class:`ArenaKernelUnsupported`, which callers
-(:class:`~repro.core.analysis.SkipFlowAnalysis`) catch to fall back to the
-object solver.
+The kernel runs cold solves of an attached
+:class:`~repro.ir.arena.ArenaProgram`, and
+:class:`~repro.core.analysis.SkipFlowAnalysis` selects it exactly then.  A
+warm resume continues a prior :class:`~repro.core.state.SolverState`, an
+object graph the kernel's flat tables cannot adopt, so resumes (and plain
+programs, which have no arena) run on the object solver.
 
 After the fixpoint, the :attr:`ArenaKernelSolver.state` property lazily
 materializes a real :class:`~repro.core.state.SolverState` (PVPG objects,
@@ -73,15 +71,10 @@ from repro.core.flows import (
 )
 from repro.core.compare import compare_states
 from repro.core.kernel.policy import DEFAULT_POLICY, SolverPolicy
-from repro.core.kernel.saturation import (
-    AllocatedTypeSaturation,
-    ClosedWorldSaturation,
-    ReachableAllocatedSaturation,
-    make_saturation_policy,
-)
+from repro.core.kernel.saturation import make_saturation_policy
 from repro.core.pvpg import BranchKind, BranchRecord, MethodPVPG, ProgramPVPG
 from repro.core.state import SolverState
-from repro.ir.arena import ProgramArena, freeze, schema
+from repro.ir.arena import ArenaProgram, schema
 from repro.ir.instructions import (
     Condition,
     If,
@@ -89,28 +82,11 @@ from repro.ir.instructions import (
     Invoke,
     InvokeKind,
 )
-from repro.ir.program import Program
 from repro.ir.types import INT_TYPE_NAME, NULL_TYPE_NAME, MethodSignature
 from repro.ir.values import ConstantExpr, ConstKind, Value
 from repro.lattice.typeset import filter_instanceof
 from repro.lattice.value_state import ValueState
 
-
-class ArenaKernelUnsupported(Exception):
-    """The arena kernel cannot run this solve bit-identically; run the object solver."""
-
-
-#: Scheduling policies the kernel mirrors with integer worklists.  A custom
-#: registered policy operates on Flow objects, which the kernel does not have.
-_SUPPORTED_SCHEDULING = frozenset({"fifo", "degree"})
-
-#: Saturation policies whose ``collapse``/``sentinel_for`` the kernel inlines.
-#: The check is on the *exact* type: a subclass may override either hook.
-_KNOWN_SATURATIONS = (
-    ClosedWorldSaturation,
-    AllocatedTypeSaturation,
-    ReachableAllocatedSaturation,
-)
 
 _EMPTY = ValueState.empty()
 _INT_ONE = ValueState.of_int(1)
@@ -180,38 +156,19 @@ _WORKLISTS = {
 class ArenaKernelSolver:
     """The fixed-point solver over an attached arena's integer flow ids.
 
-    Drop-in for :class:`~repro.core.solver.SkipFlowSolver` on the cold path:
-    same constructor shape, same :meth:`solve`, and afterwards the same
-    ``state`` / ``pvpg`` / counter surface (``state`` inflates lazily on
-    first access).  ``program`` may be an
-    :class:`~repro.ir.arena.ArenaProgram` (its buffer is used directly — the
-    zero-decode worker path) or any plain program (frozen on the fly, which
-    still wins when several configs solve the same program).
+    Drop-in for :class:`~repro.core.solver.SkipFlowSolver` on the cold path
+    of an attached :class:`~repro.ir.arena.ArenaProgram`: same :meth:`solve`,
+    and afterwards the same ``state`` / ``pvpg`` / counter surface
+    (``state`` inflates lazily on first access).  The program's buffer is
+    solved on directly — the zero-decode worker path.
     """
 
-    def __init__(self, program: Program, config,
-                 *, arena: Optional[ProgramArena] = None,
-                 state: Optional[SolverState] = None) -> None:
-        if state is not None:
-            # Warm resumption borrows a caller's object-graph state; the
-            # arena kernel owns flat tables and cannot continue it.
-            raise ArenaKernelUnsupported(
-                "the arena kernel only runs cold solves; resume with the "
-                "object kernel")
+    def __init__(self, program: ArenaProgram, config) -> None:
         self.program = program
         self.hierarchy = program.hierarchy
         self.config = config
         self.policy: SolverPolicy = getattr(config, "solver_policy", DEFAULT_POLICY)
-        scheduling = self.policy.scheduling.strip().lower()
-        if scheduling not in _SUPPORTED_SCHEDULING:
-            raise ArenaKernelUnsupported(
-                f"scheduling policy {self.policy.scheduling!r} has no arena "
-                f"mirror (supported: {', '.join(sorted(_SUPPORTED_SCHEDULING))})")
-        if arena is None:
-            arena = getattr(program, "arena", None)
-        if arena is None:
-            arena = ProgramArena(freeze(program))
-        self.arena = arena
+        self.arena = arena = program.arena
 
         n = arena.num_flows
         #: ``VSout`` / ``VSin`` per fid (hash-consed ValueState objects).
@@ -256,7 +213,7 @@ class ArenaKernelSolver:
         self._stub_links: List[Tuple[int, MethodSignature]] = []
         self._solve_count = 0
 
-        self._worklist = _WORKLISTS[scheduling](self)
+        self._worklist = _WORKLISTS[self.policy.scheduling](self)
         self._pending_links: Deque[int] = deque()
         self._saturation = None
         self._solve_roots: tuple = ()
@@ -415,16 +372,10 @@ class ArenaKernelSolver:
                       else list(self.program.entry_points))
         if not root_names:
             raise ValueError("no root methods: provide roots or program entry points")
-        saturation = make_saturation_policy(
+        self._saturation = make_saturation_policy(
             self.policy.saturation, self.hierarchy,
             self.policy.saturation_threshold,
             program=self.program, roots=tuple(root_names))
-        if saturation is not None and type(saturation) not in _KNOWN_SATURATIONS:
-            raise ArenaKernelUnsupported(
-                f"saturation policy {self.policy.saturation!r} resolves to "
-                f"{type(saturation).__name__}, which the arena kernel has "
-                f"not proven bit-identical")
-        self._saturation = saturation
         self._solve_roots = tuple(dict.fromkeys(root_names))
         self._refresh_saturation()
         previously_seeded: Set[str] = set()
@@ -582,7 +533,7 @@ class ArenaKernelSolver:
                     self._schedule(fid)
 
     def _sentinel_for(self, fid: int) -> ValueState:
-        """Mirror of ``SaturationPolicy.sentinel_for`` on fid payloads.
+        """Mirror of ``ClosedWorldSaturation.sentinel_for`` on fid payloads.
 
         Every built-in top is flow-independent, so the fid is unused.
         """
@@ -678,7 +629,7 @@ class ArenaKernelSolver:
             saturation = self._saturation
             if saturation is not None:
                 # Inlined ClosedWorldSaturation.collapse (inherited
-                # unchanged by every _KNOWN_SATURATIONS policy).
+                # unchanged by every built-in policy).
                 if len(new_state.reference_types) > saturation.threshold:
                     self._saturate(fid, new_state.join(self._sentinel_for(fid)))
                     return
@@ -1058,4 +1009,4 @@ class ArenaKernelSolver:
         return state
 
 
-__all__ = ["ArenaKernelSolver", "ArenaKernelUnsupported"]
+__all__ = ["ArenaKernelSolver"]

@@ -1,6 +1,6 @@
 """The :class:`SolverPolicy`: one value naming a complete solver-kernel setup.
 
-A policy bundles the three knobs the pluggable kernel exposes — the
+A policy bundles the three knobs the solver kernel exposes — the
 worklist's :mod:`scheduling <repro.core.kernel.scheduling>` policy, the
 megamorphic-flow :mod:`saturation <repro.core.kernel.saturation>` policy,
 and the saturation threshold — so that one hashable value can travel
@@ -8,7 +8,7 @@ through :class:`~repro.core.analysis.AnalysisConfig`, the
 :mod:`repro.api` session (``session.run(name, policy=...)``), the benchmark
 engine's config hashing, and the CLI.
 
-Validation happens at construction: policy names must be registered and the
+Validation happens at construction: policy names must be built-ins and the
 saturation half must be coherent (``off`` means no threshold, any other
 cutoff needs one), so a typo fails where the policy is written down rather
 than deep inside a solve.
@@ -28,9 +28,8 @@ class SolverPolicy:
     """A complete, validated solver-kernel configuration.
 
     ``scheduling``
-        Name of the worklist policy (``fifo``, ``degree``, or anything
-        registered since).  Every scheduling policy
-        reaches the same fixed point; only the solver-effort counters
+        Name of the worklist policy (``fifo`` or ``degree``).  Every
+        scheduling policy reaches the same fixed point; only the solver-effort counters
         (steps, joins, transfers) differ.
     ``saturation`` / ``saturation_threshold``
         Name of the cutoff policy and the type-set width that triggers it.

@@ -4,8 +4,8 @@ The saturation cutoff collapses a flow whose reference-type set grows past a
 threshold, GraalVM-style: the flow's state jumps to a *sentinel* — a top
 element for everything that could still arrive — and all further joins into
 the flow are skipped (they would be no-ops against top by definition).  A
-:class:`SaturationPolicy` decides two things: when a freshly joined state
-counts as over the threshold, and which sentinel the flow collapses to.
+saturation policy decides two things: when a freshly joined state counts as
+over the threshold, and which sentinel the flow collapses to.
 
 Both decisions preserve the solver's monotone-termination argument (see
 :mod:`repro.core.kernel`): the sentinel is always joined *over* the state
@@ -17,7 +17,7 @@ Built-ins:
 ``off``
     No cutoff; the paper's exact semantics.  Represented as ``threshold is
     None`` — :func:`make_saturation_policy` returns ``None`` so the solver's
-    hot path pays nothing for the feature being pluggable.
+    hot path pays nothing when the cutoff is off.
 ``closed-world``
     The original sentinel: every instantiable type of the closed world,
     ``null``, and primitive ``Any``.  Trivially sound, maximally coarse —
@@ -40,8 +40,7 @@ Built-ins:
     statically over the whole program text, so the sentinel dominates
     every arrival independent of reachability and of the schedule, and
     only grows under monotone program deltas.  This policy needs the
-    program (and the solve's roots), so it is registered with a
-    context-aware factory; see :class:`SaturationContext`.
+    program (and the solve's roots).
 ``allocated-type-reachable``
     The reachability-refined variant of ``allocated-type``: allocation
     sites are counted only in methods the solve has proved *reachable*
@@ -60,25 +59,13 @@ Built-ins:
     final reachable set alone — see ``docs/architecture.md`` for the full
     soundness argument.
 
-New policies plug in with :func:`register_saturation_policy`; factories
-registered with ``needs_context=True`` receive a :class:`SaturationContext`
-(hierarchy, threshold, program, roots) instead of the bare
-``(hierarchy, threshold)`` pair.
+The set is closed: :func:`make_saturation_policy` builds one of these four
+by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    FrozenSet,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, FrozenSet, Iterable, Optional, Tuple
 
 from repro.core.flows import Flow
 from repro.ir.instructions import Assign
@@ -95,28 +82,19 @@ if TYPE_CHECKING:
 OFF = "off"
 
 
-@runtime_checkable
-class SaturationPolicy(Protocol):
-    """What the solver consults after every state-growing transfer.
-
-    ``collapse`` returns the sentinel state the flow should jump to, or
-    ``None`` when the freshly joined ``new_state`` is still below the
-    threshold.  ``sentinel_for`` exposes the flow's top directly; the solver
-    uses it when *resuming* a solve to re-collapse already-saturated flows
-    against the current program's (possibly wider) sentinel.  A policy
-    instance belongs to exactly one solve (it memoizes sentinels against
-    that solve's type hierarchy).
-    """
-
-    name: str
-
-    def collapse(self, flow: Flow, new_state: ValueState) -> Optional[ValueState]: ...
-
-    def sentinel_for(self, flow: Flow) -> ValueState: ...
-
-
 class ClosedWorldSaturation:
-    """The original cutoff: collapse to the closed world's any-type sentinel."""
+    """The original cutoff: collapse to the closed world's any-type sentinel.
+
+    The base of every built-in policy; the solver consults it after every
+    state-growing transfer.  ``collapse`` returns the sentinel state the
+    flow should jump to, or ``None`` when the freshly joined ``new_state``
+    is still below the threshold.  ``sentinel_for`` exposes the flow's top
+    directly; the solver uses it when *resuming* a solve to re-collapse
+    already-saturated flows against the current program's (possibly wider)
+    sentinel.  Subclasses override only ``_sentinel``.  An instance belongs
+    to exactly one solve (it memoizes sentinels against that solve's type
+    hierarchy).
+    """
 
     name = "closed-world"
 
@@ -145,7 +123,7 @@ class ClosedWorldSaturation:
         if len(new_state.reference_types) <= self.threshold:
             return None
         # Joining over the triggering state keeps the collapse a move *up*
-        # the lattice whatever sentinel a registered policy supplies.
+        # the lattice whatever sentinel a subclass supplies.
         return new_state.join(self._sentinel(flow))
 
 
@@ -228,18 +206,23 @@ class ReachableAllocatedSaturation(ClosedWorldSaturation):
 
 
 def reachable_allocated_types(
-        program: "Program", *, reachable: FrozenSet[str],
-        stub_signatures: Tuple["MethodSignature", ...] = (),
+        program: "Program", *, reachable: Iterable[str],
+        stub_signatures: Iterable["MethodSignature"] = (),
         roots: Tuple[str, ...] = ()) -> FrozenSet[str]:
     """Types that can originate in a value state of the *reachable* program.
 
-    The refined counterpart of :func:`allocated_types`: the same three
-    origin sets, but (a) counts ``new`` sites only in methods of the
-    ``reachable`` set and (c) counts only the bodyless callees the solve
-    has actually linked (``stub_signatures``, from the solver state's
-    replay record) instead of every declared stub in the closed world.
-    (b) — the conservative root seeds — is unchanged: roots are seeded
-    unconditionally, reachable or not.
+    The union of three origin sets:
+
+    (a) types with a ``new`` site in a method of ``reachable``;
+    (b) the instantiable subtypes of the root methods' declared reference
+        parameter types, which conservative root seeding injects without an
+        allocation (mirrors ``SkipFlowSolver._conservative_state``; roots
+        default to the program's entry points, and are seeded
+        unconditionally, reachable or not);
+    (c) the instantiable subtypes of the reference *return* types of the
+        bodyless callees in ``stub_signatures``: the solver's stub effects
+        inject exactly that conservative state when such a callee is
+        linked, so the sentinel must dominate it too.
     """
     allocated = set()
     hierarchy = program.hierarchy
@@ -282,151 +265,58 @@ def allocated_types(program: "Program",
                     roots: Tuple[str, ...] = ()) -> FrozenSet[str]:
     """Every type that can originate in a reference state of ``program``.
 
-    The union of three origin sets, each computed over the whole program
-    text — reachability-independent on purpose, so the set is stable under
-    any schedule and only grows under monotone deltas:
-
-    (a) types with a ``new`` site anywhere in the closed world;
-    (b) the instantiable subtypes of the root methods' declared reference
-        parameter types, which conservative root seeding injects without an
-        allocation (mirrors ``SkipFlowSolver._conservative_state``; roots
-        default to the program's entry points);
-    (c) the instantiable subtypes of the reference *return* types of
-        declared-but-bodyless methods (native/opaque stubs): the solver's
-        stub effects inject exactly that conservative state when such a
-        callee is linked, so the sentinel must dominate it too.
+    :func:`reachable_allocated_types` over the whole program text — every
+    method counts as reachable and every declared-but-bodyless method
+    (native/opaque stub) as linked — so the set is stable under any
+    schedule and only grows under monotone deltas.
     """
-    allocated = set()
-    # Duck-typed fast path: arena-attached programs precompute their
-    # allocation sites per method, so no body is ever decoded here.
-    site_index = getattr(program, "allocation_site_index", None)
-    if site_index is not None:
-        for site_types in site_index.values():
-            allocated.update(site_types)
-    else:
-        for method in program.methods.values():
-            for block in method.blocks:
-                for statement in block.statements:
-                    if (isinstance(statement, Assign)
-                            and statement.expr.kind is ConstKind.NEW):
-                        allocated.add(statement.expr.type_name)
-    hierarchy = program.hierarchy
-    for root in roots or tuple(program.entry_points):
-        method = program.methods.get(root)
-        if method is None:
-            continue
-        signature = method.signature
-        declared = list(signature.param_types)
-        if not signature.is_static:
-            declared.append(signature.declaring_class)
-        for type_name in declared:
-            if type_name in hierarchy:
-                allocated.update(hierarchy.instantiable_subtypes(type_name))
-    for cls in hierarchy:
-        for signature in cls.declared_methods.values():
-            if signature.qualified_name in program.methods:
-                continue
-            if (signature.returns_reference
-                    and signature.return_type in hierarchy):
-                allocated.update(
-                    hierarchy.instantiable_subtypes(signature.return_type))
-    return frozenset(allocated)
+    methods = program.methods
+    stubs = [signature
+             for cls in program.hierarchy
+             for signature in cls.declared_methods.values()
+             if signature.qualified_name not in methods]
+    return reachable_allocated_types(program, reachable=methods,
+                                     stub_signatures=stubs, roots=roots)
 
 
 # ---------------------------------------------------------------------- #
-# The registry
+# The built-in policies, by name
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class SaturationContext:
-    """Everything a program-aware saturation factory may need for one solve."""
-
-    hierarchy: TypeHierarchy
-    threshold: int
-    program: Optional["Program"] = None
-    roots: Tuple[str, ...] = ()
-
-
-SaturationFactory = Callable[[TypeHierarchy, int], SaturationPolicy]
-
-_SATURATION_POLICIES: Dict[str, Tuple[Callable, bool]] = {}
-
-
-def register_saturation_policy(name: str, factory: Callable,
-                               *, needs_context: bool = False,
-                               replace: bool = False) -> None:
-    """Register a cutoff policy under ``name`` (one fresh instance per solve).
-
-    Plain factories take ``(hierarchy, threshold)``; factories registered
-    with ``needs_context=True`` take one :class:`SaturationContext` and may
-    inspect the program and the solve's roots (e.g. ``allocated-type``).
-    """
-    key = name.strip().lower()
-    if key == OFF:
-        raise ValueError(f"{OFF!r} is the reserved no-cutoff policy")
-    if not replace and key in _SATURATION_POLICIES:
-        raise ValueError(f"saturation policy {key!r} is already registered; "
-                         f"pass replace=True to override it")
-    _SATURATION_POLICIES[key] = (factory, needs_context)
+#: Every cutoff name, ``off`` (the exact default) first.
+_SATURATION_POLICIES = (OFF, "allocated-type", "allocated-type-reachable",
+                       "closed-world")
 
 
 def make_saturation_policy(name: str, hierarchy: TypeHierarchy,
                            threshold: Optional[int],
                            *, program: Optional["Program"] = None,
                            roots: Tuple[str, ...] = ()
-                           ) -> Optional[SaturationPolicy]:
+                           ) -> Optional[ClosedWorldSaturation]:
     """A fresh cutoff policy for one solve, or ``None`` for ``off``.
 
     Returning ``None`` (rather than a never-fires object) lets the solver
     skip the whole saturation branch on its hot path when the cutoff is
     disabled — which is how the default stays bit-identical to the seed.
-    ``program``/``roots`` are forwarded to context-aware factories; plain
-    factories never see them.
+    The allocated-type policies read ``program`` (and ``roots``), so they
+    need one.
     """
     key = name.strip().lower()
     if key == OFF or threshold is None:
         return None
-    try:
-        factory, needs_context = _SATURATION_POLICIES[key]
-    except KeyError:
+    if key not in _SATURATION_POLICIES:
         raise ValueError(
             f"unknown saturation policy {name!r}; available: "
-            f"{', '.join(available_saturation_policies())}") from None
-    if needs_context:
-        return factory(SaturationContext(hierarchy=hierarchy,
-                                         threshold=threshold,
-                                         program=program, roots=roots))
-    return factory(hierarchy, threshold)
+            f"{', '.join(_SATURATION_POLICIES)}")
+    if key == "closed-world":
+        return ClosedWorldSaturation(hierarchy, threshold)
+    if program is None:
+        raise ValueError(f"the {key!r} saturation policy needs the program")
+    if key == "allocated-type":
+        return AllocatedTypeSaturation(hierarchy, threshold,
+                                       allocated_types(program, roots))
+    return ReachableAllocatedSaturation(hierarchy, threshold, program)
 
 
 def available_saturation_policies() -> Tuple[str, ...]:
-    """Registered cutoff names, ``off`` (the exact default) first."""
-    return (OFF,) + tuple(sorted(_SATURATION_POLICIES))
-
-
-def _make_allocated_type(context: SaturationContext) -> AllocatedTypeSaturation:
-    if context.program is None:
-        raise ValueError(
-            "the 'allocated-type' saturation policy needs the program; "
-            "it is constructed per solve by the solver (or pass a "
-            "SaturationContext with a program)")
-    return AllocatedTypeSaturation(
-        context.hierarchy, context.threshold,
-        allocated_types(context.program, context.roots))
-
-
-def _make_reachable_allocated(
-        context: SaturationContext) -> ReachableAllocatedSaturation:
-    if context.program is None:
-        raise ValueError(
-            "the 'allocated-type-reachable' saturation policy needs the "
-            "program; it is constructed per solve by the solver (or pass a "
-            "SaturationContext with a program)")
-    return ReachableAllocatedSaturation(
-        context.hierarchy, context.threshold, context.program)
-
-
-register_saturation_policy("closed-world", ClosedWorldSaturation)
-register_saturation_policy("allocated-type", _make_allocated_type,
-                           needs_context=True)
-register_saturation_policy("allocated-type-reachable",
-                           _make_reachable_allocated, needs_context=True)
+    """Cutoff names, ``off`` (the exact default) first."""
+    return _SATURATION_POLICIES

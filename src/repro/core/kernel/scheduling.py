@@ -9,7 +9,7 @@ the amount of work spent getting there — how often a flow is re-processed
 before its inputs have settled — which is exactly what the solver's
 machine-independent ``steps``/``joins`` counters measure.
 
-A :class:`SchedulingPolicy` owns the container behind the worklist.  The
+A scheduling policy owns the container behind the worklist.  The
 solver keeps the intrusive ``in_worklist`` de-duplication bit on each flow
 (a flow is pushed at most once until popped), so policies only decide
 *order*; they never see duplicates.  The fairness contract is that every
@@ -29,37 +29,19 @@ Built-ins:
     — fields feeding many loads, parameters fanning into many uses — are
     processed first, so their dependents see a settled state earlier.
 
-New policies plug in with :func:`register_scheduling_policy`; the CLI, the
-engine, and :class:`~repro.core.kernel.policy.SolverPolicy` validation all
-resolve names through this registry.
+The set is closed: the CLI, the engine, and
+:class:`~repro.core.kernel.policy.SolverPolicy` validation all resolve names
+through :func:`make_scheduling_policy` / :func:`available_scheduling_policies`,
+and the arena kernel mirrors each policy over integer flow ids.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Deque, Dict, List, Protocol, Tuple, runtime_checkable
+from typing import Deque, List, Tuple, Union
 
 from repro.core.flows import Flow
-
-
-@runtime_checkable
-class SchedulingPolicy(Protocol):
-    """What the solver's worklist must support.
-
-    ``push`` is called at most once per flow until that flow is popped (the
-    solver's ``in_worklist`` bit guarantees it), ``pop`` must return some
-    previously pushed flow, and ``__len__`` reports how many flows are
-    pending.  A policy instance belongs to exactly one solve.
-    """
-
-    name: str
-
-    def push(self, flow: Flow) -> None: ...
-
-    def pop(self) -> Flow: ...
-
-    def __len__(self) -> int: ...
 
 
 class FifoScheduling:
@@ -111,25 +93,21 @@ class DegreeScheduling:
         return len(self._heap)
 
 
-# ---------------------------------------------------------------------- #
-# The registry
-# ---------------------------------------------------------------------- #
-_SCHEDULING_POLICIES: Dict[str, Callable[[], SchedulingPolicy]] = {}
+#: The worklist policies by name, the bit-identical default first.
+_SCHEDULING_POLICIES = {
+    "fifo": FifoScheduling,
+    "degree": DegreeScheduling,
+}
 
 
-def register_scheduling_policy(name: str,
-                               factory: Callable[[], SchedulingPolicy],
-                               *, replace: bool = False) -> None:
-    """Register a worklist policy under ``name`` (one fresh instance per solve)."""
-    key = name.strip().lower()
-    if not replace and key in _SCHEDULING_POLICIES:
-        raise ValueError(f"scheduling policy {key!r} is already registered; "
-                         f"pass replace=True to override it")
-    _SCHEDULING_POLICIES[key] = factory
+def make_scheduling_policy(
+        name: str) -> Union[FifoScheduling, DegreeScheduling]:
+    """A fresh worklist for one solve, looked up by (case-insensitive) name.
 
-
-def make_scheduling_policy(name: str) -> SchedulingPolicy:
-    """A fresh worklist for one solve, looked up by (case-insensitive) name."""
+    Every policy supports ``push`` (called at most once per flow until that
+    flow is popped — the solver's ``in_worklist`` bit guarantees it),
+    ``pop`` (some previously pushed flow) and ``__len__`` (pending flows).
+    """
     try:
         factory = _SCHEDULING_POLICIES[name.strip().lower()]
     except KeyError:
@@ -140,13 +118,5 @@ def make_scheduling_policy(name: str) -> SchedulingPolicy:
 
 
 def available_scheduling_policies() -> Tuple[str, ...]:
-    """Registered scheduling-policy names, the bit-identical default first."""
-    names = sorted(_SCHEDULING_POLICIES)
-    if "fifo" in names:
-        names.remove("fifo")
-        names.insert(0, "fifo")
-    return tuple(names)
-
-
-register_scheduling_policy("fifo", FifoScheduling)
-register_scheduling_policy("degree", DegreeScheduling)
+    """Scheduling-policy names, the bit-identical default first."""
+    return tuple(_SCHEDULING_POLICIES)

@@ -130,11 +130,9 @@ class AnalysisResult:
     #: kernel's ``image_counters`` / ``dead_code_rows``); ``None`` for the
     #: object kernel, whose only view *is* the PVPG.
     kernel_backend: Optional[object] = None
-    #: The kernel that actually ran the solve (``object`` or ``arena``).
+    #: The kernel that ran the solve: ``arena`` for a cold solve of an
+    #: attached arena program, ``object`` otherwise.
     kernel_ran: str = "object"
-    #: Why the configured kernel did not run (the arena kernel's refusal
-    #: message), or ``None`` when it did.
-    fallback: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # Reachability

@@ -65,7 +65,7 @@ class SkipFlowSolver:
 
     The class is the propagation/linking *core* of the solver kernel
     (:mod:`repro.core.kernel`): it owns delivery, predicate enabling, and
-    invoke/field linking, while two pluggable policies — resolved from
+    invoke/field linking, while two policies — resolved by name from
     ``config.solver_policy`` — own the rest:
 
     * a *scheduling policy* owns the worklist container and pop order

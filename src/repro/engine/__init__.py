@@ -49,9 +49,7 @@ three components::
     entry — but only for that configuration: an ablation sweep over
     SkipFlow variants keeps hitting the shared baseline half, which is what
     lets a 5-point saturation sweep analyze the unsaturated baseline exactly
-    once.  ``kernel`` is hashed at its default: store-backed halves run on
-    the arena kernel whichever kernel the config names, so the two kernel
-    choices share one entry.
+    once.
 ``code_version``
     SHA-256 over every ``*.py`` source file of the ``repro`` package, so any
     code change — a solver fix, a new metric — invalidates *all* entries.

@@ -85,17 +85,7 @@ class ResultCache:
     # Keys
     # ------------------------------------------------------------------ #
     def config_key(self, spec, config) -> str:
-        """The cache key for one (spec, configuration) analysis result.
-
-        The config is hashed with its ``kernel`` at the default: a cache
-        always comes with a program store, whose attached programs the
-        engine solves on the arena kernel whichever kernel a config names,
-        so configs that differ only in ``kernel`` produce the same half and
-        share one entry.  Keys of default-kernel configs are unchanged.
-        """
-        fields = getattr(config, "__dataclass_fields__", {})
-        if "kernel" in fields:
-            config = dataclasses.replace(config, kernel=fields["kernel"].default)
+        """The cache key for one (spec, configuration) analysis result."""
         parts = "/".join((
             hash_dataclass(spec),
             hash_dataclass(config),

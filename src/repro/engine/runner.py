@@ -32,18 +32,15 @@ a spec generates it and writes the pickle plus the frozen ``.arena`` blob;
 that solve and every later one — the other halves of the same row, workers
 in other processes, whole later runs — map the arena blob read-only and
 attach it as an :class:`~repro.ir.arena.ArenaProgram` with zero per-worker
-decode.  A half whose program is such an attached arena always runs on the
-**arena kernel** (``config.with_kernel("arena")``), whatever kernel its
-config names: the kernel is bit-identical by contract, and it propagates
-directly on the mapped buffer, so nothing is unpickled and no object IR
-graph is built.  The pickle is read only when the arena blob is missing or corrupt
+decode.  :class:`~repro.core.analysis.SkipFlowAnalysis` solves such an
+attached arena on the **arena kernel**, directly on the mapped buffer, so
+nothing is unpickled and no object IR graph is built.  The pickle is read
+only when the arena blob is missing or corrupt
 (:meth:`~repro.engine.program_store.ProgramStore.attach_or_build` then
 backfills it); a half that still gets a plain
 :class:`~repro.ir.program.Program` — no store, or a backfill that could not
-be written — runs under its config as given.  Each payload records which
-kernel actually ran (``kernel_ran``) and the arena kernel's refusal message
-when it declined the solve (``fallback``, e.g. for a custom registered
-policy), so no fallback is silent.
+be written — runs on the object kernel.  Each payload records which kernel
+ran (``kernel_ran``).
 
 On top of the store, each worker *process* memoizes the programs it has
 already attached (:func:`_program_for`), so an N-configuration matrix over
@@ -65,7 +62,6 @@ from repro.engine.cache import ResultCache
 from repro.engine.program_store import ProgramStore
 from repro.engine.scheduler import order_by_cost
 from repro.image.builder import ImageBuildReport, NativeImageBuilder
-from repro.ir.arena import ArenaProgram
 from repro.ir.program import Program
 from repro.reporting.records import METRIC_NAMES
 from repro.workloads.generator import BenchmarkSpec, generate_benchmark
@@ -74,9 +70,9 @@ from repro.workloads.generator import BenchmarkSpec, generate_benchmark
 #: cache entries (same code version would normally prevent this, but cache
 #: directories can outlive wheels) are treated as misses.  Version 2 switched
 #: from whole-comparison payloads to per-configuration halves; version 3
-#: records which kernel ran each half (``kernel_ran``) and why the
-#: configured one did not (``fallback``).
-PAYLOAD_VERSION = 3
+#: records which kernel ran each half (``kernel_ran``); version 4 dropped
+#: version 3's ``fallback`` (the kernel no longer refuses a solve).
+PAYLOAD_VERSION = 4
 
 
 
@@ -106,9 +102,6 @@ class ReportView:
     saturated_flows: int
     #: The propagation kernel that solved this half (``object``/``arena``).
     kernel_ran: str
-    #: The arena kernel's refusal message when it declined the solve and
-    #: the object kernel ran instead; ``None`` when no fallback happened.
-    fallback: Optional[str]
 
     @property
     def reachable_methods(self) -> int:
@@ -210,8 +203,7 @@ def _report_payload(report: ImageBuildReport) -> Dict[str, Any]:
     }
 
 
-def _view_from_payload(payload: Dict[str, Any], kernel_ran: str,
-                       fallback: Optional[str]) -> ReportView:
+def _view_from_payload(payload: Dict[str, Any], kernel_ran: str) -> ReportView:
     return ReportView(
         configuration=payload["configuration"],
         metrics=MetricsView(
@@ -229,7 +221,6 @@ def _view_from_payload(payload: Dict[str, Any], kernel_ran: str,
         solver_transfers=payload["solver_transfers"],
         saturated_flows=payload["saturated_flows"],
         kernel_ran=kernel_ran,
-        fallback=fallback,
     )
 
 
@@ -238,8 +229,7 @@ def view_from_half(payload: Dict[str, Any]) -> ReportView:
     if payload.get("payload_version") != PAYLOAD_VERSION:
         raise ValueError(
             f"unsupported payload version {payload.get('payload_version')!r}")
-    return _view_from_payload(payload["report"], payload["kernel_ran"],
-                              payload["fallback"])
+    return _view_from_payload(payload["report"], payload["kernel_ran"])
 
 
 def result_from_halves(baseline_payload: Dict[str, Any],
@@ -317,13 +307,11 @@ def solve_config(spec: BenchmarkSpec,
     store is provided the program comes from the per-process memo, the
     store's blobs, or fresh generation (which fills the store), in that
     order; ``program_from_store`` records whether generation was skipped.
-    An attached arena program is solved on the arena kernel; the payload's
-    ``kernel_ran`` and ``fallback`` say which kernel really ran and why.
+    An attached arena program is solved on the arena kernel, a plain one on
+    the object kernel; the payload's ``kernel_ran`` says which.
     """
     started = time.perf_counter()
     program, from_store = _program_for(spec, store)
-    if isinstance(program, ArenaProgram):
-        config = config.with_kernel("arena")
     report = NativeImageBuilder(program, config, benchmark_name=spec.name).build()
     return {
         "payload_version": PAYLOAD_VERSION,
@@ -332,7 +320,6 @@ def solve_config(spec: BenchmarkSpec,
         "config_name": config.name,
         "program_from_store": from_store,
         "kernel_ran": report.result.kernel_ran,
-        "fallback": report.result.fallback,
         "report": _report_payload(report),
         "elapsed_seconds": time.perf_counter() - started,
     }

@@ -20,6 +20,13 @@ a distinct solver; each one must also cover the executed methods and call
 edges.  Saturated states only ever move up the lattice, so the dynamic
 trace is a sound oracle for all of them.
 
+**Object = arena.**  Every combination also runs cold on the prefix's
+attached arena (``open_program(freeze(program))``), which
+:class:`~repro.core.analysis.SkipFlowAnalysis` solves on the arena kernel;
+its canonical outputs *and step count* must equal the object kernel's on
+the plain program (the ``kernel-divergence`` invariant), and it passes the
+trace and audit oracles itself.
+
 **Warm = cold.**  For every combination, an
 :class:`~repro.api.AnalysisSession` replays the edit script warm
 (``update`` + ``run(resume=...)``) while a cold solve is run per prefix;
@@ -56,6 +63,7 @@ from repro.core.kernel import (
     available_saturation_policies,
     available_scheduling_policies,
 )
+from repro.ir.arena import freeze, open_program
 from repro.ir.interpreter import ExecutionTrace, HeapObject, Interpreter
 from repro.ir.program import Program
 from repro.workloads.edits import EditScriptSpec, build_edit_delta
@@ -77,7 +85,8 @@ class OracleViolation:
     """One broken invariant, precise enough to reproduce by hand."""
 
     invariant: str  # executed-not-reachable | callee-not-covered |
-    #                 value-not-covered | warm-cold-mismatch | audit
+    #                 value-not-covered | warm-cold-mismatch |
+    #                 kernel-divergence | audit
     analyzer: str
     step: int  # edit prefix length (0 = the base program)
     detail: str
@@ -277,14 +286,13 @@ def check_case(script: EditScriptSpec, *,
                threshold: int = DEFAULT_THRESHOLD,
                max_steps: int = DEFAULT_MAX_STEPS,
                check_values: bool = True,
-               kernels: Sequence[str] = ("object",),
                mutator: Optional[Mutator] = None) -> OracleReport:
     """Run one case through the full differential oracle.
 
-    ``schedulings``/``saturations`` default to *every* registered policy;
-    pass smaller sequences for cheap smoke checks.  ``kernels`` lists the
-    propagation kernels to exercise: the first is the reference, and every
-    cold combination additionally runs under each other kernel, which must
+    ``schedulings``/``saturations`` default to *every* built-in policy;
+    pass smaller sequences for cheap smoke checks.  Every cold combination
+    runs on both kernels: the object kernel on the plain prefix program is
+    the reference, and the arena kernel on its attached freeze must
     reproduce the reference's canonical outputs *and step count* exactly
     (the ``kernel-divergence`` invariant) on top of passing the trace and
     audit oracles itself.  Returns an :class:`OracleReport` whose
@@ -295,8 +303,6 @@ def check_case(script: EditScriptSpec, *,
         schedulings = available_scheduling_policies()
     if saturations is None:
         saturations = available_saturation_policies()
-    alternate_kernels = [kernel for kernel in kernels
-                         if kernel != kernels[0]]
     report = OracleReport(case=script.name)
     prefixes = range(len(script.steps) + 1)
 
@@ -304,6 +310,7 @@ def check_case(script: EditScriptSpec, *,
     cold: Dict[Tuple[str, str, int], Tuple] = {}
     for count in prefixes:
         program = _prefix_program(script, count)
+        attached = open_program(freeze(program))
         trace = execute_all_entry_points(program, max_steps=max_steps)
         traces[count] = trace
         report.prefixes_checked += 1
@@ -330,36 +337,35 @@ def check_case(script: EditScriptSpec, *,
         for scheduling in schedulings:
             for saturation in saturations:
                 label = f"skipflow[{scheduling}/{saturation}@{threshold}]"
-                session = AnalysisSession(program)
-                combo = session.run(
-                    "skipflow", scheduling=scheduling,
-                    saturation_policy=saturation,
-                    saturation_threshold=threshold,
-                    kernel=kernels[0])
+                options = dict(scheduling=scheduling,
+                               saturation_policy=saturation,
+                               saturation_threshold=threshold)
+                combo = AnalysisSession(program).run("skipflow", **options)
                 cold[(scheduling, saturation, count)] = (
                     _canonical_outputs(combo))
                 report.violations.extend(_check_trace_against(
                     combo, label, count, trace, mutator))
                 report.violations.extend(_check_audits(
                     combo.raw.solver_state, program, label, count))
-                for kernel in alternate_kernels:
-                    klabel = label[:-1] + f"/{kernel}]"
-                    alt = AnalysisSession(program).run(
-                        "skipflow", scheduling=scheduling,
-                        saturation_policy=saturation,
-                        saturation_threshold=threshold, kernel=kernel)
-                    if (_canonical_outputs(alt)
-                            != cold[(scheduling, saturation, count)]
-                            or alt.solver_steps != combo.solver_steps):
-                        report.violations.append(OracleViolation(
-                            "kernel-divergence", klabel, count,
-                            f"kernel {kernel!r} diverged from "
-                            f"{kernels[0]!r}: steps {alt.solver_steps} vs "
-                            f"{combo.solver_steps}"))
-                    report.violations.extend(_check_trace_against(
-                        alt, klabel, count, trace, mutator))
-                    report.violations.extend(_check_audits(
-                        alt.raw.solver_state, program, klabel, count))
+                alabel = label[:-1] + "/arena]"
+                arena = AnalysisSession(attached).run("skipflow", **options)
+                if arena.raw.kernel_ran != "arena":
+                    report.violations.append(OracleViolation(
+                        "kernel-divergence", alabel, count,
+                        f"the attached program ran on the "
+                        f"{arena.raw.kernel_ran} kernel"))
+                elif (_canonical_outputs(arena)
+                        != cold[(scheduling, saturation, count)]
+                        or arena.solver_steps != combo.solver_steps):
+                    report.violations.append(OracleViolation(
+                        "kernel-divergence", alabel, count,
+                        f"the arena kernel diverged from the object "
+                        f"kernel: steps {arena.solver_steps} vs "
+                        f"{combo.solver_steps}"))
+                report.violations.extend(_check_trace_against(
+                    arena, alabel, count, trace, mutator))
+                report.violations.extend(_check_audits(
+                    arena.raw.solver_state, attached, alabel, count))
 
     # Warm chains: one session per combination, resumed across every edit.
     for scheduling in schedulings:

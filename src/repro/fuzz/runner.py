@@ -76,7 +76,6 @@ def run_campaign(*, seed: int, cases: Optional[int] = None,
                  schedulings: Optional[Sequence[str]] = None,
                  saturations: Optional[Sequence[str]] = None,
                  threshold: int = DEFAULT_THRESHOLD,
-                 kernels: Sequence[str] = ("object",),
                  out_dir: Optional[Path] = None,
                  shrink: bool = True,
                  mutator: Optional[Mutator] = None,
@@ -105,7 +104,7 @@ def run_campaign(*, seed: int, cases: Optional[int] = None,
         script = next(stream)
         report = check_case(script, schedulings=schedulings,
                             saturations=saturations, threshold=threshold,
-                            kernels=kernels, mutator=mutator)
+                            mutator=mutator)
         result.cases_run += 1
         result.prefixes_checked += report.prefixes_checked
         result.combos_checked += report.combos_checked
@@ -119,7 +118,7 @@ def run_campaign(*, seed: int, cases: Optional[int] = None,
                     return not check_case(
                         candidate, schedulings=schedulings,
                         saturations=saturations, threshold=threshold,
-                        kernels=kernels, mutator=mutator).ok
+                        mutator=mutator).ok
 
                 shrunk = shrink_case(script, still_fails)
                 _emit(log, f"case {case_index}: shrunk "
@@ -157,25 +156,23 @@ def drop_main_mutator(analyzer: str, reachable: Set[str]) -> Set[str]:
     return {method for method in reachable if method != "Main.main"}
 
 
-def run_mutation_smoke(*, seed: int = 0, profile: str = "quick",
-                       kernels: Sequence[str] = ("object",)
+def run_mutation_smoke(*, seed: int = 0, profile: str = "quick"
                        ) -> Tuple[OracleReport, EditScriptSpec,
                                   EditScriptSpec]:
     """Verify the oracle catches and shrinks a planted soundness bug.
 
     Runs one generated case against mutated analyzers (a cheap single-combo
     matrix — the planted bug is policy-independent), asserts violations
-    fire, and asserts the shrinker reduces the case.  ``kernels`` picks the
-    propagation kernel(s) the mutated solves run through, so the smoke can
-    prove the oracle still fires when the arena kernel is the one under
-    test.  Returns the failing report plus the (original, shrunk) scripts.
+    fire, and asserts the shrinker reduces the case.  The mutated solves run
+    on both kernels, as every oracle combo does.  Returns the failing
+    report plus the (original, shrunk) scripts.
 
     Raises ``AssertionError`` when the oracle misses the planted bug — the
     condition under which no other fuzz result can be trusted.
     """
     script = next(iter_cases(seed, get_profile(profile)))
     matrix = dict(schedulings=("fifo",), saturations=("off",),
-                  kernels=kernels, mutator=drop_main_mutator)
+                  mutator=drop_main_mutator)
     report = check_case(script, **matrix)
     assert not report.ok, (
         "mutation smoke FAILED: the oracle did not flag a dropped "

@@ -1,7 +1,7 @@
 """The policy study: solver effort and precision across kernel policies.
 
 The solver kernel (:mod:`repro.core.kernel`) makes worklist scheduling and
-megamorphic-flow saturation pluggable, and this module renders what each
+megamorphic-flow saturation selectable, and this module renders what each
 combination costs for one benchmark.  Every point is one engine column of a
 ``run_config_matrix`` row — one (scheduling, saturation) pair — and the
 ``fifo`` + ``off`` point (the bit-identical seed default) is the reference

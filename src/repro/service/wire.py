@@ -31,10 +31,9 @@ GET_ENDPOINTS = ("sessions", "metrics", "health")
 #: Analyzer options accepted over the wire.  The subset of
 #: :class:`~repro.api.registry.ConfigAnalyzer` options whose values are
 #: JSON scalars — ``policy`` (a live :class:`SolverPolicy` object) stays
-#: in-process only.  ``kernel`` selects the bit-identical propagation
-#: kernel (``object``/``arena``); it changes throughput, never results.
+#: in-process only.
 WIRE_OPTIONS = frozenset(
-    {"saturation_threshold", "saturation_policy", "scheduling", "kernel"})
+    {"saturation_threshold", "saturation_policy", "scheduling"})
 
 
 def endpoint(name: str) -> str:

@@ -12,6 +12,7 @@ from repro.api.registry import config_backed_analyzers, get_analyzer
 from repro.checks import audit_result, audit_snapshot, audit_state
 from repro.core.analysis import SkipFlowAnalysis
 from repro.core.kernel import SolverPolicy
+from repro.ir.arena import freeze, open_program
 from repro.ir.delta import ProgramDelta
 from repro.lang import compile_source
 from repro.workloads.generator import generate_benchmark
@@ -69,14 +70,16 @@ def test_every_combo_audits_clean(analyzer_name, scheduling, saturation,
 @pytest.mark.parametrize("saturation,threshold", SATURATIONS)
 def test_arena_kernel_state_audits_clean(analyzer_name, scheduling,
                                          saturation, threshold):
-    """The arena kernel's inflated state passes the same audits."""
+    """The arena kernel's inflated state (a cold solve of the attached
+    freeze) passes the same audits."""
     policy = SolverPolicy(scheduling=scheduling, saturation=saturation,
                           saturation_threshold=threshold)
     config = get_analyzer(analyzer_name).config(policy=policy)
     for label, program in _programs():
-        result = SkipFlowAnalysis(program, config.with_kernel("arena")).run()
-        assert result.kernel_ran == "arena", result.fallback
-        findings = audit_state(result.solver_state, program)
+        attached = open_program(freeze(program))
+        result = SkipFlowAnalysis(attached, config).run()
+        assert result.kernel_ran == "arena"
+        findings = audit_state(result.solver_state, attached)
         assert findings == [], (
             f"{label} [{analyzer_name} {policy.label} arena]: "
             + "; ".join(d.render() for d in findings))

@@ -1,13 +1,15 @@
 """The arena propagation kernel: bit-identical to the object kernel.
 
-``kernel="arena"`` solves on the flat integer-id tables of
-:mod:`repro.ir.arena` instead of the object-graph PVPG; its contract is
-*exact* equality of every canonical output — reachable sets, call edges,
-step/join/transfer counters, saturated-flow counts, and the image layer's
-metrics and per-method dead-code reports — across the full scheduling ×
-saturation grid, on generated benchmarks from the paper (tier-1), wide, and
-composed suites alike.  The grid here is the in-repo anchor for the CI
-gates (solver-steps baseline, fuzz ``kernel-divergence`` invariant).
+A cold solve of an attached arena program runs on the flat integer-id
+tables of :mod:`repro.ir.arena` instead of the object-graph PVPG; its
+contract is *exact* equality of every canonical output — reachable sets,
+call edges, step/join/transfer counters, saturated-flow counts, and the
+image layer's metrics and per-method dead-code reports — across the full
+scheduling × saturation grid, on generated benchmarks from the paper
+(tier-1), wide, and composed suites alike.  Each cell solves the plain program (object kernel)
+and its attached freeze (arena kernel).  The grid here is the in-repo
+anchor for the CI gates (solver-steps baseline, fuzz ``kernel-divergence``
+invariant).
 """
 
 from collections import Counter
@@ -15,17 +17,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.analysis import KERNELS, AnalysisConfig, SkipFlowAnalysis
+from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.core.kernel import (
     available_saturation_policies,
     available_scheduling_policies,
 )
-from repro.core.kernel.arena_kernel import (
-    ArenaKernelSolver,
-    ArenaKernelUnsupported,
-)
 from repro.image.builder import NativeImageBuilder
 from repro.ir.arena import freeze, open_program
+from repro.lang import compile_source
 from repro.workloads.generator import generate_benchmark
 from repro.workloads.suites import dacapo_suite, suite_by_name
 
@@ -46,13 +45,43 @@ WORKLOADS = {
                                   "composed-duo-112"),
 }
 
+#: A compiled-source program: a guarded allocation the analysis prunes.
+FEATURE_FLAG_SOURCE = """
+class Config {
+    static boolean enabled() { return false; }
+}
+class Feature {
+    void start() { }
+}
+class Fancy extends Feature {
+    void start() { }
+}
+class Main {
+    static void main() {
+        Feature feature = new Feature();
+        if (Config.enabled()) {
+            feature = new Fancy();
+        }
+        feature.start();
+    }
+}
+"""
+
 _PROGRAMS = {}
+_ATTACHED = {}
 
 
 def _program(key):
     if key not in _PROGRAMS:
         _PROGRAMS[key] = generate_benchmark(WORKLOADS[key])
     return _PROGRAMS[key]
+
+
+def _attached(key):
+    """The workload's attached freeze: cold solves of it run on the arena."""
+    if key not in _ATTACHED:
+        _ATTACHED[key] = open_program(freeze(_program(key)))
+    return _ATTACHED[key]
 
 
 def _canonical(result):
@@ -65,10 +94,18 @@ def _canonical(result):
 
 
 def _solve(key, config):
-    return SkipFlowAnalysis(_program(key), config).run()
+    result = SkipFlowAnalysis(_program(key), config).run()
+    assert result.kernel_ran == "object"
+    return result
 
 
-#: Every registered cutoff sentinel (``off`` has no sentinel to mirror).
+def _solve_arena(key, config):
+    result = SkipFlowAnalysis(_attached(key), config).run()
+    assert result.kernel_ran == "arena"
+    return result
+
+
+#: Every built-in cutoff sentinel (``off`` has no sentinel to mirror).
 CUTOFFS = tuple(name for name in available_saturation_policies()
                 if name != "off")
 
@@ -96,6 +133,11 @@ def _flow_states(result):
     return states, edges
 
 
+def _fixpoint(result):
+    """Reachability, call edges and every flow's final state."""
+    return frozenset(result.reachable_methods), _flow_states(result)
+
+
 class TestBitIdenticalGrid:
     @pytest.mark.parametrize("scheduling", available_scheduling_policies())
     @pytest.mark.parametrize("saturation", available_saturation_policies())
@@ -104,7 +146,7 @@ class TestBitIdenticalGrid:
         if saturation != "off":
             config = config.with_saturation_policy(saturation, 4)
         reference = _solve("wide-flat-64", config)
-        arena = _solve("wide-flat-64", config.with_kernel("arena"))
+        arena = _solve_arena("wide-flat-64", config)
         assert _canonical(arena) == _canonical(reference)
 
     @pytest.mark.parametrize("workload", ["dacapo-pmd", "composed-duo-112"])
@@ -112,7 +154,7 @@ class TestBitIdenticalGrid:
     def test_schedulings_on_tier1_and_composed(self, workload, scheduling):
         config = AnalysisConfig.skipflow().with_scheduling(scheduling)
         reference = _solve(workload, config)
-        arena = _solve(workload, config.with_kernel("arena"))
+        arena = _solve_arena(workload, config)
         assert _canonical(arena) == _canonical(reference)
 
     @pytest.mark.parametrize("workload", ["dacapo-pmd", "composed-duo-112"])
@@ -121,13 +163,13 @@ class TestBitIdenticalGrid:
         config = (AnalysisConfig.skipflow()
                   .with_saturation_policy(saturation, 8))
         reference = _solve(workload, config)
-        arena = _solve(workload, config.with_kernel("arena"))
+        arena = _solve_arena(workload, config)
         assert _canonical(arena) == _canonical(reference)
 
     def test_baseline_pta_is_bit_identical_too(self):
         config = AnalysisConfig.baseline_pta()
         reference = _solve("dacapo-pmd", config)
-        arena = _solve("dacapo-pmd", config.with_kernel("arena"))
+        arena = _solve_arena("dacapo-pmd", config)
         assert _canonical(arena) == _canonical(reference)
 
 
@@ -143,20 +185,8 @@ class TestPerFlowStates:
         if saturation != "off":
             config = config.with_saturation_policy(saturation, 4)
         reference = _solve(workload, config)
-        arena = _solve(workload, config.with_kernel("arena"))
-        assert arena.kernel_ran == "arena"
+        arena = _solve_arena(workload, config)
         assert _flow_states(arena) == _flow_states(reference)
-
-
-class TestAttachedArenaInput:
-    def test_solving_an_attached_arena_matches(self):
-        """The zero-decode worker path: mmap-shaped input, same results."""
-        program = _program("dacapo-pmd")
-        attached = open_program(freeze(program))
-        config = AnalysisConfig.skipflow().with_kernel("arena")
-        reference = _solve("dacapo-pmd", AnalysisConfig.skipflow())
-        arena = SkipFlowAnalysis(attached, config).run()
-        assert _canonical(arena) == _canonical(reference)
 
 
 class TestImageFastPath:
@@ -168,8 +198,8 @@ class TestImageFastPath:
             _program(workload), config,
             benchmark_name=workload).build()
         arena = NativeImageBuilder(
-            _program(workload), config.with_kernel("arena"),
-            benchmark_name=workload).build()
+            _attached(workload), config, benchmark_name=workload).build()
+        assert arena.result.kernel_ran == "arena"
         assert (replace(arena.metrics, analysis_time_seconds=0.0)
                 == replace(reference.metrics, analysis_time_seconds=0.0))
         assert arena.binary_size_bytes == reference.binary_size_bytes
@@ -181,8 +211,7 @@ class TestImageFastPath:
 
 class TestLazyInflation:
     def test_pvpg_and_state_inflate_on_demand(self):
-        config = AnalysisConfig.skipflow().with_kernel("arena")
-        result = SkipFlowAnalysis(_program("wide-flat-64"), config).run()
+        result = _solve_arena("wide-flat-64", AnalysisConfig.skipflow())
         assert result.kernel_backend is not None
         # Inflation is lazy but complete: the inflated state matches the
         # object kernel's canonical outputs.
@@ -198,61 +227,43 @@ class TestLazyInflation:
         assert result.kernel_backend is None
 
 
-class TestFallbacks:
-    def test_warm_resume_falls_back_to_the_object_solver(self):
-        """The arena kernel refuses resumes; the run still succeeds warm.
+class TestKernelSelection:
+    """The program and the solve pick the kernel; every pick agrees.
 
-        Resume requires the state's config (kernel field included), so the
-        warm solve keeps ``kernel="arena"`` — and the engine routes it to
-        the object solver anyway, because only cold solves qualify.
-        """
-        program = _program("wide-flat-64")
-        config = AnalysisConfig.skipflow().with_kernel("arena")
-        cold = SkipFlowAnalysis(program, config).run()
-        assert cold.kernel_backend is not None
-        assert (cold.kernel_ran, cold.fallback) == ("arena", None)
+    Plain program → object, attached arena solved cold → arena, attached
+    arena resumed from a state → object; all three land on the same
+    fixpoint (the ``fixpoint_signature`` of the scheduling tests, plus each
+    flow's saturation bit).
+    """
+
+    @pytest.mark.parametrize("scheduling", available_scheduling_policies())
+    @pytest.mark.parametrize("saturation", available_saturation_policies())
+    def test_each_route_reaches_the_same_fixpoint(self, scheduling, saturation):
+        config = AnalysisConfig.skipflow().with_scheduling(scheduling)
+        if saturation != "off":
+            config = config.with_saturation_policy(saturation, 4)
+        self._assert_routes_agree(_program("wide-flat-64"),
+                                  _attached("wide-flat-64"), config)
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS) + ["feature-flag"])
+    def test_each_route_agrees_on_every_workload(self, workload):
+        """The default config over each suite family and a compiled source."""
+        if workload == "feature-flag":
+            program = compile_source(FEATURE_FLAG_SOURCE)
+            attached = open_program(freeze(program))
+        else:
+            program, attached = _program(workload), _attached(workload)
+        self._assert_routes_agree(program, attached, AnalysisConfig.skipflow())
+
+    @staticmethod
+    def _assert_routes_agree(program, attached, config):
+        plain = SkipFlowAnalysis(program, config).run()
+        cold = SkipFlowAnalysis(attached, config).run()
         resumed = SkipFlowAnalysis(
-            program, config, state=cold.solver_state).run()
-        assert resumed.kernel_backend is None  # object solver took it
-        # ...and the result says so, with the arena kernel's reason.
-        assert resumed.kernel_ran == "object"
-        assert "only runs cold solves" in resumed.fallback
-        assert (frozenset(resumed.reachable_methods)
-                == frozenset(cold.reachable_methods))
-
-    def test_solver_refuses_a_state_directly(self):
-        program = _program("wide-flat-64")
-        config = AnalysisConfig.skipflow().with_kernel("arena")
-        cold = SkipFlowAnalysis(program, config).run()
-        with pytest.raises(ArenaKernelUnsupported,
-                           match="only runs cold solves"):
-            ArenaKernelSolver(program, config, state=cold.solver_state)
-
-    def test_object_kernel_records_no_fallback(self):
-        result = _solve("wide-flat-64", AnalysisConfig.skipflow())
-        assert (result.kernel_ran, result.fallback) == ("object", None)
-
-    def test_kernel_is_validated(self):
-        with pytest.raises(ValueError):
-            AnalysisConfig.skipflow().with_kernel("vectorized")
-        assert KERNELS == ("object", "arena")
-
-
-class TestPlantedArenaFault:
-    """A refusal raised from inside ``solve`` is recorded, never swallowed."""
-
-    @pytest.fixture(autouse=True)
-    def _refusing_arena_kernel(self, monkeypatch):
-        def refuse(self, roots=None):
-            raise ArenaKernelUnsupported("planted fault")
-
-        monkeypatch.setattr(ArenaKernelSolver, "solve", refuse)
-
-    def test_fallback_runs_the_object_solver_and_says_why(self):
-        config = AnalysisConfig.skipflow().with_kernel("arena")
-        result = SkipFlowAnalysis(_program("wide-flat-64"), config).run()
-        assert result.kernel_ran == "object"
-        assert result.fallback == "planted fault"
-        assert result.kernel_backend is None
-        reference = _solve("wide-flat-64", AnalysisConfig.skipflow())
-        assert _canonical(result) == _canonical(reference)
+            attached, config, state=cold.solver_state.fork()).run()
+        assert [result.kernel_ran for result in (plain, cold, resumed)] == [
+            "object", "arena", "object"]
+        assert resumed.kernel_backend is None
+        expected = _fixpoint(plain)
+        assert _fixpoint(cold) == expected
+        assert _fixpoint(resumed) == expected

@@ -5,11 +5,12 @@ import pytest
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.core.kernel import (
     AllocatedTypeSaturation,
-    SaturationContext,
     allocated_types,
     available_saturation_policies,
     make_saturation_policy,
+    reachable_allocated_types,
 )
+from repro.ir.arena import freeze, open_program
 from repro.lang import compile_source
 from repro.workloads.generator import (
     BenchmarkSpec,
@@ -95,12 +96,15 @@ class Main { static void main() { } }
         assert "Alloc_wideHier0L2N0" in sentinel.types  # an allocated leaf
         assert sentinel.contains_null and sentinel.has_any
 
-    def test_context_dataclass_carries_the_solve(self):
-        program = compile_source("class Main { static void main() { } }")
-        context = SaturationContext(hierarchy=program.hierarchy, threshold=4,
-                                    program=program, roots=("Main.main",))
-        assert context.threshold == 4
-        assert context.roots == ("Main.main",)
+    def test_is_the_reachable_set_with_everything_reachable(self):
+        """The whole-program set is the reachable-refined set over every
+        method, and the arena's precomputed sites give the same set."""
+        program = generate_benchmark(WIDE_SPEC)
+        allocated = allocated_types(program)
+        assert isinstance(allocated, frozenset)
+        assert allocated == reachable_allocated_types(
+            program, reachable=frozenset(program.methods))
+        assert allocated_types(open_program(freeze(program))) == allocated
 
 
 class TestRareGuardDischarge:

@@ -10,10 +10,7 @@ from repro.core.kernel import (
     available_scheduling_policies,
     make_saturation_policy,
     make_scheduling_policy,
-    register_saturation_policy,
-    register_scheduling_policy,
 )
-from repro.core.kernel.scheduling import FifoScheduling
 
 
 class TestSolverPolicy:
@@ -76,18 +73,6 @@ class TestRegistries:
     def test_off_factory_returns_none(self):
         assert make_saturation_policy("off", None, None) is None
         assert make_saturation_policy("closed-world", None, None) is None
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_scheduling_policy("fifo", FifoScheduling)
-        with pytest.raises(ValueError, match="already registered"):
-            register_saturation_policy(
-                "closed-world", lambda hierarchy, threshold: None)
-
-    def test_off_is_reserved(self):
-        with pytest.raises(ValueError, match="reserved"):
-            register_saturation_policy(
-                "off", lambda hierarchy, threshold: None)
 
 
 class TestConfigPlumbing:

@@ -22,6 +22,7 @@ from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.core.kernel import available_scheduling_policies
 from repro.core.solver import SkipFlowSolver
 from repro.core.state import SolverState, SolverStateError
+from repro.ir.arena import freeze, open_program
 from repro.ir.delta import ProgramDelta
 from repro.lang import compile_source
 from repro.workloads.edits import build_edit_delta, default_edit_script
@@ -197,24 +198,28 @@ class TestWarmVsColdEquivalence:
     @pytest.mark.parametrize("saturation,threshold", SATURATIONS)
     def test_edit_sequence_from_an_arena_cold_solve(self, scheduling,
                                                     saturation, threshold):
-        """The same contract when the cold solves run on the arena kernel:
-        the warm chain starts from its inflated state, and the resumes
-        themselves run on the object solver."""
+        """The same contract when the cold solves run on the arena kernel
+        (over the attached freeze): the warm chain starts from its inflated
+        state, and the resumes themselves run on the object solver."""
         self._assert_warm_chain_matches_cold(
-            config_for(scheduling, saturation,
-                       threshold).with_kernel("arena"), "arena")
+            config_for(scheduling, saturation, threshold), "arena")
 
     @staticmethod
     def _assert_warm_chain_matches_cold(config, cold_kernel):
+        def cold_solve(program):
+            if cold_kernel == "arena":
+                program = open_program(freeze(program))
+            return SkipFlowAnalysis(program, config).run()
+
         program = generate_benchmark(WIDE_SPEC)
         script = default_edit_script(WIDE_SPEC, steps=3)
-        chain = SkipFlowAnalysis(program, config).run().solver_state
+        chain = cold_solve(program).solver_state
         for step in script.steps:
             delta = build_edit_delta(WIDE_SPEC, step)
             delta.apply_to(program, require_monotone=True)
             warm = SkipFlowAnalysis(program, config, state=chain).run()
             chain = warm.solver_state
-        cold = SkipFlowAnalysis(program, config).run()
+        cold = cold_solve(program)
         assert (cold.kernel_ran, warm.kernel_ran) == (cold_kernel, "object")
         assert warm.reachable_methods == cold.reachable_methods
         assert sorted(warm.call_edges()) == sorted(cold.call_edges())

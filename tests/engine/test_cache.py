@@ -65,41 +65,41 @@ class TestKeyInvalidation:
                 != new.config_key(_spec(), baseline))
 
 
-class TestKernelCanonicalKey:
-    #: Keys of default-kernel configs under code version "pinned", as
-    #: computed before the kernel was canonicalised; they must not move, or
-    #: every existing cache entry would turn into a miss.
+class TestPinnedKeys:
+    #: Keys under code version "pinned".  They move only when the spec or
+    #: config dataclasses or the hashing change; each such move turns every
+    #: existing cache entry into a miss, so it must be a deliberate one.
     PINNED = (
-        (AnalysisConfig.baseline_pta(), "dc40ff624908f09242725a9b4b8ba7e8"),
-        (AnalysisConfig.skipflow(), "487a59e517f933f4ff962cd16ce33696"),
+        (AnalysisConfig.baseline_pta(), "f00980e0e723e8d8e0797569b5cb61e0"),
+        (AnalysisConfig.skipflow(), "cc32d78168160b951ca3954827251575"),
         (AnalysisConfig.skipflow().with_saturation_policy("allocated-type", 16),
-         "591bb494a4462fa23349a8dedd5ba0bf"),
+         "643be07aae6285a496ca85fac2c8f995"),
     )
 
-    def test_default_kernel_keys_are_byte_for_byte_unchanged(self, tmp_path):
+    def test_keys_are_byte_for_byte_pinned(self, tmp_path):
         cache = ResultCache(tmp_path, code_version="pinned")
         for config, key in self.PINNED:
             assert cache.config_key(_spec(), config) == key
 
-    def test_kernel_choice_shares_one_entry(self, tmp_path):
-        """A store-backed half is the same whichever kernel the config names."""
-        cache = ResultCache(tmp_path)
-        for config in (*_configs(), AnalysisConfig.skipflow()
-                       .with_saturation_policy("allocated-type", 16)):
-            assert (cache.config_key(_spec(), config.with_kernel("arena"))
-                    == cache.config_key(_spec(), config.with_kernel("object")))
-
-    def test_arena_config_is_served_from_an_object_configs_entry(self, tmp_path):
-        from repro.engine import run_config_matrix
+    def test_store_backed_half_is_served_from_a_generated_halfs_entry(
+            self, tmp_path):
+        """The store (and so the kernel that runs) is not part of the key."""
+        from repro.engine import ProgramStore, run_config_matrix
+        from repro.engine.runner import _WORKER_PROGRAMS
 
         skipflow = AnalysisConfig.skipflow()
-        first = run_config_matrix([_spec()], [skipflow], cache=ResultCache(tmp_path))
-        cache = ResultCache(tmp_path)
-        second = run_config_matrix([_spec()], [skipflow.with_kernel("arena")],
-                                   cache=cache)
+        _WORKER_PROGRAMS.clear()
+        first = run_config_matrix([_spec()], [skipflow],
+                                  cache=ResultCache(tmp_path / "cache"))
+        cache = ResultCache(tmp_path / "cache")
+        second = run_config_matrix(
+            [_spec()], [skipflow], cache=cache,
+            program_store=ProgramStore(tmp_path / "store"))
+        _WORKER_PROGRAMS.clear()
         assert (cache.hits, cache.misses) == (1, 0)
         assert second[0].from_cache
-        assert second[0].runs[0].report.metrics == first[0].runs[0].report.metrics
+        assert (second[0].runs[0].report.metrics
+                == first[0].runs[0].report.metrics)
 
 
 class TestEntries:

@@ -1,42 +1,20 @@
-"""Which kernel an engine half ran on, and no silent fallback.
+"""Which kernel an engine half ran on.
 
-A store-backed half is solved on the program the store attaches, under the
-arena kernel.  When the arena kernel refuses the solve — here, a planted
-custom scheduling policy it has no mirror for — the object kernel runs the
-half over the attached program, and the payload and its ``ReportView`` say
-so (``kernel_ran`` / ``fallback``) instead of hiding it.  The policy is
-registered into a private copy of the registry, so nothing leaks.
+No config names a kernel: a store-backed half is solved on the program the
+store attaches, so it runs on the arena kernel under every built-in
+scheduling and saturation, and a half without a store runs on the object
+kernel.  Both produce the same report, and the payload records only which
+kernel ran (``kernel_ran``) — there is no fallback to report.
 """
-
-from collections import deque
 
 import pytest
 
 from repro.core.analysis import AnalysisConfig
-from repro.core.kernel import scheduling as scheduling_module
-from repro.engine import ProgramStore, run_config_matrix
-from repro.engine.runner import _WORKER_PROGRAMS, solve_config
+from repro.core.kernel import available_scheduling_policies
+from repro.engine import ProgramStore
+from repro.engine.runner import PAYLOAD_VERSION, _WORKER_PROGRAMS, solve_config
 from repro.workloads.generator import spec_from_reduction
 from repro.workloads.suites import wide_hierarchy_suite
-
-
-class StackScheduling:
-    """Newest-first: a scheduling the arena kernel has no mirror for."""
-
-    name = "stack"
-
-    def __init__(self):
-        self._stack = deque()
-
-    def push(self, flow):
-        self._stack.append(flow)
-
-    def pop(self):
-        return self._stack.pop()
-
-    def __len__(self):
-        return len(self._stack)
-
 
 SPECS = {
     "table1": spec_from_reduction(name="kernel-spec", suite="test",
@@ -47,10 +25,9 @@ SPECS = {
 
 
 @pytest.fixture(autouse=True)
-def _planted_policy(monkeypatch):
-    monkeypatch.setattr(scheduling_module, "_SCHEDULING_POLICIES",
-                        dict(scheduling_module._SCHEDULING_POLICIES))
-    scheduling_module.register_scheduling_policy("stack", StackScheduling)
+def _fresh_worker_memo():
+    _WORKER_PROGRAMS.clear()
+    yield
     _WORKER_PROGRAMS.clear()
 
 
@@ -59,28 +36,28 @@ def _counts(payload):
             if "time" not in key}
 
 
+@pytest.mark.parametrize("scheduling", available_scheduling_policies())
 @pytest.mark.parametrize("spec", sorted(SPECS))
-def test_custom_policy_half_reports_the_object_fallback(tmp_path, spec):
+def test_store_half_runs_on_arena_under_every_builtin_policy(
+        tmp_path, spec, scheduling):
     spec = SPECS[spec]
-    config = AnalysisConfig.skipflow().with_scheduling("stack")
+    config = (AnalysisConfig.skipflow().with_scheduling(scheduling)
+              .with_saturation_policy("allocated-type", 8))
     store = ProgramStore(tmp_path)
     store.load_or_build(spec)
     half = solve_config(spec, config, store)
     assert half["program_from_store"]
-    assert half["kernel_ran"] == "object"
-    assert "has no arena mirror" in half["fallback"]
+    assert half["kernel_ran"] == "arena"
     without_store = solve_config(spec, config)
-    assert (without_store["kernel_ran"], without_store["fallback"]) == ("object", None)
+    assert without_store["kernel_ran"] == "object"
     assert _counts(half) == _counts(without_store)
 
 
-def test_report_view_exposes_kernel_and_fallback(tmp_path):
+def test_payload_records_the_kernel_and_no_fallback(tmp_path):
     store = ProgramStore(tmp_path)
-    configs = [AnalysisConfig.skipflow(),
-               AnalysisConfig.skipflow().with_scheduling("stack")]
-    row = run_config_matrix([SPECS["table1"]], configs,
-                            names=["fifo", "stack"], program_store=store)[0]
-    assert (row.report("fifo").kernel_ran, row.report("fifo").fallback) == ("arena", None)
-    assert row.report("stack").kernel_ran == "object"
-    assert "has no arena mirror" in row.report("stack").fallback
-    assert row.report("stack").metrics == row.report("fifo").metrics
+    store.load_or_build(SPECS["table1"])
+    half = solve_config(SPECS["table1"], AnalysisConfig.skipflow(), store)
+    assert half["payload_version"] == PAYLOAD_VERSION == 4
+    assert set(half) == {"payload_version", "benchmark", "suite",
+                         "config_name", "program_from_store", "kernel_ran",
+                         "report", "elapsed_seconds"}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
-from repro.engine import ProgramStore, ResultCache, run_specs
+from repro.engine import ProgramStore, ResultCache, run_config_matrix, run_specs
 from repro.engine.runner import _WORKER_PROGRAMS, solve_config
 from repro.ir.arena import ArenaProgram
 from repro.workloads.generator import generate_benchmark, spec_from_reduction
@@ -216,8 +216,8 @@ class TestArenaAttach:
         store = ProgramStore(tmp_path)
         store.load_or_build(_spec())
         config = AnalysisConfig.skipflow()
-        from_arena = SkipFlowAnalysis(
-            store.attach(_spec()), config.with_kernel("arena")).run()
+        from_arena = SkipFlowAnalysis(store.attach(_spec()), config).run()
+        assert from_arena.kernel_ran == "arena"
         from_fresh = SkipFlowAnalysis(generate_benchmark(_spec()), config).run()
         assert from_arena.reachable_methods == from_fresh.reachable_methods
         assert from_arena.steps == from_fresh.steps
@@ -235,23 +235,31 @@ class TestArenaAttach:
                 == store.arena_path_for(_spec()).read_bytes())
 
     def test_arena_kernel_config_routes_through_attach(self, tmp_path, monkeypatch):
-        """Every store-backed half maps the blob instead of unpickling.
-
-        The default (object) config attaches too: the engine solves an
-        attached program on the arena kernel whichever kernel is named.
-        """
+        """Every store-backed half maps the blob instead of unpickling,
+        and the engine solves the attached program on the arena kernel."""
         store = ProgramStore(tmp_path)
         store.load_or_build(_spec())
         monkeypatch.setattr(ProgramStore, "load", _no_unpickle)
         cold = solve_config(_spec(), AnalysisConfig.skipflow())
-        assert (cold["kernel_ran"], cold["fallback"]) == ("object", None)
-        for kernel in ("object", "arena"):
-            _WORKER_PROGRAMS.clear()
-            config = AnalysisConfig.skipflow().with_kernel(kernel)
-            warm = solve_config(_spec(), config, store)
-            assert warm["program_from_store"]
-            assert (warm["kernel_ran"], warm["fallback"]) == ("arena", None)
-            assert _report(warm) == _report(cold)
+        assert cold["kernel_ran"] == "object"
+        _WORKER_PROGRAMS.clear()
+        warm = solve_config(_spec(), AnalysisConfig.skipflow(), store)
+        assert warm["program_from_store"]
+        assert warm["kernel_ran"] == "arena"
+        assert _report(warm) == _report(cold)
+
+    def test_report_view_says_which_kernel_ran(self, tmp_path):
+        """A matrix row's ``ReportView`` carries the half's ``kernel_ran``."""
+        _WORKER_PROGRAMS.clear()
+        configs = [AnalysisConfig.skipflow()]
+        stored = run_config_matrix([_spec()], configs, names=["skipflow"],
+                                   program_store=ProgramStore(tmp_path))[0]
+        generated = run_config_matrix([_spec()], configs,
+                                      names=["skipflow"])[0]
+        assert stored.report("skipflow").kernel_ran == "arena"
+        assert generated.report("skipflow").kernel_ran == "object"
+        assert (stored.report("skipflow").metrics
+                == generated.report("skipflow").metrics)
 
     def test_read_only_store_runs_the_object_kernel(self, tmp_path, monkeypatch):
         """A backfill that cannot be written leaves a plain program."""
@@ -273,7 +281,7 @@ class TestArenaAttach:
         finally:
             tmp_path.chmod(0o755)
         assert half["program_from_store"]
-        assert (half["kernel_ran"], half["fallback"]) == ("object", None)
+        assert half["kernel_ran"] == "object"
         assert not store.has_arena(_spec())
         assert _report(half) == _report(solve_config(_spec(), AnalysisConfig.skipflow()))
 
@@ -318,8 +326,8 @@ def test_store_backed_half_is_bit_identical_to_a_generated_one(
     stored = solve_config(spec, config, filled_store)
     generated = solve_config(spec, config)
     assert stored["program_from_store"]
-    assert (stored["kernel_ran"], stored["fallback"]) == ("arena", None)
-    assert (generated["kernel_ran"], generated["fallback"]) == ("object", None)
+    assert stored["kernel_ran"] == "arena"
+    assert generated["kernel_ran"] == "object"
     assert stored["config_name"] == generated["config_name"]
     assert _report(stored) == _report(generated)
 

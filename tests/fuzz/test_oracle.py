@@ -1,5 +1,7 @@
 """The differential oracle: interpreter trace vs every analyzer."""
 
+from repro.core import analysis as analysis_module
+from repro.core.kernel.arena_kernel import ArenaKernelSolver
 from repro.fuzz.generator import generate_cases
 from repro.fuzz.oracle import (
     check_case,
@@ -92,6 +94,31 @@ class TestCheckCase:
         # Every analyzer tier is checked against the trace.
         analyzers = {v.analyzer for v in report.violations}
         assert {"cha", "rta", "pta", "skipflow"} <= analyzers
+
+    def test_planted_arena_step_fault_is_a_kernel_divergence(self, monkeypatch):
+        """The object/arena cross-check can fail: an arena kernel that
+        counts one step too many diverges, and nothing else fires."""
+        steps = ArenaKernelSolver.steps
+        monkeypatch.setattr(ArenaKernelSolver, "steps",
+                            property(lambda solver: steps.fget(solver) + 1))
+        report = check_case(_script(), **SMALL_MATRIX)
+        assert report.violations
+        assert all(violation.invariant == "kernel-divergence"
+                   and violation.analyzer == "skipflow[fifo/off@4/arena]"
+                   for violation in report.violations)
+
+    def test_planted_routing_fault_is_a_kernel_divergence(self, monkeypatch):
+        """An attached program that is not routed to the arena kernel is
+        reported, even though its outputs still match."""
+        class NotAnArena:
+            pass
+
+        monkeypatch.setattr(analysis_module, "ArenaProgram", NotAnArena)
+        report = check_case(_script(), **SMALL_MATRIX)
+        assert report.violations
+        assert all(violation.invariant == "kernel-divergence"
+                   and "ran on the object kernel" in violation.detail
+                   for violation in report.violations)
 
     def test_violation_detail_names_the_method(self):
         def drop_main(analyzer, reachable):

@@ -10,6 +10,7 @@ sessions and re-freezes edited ones so rehydration is arena-backed again.
 
 import pytest
 
+from repro.core.kernel.arena_kernel import ArenaKernelSolver
 from repro.ir.arena import ArenaProgram
 from repro.service import SessionManager
 
@@ -100,16 +101,26 @@ class TestSpillAndRehydrate:
         assert 0 < warm["steps_paid"] < cold["steps_paid"]
 
 
-class TestKernelOption:
-    def test_arena_kernel_option_rides_the_wire_schema(self, manager):
+class TestKernelSelection:
+    def test_cold_analyze_runs_on_the_arena_and_resumes_on_object(
+            self, manager, monkeypatch):
+        """The attached arena's cold solve takes the arena kernel; the warm
+        resume after an edit continues its inflated state on the object
+        solver."""
+        arena_solves = []
+        solve = ArenaKernelSolver.solve
+
+        def counting_solve(self, roots=None):
+            arena_solves.append(self.program)
+            return solve(self, roots)
+
+        monkeypatch.setattr(ArenaKernelSolver, "solve", counting_solve)
         manager.open("s", benchmark=BENCHMARK)
-        reference = manager.analyze("s", "skipflow")
-        arena = manager.analyze("s", "skipflow",
-                                options={"kernel": "arena"})
-        assert arena["mode"] == "cold"  # its own (analyzer, options) slot
-        ref_stats = reference["report"]["solver_stats"]
-        arena_stats = arena["report"]["solver_stats"]
-        assert arena_stats["steps"] == ref_stats["steps"]
-        assert arena_stats["joins"] == ref_stats["joins"]
-        assert (arena["report"]["call_graph"]
-                == reference["report"]["call_graph"])
+        attached = _program(manager, "s")
+        cold = manager.analyze("s", "skipflow")
+        assert cold["mode"] == "cold"
+        assert arena_solves == [attached]
+        manager.update("s", edit={"kind": "add-variant", "index": 0})
+        warm = manager.analyze("s", "skipflow")
+        assert warm["mode"] == "warm"
+        assert arena_solves == [attached]
