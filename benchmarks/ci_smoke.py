@@ -10,11 +10,11 @@ A 3-way matrix (pta, skipflow, skipflow+saturation) over the same specs
 must be assembled *entirely* from the halves those earlier runs cached —
 every shared half solved exactly once across the whole session — with
 numbers identical to the pairwise runs.  A solver-kernel *policy
-matrix* (fifo/degree scheduling × off/allocated-type saturation) checks
-the policy-aware cache keying: every policy half is keyed distinctly, the
-``fifo``/``off`` column is served from the halves the first run cached (it
-*is* the default SkipFlow config), a repeat run hits every policy half, and
-all policies agree on the fixed point.  Finally the *incremental* phase
+matrix* (off/allocated-type saturation) checks the policy-aware cache
+keying: every policy half is keyed distinctly, the ``off`` column is served
+from the halves the first run cached (it *is* the default SkipFlow config),
+a repeat run hits every policy half, and all policies agree on the fixed
+point.  Finally the *incremental* phase
 covers warm re-analysis: an additive edit resumed from the base fixpoint
 must land on the cold fixpoint for strictly fewer steps, the resumed state
 must round-trip through the snapshot store, and a second pass must serve
@@ -45,19 +45,17 @@ HALVES = 2
 #: The solver-kernel policy grid of the policy-matrix phase.  The threshold
 #: is far above any type-set width the smoke specs produce, so saturation
 #: never fires and every column must land on the identical fixed point.
-POLICY_SCHEDULINGS = ("fifo", "degree")
 POLICY_SATURATIONS = (("off", None), ("allocated-type", 64))
 
 
 def _policy_grid():
-    """(label, config) pairs; ``fifo/off`` is the default SkipFlow config."""
+    """(label, config) pairs; ``off`` is the default SkipFlow config."""
     grid = []
     for saturation, threshold in POLICY_SATURATIONS:
-        for scheduling in POLICY_SCHEDULINGS:
-            config = AnalysisConfig.skipflow().with_scheduling(scheduling)
-            if threshold is not None:
-                config = config.with_saturation_policy(saturation, threshold)
-            grid.append((f"{scheduling}/{saturation}", config))
+        config = AnalysisConfig.skipflow()
+        if threshold is not None:
+            config = config.with_saturation_policy(saturation, threshold)
+        grid.append((saturation, config))
     return grid
 
 
@@ -150,7 +148,7 @@ def _audit_phase() -> list:
     """Post-solve audits over the policy grid, plus a planted corruption.
 
     Returns a list of failure messages (empty = phase green).  Every
-    (scheduling, saturation) combination on every smoke spec must pass the
+    saturation policy on every smoke spec must pass the
     full audits (snapshot round-trip included), and a deliberately planted
     corruption must be detected — an auditor is only trustworthy if it can
     fail.
@@ -222,15 +220,15 @@ def main(argv=None) -> int:
             names=("pta", "skipflow", "skipflow-sat"),
             jobs=args.jobs, cache=matrix_cache)
 
-        # Policy matrix: 3 schedulings x 2 saturation policies.  Drop any
+        # Policy matrix: the saturation policies of the grid.  Drop any
         # pre-existing non-default policy entries (reused --cache-dir) so
-        # the hit/miss assertions below are deterministic; the fifo/off
-        # column is the default SkipFlow config and *must* stay cached.
+        # the hit/miss assertions below are deterministic; the off column
+        # is the default SkipFlow config and *must* stay cached.
         policy_grid = _policy_grid()
         policy_cache = ResultCache(cache_dir)
         for spec in specs:
             for label, config in policy_grid:
-                if label == "fifo/off":
+                if label == "off":
                     continue
                 stale = policy_cache.path_for(
                     policy_cache.config_key(spec, config))
@@ -306,9 +304,9 @@ def main(argv=None) -> int:
                     f"{row.benchmark}: matrix column {column!r} differs from "
                     f"the pairwise result")
 
-    # Policy matrix: every (scheduling, saturation) half is keyed
-    # distinctly, the default fifo/off column reuses the halves the first
-    # run cached, and only the five non-default policies solve.
+    # Policy matrix: every saturation half is keyed distinctly, the
+    # default off column reuses the halves the first run cached, and only
+    # the non-default policies solve.
     grid_size = len(policy_grid)
     for spec in specs:
         keys = {policy_cache.config_key(spec, config)
@@ -321,7 +319,7 @@ def main(argv=None) -> int:
     if (policy_cache.hits != len(specs)
             or policy_cache.misses != expected_policy_misses):
         failures.append(
-            f"expected the policy matrix to hit {len(specs)} fifo/off halves "
+            f"expected the policy matrix to hit {len(specs)} off halves "
             f"and miss {expected_policy_misses} policy halves, got "
             f"{policy_cache.hits} hits / {policy_cache.misses} misses")
     expected_policy_hits = grid_size * len(specs)
@@ -332,25 +330,23 @@ def main(argv=None) -> int:
             f"policy halves, got {policy_rerun_cache.hits} hits / "
             f"{policy_rerun_cache.misses} misses")
     for row, rerun_row in zip(policy_matrix, policy_rerun):
-        if not row.run("fifo/off").from_cache:
+        if not row.run("off").from_cache:
             failures.append(
                 f"{row.benchmark}: policy matrix re-solved the default "
-                f"fifo/off half")
+                f"off half")
         reachable = {run.report.metrics.reachable_methods for run in row.runs}
         if len(reachable) != 1:
             failures.append(
                 f"{row.benchmark}: policies disagree on the fixed point "
                 f"(reachable methods {sorted(reachable)})")
-        for scheduling in POLICY_SCHEDULINGS:
-            # The threshold never fires on the smoke specs, so each
-            # scheduling's off and allocated-type columns are bit-identical.
-            off = row.report(f"{scheduling}/off")
-            sat = row.report(f"{scheduling}/allocated-type")
-            if (off.solver_steps != sat.solver_steps
-                    or off.metrics != sat.metrics):
-                failures.append(
-                    f"{row.benchmark}: {scheduling} off vs allocated-type "
-                    f"columns differ although saturation never fired")
+        # The threshold never fires on the smoke specs, so the off and
+        # allocated-type columns are bit-identical.
+        off = row.report("off")
+        sat = row.report("allocated-type")
+        if off.solver_steps != sat.solver_steps or off.metrics != sat.metrics:
+            failures.append(
+                f"{row.benchmark}: off vs allocated-type columns differ "
+                f"although saturation never fired")
         if row.as_dict() != rerun_row.as_dict():
             failures.append(
                 f"{row.benchmark}: cached policy result differs from computed")

@@ -11,8 +11,8 @@ Usage::
                                          [--quick]
 
 For every benchmark of the DaCapo-style suite (or one ``--benchmark``) under
-the N-way policy matrix (PTA, SkipFlow, SkipFlow + allocated-type saturation,
-SkipFlow + degree scheduling), the script measures what one engine worker
+the N-way policy matrix (PTA, SkipFlow, SkipFlow + allocated-type
+saturation), the script measures what one engine worker
 pays for a *cold* solve — program decode plus analysis plus image reports —
 under both propagation kernels:
 
@@ -82,8 +82,6 @@ def matrix_configs() -> List[Tuple[str, AnalysisConfig]]:
         ("skipflow", AnalysisConfig.skipflow()),
         ("skipflow+alloc16", AnalysisConfig.skipflow()
             .with_saturation_policy("allocated-type", 16)),
-        ("skipflow+degree", AnalysisConfig.skipflow()
-            .with_scheduling("degree")),
     ]
 
 

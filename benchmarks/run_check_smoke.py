@@ -4,7 +4,6 @@ Usage::
 
     python benchmarks/run_check_smoke.py [--scale 3.0] [--specs-per-suite 2]
                                          [--suite DaCapo] [--benchmark fop]
-                                         [--schedulings fifo,degree]
                                          [--saturations off,allocated-type]
                                          [--threshold 64]
                                          [--max-overhead-percent 10.0]
@@ -15,7 +14,7 @@ suites plus ``WideHierarchy``), the smoke
 * runs the IR lint passes once per program and requires them error-free
   (warnings are advisory and only counted);
 * solves every config-backed analyzer (``pta``, the two ablations,
-  ``skipflow``) under every scheduling x saturation combination and runs
+  ``skipflow``) under every saturation policy and runs
   the post-solve audits (:func:`repro.checks.audit_state`) on each solver
   state, requiring zero findings;
 * round-trips one snapshot per benchmark through
@@ -38,21 +37,16 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.api.registry import config_backed_analyzers, get_analyzer
 from repro.checks import audit_state, has_errors, lint_program
 from repro.core.analysis import SkipFlowAnalysis
-from repro.core.kernel import (
-    SolverPolicy,
-    available_saturation_policies,
-    available_scheduling_policies,
-)
+from repro.core.kernel import available_saturation_policies
 from repro.engine.scheduler import estimated_cost
 from repro.workloads.generator import generate_benchmark
 from repro.workloads.suites import extended_suites
 
-DEFAULT_SCHEDULINGS = ("fifo", "degree")
 DEFAULT_SATURATIONS = ("off", "allocated-type")
 DEFAULT_THRESHOLD = 64
 DEFAULT_SPECS_PER_SUITE = 2
@@ -106,8 +100,6 @@ def main(argv=None) -> int:
                         help="restrict to one suite (case-insensitive)")
     parser.add_argument("--benchmark", type=str, default=None,
                         help="restrict to one benchmark of the sampled set")
-    parser.add_argument("--schedulings", type=str,
-                        default=",".join(DEFAULT_SCHEDULINGS))
     parser.add_argument("--saturations", type=str,
                         default=",".join(DEFAULT_SATURATIONS))
     parser.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD,
@@ -120,8 +112,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        schedulings = _parse_names(args.schedulings, "scheduling",
-                                   available_scheduling_policies())
         saturations = _parse_names(args.saturations, "saturation",
                                    available_saturation_policies())
         if args.threshold < 1:
@@ -132,14 +122,11 @@ def main(argv=None) -> int:
         return 2
 
     analyzers = config_backed_analyzers()
-    policies: List[Tuple[str, SolverPolicy]] = []
-    for saturation in saturations:
-        for scheduling in schedulings:
-            policy = SolverPolicy(
-                scheduling=scheduling, saturation=saturation,
-                saturation_threshold=(None if saturation == "off"
-                                      else args.threshold))
-            policies.append((policy.label, policy))
+    # (label, saturation_threshold, saturation_policy) per grid column.
+    policies: List[Tuple[str, Optional[int], str]] = [
+        ("off", None, "off") if saturation == "off"
+        else (f"{saturation}@{args.threshold}", args.threshold, saturation)
+        for saturation in saturations]
 
     combos = len(specs) * len(analyzers) * len(policies)
     print(f"check smoke: {len(specs)} benchmarks x {len(analyzers)} "
@@ -166,8 +153,8 @@ def main(argv=None) -> int:
         snapshot_state = None
         for analyzer_name in analyzers:
             analyzer = get_analyzer(analyzer_name)
-            for label, policy in policies:
-                config = analyzer.config(policy=policy)
+            for label, threshold, saturation in policies:
+                config = analyzer.config(threshold, saturation)
                 started = time.perf_counter()
                 result = SkipFlowAnalysis(program, config).run()
                 solve_seconds += time.perf_counter() - started
@@ -181,7 +168,7 @@ def main(argv=None) -> int:
                         f"{spec.name} [{analyzer_name} {label}]: audit "
                         f"reported {len(findings)} finding(s), first: "
                         f"{findings[0].render()}")
-                if analyzer_name == "skipflow" and label == "fifo/off":
+                if analyzer_name == "skipflow" and label == "off":
                     snapshot_state = result.solver_state
 
         # One serialization integrity probe per benchmark: the full audit

@@ -9,8 +9,8 @@ Usage::
 
 Each case is a seeded random (program, edit script) pair.  The program
 runs under the concrete IR interpreter, and the trace is checked against
-every analyzer (CHA, RTA, baseline PTA, SkipFlow) across the full
-scheduling × saturation policy matrix, cold and warm-resumed per edit step
+every analyzer (CHA, RTA, baseline PTA, SkipFlow) across every
+saturation policy, cold and warm-resumed per edit step
 (see ``docs/fuzzing.md`` for the invariants).  Failing cases shrink to
 minimal repro files under ``--out``.
 
@@ -78,7 +78,7 @@ def main(argv=None) -> int:
     print(f"fuzz study: seed {args.seed}, profile {args.profile}, "
           + (f"{cases} cases" if cases is not None
              else f"{args.budget:.0f}s budget")
-          + ", full scheduling x saturation x warm/cold matrix...",
+          + ", full saturation x warm/cold matrix...",
           file=sys.stderr)
     result = run_campaign(
         seed=args.seed, cases=cases, budget_seconds=args.budget,

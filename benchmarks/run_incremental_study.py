@@ -4,7 +4,6 @@ Usage::
 
     python benchmarks/run_incremental_study.py [--benchmark wide-huge-512]
                                                [--steps 4]
-                                               [--scheduling fifo]
                                                [--saturation-policy allocated-type
                                                 --threshold 16]
                                                [--cache-dir .bench-cache]
@@ -69,8 +68,6 @@ QUICK_STEPS = 2
 
 def _study_config(args) -> AnalysisConfig:
     config = AnalysisConfig.skipflow()
-    if args.scheduling:
-        config = config.with_scheduling(args.scheduling)
     if args.saturation_policy and args.saturation_policy != "off":
         config = config.with_saturation_policy(args.saturation_policy,
                                                args.threshold)
@@ -135,8 +132,6 @@ def main(argv=None) -> int:
                         help="restrict to one wide-hierarchy benchmark")
     parser.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                         help=f"edit steps per benchmark (default {DEFAULT_STEPS})")
-    parser.add_argument("--scheduling", type=str, default=None,
-                        help="solver worklist policy (default: fifo)")
     parser.add_argument("--saturation-policy", type=str, default=None,
                         help="saturation sentinel (default: off)")
     parser.add_argument("--threshold", type=int, default=16,
@@ -186,7 +181,8 @@ def main(argv=None) -> int:
                                        code_version=cache.code_version)
 
     print(f"incremental study: {len(specs)} benchmarks x {steps} edits "
-          f"(config {config.solver_policy.label})...", file=sys.stderr)
+          f"(saturation {config.saturation_policy}, threshold "
+          f"{config.saturation_threshold})...", file=sys.stderr)
     sections: List[str] = []
     trajectory_rows: List[TrajectoryRow] = []
     first_step_percents: List[float] = []

@@ -2,8 +2,7 @@
 
 Usage::
 
-    python benchmarks/run_policy_study.py [--schedulings fifo,degree]
-                                          [--saturations off,closed-world,allocated-type,
+    python benchmarks/run_policy_study.py [--saturations off,closed-world,allocated-type,
                                                          allocated-type-reachable]
                                           [--threshold 16]
                                           [--benchmark composed-duo-112]
@@ -14,28 +13,25 @@ Usage::
 
 For every benchmark of the ``WideHierarchy`` suite — the five single-tree
 wide specs plus the composed multi-hierarchy specs — the script runs the
-SkipFlow configuration under every requested scheduling×saturation
-combination through the benchmark engine and prints one table per benchmark
+SkipFlow configuration under every requested saturation policy through the
+benchmark engine and prints one table per benchmark
 (:mod:`repro.reporting.policy`): solver steps/joins/wall-time deltas against
-the bit-identical ``fifo``/``off`` reference, plus the reachable-method
-precision loss each saturation sentinel costs.
+the bit-identical ``off`` reference, plus the reachable-method precision
+loss each saturation sentinel costs.
 
-Two questions the study answers directly:
-
-* **scheduling** — which worklist order reaches the (identical) fixed point
-  cheapest on megamorphic workloads;
-* **saturation** — whether the RTA-style ``allocated-type`` sentinel —
-  whose top excludes declared-but-never-allocated types — keeps the
-  reachable-set re-inflation (and the solver-steps *increase* the
-  closed-world sentinel shows on this suite) smaller than ``closed-world``
-  by discharging the rare guards, and how much more its reachability-
-  refined variant ``allocated-type-reachable`` recovers.
+The question the study answers directly: whether the RTA-style
+``allocated-type`` sentinel — whose top excludes declared-but-never-
+allocated types — keeps the reachable-set re-inflation (and the
+solver-steps *increase* the closed-world sentinel shows on this suite)
+smaller than ``closed-world`` by discharging the rare guards, and how much
+more its reachability-refined variant ``allocated-type-reachable``
+recovers.
 
 Every combination is one engine configuration, so each (spec, policy) half
 is cached independently under ``--cache-dir`` and the whole grid reuses any
 halves earlier runs (or the saturation study) already computed.  ``--quick``
-shrinks the grid to a CI-sized smoke (two cheap specs, fifo/degree ×
-off/allocated-type).
+shrinks the grid to a CI-sized smoke (two cheap specs, off and
+allocated-type).
 
 Every run is also persisted as a versioned ``BENCH_<n>.json`` trajectory
 under ``--bench-dir`` (:mod:`repro.reporting.trajectory`), one row per
@@ -47,17 +43,14 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List
+from typing import List, Tuple
 
 from repro.core.analysis import AnalysisConfig
-from repro.core.kernel import (
-    SolverPolicy,
-    available_saturation_policies,
-    available_scheduling_policies,
-)
+from repro.core.kernel import available_saturation_policies
 from repro.engine import ResultCache, run_config_matrix
 from repro.engine.scheduler import estimated_cost
 from repro.reporting.policy import (
+    REFERENCE_LABEL,
     format_policy_study,
     policy_points,
     summarize_policy_sweep,
@@ -65,12 +58,10 @@ from repro.reporting.policy import (
 from repro.reporting.trajectory import TrajectoryRow, write_trajectory
 from repro.workloads.suites import wide_hierarchy_suite
 
-DEFAULT_SCHEDULINGS = ("fifo", "degree")
 DEFAULT_SATURATIONS = ("off", "closed-world", "allocated-type",
                        "allocated-type-reachable")
 DEFAULT_THRESHOLD = 16
 
-QUICK_SCHEDULINGS = ("fifo", "degree")
 QUICK_SATURATIONS = ("off", "allocated-type")
 QUICK_SPECS = 2
 
@@ -86,27 +77,20 @@ def _parse_names(text: str, kind: str, available) -> List[str]:
     return names
 
 
-def build_policies(schedulings: List[str], saturations: List[str],
-                   threshold: int) -> List[SolverPolicy]:
-    """The policy grid, ``fifo``/``off`` (the reference) always first."""
-    policies = []
-    for saturation in saturations:
-        for scheduling in schedulings:
-            policies.append(SolverPolicy(
-                scheduling=scheduling, saturation=saturation,
-                saturation_threshold=None if saturation == "off" else threshold))
-    reference = SolverPolicy()
-    if reference in policies:
-        policies.remove(reference)
-    policies.insert(0, reference)
-    return policies
+def build_policies(saturations: List[str], threshold: int
+                   ) -> List[Tuple[str, AnalysisConfig]]:
+    """``(label, config)`` per policy, ``off`` (the reference) always first."""
+    names = [REFERENCE_LABEL] + [
+        name for name in saturations if name != REFERENCE_LABEL]
+    skipflow = AnalysisConfig.skipflow()
+    return [(REFERENCE_LABEL, skipflow) if name == REFERENCE_LABEL
+            else (f"{name}@{threshold}",
+                  skipflow.with_saturation_policy(name, threshold))
+            for name in names]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--schedulings", type=str, default=None,
-                        help="comma-separated worklist policies "
-                             f"(default: {','.join(DEFAULT_SCHEDULINGS)})")
     parser.add_argument("--saturations", type=str, default=None,
                         help="comma-separated saturation policies "
                              f"(default: {','.join(DEFAULT_SATURATIONS)})")
@@ -130,15 +114,10 @@ def main(argv=None) -> int:
                         help="also write the tables to this file")
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized grid: the two cheapest specs, "
-                             f"{'/'.join(QUICK_SCHEDULINGS)} x "
                              f"{'/'.join(QUICK_SATURATIONS)}")
     args = parser.parse_args(argv)
 
     try:
-        schedulings = _parse_names(
-            args.schedulings or ",".join(
-                QUICK_SCHEDULINGS if args.quick else DEFAULT_SCHEDULINGS),
-            "scheduling", available_scheduling_policies())
         saturations = _parse_names(
             args.saturations or ",".join(
                 QUICK_SATURATIONS if args.quick else DEFAULT_SATURATIONS),
@@ -160,13 +139,12 @@ def main(argv=None) -> int:
     elif args.quick:
         specs = sorted(specs, key=estimated_cost)[:QUICK_SPECS]
 
-    policies = build_policies(schedulings, saturations, args.threshold)
-    configs = [AnalysisConfig.skipflow().with_policy(policy)
-               for policy in policies]
-    labels = [policy.label for policy in policies]
+    policies = build_policies(saturations, args.threshold)
+    labels = [label for label, _ in policies]
+    configs = [config for _, config in policies]
 
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    print(f"policy grid: {len(policies)} combinations x {len(specs)} "
+    print(f"policy grid: {len(policies)} policies x {len(specs)} "
           f"benchmarks (threshold {args.threshold})...", file=sys.stderr)
     rows = run_config_matrix(specs, configs, names=labels,
                              jobs=max(args.jobs, 1), cache=cache)
@@ -204,7 +182,7 @@ def main(argv=None) -> int:
             bench_dir, study="policy-grid", rows=trajectory_rows,
             headline=("policy_grid_total_steps", total_steps),
             extra={"benchmarks": [spec.name for spec in specs],
-                   "schedulings": schedulings, "saturations": saturations,
+                   "saturations": saturations,
                    "threshold": args.threshold, "quick": args.quick},
             index=args.bench_index)
         print(f"wrote {target}", file=sys.stderr)

@@ -64,11 +64,7 @@ from repro.api.session import (
     SessionUpdate,
     resolve_roots,
 )
-from repro.core.kernel import (
-    SolverPolicy,
-    available_saturation_policies,
-    available_scheduling_policies,
-)
+from repro.core.kernel import available_saturation_policies
 
 __all__ = [
     "AnalysisReport",
@@ -89,11 +85,9 @@ __all__ = [
     "SessionNotFoundError",
     "SessionRehydrationError",
     "SessionUpdate",
-    "SolverPolicy",
     "UnknownAnalyzerError",
     "available_analyzers",
     "available_saturation_policies",
-    "available_scheduling_policies",
     "call_graph_to_dict",
     "config_backed_analyzers",
     "exit_code_for",

@@ -40,7 +40,6 @@ from repro.api.report import AnalysisReport
 from repro.baselines.cha import ClassHierarchyAnalysis
 from repro.baselines.rta import RapidTypeAnalysis
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
-from repro.core.kernel.policy import SolverPolicy
 from repro.core.state import SolverState
 from repro.ir.program import Program
 
@@ -62,12 +61,10 @@ class Analyzer(Protocol):
 class ConfigAnalyzer:
     """An analyzer backed by the propagation engine and one configuration.
 
-    ``options`` accepted by :meth:`analyze`: the solver-kernel knobs — either
-    a bundled ``policy`` (:class:`~repro.core.kernel.policy.SolverPolicy`)
-    *or* the individual ``saturation_threshold`` (the megamorphic-flow
-    cutoff; ``None`` keeps the exact paper semantics), ``saturation_policy``
-    (the sentinel a saturated flow collapses to), and ``scheduling`` (the
-    worklist order) — but not both forms at once.  ``resume`` additionally
+    ``options`` accepted by :meth:`analyze`: the solver-kernel knobs
+    ``saturation_threshold`` (the megamorphic-flow cutoff; ``None`` keeps
+    the exact paper semantics) and ``saturation_policy`` (the sentinel a
+    saturated flow collapses to).  ``resume`` additionally
     accepts the :class:`~repro.core.state.SolverState` of a previous solve
     to warm-start from instead of solving cold; it is deliberately *not* in
     ``supported_options`` because one state cannot back several analyzers of
@@ -82,38 +79,24 @@ class ConfigAnalyzer:
     #: Keyword options ``analyze`` understands; ``AnalysisSession.compare``
     #: uses this to route an option only to the analyzers that support it.
     supported_options = frozenset(
-        {"saturation_threshold", "saturation_policy", "scheduling", "policy"})
+        {"saturation_threshold", "saturation_policy"})
 
     def config(self, saturation_threshold: Optional[int] = None,
-               saturation_policy: Optional[str] = None,
-               scheduling: Optional[str] = None,
-               policy: Optional[SolverPolicy] = None) -> AnalysisConfig:
+               saturation_policy: Optional[str] = None) -> AnalysisConfig:
         """The analyzer's engine configuration under the requested kernel knobs."""
         config = self.config_factory()
-        if policy is not None:
-            if (saturation_threshold is not None or saturation_policy is not None
-                    or scheduling is not None):
-                raise ValueError(
-                    "pass either a bundled policy or the individual "
-                    "scheduling/saturation knobs, not both")
-            return config.with_policy(policy)
         if saturation_threshold is not None:
             config = config.with_saturation_threshold(saturation_threshold)
         if saturation_policy is not None:
             config = config.with_saturation_policy(saturation_policy)
-        if scheduling is not None:
-            config = config.with_scheduling(scheduling)
         return config
 
     def analyze(self, program: Program,
                 roots: Optional[Iterable[str]] = None,
                 *, saturation_threshold: Optional[int] = None,
                 saturation_policy: Optional[str] = None,
-                scheduling: Optional[str] = None,
-                policy: Optional[SolverPolicy] = None,
                 resume: Optional[SolverState] = None) -> AnalysisReport:
-        config = self.config(saturation_threshold, saturation_policy,
-                             scheduling, policy)
+        config = self.config(saturation_threshold, saturation_policy)
         result = SkipFlowAnalysis(program, config, state=resume).run(roots)
         return AnalysisReport.from_analysis_result(result, analyzer=self.name)
 
@@ -134,15 +117,11 @@ class CallGraphAnalyzer:
                 roots: Optional[Iterable[str]] = None,
                 *, saturation_threshold: Optional[int] = None,
                 saturation_policy: Optional[str] = None,
-                scheduling: Optional[str] = None,
-                policy: Optional[SolverPolicy] = None,
                 resume: Optional[SolverState] = None) -> AnalysisReport:
         rejected = next(
             (label for label, value in (
                 ("saturation_threshold", saturation_threshold),
                 ("saturation_policy", saturation_policy),
-                ("scheduling", scheduling),
-                ("policy", policy),
                 ("resume", resume))
              if value is not None), None)
         if rejected is not None:

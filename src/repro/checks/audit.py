@@ -156,12 +156,10 @@ def _sweep(context: CheckContext) -> Dict[str, List[Diagnostic]]:
     track_primitives = getattr(config, "track_primitives", True)
 
     # Saturation policy, rebuilt from the state's own configuration.
-    policy_bundle = getattr(config, "solver_policy", None)
     policy = None
-    if policy_bundle is not None:
+    if config is not None:
         policy = make_saturation_policy(
-            policy_bundle.saturation, hierarchy,
-            policy_bundle.saturation_threshold,
+            config.saturation_policy, hierarchy, config.saturation_threshold,
             program=program, roots=tuple(state.seeded_roots))
         if policy is None and state.saturated_flows != 0:
             findings["saturation"].append(_diag(
@@ -282,9 +280,9 @@ def _sweep(context: CheckContext) -> Dict[str, List[Diagnostic]]:
                 saturation.append(_diag(
                     "AUD005", "saturation",
                     f"saturated flow does not dominate the "
-                    f"{policy_bundle.saturation!r} sentinel: joins skipped "
+                    f"{config.saturation_policy!r} sentinel: joins skipped "
                     f"into it may have been lost", _location(flow)))
-        elif flow.saturated and policy_bundle is not None:
+        elif flow.saturated and config is not None:
             saturation.append(_diag(
                 "AUD005", "saturation",
                 "flow is saturated although the configured saturation "

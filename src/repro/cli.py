@@ -4,8 +4,7 @@ Usage::
 
     python -m repro analyze app.java --analysis skipflow --entry Main.main
     python -m repro analyze app.java --compare               # PTA vs SkipFlow
-    python -m repro analyze app.java --scheduling degree \
-                                     --saturation-policy allocated-type \
+    python -m repro analyze app.java --saturation-policy allocated-type \
                                      --saturation-threshold 16
     python -m repro analyze app.java --save-state app.state  # snapshot the solve
     python -m repro analyze app2.java --resume-from app.state  # warm re-analysis
@@ -46,7 +45,6 @@ from repro.api import (
     ResumeFallbackWarning,
     available_analyzers,
     available_saturation_policies,
-    available_scheduling_policies,
     config_backed_analyzers,
     get_analyzer,
     has_engine_config,
@@ -97,8 +95,6 @@ def _policy_options(args) -> dict:
         options["saturation_threshold"] = args.saturation_threshold
     if args.saturation_policy is not None:
         options["saturation_policy"] = args.saturation_policy
-    if args.scheduling is not None:
-        options["scheduling"] = args.scheduling
     return options
 
 
@@ -547,8 +543,8 @@ def _cmd_fuzz(args) -> int:
 
     Three modes: a campaign (``--cases`` or ``--budget``) that generates
     seeded random (program, edit script) cases and checks every analyzer
-    against the concrete interpreter across the full scheduling ×
-    saturation × warm/cold matrix; ``--replay FILE`` to rerun one recorded
+    against the concrete interpreter across the full saturation ×
+    warm/cold matrix; ``--replay FILE`` to rerun one recorded
     repro file; ``--smoke`` to verify the oracle catches (and shrinks) a
     deliberately broken analyzer.  Exit code 1 means violations were found
     (or, under ``--smoke``, that the oracle failed its self-check).
@@ -643,10 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sentinel a saturated flow collapses to "
                               "(needs --saturation-threshold; default: "
                               "closed-world once a threshold is set)")
-        sub.add_argument("--scheduling", default=None,
-                         choices=available_scheduling_policies(),
-                         help="solver worklist policy (default: fifo, the "
-                              "bit-identical seed order)")
 
     analyze = subparsers.add_parser("analyze", help="run the analysis and print metrics")
     add_common(analyze)

@@ -29,12 +29,7 @@ from repro.core.flows import (
     SourceFlow,
     StoreFieldFlow,
 )
-from repro.core.kernel import (
-    DEFAULT_POLICY,
-    SolverPolicy,
-    available_saturation_policies,
-    available_scheduling_policies,
-)
+from repro.core.kernel import available_saturation_policies
 from repro.core.pvpg import BranchKind, BranchRecord, MethodPVPG, ProgramPVPG
 from repro.core.pvpg_builder import ObjectSink, PVPGBuilder
 from repro.core.results import AnalysisResult, MethodSummary
@@ -42,7 +37,6 @@ from repro.core.solver import SkipFlowSolver
 from repro.core.state import SolverState, SolverStateError
 
 __all__ = [
-    "DEFAULT_POLICY",
     "AnalysisConfig",
     "AnalysisResult",
     "BranchKind",
@@ -66,12 +60,10 @@ __all__ = [
     "ReturnFlow",
     "SkipFlowAnalysis",
     "SkipFlowSolver",
-    "SolverPolicy",
     "SolverState",
     "SolverStateError",
     "SourceFlow",
     "StoreFieldFlow",
     "available_saturation_policies",
-    "available_scheduling_policies",
     "compare_states",
 ]

@@ -23,8 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from repro.core.kernel.arena_kernel import ArenaKernelSolver
-from repro.core.kernel.policy import SolverPolicy
-from repro.core.kernel.saturation import OFF
+from repro.core.kernel.saturation import OFF, available_saturation_policies
 from repro.core.results import AnalysisResult, Deferred, SolverStats
 from repro.core.solver import SkipFlowSolver
 from repro.core.state import SolverState
@@ -57,21 +56,20 @@ class AnalysisConfig:
         sentinel and unlinked from further propagation, as in GraalVM's
         points-to analysis.  ``None`` (the default) disables the cutoff and
         preserves the paper's exact semantics.
-    ``scheduling`` / ``saturation_policy``
-        The solver-kernel policies (:mod:`repro.core.kernel`): which
-        worklist order the fixed-point iteration uses, and which sentinel a
-        saturated flow collapses to.  The two saturation fields are kept
-        coherent automatically: a bare threshold engages the classic
-        ``closed-world`` sentinel, and dropping the threshold resets the
-        policy to ``off`` — so ``(saturation_policy, saturation_threshold)``
-        is canonical, which matters because the benchmark engine hashes the
-        whole config into its cache keys.  The defaults (``fifo`` + ``off``)
-        are the seed solver, bit-identical down to step counts; see
-        :attr:`solver_policy` / :meth:`with_policy` for the bundled
-        :class:`~repro.core.kernel.policy.SolverPolicy` view.
+    ``saturation_policy``
+        The solver kernel's cutoff policy (:mod:`repro.core.kernel`): which
+        sentinel a saturated flow collapses to.  The two saturation fields
+        are kept coherent automatically: a bare threshold engages the
+        classic ``closed-world`` sentinel, and dropping the threshold
+        resets the policy to ``off`` — so ``(saturation_policy,
+        saturation_threshold)`` is canonical, which matters because the
+        benchmark engine hashes the whole config into its cache keys.  The
+        default ``off`` is the seed solver, bit-identical down to step
+        counts.
 
     Which propagation kernel runs is not a switch: it follows from the
-    program and the solve (see :meth:`SkipFlowAnalysis._solve`).
+    program and the solve (see :meth:`SkipFlowAnalysis._solve`).  Nor is
+    the worklist order: both kernels drain it oldest-first.
     """
 
     name: str = "skipflow"
@@ -81,18 +79,27 @@ class AnalysisConfig:
     filter_comparisons: bool = True
     validate: bool = False
     saturation_threshold: Optional[int] = None
-    scheduling: str = "fifo"
     saturation_policy: str = OFF
 
     def __post_init__(self) -> None:
-        # Canonicalize the saturation half (see the class docstring), then
-        # validate the whole policy eagerly so a typo fails where the config
-        # is written down, not deep inside a solve.
-        if self.saturation_threshold is not None and self.saturation_policy == OFF:
+        # Validate the saturation pair eagerly, so a typo or a malformed
+        # threshold fails where the config is written down, not deep inside
+        # a solve; then canonicalize it (see the class docstring).
+        threshold = self.saturation_threshold
+        if threshold is not None and (
+                isinstance(threshold, bool) or not isinstance(threshold, int)
+                or threshold < 1):
+            raise ValueError(
+                f"saturation threshold must be an int >= 1, got {threshold!r}")
+        policies = available_saturation_policies()
+        if self.saturation_policy not in policies:
+            raise ValueError(
+                f"unknown saturation policy {self.saturation_policy!r}; "
+                f"available: {', '.join(policies)}")
+        if threshold is not None and self.saturation_policy == OFF:
             object.__setattr__(self, "saturation_policy", "closed-world")
-        elif self.saturation_threshold is None and self.saturation_policy != OFF:
+        elif threshold is None and self.saturation_policy != OFF:
             object.__setattr__(self, "saturation_policy", OFF)
-        self.solver_policy  # noqa: B018 — constructing it validates the names
 
     # ------------------------------------------------------------------ #
     # Canonical configurations
@@ -147,10 +154,6 @@ class AnalysisConfig:
         """
         return replace(self, saturation_threshold=threshold)
 
-    def with_scheduling(self, scheduling: str) -> "AnalysisConfig":
-        """This config solved under a different worklist policy."""
-        return replace(self, scheduling=scheduling)
-
     def with_saturation_policy(self, saturation: str,
                                threshold: Optional[int] = None) -> "AnalysisConfig":
         """This config with a different cutoff sentinel (and optional threshold).
@@ -167,19 +170,6 @@ class AnalysisConfig:
                 f"threshold=... or set one with with_saturation_threshold first")
         return replace(self, saturation_policy=saturation,
                        saturation_threshold=threshold)
-
-    def with_policy(self, policy: SolverPolicy) -> "AnalysisConfig":
-        """This config solved under the given kernel policy bundle."""
-        return replace(self, scheduling=policy.scheduling,
-                       saturation_policy=policy.saturation,
-                       saturation_threshold=policy.saturation_threshold)
-
-    @property
-    def solver_policy(self) -> SolverPolicy:
-        """The kernel policy bundle this config solves under."""
-        return SolverPolicy(scheduling=self.scheduling,
-                            saturation=self.saturation_policy,
-                            saturation_threshold=self.saturation_threshold)
 
 
 class SkipFlowAnalysis:

@@ -24,11 +24,11 @@ side tables:
 
 The kernel is **bit-identical** to the object solver: same reachable sets,
 same value states, same ``steps`` / ``joins`` / ``transfers`` /
-``saturated_flows`` counters under every built-in scheduling × saturation
-policy.  Every method below mirrors its namesake in ``solver.py`` statement
-for statement; when editing one, edit the other (the cross-kernel grid in
-``tests/core/test_arena_kernel.py`` and the CI solver-steps gate both fail
-loudly on drift).
+``saturated_flows`` counters under every built-in saturation policy (both
+kernels drain their worklist oldest-first).  Every method below mirrors its
+namesake in ``solver.py`` statement for statement; when editing one, edit
+the other (the cross-kernel grid in ``tests/core/test_arena_kernel.py`` and
+the CI solver-steps gate both fail loudly on drift).
 
 The kernel runs cold solves of an attached
 :class:`~repro.ir.arena.ArenaProgram`, and
@@ -51,7 +51,6 @@ flat tables instead.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -70,7 +69,6 @@ from repro.core.flows import (
     StoreFieldFlow,
 )
 from repro.core.compare import compare_states
-from repro.core.kernel.policy import DEFAULT_POLICY, SolverPolicy
 from repro.core.kernel.saturation import make_saturation_policy
 from repro.core.pvpg import BranchKind, BranchRecord, MethodPVPG, ProgramPVPG
 from repro.core.state import SolverState
@@ -108,51 +106,6 @@ _INSTRUCTION_KINDS = frozenset({
 })
 
 
-# ---------------------------------------------------------------------- #
-# Integer worklists (fid mirrors of repro.core.kernel.scheduling)
-# ---------------------------------------------------------------------- #
-class _FifoFids:
-    """Mirror of ``FifoScheduling`` over fids."""
-
-    def __init__(self, solver: "ArenaKernelSolver") -> None:
-        self._queue: Deque[int] = deque()
-
-    def push(self, fid: int) -> None:
-        self._queue.append(fid)
-
-    def pop(self) -> int:
-        return self._queue.popleft()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-
-class _DegreeFids:
-    """Mirror of ``DegreeScheduling``: push-time out-degree, push-order ties."""
-
-    def __init__(self, solver: "ArenaKernelSolver") -> None:
-        self._solver = solver
-        self._heap: List[Tuple[int, int, int]] = []
-        self._pushes = 0
-
-    def push(self, fid: int) -> None:
-        self._pushes += 1
-        heapq.heappush(
-            self._heap, (-self._solver._degree(fid), self._pushes, fid))
-
-    def pop(self) -> int:
-        return heapq.heappop(self._heap)[2]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-_WORKLISTS = {
-    "fifo": _FifoFids,
-    "degree": _DegreeFids,
-}
-
-
 class ArenaKernelSolver:
     """The fixed-point solver over an attached arena's integer flow ids.
 
@@ -167,7 +120,6 @@ class ArenaKernelSolver:
         self.program = program
         self.hierarchy = program.hierarchy
         self.config = config
-        self.policy: SolverPolicy = getattr(config, "solver_policy", DEFAULT_POLICY)
         self.arena = arena = program.arena
 
         n = arena.num_flows
@@ -213,7 +165,7 @@ class ArenaKernelSolver:
         self._stub_links: List[Tuple[int, MethodSignature]] = []
         self._solve_count = 0
 
-        self._worklist = _WORKLISTS[self.policy.scheduling](self)
+        self._worklist: Deque[int] = deque()
         self._pending_links: Deque[int] = deque()
         self._saturation = None
         self._solve_roots: tuple = ()
@@ -373,8 +325,8 @@ class ArenaKernelSolver:
         if not root_names:
             raise ValueError("no root methods: provide roots or program entry points")
         self._saturation = make_saturation_policy(
-            self.policy.saturation, self.hierarchy,
-            self.policy.saturation_threshold,
+            self.config.saturation_policy, self.hierarchy,
+            self.config.saturation_threshold,
             program=self.program, roots=tuple(root_names))
         self._solve_roots = tuple(dict.fromkeys(root_names))
         self._refresh_saturation()
@@ -405,18 +357,6 @@ class ArenaKernelSolver:
         if extras:
             targets.extend(extras)
         return targets
-
-    def _degree(self, fid: int) -> int:
-        """Total fan-out (use + observe + predicate edges), as the object counts it."""
-        arena = self.arena
-        degree = (arena.use_ptr[fid + 1] - arena.use_ptr[fid]
-                  + len(self._extra_uses.get(fid, ()))
-                  + arena.obs_ptr[fid + 1] - arena.obs_ptr[fid])
-        if fid == 0:
-            degree += len(self._pred_on_targets)
-        else:
-            degree += arena.ptgt_ptr[fid + 1] - arena.ptgt_ptr[fid]
-        return degree
 
     # ------------------------------------------------------------------ #
     # Reachability
@@ -545,7 +485,7 @@ class ArenaKernelSolver:
     def _schedule(self, fid: int) -> None:
         if not self._in_worklist[fid]:
             self._in_worklist[fid] = 1
-            self._worklist.push(fid)
+            self._worklist.append(fid)
 
     def _schedule_link(self, fid: int) -> None:
         if not self._in_link_queue[fid]:
@@ -555,7 +495,7 @@ class ArenaKernelSolver:
     def _run(self) -> None:
         worklist = self._worklist
         pending = self._pending_links
-        while len(worklist) or pending:
+        while worklist or pending:
             if pending:
                 fid = pending.popleft()
                 self._in_link_queue[fid] = 0
@@ -563,7 +503,7 @@ class ArenaKernelSolver:
                     self._link_invoke(fid)
                 self._steps += 1
                 continue
-            fid = worklist.pop()
+            fid = worklist.popleft()
             self._in_worklist[fid] = 0
             self._steps += 1
             self._process(fid)

@@ -43,9 +43,7 @@ from repro.core.flows import (
     SourceFlow,
     StoreFieldFlow,
 )
-from repro.core.kernel.policy import DEFAULT_POLICY, SolverPolicy
 from repro.core.kernel.saturation import make_saturation_policy
-from repro.core.kernel.scheduling import make_scheduling_policy
 from repro.core.pvpg import MethodPVPG
 from repro.core.pvpg_builder import ObjectSink, PVPGBuilder
 from repro.core.state import SolverState, SolverStateError
@@ -65,19 +63,16 @@ class SkipFlowSolver:
 
     The class is the propagation/linking *core* of the solver kernel
     (:mod:`repro.core.kernel`): it owns delivery, predicate enabling, and
-    invoke/field linking, while two policies — resolved by name from
-    ``config.solver_policy`` — own the rest:
-
-    * a *scheduling policy* owns the worklist container and pop order
-      (``fifo``, the bit-identical seed default; ``degree``).  Every fair
-      order reaches the same fixed point; only the effort counters differ.
-    * a *saturation policy* decides when a megamorphic flow collapses and
-      which top it collapses to (``off`` — the exact default, represented
-      as no policy object at all so the hot path pays nothing;
-      ``closed-world``; ``allocated-type``; ``allocated-type-reachable``).
-      A saturated flow's joins are skipped because its state already
-      dominates anything that could arrive, which keeps the result a sound
-      over-approximation.
+    invoke/field linking, and drains its worklist oldest-first (a plain
+    ``deque``, the seed's order, which every step count is pinned to),
+    while a *saturation policy* — resolved by name from
+    ``config.saturation_policy`` — decides when a megamorphic flow
+    collapses and which top it collapses to (``off`` — the exact default,
+    represented as no policy object at all so the hot path pays nothing;
+    ``closed-world``; ``allocated-type``; ``allocated-type-reachable``).
+    A saturated flow's joins are skipped because its state already
+    dominates anything that could arrive, which keeps the result a sound
+    over-approximation.
 
     Two implementation notes on the hot path:
 
@@ -86,7 +81,7 @@ class SkipFlowSolver:
       adds nothing, so change detection below uses ``is`` instead of ``==``.
     * Worklist membership is an intrusive ``in_worklist`` / ``in_link_queue``
       bit on each :class:`Flow` rather than a side set of flow ids; the
-      scheduling policy therefore never sees duplicates.
+      worklist therefore never holds duplicates.
 
     The *mutable* half of the solve — the PVPG, reachability, counters, and
     the injection record — lives in a :class:`~repro.core.state.SolverState`
@@ -105,9 +100,6 @@ class SkipFlowSolver:
         self.hierarchy = program.hierarchy
         self.config = config
 
-        #: The kernel policies this solve runs under (``config.solver_policy``;
-        #: bare config objects without one get the seed default).
-        self.policy: SolverPolicy = getattr(config, "solver_policy", DEFAULT_POLICY)
         if state is None:
             state = SolverState.empty(config)
         elif state.config is not None and state.config != config:
@@ -121,7 +113,7 @@ class SkipFlowSolver:
         self.state = state
         self.pvpg = state.pvpg
         self.builder = PVPGBuilder(ObjectSink(self.pvpg, config))
-        self._worklist = make_scheduling_policy(self.policy.scheduling)
+        self._worklist: Deque[Flow] = deque()
         #: ``None`` when the cutoff is off — the hot path skips the feature.
         #: Built per solve (not here): program-aware policies need the roots.
         self._saturation = None
@@ -189,8 +181,8 @@ class SkipFlowSolver:
         if not root_names:
             raise ValueError("no root methods: provide roots or program entry points")
         self._saturation = make_saturation_policy(
-            self.policy.saturation, self.hierarchy,
-            self.policy.saturation_threshold,
+            self.config.saturation_policy, self.hierarchy,
+            self.config.saturation_threshold,
             program=self.program, roots=tuple(root_names))
         self._solve_roots = tuple(dict.fromkeys(
             list(state.seeded_roots) + root_names))
@@ -233,7 +225,7 @@ class SkipFlowSolver:
 
         * the worklist residue — flows whose intrusive membership bits were
           set when the state was snapshotted mid-solve (empty at a fixpoint)
-          must re-enter the fresh scheduling container;
+          must re-enter the fresh worklist;
         * saturated flows — their sentinel was computed against the *old*
           program, and every sentinel only widens as the world grows
           (closed-world and allocated tops gain types).  Joins into a
@@ -247,7 +239,7 @@ class SkipFlowSolver:
         """
         for flow in self.pvpg.all_flows():
             if flow.in_worklist:
-                self._worklist.push(flow)
+                self._worklist.append(flow)
             if isinstance(flow, InvokeFlow) and flow.in_link_queue:
                 self._pending_links.append(flow)
         self._recollapse_saturated()
@@ -359,7 +351,7 @@ class SkipFlowSolver:
     def _schedule(self, flow: Flow) -> None:
         if not flow.in_worklist:
             flow.in_worklist = True
-            self._worklist.push(flow)
+            self._worklist.append(flow)
 
     def _schedule_link(self, flow: InvokeFlow) -> None:
         if not flow.in_link_queue:
@@ -376,7 +368,7 @@ class SkipFlowSolver:
                     self._link_invoke(invoke_flow)
                 state.steps += 1
                 continue
-            flow = self._worklist.pop()
+            flow = self._worklist.popleft()
             flow.in_worklist = False
             state.steps += 1
             self._process(flow)

@@ -73,8 +73,9 @@ if TYPE_CHECKING:
 
 #: Bumped whenever the snapshot layout changes; snapshots written by other
 #: versions (or other code versions — the engine's stores also prefix the
-#: code version) are refused rather than misinterpreted.
-SNAPSHOT_VERSION = 1
+#: code version) are refused rather than misinterpreted.  Version 2: the
+#: pickled ``AnalysisConfig`` lost its ``scheduling`` field.
+SNAPSHOT_VERSION = 2
 
 
 class SolverStateError(ValueError):

@@ -5,8 +5,8 @@ generators and the analyzers: seeded random (program, edit script) cases
 run under the concrete IR interpreter, and every analyzer's result is
 checked against what actually executed — executed methods must be
 reachable, observed call edges covered, observed receiver types contained
-in SkipFlow value states — across every scheduling × saturation policy
-combination, cold and warm-resumed.  Failures shrink to minimal
+in SkipFlow value states — across every saturation policy, cold and
+warm-resumed.  Failures shrink to minimal
 replayable repro files.
 
 Entry points: ``repro fuzz`` (CLI), :func:`run_campaign` /

@@ -19,8 +19,8 @@ Two size profiles:
 
 ``quick``
     CI-sized: programs of a few dozen methods, 0-3 edit steps — small
-    enough that ≥ 50 cases sweep the full scheduling × saturation ×
-    warm/cold matrix in a couple of minutes.
+    enough that ≥ 50 cases sweep the full saturation × warm/cold matrix
+    in a couple of minutes.
 ``deep``
     Nightly-sized: 10-100x the quick shapes (hundreds of methods, wide
     hierarchies, large family counts), exercised under a time budget.

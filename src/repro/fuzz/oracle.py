@@ -15,9 +15,8 @@ every concrete parameter value must be covered by exact SkipFlow's
 parameter value states (the same invariants as
 ``tests/integration/test_soundness_differential.py``, industrialized).
 
-**Policy-matrix soundness.**  Every scheduling × saturation combination is
-a distinct solver; each one must also cover the executed methods and call
-edges.  Saturated states only ever move up the lattice, so the dynamic
+**Policy-matrix soundness.**  Every saturation policy is a distinct
+solver; each one must also cover the executed methods and call edges.  Saturated states only ever move up the lattice, so the dynamic
 trace is a sound oracle for all of them.
 
 **Object = arena.**  Every combination also runs cold on the prefix's
@@ -59,10 +58,7 @@ from repro.baselines.cha import ClassHierarchyAnalysis
 from repro.baselines.rta import RapidTypeAnalysis
 from repro.checks import audit_state
 from repro.core.analysis import run_baseline, run_skipflow
-from repro.core.kernel import (
-    available_saturation_policies,
-    available_scheduling_policies,
-)
+from repro.core.kernel import available_saturation_policies
 from repro.ir.arena import freeze, open_program
 from repro.ir.interpreter import ExecutionTrace, HeapObject, Interpreter
 from repro.ir.program import Program
@@ -281,7 +277,6 @@ def _check_audits(state, program: Program, label: str, step: int,
 
 
 def check_case(script: EditScriptSpec, *,
-               schedulings: Optional[Sequence[str]] = None,
                saturations: Optional[Sequence[str]] = None,
                threshold: int = DEFAULT_THRESHOLD,
                max_steps: int = DEFAULT_MAX_STEPS,
@@ -289,9 +284,9 @@ def check_case(script: EditScriptSpec, *,
                mutator: Optional[Mutator] = None) -> OracleReport:
     """Run one case through the full differential oracle.
 
-    ``schedulings``/``saturations`` default to *every* built-in policy;
-    pass smaller sequences for cheap smoke checks.  Every cold combination
-    runs on both kernels: the object kernel on the plain prefix program is
+    ``saturations`` defaults to *every* built-in policy; pass a smaller
+    sequence for cheap smoke checks.  Every cold combination runs on both
+    kernels: the object kernel on the plain prefix program is
     the reference, and the arena kernel on its attached freeze must
     reproduce the reference's canonical outputs *and step count* exactly
     (the ``kernel-divergence`` invariant) on top of passing the trace and
@@ -299,15 +294,13 @@ def check_case(script: EditScriptSpec, *,
     ``violations`` is empty iff every invariant held at every edit prefix
     for every combination.
     """
-    if schedulings is None:
-        schedulings = available_scheduling_policies()
     if saturations is None:
         saturations = available_saturation_policies()
     report = OracleReport(case=script.name)
     prefixes = range(len(script.steps) + 1)
 
     traces: Dict[int, ExecutionTrace] = {}
-    cold: Dict[Tuple[str, str, int], Tuple] = {}
+    cold: Dict[Tuple[str, int], Tuple] = {}
     for count in prefixes:
         program = _prefix_program(script, count)
         attached = open_program(freeze(program))
@@ -334,73 +327,66 @@ def check_case(script: EditScriptSpec, *,
             report.violations.extend(
                 _check_value_coverage(skipflow, count, trace))
 
-        for scheduling in schedulings:
-            for saturation in saturations:
-                label = f"skipflow[{scheduling}/{saturation}@{threshold}]"
-                options = dict(scheduling=scheduling,
-                               saturation_policy=saturation,
-                               saturation_threshold=threshold)
-                combo = AnalysisSession(program).run("skipflow", **options)
-                cold[(scheduling, saturation, count)] = (
-                    _canonical_outputs(combo))
-                report.violations.extend(_check_trace_against(
-                    combo, label, count, trace, mutator))
-                report.violations.extend(_check_audits(
-                    combo.raw.solver_state, program, label, count))
-                alabel = label[:-1] + "/arena]"
-                arena = AnalysisSession(attached).run("skipflow", **options)
-                if arena.raw.kernel_ran != "arena":
-                    report.violations.append(OracleViolation(
-                        "kernel-divergence", alabel, count,
-                        f"the attached program ran on the "
-                        f"{arena.raw.kernel_ran} kernel"))
-                elif (_canonical_outputs(arena)
-                        != cold[(scheduling, saturation, count)]
-                        or arena.solver_steps != combo.solver_steps):
-                    report.violations.append(OracleViolation(
-                        "kernel-divergence", alabel, count,
-                        f"the arena kernel diverged from the object "
-                        f"kernel: steps {arena.solver_steps} vs "
-                        f"{combo.solver_steps}"))
-                report.violations.extend(_check_trace_against(
-                    arena, alabel, count, trace, mutator))
-                report.violations.extend(_check_audits(
-                    arena.raw.solver_state, attached, alabel, count))
+        for saturation in saturations:
+            label = f"skipflow[{saturation}@{threshold}]"
+            options = dict(saturation_policy=saturation,
+                           saturation_threshold=threshold)
+            combo = AnalysisSession(program).run("skipflow", **options)
+            cold[(saturation, count)] = _canonical_outputs(combo)
+            report.violations.extend(_check_trace_against(
+                combo, label, count, trace, mutator))
+            report.violations.extend(_check_audits(
+                combo.raw.solver_state, program, label, count))
+            alabel = label[:-1] + "/arena]"
+            arena = AnalysisSession(attached).run("skipflow", **options)
+            if arena.raw.kernel_ran != "arena":
+                report.violations.append(OracleViolation(
+                    "kernel-divergence", alabel, count,
+                    f"the attached program ran on the "
+                    f"{arena.raw.kernel_ran} kernel"))
+            elif (_canonical_outputs(arena) != cold[(saturation, count)]
+                    or arena.solver_steps != combo.solver_steps):
+                report.violations.append(OracleViolation(
+                    "kernel-divergence", alabel, count,
+                    f"the arena kernel diverged from the object "
+                    f"kernel: steps {arena.solver_steps} vs "
+                    f"{combo.solver_steps}"))
+            report.violations.extend(_check_trace_against(
+                arena, alabel, count, trace, mutator))
+            report.violations.extend(_check_audits(
+                arena.raw.solver_state, attached, alabel, count))
 
     # Warm chains: one session per combination, resumed across every edit.
-    for scheduling in schedulings:
-        for saturation in saturations:
-            report.combos_checked += 1
-            label = f"skipflow[{scheduling}/{saturation}@{threshold}]"
-            options = dict(scheduling=scheduling,
-                           saturation_policy=saturation,
-                           saturation_threshold=threshold)
-            session = AnalysisSession(generate_benchmark(script.base))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # a fallback is a failure here
-                warm = session.run("skipflow", **options)
-                state = warm.raw.solver_state
-                for count in prefixes:
-                    if count > 0:
-                        session.update(
-                            build_edit_delta(script.base,
-                                             script.steps[count - 1]))
-                        warm = session.run("skipflow", resume=state,
-                                           **options)
-                        state = warm.raw.solver_state
-                    report.violations.extend(_check_audits(
-                        state, session.program, f"{label} warm", count,
-                        warm_barrier=session.warm_barrier))
-                    warm_outputs = _canonical_outputs(warm)
-                    cold_outputs = cold[(scheduling, saturation, count)]
-                    for kind, w, c in zip(
-                            ("reachable", "call-edges", "stubs"),
-                            warm_outputs, cold_outputs):
-                        if w != c:
-                            extra = sorted(w - c)[:3]
-                            missing = sorted(c - w)[:3]
-                            report.violations.append(OracleViolation(
-                                "warm-cold-mismatch", label, count,
-                                f"{kind} differ: warm-only={extra}, "
-                                f"cold-only={missing}"))
+    for saturation in saturations:
+        report.combos_checked += 1
+        label = f"skipflow[{saturation}@{threshold}]"
+        options = dict(saturation_policy=saturation,
+                       saturation_threshold=threshold)
+        session = AnalysisSession(generate_benchmark(script.base))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a fallback is a failure here
+            warm = session.run("skipflow", **options)
+            state = warm.raw.solver_state
+            for count in prefixes:
+                if count > 0:
+                    session.update(
+                        build_edit_delta(script.base,
+                                         script.steps[count - 1]))
+                    warm = session.run("skipflow", resume=state, **options)
+                    state = warm.raw.solver_state
+                report.violations.extend(_check_audits(
+                    state, session.program, f"{label} warm", count,
+                    warm_barrier=session.warm_barrier))
+                warm_outputs = _canonical_outputs(warm)
+                cold_outputs = cold[(saturation, count)]
+                for kind, w, c in zip(
+                        ("reachable", "call-edges", "stubs"),
+                        warm_outputs, cold_outputs):
+                    if w != c:
+                        extra = sorted(w - c)[:3]
+                        missing = sorted(c - w)[:3]
+                        report.violations.append(OracleViolation(
+                            "warm-cold-mismatch", label, count,
+                            f"{kind} differ: warm-only={extra}, "
+                            f"cold-only={missing}"))
     return report

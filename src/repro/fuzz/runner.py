@@ -73,7 +73,6 @@ def _emit(log: Log, message: str) -> None:
 def run_campaign(*, seed: int, cases: Optional[int] = None,
                  budget_seconds: Optional[float] = None,
                  profile: str = "quick",
-                 schedulings: Optional[Sequence[str]] = None,
                  saturations: Optional[Sequence[str]] = None,
                  threshold: int = DEFAULT_THRESHOLD,
                  out_dir: Optional[Path] = None,
@@ -102,9 +101,8 @@ def run_campaign(*, seed: int, cases: Optional[int] = None,
                 and time.monotonic() - started >= budget_seconds):
             break
         script = next(stream)
-        report = check_case(script, schedulings=schedulings,
-                            saturations=saturations, threshold=threshold,
-                            mutator=mutator)
+        report = check_case(script, saturations=saturations,
+                            threshold=threshold, mutator=mutator)
         result.cases_run += 1
         result.prefixes_checked += report.prefixes_checked
         result.combos_checked += report.combos_checked
@@ -116,9 +114,8 @@ def run_campaign(*, seed: int, cases: Optional[int] = None,
             if shrink:
                 def still_fails(candidate: EditScriptSpec) -> bool:
                     return not check_case(
-                        candidate, schedulings=schedulings,
-                        saturations=saturations, threshold=threshold,
-                        mutator=mutator).ok
+                        candidate, saturations=saturations,
+                        threshold=threshold, mutator=mutator).ok
 
                 shrunk = shrink_case(script, still_fails)
                 _emit(log, f"case {case_index}: shrunk "
@@ -171,8 +168,7 @@ def run_mutation_smoke(*, seed: int = 0, profile: str = "quick"
     condition under which no other fuzz result can be trusted.
     """
     script = next(iter_cases(seed, get_profile(profile)))
-    matrix = dict(schedulings=("fifo",), saturations=("off",),
-                  mutator=drop_main_mutator)
+    matrix = dict(saturations=("off",), mutator=drop_main_mutator)
     report = check_case(script, **matrix)
     assert not report.ok, (
         "mutation smoke FAILED: the oracle did not flag a dropped "

@@ -1,20 +1,15 @@
-"""The policy study: solver effort and precision across kernel policies.
+"""The policy study: solver effort and precision across saturation policies.
 
-The solver kernel (:mod:`repro.core.kernel`) makes worklist scheduling and
-megamorphic-flow saturation selectable, and this module renders what each
-combination costs for one benchmark.  Every point is one engine column of a
-``run_config_matrix`` row — one (scheduling, saturation) pair — and the
-``fifo`` + ``off`` point (the bit-identical seed default) is the reference
-everything else is measured against:
-
-* **scheduling** changes solver *effort only*: every fair worklist order
-  reaches the same fixed point, so reachable methods must be constant down
-  a saturation column and only steps/joins/wall time move;
-* **saturation** additionally trades *precision*: the reachable delta
-  against the exact reference is the precision loss, and the study shows
-  whether a smarter sentinel (``allocated-type``) keeps the loss — and the
-  re-inflation of solver steps it causes — smaller than the classic
-  ``closed-world`` top.
+The solver kernel (:mod:`repro.core.kernel`) makes the megamorphic-flow
+saturation cutoff selectable, and this module renders what each policy
+costs for one benchmark.  Every point is one engine column of a
+``run_config_matrix`` row — one saturation policy — and the ``off`` point
+(the bit-identical seed default) is the reference everything else is
+measured against: saturation trades *precision* for effort, the reachable
+delta against the exact reference is the precision loss, and the study
+shows whether a smarter sentinel (``allocated-type``) keeps the loss — and
+the re-inflation of solver steps it causes — smaller than the classic
+``closed-world`` top.
 """
 
 from __future__ import annotations
@@ -26,15 +21,14 @@ if TYPE_CHECKING:  # import-time cycle: engine.runner renders via this module
     from repro.engine.runner import MatrixRow
 
 #: The reference column label: the seed-identical kernel setup.
-REFERENCE_LABEL = "fifo/off"
+REFERENCE_LABEL = "off"
 
 
 @dataclass(frozen=True)
 class PolicyPoint:
-    """One (scheduling, saturation) combination's measurements for one spec."""
+    """One saturation policy's measurements for one spec."""
 
     label: str
-    scheduling: str
     saturation: str
     reachable_methods: int
     solver_steps: int
@@ -50,17 +44,15 @@ class PolicyPoint:
 def policy_points(row: "MatrixRow") -> List[PolicyPoint]:
     """Extract the study points from one matrix row (columns keep order).
 
-    Column names must be policy labels (``<scheduling>/<saturation>`` with
-    an optional ``@threshold`` suffix), which is what
-    ``benchmarks/run_policy_study.py`` passes to ``run_config_matrix``.
+    Column names must be policy labels (``<saturation>`` with an optional
+    ``@threshold`` suffix), which is what ``benchmarks/run_policy_study.py``
+    passes to ``run_config_matrix``.
     """
     points = []
     for run in row.runs:
-        scheduling, _, saturation = run.name.partition("/")
         points.append(PolicyPoint(
             label=run.name,
-            scheduling=scheduling,
-            saturation=saturation,
+            saturation=run.name.partition("@")[0],
             reachable_methods=run.report.metrics.reachable_methods,
             solver_steps=run.report.solver_steps,
             solver_joins=run.report.solver_joins,
@@ -78,19 +70,18 @@ def _percent_change(value: float, reference: float) -> float:
 
 def format_policy_study(benchmark: str,
                         points: Sequence[PolicyPoint]) -> str:
-    """Render one benchmark's scheduling×saturation sweep as a text table.
+    """Render one benchmark's saturation sweep as a text table.
 
-    Deltas are relative to the ``fifo/off`` reference, which must be
-    present; positive reachable deltas are precision losses (saturation
-    only — scheduling rows within one saturation column must agree), and
-    negative steps/joins/time deltas are savings.
+    Deltas are relative to the ``off`` reference, which must be present;
+    positive reachable deltas are precision losses, and negative
+    steps/joins/time deltas are savings.
     """
     reference = next((p for p in points if p.is_reference), None)
     if reference is None:
         raise ValueError(
             f"policy sweep needs the {REFERENCE_LABEL!r} reference point")
 
-    headers = ["Scheduling", "Saturation", "Reach.Methods", "Sat.Flows",
+    headers = ["Saturation", "Reach.Methods", "Sat.Flows",
                "Steps", "Joins", "Analysis[ms]"]
     table: List[List[str]] = [headers]
     for point in points:
@@ -113,12 +104,12 @@ def format_policy_study(benchmark: str,
             joins = f"{point.solver_joins} ({joins_delta:+.1f}%)"
             elapsed = (f"{point.analysis_time_seconds * 1000:.1f} "
                        f"({time_delta:+.1f}%)")
-        table.append([point.scheduling, point.saturation, reach,
+        table.append([point.label, reach,
                       f"{point.saturated_flows}", steps, joins, elapsed])
 
     widths = [max(len(row[col]) for row in table) for col in range(len(headers))]
     lines = [f"Policy study: {benchmark} "
-             "(deltas vs fifo/off; +reach = precision loss, "
+             "(deltas vs off; +reach = precision loss, "
              "-steps/-joins/-time = savings)"]
     for index, row in enumerate(table):
         lines.append("  ".join(cell.rjust(width)
@@ -133,7 +124,7 @@ def summarize_policy_sweep(points: Sequence[PolicyPoint]) -> dict:
 
     Reports the cheapest non-reference point by solver steps, and — per
     saturation policy — the precision loss against the exact reference, so
-    the study can answer "which schedule is cheapest" and "which sentinel
+    the study can answer "which policy is cheapest" and "which sentinel
     loses least" in one line each.
     """
     reference = next(p for p in points if p.is_reference)

@@ -28,12 +28,9 @@ WIRE_PREFIX = f"/v{WIRE_VERSION}"
 POST_ENDPOINTS = ("open", "update", "analyze", "check", "evict", "close")
 GET_ENDPOINTS = ("sessions", "metrics", "health")
 
-#: Analyzer options accepted over the wire.  The subset of
-#: :class:`~repro.api.registry.ConfigAnalyzer` options whose values are
-#: JSON scalars — ``policy`` (a live :class:`SolverPolicy` object) stays
-#: in-process only.
-WIRE_OPTIONS = frozenset(
-    {"saturation_threshold", "saturation_policy", "scheduling"})
+#: Analyzer options accepted over the wire: the
+#: :class:`~repro.api.registry.ConfigAnalyzer` options.
+WIRE_OPTIONS = frozenset({"saturation_threshold", "saturation_policy"})
 
 
 def endpoint(name: str) -> str:

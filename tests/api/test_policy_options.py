@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import AnalysisSession, SolverPolicy, get_analyzer
+from repro.api import AnalysisSession, get_analyzer
 from repro.lang import compile_source
 
 SOURCE = """
@@ -30,65 +30,57 @@ def session():
 
 
 class TestRunOptions:
-    def test_run_with_bundled_policy(self, session):
-        policy = SolverPolicy(scheduling="degree", saturation="closed-world",
-                              saturation_threshold=8)
-        report = session.run("skipflow", policy=policy)
-        assert report.raw.config.solver_policy == policy
-        assert report.reachable_method_count == session.run(
-            "skipflow").reachable_method_count
-
     def test_run_with_individual_knobs(self, session):
-        report = session.run("skipflow", scheduling="degree",
-                             saturation_policy="allocated-type",
+        report = session.run("skipflow", saturation_policy="allocated-type",
                              saturation_threshold=8)
         config = report.raw.config
-        assert config.scheduling == "degree"
         assert config.saturation_policy == "allocated-type"
         assert config.saturation_threshold == 8
 
-    def test_bundled_policy_conflicts_with_knobs(self, session):
-        with pytest.raises(ValueError, match="not both"):
-            session.run("skipflow", policy=SolverPolicy(), scheduling="degree")
-
     def test_call_graph_analyzers_reject_kernel_options(self, session):
-        with pytest.raises(ValueError, match="scheduling"):
-            session.run("cha", scheduling="degree")
-        with pytest.raises(ValueError, match="policy"):
-            session.run("rta", policy=SolverPolicy())
+        with pytest.raises(ValueError, match="saturation_threshold"):
+            session.run("cha", saturation_threshold=8)
+        with pytest.raises(ValueError, match="saturation_policy"):
+            session.run("rta", saturation_policy="allocated-type")
 
     def test_unknown_policy_name_fails_loudly(self, session):
-        with pytest.raises(ValueError, match="unknown scheduling"):
-            session.run("skipflow", scheduling="zigzag")
+        with pytest.raises(ValueError, match="unknown saturation"):
+            session.run("skipflow", saturation_policy="zigzag",
+                        saturation_threshold=8)
+
+    def test_malformed_threshold_fails_loudly(self, session):
+        with pytest.raises(ValueError, match="must be an int >= 1"):
+            session.run("skipflow", saturation_threshold="16")
 
 
 class TestCompareRouting:
-    def test_scheduling_reaches_engine_columns_only(self, session):
+    def test_saturation_reaches_engine_columns_only(self, session):
         comparison = session.compare(["cha", "rta", "pta", "skipflow"],
-                                     scheduling="degree")
+                                     saturation_threshold=64)
         assert comparison.is_monotone_precision_ladder()
         for name in ("pta", "skipflow"):
-            assert comparison.report(name).raw.config.scheduling == "degree"
+            config = comparison.report(name).raw.config
+            assert config.saturation_threshold == 64
 
     def test_kernel_option_without_engine_column_is_an_error(self, session):
-        with pytest.raises(ValueError, match="scheduling"):
-            session.compare(["cha", "rta"], scheduling="degree")
+        with pytest.raises(ValueError, match="saturation_threshold"):
+            session.compare(["cha", "rta"], saturation_threshold=64)
 
-    def test_scheduling_does_not_change_the_ladder(self, session):
+    def test_unfired_threshold_does_not_change_the_ladder(self, session):
         plain = session.compare(["pta", "skipflow"])
-        scheduled = session.compare(["pta", "skipflow"], scheduling="degree")
-        assert (plain.reachable_counts() == scheduled.reachable_counts())
+        saturated = session.compare(["pta", "skipflow"],
+                                    saturation_threshold=64)
+        assert plain.reachable_counts() == saturated.reachable_counts()
 
 
 class TestAnalyzerConfig:
-    def test_config_accepts_policy(self):
-        policy = SolverPolicy(scheduling="degree")
-        config = get_analyzer("pta").config(policy=policy)
-        assert config.scheduling == "degree"
+    def test_config_keeps_the_analyzer_name(self):
+        config = get_analyzer("pta").config(saturation_threshold=8)
+        assert config.saturation_policy == "closed-world"
         assert config.name == "PTA"
 
     def test_config_knob_composition(self):
         config = get_analyzer("skipflow").config(
-            saturation_threshold=8, saturation_policy="allocated-type",
-            scheduling="degree")
-        assert config.solver_policy.label == "degree/allocated-type@8"
+            saturation_threshold=8, saturation_policy="allocated-type")
+        assert (config.saturation_policy,
+                config.saturation_threshold) == ("allocated-type", 8)

@@ -1,8 +1,8 @@
 """Post-solve audits are green across every analyzer x policy combination.
 
 The matrix is the contract the fuzz oracle and the daemon rely on: a
-*correct* solve — any config-backed analyzer, any scheduling, saturation
-on or off, cold or warm — audits clean, including the snapshot round-trip.
+*correct* solve — any config-backed analyzer, saturation on or off, cold
+or warm — audits clean, including the snapshot round-trip.
 """
 
 import pytest
@@ -11,7 +11,6 @@ from repro.api import AnalysisSession
 from repro.api.registry import config_backed_analyzers, get_analyzer
 from repro.checks import audit_result, audit_snapshot, audit_state
 from repro.core.analysis import SkipFlowAnalysis
-from repro.core.kernel import SolverPolicy
 from repro.ir.arena import freeze, open_program
 from repro.ir.delta import ProgramDelta
 from repro.lang import compile_source
@@ -19,7 +18,6 @@ from repro.workloads.generator import generate_benchmark
 from repro.workloads.suites import wide_hierarchy_suite
 from tests.conftest import build_virtual_threads_program
 
-SCHEDULINGS = ("fifo", "degree")
 SATURATIONS = (("off", None), ("allocated-type", 8), ("closed-world", 8),
                ("allocated-type-reachable", 8))
 
@@ -50,38 +48,31 @@ def _programs():
 
 
 @pytest.mark.parametrize("analyzer_name", config_backed_analyzers())
-@pytest.mark.parametrize("scheduling", SCHEDULINGS)
 @pytest.mark.parametrize("saturation,threshold", SATURATIONS)
-def test_every_combo_audits_clean(analyzer_name, scheduling, saturation,
-                                  threshold):
-    policy = SolverPolicy(scheduling=scheduling, saturation=saturation,
-                          saturation_threshold=threshold)
-    config = get_analyzer(analyzer_name).config(policy=policy)
+def test_every_combo_audits_clean(analyzer_name, saturation, threshold):
+    config = get_analyzer(analyzer_name).config(threshold, saturation)
     for label, program in _programs():
         result = SkipFlowAnalysis(program, config).run()
         findings = audit_state(result.solver_state, program)
         assert findings == [], (
-            f"{label} [{analyzer_name} {policy.label}]: "
+            f"{label} [{analyzer_name} {saturation}@{threshold}]: "
             + "; ".join(d.render() for d in findings))
 
 
 @pytest.mark.parametrize("analyzer_name", config_backed_analyzers())
-@pytest.mark.parametrize("scheduling", SCHEDULINGS)
 @pytest.mark.parametrize("saturation,threshold", SATURATIONS)
-def test_arena_kernel_state_audits_clean(analyzer_name, scheduling,
-                                         saturation, threshold):
+def test_arena_kernel_state_audits_clean(analyzer_name, saturation,
+                                         threshold):
     """The arena kernel's inflated state (a cold solve of the attached
     freeze) passes the same audits."""
-    policy = SolverPolicy(scheduling=scheduling, saturation=saturation,
-                          saturation_threshold=threshold)
-    config = get_analyzer(analyzer_name).config(policy=policy)
+    config = get_analyzer(analyzer_name).config(threshold, saturation)
     for label, program in _programs():
         attached = open_program(freeze(program))
         result = SkipFlowAnalysis(attached, config).run()
         assert result.kernel_ran == "arena"
         findings = audit_state(result.solver_state, attached)
         assert findings == [], (
-            f"{label} [{analyzer_name} {policy.label} arena]: "
+            f"{label} [{analyzer_name} {saturation}@{threshold} arena]: "
             + "; ".join(d.render() for d in findings))
 
 

@@ -1,4 +1,4 @@
-"""The --scheduling / --saturation-policy CLI flags."""
+"""The --saturation-policy / --saturation-threshold CLI flags."""
 
 import pytest
 
@@ -31,11 +31,6 @@ def source(tmp_path):
 
 
 class TestParser:
-    def test_scheduling_offers_registered_policies(self):
-        args = build_parser().parse_args(
-            ["analyze", "app.lang", "--scheduling", "degree"])
-        assert args.scheduling == "degree"
-
     def test_saturation_policy_choices(self):
         args = build_parser().parse_args(
             ["analyze", "app.lang", "--saturation-policy", "allocated-type",
@@ -43,29 +38,30 @@ class TestParser:
         assert args.saturation_policy == "allocated-type"
         assert args.saturation_threshold == 8
 
-    def test_unknown_scheduling_rejected_by_parser(self, capsys):
+    def test_unknown_saturation_policy_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["analyze", "app.lang", "--scheduling", "zigzag"])
+                ["analyze", "app.lang", "--saturation-policy", "zigzag"])
 
     def test_compare_carries_the_flags_too(self):
         args = build_parser().parse_args(
             ["compare", "app.lang", "pta", "skipflow",
-             "--scheduling", "degree"])
-        assert args.scheduling == "degree"
+             "--saturation-threshold", "8"])
+        assert args.saturation_threshold == 8
 
 
 class TestAnalyze:
-    def test_scheduling_flag_preserves_results(self, source, capsys):
+    def test_unfired_threshold_preserves_results(self, source, capsys):
         assert cli_main(["analyze", source]) == 0
         plain = capsys.readouterr().out
-        assert cli_main(["analyze", source, "--scheduling", "degree"]) == 0
-        scheduled = capsys.readouterr().out
-        # Scheduling changes effort only; the printed metrics are timings
-        # aside identical.
+        assert cli_main(["analyze", source,
+                         "--saturation-threshold", "64"]) == 0
+        saturated = capsys.readouterr().out
+        # A cutoff no flow reaches changes nothing; the printed metrics are
+        # timings aside identical.
         strip = lambda text: [line for line in text.splitlines()  # noqa: E731
                               if "time" not in line]
-        assert strip(plain) == strip(scheduled)
+        assert strip(plain) == strip(saturated)
 
     def test_saturation_policy_needs_threshold(self, source, capsys):
         assert cli_main(["analyze", source,
@@ -78,24 +74,30 @@ class TestAnalyze:
                          "--saturation-threshold", "8"]) == 0
         assert "reachable methods" in capsys.readouterr().out
 
+    def test_threshold_below_one_is_rejected(self, source, capsys):
+        assert cli_main(["analyze", source,
+                         "--saturation-threshold", "0"]) == 2
+        assert "must be an int >= 1" in capsys.readouterr().err
+
     def test_compare_mode_applies_flags_to_both_columns(self, source, capsys):
         assert cli_main(["analyze", source, "--compare",
-                         "--scheduling", "degree"]) == 0
+                         "--saturation-threshold", "64"]) == 0
         output = capsys.readouterr().out
         assert "[PTA]" in output and "[SkipFlow]" in output
 
-    def test_call_graph_analysis_rejects_scheduling(self, source, capsys):
+    def test_call_graph_analysis_rejects_saturation(self, source, capsys):
         assert cli_main(["analyze", source, "--analysis", "cha",
-                         "--scheduling", "degree"]) == 2
-        assert "scheduling" in capsys.readouterr().err
+                         "--saturation-threshold", "8"]) == 2
+        assert "saturation_threshold" in capsys.readouterr().err
 
 
 class TestCompare:
-    def test_ladder_with_scheduling(self, source, capsys):
-        assert cli_main(["compare", source, "--scheduling", "degree"]) == 0
+    def test_ladder_with_saturation(self, source, capsys):
+        assert cli_main(["compare", source,
+                         "--saturation-threshold", "64"]) == 0
         assert "reachable methods" in capsys.readouterr().out
 
     def test_call_graph_only_columns_reject_kernel_flags(self, source, capsys):
         assert cli_main(["compare", source, "cha", "rta",
-                         "--scheduling", "degree"]) == 2
-        assert "scheduling" in capsys.readouterr().err
+                         "--saturation-threshold", "64"]) == 2
+        assert "saturation_threshold" in capsys.readouterr().err

@@ -4,10 +4,10 @@ A cold solve of an attached arena program runs on the flat integer-id
 tables of :mod:`repro.ir.arena` instead of the object-graph PVPG; its
 contract is *exact* equality of every canonical output — reachable sets,
 call edges, step/join/transfer counters, saturated-flow counts, and the
-image layer's metrics and per-method dead-code reports — across the full
-scheduling × saturation grid, on generated benchmarks from the paper
-(tier-1), wide, and composed suites alike.  Each cell solves the plain program (object kernel)
-and its attached freeze (arena kernel).  The grid here is the in-repo
+image layer's metrics and per-method dead-code reports — under every
+saturation policy, on generated benchmarks from the paper (tier-1), wide,
+and composed suites alike.  Each cell solves the plain program (object
+kernel) and its attached freeze (arena kernel).  The grid here is the in-repo
 anchor for the CI gates (solver-steps baseline, fuzz ``kernel-divergence``
 invariant).
 """
@@ -18,10 +18,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
-from repro.core.kernel import (
-    available_saturation_policies,
-    available_scheduling_policies,
-)
+from repro.core.kernel import available_saturation_policies
 from repro.image.builder import NativeImageBuilder
 from repro.ir.arena import freeze, open_program
 from repro.lang import compile_source
@@ -139,10 +136,9 @@ def _fixpoint(result):
 
 
 class TestBitIdenticalGrid:
-    @pytest.mark.parametrize("scheduling", available_scheduling_policies())
     @pytest.mark.parametrize("saturation", available_saturation_policies())
-    def test_full_grid_on_wide(self, scheduling, saturation):
-        config = AnalysisConfig.skipflow().with_scheduling(scheduling)
+    def test_full_grid_on_wide(self, saturation):
+        config = AnalysisConfig.skipflow()
         if saturation != "off":
             config = config.with_saturation_policy(saturation, 4)
         reference = _solve("wide-flat-64", config)
@@ -150,9 +146,8 @@ class TestBitIdenticalGrid:
         assert _canonical(arena) == _canonical(reference)
 
     @pytest.mark.parametrize("workload", ["dacapo-pmd", "composed-duo-112"])
-    @pytest.mark.parametrize("scheduling", available_scheduling_policies())
-    def test_schedulings_on_tier1_and_composed(self, workload, scheduling):
-        config = AnalysisConfig.skipflow().with_scheduling(scheduling)
+    def test_default_config_on_tier1_and_composed(self, workload):
+        config = AnalysisConfig.skipflow()
         reference = _solve(workload, config)
         arena = _solve_arena(workload, config)
         assert _canonical(arena) == _canonical(reference)
@@ -177,11 +172,9 @@ class TestPerFlowStates:
     """Beyond the canonical outputs: every flow ends in the same state."""
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    @pytest.mark.parametrize("scheduling", available_scheduling_policies())
     @pytest.mark.parametrize("saturation", available_saturation_policies())
-    def test_flow_states_match_the_object_kernel(self, workload, scheduling,
-                                                  saturation):
-        config = AnalysisConfig.skipflow().with_scheduling(scheduling)
+    def test_flow_states_match_the_object_kernel(self, workload, saturation):
+        config = AnalysisConfig.skipflow()
         if saturation != "off":
             config = config.with_saturation_policy(saturation, 4)
         reference = _solve(workload, config)
@@ -232,14 +225,13 @@ class TestKernelSelection:
 
     Plain program → object, attached arena solved cold → arena, attached
     arena resumed from a state → object; all three land on the same
-    fixpoint (the ``fixpoint_signature`` of the scheduling tests, plus each
+    fixpoint (reachability, call edges and every flow's state, plus each
     flow's saturation bit).
     """
 
-    @pytest.mark.parametrize("scheduling", available_scheduling_policies())
     @pytest.mark.parametrize("saturation", available_saturation_policies())
-    def test_each_route_reaches_the_same_fixpoint(self, scheduling, saturation):
-        config = AnalysisConfig.skipflow().with_scheduling(scheduling)
+    def test_each_route_reaches_the_same_fixpoint(self, saturation):
+        config = AnalysisConfig.skipflow()
         if saturation != "off":
             config = config.with_saturation_policy(saturation, 4)
         self._assert_routes_agree(_program("wide-flat-64"),

@@ -1,74 +1,63 @@
-"""SolverPolicy validation and the AnalysisConfig policy plumbing."""
+"""Saturation-policy validation and the AnalysisConfig policy plumbing."""
+
+import dataclasses
 
 import pytest
 
 from repro.core.analysis import AnalysisConfig
 from repro.core.kernel import (
-    DEFAULT_POLICY,
-    SolverPolicy,
     available_saturation_policies,
-    available_scheduling_policies,
     make_saturation_policy,
-    make_scheduling_policy,
 )
 
 
-class TestSolverPolicy:
+class TestConfigValidation:
     def test_default_is_seed_setup(self):
-        policy = SolverPolicy()
-        assert policy.scheduling == "fifo"
-        assert policy.saturation == "off"
-        assert policy.saturation_threshold is None
-        assert policy.is_default
-        assert policy == DEFAULT_POLICY
-        assert policy.label == "fifo/off"
-
-    def test_label_shows_threshold(self):
-        policy = SolverPolicy(scheduling="degree", saturation="allocated-type",
-                              saturation_threshold=16)
-        assert policy.label == "degree/allocated-type@16"
-        assert not policy.is_default
-
-    def test_unknown_scheduling_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduling"):
-            SolverPolicy(scheduling="random")
+        config = AnalysisConfig.skipflow()
+        assert config.saturation_policy == "off"
+        assert config.saturation_threshold is None
 
     def test_unknown_saturation_rejected(self):
         with pytest.raises(ValueError, match="unknown saturation"):
-            SolverPolicy(saturation="open-world", saturation_threshold=4)
+            AnalysisConfig(saturation_policy="open-world",
+                           saturation_threshold=4)
 
-    def test_off_takes_no_threshold(self):
-        with pytest.raises(ValueError, match="takes no threshold"):
-            SolverPolicy(saturation="off", saturation_threshold=4)
+    def test_unknown_saturation_rejected_without_threshold(self):
+        # Validation runs before canonicalization, so a typo is not
+        # silently reset to ``off``.
+        with pytest.raises(ValueError, match="unknown saturation"):
+            AnalysisConfig(saturation_policy="open-world")
 
-    def test_cutoff_needs_threshold(self):
-        with pytest.raises(ValueError, match="needs a saturation_threshold"):
-            SolverPolicy(saturation="closed-world")
+    def test_threshold_below_one_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
-            SolverPolicy(saturation="closed-world", saturation_threshold=0)
+            AnalysisConfig(saturation_threshold=0)
+        with pytest.raises(ValueError, match=">= 1"):
+            AnalysisConfig.skipflow().with_saturation_policy("closed-world", -3)
 
-    def test_with_saturation_switches_coherently(self):
-        policy = SolverPolicy().with_saturation("closed-world", 8)
-        assert policy.saturation_threshold == 8
-        assert policy.with_saturation("allocated-type").saturation_threshold == 8
-        back_off = policy.with_saturation("off")
-        assert back_off == DEFAULT_POLICY
+    @pytest.mark.parametrize("threshold", ["16", True, False, 4.0, [4]],
+                             ids=["str", "true", "false", "float", "list"])
+    def test_non_int_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="must be an int >= 1"):
+            AnalysisConfig(saturation_threshold=threshold)
+        with pytest.raises(ValueError, match="must be an int >= 1"):
+            AnalysisConfig.skipflow().with_saturation_threshold(threshold)
+
+    def test_smallest_threshold_accepted(self):
+        config = AnalysisConfig.skipflow().with_saturation_threshold(1)
+        assert config.saturation_threshold == 1
+        assert config.saturation_policy == "closed-world"
 
 
 class TestRegistries:
     def test_builtin_names(self):
-        assert available_scheduling_policies() == ("fifo", "degree")
         assert available_saturation_policies()[0] == "off"
         assert set(available_saturation_policies()) == {
             "off", "closed-world", "allocated-type",
             "allocated-type-reachable"}
 
-    def test_fresh_instance_per_solve(self):
-        assert make_scheduling_policy("fifo") is not make_scheduling_policy("fifo")
-
     def test_unknown_names_listed(self):
-        with pytest.raises(ValueError, match="fifo"):
-            make_scheduling_policy("nope")
+        with pytest.raises(ValueError, match="closed-world"):
+            make_saturation_policy("nope", None, 4)
 
     def test_off_factory_returns_none(self):
         assert make_saturation_policy("off", None, None) is None
@@ -76,20 +65,23 @@ class TestRegistries:
 
 
 class TestConfigPlumbing:
-    def test_default_config_has_default_policy(self):
-        assert AnalysisConfig.skipflow().solver_policy == DEFAULT_POLICY
+    def test_config_fields(self):
+        assert [f.name for f in dataclasses.fields(AnalysisConfig)] == [
+            "name", "use_predicates", "track_primitives",
+            "filter_type_checks", "filter_comparisons", "validate",
+            "saturation_threshold", "saturation_policy"]
 
     def test_bare_threshold_engages_closed_world(self):
         config = AnalysisConfig.skipflow().with_saturation_threshold(8)
         assert config.saturation_policy == "closed-world"
-        assert config.solver_policy.label == "fifo/closed-world@8"
+        assert config.saturation_threshold == 8
 
     def test_dropping_threshold_resets_policy_to_off(self):
         config = (AnalysisConfig.skipflow()
                   .with_saturation_policy("allocated-type", 8)
                   .with_saturation_threshold(None))
         assert config.saturation_policy == "off"
-        assert config.solver_policy == DEFAULT_POLICY
+        assert config == AnalysisConfig.skipflow()
 
     def test_saturation_policy_without_threshold_rejected(self):
         with pytest.raises(ValueError, match="needs a threshold"):
@@ -101,22 +93,14 @@ class TestConfigPlumbing:
         assert config.saturation_threshold == 8
         assert config.saturation_policy == "allocated-type"
 
-    def test_with_policy_round_trips(self):
-        policy = SolverPolicy(scheduling="degree", saturation="allocated-type",
-                              saturation_threshold=4)
-        config = AnalysisConfig.skipflow().with_policy(policy)
-        assert config.solver_policy == policy
-        assert config.scheduling == "degree"
+    def test_off_drops_the_threshold(self):
+        config = (AnalysisConfig.skipflow()
+                  .with_saturation_policy("allocated-type", 4)
+                  .with_saturation_policy("off"))
+        assert config == AnalysisConfig.skipflow()
 
     def test_policy_is_part_of_config_identity(self):
         base = AnalysisConfig.skipflow()
-        assert base != base.with_scheduling("degree")
+        assert base != base.with_saturation_threshold(8)
         assert (base.with_saturation_threshold(8)
                 != base.with_saturation_policy("allocated-type", 8))
-
-    def test_invalid_names_fail_at_construction(self):
-        with pytest.raises(ValueError, match="unknown scheduling"):
-            AnalysisConfig(scheduling="zigzag")
-        with pytest.raises(ValueError, match="unknown saturation"):
-            AnalysisConfig(saturation_policy="open-world",
-                           saturation_threshold=4)

@@ -28,12 +28,10 @@ PLUGIN_SPEC = BenchmarkSpec(
 )
 
 
-def run_with(program, saturation, threshold=THRESHOLD, scheduling=None):
+def run_with(program, saturation, threshold=THRESHOLD):
     config = AnalysisConfig.skipflow()
     if saturation != "off":
         config = config.with_saturation_policy(saturation, threshold)
-    if scheduling is not None:
-        config = config.with_scheduling(scheduling)
     return SkipFlowAnalysis(program, config).run()
 
 
@@ -122,17 +120,6 @@ class TestRefinedSolve:
         assert (allocated.reachable_method_count
                 > exact.reachable_method_count)
         assert refined.reachable_methods == exact.reachable_methods
-
-    def test_schedule_independent(self):
-        program, _ = self._plugin_program()
-        fifo = run_with(program, "allocated-type-reachable",
-                        scheduling="fifo")
-        for scheduling in ("degree",):
-            other = run_with(program, "allocated-type-reachable",
-                             scheduling=scheduling)
-            assert other.reachable_methods == fifo.reachable_methods
-            assert (sorted(other.call_edges())
-                    == sorted(fifo.call_edges()))
 
     def test_warm_resume_equals_cold_after_monotone_edit(self):
         """The refinement loop re-runs cleanly from a resumed state too."""

@@ -8,20 +8,19 @@ The contract under test, in increasing strength:
   nothing changed;
 * after *any* additive (monotone) edit sequence, the resumed fixpoint
   equals the from-scratch fixpoint — reachable set, call edges, and the
-  final value state of every flow — under **every** scheduling × saturation
-  policy combination;
+  final value state of every flow — under **every** saturation policy;
 * non-monotone situations are refused loudly (config mismatch, stamped
   fingerprint rejecting the program).
 """
 
+import pickle
 from collections import Counter
 
 import pytest
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
-from repro.core.kernel import available_scheduling_policies
 from repro.core.solver import SkipFlowSolver
-from repro.core.state import SolverState, SolverStateError
+from repro.core.state import SNAPSHOT_VERSION, SolverState, SolverStateError
 from repro.ir.arena import freeze, open_program
 from repro.ir.delta import ProgramDelta
 from repro.lang import compile_source
@@ -78,8 +77,8 @@ def fixpoint_signature(result):
     return frozenset(result.reachable_methods), edges, states
 
 
-def config_for(scheduling, saturation, threshold):
-    config = AnalysisConfig.skipflow().with_scheduling(scheduling)
+def config_for(saturation, threshold):
+    config = AnalysisConfig.skipflow()
     if threshold is not None:
         config = config.with_saturation_policy(saturation, threshold)
     return config
@@ -171,6 +170,19 @@ class TestSnapshots:
         with pytest.raises(SolverStateError):
             SolverState.from_bytes(b"not a snapshot")
 
+    @pytest.mark.parametrize("version", [1, SNAPSHOT_VERSION + 1])
+    def test_foreign_snapshot_versions_are_refused(self, version):
+        """Version 1 pickled an ``AnalysisConfig`` that still had a
+        ``scheduling`` field; its layout must be refused, not half-read."""
+        program = compile_source(SMALL_SOURCE)
+        blob = SkipFlowAnalysis(program).run().solver_state.to_bytes(program)
+        payload = pickle.loads(blob)
+        assert payload["snapshot_version"] == SNAPSHOT_VERSION == 2
+        payload["snapshot_version"] = version
+        with pytest.raises(SolverStateError,
+                           match=f"snapshot version {version}"):
+            SolverState.from_bytes(pickle.dumps(payload))
+
     def test_to_bytes_stamps_the_snapshot_not_the_live_state(self):
         program = compile_source(SMALL_SOURCE)
         result = SkipFlowAnalysis(program).run()
@@ -185,24 +197,22 @@ class TestSnapshots:
 class TestWarmVsColdEquivalence:
     """The satellite contract: warm == cold under every policy combination."""
 
-    @pytest.mark.parametrize("scheduling", available_scheduling_policies())
     @pytest.mark.parametrize("saturation,threshold", SATURATIONS)
-    def test_edit_sequence_reaches_the_cold_fixpoint(self, scheduling,
-                                                     saturation, threshold):
-        """Warm == cold for every combination: reachability, call edges,
-        and the value state of every flow, saturated ones included."""
+    def test_edit_sequence_reaches_the_cold_fixpoint(self, saturation,
+                                                     threshold):
+        """Warm == cold for every policy: reachability, call edges, and the
+        value state of every flow, saturated ones included."""
         self._assert_warm_chain_matches_cold(
-            config_for(scheduling, saturation, threshold), "object")
+            config_for(saturation, threshold), "object")
 
-    @pytest.mark.parametrize("scheduling", available_scheduling_policies())
     @pytest.mark.parametrize("saturation,threshold", SATURATIONS)
-    def test_edit_sequence_from_an_arena_cold_solve(self, scheduling,
-                                                    saturation, threshold):
+    def test_edit_sequence_from_an_arena_cold_solve(self, saturation,
+                                                    threshold):
         """The same contract when the cold solves run on the arena kernel
         (over the attached freeze): the warm chain starts from its inflated
         state, and the resumes themselves run on the object solver."""
         self._assert_warm_chain_matches_cold(
-            config_for(scheduling, saturation, threshold), "arena")
+            config_for(saturation, threshold), "arena")
 
     @staticmethod
     def _assert_warm_chain_matches_cold(config, cold_kernel):

@@ -2,15 +2,14 @@
 
 No config names a kernel: a store-backed half is solved on the program the
 store attaches, so it runs on the arena kernel under every built-in
-scheduling and saturation, and a half without a store runs on the object
-kernel.  Both produce the same report, and the payload records only which
+saturation policy, and a half without a store runs on the object kernel.  Both produce the same report, and the payload records only which
 kernel ran (``kernel_ran``) — there is no fallback to report.
 """
 
 import pytest
 
 from repro.core.analysis import AnalysisConfig
-from repro.core.kernel import available_scheduling_policies
+from repro.core.kernel import available_saturation_policies
 from repro.engine import ProgramStore
 from repro.engine.runner import PAYLOAD_VERSION, _WORKER_PROGRAMS, solve_config
 from repro.workloads.generator import spec_from_reduction
@@ -36,13 +35,12 @@ def _counts(payload):
             if "time" not in key}
 
 
-@pytest.mark.parametrize("scheduling", available_scheduling_policies())
+@pytest.mark.parametrize("saturation", available_saturation_policies())
 @pytest.mark.parametrize("spec", sorted(SPECS))
 def test_store_half_runs_on_arena_under_every_builtin_policy(
-        tmp_path, spec, scheduling):
+        tmp_path, spec, saturation):
     spec = SPECS[spec]
-    config = (AnalysisConfig.skipflow().with_scheduling(scheduling)
-              .with_saturation_policy("allocated-type", 8))
+    config = AnalysisConfig.skipflow().with_saturation_policy(saturation, 8)
     store = ProgramStore(tmp_path)
     store.load_or_build(spec)
     half = solve_config(spec, config, store)

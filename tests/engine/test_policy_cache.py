@@ -14,13 +14,12 @@ def _spec(name="policy-spec", total=80):
 def _policy_configs():
     skipflow = AnalysisConfig.skipflow()
     return {
-        "fifo/off": skipflow,
-        "degree/off": skipflow.with_scheduling("degree"),
-        "fifo/closed-world": skipflow.with_saturation_threshold(64),
-        "fifo/allocated-type": skipflow.with_saturation_policy(
+        "off": skipflow,
+        "closed-world": skipflow.with_saturation_threshold(64),
+        "allocated-type": skipflow.with_saturation_policy(
             "allocated-type", 64),
-        "degree/allocated-type": (skipflow.with_scheduling("degree")
-                                  .with_saturation_policy("allocated-type", 64)),
+        "allocated-type-reachable": skipflow.with_saturation_policy(
+            "allocated-type-reachable", 64),
     }
 
 
@@ -33,12 +32,13 @@ class TestPolicyKeying:
 
     def test_same_policy_same_key(self, tmp_path):
         cache = ResultCache(tmp_path)
-        again = AnalysisConfig.skipflow().with_scheduling("degree")
-        assert (cache.config_key(_spec(), _policy_configs()["degree/off"])
+        again = (AnalysisConfig.skipflow().with_saturation_threshold(64)
+                 .with_saturation_policy("allocated-type"))
+        assert (cache.config_key(_spec(), _policy_configs()["allocated-type"])
                 == cache.config_key(_spec(), again))
 
     def test_policy_matrix_reuses_the_default_half(self, tmp_path):
-        """A policy matrix shares the fifo/off half with a plain run."""
+        """A policy matrix shares the off half with a plain run."""
         warm_cache = ResultCache(tmp_path)
         run_specs([_spec()], cache=warm_cache)  # caches pta + skipflow halves
 
@@ -46,12 +46,12 @@ class TestPolicyKeying:
         matrix_cache = ResultCache(tmp_path)
         rows = run_config_matrix([_spec()], list(configs.values()),
                                  names=list(configs), cache=matrix_cache)
-        assert matrix_cache.hits == 1          # the fifo/off half
+        assert matrix_cache.hits == 1          # the off half
         assert matrix_cache.misses == len(configs) - 1
         row = rows[0]
-        assert row.run("fifo/off").from_cache
-        # Saturation at 64 never fires on this small spec, and scheduling
-        # never changes the fixpoint: all five columns agree on reachability.
+        assert row.run("off").from_cache
+        # Saturation at 64 never fires on this small spec: all four columns
+        # agree on reachability.
         assert len({run.report.metrics.reachable_methods
                     for run in row.runs}) == 1
 

@@ -8,7 +8,7 @@ from repro.fuzz.runner import (
     run_mutation_smoke,
 )
 
-CHEAP_MATRIX = dict(schedulings=("fifo",), saturations=("off",))
+CHEAP_MATRIX = dict(saturations=("off",))
 
 
 class TestRunCampaign:

@@ -19,7 +19,7 @@ SMALL_SPEC = BenchmarkSpec(
     name="oracle-small", suite="fuzz", core_methods=6,
     guarded_modules=(GuardedModuleSpec("null_default", 5),))
 
-SMALL_MATRIX = dict(schedulings=("fifo",), saturations=("off",))
+SMALL_MATRIX = dict(saturations=("off",))
 
 
 def _script(steps=()):
@@ -72,15 +72,10 @@ class TestCheckCase:
         assert report.prefixes_checked == 3  # base + each edit prefix
 
     def test_full_matrix_covers_every_registered_policy(self):
-        from repro.core.kernel import (
-            available_saturation_policies,
-            available_scheduling_policies,
-        )
+        from repro.core.kernel import available_saturation_policies
 
         report = check_case(_script())
-        expected = (len(available_scheduling_policies())
-                    * len(available_saturation_policies()))
-        assert report.combos_checked == expected
+        assert report.combos_checked == len(available_saturation_policies())
         assert report.ok
 
     def test_mutated_analyzer_is_caught(self):
@@ -104,7 +99,7 @@ class TestCheckCase:
         report = check_case(_script(), **SMALL_MATRIX)
         assert report.violations
         assert all(violation.invariant == "kernel-divergence"
-                   and violation.analyzer == "skipflow[fifo/off@4/arena]"
+                   and violation.analyzer == "skipflow[off@4/arena]"
                    for violation in report.violations)
 
     def test_planted_routing_fault_is_a_kernel_divergence(self, monkeypatch):
@@ -139,10 +134,10 @@ class TestWarmColdEquivalence:
     def test_warm_chain_checked_per_combo(self):
         steps = (EditStepSpec(kind="add-variant", index=0),)
         report = check_case(
-            _script(steps), schedulings=("fifo", "degree"),
-            saturations=("off", "allocated-type-reachable"))
+            _script(steps),
+            saturations=("off", "allocated-type", "allocated-type-reachable"))
         assert report.ok
-        assert report.combos_checked == 4
+        assert report.combos_checked == 3
 
     def test_application_families_survive_the_full_oracle(self):
         from repro.workloads.applications import (
@@ -158,6 +153,5 @@ class TestWarmColdEquivalence:
         steps = (EditStepSpec(kind="add-plugin", index=0),)
         report = check_case(
             EditScriptSpec(base=spec, steps=steps),
-            schedulings=("fifo",),
             saturations=("off", "allocated-type", "allocated-type-reachable"))
         assert report.ok, report.violations[0]

@@ -100,7 +100,9 @@ class TestOverTheWire:
             assert any(d["id"] == "IR002" for d in lint["diagnostics"])
 
             audited = client.check("s", analysis="skipflow",
-                                   options={"scheduling": "degree"})
+                                   options={"saturation_policy":
+                                            "allocated-type",
+                                            "saturation_threshold": 8})
             assert audited["counts"]["error"] == 0
 
             clean = client.analyze("s", "skipflow", audit=True)

@@ -148,6 +148,19 @@ class TestErrorStatuses:
             client.analyze("demo", "skipflow", options={"nope": 1})
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("threshold", ["16", True],
+                             ids=["string", "bool"])
+    def test_malformed_threshold_is_400(self, client, threshold):
+        client.open("demo", source=SOURCE_V1)
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.analyze("demo", "skipflow",
+                           options={"saturation_threshold": threshold})
+        assert excinfo.value.status == 400
+        assert excinfo.value.error_type == "ValueError"
+        assert "must be an int >= 1" in excinfo.value.message
+        # The daemon keeps serving the session afterwards.
+        assert client.analyze("demo", "skipflow")["mode"] == "cold"
+
     def test_malformed_json_is_400(self, client):
         import urllib.error
         import urllib.request

@@ -210,6 +210,31 @@ class TestEviction:
         assert counters["rehydrations"] == 1
         assert counters["rehydration_state_misses"] == 0
 
+    def test_lost_snapshot_rehydrates_cold(self, tmp_path):
+        """A spilled state that no longer decodes costs warmth, never
+        correctness: the next analyze runs cold and serves the same call
+        graph as a manager that was never evicted."""
+        plain = SessionManager(spill_dir=tmp_path / "plain")
+        spilled = SessionManager(spill_dir=tmp_path / "spilled")
+        for manager in (plain, spilled):
+            manager.open("s", benchmark=BENCHMARK)
+            manager.analyze("s", "skipflow")
+            manager.update("s", edit={"kind": "add-variant", "index": 0})
+        assert spilled.evict("s")["evicted"]
+        snapshots = sorted((tmp_path / "spilled").rglob("*.state"))
+        assert len(snapshots) == 1
+        snapshots[0].write_bytes(b"not a solver state")
+
+        reference = plain.analyze("s", "skipflow")
+        assert reference["mode"] == "warm"
+        recovered = spilled.analyze("s", "skipflow")
+        assert recovered["mode"] == "cold"
+        assert (recovered["report"]["call_graph"]
+                == reference["report"]["call_graph"])
+        counters = spilled.metrics_snapshot()["requests"]
+        assert counters["rehydrations"] == 1
+        assert counters["rehydration_state_misses"] == 1
+
     def test_rehydrated_fixpoint_equals_a_cold_solve(self, tmp_path):
         """Evict + rehydrate + warm solve == cold solve of the same program."""
         spilled = SessionManager(spill_dir=tmp_path / "spilled")
