@@ -18,8 +18,13 @@ from repro.workloads.generator import generate_benchmark
 from repro.workloads.suites import wide_hierarchy_suite
 from tests.conftest import build_virtual_threads_program
 
-SATURATIONS = (("off", None), ("allocated-type", 8), ("closed-world", 8),
-               ("allocated-type-reachable", 8))
+#: Every cutoff at two thresholds: 8 saturates only the wide spec's
+#: megamorphic flows, 1 collapses every flow that sees a second type.
+SATURATIONS = (("off", None),) + tuple(
+    (saturation, threshold)
+    for saturation in ("allocated-type", "closed-world",
+                       "allocated-type-reachable")
+    for threshold in (8, 1))
 
 SOURCE = """
 class Config {

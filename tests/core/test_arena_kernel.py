@@ -172,11 +172,16 @@ class TestPerFlowStates:
     """Beyond the canonical outputs: every flow ends in the same state."""
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    @pytest.mark.parametrize("saturation", available_saturation_policies())
-    def test_flow_states_match_the_object_kernel(self, workload, saturation):
+    @pytest.mark.parametrize("saturation,threshold", (("off", None),) + tuple(
+        (saturation, threshold) for saturation in CUTOFFS
+        for threshold in (4, 1)))
+    def test_flow_states_match_the_object_kernel(self, workload, saturation,
+                                                  threshold):
+        """Threshold 1 collapses every flow that sees a second type, so the
+        saturated bits and sentinel states are checked at scale too."""
         config = AnalysisConfig.skipflow()
         if saturation != "off":
-            config = config.with_saturation_policy(saturation, 4)
+            config = config.with_saturation_policy(saturation, threshold)
         reference = _solve(workload, config)
         arena = _solve_arena(workload, config)
         assert _flow_states(arena) == _flow_states(reference)

@@ -5,7 +5,7 @@ methods: the solver runs to a fixpoint, refreshes the policy's origin set
 from the final reachable set, re-collapses saturated flows when origins
 grew, and re-runs until the origins are stable.  The origin set is a
 function of the final reachable set alone and only ever grows, so the
-refinement is schedule-independent and warm-resumable.
+refinement is order-independent and warm-resumable.
 """
 
 import pytest
@@ -20,6 +20,7 @@ from repro.core.kernel import (
 from repro.lang import compile_source
 from repro.workloads.edits import EditStepSpec, build_edit_delta
 from repro.workloads.generator import BenchmarkSpec, generate_benchmark
+from tests.core.test_kernel_scheduling import ORDERS, solve_in_order
 
 THRESHOLD = 3
 
@@ -120,6 +121,18 @@ class TestRefinedSolve:
         assert (allocated.reachable_method_count
                 > exact.reachable_method_count)
         assert refined.reachable_methods == exact.reachable_methods
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_order_independent(self, order, monkeypatch):
+        """The refinement loop lands on the same answer whatever order the
+        worklist drains in."""
+        program, _ = self._plugin_program()
+        oldest_first = run_with(program, "allocated-type-reachable")
+        config = AnalysisConfig.skipflow().with_saturation_policy(
+            "allocated-type-reachable", THRESHOLD)
+        other = solve_in_order(program, config, order, monkeypatch)
+        assert other.reachable_methods == oldest_first.reachable_methods
+        assert sorted(other.call_edges()) == sorted(oldest_first.call_edges())
 
     def test_warm_resume_equals_cold_after_monotone_edit(self):
         """The refinement loop re-runs cleanly from a resumed state too."""

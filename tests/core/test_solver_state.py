@@ -49,9 +49,13 @@ class Main {
 """
 
 #: The saturation grid of the equivalence test; threshold 4 is far below the
-#: wide spec's 25-leaf field, so every cutoff actually fires.
-SATURATIONS = (("off", None), ("closed-world", 4), ("allocated-type", 4),
-               ("allocated-type-reachable", 4))
+#: wide spec's 25-leaf field, so every cutoff actually fires, and threshold 1
+#: collapses every flow that sees a second type.
+SATURATIONS = (("off", None),) + tuple(
+    (saturation, threshold)
+    for saturation in ("closed-world", "allocated-type",
+                       "allocated-type-reachable")
+    for threshold in (4, 1))
 
 
 def fixpoint_signature(result):
