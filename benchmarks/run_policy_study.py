@@ -2,9 +2,9 @@
 
 Usage::
 
-    python benchmarks/run_policy_study.py [--saturations off,closed-world,allocated-type,
+    python benchmarks/run_policy_study.py [--saturations off,allocated-type,
                                                          allocated-type-reachable]
-                                          [--threshold 16]
+                                          [--thresholds 2,4,8,16]
                                           [--benchmark composed-duo-112]
                                           [--jobs 4] [--cache-dir .bench-cache]
                                           [--bench-dir benchmarks/trajectories]
@@ -13,29 +13,27 @@ Usage::
 
 For every benchmark of the ``WideHierarchy`` suite — the five single-tree
 wide specs plus the composed multi-hierarchy specs — the script runs the
-SkipFlow configuration under every requested saturation policy through the
-benchmark engine and prints one table per benchmark
-(:mod:`repro.reporting.policy`): solver steps/joins/wall-time deltas against
-the bit-identical ``off`` reference, plus the reachable-method precision
-loss each saturation sentinel costs.
+SkipFlow configuration exactly (``off``) and under every requested
+saturation policy at every requested threshold through the benchmark
+engine, and prints one table per benchmark (:mod:`repro.reporting.policy`):
+reachable-method and polymorphic-call precision loss, and solver
+steps/joins/wall-time deltas, against the bit-identical ``off`` reference.
 
-The question the study answers directly: whether the RTA-style
-``allocated-type`` sentinel — whose top excludes declared-but-never-
-allocated types — keeps the reachable-set re-inflation (and the
-solver-steps *increase* the closed-world sentinel shows on this suite)
-smaller than ``closed-world`` by discharging the rare guards, and how much
-more its reachability-refined variant ``allocated-type-reachable``
-recovers.
+The question the study answers directly: how much reachable-set
+re-inflation each saturation sentinel costs as the threshold shrinks —
+``allocated-type``, the RTA-style top a bare threshold engages, against its
+reachability-refined variant ``allocated-type-reachable`` — and what the
+cutoff saves or costs in solver effort.
 
-Every combination is one engine configuration, so each (spec, policy) half
-is cached independently under ``--cache-dir`` and the whole grid reuses any
-halves earlier runs (or the saturation study) already computed.  ``--quick``
-shrinks the grid to a CI-sized smoke (two cheap specs, off and
-allocated-type).
+Every combination is one engine configuration, so each (spec, policy,
+threshold) half is cached independently under ``--cache-dir`` and the whole
+grid reuses any halves earlier runs already computed.  ``--quick`` shrinks
+the grid to a CI-sized smoke (two cheap specs, ``off`` and
+``allocated-type@16``).
 
 Every run is also persisted as a versioned ``BENCH_<n>.json`` trajectory
 under ``--bench-dir`` (:mod:`repro.reporting.trajectory`), one row per
-(spec, policy) cell with its solver steps, joins, and wall time.
+(spec, policy, threshold) cell with its solver steps, joins, and wall time.
 """
 
 from __future__ import annotations
@@ -58,11 +56,11 @@ from repro.reporting.policy import (
 from repro.reporting.trajectory import TrajectoryRow, write_trajectory
 from repro.workloads.suites import wide_hierarchy_suite
 
-DEFAULT_SATURATIONS = ("off", "closed-world", "allocated-type",
-                       "allocated-type-reachable")
-DEFAULT_THRESHOLD = 16
+DEFAULT_SATURATIONS = available_saturation_policies()
+DEFAULT_THRESHOLDS = (2, 4, 8, 16)
 
 QUICK_SATURATIONS = ("off", "allocated-type")
+QUICK_THRESHOLDS = (16,)
 QUICK_SPECS = 2
 
 
@@ -77,16 +75,29 @@ def _parse_names(text: str, kind: str, available) -> List[str]:
     return names
 
 
-def build_policies(saturations: List[str], threshold: int
+def parse_thresholds(text: str) -> List[int]:
+    """Parse ``"2,4,8,16"`` into distinct cutoffs, smallest first."""
+    thresholds = set()
+    for part in text.split(","):
+        if part.strip():
+            thresholds.add(int(part))
+    if not thresholds:
+        raise ValueError("no thresholds given")
+    if min(thresholds) < 1:
+        raise ValueError(f"threshold must be >= 1, got {min(thresholds)}")
+    return sorted(thresholds)
+
+
+def build_policies(saturations: List[str], thresholds: List[int]
                    ) -> List[Tuple[str, AnalysisConfig]]:
-    """``(label, config)`` per policy, ``off`` (the reference) always first."""
-    names = [REFERENCE_LABEL] + [
-        name for name in saturations if name != REFERENCE_LABEL]
+    """``(label, config)`` per cell: ``off`` (the reference) first, then
+    every other policy at every threshold."""
     skipflow = AnalysisConfig.skipflow()
-    return [(REFERENCE_LABEL, skipflow) if name == REFERENCE_LABEL
-            else (f"{name}@{threshold}",
-                  skipflow.with_saturation_policy(name, threshold))
-            for name in names]
+    return [(REFERENCE_LABEL, skipflow)] + [
+        (f"{name}@{threshold}",
+         skipflow.with_saturation_policy(name, threshold))
+        for name in saturations if name != REFERENCE_LABEL
+        for threshold in thresholds]
 
 
 def main(argv=None) -> int:
@@ -94,9 +105,10 @@ def main(argv=None) -> int:
     parser.add_argument("--saturations", type=str, default=None,
                         help="comma-separated saturation policies "
                              f"(default: {','.join(DEFAULT_SATURATIONS)})")
-    parser.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD,
-                        help="saturation threshold for the non-off policies "
-                             f"(default: {DEFAULT_THRESHOLD})")
+    parser.add_argument("--thresholds", type=str, default=None,
+                        help="comma-separated saturation thresholds for the "
+                             "non-off policies (default: "
+                             f"{','.join(map(str, DEFAULT_THRESHOLDS))})")
     parser.add_argument("--benchmark", type=str, default=None,
                         help="restrict to one wide-hierarchy benchmark")
     parser.add_argument("--jobs", type=int, default=1,
@@ -113,8 +125,8 @@ def main(argv=None) -> int:
     parser.add_argument("--output", type=str, default=None,
                         help="also write the tables to this file")
     parser.add_argument("--quick", action="store_true",
-                        help="CI-sized grid: the two cheapest specs, "
-                             f"{'/'.join(QUICK_SATURATIONS)}")
+                        help="CI-sized grid: the two cheapest specs, off and "
+                             f"allocated-type@{QUICK_THRESHOLDS[0]}")
     args = parser.parse_args(argv)
 
     try:
@@ -122,8 +134,9 @@ def main(argv=None) -> int:
             args.saturations or ",".join(
                 QUICK_SATURATIONS if args.quick else DEFAULT_SATURATIONS),
             "saturation", available_saturation_policies())
-        if args.threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {args.threshold}")
+        thresholds = parse_thresholds(
+            args.thresholds or ",".join(map(str, (
+                QUICK_THRESHOLDS if args.quick else DEFAULT_THRESHOLDS))))
     except ValueError as error:
         print(f"run_policy_study: {error}", file=sys.stderr)
         return 2
@@ -139,13 +152,13 @@ def main(argv=None) -> int:
     elif args.quick:
         specs = sorted(specs, key=estimated_cost)[:QUICK_SPECS]
 
-    policies = build_policies(saturations, args.threshold)
+    policies = build_policies(saturations, thresholds)
     labels = [label for label, _ in policies]
     configs = [config for _, config in policies]
 
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    print(f"policy grid: {len(policies)} policies x {len(specs)} "
-          f"benchmarks (threshold {args.threshold})...", file=sys.stderr)
+    print(f"policy grid: {len(policies)} cells x {len(specs)} benchmarks "
+          f"(thresholds {','.join(map(str, thresholds))})...", file=sys.stderr)
     rows = run_config_matrix(specs, configs, names=labels,
                              jobs=max(args.jobs, 1), cache=cache)
 
@@ -183,7 +196,7 @@ def main(argv=None) -> int:
             headline=("policy_grid_total_steps", total_steps),
             extra={"benchmarks": [spec.name for spec in specs],
                    "saturations": saturations,
-                   "threshold": args.threshold, "quick": args.quick},
+                   "thresholds": thresholds, "quick": args.quick},
             index=args.bench_index)
         print(f"wrote {target}", file=sys.stderr)
     if cache is not None:

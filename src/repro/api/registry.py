@@ -40,6 +40,7 @@ from repro.api.report import AnalysisReport
 from repro.baselines.cha import ClassHierarchyAnalysis
 from repro.baselines.rta import RapidTypeAnalysis
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
+from repro.core.kernel.saturation import OFF
 from repro.core.state import SolverState
 from repro.ir.program import Program
 
@@ -83,7 +84,15 @@ class ConfigAnalyzer:
 
     def config(self, saturation_threshold: Optional[int] = None,
                saturation_policy: Optional[str] = None) -> AnalysisConfig:
-        """The analyzer's engine configuration under the requested kernel knobs."""
+        """The analyzer's engine configuration under the requested kernel knobs.
+
+        An explicit ``off`` policy together with a threshold contradicts
+        itself and is rejected rather than silently dropping one of them.
+        """
+        if saturation_policy == OFF and saturation_threshold is not None:
+            raise ValueError(
+                f"saturation policy {OFF!r} contradicts saturation threshold "
+                f"{saturation_threshold!r}; pass one or the other")
         config = self.config_factory()
         if saturation_threshold is not None:
             config = config.with_saturation_threshold(saturation_threshold)

@@ -159,18 +159,18 @@ def _sweep(context: CheckContext) -> Dict[str, List[Diagnostic]]:
     policy = None
     if config is not None:
         policy = make_saturation_policy(
-            config.saturation_policy, hierarchy, config.saturation_threshold,
-            program=program, roots=tuple(state.seeded_roots))
+            config.saturation_policy, config.saturation_threshold,
+            program, tuple(state.seeded_roots))
         if policy is None and state.saturated_flows != 0:
             findings["saturation"].append(_diag(
                 "AUD005", "saturation",
                 f"saturated-flow counter is {state.saturated_flows} although "
                 f"the configured saturation policy is off"))
-        refresh = getattr(policy, "refresh_origins", None)
-        if refresh is not None:
-            refresh(frozenset(state.reachable),
-                    tuple(signature for _, signature in state.stub_links),
-                    tuple(state.seeded_roots))
+        elif policy is not None:
+            policy.refresh_origins(
+                frozenset(state.reachable),
+                tuple(signature for _, signature in state.stub_links),
+                tuple(state.seeded_roots))
 
     # Reachability bookkeeping agreement (graphs are built exactly for the
     # methods marked reachable).
@@ -275,7 +275,7 @@ def _sweep(context: CheckContext) -> Dict[str, List[Diagnostic]]:
                     _location(flow)))
 
         if flow.saturated and policy is not None:
-            sentinel = policy.sentinel_for(flow)
+            sentinel = policy.sentinel
             if flow_state.join(sentinel) is not flow_state:
                 saturation.append(_diag(
                     "AUD005", "saturation",

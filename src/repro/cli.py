@@ -638,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=available_saturation_policies(),
                          help="sentinel a saturated flow collapses to "
                               "(needs --saturation-threshold; default: "
-                              "closed-world once a threshold is set)")
+                              "allocated-type once a threshold is set)")
 
     analyze = subparsers.add_parser("analyze", help="run the analysis and print metrics")
     add_common(analyze)

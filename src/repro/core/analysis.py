@@ -23,7 +23,11 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from repro.core.kernel.arena_kernel import ArenaKernelSolver
-from repro.core.kernel.saturation import OFF, available_saturation_policies
+from repro.core.kernel.saturation import (
+    ALLOCATED_TYPE,
+    OFF,
+    available_saturation_policies,
+)
 from repro.core.results import AnalysisResult, Deferred, SolverStats
 from repro.core.solver import SkipFlowSolver
 from repro.core.state import SolverState
@@ -58,10 +62,9 @@ class AnalysisConfig:
         preserves the paper's exact semantics.
     ``saturation_policy``
         The solver kernel's cutoff policy (:mod:`repro.core.kernel`): which
-        sentinel a saturated flow collapses to.  The two saturation fields
-        are kept coherent automatically: a bare threshold engages the
-        classic ``closed-world`` sentinel, and dropping the threshold
-        resets the policy to ``off`` — so ``(saturation_policy,
+        sentinel a saturated flow collapses to.  A bare threshold engages
+        the ``allocated-type`` sentinel, and a named policy without a
+        threshold is rejected — so ``(saturation_policy,
         saturation_threshold)`` is canonical, which matters because the
         benchmark engine hashes the whole config into its cache keys.  The
         default ``off`` is the seed solver, bit-identical down to step
@@ -96,10 +99,12 @@ class AnalysisConfig:
             raise ValueError(
                 f"unknown saturation policy {self.saturation_policy!r}; "
                 f"available: {', '.join(policies)}")
+        if threshold is None and self.saturation_policy != OFF:
+            raise ValueError(
+                f"saturation policy {self.saturation_policy!r} needs a "
+                f"threshold")
         if threshold is not None and self.saturation_policy == OFF:
-            object.__setattr__(self, "saturation_policy", "closed-world")
-        elif threshold is None and self.saturation_policy != OFF:
-            object.__setattr__(self, "saturation_policy", OFF)
+            object.__setattr__(self, "saturation_policy", ALLOCATED_TYPE)
 
     # ------------------------------------------------------------------ #
     # Canonical configurations
@@ -148,10 +153,13 @@ class AnalysisConfig:
     def with_saturation_threshold(self, threshold: Optional[int]) -> "AnalysisConfig":
         """This config with the cutoff at ``threshold`` (``None`` turns it off).
 
-        A threshold on a config whose policy is ``off`` engages the classic
-        ``closed-world`` sentinel (the pre-kernel behaviour); an explicit
-        policy is preserved.
+        A threshold on a config whose policy is ``off`` engages the
+        ``allocated-type`` sentinel; an explicit policy is preserved, and
+        ``None`` resets it to ``off``.
         """
+        if threshold is None:
+            return replace(self, saturation_policy=OFF,
+                           saturation_threshold=None)
         return replace(self, saturation_threshold=threshold)
 
     def with_saturation_policy(self, saturation: str,
@@ -162,12 +170,9 @@ class AnalysisConfig:
         passed here or already present on the config.
         """
         if saturation == OFF:
-            return replace(self, saturation_policy=OFF, saturation_threshold=None)
-        threshold = threshold if threshold is not None else self.saturation_threshold
+            return self.with_saturation_threshold(None)
         if threshold is None:
-            raise ValueError(
-                f"saturation policy {saturation!r} needs a threshold; pass "
-                f"threshold=... or set one with with_saturation_threshold first")
+            threshold = self.saturation_threshold
         return replace(self, saturation_policy=saturation,
                        saturation_threshold=threshold)
 

@@ -21,7 +21,7 @@ definition, with one soundness guard documented below:
 
 ``Compare`` is a *filter*: its result is always ``<=`` the left operand in
 the lattice, so it composes with the solver's monotonicity argument — and
-with the saturation cutoff, since filtering a saturated (closed-world-top)
+with the saturation cutoff, since filtering a saturated (sentinel-top)
 state can only shrink it, never grow it.  See ``docs/architecture.md`` for
 how saturation interacts with filtering precision.
 """

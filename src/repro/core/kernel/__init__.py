@@ -6,8 +6,9 @@ interleaved in one class.  This package splits the *policy* decision out of
 the *propagation core* so it can be swapped without touching the solver:
 
 * :mod:`repro.core.kernel.saturation` — when a megamorphic flow collapses
-  and which top element it collapses to (``off``, ``closed-world``,
-  ``allocated-type``, ``allocated-type-reachable``), named by
+  and which top element it collapses to (``off``, ``allocated-type`` —
+  the sentinel a bare threshold engages — and
+  ``allocated-type-reachable``), named by
   ``AnalysisConfig.saturation_policy`` with its
   ``saturation_threshold``;
 * :mod:`repro.core.kernel.arena_kernel` — the same propagation core over
@@ -35,8 +36,6 @@ with ``off`` both kernels reproduce the seed's exact step counts.
 
 from repro.core.kernel.saturation import (
     AllocatedTypeSaturation,
-    ClosedWorldSaturation,
-    ReachableAllocatedSaturation,
     allocated_types,
     available_saturation_policies,
     make_saturation_policy,
@@ -45,8 +44,6 @@ from repro.core.kernel.saturation import (
 
 __all__ = [
     "AllocatedTypeSaturation",
-    "ClosedWorldSaturation",
-    "ReachableAllocatedSaturation",
     "allocated_types",
     "available_saturation_policies",
     "make_saturation_policy",

@@ -69,7 +69,10 @@ from repro.core.flows import (
     StoreFieldFlow,
 )
 from repro.core.compare import compare_states
-from repro.core.kernel.saturation import make_saturation_policy
+from repro.core.kernel.saturation import (
+    AllocatedTypeSaturation,
+    make_saturation_policy,
+)
 from repro.core.pvpg import BranchKind, BranchRecord, MethodPVPG, ProgramPVPG
 from repro.core.state import SolverState
 from repro.ir.arena import ArenaProgram, schema
@@ -167,7 +170,7 @@ class ArenaKernelSolver:
 
         self._worklist: Deque[int] = deque()
         self._pending_links: Deque[int] = deque()
-        self._saturation = None
+        self._saturation: Optional[AllocatedTypeSaturation] = None
         self._solve_roots: tuple = ()
         self._signatures: Dict[int, MethodSignature] = {}
 
@@ -325,9 +328,8 @@ class ArenaKernelSolver:
         if not root_names:
             raise ValueError("no root methods: provide roots or program entry points")
         self._saturation = make_saturation_policy(
-            self.config.saturation_policy, self.hierarchy,
-            self.config.saturation_threshold,
-            program=self.program, roots=tuple(root_names))
+            self.config.saturation_policy, self.config.saturation_threshold,
+            self.program, tuple(root_names))
         self._solve_roots = tuple(dict.fromkeys(root_names))
         self._refresh_saturation()
         previously_seeded: Set[str] = set()
@@ -439,10 +441,10 @@ class ArenaKernelSolver:
     # Saturation refinement (mirrors of the object solver's loop hooks)
     # ------------------------------------------------------------------ #
     def _refresh_saturation(self) -> bool:
-        refresh = getattr(self._saturation, "refresh_origins", None)
-        if refresh is None:
+        saturation = self._saturation
+        if saturation is None:
             return False
-        return refresh(
+        return saturation.refresh_origins(
             frozenset(self._reachable),
             tuple(signature for _, signature in self._stub_links),
             self._solve_roots)
@@ -459,25 +461,19 @@ class ArenaKernelSolver:
                              arena.method_flow_hi[mid])
 
     def _recollapse_saturated(self) -> None:
-        if self._saturation is None:
+        saturation = self._saturation
+        if saturation is None:
             return
         st = self._st
         for fid in self._iter_all_fids():
             if not self._saturated[fid]:
                 continue
-            refreshed = st[fid].join(self._sentinel_for(fid))
+            refreshed = st[fid].join(saturation.sentinel)
             if refreshed is not st[fid]:
                 self._inp[fid] = refreshed
                 st[fid] = refreshed
                 if self._enabled[fid]:
                     self._schedule(fid)
-
-    def _sentinel_for(self, fid: int) -> ValueState:
-        """Mirror of ``ClosedWorldSaturation.sentinel_for`` on fid payloads.
-
-        Every built-in top is flow-independent, so the fid is unused.
-        """
-        return self._saturation._sentinel(None)  # type: ignore[union-attr, arg-type]
 
     # ------------------------------------------------------------------ #
     # Worklist machinery
@@ -567,12 +563,10 @@ class ArenaKernelSolver:
         new_state = self._st[fid].join(output)
         if new_state is not self._st[fid]:
             saturation = self._saturation
-            if saturation is not None:
-                # Inlined ClosedWorldSaturation.collapse (inherited
-                # unchanged by every built-in policy).
-                if len(new_state.reference_types) > saturation.threshold:
-                    self._saturate(fid, new_state.join(self._sentinel_for(fid)))
-                    return
+            if (saturation is not None
+                    and len(new_state.reference_types) > saturation.threshold):
+                self._saturate(fid, new_state.join(saturation.sentinel))
+                return
             self._st[fid] = new_state
             if self._enabled[fid]:
                 self._schedule(fid)

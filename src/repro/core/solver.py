@@ -43,7 +43,10 @@ from repro.core.flows import (
     SourceFlow,
     StoreFieldFlow,
 )
-from repro.core.kernel.saturation import make_saturation_policy
+from repro.core.kernel.saturation import (
+    AllocatedTypeSaturation,
+    make_saturation_policy,
+)
 from repro.core.pvpg import MethodPVPG
 from repro.core.pvpg_builder import ObjectSink, PVPGBuilder
 from repro.core.state import SolverState, SolverStateError
@@ -69,7 +72,8 @@ class SkipFlowSolver:
     ``config.saturation_policy`` — decides when a megamorphic flow
     collapses and which top it collapses to (``off`` — the exact default,
     represented as no policy object at all so the hot path pays nothing;
-    ``closed-world``; ``allocated-type``; ``allocated-type-reachable``).
+    ``allocated-type``, which a bare threshold engages;
+    ``allocated-type-reachable``).
     A saturated flow's joins are skipped because its state already
     dominates anything that could arrive, which keeps the result a sound
     over-approximation.
@@ -116,7 +120,7 @@ class SkipFlowSolver:
         self._worklist: Deque[Flow] = deque()
         #: ``None`` when the cutoff is off — the hot path skips the feature.
         #: Built per solve (not here): program-aware policies need the roots.
-        self._saturation = None
+        self._saturation: Optional[AllocatedTypeSaturation] = None
         #: Roots of the current solve (old seeds + new roots), for policies
         #: whose origin computation needs them; set by :meth:`solve`.
         self._solve_roots: tuple = ()
@@ -181,9 +185,8 @@ class SkipFlowSolver:
         if not root_names:
             raise ValueError("no root methods: provide roots or program entry points")
         self._saturation = make_saturation_policy(
-            self.config.saturation_policy, self.hierarchy,
-            self.config.saturation_threshold,
-            program=self.program, roots=tuple(root_names))
+            self.config.saturation_policy, self.config.saturation_threshold,
+            self.program, tuple(root_names))
         self._solve_roots = tuple(dict.fromkeys(
             list(state.seeded_roots) + root_names))
         # Reachability-refined policies compute their origins from the
@@ -228,10 +231,10 @@ class SkipFlowSolver:
           must re-enter the fresh worklist;
         * saturated flows — their sentinel was computed against the *old*
           program, and every sentinel only widens as the world grows
-          (closed-world and allocated tops gain types).  Joins into a
-          saturated flow are skipped, so the flow must first be re-collapsed
-          to the current sentinel or a cold solve of the grown program would
-          see more than the resumed one;
+          (allocated tops gain types).  Joins into a saturated flow are
+          skipped, so the flow must first be re-collapsed to the current
+          sentinel or a cold solve of the grown program would see more
+          than the resumed one;
         * conservative injections — root parameter seeds and stub-callee
           effects inject ``instantiable_subtypes`` of declared types, which
           also grow with the hierarchy.  Re-playing them is a no-op join
@@ -253,15 +256,15 @@ class SkipFlowSolver:
     def _refresh_saturation(self) -> bool:
         """Let a reachability-aware cutoff recompute its origin set.
 
-        Duck-typed: only policies exposing ``refresh_origins`` (today
-        ``allocated-type-reachable``) participate; every other policy —
-        and the policy-less exact path — returns ``False`` immediately,
-        so the refinement loop is a single no-op check for them.
+        Only ``allocated-type-reachable`` can answer ``True``; the
+        whole-text ``allocated-type`` origins and the policy-less exact
+        path return ``False`` immediately, so the refinement loop is a
+        single no-op check for them.
         """
-        refresh = getattr(self._saturation, "refresh_origins", None)
-        if refresh is None:
+        saturation = self._saturation
+        if saturation is None:
             return False
-        return refresh(
+        return saturation.refresh_origins(
             frozenset(self.state.reachable),
             tuple(signature for _, signature in self.state.stub_links),
             self._solve_roots)
@@ -281,7 +284,7 @@ class SkipFlowSolver:
         for flow in self.pvpg.all_flows():
             if not flow.saturated:
                 continue
-            refreshed = flow.state.join(saturation.sentinel_for(flow))
+            refreshed = flow.state.join(saturation.sentinel)
             if refreshed is not flow.state:
                 flow.input_state = refreshed
                 flow.state = refreshed
@@ -409,11 +412,12 @@ class SkipFlowSolver:
         new_state = flow.state.join(output)
         if new_state is not flow.state:
             saturation = self._saturation
-            if saturation is not None:
-                sentinel = saturation.collapse(flow, new_state)
-                if sentinel is not None:
-                    self._saturate(flow, sentinel)
-                    return
+            if (saturation is not None
+                    and len(new_state.reference_types) > saturation.threshold):
+                # Joining over the triggering state keeps the collapse a
+                # move *up* the lattice.
+                self._saturate(flow, new_state.join(saturation.sentinel))
+                return
             flow.state = new_state
             if flow.enabled:
                 self._schedule(flow)

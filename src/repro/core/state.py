@@ -46,6 +46,7 @@ step counts (the CI regression gate covers this).
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.flows import (
@@ -74,8 +75,10 @@ if TYPE_CHECKING:
 #: Bumped whenever the snapshot layout changes; snapshots written by other
 #: versions (or other code versions — the engine's stores also prefix the
 #: code version) are refused rather than misinterpreted.  Version 2: the
-#: pickled ``AnalysisConfig`` lost its ``scheduling`` field.
-SNAPSHOT_VERSION = 2
+#: pickled ``AnalysisConfig`` lost its ``scheduling`` field.  Version 3: the
+#: closed-world saturation sentinel is gone, and a bare threshold now means
+#: ``allocated-type``.
+SNAPSHOT_VERSION = 3
 
 
 class SolverStateError(ValueError):
@@ -401,6 +404,22 @@ def _encode_state(state: SolverState) -> Dict[str, Any]:
     }
 
 
+def _revalidated(config: Any) -> Any:
+    """Re-run the config's own validation, which unpickling skips.
+
+    A config naming a policy this code no longer has would otherwise load
+    fine and only fail deep inside the resumed solve.
+    """
+    if config is None:
+        return None
+    try:
+        return replace(config)
+    except (TypeError, ValueError) as error:
+        raise SolverStateError(
+            f"solver-state snapshot carries an invalid config: {error}"
+        ) from error
+
+
 def _decode_state(payload: Dict[str, Any]) -> SolverState:
     version = payload.get("snapshot_version") if isinstance(payload, dict) else None
     if version != SNAPSHOT_VERSION:
@@ -435,7 +454,7 @@ def _decode_state(payload: Dict[str, Any]) -> SolverState:
         )
         pvpg.methods[record["name"]] = graph
 
-    state = SolverState(payload["config"])
+    state = SolverState(_revalidated(payload["config"]))
     state.pvpg = pvpg
     state.fingerprint = payload["fingerprint"]
     state.steps = payload["steps"]

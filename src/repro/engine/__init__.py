@@ -71,16 +71,18 @@ The solver's termination proof (Appendix C) rests on monotonicity: value
 states only grow in the lattice ``L``, flows only switch from disabled to
 enabled, and edges are only added.  The saturation cutoff
 (``AnalysisConfig.saturation_threshold``) preserves exactly that argument:
-saturating a flow *jumps* its state to the top element of ``L`` restricted
-to the closed world (every instantiable type, ``null``, primitive ``Any``),
-which is still a move up the lattice, and subsequently skipped joins into
-the flow are no-ops by definition of top.  The fixed point is reached sooner
+saturating a flow *jumps* its state to its policy's sentinel — the top
+element of ``L`` restricted to the types that can originate in a value
+state (``null`` and primitive ``Any`` included) — joined over its current
+state, which is still a move up the lattice, and subsequently skipped joins
+into the flow are no-ops by definition of top.  The fixed point is reached sooner
 and is a sound over-approximation of the paper's result; with the cutoff
 disabled (the default everywhere) results are bit-identical to the exact
 semantics.  Because the threshold is part of ``config_hash``, cached exact
 and saturated results never mix.  ``docs/architecture.md`` spells the
-argument out in full; ``benchmarks/run_saturation_study.py`` measures the
-precision/cost trade-off on the wide-hierarchy workload family.
+argument out in full; ``benchmarks/run_policy_study.py`` measures the
+precision/cost trade-off per policy and threshold on the wide-hierarchy
+workload family.
 """
 
 from repro.engine.cache import ResultCache, compute_code_version

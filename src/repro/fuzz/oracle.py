@@ -59,6 +59,7 @@ from repro.baselines.rta import RapidTypeAnalysis
 from repro.checks import audit_state
 from repro.core.analysis import run_baseline, run_skipflow
 from repro.core.kernel import available_saturation_policies
+from repro.core.kernel.saturation import OFF
 from repro.ir.arena import freeze, open_program
 from repro.ir.interpreter import ExecutionTrace, HeapObject, Interpreter
 from repro.ir.program import Program
@@ -276,6 +277,12 @@ def _check_audits(state, program: Program, label: str, step: int,
                                     snapshot=False)]
 
 
+def _combo_options(saturation: str, threshold: int) -> dict:
+    """Session options of one policy cell; ``off`` takes no threshold."""
+    return dict(saturation_policy=saturation,
+                saturation_threshold=None if saturation == OFF else threshold)
+
+
 def check_case(script: EditScriptSpec, *,
                saturations: Optional[Sequence[str]] = None,
                threshold: int = DEFAULT_THRESHOLD,
@@ -329,8 +336,7 @@ def check_case(script: EditScriptSpec, *,
 
         for saturation in saturations:
             label = f"skipflow[{saturation}@{threshold}]"
-            options = dict(saturation_policy=saturation,
-                           saturation_threshold=threshold)
+            options = _combo_options(saturation, threshold)
             combo = AnalysisSession(program).run("skipflow", **options)
             cold[(saturation, count)] = _canonical_outputs(combo)
             report.violations.extend(_check_trace_against(
@@ -360,8 +366,7 @@ def check_case(script: EditScriptSpec, *,
     for saturation in saturations:
         report.combos_checked += 1
         label = f"skipflow[{saturation}@{threshold}]"
-        options = dict(saturation_policy=saturation,
-                       saturation_threshold=threshold)
+        options = _combo_options(saturation, threshold)
         session = AnalysisSession(generate_benchmark(script.base))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a fallback is a failure here

@@ -1,5 +1,5 @@
-"""Rendering of the evaluation artifacts: Table 1, Figure 9, the saturation,
-policy, and incremental studies, and DOT exports."""
+"""Rendering of the evaluation artifacts: Table 1, Figure 9, the policy
+(saturation) and incremental studies, and DOT exports."""
 
 from repro.reporting.figures import figure9_series, format_figure9
 from repro.reporting.graphviz import call_graph_to_dot, pvpg_to_dot
@@ -15,12 +15,6 @@ from repro.reporting.policy import (
     summarize_policy_sweep,
 )
 from repro.reporting.records import BenchmarkComparison, compare_configurations
-from repro.reporting.saturation import (
-    SaturationPoint,
-    format_saturation_study,
-    saturation_series,
-    summarize_sweep,
-)
 from repro.reporting.service import (
     LoadResult,
     ServicePoint,
@@ -47,7 +41,6 @@ __all__ = [
     "IncrementalPoint",
     "LoadResult",
     "PolicyPoint",
-    "SaturationPoint",
     "ServicePoint",
     "TrajectoryRow",
     "call_graph_to_dot",
@@ -59,7 +52,6 @@ __all__ = [
     "format_load_result",
     "format_matrix_table",
     "format_policy_study",
-    "format_saturation_study",
     "format_service_study",
     "format_table1",
     "format_trend",
@@ -67,11 +59,9 @@ __all__ = [
     "matrix_table_rows",
     "policy_points",
     "pvpg_to_dot",
-    "saturation_series",
     "summarize_incremental",
     "summarize_policy_sweep",
     "summarize_service",
-    "summarize_sweep",
     "table1_rows",
     "write_trajectory",
 ]

@@ -378,16 +378,16 @@ def add_wide_hierarchy_module(pb: ProgramBuilder, prefix: str, depth: int,
       ``current instanceof <prefix>Rare``, where ``Rare`` is a concrete but
       never-allocated subclass of the root.
 
-    The ``Rare`` guard is what makes the cutoff's precision loss observable
-    in reachable methods: the exact analysis sees that ``Rare`` is not among
-    the leaf types flowing into ``current`` and proves the payload dead, but
-    a saturated flow jumps to the closed-world top — which contains every
-    *instantiable* (declared concrete) type, including ``Rare`` — so the
-    ``instanceof`` filter can no longer discharge the guard and the payload
-    (plus the ``run`` methods of the never-allocated inner nodes) becomes
-    reachable.  Solver effort drops in exchange, because saturated flows
-    skip all further joins.  ``benchmarks/run_saturation_study.py`` measures
-    both sides of that trade.
+    The ``Rare`` guard is what tells saturation sentinels apart in reachable
+    methods: the exact analysis sees that ``Rare`` is not among the leaf
+    types flowing into ``current`` and proves the payload dead, and so does
+    a saturated flow whose top holds only allocated types
+    (``allocated-type``, the sentinel a bare threshold engages), because
+    ``Rare`` is never allocated.  A top holding every *instantiable*
+    (declared concrete) type would contain ``Rare``, the ``instanceof``
+    filter could no longer discharge the guard, and the payload would become
+    reachable.  ``benchmarks/run_policy_study.py`` measures each sentinel's
+    precision loss and solver effort per threshold.
     """
     if depth < 1:
         raise ValueError(f"hierarchy depth must be >= 1, got {depth}")

@@ -12,7 +12,7 @@ The additional ``WideHierarchy`` suite goes beyond the paper: its specs carry
 type hierarchies of hundreds of allocated leaf types flowing into shared
 fields and megamorphic call sites, which the Table 1 specs (a handful of
 types per flow) never produce.  It exists to measure the saturation cutoff
-(``benchmarks/run_saturation_study.py``) and is deliberately *not* part of
+(``benchmarks/run_policy_study.py``) and is deliberately *not* part of
 :func:`all_suites`, so the Table 1 / Figure 9 reproductions keep mirroring
 the paper exactly.
 """
@@ -139,7 +139,7 @@ def wide_hierarchy_suite() -> List[BenchmarkSpec]:
     always-reachable core and one conventionally guarded module, so the
     standard baseline-vs-SkipFlow comparison stays meaningful; the precision
     the saturation cutoff gives up is measured against the *exact* SkipFlow
-    run by ``benchmarks/run_saturation_study.py``.
+    run by ``benchmarks/run_policy_study.py``.
 
     The ``composed-*`` specs interleave several hierarchies below a common
     ancestor (``compose_hierarchies``): their megamorphic width lives in a

@@ -76,8 +76,19 @@ class TestCompareRouting:
 class TestAnalyzerConfig:
     def test_config_keeps_the_analyzer_name(self):
         config = get_analyzer("pta").config(saturation_threshold=8)
-        assert config.saturation_policy == "closed-world"
+        assert config.saturation_policy == "allocated-type"
         assert config.name == "PTA"
+
+    def test_explicit_off_with_threshold_is_rejected(self, session):
+        """``off`` plus a threshold means one thing at every entry point:
+        an error, not a silently dropped threshold."""
+        with pytest.raises(ValueError, match="contradicts"):
+            get_analyzer("skipflow").config(4, "off")
+        with pytest.raises(ValueError, match="contradicts"):
+            session.run("skipflow", saturation_threshold=4,
+                        saturation_policy="off")
+        assert get_analyzer("skipflow").config(None, "off").saturation_policy \
+            == "off"
 
     def test_config_knob_composition(self):
         config = get_analyzer("skipflow").config(

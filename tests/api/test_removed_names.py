@@ -3,22 +3,25 @@
 The ``kernel`` choice (the program and the solve now pick the kernel), the
 parallel kernel's ``partitions`` worker count, the ``scheduling`` choice
 (both kernels drain the worklist oldest-first) with every scheduling name,
-the bundled ``policy`` option, and the ``declared-type`` saturation
-sentinel no longer exist.  Each name must fail loudly wherever a user can
-write it down — the config, the CLI, and the daemon's wire — instead of
-being ignored or crashing the server.
+the bundled ``policy`` option, and the ``declared-type`` and
+``closed-world`` saturation sentinels no longer exist.  Each name must fail
+loudly wherever a user can write it down — the config, the CLI, and the
+daemon's wire — instead of being ignored or crashing the server.
 """
 
 import dataclasses
 import importlib
+import pickle
 
 import pytest
 
 from repro.api import AnalysisSession
 from repro.api.errors import EXIT_USAGE
 from repro.cli import main as cli_main
-from repro.core.analysis import AnalysisConfig
+from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.core.results import AnalysisResult
+from repro.core.state import SolverState, SolverStateError
+from repro.lang import compile_source
 from repro.service import ServiceClient, ServiceClientError, serving
 
 SOURCE = """
@@ -46,6 +49,9 @@ REMOVED = [
     ("scheduling", "hybrid", ["--scheduling", "hybrid"], TypeError),
     ("saturation_policy", "declared-type",
      ["--saturation-policy", "declared-type", "--saturation-threshold", "8"],
+     ValueError),
+    ("saturation_policy", "closed-world",
+     ["--saturation-policy", "closed-world", "--saturation-threshold", "8"],
      ValueError),
     ("partitions", 2, ["--partitions", "2"], TypeError),
 ]
@@ -118,6 +124,18 @@ def test_scheduling_flag_is_a_usage_error_on_every_command(tmp_path, capsys,
     assert "--scheduling" in capsys.readouterr().err
 
 
+def test_snapshot_naming_a_removed_policy_is_refused():
+    """A v3 payload whose config still names ``closed-world`` fails at load
+    time with a ``SolverStateError``, not inside the resumed solve."""
+    program = compile_source(SOURCE)
+    config = AnalysisConfig.skipflow().with_saturation_threshold(8)
+    result = SkipFlowAnalysis(program, config).run()
+    payload = pickle.loads(result.solver_state.to_bytes(program))
+    object.__setattr__(payload["config"], "saturation_policy", "closed-world")
+    with pytest.raises(SolverStateError, match="closed-world"):
+        SolverState.from_bytes(pickle.dumps(payload))
+
+
 def test_policy_option_is_rejected_by_the_session():
     session = AnalysisSession.from_source(SOURCE)
     with pytest.raises(TypeError, match="policy"):
@@ -127,7 +145,8 @@ def test_policy_option_is_rejected_by_the_session():
 
 
 @pytest.mark.parametrize("module", ["repro.core.kernel.scheduling",
-                                    "repro.core.kernel.policy"])
+                                    "repro.core.kernel.policy",
+                                    "repro.reporting.saturation"])
 def test_removed_module_is_gone(module):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)
@@ -159,6 +178,11 @@ REMOVED_ATTRIBUTES = [
     ("repro.core.kernel.arena_kernel", "_DegreeFids"),
     ("repro.core.kernel.arena_kernel", "_WORKLISTS"),
     ("repro.core.kernel.arena_kernel", "ArenaKernelSolver._degree"),
+    ("repro.core.kernel.saturation", "ClosedWorldSaturation"),
+    ("repro.core.kernel.saturation", "ReachableAllocatedSaturation"),
+    ("repro.core.kernel.saturation", "AllocatedTypeSaturation.collapse"),
+    ("repro.core.kernel.saturation", "AllocatedTypeSaturation.sentinel_for"),
+    ("repro.core.kernel.arena_kernel", "ArenaKernelSolver._sentinel_for"),
 ]
 
 
@@ -178,6 +202,12 @@ def test_removed_python_name_is_gone(module, name):
     ("repro.core", "available_scheduling_policies"),
     ("repro.api", "SolverPolicy"),
     ("repro.api", "available_scheduling_policies"),
+    ("repro.core.kernel", "ClosedWorldSaturation"),
+    ("repro.core.kernel", "ReachableAllocatedSaturation"),
+    ("repro.reporting", "SaturationPoint"),
+    ("repro.reporting", "saturation_series"),
+    ("repro.reporting", "summarize_sweep"),
+    ("repro.reporting", "format_saturation_study"),
 ], ids=lambda value: value)
 def test_removed_reexport_is_gone(module, name):
     package = importlib.import_module(module)

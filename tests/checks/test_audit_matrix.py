@@ -22,8 +22,7 @@ from tests.conftest import build_virtual_threads_program
 #: megamorphic flows, 1 collapses every flow that sees a second type.
 SATURATIONS = (("off", None),) + tuple(
     (saturation, threshold)
-    for saturation in ("allocated-type", "closed-world",
-                       "allocated-type-reachable")
+    for saturation in ("allocated-type", "allocated-type-reachable")
     for threshold in (8, 1))
 
 SOURCE = """

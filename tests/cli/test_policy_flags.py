@@ -68,6 +68,12 @@ class TestAnalyze:
                          "--saturation-policy", "allocated-type"]) == 2
         assert "needs a threshold" in capsys.readouterr().err
 
+    def test_explicit_off_with_threshold_is_a_usage_error(self, source,
+                                                          capsys):
+        assert cli_main(["analyze", source, "--saturation-threshold", "4",
+                         "--saturation-policy", "off"]) == 2
+        assert "contradicts" in capsys.readouterr().err
+
     def test_saturation_policy_with_threshold_runs(self, source, capsys):
         assert cli_main(["analyze", source,
                          "--saturation-policy", "allocated-type",

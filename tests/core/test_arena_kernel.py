@@ -23,7 +23,11 @@ from repro.image.builder import NativeImageBuilder
 from repro.ir.arena import freeze, open_program
 from repro.lang import compile_source
 from repro.workloads.generator import generate_benchmark
-from repro.workloads.suites import dacapo_suite, suite_by_name
+from repro.workloads.suites import (
+    dacapo_suite,
+    suite_by_name,
+    wide_hierarchy_suite,
+)
 
 
 def _workload(suite, name):
@@ -64,13 +68,17 @@ class Main {
 }
 """
 
+#: Every WideHierarchy shape (flat, mid, deep, broad, huge, composed).
+WIDE_SPECS = {spec.name: spec for spec in wide_hierarchy_suite()}
+
 _PROGRAMS = {}
 _ATTACHED = {}
 
 
 def _program(key):
     if key not in _PROGRAMS:
-        _PROGRAMS[key] = generate_benchmark(WORKLOADS[key])
+        _PROGRAMS[key] = generate_benchmark(WORKLOADS.get(key)
+                                            or WIDE_SPECS[key])
     return _PROGRAMS[key]
 
 
@@ -159,6 +167,19 @@ class TestBitIdenticalGrid:
                   .with_saturation_policy(saturation, 8))
         reference = _solve(workload, config)
         arena = _solve_arena(workload, config)
+        assert _canonical(arena) == _canonical(reference)
+
+    @pytest.mark.parametrize("workload", sorted(WIDE_SPECS))
+    @pytest.mark.parametrize("saturation", CUTOFFS)
+    def test_every_wide_spec_at_the_lowest_study_threshold(self, workload,
+                                                            saturation):
+        """Threshold 2, the policy study's lowest, saturates flows on every
+        hierarchy shape; both kernels must still agree bit for bit."""
+        config = (AnalysisConfig.skipflow()
+                  .with_saturation_policy(saturation, 2))
+        reference = _solve(workload, config)
+        arena = _solve_arena(workload, config)
+        assert reference.stats.saturated_flows > 0
         assert _canonical(arena) == _canonical(reference)
 
     def test_baseline_pta_is_bit_identical_too(self):

@@ -1,7 +1,5 @@
 """The allocated-type saturation policy."""
 
-import pytest
-
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.core.kernel import (
     AllocatedTypeSaturation,
@@ -78,20 +76,28 @@ class Main { static void main() { } }
             is_static=True))
         allocated = allocated_types(program)
         assert {"Plugin", "Turbo"} <= allocated
+
+    def test_registered_with_fixed_origins(self):
+        """The whole-text origins are fixed at construction, so refreshing
+        them from a reachable set is a no-op that reports no growth."""
         assert "allocated-type" in available_saturation_policies()
-        program = compile_source("class Main { static void main() { } }")
-        policy = make_saturation_policy("allocated-type", program.hierarchy,
-                                        4, program=program)
+        program = compile_source("""
+class Used { }
+class Main { static void main() { Used u = new Used(); } }
+""")
+        policy = make_saturation_policy("allocated-type", 4, program)
         assert isinstance(policy, AllocatedTypeSaturation)
-        with pytest.raises(ValueError, match="needs the program"):
-            make_saturation_policy("allocated-type", program.hierarchy, 4)
+        assert not policy.reachable
+        assert "Used" in policy.origins
+        sentinel = policy.sentinel
+        assert not policy.refresh_origins(frozenset(program.methods), (), ())
+        assert policy.sentinel is sentinel
 
     def test_sentinel_excludes_never_allocated_types(self):
         program = generate_benchmark(WIDE_SPEC)
         policy = AllocatedTypeSaturation(
-            program.hierarchy, THRESHOLD,
-            allocated_types(program, tuple(program.entry_points)))
-        sentinel = policy.sentinel_for(None)
+            THRESHOLD, program, tuple(program.entry_points))
+        sentinel = policy.sentinel
         assert "Alloc_wideHier0Rare" not in sentinel.types
         assert "Alloc_wideHier0L2N0" in sentinel.types  # an allocated leaf
         assert sentinel.contains_null and sentinel.has_any
@@ -113,27 +119,27 @@ class TestRareGuardDischarge:
     def test_rare_guarded_payload_stays_dead(self):
         program = generate_benchmark(WIDE_SPEC)
         exact = run_with(program, "off")
-        closed = run_with(program, "closed-world")
         allocated = run_with(program, "allocated-type")
+        bare = SkipFlowAnalysis(
+            program,
+            AnalysisConfig.skipflow().with_saturation_threshold(THRESHOLD),
+        ).run()
 
         payload_entry = "Alloc_wideHier0PayloadEntry.enter"
-        # The cutoff fired in both saturated runs.
-        assert closed.stats.saturated_flows > 0
         assert allocated.stats.saturated_flows > 0
-        # Closed-world re-inflates the rare-guarded payload; the allocated
-        # sentinel excludes Rare, so the instanceof guard still discharges.
+        # The allocated sentinel excludes Rare, so the instanceof guard
+        # still discharges — also under a bare threshold, which engages it.
         assert payload_entry not in exact.reachable_methods
-        assert payload_entry in closed.reachable_methods
         assert payload_entry not in allocated.reachable_methods
+        assert bare.reachable_methods == allocated.reachable_methods
 
-    def test_reinflation_is_smallest_of_all_sentinels(self):
+    def test_reachable_refinement_reinflates_least(self):
         program = generate_benchmark(WIDE_SPEC)
         exact = run_with(program, "off")
-        closed = run_with(program, "closed-world")
         allocated = run_with(program, "allocated-type")
-        assert (exact.reachable_method_count
-                <= allocated.reachable_method_count
-                < closed.reachable_method_count)
+        refined = run_with(program, "allocated-type-reachable")
+        assert (exact.reachable_methods <= refined.reachable_methods
+                <= allocated.reachable_methods)
 
     def test_still_a_sound_over_approximation(self):
         program = generate_benchmark(WIDE_SPEC)

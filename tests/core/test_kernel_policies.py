@@ -9,6 +9,9 @@ from repro.core.kernel import (
     available_saturation_policies,
     make_saturation_policy,
 )
+from repro.lang import compile_source
+
+SOURCE = "class Main { static void main() { } }"
 
 
 class TestConfigValidation:
@@ -32,7 +35,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=">= 1"):
             AnalysisConfig(saturation_threshold=0)
         with pytest.raises(ValueError, match=">= 1"):
-            AnalysisConfig.skipflow().with_saturation_policy("closed-world", -3)
+            AnalysisConfig.skipflow().with_saturation_policy("allocated-type",
+                                                             -3)
 
     @pytest.mark.parametrize("threshold", ["16", True, False, 4.0, [4]],
                              ids=["str", "true", "false", "float", "list"])
@@ -45,23 +49,24 @@ class TestConfigValidation:
     def test_smallest_threshold_accepted(self):
         config = AnalysisConfig.skipflow().with_saturation_threshold(1)
         assert config.saturation_threshold == 1
-        assert config.saturation_policy == "closed-world"
+        assert config.saturation_policy == "allocated-type"
 
 
 class TestRegistries:
     def test_builtin_names(self):
         assert available_saturation_policies()[0] == "off"
-        assert set(available_saturation_policies()) == {
-            "off", "closed-world", "allocated-type",
-            "allocated-type-reachable"}
+        assert available_saturation_policies() == (
+            "off", "allocated-type", "allocated-type-reachable")
 
     def test_unknown_names_listed(self):
-        with pytest.raises(ValueError, match="closed-world"):
-            make_saturation_policy("nope", None, 4)
+        program = compile_source(SOURCE)
+        with pytest.raises(ValueError, match="allocated-type-reachable"):
+            make_saturation_policy("nope", 4, program)
 
     def test_off_factory_returns_none(self):
-        assert make_saturation_policy("off", None, None) is None
-        assert make_saturation_policy("closed-world", None, None) is None
+        program = compile_source(SOURCE)
+        assert make_saturation_policy("off", None, program) is None
+        assert make_saturation_policy("allocated-type", None, program) is None
 
 
 class TestConfigPlumbing:
@@ -71,10 +76,14 @@ class TestConfigPlumbing:
             "filter_type_checks", "filter_comparisons", "validate",
             "saturation_threshold", "saturation_policy"]
 
-    def test_bare_threshold_engages_closed_world(self):
+    def test_bare_threshold_engages_allocated_type(self):
         config = AnalysisConfig.skipflow().with_saturation_threshold(8)
-        assert config.saturation_policy == "closed-world"
+        assert config.saturation_policy == "allocated-type"
         assert config.saturation_threshold == 8
+        assert config == AnalysisConfig.skipflow().with_saturation_policy(
+            "allocated-type", 8)
+        assert AnalysisConfig(saturation_threshold=8) == AnalysisConfig(
+            saturation_threshold=8, saturation_policy="allocated-type")
 
     def test_dropping_threshold_resets_policy_to_off(self):
         config = (AnalysisConfig.skipflow()
@@ -86,6 +95,20 @@ class TestConfigPlumbing:
     def test_saturation_policy_without_threshold_rejected(self):
         with pytest.raises(ValueError, match="needs a threshold"):
             AnalysisConfig.skipflow().with_saturation_policy("allocated-type")
+
+    @pytest.mark.parametrize("policy", ["allocated-type",
+                                        "allocated-type-reachable"])
+    def test_constructor_rejects_policy_without_threshold(self, policy):
+        """A named policy is not silently reset to ``off``."""
+        with pytest.raises(ValueError, match="needs a threshold"):
+            AnalysisConfig(saturation_policy=policy)
+
+    def test_dropping_threshold_of_explicit_policy_resets_to_off(self):
+        config = (AnalysisConfig.skipflow()
+                  .with_saturation_policy("allocated-type-reachable", 4)
+                  .with_saturation_threshold(None))
+        assert (config.saturation_policy,
+                config.saturation_threshold) == ("off", None)
 
     def test_saturation_policy_keeps_existing_threshold(self):
         config = (AnalysisConfig.skipflow().with_saturation_threshold(8)
@@ -103,4 +126,4 @@ class TestConfigPlumbing:
         base = AnalysisConfig.skipflow()
         assert base != base.with_saturation_threshold(8)
         assert (base.with_saturation_threshold(8)
-                != base.with_saturation_policy("allocated-type", 8))
+                != base.with_saturation_policy("allocated-type-reachable", 8))

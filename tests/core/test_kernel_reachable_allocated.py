@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.core.kernel import (
-    ReachableAllocatedSaturation,
+    AllocatedTypeSaturation,
     available_saturation_policies,
     make_saturation_policy,
     reachable_allocated_types,
@@ -65,15 +65,14 @@ class Host { void boot(Plugin plugin) { plugin.start() ; } }
             program, reachable=frozenset(), roots=("Host.boot",))
         assert {"Host", "Plugin", "Turbo"} <= origins
 
-    def test_registered_and_needs_program(self):
+    def test_registered_with_refreshed_origins(self):
         assert "allocated-type-reachable" in available_saturation_policies()
         program = compile_source("class Main { static void main() { } }")
-        policy = make_saturation_policy(
-            "allocated-type-reachable", program.hierarchy, 4, program=program)
-        assert isinstance(policy, ReachableAllocatedSaturation)
-        with pytest.raises(ValueError, match="needs the program"):
-            make_saturation_policy("allocated-type-reachable",
-                                   program.hierarchy, 4)
+        policy = make_saturation_policy("allocated-type-reachable", 4, program)
+        assert isinstance(policy, AllocatedTypeSaturation)
+        assert policy.reachable
+        # Origins start empty and wait for the solve's first refresh.
+        assert policy.origins == frozenset()
 
     def test_origins_grow_monotonically(self):
         program = compile_source("""
@@ -84,14 +83,17 @@ class Main {
   static void more() { B b = new B(); }
 }
 """)
-        policy = ReachableAllocatedSaturation(program.hierarchy, 4, program)
+        policy = AllocatedTypeSaturation(4, program, reachable=True)
         assert policy.refresh_origins(frozenset({"Main.main"}), (), ())
         first = set(policy.origins)
         # Same reachable set again: no growth, no re-collapse needed.
+        sentinel = policy.sentinel
         assert not policy.refresh_origins(frozenset({"Main.main"}), (), ())
+        assert policy.sentinel is sentinel
         assert policy.refresh_origins(
             frozenset({"Main.main", "Main.more"}), (), ())
         assert first < set(policy.origins)
+        assert "B" in policy.sentinel.types
         # Shrinking the reachable set never shrinks the origins.
         assert not policy.refresh_origins(frozenset(), (), ())
         assert "B" in policy.origins

@@ -180,8 +180,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("kernel", ["object", "arena"])
     @pytest.mark.parametrize(
-        "saturation", ["allocated-type", "closed-world",
-                       "allocated-type-reachable"])
+        "saturation", ["allocated-type", "allocated-type-reachable"])
     @pytest.mark.parametrize("order", sorted(ORDERS))
     def test_orders_agree_under_saturation_too(self, order, saturation,
                                                kernel, monkeypatch):

@@ -3,23 +3,20 @@
 A cutoff trades precision for bounded state sizes: once a flow's type set
 passes the threshold it collapses to its policy's sentinel (top).  Whatever
 the top, a policy must stay a sound over-approximation of the exact solve,
-never be coarser than the closed-world top it refines, change nothing while
-the threshold is out of reach, and hand every flow the same top — the arena
-kernel's ``_sentinel_for`` relies on that last point to skip the flow
-argument.  The grid runs each property for every registered sentinel over a
-plain wide hierarchy, a composed (interleaved) one, and a generated
-WideHierarchy spec.
+never be coarser than the ``allocated-type`` top a bare threshold engages,
+change nothing while the threshold is out of reach, and keep its one
+flow-independent top inside the closed world.  The grid runs each property
+for every registered sentinel over a plain wide hierarchy, a composed
+(interleaved) one, and a generated WideHierarchy spec.
 """
 
 import pytest
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
-from repro.core.kernel import (
-    ClosedWorldSaturation,
-    available_saturation_policies,
-)
+from repro.core.kernel import available_saturation_policies
 from repro.core.solver import SkipFlowSolver
 from repro.ir.builder import ProgramBuilder
+from repro.ir.types import OBJECT_TYPE_NAME
 from repro.workloads.generator import (
     BenchmarkSpec,
     HierarchySpec,
@@ -109,11 +106,11 @@ def test_sound_superset_of_exact(program, sentinel):
     assert set(exact.call_edges()) <= set(saturated.call_edges())
 
 
-def test_never_coarser_than_closed_world(program, sentinel):
-    closed = _run(program, "closed-world")
+def test_never_coarser_than_allocated_type(program, sentinel):
+    allocated = _run(program, "allocated-type")
     saturated = _run(program, sentinel)
-    assert saturated.reachable_methods <= closed.reachable_methods
-    assert set(saturated.call_edges()) <= set(closed.call_edges())
+    assert saturated.reachable_methods <= allocated.reachable_methods
+    assert set(saturated.call_edges()) <= set(allocated.call_edges())
 
 
 def test_generous_threshold_stays_exact(program, sentinel):
@@ -124,21 +121,19 @@ def test_generous_threshold_stays_exact(program, sentinel):
     assert sorted(high.call_edges()) == sorted(exact.call_edges())
 
 
-def test_one_top_for_every_flow_and_it_is_dominated(program, sentinel):
-    """Flow-independent sentinel, inside the closed world, below every
-    saturated flow's final state."""
+def test_one_top_inside_the_closed_world_and_it_is_dominated(program,
+                                                             sentinel):
+    """The flow-independent sentinel holds only declared concrete types
+    (and ``null``), and lies below every saturated flow's final state."""
     solver = SkipFlowSolver(_program(program), _config(sentinel, LOW))
     solver.solve()
-    policy = solver._saturation
+    top = solver._saturation.sentinel
     flows = [flow for graph in solver.pvpg.methods.values()
              for flow in graph.flows]
     flows.extend(solver.pvpg.field_flows.values())
-    tops = {policy.sentinel_for(flow) for flow in flows}
-    assert len(tops) == 1
-    (top,) = tops
-    closed_top = ClosedWorldSaturation(_program(program).hierarchy,
-                                       LOW).sentinel_for(flows[0])
-    assert set(top.reference_types) <= set(closed_top.reference_types)
+    hierarchy = _program(program).hierarchy
+    concrete = set(hierarchy.instantiable_subtypes(OBJECT_TYPE_NAME))
+    assert set(top.reference_types) <= concrete
     saturated = [flow for flow in flows if flow.saturated]
     assert saturated
     for flow in saturated:

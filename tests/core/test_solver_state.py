@@ -53,8 +53,7 @@ class Main {
 #: collapses every flow that sees a second type.
 SATURATIONS = (("off", None),) + tuple(
     (saturation, threshold)
-    for saturation in ("closed-world", "allocated-type",
-                       "allocated-type-reachable")
+    for saturation in ("allocated-type", "allocated-type-reachable")
     for threshold in (4, 1))
 
 
@@ -174,18 +173,43 @@ class TestSnapshots:
         with pytest.raises(SolverStateError):
             SolverState.from_bytes(b"not a snapshot")
 
-    @pytest.mark.parametrize("version", [1, SNAPSHOT_VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 2, SNAPSHOT_VERSION + 1])
     def test_foreign_snapshot_versions_are_refused(self, version):
         """Version 1 pickled an ``AnalysisConfig`` that still had a
-        ``scheduling`` field; its layout must be refused, not half-read."""
+        ``scheduling`` field, and a version-2 config with a bare threshold
+        names the deleted closed-world policy; neither layout may be
+        half-read."""
         program = compile_source(SMALL_SOURCE)
         blob = SkipFlowAnalysis(program).run().solver_state.to_bytes(program)
         payload = pickle.loads(blob)
-        assert payload["snapshot_version"] == SNAPSHOT_VERSION == 2
+        assert payload["snapshot_version"] == SNAPSHOT_VERSION == 3
         payload["snapshot_version"] = version
         with pytest.raises(SolverStateError,
                            match=f"snapshot version {version}"):
             SolverState.from_bytes(pickle.dumps(payload))
+
+    def test_snapshot_config_is_revalidated_on_load(self):
+        """Unpickling skips ``AnalysisConfig.__post_init__``; decoding
+        re-runs it, so an unknown policy fails at load time with a
+        ``SolverStateError`` instead of deep inside the resumed solve."""
+        program = compile_source(SMALL_SOURCE)
+        config = AnalysisConfig.skipflow().with_saturation_threshold(4)
+        result = SkipFlowAnalysis(program, config).run()
+        payload = pickle.loads(result.solver_state.to_bytes(program))
+        assert payload["snapshot_version"] == 3
+        object.__setattr__(payload["config"], "saturation_policy",
+                           "open-world")
+        with pytest.raises(SolverStateError,
+                           match="unknown saturation policy 'open-world'"):
+            SolverState.from_bytes(pickle.dumps(payload))
+
+    def test_valid_snapshot_config_round_trips(self):
+        program = compile_source(SMALL_SOURCE)
+        config = AnalysisConfig.skipflow().with_saturation_threshold(4)
+        result = SkipFlowAnalysis(program, config).run()
+        state = SolverState.from_bytes(result.solver_state.to_bytes(program))
+        assert state.config == config
+        assert state.config.saturation_policy == "allocated-type"
 
     def test_to_bytes_stamps_the_snapshot_not_the_live_state(self):
         program = compile_source(SMALL_SOURCE)

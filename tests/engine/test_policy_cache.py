@@ -15,7 +15,6 @@ def _policy_configs():
     skipflow = AnalysisConfig.skipflow()
     return {
         "off": skipflow,
-        "closed-world": skipflow.with_saturation_threshold(64),
         "allocated-type": skipflow.with_saturation_policy(
             "allocated-type", 64),
         "allocated-type-reachable": skipflow.with_saturation_policy(
@@ -34,8 +33,10 @@ class TestPolicyKeying:
         cache = ResultCache(tmp_path)
         again = (AnalysisConfig.skipflow().with_saturation_threshold(64)
                  .with_saturation_policy("allocated-type"))
-        assert (cache.config_key(_spec(), _policy_configs()["allocated-type"])
-                == cache.config_key(_spec(), again))
+        bare = AnalysisConfig.skipflow().with_saturation_threshold(64)
+        expected = cache.config_key(_spec(), _policy_configs()["allocated-type"])
+        assert cache.config_key(_spec(), again) == expected
+        assert cache.config_key(_spec(), bare) == expected
 
     def test_policy_matrix_reuses_the_default_half(self, tmp_path):
         """A policy matrix shares the off half with a plain run."""
@@ -50,7 +51,7 @@ class TestPolicyKeying:
         assert matrix_cache.misses == len(configs) - 1
         row = rows[0]
         assert row.run("off").from_cache
-        # Saturation at 64 never fires on this small spec: all four columns
+        # Saturation at 64 never fires on this small spec: all three columns
         # agree on reachability.
         assert len({run.report.metrics.reachable_methods
                     for run in row.runs}) == 1

@@ -25,7 +25,8 @@ class TestKeying:
             store.key(OTHER_SPEC, CONFIG),
             store.key(SPEC, AnalysisConfig.baseline_pta()),
             store.key(SPEC, CONFIG.with_saturation_threshold(8)),
-            store.key(SPEC, CONFIG.with_saturation_policy("allocated-type", 8)),
+            store.key(SPEC, CONFIG.with_saturation_policy(
+                "allocated-type-reachable", 8)),
         }
         assert len(keys) == 5
 

@@ -161,6 +161,17 @@ class TestErrorStatuses:
         # The daemon keeps serving the session afterwards.
         assert client.analyze("demo", "skipflow")["mode"] == "cold"
 
+    def test_contradictory_saturation_pair_is_400(self, client):
+        client.open("demo", source=SOURCE_V1)
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.analyze("demo", "skipflow",
+                           options={"saturation_threshold": 4,
+                                    "saturation_policy": "off"})
+        assert excinfo.value.status == 400
+        assert excinfo.value.error_type == "ValueError"
+        assert "contradicts" in excinfo.value.message
+        assert client.analyze("demo", "skipflow")["mode"] == "cold"
+
     def test_malformed_json_is_400(self, client):
         import urllib.error
         import urllib.request

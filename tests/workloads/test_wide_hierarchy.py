@@ -57,14 +57,16 @@ class TestHierarchyModule:
         assert not run_skipflow(program).is_method_reachable(handle.payload_entry)
         assert run_baseline(program).is_method_reachable(handle.payload_entry)
 
-    def test_saturation_loses_rare_guard_precision(self):
-        """Below-width cutoffs make the rare-guarded payload reachable."""
+    def test_saturation_keeps_rare_guard_precision(self):
+        """A below-width cutoff collapses to the allocated-type top, which
+        excludes the never-allocated rare class, so the rare guard still
+        discharges and its payload stays dead."""
         program, handle = _hierarchy_program(depth=2, fanout=4)
         config = AnalysisConfig.skipflow().with_saturation_threshold(4)
         saturated = SkipFlowAnalysis(program, config).run()
         assert saturated.stats.saturated_flows > 0
-        assert saturated.is_method_reachable(handle.payload_entry)
-        assert saturated.is_method_reachable(f"{handle.rare_class}.run")
+        assert not saturated.is_method_reachable(handle.payload_entry)
+        assert not saturated.is_method_reachable(f"{handle.rare_class}.run")
         # Sound over-approximation: everything the exact analysis reaches.
         exact = run_skipflow(program)
         assert exact.reachable_methods <= saturated.reachable_methods
@@ -142,3 +144,22 @@ class TestWideHierarchySuite:
 
     def test_lookup_by_name(self):
         assert suite_by_name("widehierarchy") == wide_hierarchy_suite()
+
+    @pytest.mark.parametrize("spec", wide_hierarchy_suite(),
+                             ids=lambda spec: spec.name)
+    def test_reachable_refinement_keeps_the_exact_reachable_set(self, spec):
+        """At threshold 2, the policy study's lowest, both cutoffs fire on
+        every spec: ``allocated-type`` stays a sound superset of the exact
+        reachable set and ``allocated-type-reachable`` recovers it exactly."""
+        program = generate_benchmark(spec)
+        exact = frozenset(SkipFlowAnalysis(
+            program, AnalysisConfig.skipflow()).run().reachable_methods)
+
+        def reachable(policy):
+            config = AnalysisConfig.skipflow().with_saturation_policy(policy, 2)
+            result = SkipFlowAnalysis(program, config).run()
+            assert result.stats.saturated_flows > 0
+            return frozenset(result.reachable_methods)
+
+        assert reachable("allocated-type") >= exact
+        assert reachable("allocated-type-reachable") == exact
