@@ -6,7 +6,7 @@ Usage::
                                          [--suite DaCapo] [--benchmark fop]
                                          [--saturations off,allocated-type]
                                          [--threshold 64]
-                                         [--max-overhead-percent 10.0]
+                                         [--max-audit-walk-ratio 5.7]
 
 For every sampled benchmark of the extended suites (Table 1's three paper
 suites plus ``WideHierarchy``), the smoke
@@ -21,12 +21,19 @@ suites plus ``WideHierarchy``), the smoke
   ``SolverState.to_bytes``/``from_bytes`` with the full audit (the
   ``snapshot`` integrity check included) — priced separately, because the
   serialization probe is not part of the per-solve audit surface;
-* gates the **aggregate** audit overhead: total fast-audit wall-time
-  divided by total cold-solve wall-time across the whole matrix must stay
-  under ``--max-overhead-percent`` (default 10%).  The ratio is aggregate
-  rather than per-combo on purpose — every combination is audited exactly
-  once, so the aggregate is the real price of auditing the matrix, and it
-  is not distorted by tiny solves where fixed costs dominate.
+* gates the **aggregate** audit cost against a fixed reference: right
+  after each fast audit, a reference walk over the same state visits
+  ``pvpg.all_flows()`` and each flow's ``uses``, reading only the fields
+  the audit sweep reads and checking nothing.  Total fast-audit wall time
+  divided by total walk wall time across the whole matrix must stay under
+  ``--max-audit-walk-ratio`` (default 5.7).  Both legs walk the same
+  graph in the same process state, so neither solver speed nor garbage
+  the solves leave for the collector can move the ratio; a second sweep
+  per audit (what the sweep memo prevents) roughly doubles it.  The ratio is aggregate rather than per-combo on purpose: every
+  combination is audited exactly once, so the aggregate is the real price
+  of auditing the matrix, and tiny states where fixed costs dominate do
+  not distort it.  The audit's share of cold-solve wall time is printed as
+  information only.
 
 ``--specs-per-suite`` samples the N cheapest benchmarks of each suite
 (default 2, a CI-sized matrix); ``--specs-per-suite 0`` keeps every spec.
@@ -50,7 +57,20 @@ from repro.workloads.suites import extended_suites
 DEFAULT_SATURATIONS = ("off", "allocated-type")
 DEFAULT_THRESHOLD = 64
 DEFAULT_SPECS_PER_SUITE = 2
-DEFAULT_MAX_OVERHEAD = 10.0
+#: 1.25x the median audit/walk ratio of the tree before edge sets became
+#: dicts (4.37-4.69x over 5 runs, median 4.58x; 4.13-4.36x after, on 2
+#: cores, Python 3.11.7).  Sweeping twice per audit reads about 8.3x.
+DEFAULT_MAX_WALK_RATIO = 5.7
+
+
+def _reference_walk(state) -> None:
+    """The audit gate's yardstick: one pass over the flows and use edges the
+    audit sweep visits, reading the fields it reads and checking nothing."""
+    for flow in state.pvpg.all_flows():
+        _ = (flow.in_worklist, flow.saturated, flow.enabled, flow.state,
+             flow.input_state)
+        for target in flow.uses:
+            _ = (target.saturated, target.input_state)
 
 
 def _parse_names(text: str, kind: str, available) -> List[str]:
@@ -105,10 +125,11 @@ def main(argv=None) -> int:
     parser.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD,
                         help="saturation threshold for non-off policies "
                              f"(default: {DEFAULT_THRESHOLD})")
-    parser.add_argument("--max-overhead-percent", type=float,
-                        default=DEFAULT_MAX_OVERHEAD,
-                        help="aggregate audit/solve wall-time gate "
-                             f"(default: {DEFAULT_MAX_OVERHEAD})")
+    parser.add_argument("--max-audit-walk-ratio", type=float,
+                        default=DEFAULT_MAX_WALK_RATIO,
+                        help="gate on aggregate fast-audit wall time over "
+                             "reference-walk wall time "
+                             f"(default: {DEFAULT_MAX_WALK_RATIO})")
     args = parser.parse_args(argv)
 
     try:
@@ -137,6 +158,7 @@ def main(argv=None) -> int:
     lint_warnings = 0
     solve_seconds = 0.0
     audit_seconds = 0.0
+    walk_seconds = 0.0
     snapshot_seconds = 0.0
 
     for spec in specs:
@@ -163,6 +185,10 @@ def main(argv=None) -> int:
                 findings = audit_state(result.solver_state, program,
                                        snapshot=False)
                 audit_seconds += time.perf_counter() - started
+
+                started = time.perf_counter()
+                _reference_walk(result.solver_state)
+                walk_seconds += time.perf_counter() - started
                 if findings:
                     failures.append(
                         f"{spec.name} [{analyzer_name} {label}]: audit "
@@ -186,23 +212,25 @@ def main(argv=None) -> int:
 
     overhead = (100.0 * audit_seconds / solve_seconds
                 if solve_seconds > 0 else 0.0)
+    ratio = audit_seconds / walk_seconds if walk_seconds > 0 else 0.0
     print(f"check smoke: {combos} solves in {solve_seconds:.2f}s, fast "
-          f"audits in {audit_seconds:.2f}s (aggregate overhead "
-          f"{overhead:.1f}%, gate {args.max_overhead_percent:.1f}%), "
-          f"snapshot probes in {snapshot_seconds:.2f}s, "
+          f"audits in {audit_seconds:.2f}s, reference walks in "
+          f"{walk_seconds:.3f}s (audit/walk {ratio:.2f}x, gate "
+          f"{args.max_audit_walk_ratio:.2f}x; audit/solve {overhead:.1f}%, "
+          f"information only), snapshot probes in {snapshot_seconds:.2f}s, "
           f"{lint_warnings} advisory lint finding(s)")
-    if overhead >= args.max_overhead_percent:
+    if ratio >= args.max_audit_walk_ratio:
         failures.append(
-            f"aggregate audit overhead {overhead:.1f}% breaches the "
-            f"{args.max_overhead_percent:.1f}% gate")
+            f"aggregate audit/walk ratio {ratio:.2f}x breaches the "
+            f"{args.max_audit_walk_ratio:.2f}x gate")
 
     if failures:
         for failure in failures:
             print(f"CHECK SMOKE FAIL: {failure}", file=sys.stderr)
         return 1
     print(f"check smoke ok: {combos} combos audited clean across "
-          f"{len(specs)} extended-suite benchmarks, overhead "
-          f"{overhead:.1f}% < {args.max_overhead_percent:.1f}%")
+          f"{len(specs)} extended-suite benchmarks, audit/walk "
+          f"{ratio:.2f}x < {args.max_audit_walk_ratio:.2f}x")
     return 0
 
 

@@ -138,8 +138,9 @@ def _sweep(context: CheckContext) -> Dict[str, List[Diagnostic]]:
     """One pass over every flow, computing AUD001–AUD005 findings together.
 
     Memoized on the context object: the registry runs five per-flow checks
-    over the same state, and walking a large PVPG five times would blow
-    the audit's latency budget (< 10% of the cold solve).
+    over the same state, and walking a large PVPG more than once would
+    breach the check smoke's audit gate (audit time against a plain walk of
+    the same flows, ``benchmarks/run_check_smoke.py``).
     """
     cached = getattr(context, _SWEEP_ATTR, None)
     if cached is not None:

@@ -9,10 +9,15 @@ Each flow carries
   incoming use edges (``VSin``);
 * an ``enabled`` bit — flows are disabled until their predicate fires
   (Predicate rule);
-* outgoing edge lists: ``uses`` (use edges), ``observers`` (observe edges) and
-  ``predicate_targets`` (predicate edges), plus the list of incoming
+* outgoing ordered edge sets: ``uses`` (use edges), ``observers`` (observe
+  edges) and ``predicate_targets`` (predicate edges), plus the incoming
   ``predicates`` used when a freshly built method graph is attached to the
-  already-running solver.
+  already-running solver.  Each is an insertion-ordered ``dict`` keyed by
+  the other flow (values are ``None``), so iteration follows addition order
+  and a duplicate edge is a no-op.  ``uses`` is allocated with the flow;
+  the other three start as the shared immutable :data:`NO_EDGES` and get
+  their own dict on the first add, so a flow that never gains an observer
+  or a predicate target (most flows, after a solve) never allocates one.
 
 Specialised subclasses add the flow-specific data (the constant of a source,
 the condition of a filter, the call site of an invoke, ...) and implement
@@ -23,7 +28,7 @@ PassThrough rules).
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.compare import compare_states
 from repro.ir.instructions import CompareOp, Invoke
@@ -53,11 +58,12 @@ class FlowKind(enum.Enum):
 class _UidAllocator:
     """Monotone uid source for flows, with a raisable floor.
 
-    Flow uids back the O(1) duplicate-edge sets and the worklist policies'
-    visited sets, so they must be unique *within any one PVPG*.  A solver
-    state restored from a snapshot carries flows with their original uids;
-    :func:`ensure_uid_floor` raises the allocator past them so that flows
-    built while resuming can never collide with restored ones.
+    Flow uids are the flows' identity in a snapshot: the codec refers to
+    edge targets, receivers and arguments by uid, so uids must be unique
+    *within any one PVPG*.  A solver state restored from a snapshot carries
+    flows with their original uids; :func:`ensure_uid_floor` raises the
+    allocator past them so that flows built while resuming can never
+    collide with restored ones.
     """
 
     __slots__ = ("_next",)
@@ -83,6 +89,16 @@ def ensure_uid_floor(floor: int) -> None:
     _flow_ids.ensure_floor(floor)
 
 
+#: The shared empty edge set of the lazily allocated edge kinds.  It is an
+#: immutable tuple, so a flow can never add to it in place and leak an edge
+#: into every other flow that still shares it.
+NO_EDGES: Tuple[()] = ()
+
+#: An ordered edge set: target flow -> ``None`` in addition order, or the
+#: shared :data:`NO_EDGES` until the first edge of a lazy kind is added.
+EdgeSet = Union[Dict["Flow", None], Tuple[()]]
+
+
 class Flow:
     """Base class of all PVPG vertices."""
 
@@ -102,9 +118,6 @@ class Flow:
         "observers",
         "predicate_targets",
         "predicates",
-        "_use_ids",
-        "_observer_ids",
-        "_predicate_target_ids",
     )
 
     def __init__(self, label: str, method: Optional[str] = None):
@@ -120,41 +133,41 @@ class Flow:
         self.in_worklist: bool = False
         self.in_link_queue: bool = False
         self.saturated: bool = False
-        self.uses: List["Flow"] = []
-        self.observers: List["Flow"] = []
-        self.predicate_targets: List["Flow"] = []
-        self.predicates: List["Flow"] = []
-        # Companion id sets keep duplicate-edge checks O(1); edge lists can
-        # grow large (pred_on predicates every method entry, field flows feed
-        # every load site), so a linear membership test would be quadratic.
-        self._use_ids: set = set()
-        self._observer_ids: set = set()
-        self._predicate_target_ids: set = set()
+        # Ordered edge sets (module docstring).  Dict membership keeps the
+        # duplicate-edge checks O(1) even where an edge kind grows large
+        # (pred_on predicates every method entry, field flows feed every
+        # load site).
+        self.uses: Dict["Flow", None] = {}
+        self.observers: EdgeSet = NO_EDGES
+        self.predicate_targets: EdgeSet = NO_EDGES
+        self.predicates: EdgeSet = NO_EDGES
 
     # ------------------------------------------------------------------ #
     # Edges
     # ------------------------------------------------------------------ #
+    # Re-storing an existing key leaves its position alone, so each add is
+    # a single dict store and a duplicate edge is a no-op.
     def add_use(self, target: "Flow") -> None:
         """``self ⇝use target``."""
-        if target.uid not in self._use_ids:
-            self._use_ids.add(target.uid)
-            self.uses.append(target)
+        self.uses[target] = None
 
     def has_use(self, target: "Flow") -> bool:
-        return target.uid in self._use_ids
+        return target in self.uses
 
     def add_observer(self, target: "Flow") -> None:
         """``self ⇝obs target``."""
-        if target.uid not in self._observer_ids:
-            self._observer_ids.add(target.uid)
-            self.observers.append(target)
+        if self.observers is NO_EDGES:
+            self.observers = {}
+        self.observers[target] = None
 
     def add_predicate_target(self, target: "Flow") -> None:
-        """``self ⇝pred target``."""
-        if target.uid not in self._predicate_target_ids:
-            self._predicate_target_ids.add(target.uid)
-            self.predicate_targets.append(target)
-            target.predicates.append(self)
+        """``self ⇝pred target``, plus the back-edge in ``target.predicates``."""
+        if self.predicate_targets is NO_EDGES:
+            self.predicate_targets = {}
+        self.predicate_targets[target] = None
+        if target.predicates is NO_EDGES:
+            target.predicates = {}
+        target.predicates[self] = None
 
     # ------------------------------------------------------------------ #
     # Transfer function (VSin -> VSout)

@@ -39,12 +39,13 @@ programs, which have no arena) run on the object solver.
 
 After the fixpoint, the :attr:`ArenaKernelSolver.state` property lazily
 materializes a real :class:`~repro.core.state.SolverState` (PVPG objects,
-edge lists, counters) from the flat tables so every downstream consumer —
-value-state queries, call-graph walks, snapshots, warm resumes — sees
-exactly what the object solver would have produced.  Inflation reconstructs
-flows through their real constructors and never thaws a method body; it
-costs more than the propagation itself, which is why it is deferred and why
-the image-report inputs (:meth:`ArenaKernelSolver.image_counters`,
+ordered edge sets, counters) from the flat tables so every downstream
+consumer — value-state queries, call-graph walks, snapshots, warm
+resumes — sees exactly what the object solver would have produced.
+Inflation reconstructs flows through their real constructors and never
+thaws a method body; it costs more than the propagation itself, which is
+why it is deferred and why the image-report inputs
+(:meth:`ArenaKernelSolver.image_counters`,
 :meth:`ArenaKernelSolver.dead_code_rows`) are computed directly from the
 flat tables instead.
 """
@@ -140,7 +141,7 @@ class ArenaKernelSolver:
             self._enabled[fid] = 1
 
         #: Solve-time use edges per source fid, in addition order (the
-        #: object solver appends them to ``flow.uses``).
+        #: object solver adds them to the ordered edge set ``flow.uses``).
         self._extra_uses: Dict[int, List[int]] = {}
         #: Per-source use-target sets for O(1) duplicate-edge checks;
         #: lazily seeded from the static CSR row on first dynamic add.
@@ -843,11 +844,12 @@ class ArenaKernelSolver:
 
         The inflated PVPG is structurally identical to what the object
         solver builds: same flows (value-equal payloads, fresh uids), same
-        edge lists in the same order, same scalar bits, the method-graph
-        map in activation order and the field flows in creation order.  The
-        only documented divergence is each flow's incoming ``predicates``
-        list order, which the snapshot codec already treats as semantically
-        inert.  Method bodies stay frozen: flows are rebuilt from columns.
+        ordered edge sets in the same order, same scalar bits, the
+        method-graph map in activation order and the field flows in
+        creation order.  The only documented divergence is the order of
+        each flow's incoming ``predicates`` set, which the snapshot codec
+        already treats as semantically inert.  Method bodies stay frozen:
+        flows are rebuilt from columns.
         """
         arena = self.arena
         hierarchy = self.hierarchy
@@ -882,7 +884,7 @@ class ArenaKernelSolver:
             pvpg.add_method_graph(graph)
 
         # Wiring: static CSR edges first (build order), then the solve-time
-        # additions in addition order — exactly how the object lists grew.
+        # additions in addition order — exactly how the object edge sets grew.
         for fid, flow in flows.items():
             for target in arena.use_val[
                     arena.use_ptr[fid]:arena.use_ptr[fid + 1]]:

@@ -1,7 +1,7 @@
 """SolverState: the complete, snapshotable mutable state of one fixpoint solve.
 
 Historically :class:`~repro.core.solver.SkipFlowSolver` *owned* its mutable
-fixpoint state — the PVPG with every flow's value state and edge lists, the
+fixpoint state — the PVPG with every flow's value state and edge sets, the
 reachable and stub sets, the effort counters, and the worklist membership
 bits — so the only way to analyze an edited program was to throw the solver
 away and start cold.  This module inverts that ownership: the solver now
@@ -14,8 +14,8 @@ What a state contains
 ---------------------
 * ``pvpg`` — the program PVPG: every built method graph, the field flows,
   ``pred_on``, and through them every flow's ``state`` / ``input_state`` /
-  ``enabled`` / ``saturated`` bits and edge lists.  This *is* the lattice
-  element the fixpoint iteration climbs.
+  ``enabled`` / ``saturated`` bits and ordered edge sets.  This *is* the
+  lattice element the fixpoint iteration climbs.
 * ``reachable`` / ``stub_methods`` — the reachability frontier.
 * ``steps`` / ``joins`` / ``transfers`` / ``saturated_flows`` — cumulative
   effort counters (they keep counting across resumed solves; callers that
@@ -50,6 +50,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.flows import (
+    NO_EDGES,
     FieldFlow,
     FilterCompareFlow,
     FilterTypeFlow,
@@ -181,7 +182,7 @@ class SolverState:
     def fork(self) -> "SolverState":
         """An independent deep copy (resume one branch, keep the other).
 
-        Copies every flow, edge list, and solver-owned set through the flat
+        Copies every flow, edge set, and solver-owned set through the flat
         snapshot codec; the immutable IR (methods, instructions, value
         states) stays shared between the branches — the analysis treats it
         as read-only, so sharing is safe and cheap.  A session's generation
@@ -239,10 +240,13 @@ class SolverState:
 # states, field declarations — are stored as direct object references and
 # travel through the same pickler, so sharing (e.g. one Invoke instruction
 # referenced by both a method body and its invoke flow) survives the round
-# trip.  One deliberate normalization: each flow's ``predicates`` list is
-# rebuilt from the predicate-target edges in flow-table order, which can
-# permute it relative to the original interleaving; the solver only ever
-# asks "is any predicate enabled", so the order is semantically inert.
+# trip.  Each flow's ordered edge sets (``uses``, ``observers``,
+# ``predicate_targets``) are encoded as uid lists in iteration order and
+# re-added in that order, so edge order survives too.  One deliberate
+# normalization: each flow's incoming ``predicates`` set is rebuilt from the
+# predicate-target edges in flow-table order, which can permute it relative
+# to the original interleaving; the solver only ever asks "is any predicate
+# enabled", so the order is semantically inert.
 
 _FLOW_CLASSES = {cls.__name__: cls for cls in (
     Flow, PredOnFlow, SourceFlow, ParameterFlow, PhiFlow, PhiPredFlow,
@@ -311,13 +315,10 @@ def _decode_flow_shell(record: Dict[str, Any]) -> Flow:
     flow.in_worklist = record["in_worklist"]
     flow.in_link_queue = record["in_link_queue"]
     flow.saturated = record["saturated"]
-    flow.uses = []
-    flow.observers = []
-    flow.predicate_targets = []
-    flow.predicates = []
-    flow._use_ids = set()
-    flow._observer_ids = set()
-    flow._predicate_target_ids = set()
+    flow.uses = {}
+    flow.observers = NO_EDGES
+    flow.predicate_targets = NO_EDGES
+    flow.predicates = NO_EDGES
     if isinstance(flow, SourceFlow):
         flow.expr = record["expr"]
     elif isinstance(flow, ParameterFlow):
@@ -343,7 +344,7 @@ def _decode_flow_shell(record: Dict[str, Any]) -> Flow:
 
 
 def _wire_flow(record: Dict[str, Any], flows: Dict[int, Flow]) -> None:
-    """Second pass: edge lists and intra-flow references, by uid."""
+    """Second pass: ordered edge sets and intra-flow references, by uid."""
     flow = flows[record["uid"]]
     for uid in record["uses"]:
         flow.add_use(flows[uid])

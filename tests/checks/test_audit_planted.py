@@ -79,7 +79,7 @@ def test_aud003_disabled_predicate_target(solved):
     flow = next(flow for flow in state.pvpg.all_flows()
                 if flow.enabled and not flow.state.is_empty
                 and flow.predicate_targets)
-    flow.predicate_targets[0].enabled = False
+    list(flow.predicate_targets)[0].enabled = False
     assert "AUD003" in _ids(audit_state(state, program, snapshot=False))
 
 

@@ -88,7 +88,7 @@ def _object_graphs(program):
     for method in program.methods.values():
         before = len(pvpg.pred_on.predicate_targets)
         graphs.append(builder.build_method(method))
-        pred_rows.append(pvpg.pred_on.predicate_targets[before:])
+        pred_rows.append(list(pvpg.pred_on.predicate_targets)[before:])
     return pvpg, graphs, pred_rows
 
 
