@@ -21,7 +21,11 @@ must round-trip through the snapshot store, and a second pass must serve
 the snapshot from the store (a hit) and resume it to the same fixpoint.
 Every half the pairwise and matrix phases solve afresh is store-backed (the
 cache derives a program store), so each must report that the arena kernel
-ran it on the attached blob (``kernel_ran == "arena"``).
+ran it on the attached blob (``kernel_ran == "arena"``).  The *image* phase
+builds one plain generated program under PTA and SkipFlow, as a fresh
+native-image build does: both builds must run on the arena kernel, the
+program must be lowered exactly once for the two, and both reports must
+match the object kernel's PVPG walks.
 Exits non-zero (with a message) on any violation, so it can gate CI::
 
     python benchmarks/ci_smoke.py --jobs 2 --cache-dir .bench-cache
@@ -30,6 +34,7 @@ Exits non-zero (with a message) on any violation, so it can gate CI::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import tempfile
 from pathlib import Path
@@ -180,6 +185,59 @@ def _audit_phase() -> list:
     return failures
 
 
+def _image_phase() -> list:
+    """Two image builds of one plain program share one arena lowering.
+
+    Returns a list of failure messages (empty = phase green).  Counts the
+    calls of :func:`repro.ir.arena.freeze.lower` during a PTA and a
+    SkipFlow build of one freshly generated program: anything but one call
+    means the per-program memo missed (or the builds bypassed it), and a
+    build that did not run on the arena kernel means the image builder
+    stopped handing the analysis the lowering.  The reports are checked
+    against the object kernel's reports of the same program.
+    """
+    from repro.image.builder import NativeImageBuilder
+
+    # The module, not the package's ``freeze`` function of the same name.
+    freeze_module = importlib.import_module("repro.ir.arena.freeze")
+
+    failures = []
+    spec = _smoke_specs()[0]
+    program = generate_benchmark(spec)
+    lower = freeze_module.lower
+    lowerings = []
+
+    def counting_lower(target):
+        lowerings.append(target)
+        return lower(target)
+
+    freeze_module.lower = counting_lower
+    try:
+        for config in (AnalysisConfig.baseline_pta(), AnalysisConfig.skipflow()):
+            builder = NativeImageBuilder(program, config,
+                                         benchmark_name=spec.name)
+            report = builder.build()
+            if report.result.kernel_ran != "arena":
+                failures.append(
+                    f"{spec.name} [{config.name}]: image build of a plain "
+                    f"program ran on the {report.result.kernel_ran} kernel")
+            reference = builder.report(SkipFlowAnalysis(program, config).run())
+            if (report.metrics.reachable_methods,
+                    report.metrics.counters, report.binary_size_bytes) != (
+                    reference.metrics.reachable_methods,
+                    reference.metrics.counters, reference.binary_size_bytes):
+                failures.append(
+                    f"{spec.name} [{config.name}]: the arena image report "
+                    f"differs from the object kernel's")
+    finally:
+        freeze_module.lower = lower
+    if len(lowerings) != 1:
+        failures.append(
+            f"{spec.name}: two image builds of one program lowered it "
+            f"{len(lowerings)} times, not once")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=2)
@@ -248,7 +306,7 @@ def main(argv=None) -> int:
         incremental_failures = _incremental_phase(cache_dir)
         audit_failures = _audit_phase()
 
-    failures = list(incremental_failures) + list(audit_failures)
+    failures = [*incremental_failures, *audit_failures, *_image_phase()]
     expected_hits = HALVES * len(specs)
     if second_cache.hits != expected_hits or second_cache.misses != 0:
         failures.append(
@@ -371,6 +429,7 @@ def main(argv=None) -> int:
           f"ablation reused {ablation_cache.hits} baseline halves, "
           f"3-way matrix reused {matrix_cache.hits}/{expected_matrix_hits} halves, "
           f"{len(fresh)} fresh halves on the arena kernel, "
+          f"two image builds on one lowering, "
           f"policy matrix {grid_size}x{len(specs)} keyed distinctly "
           f"(re-run {policy_rerun_cache.hits}/{expected_policy_hits} hits), "
           f"incremental edit resumed warm + snapshot round-trip, "

@@ -52,7 +52,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-from repro.core.analysis import AnalysisConfig
+from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.engine import ProgramStore, ResultCache
 from repro.engine.runner import _report_payload
 from repro.engine.scheduler import estimated_cost
@@ -91,10 +91,15 @@ def _strip_timing(payload: Dict[str, object]) -> Dict[str, object]:
 
 
 def measure_half(program, config: AnalysisConfig, spec) -> Dict[str, object]:
-    """One cold solve (analysis + image reports) over an already-decoded program."""
-    report = NativeImageBuilder(program, config,
-                                benchmark_name=spec.name).build()
-    return _report_payload(report)
+    """One cold solve (analysis + image reports) over an already-decoded program.
+
+    The analysis picks the kernel from the program: a plain (unpickled)
+    program runs on the object kernel and its report comes from the PVPG
+    walks, an attached one on the arena kernel.  (``NativeImageBuilder.build``
+    would lower a plain program and solve it on the arena kernel too.)
+    """
+    builder = NativeImageBuilder(program, config, benchmark_name=spec.name)
+    return _report_payload(builder.report(SkipFlowAnalysis(program, config).run()))
 
 
 def measure_freeze(spec) -> Tuple[Tuple[str, float], ...]:

@@ -238,13 +238,17 @@ class SkipFlowAnalysis:
         """Run the propagation kernel; return ``(solver, seconds)``.
 
         The kernel is a structural choice, not a setting: a cold solve of
-        an attached :class:`~repro.ir.arena.ArenaProgram` runs on
+        an :class:`~repro.ir.arena.ArenaProgram` (attached to a buffer, or
+        over the in-memory lowering the image builder hands in) runs on
         :class:`~repro.core.kernel.arena_kernel.ArenaKernelSolver`, which
-        propagates straight on the program's flat buffer; everything else
+        propagates straight on the program's flat columns; everything else
         — a plain program, or a warm resume of an object-graph
         :class:`~repro.core.state.SolverState` — runs on
         :class:`~repro.core.solver.SkipFlowSolver`.  The two reach the same
-        fixpoint with the same counters.
+        fixpoint with the same counters.  Plain programs are not lowered
+        here: callers that read ``solver_state`` or build reports would
+        force the arena kernel to inflate its object graph, which costs
+        more than the object kernel's whole solve.
         """
         started = time.perf_counter()
         if self.state is None and isinstance(self.program, ArenaProgram):

@@ -30,12 +30,13 @@ namesake in ``solver.py`` statement for statement; when editing one, edit
 the other (the cross-kernel grid in ``tests/core/test_arena_kernel.py`` and
 the CI solver-steps gate both fail loudly on drift).
 
-The kernel runs cold solves of an attached
-:class:`~repro.ir.arena.ArenaProgram`, and
+The kernel runs cold solves of an :class:`~repro.ir.arena.ArenaProgram`
+— attached to a buffer, or over a program's in-memory lowering, which is
+what every image build solves — and
 :class:`~repro.core.analysis.SkipFlowAnalysis` selects it exactly then.  A
 warm resume continues a prior :class:`~repro.core.state.SolverState`, an
 object graph the kernel's flat tables cannot adopt, so resumes (and plain
-programs, which have no arena) run on the object solver.
+programs analyzed directly) run on the object solver.
 
 After the fixpoint, the :attr:`ArenaKernelSolver.state` property lazily
 materializes a real :class:`~repro.core.state.SolverState` (PVPG objects,
@@ -111,13 +112,14 @@ _INSTRUCTION_KINDS = frozenset({
 
 
 class ArenaKernelSolver:
-    """The fixed-point solver over an attached arena's integer flow ids.
+    """The fixed-point solver over an arena's integer flow ids.
 
     Drop-in for :class:`~repro.core.solver.SkipFlowSolver` on the cold path
-    of an attached :class:`~repro.ir.arena.ArenaProgram`: same :meth:`solve`,
-    and afterwards the same ``state`` / ``pvpg`` / counter surface
-    (``state`` inflates lazily on first access).  The program's buffer is
-    solved on directly — the zero-decode worker path.
+    of an :class:`~repro.ir.arena.ArenaProgram`: same :meth:`solve`, and
+    afterwards the same ``state`` / ``pvpg`` / counter surface (``state``
+    inflates lazily on first access).  The program's columns — an attached
+    buffer, the zero-decode worker path, or an in-memory lowering — are
+    solved on directly.
     """
 
     def __init__(self, program: ArenaProgram, config) -> None:

@@ -131,7 +131,9 @@ class AnalysisResult:
     #: object kernel, whose only view *is* the PVPG.
     kernel_backend: Optional[object] = None
     #: The kernel that ran the solve: ``arena`` for a cold solve of an
-    #: attached arena program, ``object`` otherwise.
+    #: :class:`~repro.ir.arena.ArenaProgram` — attached to a buffer, or the
+    #: in-memory lowering every image build solves — and ``object``
+    #: otherwise (a plain program analyzed directly, or a warm resume).
     kernel_ran: str = "object"
 
     # ------------------------------------------------------------------ #

@@ -37,17 +37,20 @@ attached arena on the **arena kernel**, directly on the mapped buffer, so
 nothing is unpickled and no object IR graph is built.  The pickle is read
 only when the arena blob is missing or corrupt
 (:meth:`~repro.engine.program_store.ProgramStore.attach_or_build` then
-backfills it); a half that still gets a plain
+backfills it).  A half that still gets a plain
 :class:`~repro.ir.program.Program` — no store, or a backfill that could not
-be written — runs on the object kernel.  Each payload records which kernel
-ran (``kernel_ran``).
+be written — runs on the arena kernel too: the image builder solves the
+program's in-memory lowering (:func:`~repro.ir.arena.lowered_program`),
+memoized on the program.  Each payload records which kernel ran
+(``kernel_ran``).
 
 On top of the store, each worker *process* memoizes the programs it has
-already attached (:func:`_program_for`), so an N-configuration matrix over
-one spec maps the blob once per process, not once per half — safe because
-the analysis treats programs as read-only (the solver builds its state
-beside the IR, never into it) and the engine never applies reflection
-mutations.
+already attached or generated (:func:`_program_for`), so an
+N-configuration matrix over one spec maps the blob — or, without a store,
+generates and lowers the program — once per process, not once per half.
+That is safe because the analysis treats programs as read-only (the solver
+builds its state beside the IR, never into it) and the engine never
+applies reflection mutations.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.analysis import AnalysisConfig
-from repro.engine.cache import ResultCache
+from repro.engine.cache import ResultCache, hash_dataclass
 from repro.engine.program_store import ProgramStore
 from repro.engine.scheduler import order_by_cost
 from repro.image.builder import ImageBuildReport, NativeImageBuilder
@@ -253,15 +256,16 @@ def result_from_halves(baseline_payload: Dict[str, Any],
     )
 
 
-#: Per-process memo of programs already obtained from a store, keyed by the
-#: store's arena blob path (which embeds the spec hash *and* the code
-#: version, so a stale entry is unreachable by construction).  Worker
+#: Per-process memo of programs already obtained for a half: attached from
+#: a store, keyed by the store's arena blob path (which embeds the spec hash
+#: *and* the code version, so a stale entry is unreachable by
+#: construction), or generated without one, keyed by the spec hash.  Worker
 #: processes on a pool each hold their own copy; an N-configuration matrix
-#: over one spec therefore attaches the blob once per process instead of
-#: once per half.  Sharing one program object across solves is safe because
-#: every registered analyzer treats the program as read-only and the engine
-#: never applies reflection mutations (callers that do must bypass the
-#: engine).
+#: over one spec therefore attaches the blob (or generates and lowers the
+#: program) once per process instead of once per half.  Sharing one program
+#: object across solves is safe because every registered analyzer treats
+#: the program as read-only and the engine never applies reflection
+#: mutations (callers that do must bypass the engine).
 _WORKER_PROGRAMS: Dict[str, Program] = {}
 
 #: Memo capacity: oldest entries are evicted beyond this, so a long-lived
@@ -272,28 +276,40 @@ _WORKER_PROGRAMS: Dict[str, Program] = {}
 _WORKER_PROGRAM_CAPACITY = 8
 
 
+def _remember(memo_key: str, program: Program) -> None:
+    _WORKER_PROGRAMS[memo_key] = program
+    while len(_WORKER_PROGRAMS) > _WORKER_PROGRAM_CAPACITY:
+        _WORKER_PROGRAMS.pop(next(iter(_WORKER_PROGRAMS)))
+
+
 def _program_for(spec: BenchmarkSpec,
                  store: Optional[ProgramStore]) -> Tuple[Program, bool]:
     """The program for one half, via the process memo and the store.
 
     Returns the program plus whether it came from shared storage (the memo
-    or the store's blobs).  Memo hits count as store hits so the store's
-    counters keep meaning "solves that skipped program generation".  With a
-    store the program is whatever :meth:`ProgramStore.attach_or_build`
-    returns: an attached :class:`~repro.ir.arena.ArenaProgram` unless the
-    arena blob is missing and cannot be backfilled.
+    of store programs or the store's blobs).  Memo hits on store programs
+    count as store hits so the store's counters keep meaning "solves that
+    skipped program generation".  With a store the program is whatever
+    :meth:`ProgramStore.attach_or_build` returns: an attached
+    :class:`~repro.ir.arena.ArenaProgram` unless the arena blob is missing
+    and cannot be backfilled.  Without one it is generated on the first
+    half of its spec in this process and reused by the others; those reuses
+    are not store hits.
     """
     if store is None:
-        return generate_benchmark(spec), False
+        memo_key = f"generated/{hash_dataclass(spec)}"
+        program = _WORKER_PROGRAMS.get(memo_key)
+        if program is None:
+            program = generate_benchmark(spec)
+            _remember(memo_key, program)
+        return program, False
     memo_key = str(store.arena_path_for(spec))
     program = _WORKER_PROGRAMS.get(memo_key)
     if program is not None:
         store.hits += 1
         return program, True
     program, from_store = store.attach_or_build(spec)
-    _WORKER_PROGRAMS[memo_key] = program
-    while len(_WORKER_PROGRAMS) > _WORKER_PROGRAM_CAPACITY:
-        _WORKER_PROGRAMS.pop(next(iter(_WORKER_PROGRAMS)))
+    _remember(memo_key, program)
     return program, from_store
 
 
@@ -307,8 +323,9 @@ def solve_config(spec: BenchmarkSpec,
     store is provided the program comes from the per-process memo, the
     store's blobs, or fresh generation (which fills the store), in that
     order; ``program_from_store`` records whether generation was skipped.
-    An attached arena program is solved on the arena kernel, a plain one on
-    the object kernel; the payload's ``kernel_ran`` says which.
+    The image build solves every program on the arena kernel — an attached
+    one on its buffer, a plain one on its memoized in-memory lowering — and
+    the payload's ``kernel_ran`` says which kernel ran.
     """
     started = time.perf_counter()
     program, from_store = _program_for(spec, store)

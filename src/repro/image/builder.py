@@ -22,6 +22,7 @@ from repro.image.metrics import (
     collect_metrics,
 )
 from repro.image.reflection import ReflectionConfig
+from repro.ir.arena import lowered_program
 from repro.ir.program import Program
 
 
@@ -135,12 +136,27 @@ class NativeImageBuilder:
         self._reflection_applied = False
 
     def build(self, roots: Optional[Iterable[str]] = None) -> ImageBuildReport:
-        """Run the analysis and assemble the build report."""
+        """Run the analysis and assemble the build report.
+
+        The analysis solves :func:`~repro.ir.arena.lowered_program` of the
+        program (after any reflection config rewrote it): a cold solve on
+        the arena kernel over the program's memoized in-memory lowering,
+        which every config built over the same unchanged program shares.
+        An already-attached ``ArenaProgram`` is solved as it is.
+        """
         if self.reflection is not None and not self._reflection_applied:
             self.reflection.apply_to(self.program)
             self._reflection_applied = True
-        analysis = SkipFlowAnalysis(self.program, self.config)
-        result = analysis.run(roots)
+        analysis = SkipFlowAnalysis(lowered_program(self.program), self.config)
+        return self.report(analysis.run(roots))
+
+    def report(self, result: AnalysisResult) -> ImageBuildReport:
+        """Assemble the build report of a solved analysis of this program.
+
+        Metrics and dead code come from the kernel's flat tables when it
+        offers them (the arena kernel), else from the PVPG walks of
+        :func:`collect_metrics` and :func:`eliminate_dead_code`.
+        """
         fast = _kernel_fast_reports(result)
         if fast is not None:
             metrics, dead_code = fast

@@ -1,12 +1,23 @@
-"""``freeze(program)``: flatten a built program into one arena buffer.
+"""``lower(program)`` and ``serialize``: a built program as arena columns.
 
-The freeze pass lowers the IR of *every* method straight into the
-struct-of-arrays schema of :mod:`repro.ir.arena.layout` (the object solver
-builds method graphs lazily per reachable method; freezing all of them up
-front is a one-time cost paid when the program is stored).  It runs the
-PVPG builder's one traversal (:class:`~repro.core.pvpg_builder.PVPGBuilder`)
-with a column sink, :class:`_ColumnSink`, whose flow handles *are* the
-integer flow ids, so no object flow, object graph or flow-id map exists:
+Freezing is two steps.  :func:`lower` lowers the IR of *every* method
+straight into the struct-of-arrays schema of :mod:`repro.ir.arena.layout`
+(the object solver builds method graphs lazily per reachable method;
+lowering all of them up front pays off once two configs share it), as
+integer columns held in memory beside the live method bodies and
+hierarchy.  :func:`serialize` adds what only a stored buffer needs — the
+pickled method bodies and the program fingerprint — and writes the one
+buffer.  ``freeze(program)`` is ``serialize(lower(program))``; the program
+store, the daemon's spill and the fuzz oracle call it.  An image build
+needs no buffer: :func:`lowered_program` hands the analysis a read-only
+:class:`~repro.ir.arena.program.ArenaProgram` over the lowering, memoized
+per program revision, so a program built under two configs is lowered
+once and solved twice on the arena kernel.
+
+Lowering runs the PVPG builder's one traversal
+(:class:`~repro.core.pvpg_builder.PVPGBuilder`) with a column sink,
+:class:`_ColumnSink`, whose flow handles *are* the integer flow ids, so no
+object flow, object graph or flow-id map exists:
 
 * every flow gets a dense integer id (*fid*): fid 0 is ``pred_on``, fids
   ``1..NF`` are the program's declared fields in declaration order, and
@@ -22,16 +33,17 @@ integer flow ids, so no object flow, object graph or flow-id map exists:
   object graph;
 * per-kind flow payloads (constants, call sites, compared operands, ...)
   become integer columns over small auxiliary tables;
-* method bodies are pickled *individually* so an attached program can thaw
-  one method without touching the rest — and the arena kernel never thaws
-  any;
-* the whole buffer is stamped with the pickled
+* on serialization, method bodies are pickled *individually* so an
+  attached program can thaw one method without touching the rest — and the
+  arena kernel never thaws any;
+* the serialized buffer is stamped with the pickled
   :class:`~repro.ir.delta.ProgramFingerprint` of the source program, so
   attach-side consumers validate against exactly what was frozen.
 
 Strings are interned in one table in a fixed order (type tables, method
 table, entry points, then flows in fid order), and sections are written in
-a fixed order, so the buffer is a pure function of the program.
+a fixed order, so the buffer is a pure function of the program, and the
+columns of a lowering equal those of an attached freeze of it.
 
 ``filtering_enabled`` of filter flows is *not* encoded: it is a property
 of the analysis config, reapplied when flows are inflated, which keeps the
@@ -42,7 +54,6 @@ from __future__ import annotations
 
 import operator
 import pickle
-from array import array
 from itertools import accumulate
 from typing import Dict, List, Optional, Set
 
@@ -50,6 +61,7 @@ from repro.core.pvpg import BranchKind
 from repro.core.pvpg_builder import PVPGBuilder
 from repro.ir.arena import schema
 from repro.ir.arena.layout import BufferWriter
+from repro.ir.arena.program import ArenaProgram, ProgramArena
 from repro.ir.cfg import ControlFlowGraph
 from repro.ir.delta import ProgramFingerprint
 from repro.ir.instructions import (
@@ -62,38 +74,28 @@ from repro.ir.instructions import (
 )
 from repro.ir.method import Method
 from repro.ir.program import Program
-from repro.ir.types import FieldDecl
+from repro.ir.types import FieldDecl, TypeHierarchy
 from repro.ir.values import ConstantExpr, ConstKind
 
 _NONE = schema.NONE_ID
 
 
 class _Strings:
-    """Interning UTF-8 string table (``str_offsets`` + ``str_blob``)."""
+    """Interning string table: ids in first-intern order."""
 
     def __init__(self) -> None:
         self._ids: Dict[str, int] = {}
-        self._parts: List[bytes] = []
-        self._offsets = array("q", [0])
-        self._size = 0
+        self.texts: List[str] = []
 
     def intern(self, text: str) -> int:
         sid = self._ids.get(text)
         if sid is None:
-            sid = len(self._ids)
-            self._ids[text] = sid
-            encoded = text.encode("utf-8")
-            self._parts.append(encoded)
-            self._size += len(encoded)
-            self._offsets.append(self._size)
+            sid = self._ids[text] = len(self.texts)
+            self.texts.append(text)
         return sid
 
     def opt(self, text: Optional[str]) -> int:
         return _NONE if text is None else self.intern(text)
-
-    def write(self, writer: BufferWriter) -> None:
-        writer.add_ints("str_offsets", self._offsets)
-        writer.add_bytes("str_blob", b"".join(self._parts))
 
 
 class _Rows:
@@ -112,14 +114,19 @@ class _Rows:
         self.val.extend(row)
         self.ptr.append(len(self.val))
 
-    def write(self, writer: BufferWriter, ptr_name: str, val_name: str) -> None:
-        writer.add_ints(ptr_name, self.ptr)
-        writer.add_ints(val_name, self.val)
+    def store(self, columns: "_Columns", ptr_name: str, val_name: str) -> None:
+        columns[ptr_name] = self.ptr
+        columns[val_name] = self.val
 
 
-def _write_pairs(writer: BufferWriter, ptr_name: str, val_name: str,
+#: Integer columns by section name, in section order (plain lists: the
+#: kernel indexes them without boxing, and serialize packs them).
+_Columns = Dict[str, List[int]]
+
+
+def _store_pairs(columns: _Columns, ptr_name: str, val_name: str,
                  pairs: List[int], num_rows: int) -> None:
-    """Write flat ``(row, value, row, value, ...)`` pairs as a CSR.
+    """Store flat ``(row, value, row, value, ...)`` pairs as a CSR.
 
     ``sorted`` is stable, so every row keeps its values' insertion order.
     """
@@ -128,8 +135,8 @@ def _write_pairs(writer: BufferWriter, ptr_name: str, val_name: str,
     for row in rows:
         counts[row + 1] += 1
     order = sorted(range(len(rows)), key=rows.__getitem__)
-    writer.add_ints(ptr_name, array("q", accumulate(counts)))
-    writer.add_ints(val_name, array("q", map(vals.__getitem__, order)))
+    columns[ptr_name] = list(accumulate(counts))
+    columns[val_name] = list(map(vals.__getitem__, order))
 
 
 #: Columns of one flow row, in the order of :attr:`_ColumnSink.flows`.
@@ -142,7 +149,7 @@ class _ColumnSink:
     Handles are fids, handed out in registration order after the
     ``pred_on`` and field rows (:meth:`global_flow`).  Strings are interned
     label first, then payload, flow by flow.  Columns accumulate in flat
-    lists (cheaper to extend than arrays) and become arrays when written.
+    lists (cheaper to extend than arrays) and become arrays when serialized.
     """
 
     pred_on = 0
@@ -197,9 +204,9 @@ class _ColumnSink:
         self._next += 1
         self.flows.extend((kind, self._intern(label), _NONE, aux1, _NONE))
 
-    def write_flows(self, writer: BufferWriter) -> None:
+    def store_flows(self, columns: _Columns) -> None:
         for index, name in enumerate(_FLOW_COLUMNS):
-            writer.add_ints(name, self.flows[index::len(_FLOW_COLUMNS)])
+            columns[name] = self.flows[index::len(_FLOW_COLUMNS)]
 
     def begin_method(self, method: Method) -> None:
         self._method_id += 1
@@ -362,36 +369,39 @@ def _branches(cfg: ControlFlowGraph) -> List[If]:
     """The ``if`` block ends in reverse postorder.
 
     Their strings must be interned before any flow's, so this predicts the
-    order in which the builder reports them; ``freeze`` checks the
+    order in which the builder reports them; ``lower`` checks the
     prediction against the column sink's ``branch_ifs``.
     """
     ends = (cfg.blocks[name].end for name in cfg.reverse_postorder)
     return [end for end in ends if isinstance(end, If)]
 
 
-def freeze(program: Program) -> bytes:
-    """Flatten ``program`` into a single serialized arena buffer."""
+def lower(program: Program) -> "LoweredArena":
+    """Lower ``program`` into arena columns, in memory.
+
+    No body is pickled, no fingerprint taken and no buffer written: the
+    result points at the program's live hierarchy and method bodies.
+    """
     strings = _Strings()
-    writer = BufferWriter()
-    fingerprint = ProgramFingerprint.of(program)
+    columns: _Columns = {}
 
     # ------------------------------------------------------------------ #
     # Type hierarchy, signature, and field tables
     # ------------------------------------------------------------------ #
     field_decls: List[FieldDecl] = []
-    type_name = array("q")
-    type_super = array("q")
-    type_flags = array("q")
+    type_name: List[int] = []
+    type_super: List[int] = []
+    type_flags: List[int] = []
     iface_rows = _Rows()
-    fields_ptr = array("q", [0])
-    sigs_ptr = array("q", [0])
-    field_class = array("q")
-    field_name = array("q")
-    field_type = array("q")
-    sig_class = array("q")
-    sig_name = array("q")
-    sig_return = array("q")
-    sig_static = array("q")
+    fields_ptr = [0]
+    sigs_ptr = [0]
+    field_class: List[int] = []
+    field_name: List[int] = []
+    field_type: List[int] = []
+    sig_class: List[int] = []
+    sig_name: List[int] = []
+    sig_return: List[int] = []
+    sig_static: List[int] = []
     sig_param_rows = _Rows()
 
     for cls in program.hierarchy:
@@ -415,44 +425,41 @@ def freeze(program: Program) -> bytes:
             sig_param_rows.add_row([strings.intern(p) for p in sig.param_types])
         sigs_ptr.append(len(sig_class))
 
-    writer.add_ints("type_name", type_name)
-    writer.add_ints("type_super", type_super)
-    writer.add_ints("type_flags", type_flags)
-    iface_rows.write(writer, "type_ifaces_ptr", "type_ifaces_val")
-    writer.add_ints("type_fields_ptr", fields_ptr)
-    writer.add_ints("type_sigs_ptr", sigs_ptr)
-    writer.add_ints("field_class", field_class)
-    writer.add_ints("field_name", field_name)
-    writer.add_ints("field_type", field_type)
-    writer.add_ints("sig_class", sig_class)
-    writer.add_ints("sig_name", sig_name)
-    writer.add_ints("sig_return", sig_return)
-    writer.add_ints("sig_static", sig_static)
-    sig_param_rows.write(writer, "sig_params_ptr", "sig_params_val")
+    columns["type_name"] = type_name
+    columns["type_super"] = type_super
+    columns["type_flags"] = type_flags
+    iface_rows.store(columns, "type_ifaces_ptr", "type_ifaces_val")
+    columns["type_fields_ptr"] = fields_ptr
+    columns["type_sigs_ptr"] = sigs_ptr
+    columns["field_class"] = field_class
+    columns["field_name"] = field_name
+    columns["field_type"] = field_type
+    columns["sig_class"] = sig_class
+    columns["sig_name"] = sig_name
+    columns["sig_return"] = sig_return
+    columns["sig_static"] = sig_static
+    sig_param_rows.store(columns, "sig_params_ptr", "sig_params_val")
 
     # ------------------------------------------------------------------ #
     # Method table (its strings precede every flow's)
     # ------------------------------------------------------------------ #
     methods = list(program.methods.values())
     cfgs = [ControlFlowGraph(method) for method in methods]
-    method_name = array("q")
-    m_sig_class = array("q")
-    m_sig_name = array("q")
-    m_sig_return = array("q")
-    m_sig_static = array("q")
+    method_name: List[int] = []
+    m_sig_class: List[int] = []
+    m_sig_name: List[int] = []
+    m_sig_return: List[int] = []
+    m_sig_static: List[int] = []
     m_sig_param_rows = _Rows()
-    m_never_returns = array("q")
-    m_instr_count = array("q")
+    m_never_returns: List[int] = []
+    m_instr_count: List[int] = []
     alloc_rows = _Rows()
-    body_ptr = array("q", [0])
-    body_parts: List[bytes] = []
-    body_size = 0
-    br_ptr = array("q", [0])
+    br_ptr = [0]
 
     # The fid columns of each branch (br_kind/then/else/block) come from
     # the traversal below, which must meet the ifs in this same order.
     branch_ifs: List[If] = []
-    branch_cols = {name: array("q") for name in (
+    branch_cols: Dict[str, List[int]] = {name: [] for name in (
         "br_then_label", "br_else_label", "br_is_instanceof",
         "br_val_name", "br_val_type", "br_type_name", "br_negated",
         "br_op", "br_left_name", "br_left_type",
@@ -471,10 +478,6 @@ def freeze(program: Program) -> bytes:
         m_instr_count.append(method.instruction_count)
         alloc_rows.add_row(
             [strings.intern(name) for name in _allocation_sites(method)])
-        blob = pickle.dumps(method.blocks, protocol=pickle.HIGHEST_PROTOCOL)
-        body_parts.append(blob)
-        body_size += len(blob)
-        body_ptr.append(body_size)
 
         ifs = _branches(cfg)
         branch_ifs.extend(ifs)
@@ -508,8 +511,7 @@ def freeze(program: Program) -> bytes:
                     strings.opt(condition.right.declared_type))
         br_ptr.append(len(branch_ifs))
 
-    entry_points = array(
-        "q", [strings.intern(name) for name in program.entry_points])
+    entry_points = [strings.intern(name) for name in program.entry_points]
 
     # ------------------------------------------------------------------ #
     # Flows: pred_on, the field flows, then every method's graph
@@ -527,52 +529,141 @@ def freeze(program: Program) -> bytes:
     num_flows = sink.num_flows
 
     # ------------------------------------------------------------------ #
-    # Sections, in schema order (the order is part of the bytes)
+    # Columns, in section order (serialize writes them in this order)
     # ------------------------------------------------------------------ #
-    writer.add_ints("method_name", method_name)
-    writer.add_ints("method_sig_class", m_sig_class)
-    writer.add_ints("method_sig_name", m_sig_name)
-    writer.add_ints("method_sig_return", m_sig_return)
-    writer.add_ints("method_sig_static", m_sig_static)
-    m_sig_param_rows.write(writer, "method_sig_params_ptr", "method_sig_params_val")
-    writer.add_ints("method_never_returns", m_never_returns)
-    writer.add_ints("method_instr_count", m_instr_count)
-    writer.add_ints("method_flow_lo", sink.flow_lo)
-    writer.add_ints("method_flow_hi", sink.flow_hi)
-    sink.method_pred.write(writer, "method_pred_ptr", "method_pred_val")
-    sink.method_param.write(writer, "method_param_ptr", "method_param_val")
-    sink.method_ret.write(writer, "method_ret_ptr", "method_ret_val")
-    sink.method_inv.write(writer, "method_inv_ptr", "method_inv_val")
-    alloc_rows.write(writer, "method_alloc_ptr", "method_alloc_val")
-    writer.add_ints("method_body_ptr", body_ptr)
-    writer.add_bytes("body_blob", b"".join(body_parts))
-    writer.add_ints("method_br_ptr", br_ptr)
+    columns["method_name"] = method_name
+    columns["method_sig_class"] = m_sig_class
+    columns["method_sig_name"] = m_sig_name
+    columns["method_sig_return"] = m_sig_return
+    columns["method_sig_static"] = m_sig_static
+    m_sig_param_rows.store(columns, "method_sig_params_ptr", "method_sig_params_val")
+    columns["method_never_returns"] = m_never_returns
+    columns["method_instr_count"] = m_instr_count
+    columns["method_flow_lo"] = sink.flow_lo
+    columns["method_flow_hi"] = sink.flow_hi
+    sink.method_pred.store(columns, "method_pred_ptr", "method_pred_val")
+    sink.method_param.store(columns, "method_param_ptr", "method_param_val")
+    sink.method_ret.store(columns, "method_ret_ptr", "method_ret_val")
+    sink.method_inv.store(columns, "method_inv_ptr", "method_inv_val")
+    alloc_rows.store(columns, "method_alloc_ptr", "method_alloc_val")
+    columns["method_br_ptr"] = br_ptr
     for name in ("br_kind", "br_then", "br_else", "br_block"):
-        writer.add_ints(name, sink.branch_cols[name])
+        columns[name] = sink.branch_cols[name]
     for name, column in branch_cols.items():
-        writer.add_ints(name, column)
+        columns[name] = column
 
-    writer.add_ints("entry_points", entry_points)
+    columns["entry_points"] = entry_points
 
-    sink.write_flows(writer)
-    _write_pairs(writer, "use_ptr", "use_val", sink.uses, num_flows)
-    _write_pairs(writer, "obs_ptr", "obs_val", sink.observers, num_flows)
-    _write_pairs(writer, "ptgt_ptr", "ptgt_val", sink.pred_targets, num_flows)
-    _write_pairs(writer, "pin_ptr", "pin_val", sink.predicates, num_flows)
+    sink.store_flows(columns)
+    _store_pairs(columns, "use_ptr", "use_val", sink.uses, num_flows)
+    _store_pairs(columns, "obs_ptr", "obs_val", sink.observers, num_flows)
+    _store_pairs(columns, "ptgt_ptr", "ptgt_val", sink.pred_targets, num_flows)
+    _store_pairs(columns, "pin_ptr", "pin_val", sink.predicates, num_flows)
 
-    writer.add_ints("const_kind", sink.const_kind)
-    writer.add_ints("const_int", sink.const_int)
-    writer.add_ints("const_type", sink.const_type)
+    columns["const_kind"] = sink.const_kind
+    columns["const_int"] = sink.const_int
+    columns["const_type"] = sink.const_type
     for name, column in sink.cs_cols.items():
-        writer.add_ints(name, column)
+        columns[name] = column
     # cs_args_type shares cs_args_ptr (one name and one type per argument).
-    sink.cs_args.write(writer, "cs_args_ptr", "cs_args_name")
-    writer.add_ints("cs_args_type", sink.cs_args_type)
-    sink.inv_args.write(writer, "inv_args_ptr", "inv_args_val")
+    sink.cs_args.store(columns, "cs_args_ptr", "cs_args_name")
+    columns["cs_args_type"] = sink.cs_args_type
+    sink.inv_args.store(columns, "inv_args_ptr", "inv_args_val")
 
+    return LoweredArena(columns, strings.texts, program.hierarchy, methods,
+                        getattr(program, "program_fingerprint", None))
+
+
+class LoweredArena(ProgramArena):
+    """The arena columns of one program, held in memory.
+
+    Reads like an attached :class:`~repro.ir.arena.program.ProgramArena`
+    (the same integer columns, as plain lists, and the same string ids),
+    so the arena kernel solves it unchanged.  There is no buffer:
+    method bodies are the live :class:`~repro.ir.method.Method` objects
+    (in method-id order), and the program fingerprint is taken only if
+    someone asks — :func:`serialize`, or a warm-resume check.
+    """
+
+    def __init__(self, columns: _Columns, strings: List[str],
+                 hierarchy: TypeHierarchy, methods: List[Method],
+                 fingerprint: Optional[ProgramFingerprint] = None) -> None:
+        self.columns = columns
+        for name, column in columns.items():
+            setattr(self, name, column)
+        self._strings = strings
+        self.hierarchy = hierarchy
+        self.methods = methods
+        self._fingerprint = fingerprint
+        self._name_to_mid = None
+        self._field_fids = None
+
+    @property
+    def strings(self) -> List[str]:
+        """The string table, by string id."""
+        return self._strings
+
+    @property
+    def fingerprint(self) -> ProgramFingerprint:
+        """The fingerprint of the lowered program, taken on first use."""
+        if self._fingerprint is None:
+            self._fingerprint = ProgramFingerprint.of(Program(
+                hierarchy=self.hierarchy,
+                methods={method.qualified_name: method
+                         for method in self.methods},
+                entry_points=self.entry_point_names()))
+        return self._fingerprint
+
+    def method_blocks(self, mid: int) -> list:
+        return self.methods[mid].blocks
+
+    def to_bytes(self) -> bytes:
+        return serialize(self)
+
+
+def serialize(lowered: LoweredArena) -> bytes:
+    """Write a lowering as one arena buffer, bodies and fingerprint included.
+
+    The section order is part of the bytes: the lowered columns in their
+    order, with the pickled bodies after the allocation-site CSR, then the
+    fingerprint and the string table.
+    """
+    writer = BufferWriter()
+    for name, column in lowered.columns.items():
+        writer.add_ints(name, column)
+        if name == "method_alloc_val":
+            blobs = [pickle.dumps(method.blocks, protocol=pickle.HIGHEST_PROTOCOL)
+                     for method in lowered.methods]
+            writer.add_ints("method_body_ptr",
+                            accumulate(map(len, blobs), initial=0))
+            writer.add_bytes("body_blob", b"".join(blobs))
     writer.add_bytes(
         "fingerprint_blob",
-        pickle.dumps(fingerprint, protocol=pickle.HIGHEST_PROTOCOL))
-
-    strings.write(writer)
+        pickle.dumps(lowered.fingerprint, protocol=pickle.HIGHEST_PROTOCOL))
+    encoded = [text.encode("utf-8") for text in lowered.strings]
+    writer.add_ints("str_offsets", accumulate(map(len, encoded), initial=0))
+    writer.add_bytes("str_blob", b"".join(encoded))
     return writer.to_bytes()
+
+
+def freeze(program: Program) -> bytes:
+    """Flatten ``program`` into a single serialized arena buffer."""
+    return serialize(lower(program))
+
+
+def _view(program: Program) -> ArenaProgram:
+    return ArenaProgram(lower(program), program)
+
+
+def lowered_program(program: Program) -> ArenaProgram:
+    """A read-only :class:`ArenaProgram` over ``program``'s lowering.
+
+    The live hierarchy, methods and entry points, plus in-memory columns;
+    :class:`~repro.core.analysis.SkipFlowAnalysis` solves it cold on the
+    arena kernel.  Lowered at most once per :attr:`Program.revision`
+    (:meth:`Program.memoized`), so every config built over an unchanged
+    program shares one lowering.  An ``ArenaProgram`` is returned as is.
+    """
+    if isinstance(program, ArenaProgram):
+        return program
+    return program.memoized(_view)

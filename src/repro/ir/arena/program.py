@@ -21,12 +21,16 @@ of the system skip object-graph walks entirely:
 
 An :class:`ArenaProgram` is read-only by convention: its method mapping
 does not support insertion, so mutating passes must :func:`thaw` first.
+The same façade also fronts an in-memory lowering of a live program
+(:class:`~repro.ir.arena.freeze.LoweredArena`), whose columns read like
+an attached buffer's.
 """
 
 from __future__ import annotations
 
 import pickle
 from functools import cached_property
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.ir.arena import schema
@@ -322,15 +326,30 @@ class LazyMethodMap(Mapping):
 
 
 class ArenaProgram(Program):
-    """A :class:`Program` façade over an attached arena (read-only)."""
+    """A :class:`Program` façade over an arena (read-only).
 
-    def __init__(self, arena: ProgramArena) -> None:
-        hierarchy = arena.build_hierarchy()
-        super().__init__(
-            hierarchy=hierarchy,
-            methods=LazyMethodMap(arena, hierarchy),
-            entry_points=arena.entry_point_names(),
-        )
+    Attached to a buffer, it rebuilds the hierarchy from the type tables
+    and thaws method bodies lazily.  Over an in-memory lowering of a live
+    ``source`` program (:func:`repro.ir.arena.lowered_program`) it shares
+    the source's hierarchy and method bodies instead — ``methods`` is a
+    read-only proxy of the source's mapping — and copies its entry points.
+    """
+
+    def __init__(self, arena: ProgramArena,
+                 source: Optional[Program] = None) -> None:
+        if source is None:
+            hierarchy = arena.build_hierarchy()
+            super().__init__(
+                hierarchy=hierarchy,
+                methods=LazyMethodMap(arena, hierarchy),
+                entry_points=arena.entry_point_names(),
+            )
+        else:
+            super().__init__(
+                hierarchy=source.hierarchy,
+                methods=MappingProxyType(source.methods),
+                entry_points=list(source.entry_points),
+            )
         self.arena = arena
 
     @cached_property

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, TypeVar
 
 from repro.ir.method import Method
 from repro.ir.types import MethodSignature, TypeHierarchy
+
+
+T = TypeVar("T")
+
+#: Instance attributes that are bookkeeping, not program content: they are
+#: left out of pickles and copies (see :meth:`Program.__getstate__`).
+_TRANSIENT = ("_revision", "_memo")
 
 
 class ProgramError(Exception):
@@ -27,11 +34,17 @@ class Program:
     methods: Dict[str, Method] = field(default_factory=dict)
     entry_points: List[str] = field(default_factory=list)
 
+    # Class-level defaults, not dataclass fields: a program gets its own
+    # values on its first mutation and first memoized derivation.
+    _revision = 0
+    _memo = None
+
     def add_method(self, method: Method) -> Method:
         name = method.qualified_name
         if name in self.methods:
             raise ProgramError(f"method {name!r} defined twice")
         self.methods[name] = method
+        self._revision += 1
         declaring = method.signature.declaring_class
         if declaring in self.hierarchy:
             self.hierarchy.get(declaring).declare_method(method.signature)
@@ -42,6 +55,44 @@ class Program:
             raise ProgramError(f"entry point {qualified_name!r} is not a defined method")
         if qualified_name not in self.entry_points:
             self.entry_points.append(qualified_name)
+            self._revision += 1
+
+    @property
+    def revision(self) -> int:
+        """A stamp that changes whenever the program is mutated.
+
+        It counts :meth:`add_method` and :meth:`add_entry_point` here plus
+        the hierarchy's ``declare_class`` / ``declare_field`` /
+        ``declare_method`` (:attr:`TypeHierarchy.revision`).  Every mutation
+        path goes through those five — ``ProgramDelta.apply_to`` and
+        ``ReflectionConfig.apply_to`` included — so a derivation stamped
+        with one revision is current exactly while the stamp still matches.
+        """
+        return self._revision + self.hierarchy.revision
+
+    def memoized(self, build: Callable[["Program"], T]) -> T:
+        """``build(self)``, computed at most once per :attr:`revision`.
+
+        One slot, keyed by ``build``: the in-memory arena lowering
+        (:func:`repro.ir.arena.lowered_program`) is what lives here, so two
+        image builds of one program lower it once.  The memo is an
+        attribute of this program, so it dies with it, and it is never
+        pickled or copied (:meth:`__getstate__`).
+        """
+        revision = self.revision
+        memo = self._memo
+        if memo is not None and memo[0] == revision and memo[1] is build:
+            return memo[2]
+        value = build(self)
+        self._memo = (revision, build, value)
+        return value
+
+    def __getstate__(self) -> dict:
+        # Pickles (the program store's among them) carry the fields only, so
+        # they stay a function of the program's content; an unpickled or
+        # copied program starts at revision 0 without a memo.
+        return {key: value for key, value in self.__dict__.items()
+                if key not in _TRANSIENT}
 
     def method(self, qualified_name: str) -> Method:
         try:

@@ -33,6 +33,11 @@ class TypeSystemError(Exception):
     """Raised when the program declares an inconsistent type hierarchy."""
 
 
+def _without_revision(state: dict) -> dict:
+    """Pickle state minus the mutation counter, which is bookkeeping."""
+    return {key: value for key, value in state.items() if key != "_revision"}
+
+
 @dataclass(frozen=True)
 class FieldDecl:
     """A field declaration ``<declaring_class>.<name> : <declared_type>``."""
@@ -96,9 +101,14 @@ class ClassType:
     #: Names of methods declared (with a body) directly on this class.
     declared_methods: Dict[str, MethodSignature] = field(default_factory=dict)
 
+    #: Mutation counter (a class default, not a field; see
+    #: :attr:`TypeHierarchy.revision`).
+    _revision = 0
+
     def declare_field(self, name: str, declared_type: str) -> FieldDecl:
         decl = FieldDecl(self.name, name, declared_type)
         self.fields[name] = decl
+        self._revision += 1
         return decl
 
     def declare_method(self, signature: MethodSignature) -> MethodSignature:
@@ -107,7 +117,11 @@ class ClassType:
                 f"method {signature.qualified_name} declared on class {self.name}"
             )
         self.declared_methods[signature.name] = signature
+        self._revision += 1
         return signature
+
+    def __getstate__(self) -> dict:
+        return _without_revision(self.__dict__)
 
 
 class TypeHierarchy:
@@ -117,6 +131,10 @@ class TypeHierarchy:
     ``null`` type.  ``null`` is a subtype of every reference type, which makes
     ``instanceof`` filtering and null checks uniform in the solver.
     """
+
+    #: Mutation counter of :meth:`declare_class` (a class default until the
+    #: first declaration; see :attr:`revision`).
+    _revision = 0
 
     def __init__(self) -> None:
         self._classes: Dict[str, ClassType] = {}
@@ -149,6 +167,7 @@ class TypeHierarchy:
             is_abstract=is_abstract,
         )
         self._classes[name] = cls
+        self._revision += 1
         self._invalidate_caches()
         return cls
 
@@ -167,6 +186,20 @@ class TypeHierarchy:
     @property
     def class_names(self) -> List[str]:
         return list(self._classes)
+
+    @property
+    def revision(self) -> int:
+        """A stamp that grows with every declaration.
+
+        Counts :meth:`declare_class` plus every class's ``declare_field``
+        and ``declare_method``; each counter only grows, so the sum changes
+        on any of them.  :attr:`Program.revision` builds on it.
+        """
+        return self._revision + sum(
+            cls._revision for cls in self._classes.values())
+
+    def __getstate__(self) -> dict:
+        return _without_revision(self.__dict__)
 
     def _invalidate_caches(self) -> None:
         self._subtype_cache.clear()

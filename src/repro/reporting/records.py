@@ -84,15 +84,18 @@ def compare_configurations(spec: BenchmarkSpec,
                            baseline_config: Optional[AnalysisConfig] = None,
                            skipflow_config: Optional[AnalysisConfig] = None
                            ) -> BenchmarkComparison:
-    """Generate one benchmark and build it with both configurations."""
-    program_for_baseline = generate_benchmark(spec)
-    program_for_skipflow = generate_benchmark(spec)
+    """Generate one benchmark and build it with both configurations.
+
+    Both builds share the one generated program, and so its one in-memory
+    lowering (image builds never mutate a program without reflection).
+    """
+    program = generate_benchmark(spec)
     baseline_config = baseline_config or AnalysisConfig.baseline_pta()
     skipflow_config = skipflow_config or AnalysisConfig.skipflow()
     baseline = NativeImageBuilder(
-        program_for_baseline, baseline_config, benchmark_name=spec.name).build()
+        program, baseline_config, benchmark_name=spec.name).build()
     skipflow = NativeImageBuilder(
-        program_for_skipflow, skipflow_config, benchmark_name=spec.name).build()
+        program, skipflow_config, benchmark_name=spec.name).build()
     return BenchmarkComparison(
         benchmark=spec.name, suite=spec.suite, baseline=baseline,
         skipflow=skipflow, spec=spec,

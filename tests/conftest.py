@@ -107,3 +107,27 @@ def virtual_threads_program() -> Program:
 @pytest.fixture
 def virtual_threads_program_with_virtual() -> Program:
     return build_virtual_threads_program(use_virtual_threads=True)
+
+
+def _object_image_report(program: Program, config, benchmark_name: str = "program"):
+    """The image report of ``program`` solved on the object kernel.
+
+    ``NativeImageBuilder.build`` solves every program on the arena kernel;
+    this reference solves the plain program with ``SkipFlowAnalysis`` (the
+    object kernel) and assembles the report from the PVPG walks
+    (``collect_metrics`` / ``eliminate_dead_code``), so comparing the two
+    keeps the cross-kernel bit-identity coverage of image reports.
+    """
+    from repro.core.analysis import SkipFlowAnalysis
+    from repro.image.builder import NativeImageBuilder
+
+    result = SkipFlowAnalysis(program, config).run()
+    assert result.kernel_ran == "object"
+    return NativeImageBuilder(program, config,
+                              benchmark_name=benchmark_name).report(result)
+
+
+@pytest.fixture
+def object_image_report():
+    """:func:`_object_image_report`: an image report from the object kernel."""
+    return _object_image_report

@@ -1,9 +1,11 @@
 """Which kernel an engine half ran on.
 
 No config names a kernel: a store-backed half is solved on the program the
-store attaches, so it runs on the arena kernel under every built-in
-saturation policy, and a half without a store runs on the object kernel.  Both produce the same report, and the payload records only which
-kernel ran (``kernel_ran``) — there is no fallback to report.
+store attaches, and a half without a store on its generated program's
+in-memory lowering, so both run on the arena kernel under every built-in
+saturation policy.  Both produce the report the object kernel produces on
+the plain program, and the payload records only which kernel ran
+(``kernel_ran``) — there is no fallback to report.
 """
 
 import pytest
@@ -11,8 +13,13 @@ import pytest
 from repro.core.analysis import AnalysisConfig
 from repro.core.kernel import available_saturation_policies
 from repro.engine import ProgramStore
-from repro.engine.runner import PAYLOAD_VERSION, _WORKER_PROGRAMS, solve_config
-from repro.workloads.generator import spec_from_reduction
+from repro.engine.runner import (
+    PAYLOAD_VERSION,
+    _WORKER_PROGRAMS,
+    _report_payload,
+    solve_config,
+)
+from repro.workloads.generator import generate_benchmark, spec_from_reduction
 from repro.workloads.suites import wide_hierarchy_suite
 
 SPECS = {
@@ -38,7 +45,7 @@ def _counts(payload):
 @pytest.mark.parametrize("saturation", available_saturation_policies())
 @pytest.mark.parametrize("spec", sorted(SPECS))
 def test_store_half_runs_on_arena_under_every_builtin_policy(
-        tmp_path, spec, saturation):
+        tmp_path, spec, saturation, object_image_report):
     spec = SPECS[spec]
     config = AnalysisConfig.skipflow().with_saturation_policy(saturation, 8)
     store = ProgramStore(tmp_path)
@@ -47,8 +54,11 @@ def test_store_half_runs_on_arena_under_every_builtin_policy(
     assert half["program_from_store"]
     assert half["kernel_ran"] == "arena"
     without_store = solve_config(spec, config)
-    assert without_store["kernel_ran"] == "object"
+    assert without_store["kernel_ran"] == "arena"
     assert _counts(half) == _counts(without_store)
+    reference = _report_payload(
+        object_image_report(generate_benchmark(spec), config, spec.name))
+    assert _counts(half) == _counts({"report": reference})
 
 
 def test_payload_records_the_kernel_and_no_fallback(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.engine import ProgramStore, ResultCache, run_config_matrix, run_specs
-from repro.engine.runner import _WORKER_PROGRAMS, solve_config
+from repro.engine.runner import _WORKER_PROGRAMS, _report_payload, solve_config
 from repro.ir.arena import ArenaProgram
 from repro.workloads.generator import generate_benchmark, spec_from_reduction
 from repro.workloads.suites import dacapo_suite, wide_hierarchy_suite
@@ -234,19 +234,22 @@ class TestArenaAttach:
         assert (other.arena_path_for(_spec()).read_bytes()
                 == store.arena_path_for(_spec()).read_bytes())
 
-    def test_arena_kernel_config_routes_through_attach(self, tmp_path, monkeypatch):
+    def test_arena_kernel_config_routes_through_attach(
+            self, tmp_path, monkeypatch, object_image_report):
         """Every store-backed half maps the blob instead of unpickling,
         and the engine solves the attached program on the arena kernel."""
         store = ProgramStore(tmp_path)
         store.load_or_build(_spec())
         monkeypatch.setattr(ProgramStore, "load", _no_unpickle)
         cold = solve_config(_spec(), AnalysisConfig.skipflow())
-        assert cold["kernel_ran"] == "object"
+        assert cold["kernel_ran"] == "arena"
         _WORKER_PROGRAMS.clear()
         warm = solve_config(_spec(), AnalysisConfig.skipflow(), store)
         assert warm["program_from_store"]
         assert warm["kernel_ran"] == "arena"
         assert _report(warm) == _report(cold)
+        assert _report(warm) == _object_report(
+            object_image_report, _spec(), AnalysisConfig.skipflow())
 
     def test_report_view_says_which_kernel_ran(self, tmp_path):
         """A matrix row's ``ReportView`` carries the half's ``kernel_ran``."""
@@ -257,12 +260,14 @@ class TestArenaAttach:
         generated = run_config_matrix([_spec()], configs,
                                       names=["skipflow"])[0]
         assert stored.report("skipflow").kernel_ran == "arena"
-        assert generated.report("skipflow").kernel_ran == "object"
+        assert generated.report("skipflow").kernel_ran == "arena"
         assert (stored.report("skipflow").metrics
                 == generated.report("skipflow").metrics)
 
-    def test_read_only_store_runs_the_object_kernel(self, tmp_path, monkeypatch):
-        """A backfill that cannot be written leaves a plain program."""
+    def test_read_only_store_lowers_the_plain_program(
+            self, tmp_path, monkeypatch, object_image_report):
+        """A backfill that cannot be written leaves a plain program, which
+        the image build lowers in memory and solves on the arena kernel."""
         _WORKER_PROGRAMS.clear()
         store = ProgramStore(tmp_path)
         store.load_or_build(_spec())
@@ -281,9 +286,11 @@ class TestArenaAttach:
         finally:
             tmp_path.chmod(0o755)
         assert half["program_from_store"]
-        assert half["kernel_ran"] == "object"
+        assert half["kernel_ran"] == "arena"
         assert not store.has_arena(_spec())
         assert _report(half) == _report(solve_config(_spec(), AnalysisConfig.skipflow()))
+        assert _report(half) == _object_report(
+            object_image_report, _spec(), AnalysisConfig.skipflow())
 
 
 def _no_unpickle(self, spec):
@@ -294,6 +301,12 @@ def _report(payload):
     """A half's report without the two wall-clock keys."""
     return {key: value for key, value in payload["report"].items()
             if key not in ("analysis_time_seconds", "total_time_seconds")}
+
+
+def _object_report(object_image_report, spec, config):
+    """``_report`` of the object kernel's image report of a generated spec."""
+    report = object_image_report(generate_benchmark(spec), config, spec.name)
+    return _report({"report": _report_payload(report)})
 
 
 BIT_IDENTITY_CONFIGS = {
@@ -318,18 +331,20 @@ def filled_store(tmp_path_factory):
 @pytest.mark.parametrize("config", sorted(BIT_IDENTITY_CONFIGS))
 @pytest.mark.parametrize("spec", BIT_IDENTITY_SPECS, ids=lambda spec: spec.name)
 def test_store_backed_half_is_bit_identical_to_a_generated_one(
-        filled_store, spec, config):
-    """Arena-kernel halves on attached blobs match object-kernel halves on
-    freshly generated programs, field for field except the wall clocks."""
+        filled_store, spec, config, object_image_report):
+    """Arena-kernel halves on attached blobs and on in-memory lowerings of
+    freshly generated programs match the object kernel's report of the
+    generated program, field for field except the wall clocks."""
     _WORKER_PROGRAMS.clear()
     config = BIT_IDENTITY_CONFIGS[config]
     stored = solve_config(spec, config, filled_store)
     generated = solve_config(spec, config)
     assert stored["program_from_store"]
     assert stored["kernel_ran"] == "arena"
-    assert generated["kernel_ran"] == "object"
+    assert generated["kernel_ran"] == "arena"
     assert stored["config_name"] == generated["config_name"]
     assert _report(stored) == _report(generated)
+    assert _report(stored) == _object_report(object_image_report, spec, config)
 
 
 class TestKeying:

@@ -1,11 +1,14 @@
 """The parallel benchmark runner: determinism, ordering, and half composition."""
 
+import importlib
+
 import pytest
 
 from repro.core.analysis import AnalysisConfig
-from repro.engine import ProgramStore, ResultCache, run_specs
+from repro.engine import ProgramStore, ResultCache, run_config_matrix, run_specs
 from repro.engine.runner import (
     PAYLOAD_VERSION,
+    _WORKER_PROGRAMS,
     result_from_halves,
     solve_config,
     view_from_half,
@@ -184,3 +187,63 @@ class TestScheduler:
     def test_stable_for_equal_costs(self):
         specs = [SPECS[0], SPECS[0], SPECS[0]]
         assert order_by_cost(specs) == [0, 1, 2]
+
+
+class TestStorelessProgramMemo:
+    """Without a store, a process generates and lowers each spec once."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        _WORKER_PROGRAMS.clear()
+        yield
+        _WORKER_PROGRAMS.clear()
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Calls of ``generate_benchmark`` (by the runner) and ``lower``."""
+        from repro.engine import runner
+
+        freeze_module = importlib.import_module("repro.ir.arena.freeze")
+        calls = {"generate": [], "lower": []}
+        generate, lower = runner.generate_benchmark, freeze_module.lower
+
+        def counting_generate(spec):
+            calls["generate"].append(spec.name)
+            return generate(spec)
+
+        def counting_lower(program):
+            calls["lower"].append(program)
+            return lower(program)
+
+        monkeypatch.setattr(runner, "generate_benchmark", counting_generate)
+        monkeypatch.setattr(freeze_module, "lower", counting_lower)
+        return calls
+
+    def test_matrix_generates_and_lowers_each_spec_once(self, counted):
+        configs = [AnalysisConfig.baseline_pta(), AnalysisConfig.skipflow(),
+                   AnalysisConfig.skipflow().with_saturation_policy(
+                       "allocated-type", 8)]
+        rows = run_config_matrix(SPECS[:2], configs,
+                                 names=["pta", "skipflow", "skipflow-at8"])
+        assert sorted(counted["generate"]) == sorted(
+            spec.name for spec in SPECS[:2])
+        assert len(counted["lower"]) == 2
+        for row in rows:
+            for name in row.names:
+                assert row.report(name).kernel_ran == "arena"
+
+    def test_memo_hits_are_not_store_hits(self, counted):
+        halves = [solve_config(SPECS[2], config) for config in
+                  (AnalysisConfig.baseline_pta(), AnalysisConfig.skipflow())]
+        assert counted["generate"] == [SPECS[2].name]
+        assert [half["program_from_store"] for half in halves] == [False, False]
+
+    def test_generated_programs_share_the_memo_capacity(self, counted, monkeypatch):
+        from repro.engine import runner
+
+        monkeypatch.setattr(runner, "_WORKER_PROGRAM_CAPACITY", 1)
+        for spec in (SPECS[0], SPECS[2], SPECS[0]):
+            solve_config(spec, AnalysisConfig.skipflow())
+        assert len(_WORKER_PROGRAMS) == 1
+        assert counted["generate"] == [SPECS[0].name, SPECS[2].name,
+                                       SPECS[0].name]

@@ -6,7 +6,9 @@ the ``matrix-store`` benchmark fills its store with) and for every program
 a ``tests/fuzz/corpus`` script passes through: its base program and the
 program after each of its edits.  A changed digest means the arena buffer
 changed, which the program store, the arena kernel and daemon
-spill/rehydrate all read, so any change must be deliberate.
+spill/rehydrate all read, so any change must be deliberate.  ``freeze`` is
+``serialize(lower(program))``; every golden program also pins that identity
+and that the in-memory columns of ``lower`` equal an attached freeze's.
 
 Each program is built with :class:`~repro.ir.values.Value` uids restarted
 from zero: the pickled method bodies carry those uids, which otherwise
@@ -42,7 +44,7 @@ import pytest
 
 from repro.fuzz.reprofile import load_repro
 from repro.ir import values
-from repro.ir.arena import freeze
+from repro.ir.arena import ProgramArena, freeze, lower, serialize
 from repro.ir.program import Program
 from repro.workloads.edits import build_edit_delta
 from repro.workloads.generator import generate_benchmark
@@ -106,6 +108,23 @@ def test_freeze_matches_golden_digest(key, build, monkeypatch):
     monkeypatch.setattr(values, "_value_counter", itertools.count())
     assert freeze_digest(build()) == golden["digests"][key], (
         f"freeze output for {key} changed")
+
+
+@pytest.mark.parametrize("key,build", _PROGRAMS,
+                         ids=[key for key, _ in _PROGRAMS])
+def test_freeze_is_the_serialized_lowering(key, build):
+    """``freeze == serialize . lower``, and the in-memory columns and
+    strings of a lowering are exactly those an attach of its freeze reads."""
+    program = build()
+    lowered = lower(program)
+    frozen = freeze(program)
+    assert serialize(lowered) == frozen
+    attached = ProgramArena(frozen)
+    assert {name: getattr(attached, name).tolist()
+            for name in lowered.columns} == lowered.columns
+    assert [attached.string(sid) for sid in range(len(lowered.strings))] == (
+        lowered.strings)
+    assert len(attached.str_offsets) == len(lowered.strings) + 1
 
 
 def _digests() -> Dict[str, str]:

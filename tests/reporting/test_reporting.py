@@ -54,6 +54,39 @@ class TestComparisonRecords:
         assert comparison.skipflow.configuration == "SkipFlow-predicates-only"
 
 
+    def test_shared_program_matches_the_two_program_form(self, monkeypatch):
+        """Both builds share one generated program (one lowering) and report
+        exactly what building each config on its own program reports."""
+        from repro.core.analysis import AnalysisConfig
+        from repro.image.builder import NativeImageBuilder
+        from repro.reporting import records
+        from repro.workloads.generator import generate_benchmark
+
+        spec = spec_from_reduction("delta", "Demo", total_methods=70,
+                                   reduction_percent=12.0)
+        generated = []
+
+        def counting_generate(target):
+            generated.append(target)
+            return generate_benchmark(target)
+
+        monkeypatch.setattr(records, "generate_benchmark", counting_generate)
+        shared = compare_configurations(spec)
+        assert generated == [spec]
+        assert shared.baseline.result.program is shared.skipflow.result.program
+        for report, config in ((shared.baseline, AnalysisConfig.baseline_pta()),
+                               (shared.skipflow, AnalysisConfig.skipflow())):
+            alone = NativeImageBuilder(generate_benchmark(spec), config,
+                                       benchmark_name=spec.name).build()
+            assert report.result.kernel_ran == alone.result.kernel_ran == "arena"
+            assert report.metrics.counters == alone.metrics.counters
+            assert report.dead_code == alone.dead_code
+            assert report.binary_size_bytes == alone.binary_size_bytes
+            assert (report.result.reachable_methods
+                    == alone.result.reachable_methods)
+            assert report.result.stats == alone.result.stats
+
+
 class TestTable1:
     def test_rows_two_per_benchmark(self, comparisons):
         rows = table1_rows(comparisons)
