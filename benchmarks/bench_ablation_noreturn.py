@@ -9,9 +9,11 @@ including the interaction with the analysis time.
 
 from __future__ import annotations
 
+from conftest import reduction
+
 from repro.core.analysis import AnalysisConfig
+from repro.engine import run_specs
 from repro.image.builder import NativeImageBuilder
-from repro.reporting.records import compare_configurations
 from repro.workloads.generator import BenchmarkSpec, GuardedModuleSpec, generate_benchmark
 
 
@@ -27,30 +29,29 @@ def _spec(guarded: int) -> BenchmarkSpec:
     )
 
 
+_GUARDED = (20, 60, 120)
+
+
 def _run():
-    results = {}
-    for guarded in (20, 60, 120):
-        comparison = compare_configurations(_spec(guarded))
-        results[guarded] = comparison
-    return results
+    return dict(zip(_GUARDED, run_specs([_spec(guarded) for guarded in _GUARDED])))
 
 
 def test_invokes_as_predicates(benchmark):
     results = benchmark.pedantic(_run, rounds=1, iterations=1)
     benchmark.extra_info["reductions_percent"] = {
-        guarded: round(comparison.reachable_method_reduction_percent, 2)
-        for guarded, comparison in results.items()
+        guarded: round(reduction(row), 2) for guarded, row in results.items()
     }
     previous_reduction = 0.0
-    for guarded, comparison in sorted(results.items()):
-        reduction = comparison.reachable_method_reduction_percent
-        print(f"\nguarded={guarded}: PTA={comparison.baseline.reachable_methods} "
-              f"SkipFlow={comparison.skipflow.reachable_methods} ({reduction:.1f}%)")
+    for guarded, row in sorted(results.items()):
+        percent = reduction(row)
+        pta = row.report("PTA").reachable_methods
+        skipflow = row.report("SkipFlow").reachable_methods
+        print(f"\nguarded={guarded}: PTA={pta} SkipFlow={skipflow} ({percent:.1f}%)")
         # The code behind the never-returning guard must be gone entirely.
-        assert comparison.skipflow.reachable_methods < comparison.baseline.reachable_methods
+        assert skipflow < pta
         # More guarded code means a larger reduction.
-        assert reduction >= previous_reduction
-        previous_reduction = reduction
+        assert percent >= previous_reduction
+        previous_reduction = percent
 
 
 def test_never_returning_method_prunes_continuation(benchmark):

@@ -35,16 +35,16 @@ def _run_all_suites():
 def test_figure9_normalized_metrics(benchmark):
     per_suite = benchmark.pedantic(_run_all_suites, rounds=1, iterations=1)
     all_method_reductions = []
-    for suite_name, comparisons in per_suite.items():
+    for suite_name, rows in per_suite.items():
         print()
-        print(format_figure9(comparisons, suite_name))
-        series = figure9_series(comparisons)
+        print(format_figure9(rows, suite_name))
+        series = figure9_series(rows)
         for bench_name, metrics in series.items():
             for metric in _MONOTONE_METRICS:
                 assert metrics[metric] <= 1.0, (
                     f"{suite_name}/{bench_name}: {metric} regressed ({metrics[metric]:.2f})"
                 )
-        averages = suite_averages(comparisons)
+        averages = suite_averages(rows)
         all_method_reductions.append(1.0 - averages["reachable_methods"])
     # Across the three suites the average reachable-method reduction is ~9%.
     overall = sum(all_method_reductions) / len(all_method_reductions)

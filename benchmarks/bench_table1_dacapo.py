@@ -9,31 +9,32 @@ outlier, and the suite-average reduction is in the double-digit percent range.
 
 from __future__ import annotations
 
-from conftest import BENCH_SCALE, record_comparisons, run_suite
+from conftest import BENCH_SCALE, record_comparisons, reduction, run_suite
 
-from repro.reporting.table import format_table1, summarize_reductions
+from repro.reporting.table import format_matrix_table, summarize_reductions
 from repro.workloads.suites import dacapo_suite
 
 
 def test_table1_dacapo(benchmark):
     specs = dacapo_suite(scale=BENCH_SCALE)
-    comparisons = benchmark.pedantic(run_suite, args=(specs,), rounds=1, iterations=1)
-    record_comparisons(benchmark, comparisons)
+    rows = benchmark.pedantic(run_suite, args=(specs,), rounds=1, iterations=1)
+    record_comparisons(benchmark, rows)
     print()
-    print(format_table1(comparisons, title="Table 1 (DaCapo block)"))
+    print(format_matrix_table(rows, title="Table 1 (DaCapo block)"))
 
-    by_name = {comparison.benchmark: comparison for comparison in comparisons}
+    by_name = {row.benchmark: row for row in rows}
     # Every benchmark improves.
-    for comparison in comparisons:
-        assert comparison.skipflow.reachable_methods < comparison.baseline.reachable_methods
+    for row in rows:
+        assert (row.metric("reachable_methods", "SkipFlow")
+                < row.metric("reachable_methods", "PTA"))
     # Sunflow is the extreme outlier (paper: 52.3%).
-    sunflow = by_name["sunflow"].reachable_method_reduction_percent
+    sunflow = reduction(by_name["sunflow"])
     assert sunflow > 35.0
-    assert sunflow == max(c.reachable_method_reduction_percent for c in comparisons)
+    assert sunflow == max(reduction(row) for row in rows)
     # The suite average reduction has the paper's order of magnitude (13.3%).
-    summary = summarize_reductions(comparisons)
+    summary = summarize_reductions(rows)
     assert 5.0 < summary["avg"] < 30.0
     # Counter metrics and binary size follow the same trend.
-    for comparison in comparisons:
-        assert comparison.normalized("poly_calls") <= 1.0
-        assert comparison.normalized("binary_size") < 1.0
+    for row in rows:
+        assert row.normalized("poly_calls", "SkipFlow") <= 1.0
+        assert row.normalized("binary_size", "SkipFlow") < 1.0

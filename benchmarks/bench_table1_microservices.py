@@ -8,28 +8,29 @@ same way relative to each other.
 
 from __future__ import annotations
 
-from conftest import BENCH_SCALE, record_comparisons, run_suite
+from conftest import BENCH_SCALE, record_comparisons, reduction, run_suite
 
-from repro.reporting.table import format_table1, summarize_reductions
+from repro.reporting.table import format_matrix_table, summarize_reductions
 from repro.workloads.suites import microservices_suite
 
 
 def test_table1_microservices(benchmark):
     specs = microservices_suite(scale=BENCH_SCALE)
-    comparisons = benchmark.pedantic(run_suite, args=(specs,), rounds=1, iterations=1)
-    record_comparisons(benchmark, comparisons)
+    rows = benchmark.pedantic(run_suite, args=(specs,), rounds=1, iterations=1)
+    record_comparisons(benchmark, rows)
     print()
-    print(format_table1(comparisons, title="Table 1 (Microservices block)"))
+    print(format_matrix_table(rows, title="Table 1 (Microservices block)"))
 
-    for comparison in comparisons:
-        assert comparison.skipflow.reachable_methods < comparison.baseline.reachable_methods
+    for row in rows:
+        assert (row.metric("reachable_methods", "SkipFlow")
+                < row.metric("reachable_methods", "PTA"))
 
-    summary = summarize_reductions(comparisons)
+    summary = summarize_reductions(rows)
     # Paper: max 9.2%, min 3.3%, avg 6.3%.
     assert 3.0 < summary["avg"] < 12.0
     assert summary["max"] < 20.0
 
-    by_name = {comparison.benchmark: comparison for comparison in comparisons}
-    tika = by_name["quarkus-tika"].reachable_method_reduction_percent
-    helloworld = by_name["micronaut-helloworld"].reachable_method_reduction_percent
+    by_name = {row.benchmark: row for row in rows}
+    tika = reduction(by_name["quarkus-tika"])
+    helloworld = reduction(by_name["micronaut-helloworld"])
     assert tika > helloworld

@@ -8,9 +8,9 @@ relations on the synthetic suite.
 
 from __future__ import annotations
 
-from conftest import BENCH_SCALE, record_comparisons, run_suite
+from conftest import BENCH_SCALE, record_comparisons, reduction, run_suite
 
-from repro.reporting.table import format_table1, summarize_reductions
+from repro.reporting.table import format_matrix_table, summarize_reductions
 from repro.workloads.suites import renaissance_suite
 
 _SPARK_BENCHMARKS = ("als", "chi-square", "dec-tree", "log-regression")
@@ -18,22 +18,23 @@ _SPARK_BENCHMARKS = ("als", "chi-square", "dec-tree", "log-regression")
 
 def test_table1_renaissance(benchmark):
     specs = renaissance_suite(scale=BENCH_SCALE)
-    comparisons = benchmark.pedantic(run_suite, args=(specs,), rounds=1, iterations=1)
-    record_comparisons(benchmark, comparisons)
+    rows = benchmark.pedantic(run_suite, args=(specs,), rounds=1, iterations=1)
+    record_comparisons(benchmark, rows)
     print()
-    print(format_table1(comparisons, title="Table 1 (Renaissance block)"))
+    print(format_matrix_table(rows, title="Table 1 (Renaissance block)"))
 
-    for comparison in comparisons:
-        assert comparison.skipflow.reachable_methods < comparison.baseline.reachable_methods
+    for row in rows:
+        assert (row.metric("reachable_methods", "SkipFlow")
+                < row.metric("reachable_methods", "PTA"))
 
-    summary = summarize_reductions(comparisons)
+    summary = summarize_reductions(rows)
     # Paper: max 17.2%, min 3.7%, avg 8.4%.
     assert 4.0 < summary["avg"] < 16.0
 
-    by_name = {comparison.benchmark: comparison for comparison in comparisons}
+    by_name = {row.benchmark: row for row in rows}
     spark_avg = sum(
-        by_name[name].reachable_method_reduction_percent for name in _SPARK_BENCHMARKS
+        reduction(by_name[name]) for name in _SPARK_BENCHMARKS
     ) / len(_SPARK_BENCHMARKS)
-    others = [c for c in comparisons if c.benchmark not in _SPARK_BENCHMARKS]
-    others_avg = sum(c.reachable_method_reduction_percent for c in others) / len(others)
+    others = [row for row in rows if row.benchmark not in _SPARK_BENCHMARKS]
+    others_avg = sum(reduction(row) for row in others) / len(others)
     assert spark_avg > others_avg

@@ -34,7 +34,6 @@ Exits non-zero (with a message) on any violation, so it can gate CI::
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 import tempfile
 from pathlib import Path
@@ -73,13 +72,8 @@ def _smoke_specs():
     ]
 
 
-def _fresh_halves(comparisons, rows):
+def _fresh_halves(rows):
     """(benchmark, column, report) of every half solved rather than cached."""
-    for result in comparisons:
-        if not result.baseline_from_cache:
-            yield result.benchmark, "baseline", result.baseline
-        if not result.skipflow_from_cache:
-            yield result.benchmark, "skipflow", result.skipflow
     for row in rows:
         for run in row.runs:
             if not run.from_cache:
@@ -189,7 +183,7 @@ def _image_phase() -> list:
     """Two image builds of one plain program share one arena lowering.
 
     Returns a list of failure messages (empty = phase green).  Counts the
-    calls of :func:`repro.ir.arena.freeze.lower` during a PTA and a
+    calls of :func:`repro.ir.arena.lowering.lower` during a PTA and a
     SkipFlow build of one freshly generated program: anything but one call
     means the per-program memo missed (or the builds bypassed it), and a
     build that did not run on the arena kernel means the image builder
@@ -197,21 +191,19 @@ def _image_phase() -> list:
     against the object kernel's reports of the same program.
     """
     from repro.image.builder import NativeImageBuilder
-
-    # The module, not the package's ``freeze`` function of the same name.
-    freeze_module = importlib.import_module("repro.ir.arena.freeze")
+    from repro.ir.arena import lowering
 
     failures = []
     spec = _smoke_specs()[0]
     program = generate_benchmark(spec)
-    lower = freeze_module.lower
+    lower = lowering.lower
     lowerings = []
 
     def counting_lower(target):
         lowerings.append(target)
         return lower(target)
 
-    freeze_module.lower = counting_lower
+    lowering.lower = counting_lower
     try:
         for config in (AnalysisConfig.baseline_pta(), AnalysisConfig.skipflow()):
             builder = NativeImageBuilder(program, config,
@@ -230,7 +222,7 @@ def _image_phase() -> list:
                     f"{spec.name} [{config.name}]: the arena image report "
                     f"differs from the object kernel's")
     finally:
-        freeze_module.lower = lower
+        lowering.lower = lower
     if len(lowerings) != 1:
         failures.append(
             f"{spec.name}: two image builds of one program lowered it "
@@ -317,12 +309,13 @@ def main(argv=None) -> int:
             failures.append(f"{after.benchmark}: second run was not served from cache")
         if before.as_dict() != after.as_dict():
             failures.append(f"{after.benchmark}: cached result differs from computed")
-    for result in first:
-        if result.skipflow.reachable_methods >= result.baseline.reachable_methods:
+    for row in first:
+        pta = row.report("PTA").reachable_methods
+        skipflow = row.report("SkipFlow").reachable_methods
+        if skipflow >= pta:
             failures.append(
-                f"{result.benchmark}: SkipFlow did not reduce reachable methods "
-                f"({result.skipflow.reachable_methods} >= "
-                f"{result.baseline.reachable_methods})")
+                f"{row.benchmark}: SkipFlow did not reduce reachable methods "
+                f"({skipflow} >= {pta})")
 
     # The ablation run varies only the SkipFlow config: every baseline half
     # must come from the cache, every SkipFlow half must be recomputed.
@@ -331,13 +324,13 @@ def main(argv=None) -> int:
             f"expected the ablation run to hit {len(specs)} baseline halves and "
             f"miss {len(specs)} SkipFlow halves, got {ablation_cache.hits} hits / "
             f"{ablation_cache.misses} misses")
-    for result in ablation:
-        if not result.baseline_from_cache:
+    for row in ablation:
+        if not row.run("PTA").from_cache:
             failures.append(
-                f"{result.benchmark}: ablation run recomputed the shared baseline")
-        if result.skipflow_from_cache:
+                f"{row.benchmark}: ablation run recomputed the shared baseline")
+        if row.run("SkipFlow").from_cache:
             failures.append(
-                f"{result.benchmark}: ablation run did not recompute SkipFlow")
+                f"{row.benchmark}: ablation run did not recompute SkipFlow")
 
     # The 3-way matrix shares every half with the earlier runs: each half
     # must have been solved exactly once in this whole session, so the
@@ -354,8 +347,9 @@ def main(argv=None) -> int:
         if row.names != ("pta", "skipflow", "skipflow-sat"):
             failures.append(f"{row.benchmark}: unexpected matrix columns {row.names}")
         expectations = (
-            ("pta", pairwise.baseline), ("skipflow", pairwise.skipflow),
-            ("skipflow-sat", sat.skipflow))
+            ("pta", pairwise.report("PTA")),
+            ("skipflow", pairwise.report("SkipFlow")),
+            ("skipflow-sat", sat.report("SkipFlow")))
         for column, report in expectations:
             if row.report(column).metrics != report.metrics:
                 failures.append(
@@ -411,7 +405,7 @@ def main(argv=None) -> int:
 
     # Every freshly solved half had a store behind it, so every one must
     # have run on the arena kernel over the attached blob.
-    fresh = list(_fresh_halves([*first, *ablation], [*matrix, *policy_matrix]))
+    fresh = list(_fresh_halves([*first, *ablation, *matrix, *policy_matrix]))
     if not fresh:
         failures.append("no freshly solved store-backed half to check")
     for benchmark, column, report in fresh:

@@ -24,8 +24,7 @@ from typing import List
 
 import pytest
 
-from repro.engine import ResultCache, run_specs
-from repro.engine.runner import ComparisonResult
+from repro.engine import MatrixRow, ResultCache, run_specs
 from repro.workloads.generator import BenchmarkSpec
 
 #: Synthetic methods generated per thousand paper-reported methods during benchmarking.
@@ -38,7 +37,7 @@ JOBS_ENV = "REPRO_BENCH_JOBS"
 CACHE_ENV = "REPRO_BENCH_CACHE_DIR"
 
 
-def run_suite(specs: List[BenchmarkSpec]) -> List[ComparisonResult]:
+def run_suite(specs: List[BenchmarkSpec]) -> List[MatrixRow]:
     """Run the PTA/SkipFlow comparison for every benchmark of a suite."""
     jobs = int(os.environ.get(JOBS_ENV, "1"))
     cache_dir = os.environ.get(CACHE_ENV)
@@ -46,11 +45,15 @@ def run_suite(specs: List[BenchmarkSpec]) -> List[ComparisonResult]:
     return run_specs(specs, jobs=jobs, cache=cache)
 
 
-def record_comparisons(benchmark, comparisons: List[ComparisonResult]) -> None:
+def reduction(row: MatrixRow) -> float:
+    """SkipFlow's reachable-method reduction against PTA, in percent."""
+    return row.reduction_percent("reachable_methods", "SkipFlow")
+
+
+def record_comparisons(benchmark, rows: List[MatrixRow]) -> None:
     """Attach the per-benchmark reductions to the pytest-benchmark record."""
     benchmark.extra_info["reductions_percent"] = {
-        comparison.benchmark: round(comparison.reachable_method_reduction_percent, 2)
-        for comparison in comparisons
+        row.benchmark: round(reduction(row), 2) for row in rows
     }
 
 

@@ -38,12 +38,12 @@ def main(argv=None) -> int:
     overall_reductions = []
     for suite_name, specs in all_suites(scale=args.scale).items():
         print(f"running suite {suite_name}...", file=sys.stderr)
-        comparisons = run_specs(specs, **options)
-        section = format_figure9(comparisons, suite_name)
+        rows = run_specs(specs, **options)
+        section = format_figure9(rows, suite_name)
         sections.append(section)
         print(section)
         print()
-        overall_reductions.append(1.0 - suite_averages(comparisons)["reachable_methods"])
+        overall_reductions.append(1.0 - suite_averages(rows)["reachable_methods"])
 
     overall = 100.0 * sum(overall_reductions) / len(overall_reductions)
     footer = (f"average reachable-method reduction across suites: {overall:.1f}% "

@@ -24,7 +24,7 @@ from typing import List
 
 from repro.core.analysis import AnalysisConfig
 from repro.engine import ResultCache, run_specs
-from repro.reporting.table import format_table1, summarize_reductions
+from repro.reporting.table import format_matrix_table, summarize_reductions
 from repro.workloads.suites import all_suites, suite_by_name
 
 
@@ -55,10 +55,10 @@ def engine_options(args) -> dict:
     }
 
 
-def _print_progress(spec, result) -> None:
-    origin = "cache" if result.from_cache else f"{result.elapsed_seconds:.1f}s"
+def _print_progress(spec, row) -> None:
+    origin = "cache" if row.from_cache else f"{row.elapsed_seconds:.1f}s"
     print(f"  {spec.name:<28} reduction="
-          f"{result.reachable_method_reduction_percent:5.1f}% "
+          f"{row.reduction_percent('reachable_methods', 'SkipFlow'):5.1f}% "
           f"(paper {spec.paper_reduction_percent or 0.0:5.1f}%)  [{origin}]",
           file=sys.stderr)
 
@@ -87,9 +87,9 @@ def main(argv=None) -> int:
     sections: List[str] = []
     for suite_name, specs in suites.items():
         print(f"running suite {suite_name} ({len(specs)} benchmarks)...", file=sys.stderr)
-        comparisons = run_specs(specs, progress=_print_progress, **options)
-        summary = summarize_reductions(comparisons)
-        section = format_table1(comparisons, title=f"Table 1 ({suite_name})")
+        rows = run_specs(specs, progress=_print_progress, **options)
+        summary = summarize_reductions(rows)
+        section = format_matrix_table(rows, title=f"Table 1 ({suite_name})")
         section += (
             f"\n\nreachable methods reduction: max {summary['max']:.1f}%, "
             f"min {summary['min']:.1f}%, avg {summary['avg']:.1f}%\n"

@@ -10,10 +10,10 @@ Run with::
 """
 
 from repro.core.analysis import AnalysisConfig
+from repro.engine import run_specs
 from repro.image.builder import NativeImageBuilder
 from repro.image.reflection import ReflectionConfig
-from repro.reporting.records import compare_configurations
-from repro.reporting.table import format_table1
+from repro.reporting.table import format_matrix_table
 from repro.workloads.generator import generate_benchmark, spec_from_reduction
 
 
@@ -49,11 +49,11 @@ def compare_analyses() -> None:
         name="order-service", suite="Microservices",
         total_methods=400, reduction_percent=7.3,
     )
-    comparison = compare_configurations(spec)
-    print(format_table1([comparison], title="Order service: PTA vs SkipFlow"))
+    row = run_specs([spec])[0]
+    print(format_matrix_table([row], title="Order service: PTA vs SkipFlow"))
     print()
     print(f"reachable-method reduction: "
-          f"{comparison.reachable_method_reduction_percent:.1f}% "
+          f"{row.reduction_percent('reachable_methods', 'SkipFlow'):.1f}% "
           f"(paper reports 7.3% for Micronaut MuShop Order)")
 
 

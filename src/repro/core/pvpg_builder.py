@@ -21,7 +21,7 @@ a *sink* (:class:`FlowSink`) and only keeps the sink's opaque flow handles in
 its block states.  :class:`ObjectSink` builds
 :class:`~repro.core.flows.Flow` objects into a :class:`MethodPVPG` (the
 object solver's lazily built graph); the arena freeze pass
-(:mod:`repro.ir.arena.freeze`) plugs in a sink whose handles are integer
+(:mod:`repro.ir.arena.lowering`) plugs in a sink whose handles are integer
 flow ids and which writes the arena's columns directly.  Handles compare
 with ``==`` and hash, so both kinds share one traversal.
 """

@@ -10,8 +10,10 @@ arbitrary N-way matrix) from *how* the results are produced:
   (``jobs > 1``) or runs them serially (``jobs == 1``); both paths return
   identical results because benchmark generation and the solver are fully
   deterministic.  :func:`~repro.engine.runner.run_config_matrix` is the
-  general N-configuration driver; :func:`~repro.engine.runner.run_specs`
-  is its two-column specialization for the Table 1 / Figure 9 reporting.
+  N-configuration driver, returning one
+  :class:`~repro.engine.runner.MatrixRow` per spec;
+  :func:`~repro.engine.runner.run_specs` is its two-column (``PTA``,
+  ``SkipFlow``) form, whose rows the Table 1 / Figure 9 reporting reads.
 * :mod:`repro.engine.scheduler` orders the pending specs largest-first
   (longest-processing-time heuristic) so the pool stays balanced.
 * :mod:`repro.engine.cache` persists every configuration half as one JSON
@@ -88,7 +90,6 @@ workload family.
 from repro.engine.cache import ResultCache, compute_code_version
 from repro.engine.program_store import ProgramStore
 from repro.engine.runner import (
-    ComparisonResult,
     ConfigRunView,
     MatrixRow,
     run_config_matrix,
@@ -98,7 +99,6 @@ from repro.engine.scheduler import order_by_cost
 from repro.engine.snapshots import SnapshotStore
 
 __all__ = [
-    "ComparisonResult",
     "ConfigRunView",
     "MatrixRow",
     "ProgramStore",

@@ -7,15 +7,12 @@ process) solves one half and returns a plain JSON-serializable *payload*; the
 parent composes N halves — freshly computed or loaded independently from
 the :class:`~repro.engine.cache.ResultCache` — into result rows.
 
-:func:`run_config_matrix` is the general driver: it takes a *list of named
+:func:`run_config_matrix` is the driver: it takes a *list of named
 configurations* and produces one :class:`MatrixRow` per spec with one
 :class:`ConfigRunView` column per configuration, enabling arbitrary N-way
 comparisons (e.g. PTA vs SkipFlow vs SkipFlow+saturation).
-:func:`run_specs` is the two-column specialization that the Table 1 /
-Figure 9 drivers use; it composes the matrix columns into a
-:class:`ComparisonResult` that mirrors the read API of
-:class:`~repro.reporting.records.BenchmarkComparison`, so the existing
-formatters work on either unchanged.
+:func:`run_specs` is its two-column form that the Table 1 / Figure 9
+drivers use: columns ``PTA`` and ``SkipFlow``, the first the reference.
 
 Caching halves instead of whole comparisons is what makes ablation sweeps
 and N-way matrices cheap: five runs that vary only the SkipFlow
@@ -66,7 +63,7 @@ from repro.engine.program_store import ProgramStore
 from repro.engine.scheduler import order_by_cost
 from repro.image.builder import ImageBuildReport, NativeImageBuilder
 from repro.ir.program import Program
-from repro.reporting.records import METRIC_NAMES
+from repro.reporting.table import METRIC_NAMES, metric_value
 from repro.workloads.generator import BenchmarkSpec, generate_benchmark
 
 #: Payload schema version; bump when the payload layout changes so stale
@@ -113,75 +110,6 @@ class ReportView:
     @property
     def binary_size_megabytes(self) -> float:
         return self.binary_size_bytes / 1_000_000.0
-
-
-def _metric_value(report: ReportView, metric: str) -> float:
-    if metric == "analysis_time":
-        return report.analysis_time_seconds
-    if metric == "total_time":
-        return report.total_time_seconds
-    if metric == "reachable_methods":
-        return float(report.metrics.reachable_methods)
-    if metric == "type_checks":
-        return float(report.metrics.type_checks)
-    if metric == "null_checks":
-        return float(report.metrics.null_checks)
-    if metric == "prim_checks":
-        return float(report.metrics.primitive_checks)
-    if metric == "poly_calls":
-        return float(report.metrics.poly_calls)
-    if metric == "binary_size":
-        return float(report.binary_size_bytes)
-    raise KeyError(f"unknown metric {metric!r}")
-
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    """One benchmark's baseline-vs-SkipFlow result, reporting-API compatible.
-
-    Composed from two independently cached configuration halves;
-    ``baseline_from_cache`` / ``skipflow_from_cache`` record the provenance of
-    each half and ``from_cache`` is true only when *both* halves were served
-    from the cache (i.e. no solver ran for this result at all).
-    """
-
-    benchmark: str
-    suite: str
-    baseline: ReportView
-    skipflow: ReportView
-    elapsed_seconds: float
-    baseline_from_cache: bool = False
-    skipflow_from_cache: bool = False
-
-    @property
-    def from_cache(self) -> bool:
-        return self.baseline_from_cache and self.skipflow_from_cache
-
-    def metric(self, name: str, configuration: str = "skipflow") -> float:
-        report = self.skipflow if configuration == "skipflow" else self.baseline
-        return _metric_value(report, name)
-
-    def normalized(self, name: str) -> float:
-        """SkipFlow metric normalized to the baseline (< 1.0 is an improvement)."""
-        base = _metric_value(self.baseline, name)
-        if base == 0:
-            return 1.0
-        return _metric_value(self.skipflow, name) / base
-
-    def reduction_percent(self, name: str) -> float:
-        return (1.0 - self.normalized(name)) * 100.0
-
-    @property
-    def reachable_method_reduction_percent(self) -> float:
-        return self.reduction_percent("reachable_methods")
-
-    def as_dict(self) -> Dict[str, float]:
-        row: Dict[str, Any] = {"benchmark": self.benchmark, "suite": self.suite}
-        for metric in METRIC_NAMES:
-            row[f"pta_{metric}"] = _metric_value(self.baseline, metric)
-            row[f"skipflow_{metric}"] = _metric_value(self.skipflow, metric)
-            row[f"reduction_{metric}_percent"] = self.reduction_percent(metric)
-        return row
 
 
 # ---------------------------------------------------------------------- #
@@ -233,27 +161,6 @@ def view_from_half(payload: Dict[str, Any]) -> ReportView:
         raise ValueError(
             f"unsupported payload version {payload.get('payload_version')!r}")
     return _view_from_payload(payload["report"], payload["kernel_ran"])
-
-
-def result_from_halves(baseline_payload: Dict[str, Any],
-                       skipflow_payload: Dict[str, Any],
-                       baseline_from_cache: bool = False,
-                       skipflow_from_cache: bool = False) -> ComparisonResult:
-    """Compose two per-configuration payloads into one ``ComparisonResult``."""
-    if baseline_payload["benchmark"] != skipflow_payload["benchmark"]:
-        raise ValueError(
-            f"cannot compose halves of different benchmarks: "
-            f"{baseline_payload['benchmark']!r} vs {skipflow_payload['benchmark']!r}")
-    return ComparisonResult(
-        benchmark=baseline_payload["benchmark"],
-        suite=baseline_payload["suite"],
-        baseline=view_from_half(baseline_payload),
-        skipflow=view_from_half(skipflow_payload),
-        elapsed_seconds=(baseline_payload["elapsed_seconds"]
-                         + skipflow_payload["elapsed_seconds"]),
-        baseline_from_cache=baseline_from_cache,
-        skipflow_from_cache=skipflow_from_cache,
-    )
 
 
 #: Per-process memo of programs already obtained for a half: attached from
@@ -362,8 +269,7 @@ class MatrixRow:
     Columns keep the order of the ``configs`` passed to
     :func:`run_config_matrix`; by convention the first column is the
     reference that :meth:`normalized` / :meth:`reduction_percent` compare
-    against (matching :class:`ComparisonResult`, whose reference is the
-    baseline half).
+    against (``PTA`` in a :func:`run_specs` row).
     """
 
     benchmark: str
@@ -385,11 +291,11 @@ class MatrixRow:
         return self.run(name).report
 
     def metric(self, metric: str, name: str) -> float:
-        return _metric_value(self.run(name).report, metric)
+        return metric_value(self.run(name).report, metric)
 
     def normalized(self, metric: str, name: str) -> float:
         """A column's metric normalized to the first (reference) column."""
-        reference = _metric_value(self.runs[0].report, metric)
+        reference = metric_value(self.runs[0].report, metric)
         if reference == 0:
             return 1.0
         return self.metric(metric, name) / reference
@@ -410,14 +316,13 @@ class MatrixRow:
         row: Dict[str, Any] = {"benchmark": self.benchmark, "suite": self.suite}
         for run in self.runs:
             for metric in METRIC_NAMES:
-                row[f"{run.name}_{metric}"] = _metric_value(run.report, metric)
+                row[f"{run.name}_{metric}"] = metric_value(run.report, metric)
         return row
 
 
 # ---------------------------------------------------------------------- #
 # The drivers
 # ---------------------------------------------------------------------- #
-ProgressCallback = Callable[[BenchmarkSpec, ComparisonResult], None]
 MatrixProgressCallback = Callable[[BenchmarkSpec, MatrixRow], None]
 
 
@@ -480,9 +385,13 @@ def run_config_matrix(
                 if payload is not None:
                     try:
                         view_from_half(payload)
+                        usable = payload["benchmark"] == spec.name
                     except (KeyError, TypeError, ValueError):
-                        # Stale layout: recompute, and reclassify the lookup
-                        # as a miss so the counters match what actually ran.
+                        usable = False
+                    if not usable:
+                        # Stale layout, or another spec's half: recompute,
+                        # and reclassify the lookup as a miss so the
+                        # counters match what actually ran.
                         payload = None
                         cache.hits -= 1
                         cache.misses += 1
@@ -565,19 +474,6 @@ def run_config_matrix(
     return [result for result in results if result is not None]
 
 
-def _comparison_from_row(row: MatrixRow) -> ComparisonResult:
-    baseline, skipflow = row.runs
-    return ComparisonResult(
-        benchmark=row.benchmark,
-        suite=row.suite,
-        baseline=baseline.report,
-        skipflow=skipflow.report,
-        elapsed_seconds=baseline.elapsed_seconds + skipflow.elapsed_seconds,
-        baseline_from_cache=baseline.from_cache,
-        skipflow_from_cache=skipflow.from_cache,
-    )
-
-
 def run_specs(
     specs: Sequence[BenchmarkSpec],
     *,
@@ -585,24 +481,18 @@ def run_specs(
     cache: Optional[ResultCache] = None,
     baseline_config: Optional[AnalysisConfig] = None,
     skipflow_config: Optional[AnalysisConfig] = None,
-    progress: Optional[ProgressCallback] = None,
+    progress: Optional[MatrixProgressCallback] = None,
     program_store: Optional[ProgramStore] = None,
-) -> List[ComparisonResult]:
-    """Run every spec under both configurations; results follow input order.
+) -> List[MatrixRow]:
+    """Run every spec under PTA and SkipFlow; rows follow input order.
 
-    The two-column specialization of :func:`run_config_matrix` (see there for
-    the caching, ordering, and progress semantics): the baseline config is
-    the reference column, and each row is folded into a
-    :class:`ComparisonResult` for the Table 1 / Figure 9 reporting API.
+    The two-column :func:`run_config_matrix` (see there for the caching,
+    ordering, and progress semantics) behind Table 1 and Figure 9: column
+    ``PTA`` runs ``baseline_config`` and is the reference, column
+    ``SkipFlow`` runs ``skipflow_config``.
     """
-    baseline_config = baseline_config or AnalysisConfig.baseline_pta()
-    skipflow_config = skipflow_config or AnalysisConfig.skipflow()
-    adapter: Optional[MatrixProgressCallback] = None
-    if progress is not None:
-        adapter = lambda spec, row: progress(spec, _comparison_from_row(row))  # noqa: E731
-    rows = run_config_matrix(
-        specs, [baseline_config, skipflow_config],
-        names=("baseline", "skipflow"), jobs=jobs, cache=cache,
-        progress=adapter, program_store=program_store,
-    )
-    return [_comparison_from_row(row) for row in rows]
+    configs = [baseline_config or AnalysisConfig.baseline_pta(),
+               skipflow_config or AnalysisConfig.skipflow()]
+    return run_config_matrix(
+        specs, configs, names=("PTA", "SkipFlow"), jobs=jobs, cache=cache,
+        progress=progress, program_store=program_store)

@@ -10,7 +10,7 @@ is the same façade over the program's memoized in-memory lowering;
 ``docs/architecture.md`` (Arena section) for the layout and id schema.
 """
 
-from repro.ir.arena.freeze import (
+from repro.ir.arena.lowering import (
     LoweredArena,
     freeze,
     lower,

@@ -22,7 +22,7 @@ of the system skip object-graph walks entirely:
 An :class:`ArenaProgram` is read-only by convention: its method mapping
 does not support insertion, so mutating passes must :func:`thaw` first.
 The same façade also fronts an in-memory lowering of a live program
-(:class:`~repro.ir.arena.freeze.LoweredArena`), whose columns read like
+(:class:`~repro.ir.arena.lowering.LoweredArena`), whose columns read like
 an attached buffer's.
 """
 

@@ -1,6 +1,6 @@
 """Shared id encodings of the arena schema (enum <-> integer tables).
 
-Both the freeze pass (:mod:`repro.ir.arena.freeze`) and the attach-side
+Both the freeze pass (:mod:`repro.ir.arena.lowering`) and the attach-side
 views (:mod:`repro.ir.arena.program`, the arena kernel) need the same
 integer encodings for the IR's enums and the flow-kind discriminator.  The
 encodings are positional over the enums' declaration order, which is part

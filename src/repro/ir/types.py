@@ -124,6 +124,12 @@ class ClassType:
         return _without_revision(self.__dict__)
 
 
+#: The state of a :class:`TypeHierarchy` left out of its pickles and copies:
+#: the mutation counter and the subtype query caches.
+_TRANSIENT = ("_revision", "_subtype_cache", "_instantiable_subtypes_cache",
+              "_instantiable_cache_complete")
+
+
 class TypeHierarchy:
     """The closed-world set of program types ``T`` with subtyping queries.
 
@@ -199,7 +205,16 @@ class TypeHierarchy:
             cls._revision for cls in self._classes.values())
 
     def __getstate__(self) -> dict:
-        return _without_revision(self.__dict__)
+        # The query caches fill during analysis; leaving them out keeps a
+        # pickle a function of the declarations alone.
+        return {key: value for key, value in self.__dict__.items()
+                if key not in _TRANSIENT}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._subtype_cache = {}
+        self._instantiable_subtypes_cache = {}
+        self._instantiable_cache_complete = False
 
     def _invalidate_caches(self) -> None:
         self._subtype_cache.clear()

@@ -1,5 +1,10 @@
 """Rendering of the evaluation artifacts: Table 1, Figure 9, the policy
-(saturation) and incremental studies, and DOT exports."""
+(saturation) and incremental studies, and DOT exports.
+
+Table 1 and Figure 9 render the benchmark engine's
+:class:`~repro.engine.runner.MatrixRow` results; :mod:`repro.reporting.table`
+defines their metrics (``METRIC_NAMES``, ``metric_value``).
+"""
 
 from repro.reporting.figures import figure9_series, format_figure9
 from repro.reporting.graphviz import call_graph_to_dot, pvpg_to_dot
@@ -14,7 +19,6 @@ from repro.reporting.policy import (
     policy_points,
     summarize_policy_sweep,
 )
-from repro.reporting.records import BenchmarkComparison, compare_configurations
 from repro.reporting.service import (
     LoadResult,
     ServicePoint,
@@ -25,9 +29,7 @@ from repro.reporting.service import (
 from repro.reporting.table import (
     format_analysis_comparison,
     format_matrix_table,
-    format_table1,
     matrix_table_rows,
-    table1_rows,
 )
 from repro.reporting.trajectory import (
     TrajectoryRow,
@@ -37,14 +39,12 @@ from repro.reporting.trajectory import (
 )
 
 __all__ = [
-    "BenchmarkComparison",
     "IncrementalPoint",
     "LoadResult",
     "PolicyPoint",
     "ServicePoint",
     "TrajectoryRow",
     "call_graph_to_dot",
-    "compare_configurations",
     "figure9_series",
     "format_analysis_comparison",
     "format_figure9",
@@ -53,7 +53,6 @@ __all__ = [
     "format_matrix_table",
     "format_policy_study",
     "format_service_study",
-    "format_table1",
     "format_trend",
     "load_history",
     "matrix_table_rows",
@@ -62,6 +61,5 @@ __all__ = [
     "summarize_incremental",
     "summarize_policy_sweep",
     "summarize_service",
-    "table1_rows",
     "write_trajectory",
 ]

@@ -1,24 +1,29 @@
-"""Figure 9: all metrics normalized to the baseline, per benchmark suite."""
+"""Figure 9: all metrics normalized to the baseline, per benchmark suite.
+
+The functions read engine :class:`~repro.engine.runner.MatrixRow` objects
+(duck-typed) and plot each row's last column against its first: SkipFlow
+against PTA in a :func:`~repro.engine.runner.run_specs` row.
+"""
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Sequence
 
-from repro.reporting.records import METRIC_NAMES, BenchmarkComparison
+from repro.reporting.table import METRIC_NAMES
 
 #: Metrics plotted by Figure 9, in legend order.
 FIGURE9_METRICS = METRIC_NAMES
 
 
-def figure9_series(comparisons: Iterable[BenchmarkComparison]
-                   ) -> Dict[str, Dict[str, float]]:
+def _normalized(row) -> Dict[str, float]:
+    """The row's last column, every metric normalized to its first column."""
+    return {metric: row.normalized(metric, row.names[-1])
+            for metric in FIGURE9_METRICS}
+
+
+def figure9_series(rows: Iterable) -> Dict[str, Dict[str, float]]:
     """Per-benchmark normalized metric values (1.0 = baseline, lower is better)."""
-    series: Dict[str, Dict[str, float]] = {}
-    for comparison in comparisons:
-        series[comparison.benchmark] = {
-            metric: comparison.normalized(metric) for metric in FIGURE9_METRICS
-        }
-    return series
+    return {row.benchmark: _normalized(row) for row in rows}
 
 
 def _bar(value: float, width: int = 30) -> str:
@@ -26,15 +31,15 @@ def _bar(value: float, width: int = 30) -> str:
     return "#" * filled
 
 
-def format_figure9(comparisons: Sequence[BenchmarkComparison],
-                   suite_name: str, bar_metric: str = "reachable_methods") -> str:
+def format_figure9(rows: Sequence, suite_name: str,
+                   bar_metric: str = "reachable_methods") -> str:
     """ASCII rendering of one Figure 9 panel.
 
     Every benchmark gets a bar for ``bar_metric`` (normalized to the baseline)
     plus the numeric values of all other metrics; anything below 1.0 is an
     improvement over the baseline, exactly as in the paper's figure.
     """
-    series = figure9_series(comparisons)
+    series = figure9_series(rows)
     lines = [f"Figure 9 ({suite_name}): metrics normalized to PTA (lower is better)", ""]
     name_width = max((len(name) for name in series), default=10)
     for name, metrics in series.items():
@@ -48,7 +53,7 @@ def format_figure9(comparisons: Sequence[BenchmarkComparison],
             for metric in FIGURE9_METRICS if metric != bar_metric
         )
         lines.append(f"{' ' * name_width}  {details}")
-    averages = suite_averages(comparisons)
+    averages = suite_averages(rows)
     lines.append("")
     lines.append(
         "suite averages: "
@@ -57,12 +62,10 @@ def format_figure9(comparisons: Sequence[BenchmarkComparison],
     return "\n".join(lines)
 
 
-def suite_averages(comparisons: Sequence[BenchmarkComparison]) -> Dict[str, float]:
+def suite_averages(rows: Sequence) -> Dict[str, float]:
     """Average normalized value of every metric across a suite."""
-    if not comparisons:
+    if not rows:
         return {metric: 1.0 for metric in FIGURE9_METRICS}
-    averages: Dict[str, float] = {}
-    for metric in FIGURE9_METRICS:
-        values = [comparison.normalized(metric) for comparison in comparisons]
-        averages[metric] = sum(values) / len(values)
-    return averages
+    series = [_normalized(row) for row in rows]
+    return {metric: sum(values[metric] for values in series) / len(series)
+            for metric in FIGURE9_METRICS}

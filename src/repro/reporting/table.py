@@ -1,36 +1,51 @@
 """Rendering of comparison tables: Table 1 and its N-way generalizations.
 
-Three renderers live here:
+Two renderers live here:
 
-* :func:`format_table1` — the paper's two-configuration table (PTA row,
-  SkipFlow row with percentage deltas) over
-  :class:`~repro.reporting.records.BenchmarkComparison` records;
-* :func:`format_matrix_table` — the N-configuration generalization over
-  engine :class:`~repro.engine.runner.MatrixRow` objects (duck-typed): one
-  line per (benchmark, configuration), deltas against the first — the
-  reference — configuration;
+* :func:`format_matrix_table` — Table 1 and its N-configuration
+  generalization over engine :class:`~repro.engine.runner.MatrixRow`
+  objects (duck-typed): one line per (benchmark, configuration), deltas
+  against the first — the reference — configuration.  A
+  :func:`~repro.engine.runner.run_specs` row renders as the paper's PTA
+  line and SkipFlow line;
 * :func:`format_analysis_comparison` — one program under N analyzers
   (:class:`~repro.api.report.AnalysisReport` columns, duck-typed): metrics
   as rows, analyzers as columns, used by ``AnalysisSession.compare`` and
   ``repro compare``.
+
+:data:`METRIC_NAMES` and :func:`metric_value` define Table 1's metrics for
+the engine rows and the figures.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.reporting.records import METRIC_NAMES, BenchmarkComparison
-
-_COLUMN_TITLES = {
-    "analysis_time": "Analysis[s]",
-    "total_time": "Total[s]",
-    "reachable_methods": "Reach.Methods",
-    "type_checks": "TypeChecks",
-    "null_checks": "NullChecks",
-    "prim_checks": "PrimChecks",
-    "poly_calls": "PolyCalls",
-    "binary_size": "Binary[MB]",
+#: The metric columns of Table 1, in paper order: each metric's column
+#: title and its value on a build report (an
+#: :class:`~repro.image.builder.ImageBuildReport` or an engine
+#: :class:`~repro.engine.runner.ReportView`).
+_METRICS = {
+    "analysis_time": ("Analysis[s]", lambda r: r.analysis_time_seconds),
+    "total_time": ("Total[s]", lambda r: r.total_time_seconds),
+    "reachable_methods": ("Reach.Methods", lambda r: r.metrics.reachable_methods),
+    "type_checks": ("TypeChecks", lambda r: r.metrics.type_checks),
+    "null_checks": ("NullChecks", lambda r: r.metrics.null_checks),
+    "prim_checks": ("PrimChecks", lambda r: r.metrics.primitive_checks),
+    "poly_calls": ("PolyCalls", lambda r: r.metrics.poly_calls),
+    "binary_size": ("Binary[MB]", lambda r: r.binary_size_bytes),
 }
+
+METRIC_NAMES = tuple(_METRICS)
+
+
+def metric_value(report, metric: str) -> float:
+    """One Table 1 metric of a build report."""
+    try:
+        _, extract = _METRICS[metric]
+    except KeyError:
+        raise KeyError(f"unknown metric {metric!r}") from None
+    return float(extract(report))
 
 
 def _format_value(metric: str, value: float) -> str:
@@ -39,40 +54,6 @@ def _format_value(metric: str, value: float) -> str:
     if metric == "binary_size":
         return f"{value / 1_000_000.0:.2f}"
     return f"{int(value)}"
-
-
-def table1_rows(comparisons: Iterable[BenchmarkComparison]) -> List[Dict[str, str]]:
-    """Structured rows (two per benchmark, PTA then SkipFlow with deltas)."""
-    rows: List[Dict[str, str]] = []
-    for comparison in comparisons:
-        pta_row = {"suite": comparison.suite, "benchmark": comparison.benchmark,
-                   "configuration": "PTA"}
-        skip_row = {"suite": comparison.suite, "benchmark": comparison.benchmark,
-                    "configuration": "SkipFlow"}
-        for metric in METRIC_NAMES:
-            base = comparison.metric(metric, "baseline")
-            skip = comparison.metric(metric, "skipflow")
-            delta = -comparison.reduction_percent(metric)
-            pta_row[metric] = _format_value(metric, base)
-            skip_row[metric] = f"{_format_value(metric, skip)} ({delta:+.1f}%)"
-        rows.append(pta_row)
-        rows.append(skip_row)
-    return rows
-
-
-def format_table1(comparisons: Sequence[BenchmarkComparison],
-                  title: str = "Table 1") -> str:
-    """Render the comparisons as a fixed-width text table."""
-    rows = table1_rows(comparisons)
-    headers = ["Benchmark", "Config"] + [_COLUMN_TITLES[m] for m in METRIC_NAMES]
-    table: List[List[str]] = [headers]
-    for row in rows:
-        table.append(
-            [row["benchmark"] if row["configuration"] == "PTA" else "",
-             row["configuration"]]
-            + [row[m] for m in METRIC_NAMES]
-        )
-    return _render_fixed_width(table, title)
 
 
 def _render_fixed_width(table: List[List[str]], title: str) -> str:
@@ -117,9 +98,9 @@ def matrix_table_rows(results: Sequence) -> List[Dict[str, str]]:
 
 def format_matrix_table(results: Sequence,
                         title: str = "N-way comparison") -> str:
-    """Render N-way engine results as a fixed-width text table."""
+    """Render engine results (Table 1 and its N-way form) as a fixed-width table."""
     rows = matrix_table_rows(results)
-    headers = ["Benchmark", "Config"] + [_COLUMN_TITLES[m] for m in METRIC_NAMES]
+    headers = ["Benchmark", "Config"] + [heading for heading, _ in _METRICS.values()]
     table: List[List[str]] = [headers]
     previous_benchmark = None
     for row in rows:
@@ -173,9 +154,14 @@ def format_analysis_comparison(reports: Sequence,
     return _render_fixed_width(table, title or "Analysis comparison")
 
 
-def summarize_reductions(comparisons: Sequence[BenchmarkComparison]) -> Dict[str, float]:
-    """Max / min / average reachable-method reduction across a suite."""
-    reductions = [c.reachable_method_reduction_percent for c in comparisons]
+def summarize_reductions(rows: Sequence) -> Dict[str, float]:
+    """Max / min / average reachable-method reduction across a suite.
+
+    Each of the ``rows`` (:class:`~repro.engine.runner.MatrixRow`-shaped)
+    contributes its last column's reduction against its first.
+    """
+    reductions = [row.reduction_percent("reachable_methods", row.names[-1])
+                  for row in rows]
     if not reductions:
         return {"max": 0.0, "min": 0.0, "avg": 0.0}
     return {

@@ -1,7 +1,7 @@
 """The column sink lowers exactly the graph the object sink builds.
 
 ``freeze`` runs the PVPG builder with a column sink that writes arena
-columns directly (:mod:`repro.ir.arena.freeze`); the object solver runs the
+columns directly (:mod:`repro.ir.arena.lowering`); the object solver runs the
 same traversal with :class:`~repro.core.pvpg_builder.ObjectSink`.  Here
 the object graph of every method is mapped through registration order
 (fid 0 ``pred_on``, fids ``1..NF`` the fields, then each method's flows)

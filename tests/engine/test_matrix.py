@@ -40,10 +40,11 @@ class TestMatrixRows:
         rows = run_config_matrix(SPECS, configs, names=names)
         pairwise = run_specs(SPECS)
         for row, comparison in zip(rows, pairwise):
-            assert row.report("pta").metrics == comparison.baseline.metrics
-            assert row.report("skipflow").metrics == comparison.skipflow.metrics
+            assert row.report("pta").metrics == comparison.report("PTA").metrics
+            assert row.report("skipflow").metrics == \
+                comparison.report("SkipFlow").metrics
             assert row.metric("reachable_methods", "skipflow") == \
-                comparison.metric("reachable_methods", "skipflow")
+                comparison.metric("reachable_methods", "SkipFlow")
 
     def test_reference_column_normalization(self):
         configs, names = _three_configs()

@@ -1,7 +1,5 @@
 """The parallel benchmark runner: determinism, ordering, and half composition."""
 
-import importlib
-
 import pytest
 
 from repro.core.analysis import AnalysisConfig
@@ -9,11 +7,11 @@ from repro.engine import ProgramStore, ResultCache, run_config_matrix, run_specs
 from repro.engine.runner import (
     PAYLOAD_VERSION,
     _WORKER_PROGRAMS,
-    result_from_halves,
     solve_config,
     view_from_half,
 )
 from repro.engine.scheduler import estimated_cost, order_by_cost
+from repro.ir.arena import lowering
 from repro.workloads.generator import BenchmarkSpec, HierarchySpec, spec_from_reduction
 
 #: Deliberately out of size order so scheduling and result ordering differ.
@@ -46,12 +44,14 @@ class TestDeterminism:
         results = run_specs(SPECS, jobs=4)
         assert [r.benchmark for r in results] == [s.name for s in SPECS]
 
-    def test_reporting_api_compatibility(self):
-        result = run_specs(SPECS[:1])[0]
-        assert result.skipflow.reachable_methods < result.baseline.reachable_methods
-        assert 0.0 < result.normalized("reachable_methods") < 1.0
-        assert result.reachable_method_reduction_percent > 0.0
-        assert result.metric("binary_size", "baseline") > 0.0
+    def test_pairwise_rows_have_pta_and_skipflow_columns(self):
+        row = run_specs(SPECS[:1])[0]
+        assert row.names == ("PTA", "SkipFlow")
+        assert (row.report("SkipFlow").reachable_methods
+                < row.report("PTA").reachable_methods)
+        assert 0.0 < row.normalized("reachable_methods", "SkipFlow") < 1.0
+        assert row.reduction_percent("reachable_methods", "SkipFlow") > 0.0
+        assert row.metric("binary_size", "PTA") > 0.0
 
 
 class TestCacheIntegration:
@@ -65,7 +65,7 @@ class TestCacheIntegration:
         second = run_specs(SPECS, jobs=1, cache=cache_again)
         assert cache_again.hits == HALVES * len(SPECS) and cache_again.misses == 0
         assert all(r.from_cache for r in second)
-        assert all(r.baseline_from_cache and r.skipflow_from_cache for r in second)
+        assert all(run.from_cache for r in second for run in r.runs)
         assert [r.as_dict() for r in first] == [r.as_dict() for r in second]
 
     def test_ablation_run_reuses_shared_baseline(self, tmp_path):
@@ -80,8 +80,8 @@ class TestCacheIntegration:
         assert cache_again.hits == len(SPECS)        # every baseline half
         assert cache_again.misses == len(SPECS)      # every SkipFlow half
         for result in results:
-            assert result.baseline_from_cache
-            assert not result.skipflow_from_cache
+            assert result.run("PTA").from_cache
+            assert not result.run("SkipFlow").from_cache
             assert not result.from_cache  # only half of it came from the cache
 
     def test_sweep_computes_baseline_exactly_once(self, tmp_path):
@@ -105,7 +105,7 @@ class TestCacheIntegration:
         # points served the shared baseline from the cache.
         assert cache.misses == 5 + 1
         assert cache.hits == 4
-        assert sum(1 for r in sweep_results if not r.baseline_from_cache) == 1
+        assert sum(1 for r in sweep_results if not r.run("PTA").from_cache) == 1
 
         # Second engine run against a fresh result cache but the populated
         # program store: both halves must load IR blobs, and the numbers
@@ -127,7 +127,19 @@ class TestCacheIntegration:
                   {"payload_version": PAYLOAD_VERSION + 1})
         results = run_specs([spec], cache=cache)
         assert (cache.hits, cache.misses) == (0, 2)
-        assert not results[0].baseline_from_cache
+        assert not results[0].run("PTA").from_cache
+
+    def test_half_of_another_benchmark_recounted_as_miss(self, tmp_path):
+        """Halves of different benchmarks never compose into one row."""
+        cache = ResultCache(tmp_path)
+        baseline = AnalysisConfig.baseline_pta()
+        cache.put(cache.config_key(SPECS[2], baseline),
+                  solve_config(SPECS[0], baseline))
+        row = run_specs([SPECS[2]], cache=cache)[0]
+        assert (cache.hits, cache.misses) == (0, 2)
+        assert not row.run("PTA").from_cache
+        assert row.report("PTA").reachable_methods == \
+            run_specs([SPECS[2]])[0].report("PTA").reachable_methods
 
     def test_saturation_threshold_misses_exact_skipflow_half(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -146,35 +158,36 @@ class TestPayloads:
         with pytest.raises(ValueError):
             view_from_half(payload)
 
-    def test_halves_compose_into_comparison(self):
+    def test_halves_compose_into_a_row(self, tmp_path):
+        """A cached half and a computed half compose into one row."""
+        cache = ResultCache(tmp_path)
         baseline = solve_config(SPECS[2], AnalysisConfig.baseline_pta())
-        skipflow = solve_config(SPECS[2], AnalysisConfig.skipflow())
-        result = result_from_halves(baseline, skipflow,
-                                    baseline_from_cache=True)
-        assert result.benchmark == SPECS[2].name
-        assert result.baseline.configuration == "PTA"
-        assert result.skipflow.configuration == "SkipFlow"
-        assert result.baseline_from_cache and not result.skipflow_from_cache
-        assert not result.from_cache
-        assert result.elapsed_seconds == pytest.approx(
-            baseline["elapsed_seconds"] + skipflow["elapsed_seconds"])
-
-    def test_mismatched_halves_rejected(self):
-        baseline = solve_config(SPECS[0], AnalysisConfig.baseline_pta())
-        skipflow = solve_config(SPECS[2], AnalysisConfig.skipflow())
-        with pytest.raises(ValueError):
-            result_from_halves(baseline, skipflow)
+        cache.put(cache.config_key(SPECS[2], AnalysisConfig.baseline_pta()),
+                  baseline)
+        row = run_specs(SPECS[2:], cache=cache)[0]
+        assert row.benchmark == SPECS[2].name
+        assert row.report("PTA").configuration == "PTA"
+        assert row.report("SkipFlow").configuration == "SkipFlow"
+        assert row.run("PTA").from_cache and not row.run("SkipFlow").from_cache
+        assert not row.from_cache
+        assert row.run("PTA").elapsed_seconds == baseline["elapsed_seconds"]
+        assert row.elapsed_seconds == pytest.approx(
+            sum(run.elapsed_seconds for run in row.runs))
 
     def test_engine_matches_direct_comparison(self):
-        """Composed halves carry the same numbers as the reporting-layer path."""
-        from repro.reporting.records import compare_configurations
+        """Composed halves carry the same numbers as direct image builds."""
+        from repro.image.builder import NativeImageBuilder
+        from repro.reporting.table import metric_value
+        from repro.workloads.generator import generate_benchmark
 
-        direct = compare_configurations(SPECS[2])
         engine = run_specs(SPECS[2:])[0]
-        for metric in ("reachable_methods", "type_checks", "null_checks",
-                       "prim_checks", "poly_calls", "binary_size"):
-            assert engine.metric(metric, "baseline") == direct.metric(metric, "baseline")
-            assert engine.metric(metric, "skipflow") == direct.metric(metric, "skipflow")
+        for name, config in (("PTA", AnalysisConfig.baseline_pta()),
+                             ("SkipFlow", AnalysisConfig.skipflow())):
+            direct = NativeImageBuilder(generate_benchmark(SPECS[2]), config,
+                                        benchmark_name=SPECS[2].name).build()
+            for metric in ("reachable_methods", "type_checks", "null_checks",
+                           "prim_checks", "poly_calls", "binary_size"):
+                assert engine.metric(metric, name) == metric_value(direct, metric)
 
 
 class TestScheduler:
@@ -203,9 +216,8 @@ class TestStorelessProgramMemo:
         """Calls of ``generate_benchmark`` (by the runner) and ``lower``."""
         from repro.engine import runner
 
-        freeze_module = importlib.import_module("repro.ir.arena.freeze")
         calls = {"generate": [], "lower": []}
-        generate, lower = runner.generate_benchmark, freeze_module.lower
+        generate, lower = runner.generate_benchmark, lowering.lower
 
         def counting_generate(spec):
             calls["generate"].append(spec.name)
@@ -216,7 +228,7 @@ class TestStorelessProgramMemo:
             return lower(program)
 
         monkeypatch.setattr(runner, "generate_benchmark", counting_generate)
-        monkeypatch.setattr(freeze_module, "lower", counting_lower)
+        monkeypatch.setattr(lowering, "lower", counting_lower)
         return calls
 
     def test_matrix_generates_and_lowers_each_spec_once(self, counted):

@@ -13,7 +13,6 @@ program plus the PVPG walks) exactly.
 from __future__ import annotations
 
 import gc
-import importlib
 import pickle
 import weakref
 
@@ -28,6 +27,7 @@ from repro.ir.arena import (
     freeze,
     lower,
     lowered_program,
+    lowering,
     open_program,
 )
 from repro.ir.builder import MethodBuilder
@@ -39,9 +39,6 @@ from repro.workloads.suites import all_suites, suite_by_name
 
 SPEC = spec_from_reduction(name="lowering-spec", suite="test",
                            total_methods=70, reduction_percent=10.0)
-#: The module behind ``repro.ir.arena.freeze`` (the package attribute of
-#: that name is the function).
-freeze_module = importlib.import_module("repro.ir.arena.freeze")
 CONFIGS = {"pta": AnalysisConfig.baseline_pta(),
            "skipflow": AnalysisConfig.skipflow()}
 
@@ -55,7 +52,7 @@ def lowerings(monkeypatch):
         calls.append(program)
         return lower(program)
 
-    monkeypatch.setattr(freeze_module, "lower", counting_lower)
+    monkeypatch.setattr(lowering, "lower", counting_lower)
     return calls
 
 

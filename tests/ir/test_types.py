@@ -187,3 +187,36 @@ class TestMethodSignature:
     def test_returns_reference(self):
         assert MethodSignature("A", "m", return_type="Dog").returns_reference
         assert not MethodSignature("A", "m", return_type="int").returns_reference
+
+
+class TestPickling:
+    def test_query_caches_are_left_out(self, hierarchy):
+        import copy
+        import pickle
+
+        before = pickle.dumps(hierarchy)
+        assert hierarchy.is_subtype("Puppy", "Animal")
+        assert hierarchy.instantiable_subtypes("Animal")
+        assert pickle.dumps(hierarchy) == before
+        for clone in (pickle.loads(before), copy.copy(hierarchy)):
+            assert clone._subtype_cache == {}
+            assert clone._instantiable_subtypes_cache == {}
+            assert not clone._instantiable_cache_complete
+            assert clone.is_subtype("Puppy", "Animal")
+            assert not clone.is_subtype("Cat", "Dog")
+
+    def test_program_pickle_unchanged_by_analysis(self):
+        """An image build and a solve leave a program's pickle byte-equal."""
+        import pickle
+
+        from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
+        from repro.image.builder import NativeImageBuilder
+        from repro.workloads.generator import generate_benchmark, spec_from_reduction
+
+        program = generate_benchmark(spec_from_reduction(
+            name="pickle-spec", suite="test", total_methods=70,
+            reduction_percent=10.0))
+        before = pickle.dumps(program)
+        NativeImageBuilder(program, AnalysisConfig.skipflow()).build()
+        SkipFlowAnalysis(program, AnalysisConfig.skipflow()).run()
+        assert pickle.dumps(program) == before
