@@ -18,6 +18,11 @@ generated program (solved by the object kernel) and its attached freeze,
 ``open_program(freeze(program))`` (solved by the arena kernel).  The kernels
 are bit-identical by contract, so one baseline file serves both, and a leg
 whose steps differ from the other's fails the gate even within tolerance.
+The legs must also agree exactly on ``joins`` and ``transfers``: a lost or
+doubled delivery moves those counters without moving ``steps``.
+
+A negative ``--tolerance`` plants a failure: ``--tolerance=-0.5`` sets every
+limit to half its baseline entry, which the unchanged solver must breach.
 """
 
 from __future__ import annotations
@@ -39,9 +44,16 @@ SIZES = (100, 300, 600)
 #: The two legs, by the kernel that solves them.
 KERNELS = ("object", "arena")
 
+#: Counters the legs must agree on exactly; only ``steps`` has a baseline.
+COUNTERS = ("steps", "joins", "transfers")
+
 
 def measure() -> dict:
-    """Steps per baseline key and leg: ``{key: {"object": n, "arena": n}}``."""
+    """Counters per baseline key and leg.
+
+    ``{key: {"object": {"steps": n, "joins": n, "transfers": n},
+    "arena": {...}}}``.
+    """
     measurements = {}
     for size in SIZES:
         spec = spec_from_reduction(
@@ -54,7 +66,9 @@ def measure() -> dict:
             legs = {}
             for leg in (program, attached):
                 result = SkipFlowAnalysis(leg, config).run()
-                legs[result.kernel_ran] = result.steps
+                legs[result.kernel_ran] = {
+                    counter: getattr(result.stats, counter)
+                    for counter in COUNTERS}
             if sorted(legs) != sorted(KERNELS):
                 raise SystemExit(
                     f"{spec.name}/{config.name}: the legs ran on "
@@ -74,7 +88,8 @@ def main(argv=None) -> int:
     measurements = measure()
     if args.update:
         BASELINE_PATH.parent.mkdir(parents=True, exist_ok=True)
-        steps = {key: legs["object"] for key, legs in measurements.items()}
+        steps = {key: legs["object"]["steps"]
+                 for key, legs in measurements.items()}
         BASELINE_PATH.write_text(json.dumps(steps, indent=1, sort_keys=True) + "\n")
         print(f"wrote {BASELINE_PATH}")
         return 0
@@ -87,20 +102,25 @@ def main(argv=None) -> int:
             failures.append(f"{key}: no baseline entry (run with --update)")
             continue
         limit = expected * (1.0 + args.tolerance)
+        reference = legs[KERNELS[0]]
         for kernel in KERNELS:
-            steps = legs[kernel]
+            counters = legs[kernel]
+            steps = counters["steps"]
             marker = "OK"
             if steps > limit:
                 marker = "FAIL"
                 failures.append(
                     f"{key} [{kernel}]: {steps} steps exceeds baseline "
                     f"{expected} by more than {args.tolerance:.0%}")
-            elif steps != legs[KERNELS[0]]:
-                marker = "FAIL"
-                failures.append(
-                    f"{key} [{kernel}]: {steps} steps, but the "
-                    f"{KERNELS[0]} leg took {legs[KERNELS[0]]}")
+            for counter in COUNTERS:
+                if counters[counter] != reference[counter]:
+                    marker = "FAIL"
+                    failures.append(
+                        f"{key} [{kernel}]: {counters[counter]} {counter}, "
+                        f"but the {KERNELS[0]} leg took {reference[counter]}")
             print(f"  {key:<24} {kernel:<6} steps={steps:<8} "
+                  f"joins={counters['joins']:<8} "
+                  f"transfers={counters['transfers']:<8} "
                   f"baseline={expected:<8} [{marker}]")
 
     if failures:

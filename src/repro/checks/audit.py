@@ -292,9 +292,7 @@ def _sweep(context: CheckContext) -> Dict[str, List[Diagnostic]]:
         if not flow.enabled:
             continue
 
-        # ``not flow_state.is_empty``, inlined: the property costs a call per
-        # flow and this is the sweep's hottest line.
-        if flow_state._types or flow_state._primitive is not None:
+        if not flow_state.is_empty:
             for target in flow.uses:
                 if target.saturated or target.input_state is flow_state:
                     continue

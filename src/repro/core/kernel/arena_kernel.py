@@ -14,21 +14,25 @@ side tables:
 * the enabled / worklist-membership / link-queue / saturated bits live in
   ``bytearray``\\ s instead of per-object attributes;
 * the build-time edges (uses, observers, predicate targets, incoming
-  predicates) are read straight from the arena's CSR columns — zero-copy
-  ``memoryview`` slices, no per-``_process`` list copies of object edge
-  lists — while the edges the solve *adds* (field links, call links,
-  ``pred_on`` fan-out) go to small dynamic side tables, exactly like the
-  object solver grows its graph;
+  predicates) are read straight from the arena's CSR columns — slices of
+  an attached buffer's ``memoryview`` columns, or of an in-memory
+  lowering's lists — while the edges the solve *adds* (field links, call
+  links, ``pred_on`` fan-out) go to small dynamic side tables, exactly like
+  the object solver grows its graph;
 * "make a method reachable" is "enable an fid range" — no PVPG build, no
   method-body decode: the kernel never touches ``method.blocks``.
 
 The kernel is **bit-identical** to the object solver: same reachable sets,
 same value states, same ``steps`` / ``joins`` / ``transfers`` /
 ``saturated_flows`` counters under every built-in saturation policy (both
-kernels drain their worklist oldest-first).  Every method below mirrors its
-namesake in ``solver.py`` statement for statement; when editing one, edit
-the other (the cross-kernel grid in ``tests/core/test_arena_kernel.py`` and
-the CI solver-steps gate both fail loudly on drift).
+kernels drain their worklist oldest-first).  :meth:`ArenaKernelSolver._run`
+mirrors ``SkipFlowSolver._run`` statement for statement: both fold the
+per-flow work (delivery along use edges, observer notification, predicate
+enabling) into one drain loop over local bindings, and both leave
+``_recompute``, ``_notify`` and ``_enable`` as methods.  Every other method
+mirrors its namesake in ``solver.py``.  When editing one kernel, edit the
+other (the cross-kernel grid in ``tests/core/test_arena_kernel.py`` and the
+CI solver-steps gate both fail loudly on drift).
 
 The kernel runs cold solves of an :class:`~repro.ir.arena.ArenaProgram`
 — attached to a buffer, or over a program's in-memory lowering, which is
@@ -352,18 +356,6 @@ class ArenaKernelSolver:
         self._solved = True
 
     # ------------------------------------------------------------------ #
-    # Edge views
-    # ------------------------------------------------------------------ #
-    def _uses_of(self, fid: int) -> List[int]:
-        """Current use targets: static CSR row, then solve-time additions."""
-        arena = self.arena
-        targets = list(arena.use_val[arena.use_ptr[fid]:arena.use_ptr[fid + 1]])
-        extras = self._extra_uses.get(fid)
-        if extras:
-            targets.extend(extras)
-        return targets
-
-    # ------------------------------------------------------------------ #
     # Reachability
     # ------------------------------------------------------------------ #
     def _activate(self, qualified_name: str) -> Optional[int]:
@@ -492,49 +484,83 @@ class ArenaKernelSolver:
             self._pending_links.append(fid)
 
     def _run(self) -> None:
+        """Drain the link queue, then the worklist, to a fixed point.
+
+        Mirror of ``SkipFlowSolver._run``.  Processing a flow — skip it
+        when disabled, deliver ``VSout`` along every use edge (the
+        Propagate rule), notify its observers, and enable its predicate
+        targets once its state is non-empty — is inlined over local
+        bindings; ``steps`` and the delivery ``joins`` are counted in
+        locals and added to the solver on the way out, also when the drain
+        raises.  No edge out of the drained flow is added while it drains
+        (linking runs only off the link queue or on *other* flows), so the
+        static CSR rows are iterated in place; a row with solve-time extras
+        is copied once into a list, because attached programs hold
+        ``memoryview`` columns that do not concatenate with lists.
+        """
+        arena = self.arena
+        use_ptr = arena.use_ptr
+        use_val = arena.use_val
+        obs_ptr = arena.obs_ptr
+        obs_val = arena.obs_val
+        ptgt_ptr = arena.ptgt_ptr
+        ptgt_val = arena.ptgt_val
+        enabled = self._enabled
+        in_worklist = self._in_worklist
+        in_link_queue = self._in_link_queue
+        saturated = self._saturated
+        st = self._st
+        inp = self._inp
+        extra_uses = self._extra_uses.get
+        pred_on_targets = self._pred_on_targets
+        recompute = self._recompute
+        notify = self._notify
+        enable = self._enable
+        link_invoke = self._link_invoke
         worklist = self._worklist
         pending = self._pending_links
-        while worklist or pending:
-            if pending:
-                fid = pending.popleft()
-                self._in_link_queue[fid] = 0
-                if self._enabled[fid]:
-                    self._link_invoke(fid)
-                self._steps += 1
-                continue
-            fid = worklist.popleft()
-            self._in_worklist[fid] = 0
-            self._steps += 1
-            self._process(fid)
-
-    def _process(self, fid: int) -> None:
-        if not self._enabled[fid]:
-            return
-        arena = self.arena
-        for target in self._uses_of(fid):
-            self._deliver(fid, target)
-        for observer in list(
-                arena.obs_val[arena.obs_ptr[fid]:arena.obs_ptr[fid + 1]]):
-            self._notify(observer)
-        if not self._st[fid].is_empty:
-            if fid == 0:
-                targets = list(self._pred_on_targets)
-            else:
-                targets = list(arena.ptgt_val[
-                    arena.ptgt_ptr[fid]:arena.ptgt_ptr[fid + 1]])
-            for target in targets:
-                self._enable(target)
-
-    def _deliver(self, source: int, target: int) -> None:
-        if self._saturated[target]:
-            return
-        self._joins += 1
-        new_input = self._inp[target].join(self._st[source])
-        if new_input is not self._inp[target]:
-            self._inp[target] = new_input
-            self._recompute(target)
+        next_flow = worklist.popleft
+        next_link = pending.popleft
+        steps = joins = 0
+        try:
+            while worklist or pending:
+                if pending:
+                    fid = next_link()
+                    in_link_queue[fid] = 0
+                    if enabled[fid]:
+                        link_invoke(fid)
+                    steps += 1
+                    continue
+                fid = next_flow()
+                in_worklist[fid] = 0
+                steps += 1
+                if not enabled[fid]:
+                    continue
+                targets = use_val[use_ptr[fid]:use_ptr[fid + 1]]
+                extras = extra_uses(fid)
+                if extras:
+                    targets = [*targets, *extras]
+                for target in targets:
+                    if saturated[target]:
+                        continue
+                    joins += 1
+                    old_input = inp[target]
+                    new_input = old_input.join(st[fid])
+                    if new_input is not old_input:
+                        inp[target] = new_input
+                        recompute(target)
+                for observer in obs_val[obs_ptr[fid]:obs_ptr[fid + 1]]:
+                    notify(observer)
+                if not st[fid].is_empty:
+                    for target in (pred_on_targets if fid == 0 else
+                                   ptgt_val[ptgt_ptr[fid]:ptgt_ptr[fid + 1]]):
+                        enable(target)
+        finally:
+            self._steps += steps
+            self._joins += joins
 
     def _inject(self, fid: int, state: ValueState) -> None:
+        """Join a state into a flow's input (roots, stubs, solve-time edges)."""
         if self._saturated[fid]:
             return
         self._joins += 1
@@ -641,7 +667,7 @@ class ArenaKernelSolver:
         seen.add(target)
         self._extra_uses.setdefault(source, []).append(target)
         if self._enabled[source] and not self._st[source].is_empty:
-            self._deliver(source, target)
+            self._inject(target, self._st[source])
 
     # ------------------------------------------------------------------ #
     # Field linking (Load / Store rules)

@@ -13,10 +13,12 @@ Rule           Implementation
 =============  ==============================================================
 Source         :meth:`SkipFlowSolver._enable` joins the constant produced by a
                :class:`~repro.core.flows.SourceFlow` into its state.
-Propagate      :meth:`SkipFlowSolver._deliver` joins ``VSout`` of the source
-               into ``VSin`` of the use-edge target.
-Predicate      processing an enabled, non-empty flow enables its predicate
-               targets (:meth:`SkipFlowSolver._process`).
+Propagate      the drain loop (:meth:`SkipFlowSolver._run`) joins ``VSout`` of
+               each processed flow into ``VSin`` of its use-edge targets;
+               :meth:`SkipFlowSolver._inject` does the same along an edge
+               added mid-solve.
+Predicate      the drain loop enables the predicate targets of an enabled,
+               non-empty flow (:meth:`SkipFlowSolver._run`).
 Load / Store   :meth:`SkipFlowSolver._link_fields` looks up the field flow for
                every receiver type and adds the corresponding use edges.
 Invoke         :meth:`SkipFlowSolver._link_invoke` resolves call targets from
@@ -362,42 +364,63 @@ class SkipFlowSolver:
             self._pending_links.append(flow)
 
     def _run(self) -> None:
+        """Drain the link queue, then the worklist, to a fixed point.
+
+        Processing a flow — skip it when disabled, deliver ``VSout`` along
+        every use edge (the Propagate rule), notify its observers, and
+        enable its predicate targets once its state is non-empty (the
+        Predicate rule) — is inlined over local bindings; ``steps`` and the
+        delivery ``joins`` are counted in locals and added to the state on
+        the way out, also when the drain raises.  No edge out of the
+        drained flow is added while it drains (linking runs only off the
+        link queue or on *other* flows), so its edge sets are iterated in
+        place, without a copy.  ``ArenaKernelSolver._run`` mirrors this
+        loop statement for statement.
+        """
         state = self.state
-        while self._worklist or self._pending_links:
-            if self._pending_links:
-                invoke_flow = self._pending_links.popleft()
-                invoke_flow.in_link_queue = False
-                if invoke_flow.enabled:
-                    self._link_invoke(invoke_flow)
-                state.steps += 1
-                continue
-            flow = self._worklist.popleft()
-            flow.in_worklist = False
-            state.steps += 1
-            self._process(flow)
-
-    def _process(self, flow: Flow) -> None:
-        if not flow.enabled:
-            return
-        for target in list(flow.uses):
-            self._deliver(flow, target)
-        for observer in list(flow.observers):
-            self._notify(observer)
-        if not flow.state.is_empty:
-            for target in list(flow.predicate_targets):
-                self._enable(target)
-
-    def _deliver(self, source: Flow, target: Flow) -> None:
-        if target.saturated:
-            return
-        self.state.joins += 1
-        new_input = target.input_state.join(source.state)
-        if new_input is not target.input_state:
-            target.input_state = new_input
-            self._recompute(target)
+        recompute = self._recompute
+        notify = self._notify
+        enable = self._enable
+        link_invoke = self._link_invoke
+        worklist = self._worklist
+        pending = self._pending_links
+        next_flow = worklist.popleft
+        next_link = pending.popleft
+        steps = joins = 0
+        try:
+            while worklist or pending:
+                if pending:
+                    invoke_flow = next_link()
+                    invoke_flow.in_link_queue = False
+                    if invoke_flow.enabled:
+                        link_invoke(invoke_flow)
+                    steps += 1
+                    continue
+                flow = next_flow()
+                flow.in_worklist = False
+                steps += 1
+                if not flow.enabled:
+                    continue
+                for target in flow.uses:
+                    if target.saturated:
+                        continue
+                    joins += 1
+                    old_input = target.input_state
+                    new_input = old_input.join(flow.state)
+                    if new_input is not old_input:
+                        target.input_state = new_input
+                        recompute(target)
+                for observer in flow.observers:
+                    notify(observer)
+                if not flow.state.is_empty:
+                    for target in flow.predicate_targets:
+                        enable(target)
+        finally:
+            state.steps += steps
+            state.joins += joins
 
     def _inject(self, flow: Flow, state: ValueState) -> None:
-        """Join an externally produced value into a flow's input (roots, stubs)."""
+        """Join a state into a flow's input (roots, stubs, solve-time edges)."""
         if flow.saturated:
             return
         self.state.joins += 1
@@ -430,7 +453,7 @@ class SkipFlowSolver:
 
         The sentinel dominates everything that can still arrive at the flow
         (the policy's contract), so skipping all further joins into it
-        (``_deliver`` / ``_inject``) loses nothing: the result stays a sound
+        (the drain loop / ``_inject``) loses nothing: the result stays a sound
         over-approximation, it is just coarser than the paper's exact
         semantics.
         """
@@ -472,7 +495,7 @@ class SkipFlowSolver:
             return
         source.add_use(target)
         if source.enabled and not source.state.is_empty:
-            self._deliver(source, target)
+            self._inject(target, source.state)
 
     # ------------------------------------------------------------------ #
     # Field linking (Load / Store rules)

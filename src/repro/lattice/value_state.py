@@ -64,11 +64,17 @@ class ValueState:
     flow; keeping both makes the solver uniform and robust.
     """
 
-    __slots__ = ("_types", "_primitive", "_ref_types")
+    __slots__ = ("_types", "_primitive", "_ref_types", "is_empty")
 
     def __init__(self, types: Iterable[str] = (), primitive: PrimitiveElement = None):
         self._types: TypeSet = intern_types(types)
         self._primitive: PrimitiveElement = primitive
+        #: True for the lattice bottom.  A plain attribute, not a property:
+        #: states are immutable and every route into one (the factories,
+        #: ``_make``, unpickling and copying through :meth:`ValueState.of`)
+        #: runs ``__init__``, so it is computed once per state instead of on
+        #: each of the solvers' millions of reads.
+        self.is_empty: bool = not self._types and primitive is None
         # Lazily memoized ``types - {null}`` (hot in invoke/field linking).
         self._ref_types: Optional[TypeSet] = None
 
@@ -133,10 +139,6 @@ class ValueState:
     def primitive(self) -> PrimitiveElement:
         """The primitive part: ``None`` (Empty), an ``int``, or ``ANY``."""
         return self._primitive
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._types and self._primitive is None
 
     @property
     def has_any(self) -> bool:

@@ -7,9 +7,10 @@ call edges, step/join/transfer counters, saturated-flow counts, and the
 image layer's metrics and per-method dead-code reports — under every
 saturation policy, on generated benchmarks from the paper (tier-1), wide,
 and composed suites alike.  Each cell solves the plain program (object
-kernel) and its attached freeze (arena kernel).  The grid here is the in-repo
-anchor for the CI gates (solver-steps baseline, fuzz ``kernel-divergence``
-invariant).
+kernel) and its attached freeze (arena kernel); the first three grid tests
+also solve the in-memory lowering, whose columns are lists where an attached
+buffer's are ``memoryview`` slices.  The grid here is the in-repo anchor for
+the CI gates (solver-steps baseline, fuzz ``kernel-divergence`` invariant).
 """
 
 from collections import Counter
@@ -19,8 +20,9 @@ import pytest
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.core.kernel import available_saturation_policies
+from repro.core.kernel.arena_kernel import ArenaKernelSolver
 from repro.image.builder import NativeImageBuilder
-from repro.ir.arena import freeze, open_program
+from repro.ir.arena import freeze, lowered_program, open_program
 from repro.lang import compile_source
 from repro.workloads.generator import generate_benchmark
 from repro.workloads.suites import (
@@ -89,6 +91,16 @@ def _attached(key):
     return _ATTACHED[key]
 
 
+def _lowered(key):
+    """The workload's in-memory lowering: list columns, solved on the arena."""
+    return lowered_program(_program(key))
+
+
+#: The two column types the arena kernel drains: an attached buffer's
+#: ``memoryview`` slices and an in-memory lowering's lists.
+COLUMNS = {"attached": (_attached, memoryview), "lowered": (_lowered, list)}
+
+
 def _canonical(result):
     return (frozenset(result.reachable_methods),
             sorted(result.call_edges()),
@@ -104,8 +116,11 @@ def _solve(key, config):
     return result
 
 
-def _solve_arena(key, config):
-    result = SkipFlowAnalysis(_attached(key), config).run()
+def _solve_arena(key, config, columns="attached"):
+    make, column_type = COLUMNS[columns]
+    program = make(key)
+    assert isinstance(program.arena.use_val, column_type)
+    result = SkipFlowAnalysis(program, config).run()
     assert result.kernel_ran == "arena"
     return result
 
@@ -144,29 +159,33 @@ def _fixpoint(result):
 
 
 class TestBitIdenticalGrid:
+    @pytest.mark.parametrize("columns", sorted(COLUMNS))
     @pytest.mark.parametrize("saturation", available_saturation_policies())
-    def test_full_grid_on_wide(self, saturation):
+    def test_full_grid_on_wide(self, saturation, columns):
         config = AnalysisConfig.skipflow()
         if saturation != "off":
             config = config.with_saturation_policy(saturation, 4)
         reference = _solve("wide-flat-64", config)
-        arena = _solve_arena("wide-flat-64", config)
+        arena = _solve_arena("wide-flat-64", config, columns)
         assert _canonical(arena) == _canonical(reference)
 
+    @pytest.mark.parametrize("columns", sorted(COLUMNS))
     @pytest.mark.parametrize("workload", ["dacapo-pmd", "composed-duo-112"])
-    def test_default_config_on_tier1_and_composed(self, workload):
+    def test_default_config_on_tier1_and_composed(self, workload, columns):
         config = AnalysisConfig.skipflow()
         reference = _solve(workload, config)
-        arena = _solve_arena(workload, config)
+        arena = _solve_arena(workload, config, columns)
         assert _canonical(arena) == _canonical(reference)
 
+    @pytest.mark.parametrize("columns", sorted(COLUMNS))
     @pytest.mark.parametrize("workload", ["dacapo-pmd", "composed-duo-112"])
     @pytest.mark.parametrize("saturation", CUTOFFS)
-    def test_saturations_on_tier1_and_composed(self, workload, saturation):
+    def test_saturations_on_tier1_and_composed(self, workload, saturation,
+                                               columns):
         config = (AnalysisConfig.skipflow()
                   .with_saturation_policy(saturation, 8))
         reference = _solve(workload, config)
-        arena = _solve_arena(workload, config)
+        arena = _solve_arena(workload, config, columns)
         assert _canonical(arena) == _canonical(reference)
 
     @pytest.mark.parametrize("workload", sorted(WIDE_SPECS))
@@ -285,3 +304,42 @@ class TestKernelSelection:
         expected = _fixpoint(plain)
         assert _fixpoint(cold) == expected
         assert _fixpoint(resumed) == expected
+
+
+class _MixedRowProbe(dict):
+    """An ``_extra_uses`` table that counts the drained rows holding both
+    static CSR uses and solve-time extras (the drain's list-copy path)."""
+
+    def __init__(self, arena):
+        super().__init__()
+        self.arena = arena
+        self.mixed_rows = 0
+
+    def get(self, fid, default=None):
+        extras = super().get(fid, default)
+        if extras and self.arena.use_ptr[fid + 1] > self.arena.use_ptr[fid]:
+            self.mixed_rows += 1
+        return extras
+
+
+class TestColumnTypes:
+    """Attached (``memoryview``) and lowered (``list``) columns drain alike."""
+
+    @pytest.mark.parametrize("columns", sorted(COLUMNS))
+    @pytest.mark.parametrize("workload", ["wide-flat-64", "composed-duo-112"])
+    def test_rows_with_static_and_solve_time_uses(self, workload, columns):
+        """A flow that feeds uses in its own method and is passed as a call
+        argument (here type filters and field loads) drains one row from
+        both sources."""
+        program = COLUMNS[columns][0](workload)
+        config = AnalysisConfig.skipflow()
+        solver = ArenaKernelSolver(program, config)
+        probe = solver._extra_uses = _MixedRowProbe(program.arena)
+        solver.solve()
+        assert probe.mixed_rows > 0
+        reference = _solve(workload, config)
+        assert (frozenset(solver.reachable), solver.steps, solver.joins,
+                solver.transfers, solver.saturated_flows) == (
+            frozenset(reference.reachable_methods), reference.steps,
+            reference.stats.joins, reference.stats.transfers,
+            reference.stats.saturated_flows)

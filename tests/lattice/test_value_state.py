@@ -1,8 +1,13 @@
 """Tests for value states (lattice L) including hypothesis lattice laws."""
 
+import copy
+import pickle
+
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.ir.types import NULL_TYPE_NAME, TypeHierarchy
+from repro.lattice.primitive import ANY
 from repro.lattice.typeset import filter_instanceof, filter_null_comparison
 from repro.lattice.value_state import ValueState
 
@@ -99,6 +104,63 @@ class TestModifiers:
         assert hash(a) == hash(b)
         assert a != ValueState.of_type("A")
         assert a != "not a state"
+
+
+#: Every route into a state, landing on empty states (names ending in
+#: ``empty``) and non-empty ones.  ``int`` 0 is falsy but not the primitive
+#: bottom, so it must read non-empty.
+_ROUTES = {
+    "direct-empty": lambda: ValueState(),
+    "direct-types": lambda: ValueState(["A"]),
+    "direct-int-zero": lambda: ValueState((), 0),
+    "direct-any": lambda: ValueState(primitive=ANY),
+    "of-empty": lambda: ValueState.of(),
+    "of-mixed": lambda: ValueState.of(["A"], 0),
+    "empty": ValueState.empty,
+    "of_type": lambda: ValueState.of_type("A"),
+    "of_types-empty": lambda: ValueState.of_types([]),
+    "of_types": lambda: ValueState.of_types(["A", NULL_TYPE_NAME]),
+    "null": ValueState.null,
+    "of_int-zero": lambda: ValueState.of_int(0),
+    "any_primitive": ValueState.any_primitive,
+    "join-to-empty": lambda: ValueState().join(ValueState.empty()),
+    "join": lambda: ValueState.empty().join(ValueState.of_int(0)),
+    "with_types-to-empty": lambda: ValueState.of_type("A").with_types(()),
+    "with_types": lambda: ValueState.empty().with_types(["A"]),
+    "with_primitive-to-empty": lambda: ValueState.of_int(1).with_primitive(None),
+    "only_types-to-empty": lambda: ValueState.of_int(1).only_types(),
+    "only_primitive-to-empty": lambda: ValueState.of_type("A").only_primitive(),
+    "only_primitive": lambda: ValueState.of_int(0).only_primitive(),
+    "without_null-to-empty": lambda: ValueState.null().without_null(),
+    "without_null": lambda: ValueState.of_types(["A", NULL_TYPE_NAME]).without_null(),
+    "widen_primitive": lambda: ValueState.of_int(0).widen_primitive(),
+}
+
+_TRANSPORTS = {
+    "as-built": lambda state: state,
+    "pickle": lambda state: pickle.loads(pickle.dumps(state)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestIsEmpty:
+    """``is_empty`` is set once in ``__init__``; every route must agree with
+    the lattice definition of bottom."""
+
+    @pytest.mark.parametrize("transport", sorted(_TRANSPORTS))
+    @pytest.mark.parametrize("route", sorted(_ROUTES))
+    def test_every_route_agrees_with_the_definition(self, route, transport):
+        state = _TRANSPORTS[transport](_ROUTES[route]())
+        expected = not state.types and state.primitive is None
+        assert state.is_empty is expected
+        assert bool(state) is not expected
+        assert expected is route.endswith("empty")
+
+    def test_direct_construction_is_not_interned(self):
+        state = ValueState()
+        assert state is not ValueState.empty()
+        assert state.is_empty
 
 
 class TestTypeSetFilters:
