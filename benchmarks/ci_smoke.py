@@ -125,7 +125,7 @@ def _incremental_phase(cache_dir: str) -> list:
     # Second pass: the stored snapshot must be a hit and resume to the
     # identical fixpoint without extra solver work.
     reread = SnapshotStore(Path(cache_dir) / "snapshots")
-    restored = reread.load(script.prefix(1), config)
+    restored = reread.load(script.prefix(1), config, program)
     if restored is None or reread.hits != 1 or reread.misses != 0:
         failures.append(
             f"{spec.name}: snapshot store did not serve the stored state "

@@ -469,7 +469,7 @@ def _check_snapshot(context: CheckContext) -> List[Diagnostic]:
         if blob is None:
             assert state is not None
             blob = state.to_bytes(program)
-        restored = SolverState.from_bytes(blob)
+        restored = SolverState.from_bytes(blob, program)
         restored.validate_resume(program)
     except SolverStateError as error:
         return [_diag(

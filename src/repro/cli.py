@@ -52,7 +52,7 @@ from repro.api import (
 )
 from repro.api.errors import EXIT_CHECK, exit_code_for
 from repro.core.analysis import AnalysisConfig
-from repro.core.state import SolverState
+from repro.core.state import SnapshotMismatchError, SolverState
 from repro.image.builder import NativeImageBuilder
 from repro.image.optimizations import collect_optimizations
 from repro.image.reflection import ReflectionConfig
@@ -186,11 +186,17 @@ def _analyze_with_state(session: AnalysisSession, args) -> int:
     name = _selected_analysis(args)
     require_config_analyzer(name, purpose="solver-state snapshots")
     resume_state = None
-    if args.resume_from:
-        resume_state = SolverState.from_bytes(
-            Path(args.resume_from).read_bytes())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResumeFallbackWarning)
+        if args.resume_from:
+            try:
+                resume_state = SolverState.from_bytes(
+                    Path(args.resume_from).read_bytes(), session.program)
+            except SnapshotMismatchError as error:
+                # A readable snapshot this program cannot take: as loud
+                # and as cold as a resume the session refuses.
+                warnings.warn(f"falling back to a cold solve: {error}",
+                              ResumeFallbackWarning)
         report = session.run(name, resume=resume_state,
                              **_policy_options(args))
     fallbacks = [str(entry.message) for entry in caught

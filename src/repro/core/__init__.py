@@ -34,7 +34,7 @@ from repro.core.pvpg import BranchKind, BranchRecord, MethodPVPG, ProgramPVPG
 from repro.core.pvpg_builder import ObjectSink, PVPGBuilder
 from repro.core.results import AnalysisResult, MethodSummary
 from repro.core.solver import SkipFlowSolver
-from repro.core.state import SolverState, SolverStateError
+from repro.core.state import SnapshotMismatchError, SolverState, SolverStateError
 
 __all__ = [
     "AnalysisConfig",
@@ -60,6 +60,7 @@ __all__ = [
     "ReturnFlow",
     "SkipFlowAnalysis",
     "SkipFlowSolver",
+    "SnapshotMismatchError",
     "SolverState",
     "SolverStateError",
     "SourceFlow",

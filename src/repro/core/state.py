@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.flows import (
     NO_EDGES,
@@ -68,6 +68,7 @@ from repro.core.flows import (
 )
 from repro.core.pvpg import BranchRecord, MethodPVPG, ProgramPVPG
 from repro.ir.delta import ProgramFingerprint, diff_fingerprints
+from repro.ir.instructions import If, Invoke
 from repro.ir.types import MethodSignature
 
 if TYPE_CHECKING:
@@ -78,8 +79,10 @@ if TYPE_CHECKING:
 #: code version) are refused rather than misinterpreted.  Version 2: the
 #: pickled ``AnalysisConfig`` lost its ``scheduling`` field.  Version 3: the
 #: closed-world saturation sentinel is gone, and a bare threshold now means
-#: ``allocated-type``.
-SNAPSHOT_VERSION = 3
+#: ``allocated-type``.  Version 4: IR is stored by reference (methods by
+#: qualified name, invoke and branch instructions by body position) and
+#: resolved against the program the snapshot is restored over.
+SNAPSHOT_VERSION = 4
 
 
 class SolverStateError(ValueError):
@@ -88,6 +91,16 @@ class SolverStateError(ValueError):
     Raised for configuration mismatches, snapshot-format mismatches, and —
     for stamped states — non-monotone program changes.  Callers that can
     fall back (the session API, the CLI) catch this and run cold, loudly.
+    """
+
+
+class SnapshotMismatchError(SolverStateError):
+    """A well-formed snapshot that does not resolve against the program.
+
+    Raised by :meth:`SolverState.from_bytes` when a method the snapshot
+    references is missing from the program, or changed since the snapshot
+    was taken.  Like a refused resume, it means "solve cold", not "the
+    file is bad": the CLI falls back with a warning.
     """
 
 
@@ -184,14 +197,15 @@ class SolverState:
 
         Copies every flow, edge set, and solver-owned set through the flat
         snapshot codec; the immutable IR (methods, instructions, value
-        states) stays shared between the branches — the analysis treats it
-        as read-only, so sharing is safe and cheap.  A session's generation
-        tag travels with the fork (it is an in-process lineage fact), so a
-        forked state is subject to the same warm barrier as its original;
-        ``to_bytes`` deliberately does *not* persist it, because generation
-        numbers are meaningless outside the session that issued them.
+        states) stays shared between the branches by direct reference — the
+        analysis treats it as read-only, so sharing is safe and cheap.  A
+        session's generation tag travels with the fork (it is an in-process
+        lineage fact), so a forked state is subject to the same warm barrier
+        as its original; ``to_bytes`` deliberately does *not* persist it,
+        because generation numbers are meaningless outside the session that
+        issued them.
         """
-        branch = _decode_state(_encode_state(self))
+        branch = _decode_state(_encode_state(self, _DIRECT), _DIRECT)
         generation = getattr(self, "session_generation", None)
         if generation is not None:
             branch.session_generation = generation
@@ -203,32 +217,47 @@ class SolverState:
         The payload is a *flat* encoding — flows become records whose edges
         are uid lists — because the PVPG's object graph nests as deep as the
         longest propagation chain and naive pickling would blow the
-        recursion limit on real programs.  The whole payload goes through a
-        single pickler, so IR objects shared between flows and method
-        bodies keep their identity on restore.  The payload is versioned so
-        stale snapshot files are refused by :meth:`from_bytes` instead of
-        being misread.
+        recursion limit on real programs.  IR is stored by reference, never
+        pickled: methods by qualified name, invoke and branch instructions
+        by their position in the method body (:meth:`from_bytes` resolves
+        them against a program).  The payload is versioned so stale
+        snapshot files are refused by :meth:`from_bytes` instead of being
+        misread.
 
-        Stamping writes the fingerprint into the serialized payload only;
-        this live state is untouched, so snapshotting a chain that keeps
-        resuming in memory does not saddle its later solves with
+        Stamping writes ``program``'s fingerprint into the serialized
+        payload only; this live state is untouched, so snapshotting a chain
+        that keeps resuming in memory does not saddle its later solves with
         fingerprint re-validation.  Use :meth:`stamp` to mark the live
-        state itself.
+        state itself.  With ``program``, positions are taken in its bodies.
         """
-        payload = _encode_state(self)
+        payload = _encode_state(self, _References(program))
         if program is not None:
             payload["fingerprint"] = ProgramFingerprint.of(program)
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "SolverState":
-        """Restore a snapshot; future flow uids are raised past its flows."""
+    def from_bytes(cls, blob: bytes, program: "Program") -> "SolverState":
+        """Restore a snapshot against ``program``.
+
+        A stamped snapshot first checks that every method it references is
+        in ``program`` with the body it was taken against
+        (:class:`SnapshotMismatchError` names the first that is not); the
+        references then resolve to ``program``'s own method and
+        instruction objects.  Whether ``program`` is a monotone extension
+        of the snapshotted one is the resume's check
+        (:meth:`validate_resume`).  Future flow uids are raised past the
+        restored flows.
+        """
         try:
             payload = pickle.loads(blob)
         except Exception as error:
             raise SolverStateError(
                 f"unreadable solver-state snapshot: {error}") from error
-        return _decode_state(payload)
+        _check_version(payload)
+        references = _References(program)
+        references.check_stamp(payload["fingerprint"],
+                               [record["name"] for record in payload["methods"]])
+        return _decode_state(payload, references)
 
 
 # --------------------------------------------------------------------------- #
@@ -236,17 +265,162 @@ class SolverState:
 # --------------------------------------------------------------------------- #
 # Flows are encoded as records whose inter-flow references are uids, which
 # bounds the pickling depth (the live graph nests as deep as the longest
-# propagation chain).  Immutable IR payloads — methods, instructions, value
-# states, field declarations — are stored as direct object references and
-# travel through the same pickler, so sharing (e.g. one Invoke instruction
-# referenced by both a method body and its invoke flow) survives the round
-# trip.  Each flow's ordered edge sets (``uses``, ``observers``,
-# ``predicate_targets``) are encoded as uid lists in iteration order and
-# re-added in that order, so edge order survives too.  One deliberate
-# normalization: each flow's incoming ``predicates`` set is rebuilt from the
-# predicate-target edges in flow-table order, which can permute it relative
-# to the original interleaving; the solver only ever asks "is any predicate
-# enabled", so the order is semantically inert.
+# propagation chain).  Each flow's ordered edge sets (``uses``,
+# ``observers``, ``predicate_targets``) are encoded as uid lists in iteration
+# order and re-added in that order, so edge order survives too.  One
+# deliberate normalization: each flow's incoming ``predicates`` set is
+# rebuilt from the predicate-target edges in flow-table order, which can
+# permute it relative to the original interleaving; the solver only ever
+# asks "is any predicate enabled", so the order is semantically inert.
+#
+# The program's IR travels by reference.  Each method record carries the
+# method itself, the ``Invoke`` of each of its invoke flows, and the ``If``
+# of each of its branch records, in a form chosen by a reference strategy:
+# ``_DIRECT`` (``fork``) keeps the objects, ``_References`` (``to_bytes`` /
+# ``from_bytes``) stores the method's qualified name, each invoke's index
+# in the body's statement sequence and each branch's block index, and
+# resolves them against a program on restore.  Value payloads (constants,
+# field declarations, signatures, value states) are small immutable values
+# and are pickled as they are.  Resolving by position relies on method
+# bodies never being edited in place — the assumption the program's
+# revision and digest memo already make; a stamped snapshot checks the
+# digests of the bodies it references before it resolves anything.
+
+
+class _Direct:
+    """IR by direct object reference: the in-memory ``fork``."""
+
+    @staticmethod
+    def encode(name: str, graph: MethodPVPG) -> Tuple[Any, List[Any], List[Any]]:
+        return (graph.method,
+                [flow.invoke for flow in graph.invoke_flows],
+                [record.instruction for record in graph.branch_records])
+
+    @staticmethod
+    def decode(name: str, method: Any, invokes: List[Any],
+               branches: List[Any]) -> Tuple[Any, List[Any], List[Any]]:
+        return method, invokes, branches
+
+
+_DIRECT = _Direct()
+
+
+def _invoke_key(invoke: Invoke) -> tuple:
+    return (invoke.result, invoke.method_name, invoke.arguments,
+            invoke.receiver, invoke.kind, invoke.target_class)
+
+
+def _branch_key(instruction: If) -> tuple:
+    return (instruction.condition, instruction.then_label,
+            instruction.else_label)
+
+
+def _positions(name: str, candidates: List[Tuple[int, Any]],
+               wanted: Sequence[Any], key: Callable[[Any], tuple]) -> List[int]:
+    """The position of each ``wanted`` instruction among ``candidates``.
+
+    Instructions are found by identity.  Flows the arena kernel inflated
+    from columns hold value-equal copies of the body's instructions; those
+    are matched by value, each candidate at most once.
+    """
+    by_identity = {id(item): position for position, item in candidates}
+    by_value: Optional[Dict[tuple, List[int]]] = None
+    positions = []
+    for instruction in wanted:
+        position = by_identity.get(id(instruction))
+        if position is None:
+            if by_value is None:
+                by_value = {}
+                for slot, item in candidates:
+                    by_value.setdefault(key(item), []).append(slot)
+            matches = by_value.get(key(instruction))
+            if not matches:
+                raise SolverStateError(
+                    f"cannot snapshot: {instruction} is not in the body of "
+                    f"method {name}")
+            position = matches.pop(0)
+        positions.append(position)
+    return positions
+
+
+class _References:
+    """IR by reference: the persisted snapshot (``to_bytes``/``from_bytes``).
+
+    Encoding takes positions in ``program``'s bodies when a program is
+    given (the bodies a stamp describes), else in the state's own methods.
+    Decoding resolves against ``program`` and hands out its own objects.
+    """
+
+    def __init__(self, program: Optional["Program"]) -> None:
+        self.program = program
+
+    def encode(self, name: str, graph: MethodPVPG) -> Tuple[None, List[int], List[int]]:
+        method = graph.method
+        if self.program is not None:
+            method = self.program.methods.get(name, method)
+        invokes: List[int] = []
+        branches: List[int] = []
+        if graph.invoke_flows:
+            statements = [statement for block in method.blocks
+                          for statement in block.statements]
+            invokes = _positions(
+                name, [(index, statement)
+                       for index, statement in enumerate(statements)
+                       if isinstance(statement, Invoke)],
+                [flow.invoke for flow in graph.invoke_flows], _invoke_key)
+        if graph.branch_records:
+            branches = _positions(
+                name, [(index, block.end)
+                       for index, block in enumerate(method.blocks)
+                       if isinstance(block.end, If)],
+                [record.instruction for record in graph.branch_records],
+                _branch_key)
+        return None, invokes, branches
+
+    def check_stamp(self, stamp: Optional[ProgramFingerprint],
+                    names: Sequence[str]) -> None:
+        """Refuse a stamped snapshot whose referenced bodies are not the program's."""
+        if stamp is None:
+            return
+        current = ProgramFingerprint.of(self.program)
+        if current == stamp:
+            return
+        digests = dict(current.methods)
+        stamped = dict(stamp.methods)
+        for name in names:
+            if name not in digests:
+                self._mismatch(name, "is missing from the program")
+            if digests[name] != stamped.get(name):
+                self._mismatch(name, "changed since the snapshot was taken")
+
+    @staticmethod
+    def _mismatch(name: str, what: str) -> None:
+        raise SnapshotMismatchError(
+            f"snapshot does not resolve against this program: method "
+            f"{name} {what} (not a monotone extension of the snapshotted "
+            f"program)")
+
+    def decode(self, name: str, method: None, invokes: List[int],
+               branches: List[int]) -> Tuple[Any, List[Invoke], List[If]]:
+        resolved = self.program.methods.get(name)
+        if resolved is None:
+            self._mismatch(name, "is missing from the program")
+        blocks = resolved.blocks if (invokes or branches) else ()
+        statements = [statement for block in blocks
+                      for statement in block.statements] if invokes else ()
+        ends = [block.end for block in blocks] if branches else ()
+        return (resolved,
+                [self._at(name, statements, position, Invoke)
+                 for position in invokes],
+                [self._at(name, ends, position, If) for position in branches])
+
+    def _at(self, name: str, items: Sequence[Any], position: int,
+            kind: type) -> Any:
+        item = items[position] if 0 <= position < len(items) else None
+        if not isinstance(item, kind):
+            self._mismatch(name, "changed since the snapshot was taken")
+        return item
+
 
 _FLOW_CLASSES = {cls.__name__: cls for cls in (
     Flow, PredOnFlow, SourceFlow, ParameterFlow, PhiFlow, PhiPredFlow,
@@ -288,7 +462,6 @@ def _encode_flow(flow: Flow) -> Dict[str, Any]:
         record["field_name"] = flow.field_name
         record["receiver"] = flow.receiver.uid
     elif isinstance(flow, InvokeFlow):
-        record["invoke"] = flow.invoke
         record["receiver"] = flow.receiver.uid if flow.receiver is not None else None
         record["argument_flows"] = [arg.uid for arg in flow.argument_flows]
         record["linked_callees"] = sorted(flow.linked_callees)
@@ -334,7 +507,7 @@ def _decode_flow_shell(record: Dict[str, Any]) -> Flow:
     elif isinstance(flow, (LoadFieldFlow, StoreFieldFlow)):
         flow.field_name = record["field_name"]
     elif isinstance(flow, InvokeFlow):
-        flow.invoke = record["invoke"]
+        flow.invoke = None  # set from its method record
         flow.linked_callees = set(record["linked_callees"])
     elif isinstance(flow, ReturnFlow):
         flow.artificial_on_enable = record["artificial_on_enable"]
@@ -363,25 +536,27 @@ def _wire_flow(record: Dict[str, Any], flows: Dict[int, Flow]) -> None:
         flow.argument_flows = [flows[uid] for uid in record["argument_flows"]]
 
 
-def _encode_state(state: SolverState) -> Dict[str, Any]:
+def _encode_state(state: SolverState, references) -> Dict[str, Any]:
     pvpg = state.pvpg
     flow_records = [_encode_flow(flow) for flow in pvpg.all_flows()]
     method_records = []
     for name, graph in pvpg.methods.items():
+        method, invokes, branches = references.encode(name, graph)
         method_records.append({
             "name": name,
-            "method": graph.method,
+            "method": method,
             "flows": [flow.uid for flow in graph.flows],
             "parameter_flows": [flow.uid for flow in graph.parameter_flows],
             "return_flows": [flow.uid for flow in graph.return_flows],
             "invoke_flows": [flow.uid for flow in graph.invoke_flows],
+            "invokes": invokes,
             "branch_records": [{
-                "instruction": rec.instruction,
+                "instruction": instruction,
                 "kind": rec.kind,
                 "then_predicate": rec.then_predicate.uid,
                 "else_predicate": rec.else_predicate.uid,
                 "block_predicate": rec.block_predicate.uid,
-            } for rec in graph.branch_records],
+            } for rec, instruction in zip(graph.branch_records, branches)],
         })
     return {
         "snapshot_version": SNAPSHOT_VERSION,
@@ -421,12 +596,15 @@ def _revalidated(config: Any) -> Any:
         ) from error
 
 
-def _decode_state(payload: Dict[str, Any]) -> SolverState:
+def _check_version(payload: Any) -> None:
     version = payload.get("snapshot_version") if isinstance(payload, dict) else None
     if version != SNAPSHOT_VERSION:
         raise SolverStateError(
             f"unsupported solver-state snapshot version {version!r} "
             f"(expected {SNAPSHOT_VERSION})")
+
+
+def _decode_state(payload: Dict[str, Any], references) -> SolverState:
     flows: Dict[int, Flow] = {}
     for record in payload["flows"]:
         flows[record["uid"]] = _decode_flow_shell(record)
@@ -439,21 +617,29 @@ def _decode_state(payload: Dict[str, Any]) -> SolverState:
                         for name, uid in payload["field_flows"]}
     pvpg.methods = {}
     for record in payload["methods"]:
+        name = record["name"]
+        branch_records = record["branch_records"]
+        method, invokes, branches = references.decode(
+            name, record["method"], record["invokes"],
+            [rec["instruction"] for rec in branch_records])
+        invoke_flows = [flows[uid] for uid in record["invoke_flows"]]
+        for flow, invoke in zip(invoke_flows, invokes):
+            flow.invoke = invoke
         graph = MethodPVPG(
-            method=record["method"],
+            method=method,
             parameter_flows=[flows[uid] for uid in record["parameter_flows"]],
             return_flows=[flows[uid] for uid in record["return_flows"]],
-            invoke_flows=[flows[uid] for uid in record["invoke_flows"]],
+            invoke_flows=invoke_flows,
             branch_records=[BranchRecord(
-                instruction=rec["instruction"],
+                instruction=instruction,
                 kind=rec["kind"],
                 then_predicate=flows[rec["then_predicate"]],
                 else_predicate=flows[rec["else_predicate"]],
                 block_predicate=flows[rec["block_predicate"]],
-            ) for rec in record["branch_records"]],
+            ) for rec, instruction in zip(branch_records, branches)],
             flows=[flows[uid] for uid in record["flows"]],
         )
-        pvpg.methods[record["name"]] = graph
+        pvpg.methods[name] = graph
 
     state = SolverState(_revalidated(payload["config"]))
     state.pvpg = pvpg

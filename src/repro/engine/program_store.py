@@ -129,13 +129,26 @@ class ProgramStore:
         back as its own buffer only (no pickle: an mmap-backed program does
         not pickle, and re-serializing the buffer is exact and free).
         """
+        if not isinstance(program, ArenaProgram):
+            self._write_atomic(
+                self.path_for(spec),
+                pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL))
+        self.store_arena(spec, program)
+
+    def store_arena(self, spec: BenchmarkSpec,
+                    program: Union[Program, ArenaProgram]) -> Path:
+        """Atomically persist ``program``'s arena blob alone; returns its path.
+
+        The one encoding a daemon spill writes: :meth:`attach` reads it
+        back, and nothing reads a pickle.  An attached program writes its
+        own buffer back; a plain one is frozen.
+        """
+        target = self.arena_path_for(spec)
         if isinstance(program, ArenaProgram):
-            self._write_atomic(self.arena_path_for(spec),
-                               program.arena.to_bytes())
-            return
-        self._write_atomic(self.path_for(spec),
-                           pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL))
-        self._write_atomic(self.arena_path_for(spec), freeze(program))
+            self._write_atomic(target, program.arena.to_bytes())
+        else:
+            self._write_atomic(target, freeze(program))
+        return target
 
     def _write_atomic(self, target: Path, blob: bytes) -> None:
         temp = target.with_name(target.name + f".tmp{os.getpid()}")

@@ -88,11 +88,16 @@ class SnapshotStore:
         """Whether a snapshot exists, without touching the hit/miss counters."""
         return self.path_for(spec, config).is_file()
 
-    def load(self, spec, config) -> Optional[SolverState]:
-        """The stored state, or ``None`` on a missing/corrupt/stale blob."""
+    def load(self, spec, config, program: Program) -> Optional[SolverState]:
+        """The stored state restored against ``program``, or ``None``.
+
+        ``None`` on a missing, corrupt or stale blob, and on one that does
+        not resolve against ``program`` (a method it references is missing
+        or changed): snapshots store the program's IR by reference.
+        """
         try:
             blob = self.path_for(spec, config).read_bytes()
-            state = SolverState.from_bytes(blob)
+            state = SolverState.from_bytes(blob, program)
         except (OSError, SolverStateError):
             self.misses += 1
             return None

@@ -621,13 +621,18 @@ class LoweredArena(ProgramArena):
         return serialize(self)
 
 
-def serialize(lowered: LoweredArena) -> bytes:
+def serialize(lowered: LoweredArena,
+              fingerprint: Optional[ProgramFingerprint] = None) -> bytes:
     """Write a lowering as one arena buffer, bodies and fingerprint included.
 
-    The section order is part of the bytes: the lowered columns in their
-    order, with the pickled bodies after the allocation-site CSR, then the
-    fingerprint and the string table.
+    ``fingerprint`` is the lowered program's, when the caller has it
+    (:func:`freeze` takes it through the program's memo); otherwise the
+    lowering takes its own.  The section order is part of the bytes: the
+    lowered columns in their order, with the pickled bodies after the
+    allocation-site CSR, then the fingerprint and the string table.
     """
+    if fingerprint is None:
+        fingerprint = lowered.fingerprint
     writer = BufferWriter()
     for name, column in lowered.columns.items():
         writer.add_ints(name, column)
@@ -639,7 +644,7 @@ def serialize(lowered: LoweredArena) -> bytes:
             writer.add_bytes("body_blob", b"".join(blobs))
     writer.add_bytes(
         "fingerprint_blob",
-        pickle.dumps(lowered.fingerprint, protocol=pickle.HIGHEST_PROTOCOL))
+        pickle.dumps(fingerprint, protocol=pickle.HIGHEST_PROTOCOL))
     encoded = [text.encode("utf-8") for text in lowered.strings]
     writer.add_ints("str_offsets", accumulate(map(len, encoded), initial=0))
     writer.add_bytes("str_blob", b"".join(encoded))
@@ -647,8 +652,13 @@ def serialize(lowered: LoweredArena) -> bytes:
 
 
 def freeze(program: Program) -> bytes:
-    """Flatten ``program`` into a single serialized arena buffer."""
-    return serialize(lower(program))
+    """Flatten ``program`` into a single serialized arena buffer.
+
+    The stamped fingerprint comes from :meth:`ProgramFingerprint.of`, so
+    freezing shares the program's body digests with snapshot stamping and
+    resume validation.
+    """
+    return serialize(lower(program), ProgramFingerprint.of(program))
 
 
 def _view(program: Program) -> ArenaProgram:

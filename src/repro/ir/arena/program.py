@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.ir.arena import schema
 from repro.ir.arena.layout import ArenaFormatError, BufferLike, BufferReader
+from repro.ir.delta import seed_fingerprint
 from repro.ir.method import Method
 from repro.ir.program import Program
 from repro.ir.types import OBJECT_TYPE_NAME, MethodSignature, TypeHierarchy
@@ -279,6 +280,21 @@ class ArenaMethod(Method):
     def __reduce__(self):
         return (_plain_method, (self.signature, self.blocks, self.never_returns))
 
+    def detach(self) -> Method:
+        """Turn this view into a plain :class:`Method`, in place.
+
+        The body is decoded if it was not yet, and the arena is released:
+        the object becomes exactly a ``Method`` holding that body, so every
+        reference to it (a restored snapshot's method graphs among them)
+        stops keeping the buffer alive.  :func:`thaw` detaches the views an
+        attached program handed out and adopts them as its own methods.
+        """
+        blocks = self.blocks
+        del self._arena, self._mid, self._blocks
+        self.__class__ = Method
+        self.blocks = blocks
+        return self
+
 
 def _signature_for(arena: ProgramArena, mid: int,
                    hierarchy: TypeHierarchy) -> MethodSignature:
@@ -319,6 +335,10 @@ class LazyMethodMap(Mapping):
 
     def __len__(self) -> int:
         return len(self._names)
+
+    def materialized(self) -> Dict[str, ArenaMethod]:
+        """The method views handed out so far, by qualified name."""
+        return dict(self._cache)
 
     def __reduce__(self):
         # Pickling thaws everything: the copy must outlive the buffer.
@@ -370,18 +390,37 @@ def open_program(buffer: BufferLike) -> ArenaProgram:
 
 
 def thaw(source) -> Program:
-    """Fully decode an arena (or buffer) back into a plain mutable Program."""
-    arena = source if isinstance(source, ProgramArena) else ProgramArena(source)
-    hierarchy = arena.build_hierarchy()
+    """Fully decode an arena back into a plain mutable Program.
+
+    ``source`` is a buffer, a :class:`ProgramArena`, or an attached
+    :class:`ArenaProgram`.  Thawing an attached program *consumes* it: the
+    new program takes over its hierarchy and adopts every method view it
+    handed out, detached into plain methods (:meth:`ArenaMethod.detach`),
+    so a body decoded before (a snapshot restored against the attached
+    program decodes the reachable ones) is not decoded again, and whatever
+    held those views now holds the new program's own methods.  The
+    attached program must not be used afterwards.  The new program's
+    fingerprint memo is seeded from the fingerprint stamped into the
+    buffer, so no body is re-digested.
+    """
+    views: Dict[str, ArenaMethod] = {}
+    if isinstance(source, ArenaProgram):
+        arena, hierarchy = source.arena, source.hierarchy
+        views = source.methods.materialized()
+    else:
+        arena = source if isinstance(source, ProgramArena) else ProgramArena(source)
+        hierarchy = arena.build_hierarchy()
     program = Program(hierarchy=hierarchy)
     for mid in range(arena.num_methods):
-        program.add_method(Method(
+        view = views.get(arena.qualified_name(mid))
+        program.add_method(view.detach() if view is not None else Method(
             signature=_signature_for(arena, mid, hierarchy),
             blocks=arena.method_blocks(mid),
             never_returns=bool(arena.method_never_returns[mid]),
         ))
     for name in arena.entry_point_names():
         program.add_entry_point(name)
+    seed_fingerprint(program, arena.fingerprint)
     return program
 
 

@@ -107,30 +107,62 @@ class ProgramFingerprint:
 
     @staticmethod
     def of(program: Program) -> "ProgramFingerprint":
-        # Duck-typed fast path: arena-attached programs carry the
-        # fingerprint stamped at freeze time, so no body is re-digested.
+        """The fingerprint of ``program``, memoized per revision.
+
+        Arena-attached programs return the fingerprint stamped at freeze
+        time.  A plain program computes it at most once per
+        :attr:`~repro.ir.program.Program.revision`, and each body digest at
+        most once per :class:`Method` object
+        (:attr:`~repro.ir.program.Program.digest_memo`): after an additive
+        edit only the new bodies are digested.
+        """
         stamped = getattr(program, "program_fingerprint", None)
         if stamped is not None:
             return stamped
-        classes = tuple(sorted(
-            (cls.name, ClassShape(
-                superclass=cls.superclass,
-                interfaces=tuple(cls.interfaces),
-                is_interface=cls.is_interface,
-                is_abstract=cls.is_abstract,
-                fields=tuple(sorted(
-                    (name, decl.declared_type)
-                    for name, decl in cls.fields.items())),
-            ))
-            for cls in program.hierarchy))
-        methods = tuple(sorted(
-            (name, _method_digest(method))
-            for name, method in program.methods.items()))
-        return ProgramFingerprint(
-            classes=classes,
-            methods=methods,
-            entry_points=tuple(program.entry_points),
-        )
+        return program.memoized(_fingerprint)
+
+
+def _fingerprint(program: Program) -> ProgramFingerprint:
+    """A program's fingerprint, reusing the digests its memo already holds."""
+    digests = program.digest_memo
+    methods = []
+    for name, method in program.methods.items():
+        entry = digests.get(name)
+        if entry is None or entry[0] is not method:
+            entry = digests[name] = (method, _method_digest(method))
+        methods.append((name, entry[1]))
+    methods.sort()
+    classes = tuple(sorted(
+        (cls.name, ClassShape(
+            superclass=cls.superclass,
+            interfaces=tuple(cls.interfaces),
+            is_interface=cls.is_interface,
+            is_abstract=cls.is_abstract,
+            fields=tuple(sorted(
+                (name, decl.declared_type)
+                for name, decl in cls.fields.items())),
+        ))
+        for cls in program.hierarchy))
+    return ProgramFingerprint(
+        classes=classes,
+        methods=tuple(methods),
+        entry_points=tuple(program.entry_points),
+    )
+
+
+def seed_fingerprint(program: Program, fingerprint: ProgramFingerprint) -> None:
+    """Adopt ``fingerprint`` as ``program``'s, digests included.
+
+    For a program decoded from a buffer stamped with the fingerprint of the
+    same content (:func:`repro.ir.arena.thaw`): every body digest and the
+    fingerprint itself go into the program's memos, so nothing is
+    re-digested until the program changes, and then only the new bodies.
+    """
+    stamped = dict(fingerprint.methods)
+    digests = program.digest_memo
+    for name, method in program.methods.items():
+        digests[name] = (method, stamped[name])
+    program.prime(_fingerprint, fingerprint)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, TypeVar
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.ir.method import Method
 from repro.ir.types import MethodSignature, TypeHierarchy
@@ -13,7 +13,7 @@ T = TypeVar("T")
 
 #: Instance attributes that are bookkeeping, not program content: they are
 #: left out of pickles and copies (see :meth:`Program.__getstate__`).
-_TRANSIENT = ("_revision", "_memo")
+_TRANSIENT = ("_revision", "_memo", "_digests")
 
 
 class ProgramError(Exception):
@@ -35,9 +35,10 @@ class Program:
     entry_points: List[str] = field(default_factory=list)
 
     # Class-level defaults, not dataclass fields: a program gets its own
-    # values on its first mutation and first memoized derivation.
+    # values on its first mutation, memoized derivation and body digest.
     _revision = 0
     _memo = None
+    _digests = None
 
     def add_method(self, method: Method) -> Method:
         name = method.qualified_name
@@ -73,19 +74,51 @@ class Program:
     def memoized(self, build: Callable[["Program"], T]) -> T:
         """``build(self)``, computed at most once per :attr:`revision`.
 
-        One slot, keyed by ``build``: the in-memory arena lowering
-        (:func:`repro.ir.arena.lowered_program`) is what lives here, so two
-        image builds of one program lower it once.  The memo is an
-        attribute of this program, so it dies with it, and it is never
-        pickled or copied (:meth:`__getstate__`).
+        One entry per derivation, keyed by ``build``: the in-memory arena
+        lowering (:func:`repro.ir.arena.lowered_program`) and the program
+        fingerprint (:meth:`repro.ir.delta.ProgramFingerprint.of`) live
+        here side by side, so taking one never evicts the other.  The memo
+        is an attribute of this program, so it dies with it, and it is
+        never pickled or copied (:meth:`__getstate__`).
         """
         revision = self.revision
         memo = self._memo
-        if memo is not None and memo[0] == revision and memo[1] is build:
-            return memo[2]
+        if memo is None:
+            memo = self._memo = {}
+        entry = memo.get(build)
+        if entry is not None and entry[0] == revision:
+            return entry[1]
         value = build(self)
-        self._memo = (revision, build, value)
+        memo[build] = (revision, value)
         return value
+
+    def prime(self, build: Callable[["Program"], T], value: T) -> None:
+        """Record ``value`` as :meth:`memoized` ``build`` at this revision.
+
+        For a caller that already holds the derivation, such as
+        :func:`repro.ir.arena.thaw` with the fingerprint stamped into the
+        buffer it decoded; the caller vouches that ``value`` equals
+        ``build(self)``.
+        """
+        if self._memo is None:
+            self._memo = {}
+        self._memo[build] = (self.revision, value)
+
+    @property
+    def digest_memo(self) -> Dict[str, Tuple[Method, str]]:
+        """Method body digests taken so far, by qualified name.
+
+        Each entry keeps the :class:`Method` object it digested, so an
+        entry counts only while ``methods[name]`` is still that object.
+        Bodies are never edited in place (the assumption :attr:`revision`
+        already makes), so a body is digested at most once per
+        :class:`Method` object however often the program changes around
+        it.  Transient like the memo.
+        """
+        digests = self._digests
+        if digests is None:
+            digests = self._digests = {}
+        return digests
 
     def __getstate__(self) -> dict:
         # Pickles (the program store's among them) carry the fields only, so

@@ -19,19 +19,24 @@ resumed fixpoint per analysis request, not one per edit.
 
 **Eviction and rehydration.**  Idle sessions past ``max_live_sessions``
 are spilled least-recently-used: the program goes to the engine's
-:class:`~repro.engine.program_store.ProgramStore` and every analyzer
-slot's solver state to the :class:`~repro.engine.snapshots.SnapshotStore`,
-keyed by a :class:`SessionSpillSpec` exactly like benchmark blobs are keyed
-by their specs.  The next request on an evicted session transparently
-rehydrates it — program unpickled, states re-stamped with their original
-session generations via
+:class:`~repro.engine.program_store.ProgramStore` as one arena blob (its
+only encoding; no pickle) and every analyzer slot's solver state to the
+:class:`~repro.engine.snapshots.SnapshotStore` as a snapshot that
+references the program's IR instead of copying it, keyed by a
+:class:`SessionSpillSpec` exactly like benchmark blobs are keyed by their
+specs.  The next request on an evicted session transparently rehydrates it
+— the blob attached, states resolved against it and re-stamped with their
+original session generations via
 :meth:`~repro.api.session.AnalysisSession.adopt_generations` — so warm
-resumption survives the round trip to disk.
+resumption survives the round trip to disk.  A spill deletes the files of
+the session's previous spill that it did not rewrite, and ``close``
+deletes the session's files, so the spill directory holds at most one
+generation per session.
 
 **Metrics.**  Every request updates a :class:`ServiceMetrics` snapshot:
 request counts, solve modes (cached / warm / cold / cold-fallback), steps
-paid warm vs cold, coalescing depth, eviction traffic, and analyze-latency
-percentiles.
+paid warm vs cold, coalescing depth, eviction traffic, and latency
+percentiles of analyzes, spills and rehydrations.
 
 Warm solves stay *sound*, not just fast: the manager only offers a slot's
 state for resumption when the slot's generation is at or past the
@@ -71,8 +76,11 @@ from repro.workloads.edits import EditStepSpec, build_edit_delta
 from repro.workloads.generator import BenchmarkSpec
 from repro.workloads.suites import DEFAULT_SCALE, extended_suites
 
-#: How many analyze latencies the metrics ring buffer keeps.
+#: How many latencies of each kind the metrics ring buffers keep.
 LATENCY_WINDOW = 4096
+
+#: What the metrics time: ``analyze`` requests, spills, rehydrations.
+LATENCY_KINDS = ("analyze", "spill", "rehydrate")
 
 #: Solve modes an ``analyze`` request can report.
 ANALYZE_MODES = ("cached", "warm", "cold", "cold-fallback")
@@ -130,11 +138,16 @@ class ServiceMetrics:
         self.cold_steps_paid = 0
         self.coalesced_updates = 0
         self.max_coalesced = 0
-        self._latencies: deque = deque(maxlen=LATENCY_WINDOW)
+        self._latencies: Dict[str, deque] = {
+            kind: deque(maxlen=LATENCY_WINDOW) for kind in LATENCY_KINDS}
 
     def bump(self, key: str, amount: int = 1) -> None:
         with self._lock:
             self.counts[key] = self.counts.get(key, 0) + amount
+
+    def record_latency(self, kind: str, seconds: float) -> None:
+        with self._lock:
+            self._latencies[kind].append(seconds)
 
     def record_analyze(self, *, mode: str, steps_paid: int,
                        coalesced: int, latency_seconds: float) -> None:
@@ -147,15 +160,14 @@ class ServiceMetrics:
                 self.cold_steps_paid += steps_paid
             self.coalesced_updates += coalesced
             self.max_coalesced = max(self.max_coalesced, coalesced)
-            self._latencies.append(latency_seconds)
+            self._latencies["analyze"].append(latency_seconds)
 
     def snapshot(self) -> dict:
         """One JSON-ready view of every counter (the ``/v1/metrics`` body)."""
         with self._lock:
             warm = self.modes["warm"]
             solved = warm + self.modes["cold"] + self.modes["cold-fallback"]
-            latencies = list(self._latencies)
-            return {
+            snapshot = {
                 "requests": dict(self.counts),
                 "analyze_modes": dict(self.modes),
                 "warm_resume_ratio": (warm / solved) if solved else None,
@@ -163,12 +175,15 @@ class ServiceMetrics:
                 "cold_steps_paid": self.cold_steps_paid,
                 "coalesced_updates": self.coalesced_updates,
                 "max_coalesced": self.max_coalesced,
-                "analyze_latency_ms": {
-                    "count": len(latencies),
-                    "p50": round(percentile(latencies, 50) * 1000, 3),
-                    "p95": round(percentile(latencies, 95) * 1000, 3),
-                },
             }
+            for kind, window in self._latencies.items():
+                latencies = list(window)
+                snapshot[f"{kind}_latency_ms"] = {
+                    "count": len(latencies),
+                    **{f"p{q}": round(percentile(latencies, q) * 1000, 3)
+                       for q in (50, 95, 99)},
+                }
+            return snapshot
 
 
 @dataclass
@@ -220,6 +235,8 @@ class ManagedSession:
     pending: List[ProgramDelta] = field(default_factory=list)
     slots: Dict[str, _AnalyzerSlot] = field(default_factory=dict)
     evicted: Optional[_EvictedSession] = None
+    #: The files the session's last spill wrote (program blob, snapshots).
+    spilled: Tuple[Path, ...] = ()
     last_used: float = field(default_factory=time.monotonic)
 
     def touch(self) -> None:
@@ -232,7 +249,9 @@ class ManagedSession:
             # Deltas mutate the program in place, and an attached arena is
             # read-only (it may be an mmap of a shared store blob) — thaw
             # it into an equal mutable program before the first edit lands.
-            self.session.program = thaw(self.session.program.arena)
+            # The thaw takes over the attached program's hierarchy and the
+            # bodies a rehydration already decoded.
+            self.session.program = thaw(self.session.program)
         while self.pending:
             delta = self.pending.pop(0)
             applied.append(self.session.update(delta))
@@ -317,21 +336,32 @@ class SessionManager:
         managed = ManagedSession(name=name, origin=origin, session=session,
                                  spec=spec, roots=root_list)
         with self._lock:
-            if name in self._sessions and not replace:
+            replaced = self._sessions.get(name)
+            if replaced is not None and not replace:
                 raise SessionExistsError(
                     f"session {name!r} already exists; pass replace=true to "
                     f"re-open it")
             self._sessions[name] = managed
+        if replaced is not None:
+            with replaced.lock:
+                stale, replaced.spilled = replaced.spilled, ()
+            with managed.lock:
+                # The new session spills under the same name, so keep any
+                # file it may already have rewritten.
+                _discard(set(stale) - set(managed.spilled))
         self.metrics.bump("opens")
         self._maybe_evict(exclude=name)
         return self.describe(name)
 
     def close(self, name: str) -> dict:
-        """Drop a session; its spilled blobs are left for the store's gc."""
+        """Drop a session and delete the files its spills left."""
         with self._lock:
             managed = self._sessions.pop(name, None)
         if managed is None:
             raise SessionNotFoundError(f"unknown session {name!r}")
+        with managed.lock:
+            _discard(managed.spilled)
+            managed.spilled = ()
         self.metrics.bump("closes")
         return {"session": name, "closed": True}
 
@@ -714,28 +744,39 @@ class SessionManager:
         return evicted
 
     def _spill(self, managed: ManagedSession) -> None:
-        """Persist a live session's program and states; caller holds its lock."""
+        """Persist a live session's program and states; caller holds its lock.
+
+        The program is written once, as its arena blob, and each state as
+        a snapshot that references it.  Files of the previous spill that
+        this one did not rewrite belong to a superseded generation: the
+        live session no longer reads them (an edited session thawed off
+        the attached blob), so they are deleted.
+        """
+        started = time.perf_counter()
         managed.drain_pending()   # The blob must reflect every queued edit.
         session = managed.session
         generation = session.generation
         program_spec = SessionSpillSpec(session=managed.name,
                                         generation=generation)
-        self._programs.store(program_spec, session.program)
+        written = [self._programs.store_arena(program_spec, session.program)]
         records = []
         for slot in managed.slots.values():
             has_state = slot.state is not None
             config = slot.state.config if has_state else None
             if has_state:
-                self._snapshots.store(
-                    SessionSpillSpec(session=managed.name,
-                                     generation=slot.generation,
-                                     slot=slot.key),
-                    config, slot.state, session.program)
+                state_spec = SessionSpillSpec(session=managed.name,
+                                              generation=slot.generation,
+                                              slot=slot.key)
+                self._snapshots.store(state_spec, config, slot.state,
+                                      session.program)
+                written.append(self._snapshots.path_for(state_spec, config))
             records.append(_SlotRecord(
                 key=slot.key, analysis=slot.analysis,
                 options=tuple(sorted(slot.options.items())),
                 generation=slot.generation, payload=slot.payload,
                 config=config, has_state=has_state))
+        _discard(set(managed.spilled) - set(written))
+        managed.spilled = tuple(written)
         managed.evicted = _EvictedSession(
             generation=generation, warm_barrier=session.warm_barrier,
             program_spec=program_spec, slots=tuple(records),
@@ -743,22 +784,25 @@ class SessionManager:
         managed.session = None
         managed.slots = {}
         self.metrics.bump("evictions")
+        self.metrics.record_latency("spill", time.perf_counter() - started)
 
     def _ensure_live(self, managed: ManagedSession) -> None:
-        """Rehydrate an evicted session in place; caller holds its lock."""
+        """Rehydrate an evicted session in place; caller holds its lock.
+
+        The spill's arena blob is the only encoding of the program: it is
+        attached (zero decode), and each snapshot resolves its IR
+        references against it.  A missing or unreadable blob raises
+        :class:`SessionRehydrationError` — loud, never a wrong answer.
+        """
         if managed.session is not None:
             return
+        started = time.perf_counter()
         evicted = managed.evicted
         if evicted is None:  # pragma: no cover — open() always sets one side
             raise SessionRehydrationError(
                 f"session {managed.name!r} has neither a live session nor "
                 f"an eviction record")
-        # Every spill leaves an arena blob: an unedited arena-backed session
-        # writes its own buffer back (no pickle), and an edited session is
-        # stored as a pickle plus a fresh freeze.  So the zero-decode attach
-        # comes first, and the pickle is read only when the attach misses.
-        program = (self._programs.attach(evicted.program_spec)
-                   or self._programs.load(evicted.program_spec))
+        program = self._programs.attach(evicted.program_spec)
         if program is None:
             raise SessionRehydrationError(
                 f"session {managed.name!r}: the evicted program blob "
@@ -776,7 +820,7 @@ class SessionManager:
                     SessionSpillSpec(session=managed.name,
                                      generation=record.generation,
                                      slot=record.key),
-                    record.config)
+                    record.config, program)
                 if state is None:
                     # A lost snapshot costs warmth, never correctness: the
                     # slot keeps its payload and the next solve runs cold.
@@ -796,6 +840,8 @@ class SessionManager:
         self.metrics.bump("rehydrations")
         if state_misses:
             self.metrics.bump("rehydration_state_misses", state_misses)
+        self.metrics.record_latency("rehydrate",
+                                    time.perf_counter() - started)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -815,6 +861,15 @@ class SessionManager:
                 if spec.name == name:
                     return spec
         raise ServiceProtocolError(f"unknown benchmark {name!r}")
+
+
+def _discard(paths) -> None:
+    """Delete spill files, ignoring ones already gone."""
+    for path in paths:
+        try:
+            path.unlink()
+        except FileNotFoundError:
+            pass
 
 
 def _parse_edit_step(edit: dict) -> EditStepSpec:

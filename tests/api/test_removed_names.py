@@ -133,7 +133,7 @@ def test_snapshot_naming_a_removed_policy_is_refused():
     payload = pickle.loads(result.solver_state.to_bytes(program))
     object.__setattr__(payload["config"], "saturation_policy", "closed-world")
     with pytest.raises(SolverStateError, match="closed-world"):
-        SolverState.from_bytes(pickle.dumps(payload))
+        SolverState.from_bytes(pickle.dumps(payload), program)
 
 
 def test_policy_option_is_rejected_by_the_session():

@@ -161,7 +161,8 @@ class TestResume:
         session = session_fixture()
         base = session.run("skipflow")
         # Un-stamped, generation-free snapshot (to_bytes without a program).
-        foreign = SolverState.from_bytes(base.raw.solver_state.to_bytes())
+        foreign = SolverState.from_bytes(base.raw.solver_state.to_bytes(),
+                                         session.program)
         session.update(touch_delta())  # non-monotone
         with pytest.warns(ResumeFallbackWarning, match="neither") as caught:
             session.run("skipflow", resume=foreign)
@@ -188,7 +189,7 @@ class TestResume:
         base = session.run("skipflow")
         blob = base.raw.solver_state.to_bytes(session.program)
         session.update(growth_delta())
-        restored = SolverState.from_bytes(blob)
+        restored = SolverState.from_bytes(blob, session.program)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResumeFallbackWarning)
             warm = session.run("skipflow", resume=restored)
@@ -202,7 +203,8 @@ class TestResume:
         other = AnalysisSession.from_source(
             SOURCE.replace("return 2", "return 9"), name="other")
         with pytest.warns(ResumeFallbackWarning, match="monotone"):
-            report = other.run("skipflow", resume=SolverState.from_bytes(blob))
+            report = other.run("skipflow",
+                               resume=SolverState.from_bytes(blob, first.program))
         assert report.reachable_method_count == 2
 
     def test_compare_rejects_resume_option(self):

@@ -107,6 +107,36 @@ class TestStateFlags:
         assert "cold (resume fell back)" in captured.out
         assert "monotone" in captured.err
 
+    @pytest.mark.parametrize("source,offender", [
+        # Impl.run is in the snapshot: it no longer resolves on load.
+        (CHANGED_SOURCE, "Impl.run"),
+        # Every referenced body is intact, but a new method on an existing
+        # class can change resolution: the resume itself refuses.
+        (BASE_SOURCE.replace("class Base {",
+                             "class Base { int other() { return 5; }"),
+         "Base"),
+    ])
+    def test_non_monotone_resume_warns_and_solves_cold(self, base, tmp_path,
+                                                       capsys, source,
+                                                       offender):
+        state_path = str(tmp_path / "solve.state")
+        cli_main(["analyze", base, "--save-state", state_path])
+        capsys.readouterr()
+        edited = tmp_path / "edited.lang"
+        edited.write_text(source)
+        cold_code = cli_main(["analyze", str(edited), "--save-state",
+                              str(tmp_path / "cold.state")])
+        cold_out = capsys.readouterr().out
+        assert cli_main(["analyze", str(edited),
+                         "--resume-from", state_path]) == cold_code == 0
+        captured = capsys.readouterr()
+        assert "cold (resume fell back)" in captured.out
+        assert "falling back to a cold solve" in captured.err
+        assert offender in captured.err
+        cold_counts = [line for line in cold_out.splitlines()
+                       if "reachable methods" in line or "call edges" in line]
+        assert cold_counts and all(line in captured.out for line in cold_counts)
+
     def test_compare_is_rejected_with_state_flags(self, base, tmp_path,
                                                   capsys):
         state_path = str(tmp_path / "solve.state")

@@ -137,7 +137,7 @@ class TestSnapshotRoundTrip:
         program = generate_benchmark(SPEC)
         result = SkipFlowAnalysis(program, AnalysisConfig.skipflow()).run()
         state = result.solver_state
-        restored = SolverState.from_bytes(state.to_bytes(program))
+        restored = SolverState.from_bytes(state.to_bytes(program), program)
         flows = restored.pvpg.all_flows()
         # The fixture must exercise both shapes of every lazy kind.
         for kind in ("observers", "predicate_targets", "predicates"):

@@ -120,7 +120,8 @@ class TestSnapshots:
     def test_round_trip_preserves_the_fixpoint(self):
         program = generate_benchmark(WIDE_SPEC)
         result = SkipFlowAnalysis(program).run()
-        restored = SolverState.from_bytes(result.solver_state.to_bytes())
+        restored = SolverState.from_bytes(result.solver_state.to_bytes(),
+                                          program)
         assert restored.counters() == result.solver_state.counters()
         assert restored.reachable == result.solver_state.reachable
         resumed = SkipFlowAnalysis(program, state=restored).run()
@@ -129,7 +130,8 @@ class TestSnapshots:
     def test_resuming_an_unchanged_program_is_a_no_op(self):
         program = generate_benchmark(WIDE_SPEC)
         result = SkipFlowAnalysis(program).run()
-        state = SolverState.from_bytes(result.solver_state.to_bytes(program))
+        state = SolverState.from_bytes(result.solver_state.to_bytes(program),
+                                       program)
         before = state.counters()
         resumed = SkipFlowAnalysis(program, state=state).run()
         assert resumed.steps - before["steps"] == 0
@@ -137,7 +139,8 @@ class TestSnapshots:
     def test_restored_flows_never_collide_with_fresh_uids(self):
         program = compile_source(SMALL_SOURCE)
         result = SkipFlowAnalysis(program).run()
-        restored = SolverState.from_bytes(result.solver_state.to_bytes())
+        restored = SolverState.from_bytes(result.solver_state.to_bytes(),
+                                          program)
         floor = restored.max_flow_uid()
         from repro.core.flows import SourceFlow
         from repro.ir.values import ConstantExpr
@@ -165,28 +168,30 @@ class TestSnapshots:
         result = SkipFlowAnalysis(program).run()
         blob = result.solver_state.to_bytes(program)
         edited = compile_source(SMALL_SOURCE.replace("return 2", "return 9"))
-        state = SolverState.from_bytes(blob)
+        state = SolverState.from_bytes(blob, program)
         with pytest.raises(SolverStateError, match="monotone"):
             SkipFlowAnalysis(edited, state=state).run()
 
     def test_corrupt_blobs_are_refused(self):
+        program = compile_source(SMALL_SOURCE)
         with pytest.raises(SolverStateError):
-            SolverState.from_bytes(b"not a snapshot")
+            SolverState.from_bytes(b"not a snapshot", program)
 
-    @pytest.mark.parametrize("version", [1, 2, SNAPSHOT_VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 2, 3, SNAPSHOT_VERSION + 1])
     def test_foreign_snapshot_versions_are_refused(self, version):
         """Version 1 pickled an ``AnalysisConfig`` that still had a
-        ``scheduling`` field, and a version-2 config with a bare threshold
-        names the deleted closed-world policy; neither layout may be
+        ``scheduling`` field, a version-2 config with a bare threshold
+        names the deleted closed-world policy, and version 3 pickled the
+        IR itself where version 4 stores references; no such layout may be
         half-read."""
         program = compile_source(SMALL_SOURCE)
         blob = SkipFlowAnalysis(program).run().solver_state.to_bytes(program)
         payload = pickle.loads(blob)
-        assert payload["snapshot_version"] == SNAPSHOT_VERSION == 3
+        assert payload["snapshot_version"] == SNAPSHOT_VERSION == 4
         payload["snapshot_version"] = version
         with pytest.raises(SolverStateError,
                            match=f"snapshot version {version}"):
-            SolverState.from_bytes(pickle.dumps(payload))
+            SolverState.from_bytes(pickle.dumps(payload), program)
 
     def test_snapshot_config_is_revalidated_on_load(self):
         """Unpickling skips ``AnalysisConfig.__post_init__``; decoding
@@ -196,18 +201,19 @@ class TestSnapshots:
         config = AnalysisConfig.skipflow().with_saturation_threshold(4)
         result = SkipFlowAnalysis(program, config).run()
         payload = pickle.loads(result.solver_state.to_bytes(program))
-        assert payload["snapshot_version"] == 3
+        assert payload["snapshot_version"] == 4
         object.__setattr__(payload["config"], "saturation_policy",
                            "open-world")
         with pytest.raises(SolverStateError,
                            match="unknown saturation policy 'open-world'"):
-            SolverState.from_bytes(pickle.dumps(payload))
+            SolverState.from_bytes(pickle.dumps(payload), program)
 
     def test_valid_snapshot_config_round_trips(self):
         program = compile_source(SMALL_SOURCE)
         config = AnalysisConfig.skipflow().with_saturation_threshold(4)
         result = SkipFlowAnalysis(program, config).run()
-        state = SolverState.from_bytes(result.solver_state.to_bytes(program))
+        state = SolverState.from_bytes(result.solver_state.to_bytes(program),
+                                       program)
         assert state.config == config
         assert state.config.saturation_policy == "allocated-type"
 
@@ -219,7 +225,7 @@ class TestSnapshots:
         # The live chain stays unstamped (no fingerprint re-validation cost
         # on its later warm solves); the persisted snapshot carries it.
         assert state.fingerprint is None
-        assert SolverState.from_bytes(blob).fingerprint is not None
+        assert SolverState.from_bytes(blob, program).fingerprint is not None
 
 
 class TestWarmVsColdEquivalence:

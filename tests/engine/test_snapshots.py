@@ -50,7 +50,7 @@ class TestRoundTrip:
         assert store.contains(SPEC, CONFIG)
 
         reread = SnapshotStore(tmp_path)
-        state = reread.load(SPEC, CONFIG)
+        state = reread.load(SPEC, CONFIG, program)
         assert state is not None and reread.hits == 1
         before = state.counters()
         resumed = SkipFlowAnalysis(program, CONFIG, state=state).run()
@@ -61,7 +61,7 @@ class TestRoundTrip:
         result, program = solved_state()
         store = SnapshotStore(tmp_path)
         store.store(SPEC, CONFIG, result.solver_state, program)
-        state = store.load(SPEC, CONFIG)
+        state = store.load(SPEC, CONFIG, program)
         assert state.fingerprint is not None
 
     def test_resume_across_an_edit(self, tmp_path):
@@ -72,7 +72,7 @@ class TestRoundTrip:
         script = default_edit_script(SPEC, steps=1)
         build_edit_delta(SPEC, script.steps[0]).apply_to(
             program, require_monotone=True)
-        state = store.load(SPEC, CONFIG)
+        state = store.load(SPEC, CONFIG, program)
         before = state.counters()
         warm = SkipFlowAnalysis(program, CONFIG, state=state).run()
         cold = SkipFlowAnalysis(program, CONFIG).run()
@@ -81,9 +81,10 @@ class TestRoundTrip:
 
     def test_missing_and_corrupt_blobs_are_misses(self, tmp_path):
         store = SnapshotStore(tmp_path)
-        assert store.load(SPEC, CONFIG) is None
+        program = generate_benchmark(SPEC)
+        assert store.load(SPEC, CONFIG, program) is None
         store.path_for(SPEC, CONFIG).write_bytes(b"garbage")
-        assert store.load(SPEC, CONFIG) is None
+        assert store.load(SPEC, CONFIG, program) is None
         assert store.misses == 2 and store.hits == 0
 
 
