@@ -18,24 +18,32 @@ whenever sound) solve.  An editor streaming keystroke-sized edits gets one
 resumed fixpoint per analysis request, not one per edit.
 
 **Eviction and rehydration.**  Idle sessions past ``max_live_sessions``
-are spilled least-recently-used: the program goes to the engine's
-:class:`~repro.engine.program_store.ProgramStore` as one arena blob (its
-only encoding; no pickle) and every analyzer slot's solver state to the
+are spilled least-recently-used.  A session's program derives from a
+**base**: an arena blob in the engine's
+:class:`~repro.engine.program_store.ProgramStore` (a benchmark session's
+is its spec's shared blob), plus the **log** of
+:class:`~repro.ir.delta.ProgramDelta` scripts applied since.  A spill
+lowers nothing: it writes every analyzer slot's solver state to the
 :class:`~repro.engine.snapshots.SnapshotStore` as a snapshot that
-references the program's IR instead of copying it, keyed by a
-:class:`SessionSpillSpec` exactly like benchmark blobs are keyed by their
-specs.  The next request on an evicted session transparently rehydrates it
-— the blob attached, states resolved against it and re-stamped with their
-original session generations via
+references the program's IR, keyed by a :class:`SessionSpillSpec`
+exactly like benchmark blobs are keyed by their specs, and keeps the log
+in memory.  Only a session without a base (a source session, a rebuilt
+one) or whose program has doubled since its base freezes the program,
+and that blob becomes its new base.  The next request on an evicted
+session transparently rehydrates it — the base attached, thawed and the
+log replayed when there is one, states resolved against the result and
+re-stamped with their original session generations via
 :meth:`~repro.api.session.AnalysisSession.adopt_generations` — so warm
-resumption survives the round trip to disk.  A spill deletes the files of
-the session's previous spill that it did not rewrite, and ``close``
+resumption survives the round trip to disk.  A spill deletes the files
+of the session's previous spill that it did not rewrite, and ``close``
 deletes the session's files, so the spill directory holds at most one
-generation per session.
+base and one set of snapshots per session; a benchmark's shared blob is
+never a session's to delete.
 
 **Metrics.**  Every request updates a :class:`ServiceMetrics` snapshot:
 request counts, solve modes (cached / warm / cold / cold-fallback), steps
-paid warm vs cold, coalescing depth, eviction traffic, and latency
+paid warm vs cold, coalescing depth, eviction traffic (with the spills
+that froze a program and the deltas rehydrations replayed), and latency
 percentiles of analyzes, spills and rehydrations.
 
 Warm solves stay *sound*, not just fast: the manager only offers a slot's
@@ -54,7 +62,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.errors import (
     CheckFailedError,
@@ -69,7 +77,14 @@ from repro.api.session import AnalysisSession, SessionUpdate
 from repro.engine.program_store import ProgramStore
 from repro.engine.snapshots import SnapshotStore
 from repro.ir.arena import ArenaProgram, thaw
-from repro.ir.delta import NonMonotoneDeltaError, ProgramDelta, delta_between
+from repro.ir.delta import (
+    DeltaError,
+    NonMonotoneDeltaError,
+    ProgramDelta,
+    ProgramFingerprint,
+    delta_between,
+    seed_fingerprint,
+)
 from repro.lang.api import compile_source
 from repro.service.wire import WIRE_OPTIONS
 from repro.workloads.edits import EditStepSpec, build_edit_delta
@@ -92,10 +107,11 @@ class SessionSpillSpec:
 
     A frozen dataclass so the engine stores key it through
     :func:`~repro.engine.cache.hash_dataclass` exactly like a
-    :class:`~repro.workloads.generator.BenchmarkSpec`: the program blob is
-    keyed by ``(session, generation)`` with an empty slot, each solver
-    state by ``(session, generation, slot key)``.  Distinct generations
-    get distinct blobs, so a stale spill can never shadow a newer one.
+    :class:`~repro.workloads.generator.BenchmarkSpec`: a session-owned base
+    blob is keyed by ``(session, generation)`` with an empty slot, each
+    solver state by ``(session, generation, slot key)``.  Distinct
+    generations get distinct blobs, so a stale spill can never shadow a
+    newer one.
     """
 
     session: str
@@ -131,6 +147,7 @@ class ServiceMetrics:
             "opens": 0, "updates": 0, "analyzes": 0, "closes": 0,
             "evictions": 0, "rehydrations": 0,
             "rehydration_state_misses": 0, "rebuilds": 0,
+            "spill_freezes": 0, "replayed_deltas": 0,
             "checks": 0, "check_findings": 0,
         }
         self.modes: Dict[str, int] = {mode: 0 for mode in ANALYZE_MODES}
@@ -217,9 +234,11 @@ class _EvictedSession:
 
     generation: int
     warm_barrier: int
-    program_spec: SessionSpillSpec
     slots: Tuple[_SlotRecord, ...]
     barrier_reasons: Tuple[str, ...] = ()
+    #: The spilled program's fingerprint when the log is not empty: the
+    #: replayed program adopts it, so no body is digested again.
+    fingerprint: Optional[ProgramFingerprint] = None
 
 
 @dataclass
@@ -235,7 +254,14 @@ class ManagedSession:
     pending: List[ProgramDelta] = field(default_factory=list)
     slots: Dict[str, _AnalyzerSlot] = field(default_factory=dict)
     evicted: Optional[_EvictedSession] = None
-    #: The files the session's last spill wrote (program blob, snapshots).
+    #: The store key of the arena blob the program derives from: the spec
+    #: of a benchmark's shared blob, or the session's own frozen program.
+    base: Union[BenchmarkSpec, SessionSpillSpec, None] = None
+    #: How many methods the base holds (a spill re-bases at twice that).
+    base_methods: int = 0
+    #: The deltas applied since the base, in order (replayed on rehydration).
+    log: List[ProgramDelta] = field(default_factory=list)
+    #: The files the session owns: its own base blob and last snapshots.
     spilled: Tuple[Path, ...] = ()
     last_used: float = field(default_factory=time.monotonic)
 
@@ -243,7 +269,7 @@ class ManagedSession:
         self.last_used = time.monotonic()
 
     def drain_pending(self) -> List[SessionUpdate]:
-        """Apply every queued delta to the live session, in queue order."""
+        """Apply every queued delta to the live session, logging each one."""
         applied: List[SessionUpdate] = []
         if self.pending and isinstance(self.session.program, ArenaProgram):
             # Deltas mutate the program in place, and an attached arena is
@@ -255,6 +281,7 @@ class ManagedSession:
         while self.pending:
             delta = self.pending.pop(0)
             applied.append(self.session.update(delta))
+            self.log.append(delta)
         return applied
 
 
@@ -335,6 +362,10 @@ class SessionManager:
             origin = "benchmark"
         managed = ManagedSession(name=name, origin=origin, session=session,
                                  spec=spec, roots=root_list)
+        if isinstance(session.program, ArenaProgram):
+            # The attached blob is the session's base; spills never write it.
+            managed.base = spec
+            managed.base_methods = len(session.program.methods)
         with self._lock:
             replaced = self._sessions.get(name)
             if replaced is not None and not replace:
@@ -354,7 +385,11 @@ class SessionManager:
         return self.describe(name)
 
     def close(self, name: str) -> dict:
-        """Drop a session and delete the files its spills left."""
+        """Drop a session and delete the files it owns.
+
+        Those are its snapshots and, once a spill froze its program, its
+        own base blob; a benchmark's shared blob stays for the next open.
+        """
         with self._lock:
             managed = self._sessions.pop(name, None)
         if managed is None:
@@ -490,6 +525,8 @@ class SessionManager:
         managed.session = fresh
         managed.slots = {}
         managed.pending = []
+        # The new program derives from no blob: the next spill freezes it.
+        managed.base, managed.base_methods, managed.log = None, 0, []
         self.metrics.bump("rebuilds")
         return {"session": managed.name, "queued": 0,
                 "generation": fresh.generation, "rebuilt": True}
@@ -744,21 +781,28 @@ class SessionManager:
         return evicted
 
     def _spill(self, managed: ManagedSession) -> None:
-        """Persist a live session's program and states; caller holds its lock.
+        """Persist a live session's solver states; caller holds its lock.
 
-        The program is written once, as its arena blob, and each state as
-        a snapshot that references it.  Files of the previous spill that
-        this one did not rewrite belong to a superseded generation: the
-        live session no longer reads them (an edited session thawed off
-        the attached blob), so they are deleted.
+        The program is not written: it is the session's base blob plus the
+        delta log, both already in hand.  A session without a base, or
+        whose program has grown to twice its base's method count (so the
+        methods a rehydration replays stay fewer than the base's), freezes
+        its program once here, and that blob becomes its base with an
+        empty log.  Each state
+        is written as a snapshot that references the program's IR.  Files
+        of the previous spill that this one did not rewrite are superseded
+        (an older own base, older snapshots) and are deleted.
         """
         started = time.perf_counter()
-        managed.drain_pending()   # The blob must reflect every queued edit.
+        managed.drain_pending()   # The log must hold every queued edit.
         session = managed.session
-        generation = session.generation
-        program_spec = SessionSpillSpec(session=managed.name,
-                                        generation=generation)
-        written = [self._programs.store_arena(program_spec, session.program)]
+        program = session.program
+        if (managed.base is None or len(program.methods)
+                >= 2 * max(managed.base_methods, 1)):
+            self._rebase(managed)
+        written = []
+        if isinstance(managed.base, SessionSpillSpec):
+            written.append(self._programs.arena_path_for(managed.base))
         records = []
         for slot in managed.slots.values():
             has_state = slot.state is not None
@@ -767,8 +811,7 @@ class SessionManager:
                 state_spec = SessionSpillSpec(session=managed.name,
                                               generation=slot.generation,
                                               slot=slot.key)
-                self._snapshots.store(state_spec, config, slot.state,
-                                      session.program)
+                self._snapshots.store(state_spec, config, slot.state, program)
                 written.append(self._snapshots.path_for(state_spec, config))
             records.append(_SlotRecord(
                 key=slot.key, analysis=slot.analysis,
@@ -778,20 +821,37 @@ class SessionManager:
         _discard(set(managed.spilled) - set(written))
         managed.spilled = tuple(written)
         managed.evicted = _EvictedSession(
-            generation=generation, warm_barrier=session.warm_barrier,
-            program_spec=program_spec, slots=tuple(records),
-            barrier_reasons=session.warm_barrier_reasons)
+            generation=session.generation, warm_barrier=session.warm_barrier,
+            slots=tuple(records),
+            barrier_reasons=session.warm_barrier_reasons,
+            # Memoized: the snapshot stamps above took the same fingerprint.
+            fingerprint=(ProgramFingerprint.of(program) if managed.log
+                         else None))
         managed.session = None
         managed.slots = {}
         self.metrics.bump("evictions")
         self.metrics.record_latency("spill", time.perf_counter() - started)
 
+    def _rebase(self, managed: ManagedSession) -> None:
+        """Freeze the live program as the session's own base blob."""
+        session = managed.session
+        base = SessionSpillSpec(session=managed.name,
+                                generation=session.generation)
+        self._programs.store_arena(base, session.program)
+        managed.base = base
+        managed.base_methods = len(session.program.methods)
+        managed.log = []
+        self.metrics.bump("spill_freezes")
+
     def _ensure_live(self, managed: ManagedSession) -> None:
         """Rehydrate an evicted session in place; caller holds its lock.
 
-        The spill's arena blob is the only encoding of the program: it is
-        attached (zero decode), and each snapshot resolves its IR
-        references against it.  A missing or unreadable blob raises
+        The base blob is attached (zero decode).  With an empty log that is
+        the program; otherwise it is thawed, the log is replayed onto it in
+        order, and the fingerprint the spill took is seeded into the result
+        (no body is digested again).  Each snapshot then resolves its IR
+        references against the program.  A missing or unreadable base, or
+        a log that no longer applies to it, raises
         :class:`SessionRehydrationError` — loud, never a wrong answer.
         """
         if managed.session is not None:
@@ -802,11 +862,23 @@ class SessionManager:
             raise SessionRehydrationError(
                 f"session {managed.name!r} has neither a live session nor "
                 f"an eviction record")
-        program = self._programs.attach(evicted.program_spec)
+        program = self._programs.attach(managed.base)
         if program is None:
             raise SessionRehydrationError(
-                f"session {managed.name!r}: the evicted program blob "
-                f"(generation {evicted.generation}) is missing or unreadable")
+                f"session {managed.name!r}: the base program blob of the "
+                f"evicted generation {evicted.generation} is missing or "
+                f"unreadable")
+        if managed.log:
+            program = thaw(program)
+            try:
+                for delta in managed.log:
+                    delta.apply_to(program)
+                seed_fingerprint(program, evicted.fingerprint)
+            except (DeltaError, KeyError) as error:
+                raise SessionRehydrationError(
+                    f"session {managed.name!r}: the delta log does not "
+                    f"replay onto its base program blob: {error}") from None
+            self.metrics.bump("replayed_deltas", len(managed.log))
         session = AnalysisSession(program, name=managed.name,
                                   roots=managed.roots)
         session.adopt_generations(evicted.generation, evicted.warm_barrier,

@@ -5,13 +5,14 @@ unpickling (the tentpole's decode win carried into the service layer).
 The invariants under test: analyzers read the attached arena directly and
 produce byte-identical reports; the first *edit* thaws the read-only arena
 into a mutable twin; spill/rehydrate keeps arena backing for unedited
-sessions and re-freezes edited ones so rehydration is arena-backed again.
+sessions, and an edited one parks without lowering anything: its
+rehydration thaws the blob and replays the logged edits.
 """
 
 import pytest
 
 from repro.core.kernel.arena_kernel import ArenaKernelSolver
-from repro.ir.arena import ArenaProgram
+from repro.ir.arena import ArenaProgram, lowering
 from repro.service import SessionManager
 
 BENCHMARK = "wide-flat-64"
@@ -78,18 +79,29 @@ class TestSpillAndRehydrate:
         assert cached["report"] == cold["report"]
         assert isinstance(_program(manager, "s"), ArenaProgram)
 
-    def test_edited_session_refreezes_at_spill(self, manager):
+    def test_edited_session_parks_without_lowering(self, manager,
+                                                    monkeypatch):
         manager.open("s", benchmark=BENCHMARK)
         manager.analyze("s", "skipflow")
         manager.update("s", edit={"kind": "add-variant", "index": 0})
         warm = manager.analyze("s", "skipflow")
+        lowered = []
+        monkeypatch.setattr(lowering, "lower",
+                            lambda program: lowered.append(program))
+        before = set(manager.spill_dir.rglob("*.arena"))
         assert manager.evict("s")["evicted"]
-        # The spill froze the edited program, so rehydration attaches the
-        # fresh arena rather than unpickling.
+        # The park wrote snapshots only: the program is the benchmark's
+        # blob plus the logged edit, so nothing was lowered or frozen.
+        assert lowered == []
+        assert set(manager.spill_dir.rglob("*.arena")) == before
+        monkeypatch.undo()
         cached = manager.analyze("s", "skipflow")
         assert cached["mode"] == "cached"
         assert cached["report"] == warm["report"]
-        assert isinstance(_program(manager, "s"), ArenaProgram)
+        # Rehydration thawed the blob and replayed the edit onto it.
+        assert not isinstance(_program(manager, "s"), ArenaProgram)
+        assert "Wide_flat_64EditInject0.apply" in _program(manager, "s").methods
+        assert manager.metrics_snapshot()["requests"]["replayed_deltas"] == 1
 
     def test_edit_after_rehydrate_still_resumes_warm(self, manager):
         manager.open("s", benchmark=BENCHMARK)
