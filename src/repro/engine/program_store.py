@@ -139,13 +139,9 @@ class ProgramStore:
                     program: Union[Program, ArenaProgram]) -> Path:
         """Atomically persist ``program``'s arena blob alone; returns its path.
 
-        How a daemon session gets its own base blob: a spill freezes the
-        program through here only when the session has no base yet (a
-        source or rebuilt session) or its program has doubled since the
-        base; every other spill writes snapshots alone, and a rehydration
-        attaches the base (:meth:`attach`) and replays the delta log.
-        Nothing reads a pickle.  An attached program writes its own buffer
-        back; a plain one is frozen.
+        No pickle is written; :meth:`attach` reads the blob back.  An
+        attached program writes its own buffer back; a plain one is
+        frozen.
         """
         target = self.arena_path_for(spec)
         if isinstance(program, ArenaProgram):

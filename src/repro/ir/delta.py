@@ -505,32 +505,38 @@ class ProgramDelta:
         return not self.non_monotone_reasons(program)
 
     def _check_structure(self, program: Program) -> None:
-        known = set(program.hierarchy.class_names) | set(self.class_names)
+        # Membership tests only: the check costs the delta's size, not the
+        # program's, so replaying a long log stays linear in the log.
+        new_classes = set(self.class_names)
+
+        def known(name: str) -> bool:
+            return name in new_classes or name in program.hierarchy
+
         for decl in self._classes:
             if decl.name in program.hierarchy:
                 raise DeltaError(
                     f"delta redeclares existing class {decl.name!r}")
-            if decl.superclass is not None and decl.superclass not in known:
+            if decl.superclass is not None and not known(decl.superclass):
                 raise DeltaError(
                     f"class {decl.name!r} extends unknown class "
                     f"{decl.superclass!r}")
         for fdecl in self._fields:
-            if fdecl.class_name not in known:
+            if not known(fdecl.class_name):
                 raise DeltaError(
                     f"field {fdecl.class_name}.{fdecl.field_name} is declared "
                     f"on unknown class {fdecl.class_name!r}")
-        defined = set(program.methods) | set(self.method_names)
+        new_methods = set(self.method_names)
         for method in self._methods:
             if method.qualified_name in program.methods:
                 raise DeltaError(
                     f"delta redefines existing method "
                     f"{method.qualified_name!r}")
-            if method.signature.declaring_class not in known:
+            if not known(method.signature.declaring_class):
                 raise DeltaError(
                     f"method {method.qualified_name} is declared on unknown "
                     f"class {method.signature.declaring_class!r}")
         for entry in self._entry_points:
-            if entry not in defined:
+            if entry not in new_methods and entry not in program.methods:
                 raise DeltaError(
                     f"entry point {entry!r} names no method of the program "
                     f"or the delta")

@@ -28,11 +28,12 @@ lowers nothing: it writes every analyzer slot's solver state to the
 references the program's IR, keyed by a :class:`SessionSpillSpec`
 exactly like benchmark blobs are keyed by their specs, and keeps the log
 in memory.  Only a session without a base (a source session, a rebuilt
-one) or whose program has doubled since its base freezes the program,
-and that blob becomes its new base.  The next request on an evicted
-session transparently rehydrates it — the base attached, thawed and the
-log replayed when there is one, states resolved against the result and
-re-stamped with their original session generations via
+one) or whose program has outgrown its base (:data:`REBASE_GROWTH`)
+freezes the program, and that blob becomes its new base.  The next
+request on an evicted session transparently rehydrates it — the base
+attached, thawed and the log replayed when there is one, states resolved
+against the result and re-stamped with their original session
+generations via
 :meth:`~repro.api.session.AnalysisSession.adopt_generations` — so warm
 resumption survives the round trip to disk.  A spill deletes the files
 of the session's previous spill that it did not rewrite, and ``close``
@@ -96,6 +97,13 @@ LATENCY_WINDOW = 4096
 
 #: What the metrics time: ``analyze`` requests, spills, rehydrations.
 LATENCY_KINDS = ("analyze", "spill", "rehydrate")
+
+#: A spill re-bases (freezes the program as the session's new base) once
+#: the program holds this many times its base's methods.  Until then a
+#: rehydration replays the log, whose ``apply_to`` costs the deltas' size:
+#: at the doubling point of a session parked after every one-method edit,
+#: the replay took 1-7 ms against 30-110 ms for one freeze of the program.
+REBASE_GROWTH = 2
 
 #: Solve modes an ``analyze`` request can report.
 ANALYZE_MODES = ("cached", "warm", "cold", "cold-fallback")
@@ -257,7 +265,7 @@ class ManagedSession:
     #: The store key of the arena blob the program derives from: the spec
     #: of a benchmark's shared blob, or the session's own frozen program.
     base: Union[BenchmarkSpec, SessionSpillSpec, None] = None
-    #: How many methods the base holds (a spill re-bases at twice that).
+    #: How many methods the base holds (see :data:`REBASE_GROWTH`).
     base_methods: int = 0
     #: The deltas applied since the base, in order (replayed on rehydration).
     log: List[ProgramDelta] = field(default_factory=list)
@@ -785,20 +793,19 @@ class SessionManager:
 
         The program is not written: it is the session's base blob plus the
         delta log, both already in hand.  A session without a base, or
-        whose program has grown to twice its base's method count (so the
-        methods a rehydration replays stay fewer than the base's), freezes
-        its program once here, and that blob becomes its base with an
-        empty log.  Each state
-        is written as a snapshot that references the program's IR.  Files
-        of the previous spill that this one did not rewrite are superseded
-        (an older own base, older snapshots) and are deleted.
+        whose program has grown to :data:`REBASE_GROWTH` times its base's
+        method count, freezes its program once here, and that blob becomes
+        its base with an empty log.  Each state is written as a snapshot
+        that references the program's IR.  Files of the previous spill
+        that this one did not rewrite are superseded (an older own base,
+        older snapshots) and are deleted.
         """
         started = time.perf_counter()
         managed.drain_pending()   # The log must hold every queued edit.
         session = managed.session
         program = session.program
         if (managed.base is None or len(program.methods)
-                >= 2 * max(managed.base_methods, 1)):
+                >= REBASE_GROWTH * max(managed.base_methods, 1)):
             self._rebase(managed)
         written = []
         if isinstance(managed.base, SessionSpillSpec):

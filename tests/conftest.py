@@ -11,6 +11,8 @@ test reproduces locally with the same examples.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.ir.builder import ProgramBuilder
@@ -131,3 +133,25 @@ def _object_image_report(program: Program, config, benchmark_name: str = "progra
 def object_image_report():
     """:func:`_object_image_report`: an image report from the object kernel."""
     return _object_image_report
+
+
+def fixpoint_signature(pvpg, reachable):
+    """Everything two solves of one program must agree on.
+
+    Reachability, call edges and flow states.  Flow uids differ between
+    solves, so flows are matched by (method, label, kind) with a multiset;
+    value states are hash-consed and compare structurally.
+    """
+    edges = set()
+    states = Counter()
+    for graph in pvpg.methods.values():
+        for flow in graph.flows:
+            states[(graph.qualified_name, flow.label, flow.kind.value,
+                    flow.state)] += 1
+        for invoke in graph.invoke_flows:
+            for callee in invoke.linked_callees:
+                edges.add((graph.qualified_name, invoke.label, callee))
+    for name, field_flow in pvpg.field_flows.items():
+        states[("<fields>", name, field_flow.kind.value,
+                field_flow.state)] += 1
+    return frozenset(reachable), edges, states

@@ -15,7 +15,7 @@ programs and on wide and composed benchmark specs, on both kernels.
 
 import json
 import random
-from collections import Counter, deque
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -31,6 +31,7 @@ from repro.workloads.generator import (
     generate_benchmark,
     spec_from_reduction,
 )
+from tests.conftest import fixpoint_signature
 
 QUICKSTART_SOURCE = """
 class Config {
@@ -124,29 +125,6 @@ def solve_in_order(program, config, order, monkeypatch):
         return SkipFlowAnalysis(program, config).run()
 
 
-def fixpoint_signature(result):
-    """Everything a drain order must not change: reachability, edges, states.
-
-    Value states are hash-consed, so states from different solver runs in
-    one process compare by identity/equality directly; flows are matched by
-    (method, label, kind) with a multiset to tolerate duplicate labels.
-    """
-    pvpg = result.pvpg
-    edges = set()
-    states = Counter()
-    for graph in pvpg.methods.values():
-        for flow in graph.flows:
-            states[(graph.qualified_name, flow.label, flow.kind.value,
-                    flow.state)] += 1
-        for invoke in graph.invoke_flows:
-            for callee in invoke.linked_callees:
-                edges.add((graph.qualified_name, invoke.label, callee))
-    for name, field_flow in pvpg.field_flows.items():
-        states[("<fields>", name, field_flow.kind.value,
-                field_flow.state)] += 1
-    return frozenset(result.reachable_methods), edges, states
-
-
 def _programs():
     return {
         "quickstart": lambda: compile_source(QUICKSTART_SOURCE),
@@ -171,11 +149,14 @@ class TestEquivalence:
         for label, make_program in _programs().items():
             reference = SkipFlowAnalysis(make_program(), config).run()
             assert reference.kernel_ran == "object"
-            expected = fixpoint_signature(reference)
+            expected = fixpoint_signature(reference.pvpg,
+                                          reference.reachable_methods)
             result = solve_in_order(_routed(make_program(), kernel), config,
                                     order, monkeypatch)
             assert result.kernel_ran == kernel
-            assert fixpoint_signature(result) == expected, (
+            signature = fixpoint_signature(result.pvpg,
+                                           result.reachable_methods)
+            assert signature == expected, (
                 f"{order} diverged from oldest-first on {label}")
 
     @pytest.mark.parametrize("kernel", ["object", "arena"])
@@ -195,7 +176,8 @@ class TestEquivalence:
         assert result.kernel_ran == kernel
         assert (result.stats.saturated_flows
                 == reference.stats.saturated_flows)
-        assert fixpoint_signature(result) == fixpoint_signature(reference)
+        assert (fixpoint_signature(result.pvpg, result.reachable_methods)
+                == fixpoint_signature(reference.pvpg, reference.reachable_methods))
 
     @pytest.mark.parametrize("order", sorted(ORDERS))
     def test_orders_really_differ_in_effort(self, order, monkeypatch):

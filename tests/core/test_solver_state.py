@@ -14,7 +14,6 @@ The contract under test, in increasing strength:
 """
 
 import pickle
-from collections import Counter
 
 import pytest
 
@@ -31,6 +30,7 @@ from repro.workloads.generator import (
     HierarchySpec,
     generate_benchmark,
 )
+from tests.conftest import fixpoint_signature
 
 WIDE_SPEC = BenchmarkSpec(
     name="state-wide", suite="test", core_methods=25,
@@ -57,29 +57,6 @@ SATURATIONS = (("off", None),) + tuple(
     for threshold in (4, 1))
 
 
-def fixpoint_signature(result):
-    """Everything warm-vs-cold must agree on: reachability, edges, states.
-
-    Flow uids differ between solves, so flows are matched by
-    (method, label, kind) with a multiset; value states are hash-consed and
-    compare structurally.
-    """
-    pvpg = result.pvpg
-    edges = set()
-    states = Counter()
-    for graph in pvpg.methods.values():
-        for flow in graph.flows:
-            states[(graph.qualified_name, flow.label, flow.kind.value,
-                    flow.state)] += 1
-        for invoke in graph.invoke_flows:
-            for callee in invoke.linked_callees:
-                edges.add((graph.qualified_name, invoke.label, callee))
-    for name, field_flow in pvpg.field_flows.items():
-        states[("<fields>", name, field_flow.kind.value,
-                field_flow.state)] += 1
-    return frozenset(result.reachable_methods), edges, states
-
-
 def config_for(saturation, threshold):
     config = AnalysisConfig.skipflow()
     if threshold is not None:
@@ -96,7 +73,8 @@ class TestColdPath:
             state=SolverState.empty()).run()
         assert default.steps == explicit.steps
         assert default.reachable_methods == explicit.reachable_methods
-        assert fixpoint_signature(default) == fixpoint_signature(explicit)
+        assert (fixpoint_signature(default.pvpg, default.reachable_methods)
+                == fixpoint_signature(explicit.pvpg, explicit.reachable_methods))
 
     def test_result_carries_its_state(self):
         program = compile_source(SMALL_SOURCE)
@@ -125,7 +103,8 @@ class TestSnapshots:
         assert restored.counters() == result.solver_state.counters()
         assert restored.reachable == result.solver_state.reachable
         resumed = SkipFlowAnalysis(program, state=restored).run()
-        assert fixpoint_signature(resumed) == fixpoint_signature(result)
+        assert (fixpoint_signature(resumed.pvpg, resumed.reachable_methods)
+                == fixpoint_signature(result.pvpg, result.reachable_methods))
 
     def test_resuming_an_unchanged_program_is_a_no_op(self):
         program = generate_benchmark(WIDE_SPEC)
@@ -267,7 +246,8 @@ class TestWarmVsColdEquivalence:
         assert (cold.kernel_ran, warm.kernel_ran) == (cold_kernel, "object")
         assert warm.reachable_methods == cold.reachable_methods
         assert sorted(warm.call_edges()) == sorted(cold.call_edges())
-        assert fixpoint_signature(warm) == fixpoint_signature(cold)
+        assert (fixpoint_signature(warm.pvpg, warm.reachable_methods)
+                == fixpoint_signature(cold.pvpg, cold.reachable_methods))
 
     def test_single_method_edit_is_much_cheaper_warm(self):
         program = generate_benchmark(WIDE_SPEC)
@@ -313,7 +293,8 @@ class Host {
         cold = SkipFlowAnalysis(program).run(roots)
         assert warm.reachable_methods == cold.reachable_methods
         assert "TurboPlugin.start" in warm.reachable_methods
-        assert fixpoint_signature(warm) == fixpoint_signature(cold)
+        assert (fixpoint_signature(warm.pvpg, warm.reachable_methods)
+                == fixpoint_signature(cold.pvpg, cold.reachable_methods))
 
     def test_resumed_counters_are_cumulative(self):
         program = generate_benchmark(WIDE_SPEC)

@@ -127,6 +127,35 @@ class TestProgramDelta:
         with pytest.raises(DeltaError, match="redefines"):
             redefine.apply_to(program)
 
+    def test_apply_to_costs_the_delta_not_the_program(self, monkeypatch):
+        """Checks probe the program by membership and never walk it.
+
+        A rehydrating daemon session replays its whole delta log, so a
+        check that copied every class and method name per delta would make
+        a replay cost the log length times the program size.
+        """
+        class NoWalk(dict):
+            def __iter__(self):
+                raise AssertionError("apply_to walked the program's methods")
+
+        def no_class_names(self):
+            raise AssertionError("apply_to listed the program's classes")
+
+        program = base_program()
+        program.methods = NoWalk(program.methods)
+        monkeypatch.setattr(type(program.hierarchy), "class_names",
+                            property(no_class_names))
+        variant_delta().apply_to(program)
+        assert "Impl2.run" in program.methods
+        orphan = ProgramDelta()
+        orphan.declare_class("Orphan", superclass="Missing")
+        with pytest.raises(DeltaError, match="unknown class"):
+            orphan.apply_to(program)
+        bad_entry = ProgramDelta()
+        bad_entry.add_entry_point("Nobody.nowhere")
+        with pytest.raises(DeltaError, match="entry point"):
+            bad_entry.apply_to(program)
+
     def test_duplicates_within_a_delta_rejected(self):
         delta = ProgramDelta()
         delta.declare_class("Once")

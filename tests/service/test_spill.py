@@ -37,6 +37,7 @@ from repro.ir.method import Method
 from repro.service import SessionManager
 from repro.workloads.generator import generate_benchmark
 from repro.workloads.suites import extended_suites
+from tests.conftest import fixpoint_signature
 
 BENCHMARK = "wide-flat-64"
 
@@ -116,27 +117,6 @@ def _requests(manager):
     return manager.metrics_snapshot()["requests"]
 
 
-def fixpoint_signature(state):
-    """Reachability, call edges and flow states of one solver state.
-
-    Flow uids differ between solves, so flows are matched by (method,
-    label, kind) with a multiset; value states compare structurally.
-    """
-    edges = set()
-    states = Counter()
-    for graph in state.pvpg.methods.values():
-        for flow in graph.flows:
-            states[(graph.qualified_name, flow.label, flow.kind.value,
-                    flow.state)] += 1
-        for invoke in graph.invoke_flows:
-            for callee in invoke.linked_callees:
-                edges.add((graph.qualified_name, invoke.label, callee))
-    for name, field_flow in state.pvpg.field_flows.items():
-        states[("<fields>", name, field_flow.kind.value,
-                field_flow.state)] += 1
-    return frozenset(state.reachable), edges, states
-
-
 def _wire(response):
     """An analyze response's report, minus its wall clock."""
     report = dict(response["report"])
@@ -145,9 +125,10 @@ def _wire(response):
     return report
 
 
-def _state(manager, name):
+def _signature(manager, name):
+    """:func:`fixpoint_signature` of a session's one solver state."""
     (slot,) = manager._sessions[name].slots.values()
-    return slot.state
+    return fixpoint_signature(slot.state.pvpg, slot.state.reachable)
 
 
 @pytest.fixture
@@ -376,8 +357,7 @@ class TestReplayMatchesATwin:
                 assert served["steps_paid"] == reference["steps_paid"]
                 assert _wire(served) == _wire(reference)
             for name in ("bench", "src"):
-                assert (fixpoint_signature(_state(manager, name))
-                        == fixpoint_signature(_state(twin, name)))
+                assert _signature(manager, name) == _signature(twin, name)
         requests = _requests(manager)
         assert requests["rehydrations"] == 6
         assert requests["spill_freezes"] == 1     # the source session's base
@@ -459,5 +439,4 @@ class TestRebase:
         assert _requests(manager)["spill_freezes"] == 2
         manager.update("s", source=_extended(6))
         assert manager.analyze("s", "skipflow")["mode"] == "cached"
-        assert (fixpoint_signature(_state(manager, "s"))
-                == fixpoint_signature(_state(twin, "s")))
+        assert _signature(manager, "s") == _signature(twin, "s")
