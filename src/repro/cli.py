@@ -489,11 +489,10 @@ def _cmd_bench(args) -> int:
         if cache is None:
             print("repro bench: --gc needs --cache-dir", file=sys.stderr)
             return 2
-        stale_results = cache.gc()
-        stale_blobs = store.gc()
-        stale_snapshots = snapshots.gc()
-        reclaimed = (cache.last_gc_bytes + store.last_gc_bytes
-                     + snapshots.last_gc_bytes)
+        stores = (cache, store, snapshots)
+        stale_results, stale_blobs, stale_snapshots = [
+            each.gc() for each in stores]
+        reclaimed = sum(each.last_gc_bytes for each in stores)
         print(f"gc: removed {stale_results} stale result entries, "
               f"{stale_blobs} stale IR blobs (pickles and arena buffers), "
               f"and {stale_snapshots} stale snapshots from {cache.directory} "
@@ -747,8 +746,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--saturation-threshold", type=int, default=None,
                        help="cache status for configs with this saturation threshold")
     bench.add_argument("--gc", action="store_true",
-                       help="drop cache entries and IR blobs from old code "
-                            "versions (needs --cache-dir)")
+                       help="drop result entries, IR blobs and solver-state "
+                            "snapshots from old code versions (needs "
+                            "--cache-dir)")
     bench.set_defaults(func=_cmd_bench)
 
     serve = subparsers.add_parser(

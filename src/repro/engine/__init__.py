@@ -16,16 +16,17 @@ arbitrary N-way matrix) from *how* the results are produced:
   ``SkipFlow``) form, whose rows the Table 1 / Figure 9 reporting reads.
 * :mod:`repro.engine.scheduler` orders the pending specs largest-first
   (longest-processing-time heuristic) so the pool stays balanced.
-* :mod:`repro.engine.cache` persists every configuration half as one JSON
-  file, so comparisons compose from independently cached halves.
+* :mod:`repro.engine.cache` holds the store layout below and persists
+  every configuration half as one JSON file, so comparisons compose from
+  independently cached halves.
 * :mod:`repro.engine.program_store` shares built IR between halves, workers,
   and runs: the first solve of a spec stores the generated program (a
   pickle plus a frozen ``.arena`` blob) in the cache directory, and every
   store-backed half attaches the arena blob and solves it on the arena
   kernel instead of regenerating, re-lowering or unpickling it.
 * :mod:`repro.engine.snapshots` persists *solver-state* snapshots — the
-  resumable fixpoint of one (spec, configuration) solve — keyed exactly
-  like result halves, so warm re-analysis after a monotone program edit
+  resumable fixpoint of one (spec, configuration) solve — keyed like
+  result halves, so warm re-analysis after a monotone program edit
   survives process boundaries (``benchmarks/run_incremental_study.py``).
 
 Invariant: with both configurations at their defaults the engine's numbers
@@ -34,12 +35,23 @@ directly on a freshly generated program, whether a result was computed
 serially, on a pool, loaded from the cache, or solved over a program from
 the store (verified down to solver step counts by the engine tests).
 
-Cache key scheme
-----------------
-A *result* entry holds one configuration half and is keyed by the SHA-256 of
-three components::
+Store layout
+------------
+The result cache, the program store and the snapshot store share one
+on-disk layout, :class:`~repro.engine.cache.BlobStore`.  Each store owns a
+directory (the cache directory itself, and its ``programs`` and
+``snapshots`` subdirectories) and writes one file per entry::
 
-    key = sha256("result/" + spec_hash / config_hash / code_version)
+    <code_version>-<key><suffix>
+    key = sha256(kind + "/" + part hashes / code_version)[:32]
+
+============== ============ ====================== =====================
+store          ``kind``     part hashes            suffixes
+============== ============ ====================== =====================
+result cache   ``result``   spec_hash, config_hash ``.json``
+snapshots      ``state``    spec_hash, config_hash ``.state``
+program store  ``program``  spec_hash              ``.pickle``, ``.arena``
+============== ============ ====================== =====================
 
 ``spec_hash``
     Canonical JSON of the full ``BenchmarkSpec`` dataclass (name, suite,
@@ -51,21 +63,26 @@ three components::
     entry — but only for that configuration: an ablation sweep over
     SkipFlow variants keeps hitting the shared baseline half, which is what
     lets a 5-point saturation sweep analyze the unsaturated baseline exactly
-    once.
+    once.  A program does not depend on any configuration, which is why
+    both halves of a comparison (and every sweep point) share one program
+    blob, and a snapshot is valid exactly when its result half is.
 ``code_version``
     SHA-256 over every ``*.py`` source file of the ``repro`` package, so any
     code change — a solver fix, a new metric — invalidates *all* entries.
     Results are therefore never stale; at worst the cache is cold.
-    Invalidated entries linger on disk (their keys are simply never looked
-    up again) until ``repro bench --gc`` — backed by ``ResultCache.gc`` and
-    ``ProgramStore.gc`` — deletes every file whose code-version filename
-    prefix does not match the running code.
 
-A *program store* entry holds the pickled IR of one spec under
-``<cache dir>/programs`` and is keyed by ``(spec_hash, code_version)`` only:
-the program depends on the generator but not on any analysis configuration,
-which is exactly why both halves of a comparison (and every sweep point) can
-share one blob.
+Every write goes to a temp file named after its target plus
+``.tmp<pid>-<thread id>``, unique per writer, and is renamed over the
+target, so concurrent runs, concurrent daemon requests and interrupted
+writers never leave a torn entry; an unreadable file is a miss.  The key
+already embeds the code version, so the filename prefix adds no
+correctness: it lets ``gc`` spot stale files by name, since a key is an
+opaque hash.  ``gc`` deletes every file with the store's suffixes (and
+every temp file of one) whose name does not start with the running code
+version, including pre-versioning flat names; files and in-flight temp
+files of the current version are kept.  ``repro bench --gc`` runs it on
+all three stores.  ``clear`` deletes every entry of a store.  Both record
+``last_gc_bytes``; ``hits`` and ``misses`` count each instance's reads.
 
 Saturation and the paper's monotonicity argument
 ------------------------------------------------

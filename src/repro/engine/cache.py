@@ -1,19 +1,12 @@
-"""On-disk JSON cache for per-configuration analysis results.
+"""The engine's on-disk store layout, and its JSON result cache.
 
-One cache entry per ``(spec, configuration, code version)`` triple — one
-*half* of an N-way comparison; see the package docstring
-(:mod:`repro.engine`) for the key scheme and why halves (rather than whole
-comparisons) are the cache unit.  Entries are single JSON files written
-atomically (temp file + rename), so a cache directory can be shared between
-concurrent runs and an interrupted run never leaves a corrupt entry behind —
-unreadable files are simply treated as misses.
-
-Entry filenames are prefixed with the code version
-(``<code_version>-<key>.json``).  The key already embeds the code version,
-so the prefix adds no correctness — it exists so that :meth:`ResultCache.gc`
-can identify entries written by *other* code versions from the filename
-alone and drop them (``repro bench --gc``); without it stale entries would
-accumulate forever, since a key is an opaque hash.
+:class:`BlobStore` is the one layout the result cache, the snapshot store
+(:mod:`repro.engine.snapshots`) and the program store
+(:mod:`repro.engine.program_store`) share: keys, versioned filenames, the
+atomic write and garbage collection.  The package docstring
+(:mod:`repro.engine`) describes it.  :class:`ResultCache` keeps one JSON
+payload per ``(spec, configuration, code version)`` triple: one *half* of
+an N-way comparison, the cache unit the package docstring motivates.
 """
 
 from __future__ import annotations
@@ -22,8 +15,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import threading
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 _HASH_ABBREV = 16
 
@@ -62,14 +56,21 @@ def compute_code_version() -> str:
     return _code_version_cache
 
 
-class ResultCache:
-    """A directory of cached per-configuration payloads, keyed as described above.
+class BlobStore:
+    """A directory of ``<code_version>-<key><suffix>`` files.
 
-    ``hits``/``misses`` count :meth:`get` outcomes on this instance; a
-    comparison served entirely from the cache therefore scores one hit per
-    configuration half, which is what lets tests assert that an ablation
-    sweep recomputed the shared baseline exactly once.
+    A subclass names its key namespace (:attr:`kind`) and the suffixes it
+    owns (:attr:`suffixes`), and reads and writes its own format; the key
+    derivation, the versioned path, the atomic write, :meth:`clear` and
+    :meth:`gc` are shared.  ``hits``/``misses`` are in-process counters
+    that each subclass bumps on its own read path.
     """
+
+    #: The namespace hashed in front of every key of this store.
+    kind = ""
+    #: The suffixes this store owns; :meth:`clear` and :meth:`gc` touch
+    #: no other files.
+    suffixes: Tuple[str, ...] = ()
 
     def __init__(self, directory, code_version: Optional[str] = None) -> None:
         self.directory = Path(directory)
@@ -81,24 +82,68 @@ class ResultCache:
         #: (``repro bench --gc`` reports it).
         self.last_gc_bytes = 0
 
-    # ------------------------------------------------------------------ #
-    # Keys
-    # ------------------------------------------------------------------ #
+    def _key(self, *parts: Any) -> str:
+        """``sha256(kind/ hash(part)... /code_version)``, abbreviated."""
+        hashes = "/".join([hash_dataclass(part) for part in parts]
+                          + [self.code_version])
+        return _sha256(f"{self.kind}/{hashes}")[:2 * _HASH_ABBREV]
+
+    def _path(self, key: str, suffix: str) -> Path:
+        return self.directory / f"{self.code_version}-{key}{suffix}"
+
+    def _write_atomic(self, target: Path, blob: bytes) -> None:
+        # One temp name per writer: two threads storing one target (two
+        # daemon requests opening the same benchmark) must not rename each
+        # other's temp file away.
+        temp = target.with_name(
+            f"{target.name}.tmp{os.getpid()}-{threading.get_ident()}")
+        temp.write_bytes(blob)
+        os.replace(temp, target)
+
+    def clear(self) -> int:
+        """Delete every file of this store; returns the number removed."""
+        return self._unlink(path for suffix in self.suffixes
+                            for path in self.directory.glob(f"*{suffix}"))
+
+    def gc(self) -> int:
+        """Drop files written by other code versions; returns files removed."""
+        prefix = f"{self.code_version}-"
+        return self._unlink(
+            path for suffix in self.suffixes
+            for pattern in (f"*{suffix}", f"*{suffix}.tmp*")
+            for path in self.directory.glob(pattern)
+            if not path.name.startswith(prefix))
+
+    def _unlink(self, paths: Iterable[Path]) -> int:
+        removed = 0
+        freed = 0
+        for path in paths:
+            freed += _size_of(path)
+            path.unlink()
+            removed += 1
+        self.last_gc_bytes = freed
+        return removed
+
+
+class ResultCache(BlobStore):
+    """Cached per-configuration payloads, one JSON file per half.
+
+    ``hits``/``misses`` count :meth:`get` outcomes on this instance; a
+    comparison served entirely from the cache therefore scores one hit per
+    configuration half, which is what lets tests assert that an ablation
+    sweep recomputed the shared baseline exactly once.
+    """
+
+    kind = "result"
+    suffixes = (".json",)
+
     def config_key(self, spec, config) -> str:
         """The cache key for one (spec, configuration) analysis result."""
-        parts = "/".join((
-            hash_dataclass(spec),
-            hash_dataclass(config),
-            self.code_version,
-        ))
-        return _sha256("result/" + parts)[:2 * _HASH_ABBREV]
+        return self._key(spec, config)
 
     def path_for(self, key: str) -> Path:
-        return self.directory / f"{self.code_version}-{key}.json"
+        return self._path(key, ".json")
 
-    # ------------------------------------------------------------------ #
-    # Entries
-    # ------------------------------------------------------------------ #
     def contains(self, key: str) -> bool:
         """Whether an entry exists, without touching the hit/miss counters."""
         return self.path_for(key).is_file()
@@ -114,48 +159,8 @@ class ResultCache:
         return payload
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
-        target = self.path_for(key)
-        temp = target.with_name(target.name + f".tmp{os.getpid()}")
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=1)
-        os.replace(temp, target)
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number of files removed.
-
-        ``last_gc_bytes`` records how many bytes the deletions reclaimed.
-        """
-        removed = 0
-        freed = 0
-        for path in self.directory.glob("*.json"):
-            freed += _size_of(path)
-            path.unlink()
-            removed += 1
-        self.last_gc_bytes = freed
-        return removed
-
-    def gc(self) -> int:
-        """Drop entries written by other code versions; returns files removed.
-
-        An entry's filename starts with the code version that wrote it, so
-        anything not matching this cache's version — including pre-versioning
-        flat-named entries, which can never be read again either — is stale
-        by construction and safe to delete.  The same rule reclaims ``.tmp``
-        files orphaned by crashed writers; entries and in-flight ``.tmp``
-        files of the *current* version are left alone (a concurrent run may
-        be mid-write).
-        """
-        prefix = f"{self.code_version}-"
-        removed = 0
-        freed = 0
-        for pattern in ("*.json", "*.json.tmp*"):
-            for path in self.directory.glob(pattern):
-                if not path.name.startswith(prefix):
-                    freed += _size_of(path)
-                    path.unlink()
-                    removed += 1
-        self.last_gc_bytes = freed
-        return removed
+        self._write_atomic(self.path_for(key), json.dumps(
+            payload, sort_keys=True, indent=1).encode("utf-8"))
 
 
 def _size_of(path: Path) -> int:

@@ -28,32 +28,26 @@ when the backfill cannot be written (a read-only store) the unpickled
 :class:`~repro.ir.program.Program` is returned and the half runs under its
 config as given.
 
-Store entries are keyed by ``(spec hash, code version)`` — the same
-``code_version`` used by :class:`~repro.engine.cache.ResultCache` — so any
-change to the generator or the IR invalidates every blob.  Writes are atomic
-(temp file + rename) and unreadable blobs are treated as misses, mirroring the
-result cache's crash-safety story.
+Entries are keyed by the spec alone (kind ``program``; the store layout
+is described in :mod:`repro.engine`): a program does not depend on any
+analysis configuration, so every configuration of a spec shares its blob.
 """
 
 from __future__ import annotations
 
-import hashlib
 import mmap
-import os
 import pickle
 import struct
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
-from repro.engine.cache import compute_code_version, hash_dataclass
+from repro.engine.cache import BlobStore
 from repro.ir.arena import ArenaFormatError, ArenaProgram, freeze, open_program
 from repro.ir.program import Program
 from repro.workloads.generator import BenchmarkSpec, generate_benchmark
 
-_KEY_ABBREV = 32
 
-
-class ProgramStore:
+class ProgramStore(BlobStore):
     """A directory of pickled benchmark programs, one blob per spec.
 
     ``hits`` counts blob loads and ``misses`` counts generate-and-store
@@ -62,37 +56,20 @@ class ProgramStore:
     the per-payload ``program_from_store`` flag instead.
     """
 
-    def __init__(self, directory, code_version: Optional[str] = None) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.code_version = code_version or compute_code_version()
-        self.hits = 0
-        self.misses = 0
-        #: Bytes reclaimed by the most recent :meth:`gc` / :meth:`clear`
-        #: (``repro bench --gc`` reports it).
-        self.last_gc_bytes = 0
+    kind = "program"
+    suffixes = (".pickle", ".arena")
 
-    # ------------------------------------------------------------------ #
-    # Keys
-    # ------------------------------------------------------------------ #
     def key(self, spec: BenchmarkSpec) -> str:
         """The store key for one spec (spec hash + code version)."""
-        text = f"program/{hash_dataclass(spec)}/{self.code_version}"
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:_KEY_ABBREV]
+        return self._key(spec)
 
     def path_for(self, spec: BenchmarkSpec) -> Path:
-        # The code-version prefix mirrors the result cache's filename scheme:
-        # it lets gc() spot blobs from other code versions without having to
-        # unpickle anything (the key itself is an opaque hash).
-        return self.directory / f"{self.code_version}-{self.key(spec)}.pickle"
+        return self._path(self.key(spec), ".pickle")
 
     def arena_path_for(self, spec: BenchmarkSpec) -> Path:
         """The sibling arena blob of :meth:`path_for` (same key, ``.arena``)."""
-        return self.directory / f"{self.code_version}-{self.key(spec)}.arena"
+        return self._path(self.key(spec), ".arena")
 
-    # ------------------------------------------------------------------ #
-    # Blobs
-    # ------------------------------------------------------------------ #
     def contains(self, spec: BenchmarkSpec) -> bool:
         """Whether a blob exists, without touching the hit/miss counters."""
         return self.path_for(spec).is_file()
@@ -100,10 +77,10 @@ class ProgramStore:
     def has_arena(self, spec: BenchmarkSpec) -> bool:
         """Whether the sibling ``.arena`` buffer exists for this spec.
 
-        Pickles written before the arena encoding (or with arena writing
-        disabled) have no sibling; ``repro bench`` surfaces these backfill
-        gaps so a store can be migrated deliberately instead of silently
-        falling back to the object kernel's unpickle path.
+        Pickles written before the arena encoding, and pickles whose arena
+        write failed, have no sibling; ``repro bench`` surfaces these
+        backfill gaps so a store can be migrated deliberately instead of
+        silently falling back to the object kernel's unpickle path.
         """
         return self.arena_path_for(spec).is_file()
 
@@ -150,11 +127,6 @@ class ProgramStore:
             self._write_atomic(target, freeze(program))
         return target
 
-    def _write_atomic(self, target: Path, blob: bytes) -> None:
-        temp = target.with_name(target.name + f".tmp{os.getpid()}")
-        temp.write_bytes(blob)
-        os.replace(temp, target)
-
     # ------------------------------------------------------------------ #
     # Arena attach (the zero-decode worker path)
     # ------------------------------------------------------------------ #
@@ -197,7 +169,7 @@ class ProgramStore:
         if from_store:
             # A fresh build just wrote its own arena blob in ``store``.
             try:
-                self._write_atomic(self.arena_path_for(spec), freeze(program))
+                self.store_arena(spec, program)
             except OSError:
                 return program, from_store
         attached = self.attach(spec)
@@ -221,48 +193,3 @@ class ProgramStore:
         program = generate_benchmark(spec)
         self.store(spec, program)
         return program, False
-
-    def clear(self) -> int:
-        """Delete every blob (pickles and arenas); returns files removed.
-
-        ``last_gc_bytes`` records how many bytes the deletions reclaimed.
-        """
-        removed = 0
-        freed = 0
-        for pattern in ("*.pickle", "*.arena"):
-            for path in self.directory.glob(pattern):
-                freed += self._size_of(path)
-                path.unlink()
-                removed += 1
-        self.last_gc_bytes = freed
-        return removed
-
-    def gc(self) -> int:
-        """Drop blobs written by other code versions; returns files removed.
-
-        Mirrors :meth:`repro.engine.cache.ResultCache.gc`: blob filenames are
-        prefixed with the code version that wrote them, so mismatched (and
-        pre-versioning flat-named) blobs are stale by construction, as are
-        ``.tmp`` files orphaned by crashed writers of other versions.  Arena
-        blobs are collected by the same rule — an orphaned arena (foreign
-        code version, or a ``.tmp`` from a crashed freeze) can never be
-        attached again.  ``last_gc_bytes`` records the bytes reclaimed.
-        """
-        prefix = f"{self.code_version}-"
-        removed = 0
-        freed = 0
-        for pattern in ("*.pickle", "*.pickle.tmp*", "*.arena", "*.arena.tmp*"):
-            for path in self.directory.glob(pattern):
-                if not path.name.startswith(prefix):
-                    freed += self._size_of(path)
-                    path.unlink()
-                    removed += 1
-        self.last_gc_bytes = freed
-        return removed
-
-    @staticmethod
-    def _size_of(path: Path) -> int:
-        try:
-            return path.stat().st_size
-        except OSError:
-            return 0

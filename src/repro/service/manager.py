@@ -343,8 +343,9 @@ class SessionManager:
         """Create a named session from source text or a benchmark spec.
 
         Exactly one of ``source`` (surface-language text, compiled here)
-        and ``benchmark`` (a spec name from the extended suites, generated
-        or unpickled through the program store) must be given.  ``roots``
+        and ``benchmark`` (a spec name from the extended suites, attached
+        through the program store's ``attach_or_build``, which generates
+        and stores the program on its first open) must be given.  ``roots``
         become the session's default analysis roots.  Re-opening an
         existing name needs ``replace`` (else
         :class:`~repro.api.errors.SessionExistsError`).

@@ -134,36 +134,3 @@ class TestEntries:
     def test_entry_filenames_carry_the_code_version(self, tmp_path):
         cache = ResultCache(tmp_path, code_version="cafe")
         assert cache.path_for("deadbeef").name == "cafe-deadbeef.json"
-
-
-class TestGc:
-    def test_gc_drops_other_versions_and_keeps_current(self, tmp_path):
-        current = ResultCache(tmp_path, code_version="aaaa")
-        current.put("11", {"v": 1})
-        stale = ResultCache(tmp_path, code_version="bbbb")
-        stale.put("22", {"v": 2})
-        # Pre-versioning flat-named entries are unidentifiable, hence stale.
-        (tmp_path / "deadbeef.json").write_text("{}")
-
-        assert current.gc() == 2
-        assert current.contains("11")
-        assert not stale.contains("22")
-        assert not (tmp_path / "deadbeef.json").exists()
-
-    def test_gc_on_fresh_cache_is_a_no_op(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("11", {})
-        assert cache.gc() == 0
-        assert cache.contains("11")
-
-    def test_gc_reclaims_orphaned_tmp_files_of_other_versions(self, tmp_path):
-        """Crashed writers leave .tmp files behind; stale-version ones are
-        junk, current-version ones may be in-flight and are kept."""
-        cache = ResultCache(tmp_path, code_version="aaaa")
-        stale_tmp = tmp_path / "bbbb-22.json.tmp999"
-        stale_tmp.write_text("{")
-        live_tmp = tmp_path / "aaaa-33.json.tmp999"
-        live_tmp.write_text("{")
-        assert cache.gc() == 1
-        assert not stale_tmp.exists()
-        assert live_tmp.exists()

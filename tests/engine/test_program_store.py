@@ -393,24 +393,3 @@ class TestGc:
     def test_blob_filenames_carry_the_code_version(self, tmp_path):
         store = ProgramStore(tmp_path, code_version="cafe")
         assert store.path_for(_spec()).name.startswith("cafe-")
-
-    def test_gc_reclaims_orphaned_tmp_files_of_other_versions(self, tmp_path):
-        store = ProgramStore(tmp_path, code_version="aaaa")
-        stale_tmp = tmp_path / "bbbb-22.pickle.tmp999"
-        stale_tmp.write_bytes(b"x")
-        live_tmp = tmp_path / "aaaa-33.pickle.tmp999"
-        live_tmp.write_bytes(b"x")
-        assert store.gc() == 1
-        assert not stale_tmp.exists()
-        assert live_tmp.exists()
-
-    def test_gc_reclaims_orphaned_arena_buffers(self, tmp_path):
-        store = ProgramStore(tmp_path, code_version="aaaa")
-        orphan = tmp_path / "bbbb-44.arena"
-        orphan.write_bytes(b"x" * 128)
-        orphan_tmp = tmp_path / "bbbb-44.arena.tmp999"
-        orphan_tmp.write_bytes(b"x" * 64)
-        assert store.gc() == 2
-        assert store.last_gc_bytes == 192
-        assert not orphan.exists()
-        assert not orphan_tmp.exists()

@@ -95,15 +95,3 @@ class TestMaintenance:
         store.store(SPEC, CONFIG, result.solver_state, program)
         assert store.clear() == 1
         assert not store.contains(SPEC, CONFIG)
-
-    def test_gc_drops_only_foreign_versions(self, tmp_path):
-        result, program = solved_state()
-        store = SnapshotStore(tmp_path)
-        store.store(SPEC, CONFIG, result.solver_state, program)
-        stale = SnapshotStore(tmp_path, code_version="feedface")
-        stale.store(SPEC, CONFIG, result.solver_state, program)
-        (tmp_path / "feedface-orphan.state.tmp123").write_bytes(b"x")
-
-        assert store.gc() == 2  # the stale blob and the orphan temp file
-        assert store.contains(SPEC, CONFIG)
-        assert not stale.contains(SPEC, CONFIG)
