@@ -16,8 +16,8 @@ saturation), the script measures what one engine worker
 pays for a *cold* solve — program decode plus analysis plus image reports —
 under both propagation kernels:
 
-* **object**: unpickle the stored IR blob, run the default solver over the
-  object graph;
+* **object**: thaw the stored arena blob into a plain program (every
+  method body decoded), run the object kernel over that object graph;
 * **arena**: ``mmap``-attach the stored arena blob (zero decode) and run the
   index-based kernel straight on the buffer.
 
@@ -26,8 +26,8 @@ Both halves produce the full per-configuration payload of the engine matrix
 are bit-identical modulo timing, so the speedup column can never hide a
 results divergence.  The headline is total object wall time over total
 arena wall time; ``--min-speedup`` (default 1.5, the tentpole target) turns
-it into an exit-code gate.  Per-half decode time is reported separately so
-"unpickle gone" is visible, not inferred.
+it into an exit-code gate.  Per-half decode time (thaw vs attach) is
+reported separately so "decode gone" is visible, not inferred.
 
 The study also tracks what the arena blob costs to make: per spec, the
 min-of-``FREEZE_REPEATS`` (3) times of ``generate_benchmark`` and of
@@ -93,7 +93,7 @@ def _strip_timing(payload: Dict[str, object]) -> Dict[str, object]:
 def measure_half(program, config: AnalysisConfig, spec) -> Dict[str, object]:
     """One cold solve (analysis + image reports) over an already-decoded program.
 
-    The analysis picks the kernel from the program: a plain (unpickled)
+    The analysis picks the kernel from the program: a plain (thawed)
     program runs on the object kernel and its report comes from the PVPG
     walks, an attached one on the arena kernel.  (``NativeImageBuilder.build``
     would lower a plain program and solve it on the arena kernel too.)
@@ -131,7 +131,7 @@ def run_cell(spec, label: str, config: AnalysisConfig,
     started = time.perf_counter()
     program = store.load(spec)
     object_decode = time.perf_counter() - started
-    assert program is not None, f"store lost the pickle for {spec.name}"
+    assert program is not None, f"store lost the blob for {spec.name}"
     object_payload = measure_half(program, config, spec)
     object_total = time.perf_counter() - started
 
@@ -245,7 +245,7 @@ def main(argv=None) -> int:
         f"total: object {object_sum:.3f}s vs arena {arena_sum:.3f}s "
         f"-> {speedup:.2f}x cold-solve speedup")
     lines.append(
-        f"decode: unpickle {object_decode_sum * 1000:.1f} ms total vs "
+        f"decode: thaw {object_decode_sum * 1000:.1f} ms total vs "
         f"arena attach {arena_decode_sum * 1000:.1f} ms total")
     lines.append("")
     lines.append(f"{'benchmark':<16} {'generate':>11} {'freeze':>11} "

@@ -49,6 +49,7 @@ from repro.api.registry import get_analyzer, has_engine_config
 from repro.api.report import AnalysisReport
 from repro.core.results import AnalysisResult
 from repro.core.state import SolverState, SolverStateError
+from repro.ir.arena import ArenaProgram, thaw
 from repro.ir.delta import AppliedDelta, ProgramDelta
 from repro.ir.program import Program
 from repro.lang.api import compile_source
@@ -229,12 +230,13 @@ class AnalysisSession:
         """A session over a benchmark spec's generated program.
 
         With an engine :class:`~repro.engine.program_store.ProgramStore`,
-        the IR is unpickled from (or freshly stored into) the shared blob
-        store instead of being regenerated — results are bit-identical
-        either way.
+        the program is the spec's attached arena blob (stored on its first
+        use) instead of being regenerated: a cold run solves it on the
+        arena kernel, and the first :meth:`update` thaws it.  Results are
+        bit-identical either way.
         """
         if store is not None:
-            program, _ = store.load_or_build(spec)
+            program, _ = store.attach_or_build(spec)
         else:
             from repro.workloads.generator import generate_benchmark
 
@@ -273,9 +275,10 @@ class AnalysisSession:
         """Re-adopt generation counters after rehydrating a persisted session.
 
         The service layer evicts idle sessions to disk and rebuilds them
-        later from the pickled program; the rebuilt session must keep the
-        original generation history, or solver states stamped before the
-        eviction would be judged against a reset warm barrier.
+        later from a base arena blob plus the log of deltas replayed onto
+        it; the rebuilt session must keep the original generation history,
+        or solver states stamped before the eviction would be judged
+        against a reset warm barrier.
         """
         if generation < 0 or not 0 <= warm_barrier <= generation:
             raise ValueError(
@@ -295,7 +298,15 @@ class AnalysisSession:
         cold (with a :class:`ResumeFallbackWarning`) instead of unsoundly
         warm.  Returns the application record, including the monotonicity
         verdict and its reasons.
+
+        An attached :class:`~repro.ir.arena.ArenaProgram` is read-only (it
+        may map a shared store blob), so the first update thaws it into an
+        equal mutable program, which then replaces it as :attr:`program`.
+        States solved before stay resumable: the thaw takes over the
+        attached program's hierarchy and the method views it handed out.
         """
+        if isinstance(self.program, ArenaProgram):
+            self.program = thaw(self.program)
         applied = delta.apply_to(self.program, require_monotone=False)
         self._generation += 1
         if not applied.monotone:

@@ -27,13 +27,15 @@ in ``--analysis`` and ``compare`` without CLI changes.  ``--save-state`` /
 against a program that is not a monotone extension of the snapshotted one
 falls back to a cold solve with a warning on stderr (``repro delta`` shows
 the diff and the monotonicity verdict ahead of time; it exits 1 when the
-edit is non-monotone).
+edit is non-monotone).  A reader that closes stdout early (``repro bench |
+head``) ends any command quietly with exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -453,12 +455,10 @@ def _cmd_bench(args) -> int:
     The cache column reflects the engine's per-configuration entries: ``hit``
     means both halves of the comparison (baseline and SkipFlow) are cached,
     ``base``/``skip`` that only that half is, ``miss`` that neither is.  The
-    ``ir`` column reports whether the spec's program blob is in the shared
-    program store under the cache directory: ``yes`` means pickle plus its
-    ``.arena`` sibling, ``pickle`` a pickle *without* the arena buffer (a
-    backfill gap — engine halves of that spec fall back to unpickling
-    until the first one backfills it), ``no`` neither.  ``--gc`` first drops result entries, IR blobs,
-    and solver-state snapshots written by other code versions.
+    ``ir`` column says whether the spec's arena blob is in the shared
+    program store under the cache directory (``yes``/``no``).  ``--gc``
+    first drops result entries, IR blobs, and solver-state snapshots
+    written by other code versions.
     """
     from repro.engine import ProgramStore, ResultCache, SnapshotStore
     from repro.engine.scheduler import estimated_cost
@@ -494,8 +494,8 @@ def _cmd_bench(args) -> int:
             each.gc() for each in stores]
         reclaimed = sum(each.last_gc_bytes for each in stores)
         print(f"gc: removed {stale_results} stale result entries, "
-              f"{stale_blobs} stale IR blobs (pickles and arena buffers), "
-              f"and {stale_snapshots} stale snapshots from {cache.directory} "
+              f"{stale_blobs} stale IR blobs, and {stale_snapshots} "
+              f"stale snapshots from {cache.directory} "
               f"(kept code version {cache.code_version}; "
               f"reclaimed {reclaimed} bytes)")
 
@@ -503,7 +503,7 @@ def _cmd_bench(args) -> int:
               f"{'cost':>8}  {'cache':<5} ir")
     print(header)
     print("-" * len(header))
-    cached = total = arena_gaps = 0
+    cached = total = 0
     for suite_name, specs in suites.items():
         for spec in specs:
             total += 1
@@ -521,23 +521,13 @@ def _cmd_bench(args) -> int:
                     status = "skip"
                 else:
                     status = "miss"
-                if not store.contains(spec):
-                    ir_status = "no"
-                elif store.has_arena(spec):
-                    ir_status = "yes"
-                else:
-                    ir_status = "pickle"
-                    arena_gaps += 1
+                ir_status = "yes" if store.contains(spec) else "no"
             print(f"{suite_name:<14} {spec.name:<28} "
                   f"{spec.expected_total_methods:>7} {spec.guarded_methods:>7} "
                   f"{estimated_cost(spec):>8.0f}  {status:<5} {ir_status}")
     if cache is not None:
         print(f"\n{cached}/{total} specs fully cached in {cache.directory} "
               f"(code version {cache.code_version})")
-        if arena_gaps:
-            print(f"{arena_gaps} pickled spec(s) lack the .arena sibling "
-                  f"(engine halves fall back to unpickling them until the "
-                  f"first one backfills the arena)")
     else:
         print(f"\n{total} specs; pass --cache-dir to check cache status")
     return 0
@@ -804,7 +794,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Inside the try: a closed pipe often surfaces only at the flush.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro bench | head``): send what is still
+        # buffered to devnull so the exit flush cannot fail again, and exit
+        # without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (NoEntryPointError, ProgramError, LangError, DeltaError,
             ValidationError, ValueError) as error:
         # Unknown analysis names arrive as UnknownAnalyzerError, a ValueError

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.core.flows import InvokeFlow
+from repro.core.kernel.arena_kernel import ArenaKernelSolver
 from repro.core.pvpg import BranchRecord, MethodPVPG, ProgramPVPG
 from repro.ir.program import Program
 from repro.lattice.value_state import ValueState
@@ -125,11 +126,11 @@ class AnalysisResult:
     #: the state continues mutating it (the scalar fields of this result —
     #: counts, sets, stats — are copies taken at solve time and stay put).
     solver_state: Optional[object] = None
-    #: The kernel solver that produced this result, when it can answer the
-    #: image-report queries directly from its own representation (the arena
-    #: kernel's ``image_counters`` / ``dead_code_rows``); ``None`` for the
-    #: object kernel, whose only view *is* the PVPG.
-    kernel_backend: Optional[object] = None
+    #: The arena kernel solver that produced this result: it answers the
+    #: image-report queries from its own tables (``image_counters`` /
+    #: ``dead_code_rows``); ``None`` for the object kernel, whose only view
+    #: *is* the PVPG.
+    kernel_backend: Optional[ArenaKernelSolver] = None
     #: The kernel that ran the solve: ``arena`` for a cold solve of an
     #: :class:`~repro.ir.arena.ArenaProgram` — attached to a buffer, or the
     #: in-memory lowering every image build solves — and ``object``

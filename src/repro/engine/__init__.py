@@ -21,9 +21,9 @@ arbitrary N-way matrix) from *how* the results are produced:
   independently cached halves.
 * :mod:`repro.engine.program_store` shares built IR between halves, workers,
   and runs: the first solve of a spec stores the generated program (a
-  pickle plus a frozen ``.arena`` blob) in the cache directory, and every
-  store-backed half attaches the arena blob and solves it on the arena
-  kernel instead of regenerating, re-lowering or unpickling it.
+  frozen ``.arena`` blob) in the cache directory, and every store-backed
+  half attaches that blob and solves it on the arena kernel instead of
+  regenerating or re-lowering it.
 * :mod:`repro.engine.snapshots` persists *solver-state* snapshots — the
   resumable fixpoint of one (spec, configuration) solve — keyed like
   result halves, so warm re-analysis after a monotone program edit
@@ -50,8 +50,12 @@ store          ``kind``     part hashes            suffixes
 ============== ============ ====================== =====================
 result cache   ``result``   spec_hash, config_hash ``.json``
 snapshots      ``state``    spec_hash, config_hash ``.state``
-program store  ``program``  spec_hash              ``.pickle``, ``.arena``
+program store  ``program``  spec_hash              ``.arena``
 ============== ============ ====================== =====================
+
+The program store also owns ``.pickle``, the program encoding of older
+code versions, so that ``gc`` and ``clear`` reclaim those files; nothing
+writes or reads it any more.
 
 ``spec_hash``
     Canonical JSON of the full ``BenchmarkSpec`` dataclass (name, suite,

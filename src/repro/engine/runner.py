@@ -25,17 +25,15 @@ of the same spec run on different pool workers.
 Workers obtain their program from the shared
 :class:`~repro.engine.program_store.ProgramStore` when one is available
 (derived automatically from the result cache directory).  The first solve of
-a spec generates it and writes the pickle plus the frozen ``.arena`` blob;
-that solve and every later one — the other halves of the same row, workers
-in other processes, whole later runs — map the arena blob read-only and
-attach it as an :class:`~repro.ir.arena.ArenaProgram` with zero per-worker
-decode.  :class:`~repro.core.analysis.SkipFlowAnalysis` solves such an
-attached arena on the **arena kernel**, directly on the mapped buffer, so
-nothing is unpickled and no object IR graph is built.  The pickle is read
-only when the arena blob is missing or corrupt
-(:meth:`~repro.engine.program_store.ProgramStore.attach_or_build` then
-backfills it).  A half that still gets a plain
-:class:`~repro.ir.program.Program` — no store, or a backfill that could not
+a spec generates it and writes the frozen ``.arena`` blob; that solve and
+every later one — the other halves of the same row, workers in other
+processes, whole later runs — map the blob read-only and attach it as an
+:class:`~repro.ir.arena.ArenaProgram` with zero per-worker decode
+(:meth:`~repro.engine.program_store.ProgramStore.attach_or_build`).
+:class:`~repro.core.analysis.SkipFlowAnalysis` solves such an attached
+arena on the **arena kernel**, directly on the mapped buffer, so no object
+IR graph is built.  A half that still gets a plain
+:class:`~repro.ir.program.Program` — no store, or a store that could not
 be written — runs on the arena kernel too: the image builder solves the
 program's in-memory lowering (:func:`~repro.ir.arena.lowered_program`),
 memoized on the program.  Each payload records which kernel ran
@@ -198,8 +196,8 @@ def _program_for(spec: BenchmarkSpec,
     count as store hits so the store's counters keep meaning "solves that
     skipped program generation".  With a store the program is whatever
     :meth:`ProgramStore.attach_or_build` returns: an attached
-    :class:`~repro.ir.arena.ArenaProgram` unless the arena blob is missing
-    and cannot be backfilled.  Without one it is generated on the first
+    :class:`~repro.ir.arena.ArenaProgram` unless the blob is missing and
+    cannot be written.  Without one it is generated on the first
     half of its spec in this process and reused by the others; those reuses
     are not store hits.
     """
@@ -210,7 +208,7 @@ def _program_for(spec: BenchmarkSpec,
             program = generate_benchmark(spec)
             _remember(memo_key, program)
         return program, False
-    memo_key = str(store.arena_path_for(spec))
+    memo_key = str(store.path_for(spec))
     program = _WORKER_PROGRAMS.get(memo_key)
     if program is not None:
         store.hits += 1

@@ -81,11 +81,9 @@ def _kernel_fast_reports(
     ``None`` when the result has no such backend (the object kernel).
     """
     backend = result.kernel_backend
-    counters_of = getattr(backend, "image_counters", None)
-    rows_of = getattr(backend, "dead_code_rows", None)
-    if counters_of is None or rows_of is None:
+    if backend is None:
         return None
-    counts = counters_of()
+    counts = backend.image_counters()
     metrics = ImageMetrics(
         configuration=getattr(result.config, "name", "unknown"),
         reachable_methods=result.reachable_method_count,
@@ -99,7 +97,7 @@ def _kernel_fast_reports(
         solver_steps=result.steps,
     )
     dead_code = DeadCodeReport()
-    for name, live, dead, removable, total in rows_of():
+    for name, live, dead, removable, total in backend.dead_code_rows():
         dead_code.methods[name] = MethodDeadCode(
             qualified_name=name,
             live_instructions=live,

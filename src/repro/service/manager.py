@@ -279,13 +279,6 @@ class ManagedSession:
     def drain_pending(self) -> List[SessionUpdate]:
         """Apply every queued delta to the live session, logging each one."""
         applied: List[SessionUpdate] = []
-        if self.pending and isinstance(self.session.program, ArenaProgram):
-            # Deltas mutate the program in place, and an attached arena is
-            # read-only (it may be an mmap of a shared store blob) — thaw
-            # it into an equal mutable program before the first edit lands.
-            # The thaw takes over the attached program's hierarchy and the
-            # bodies a rehydration already decoded.
-            self.session.program = thaw(self.session.program)
         while self.pending:
             delta = self.pending.pop(0)
             applied.append(self.session.update(delta))
@@ -363,9 +356,9 @@ class SessionManager:
             origin, spec = "source", None
         else:
             spec = self._find_benchmark(benchmark, scale)
-            # Attach the spec's arena blob when one exists (zero decode;
-            # analyzers only read); the first *edit* thaws it into a
-            # mutable twin (see ManagedSession.drain_pending).
+            # Attach the spec's arena blob (zero decode; analyzers only
+            # read); the first *edit* thaws it into a mutable twin (see
+            # AnalysisSession.update).
             program, _ = self._programs.attach_or_build(spec)
             session = AnalysisSession(program, name=name, roots=root_list)
             origin = "benchmark"
@@ -810,7 +803,7 @@ class SessionManager:
             self._rebase(managed)
         written = []
         if isinstance(managed.base, SessionSpillSpec):
-            written.append(self._programs.arena_path_for(managed.base))
+            written.append(self._programs.path_for(managed.base))
         records = []
         for slot in managed.slots.values():
             has_state = slot.state is not None
@@ -845,7 +838,7 @@ class SessionManager:
         session = managed.session
         base = SessionSpillSpec(session=managed.name,
                                 generation=session.generation)
-        self._programs.store_arena(base, session.program)
+        self._programs.store(base, session.program)
         managed.base = base
         managed.base_methods = len(session.program.methods)
         managed.log = []

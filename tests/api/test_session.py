@@ -1,5 +1,7 @@
 """Sessions, root resolution, the report facade, and N-way comparisons."""
 
+import warnings
+
 import pytest
 
 from repro.api import (
@@ -7,14 +9,17 @@ from repro.api import (
     AnalysisSession,
     CallGraphView,
     NoEntryPointError,
+    ResumeFallbackWarning,
     resolve_roots,
     wrap_result,
 )
 from repro.baselines.cha import ClassHierarchyAnalysis
 from repro.core.analysis import run_skipflow
 from repro.engine import ProgramStore
+from repro.ir.arena import ArenaProgram
 from repro.lang import compile_source
-from repro.workloads.generator import spec_from_reduction
+from repro.workloads.edits import build_edit_delta, default_edit_script
+from repro.workloads.generator import generate_benchmark, spec_from_reduction
 
 SOURCE = """
 class Config {
@@ -180,6 +185,39 @@ class TestFromSpec:
         for report in (first, second):
             assert report.reachable_methods == fresh.reachable_methods
             assert report.solver_stats == fresh.solver_stats
+
+    def test_first_update_thaws_an_attached_program_and_resumes_warm(
+            self, tmp_path):
+        """A store session runs cold on the arena; an edit thaws it first."""
+        spec = spec_from_reduction(name="attached", suite="test",
+                                   total_methods=80, reduction_percent=10.0)
+        store = ProgramStore(tmp_path)
+        store.load_or_build(spec)
+        session = AnalysisSession(store.attach(spec), name=spec.name)
+        cold = session.run("skipflow")
+        assert cold.raw.kernel_ran == "arena"
+        assert isinstance(session.program, ArenaProgram)
+
+        delta = build_edit_delta(spec, default_edit_script(spec, steps=1).steps[0])
+        update = session.update(delta)
+        assert update.monotone
+        assert not isinstance(session.program, ArenaProgram)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResumeFallbackWarning)
+            warm = session.run("skipflow", resume=cold)
+        edited = generate_benchmark(spec)
+        delta.apply_to(edited)
+        fresh = AnalysisSession(edited).run("skipflow")
+        assert warm.reachable_methods == fresh.reachable_methods
+        paid = warm.solver_stats.steps - cold.solver_stats.steps
+        assert 0 < paid < fresh.solver_stats.steps
+
+    def test_from_spec_with_a_store_attaches(self, tmp_path):
+        spec = spec_from_reduction(name="attached", suite="test",
+                                   total_methods=80, reduction_percent=10.0)
+        session = AnalysisSession.from_spec(spec, store=ProgramStore(tmp_path))
+        assert isinstance(session.program, ArenaProgram)
+        assert session.run("skipflow").raw.kernel_ran == "arena"
 
 
 class TestReportFacade:

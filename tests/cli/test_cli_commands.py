@@ -10,6 +10,8 @@ import pytest
 
 from repro.cli import build_parser, main as cli_main
 from repro.engine import ProgramStore, ResultCache
+from repro.workloads.generator import generate_benchmark
+from repro.workloads.suites import suite_by_name
 
 SOURCE = """
 class Config {
@@ -218,10 +220,29 @@ class TestBenchGc:
         assert cli_main(["bench", "--gc", "--cache-dir", str(cache_dir),
                          "--suite", "DaCapo"]) == 0
         output = capsys.readouterr().out
-        assert ("removed 1 stale result entries, 2 stale IR blobs "
-                "(pickles and arena buffers), and 1 stale snapshots") in output
+        assert ("removed 1 stale result entries, 2 stale IR blobs, "
+                "and 1 stale snapshots") in output
         assert "reclaimed" in output and "bytes" in output
         assert list(snapshots.glob("*.state")) == []
         assert current.contains("aa" * 16)
         assert not stale.contains("bb" * 16)
         assert list(store.directory.glob("*.pickle")) == []
+
+    def test_ir_column_says_whether_the_arena_blob_is_stored(
+            self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        cache = ResultCache(cache_dir)
+        store = ProgramStore(cache_dir / "programs",
+                             code_version=cache.code_version)
+        specs = suite_by_name("Microservices", scale=0.25)
+        store.store(specs[0], generate_benchmark(specs[0]))
+
+        assert cli_main(["bench", "--cache-dir", str(cache_dir),
+                         "--suite", "Microservices", "--scale", "0.25"]) == 0
+        output = capsys.readouterr().out
+        status = {line.split()[1]: line.split()[-1]
+                  for line in output.splitlines()
+                  if line.startswith("Microservices")}
+        assert status == {spec.name: "yes" if spec is specs[0] else "no"
+                          for spec in specs}
+        assert "pickle" not in output

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
-from repro.engine import ProgramStore, ResultCache, run_config_matrix, run_specs
+from repro.engine import ProgramStore, ResultCache, program_store, run_config_matrix, run_specs
 from repro.engine.runner import _WORKER_PROGRAMS, _report_payload, solve_config
 from repro.ir.arena import ArenaProgram
 from repro.workloads.generator import generate_benchmark, spec_from_reduction
@@ -13,6 +13,15 @@ from repro.workloads.suites import dacapo_suite, wide_hierarchy_suite
 def _spec(name="store-spec", total=90):
     return spec_from_reduction(name=name, suite="test",
                                total_methods=total, reduction_percent=10.0)
+
+
+#: Blobs ``attach`` must read as misses.
+CORRUPT_ARENAS = [
+    pytest.param(b"not an arena", id="garbage"),
+    pytest.param(b"RPRA" + b"\x00" * 4, id="truncated-header"),
+    pytest.param(b"RPRA\x63\x00\x00\x00" + b"\x00" * 16, id="foreign-version"),
+    pytest.param(b"", id="empty"),
+]
 
 
 def _stable(result):
@@ -37,7 +46,7 @@ class TestRoundTrip:
         assert (store.hits, store.misses) == (1, 1)
 
     def test_roundtrip_analysis_is_bit_identical(self, tmp_path):
-        """Solving an unpickled program matches a freshly generated one exactly."""
+        """Solving a thawed program matches a freshly generated one exactly."""
         store = ProgramStore(tmp_path)
         store.load_or_build(_spec())
         stored = store.load(_spec())
@@ -56,14 +65,12 @@ class TestRoundTrip:
         store.load_or_build(_spec())
         first = store.load(_spec())
         second = store.load(_spec())
+        assert not isinstance(first, ArenaProgram)
         assert first is not second
+        assert first.hierarchy is not second.hierarchy
+        assert first.methods["Main.main"] is not second.methods["Main.main"]
 
-    @pytest.mark.parametrize("blob", [
-        b"not a pickle",
-        b"\x80\x0f.",   # unknown pickle protocol -> plain ValueError
-        b"\x80\x05",    # truncated header
-        b"",
-    ])
+    @pytest.mark.parametrize("blob", CORRUPT_ARENAS)
     def test_corrupt_blob_is_rebuilt(self, tmp_path, blob):
         store = ProgramStore(tmp_path)
         store.load_or_build(_spec())
@@ -82,8 +89,7 @@ class TestRoundTrip:
     def test_clear_removes_blobs(self, tmp_path):
         store = ProgramStore(tmp_path)
         store.load_or_build(_spec())
-        # One pickle plus its sibling arena blob.
-        assert store.clear() == 2
+        assert store.clear() == 1
         assert store.last_gc_bytes > 0
         assert not store.contains(_spec())
         assert store.attach(_spec()) is None
@@ -158,10 +164,12 @@ class TestEngineIntegration:
 
 
 class TestArenaAttach:
-    def test_store_writes_arena_sibling(self, tmp_path):
+    def test_store_writes_the_arena_blob(self, tmp_path):
         store = ProgramStore(tmp_path)
         store.load_or_build(_spec())
-        assert store.arena_path_for(_spec()).is_file()
+        assert store.path_for(_spec()).suffix == ".arena"
+        assert [path.name for path in tmp_path.iterdir()] == [
+            store.path_for(_spec()).name]
 
     def test_attach_returns_arena_program(self, tmp_path):
         store = ProgramStore(tmp_path)
@@ -177,39 +185,25 @@ class TestArenaAttach:
         assert from_store
         assert isinstance(program, ArenaProgram)
 
-    def test_has_arena_tracks_the_sibling(self, tmp_path):
-        """The backfill-gap probe ``repro bench`` reports through."""
+    def test_attach_or_build_stores_and_attaches_on_a_miss(self, tmp_path):
         store = ProgramStore(tmp_path)
-        assert not store.has_arena(_spec())
-        store.load_or_build(_spec())
-        assert store.has_arena(_spec())
-        store.arena_path_for(_spec()).unlink()
-        assert store.contains(_spec())
-        assert not store.has_arena(_spec())
-
-    def test_attach_or_build_backfills_missing_arena(self, tmp_path):
-        """Stores written before arena blobs existed heal on first touch."""
-        store = ProgramStore(tmp_path)
-        store.load_or_build(_spec())
-        store.arena_path_for(_spec()).unlink()
         program, from_store = store.attach_or_build(_spec())
-        assert from_store
+        assert not from_store
+        assert (store.hits, store.misses) == (0, 1)
         assert isinstance(program, ArenaProgram)
-        assert store.arena_path_for(_spec()).is_file()
+        assert store.contains(_spec())
 
-    @pytest.mark.parametrize("blob", [
-        b"not an arena",
-        b"RPRA" + b"\x00" * 4,          # truncated header
-        b"RPRA\x63\x00\x00\x00" + b"\x00" * 16,  # foreign format version
-        b"",
-    ])
+    @pytest.mark.parametrize("blob", CORRUPT_ARENAS)
     def test_corrupt_arena_is_a_miss(self, tmp_path, blob):
         store = ProgramStore(tmp_path)
         store.load_or_build(_spec())
-        store.arena_path_for(_spec()).write_bytes(blob)
+        store.path_for(_spec()).write_bytes(blob)
         assert store.attach(_spec()) is None
-        # ... and attach_or_build recovers through the pickle + backfill.
-        program, _ = store.attach_or_build(_spec())
+        assert store.load(_spec()) is None
+        # ... and attach_or_build regenerates and rewrites the blob.
+        program, from_store = store.attach_or_build(_spec())
+        assert not from_store
+        assert isinstance(program, ArenaProgram)
         assert program.has_method("Main.main")
 
     def test_attached_solve_is_bit_identical(self, tmp_path):
@@ -230,17 +224,16 @@ class TestArenaAttach:
         other = ProgramStore(tmp_path / "other",
                              code_version=store.code_version)
         other.store(_spec(), attached)
-        assert not other.path_for(_spec()).is_file()  # no pickle for arenas
-        assert (other.arena_path_for(_spec()).read_bytes()
-                == store.arena_path_for(_spec()).read_bytes())
+        assert (other.path_for(_spec()).read_bytes()
+                == store.path_for(_spec()).read_bytes())
 
     def test_arena_kernel_config_routes_through_attach(
             self, tmp_path, monkeypatch, object_image_report):
-        """Every store-backed half maps the blob instead of unpickling,
+        """Every store-backed half maps the blob instead of thawing it,
         and the engine solves the attached program on the arena kernel."""
         store = ProgramStore(tmp_path)
         store.load_or_build(_spec())
-        monkeypatch.setattr(ProgramStore, "load", _no_unpickle)
+        monkeypatch.setattr(ProgramStore, "load", _no_thaw)
         cold = solve_config(_spec(), AnalysisConfig.skipflow())
         assert cold["kernel_ran"] == "arena"
         _WORKER_PROGRAMS.clear()
@@ -266,12 +259,10 @@ class TestArenaAttach:
 
     def test_read_only_store_lowers_the_plain_program(
             self, tmp_path, monkeypatch, object_image_report):
-        """A backfill that cannot be written leaves a plain program, which
-        the image build lowers in memory and solves on the arena kernel."""
+        """A blob that cannot be written leaves a plain program, which the
+        image build lowers in memory and solves on the arena kernel."""
         _WORKER_PROGRAMS.clear()
         store = ProgramStore(tmp_path)
-        store.load_or_build(_spec())
-        store.arena_path_for(_spec()).unlink()
         tmp_path.chmod(0o555)
         # Permission bits do not stop a privileged user, so the writer is
         # also made to fail the way a read-only directory makes it fail.
@@ -280,21 +271,21 @@ class TestArenaAttach:
         monkeypatch.setattr(ProgramStore, "_write_atomic", _read_only)
         try:
             program, from_store = store.attach_or_build(_spec())
-            assert from_store
+            assert not from_store
             assert not isinstance(program, ArenaProgram)
             half = solve_config(_spec(), AnalysisConfig.skipflow(), store)
         finally:
             tmp_path.chmod(0o755)
-        assert half["program_from_store"]
+        assert not half["program_from_store"]
         assert half["kernel_ran"] == "arena"
-        assert not store.has_arena(_spec())
+        assert not store.contains(_spec())
         assert _report(half) == _report(solve_config(_spec(), AnalysisConfig.skipflow()))
         assert _report(half) == _object_report(
             object_image_report, _spec(), AnalysisConfig.skipflow())
 
 
-def _no_unpickle(self, spec):
-    raise AssertionError("a store-backed half unpickled its program")
+def _no_thaw(self, spec):
+    raise AssertionError("a store-backed half thawed its program")
 
 
 def _report(payload):
@@ -380,15 +371,33 @@ class TestGc:
         stale = ProgramStore(tmp_path, code_version="bbbb")
         stale.load_or_build(_spec())
         # Pre-versioning flat-named blobs are unidentifiable, hence stale.
-        (tmp_path / "deadbeef.pickle").write_bytes(b"x")
+        (tmp_path / "deadbeef.arena").write_bytes(b"x")
 
-        # The foreign version's pickle + arena, plus the flat-named pickle.
-        assert current.gc() == 3
+        # The foreign version's blob, plus the flat-named one.
+        assert current.gc() == 2
         assert current.last_gc_bytes > 0
         assert current.contains(_spec())
         assert current.attach(_spec()) is not None
         assert not stale.contains(_spec())
         assert stale.attach(_spec()) is None
+
+    def test_gc_reclaims_program_pickles_and_no_path_writes_one(
+            self, tmp_path):
+        """Older versions stored a pickle next to each blob; none is
+        written now, and ``gc`` still counts and removes the old ones."""
+        assert "pickle" not in vars(program_store)
+        store = ProgramStore(tmp_path)
+        planted = tmp_path / f"feedfacedeadbeef-{store.key(_spec())}.pickle"
+        planted.write_bytes(b"an old program pickle")
+        store.load_or_build(_spec())
+        store.attach_or_build(_spec(name="attached"))
+        store.store(_spec(name="stored"), generate_benchmark(_spec()))
+        store.store(_spec(name="written-back"), store.attach(_spec()))
+        assert list(tmp_path.glob("*.pickle")) == [planted]
+        assert store.gc() == 1
+        assert store.last_gc_bytes == len(b"an old program pickle")
+        assert list(tmp_path.glob("*.pickle")) == []
+        assert len(list(tmp_path.glob("*.arena"))) == 4
 
     def test_blob_filenames_carry_the_code_version(self, tmp_path):
         store = ProgramStore(tmp_path, code_version="cafe")

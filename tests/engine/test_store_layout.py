@@ -38,15 +38,14 @@ def _write_snapshot(directory):
 def _write_program(directory):
     store = ProgramStore(directory, code_version="cv0")
     store.load_or_build(SPEC)
-    assert store.contains(SPEC) and store.has_arena(SPEC)
+    assert store.contains(SPEC)
     assert store.attach(SPEC) is not None
 
 
 @pytest.mark.parametrize("write, names", [
     (_write_result, {"cv0-92fa7dda61cac9d26503f2754d4d507c.json"}),
     (_write_snapshot, {"cv0-c0623a6b60dcb50fb454759e330c1938.state"}),
-    (_write_program, {"cv0-f42786e37bea38ed813d95290635d57b.pickle",
-                      "cv0-f42786e37bea38ed813d95290635d57b.arena"}),
+    (_write_program, {"cv0-f42786e37bea38ed813d95290635d57b.arena"}),
 ], ids=["result", "snapshot", "program"])
 def test_file_names_are_pinned(tmp_path, write, names):
     """A write lands on exactly these names and leaves no temp file behind.

@@ -117,7 +117,7 @@ class TestSharedLowering:
         assert view() is None and columns() is None
 
     def test_pickles_carry_neither_memo_nor_revision(self):
-        """The program store's pickles hold program content only."""
+        """A pickled program holds its content only."""
         program = generate_benchmark(SPEC)
         _build(program, CONFIGS["skipflow"])
         assert {"_revision", "_memo"} <= set(vars(program))

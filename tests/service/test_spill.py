@@ -87,7 +87,7 @@ def _files(manager, besides=()):
 def _open(manager, name):
     """Open a benchmark session; returns the program-cache files it made.
 
-    The first open of a spec stores its program (pickle and arena) as the
+    The first open of a spec stores its program's arena blob as the
     daemon's program cache, shared by every session of that spec; those
     files are not a session's spill.
     """
@@ -220,7 +220,7 @@ class TestSpillFiles:
         manager.analyze("s", "skipflow")
         _edit(manager, "s", 0)
         manager.evict("s")
-        base = manager._programs.arena_path_for(manager._sessions["s"].base)
+        base = manager._programs.path_for(manager._sessions["s"].base)
         base.unlink()
         for _ in range(2):   # the session stays parked: every request fails
             with pytest.raises(SessionRehydrationError, match="missing"):
@@ -388,7 +388,7 @@ class TestClose:
         manager.update("a", edit={"kind": "add-variant", "index": 0})
         manager.analyze("a", "skipflow")
         manager.evict("a")
-        shared = manager._programs.arena_path_for(manager._sessions["a"].base)
+        shared = manager._programs.path_for(manager._sessions["a"].base)
         manager.open("b", benchmark=BENCHMARK)
         assert manager._sessions["b"].base == manager._sessions["a"].base
         manager.close("a")
@@ -411,7 +411,7 @@ class TestRebase:
             each.analyze("s", "skipflow")
         manager.evict("s")
         session = manager._sessions["s"]
-        first_base = manager._programs.arena_path_for(session.base)
+        first_base = manager._programs.path_for(session.base)
         assert session.base_methods == 4
         assert _requests(manager)["spill_freezes"] == 1
 
