@@ -35,8 +35,8 @@ min-of-``FREEZE_REPEATS`` (3) times of ``generate_benchmark`` and of
 the freeze/generate ratio is a series across runs.  It is reported, not
 gated.
 
-Every run is persisted as a versioned ``BENCH_<n>.json`` trajectory under
-``--bench-dir`` (:mod:`repro.reporting.trajectory`); ``BENCH_1.json`` is the
+With ``--bench-dir``, a run is persisted as a versioned ``BENCH_<n>.json``
+trajectory there (:mod:`repro.reporting.trajectory`); ``BENCH_1.json`` is the
 study's first recorded run and later runs extend the series that
 ``python -m repro.reporting.trajectory <dir>`` renders.  ``--quick``
 shrinks the sweep to the two cheapest specs and two configurations and
@@ -49,7 +49,6 @@ import argparse
 import sys
 import tempfile
 import time
-from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
@@ -169,8 +168,8 @@ def main(argv=None) -> int:
                              f"{QUICK_MIN_SPEEDUP} with --quick)")
     parser.add_argument("--bench-dir", type=str, default=None,
                         help="directory for the BENCH_<n>.json trajectory "
-                             "(default: benchmarks/trajectories; pass '' "
-                             "to skip writing)")
+                             "(written only when given, e.g. "
+                             "benchmarks/trajectories)")
     parser.add_argument("--bench-index", type=int, default=None,
                         help="pin the trajectory number instead of taking "
                              "the next free one")
@@ -263,8 +262,6 @@ def main(argv=None) -> int:
     print(text)
 
     bench_dir = args.bench_dir
-    if bench_dir is None:
-        bench_dir = str(Path(__file__).parent / "trajectories")
     if bench_dir:
         target = write_trajectory(
             bench_dir, study="arena-cold-solve", rows=rows,

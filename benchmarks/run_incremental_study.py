@@ -33,8 +33,8 @@ and every post-edit solver state is persisted into the
 (or the CI smoke) can resume any step without replaying the chain.
 ``--quick`` shrinks the sweep to the two cheapest specs and two steps.
 
-Every run is also persisted as a versioned ``BENCH_<n>.json`` trajectory
-under ``--bench-dir`` (:mod:`repro.reporting.trajectory`): per spec, one
+With ``--bench-dir``, a run is also persisted as a versioned
+``BENCH_<n>.json`` trajectory there (:mod:`repro.reporting.trajectory`): per spec, one
 ``warm``-policy row (the edit sequence's total warm cost) and one ``cold``
 row, with the aggregate first-step warm percentage as the headline the
 trend renderer tracks.
@@ -45,7 +45,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 from typing import List
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
@@ -141,8 +140,8 @@ def main(argv=None) -> int:
                              "snapshot store)")
     parser.add_argument("--bench-dir", type=str, default=None,
                         help="directory for the BENCH_<n>.json trajectory "
-                             "(default: benchmarks/trajectories; pass '' "
-                             "to skip writing)")
+                             "(written only when given, e.g. "
+                             "benchmarks/trajectories)")
     parser.add_argument("--bench-index", type=int, default=None,
                         help="pin the trajectory number instead of taking "
                              "the next free one")
@@ -223,8 +222,6 @@ def main(argv=None) -> int:
         print(section)
 
     bench_dir = args.bench_dir
-    if bench_dir is None:
-        bench_dir = str(Path(__file__).parent / "trajectories")
     if bench_dir and trajectory_rows:
         headline = round(
             sum(first_step_percents) / len(first_step_percents), 3)

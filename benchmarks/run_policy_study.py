@@ -31,8 +31,8 @@ grid reuses any halves earlier runs already computed.  ``--quick`` shrinks
 the grid to a CI-sized smoke (two cheap specs, ``off`` and
 ``allocated-type@16``).
 
-Every run is also persisted as a versioned ``BENCH_<n>.json`` trajectory
-under ``--bench-dir`` (:mod:`repro.reporting.trajectory`), one row per
+With ``--bench-dir``, a run is also persisted as a versioned
+``BENCH_<n>.json`` trajectory there (:mod:`repro.reporting.trajectory`), one row per
 (spec, policy, threshold) cell with its solver steps, joins, and wall time.
 """
 
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Tuple
 
 from repro.core.analysis import AnalysisConfig
@@ -117,8 +116,8 @@ def main(argv=None) -> int:
                         help="directory for the on-disk result cache")
     parser.add_argument("--bench-dir", type=str, default=None,
                         help="directory for the BENCH_<n>.json trajectory "
-                             "(default: benchmarks/trajectories; pass '' "
-                             "to skip writing)")
+                             "(written only when given, e.g. "
+                             "benchmarks/trajectories)")
     parser.add_argument("--bench-index", type=int, default=None,
                         help="pin the trajectory number instead of taking "
                              "the next free one")
@@ -188,8 +187,6 @@ def main(argv=None) -> int:
         print(section)
 
     bench_dir = args.bench_dir
-    if bench_dir is None:
-        bench_dir = str(Path(__file__).parent / "trajectories")
     if bench_dir:
         target = write_trajectory(
             bench_dir, study="policy-grid", rows=trajectory_rows,

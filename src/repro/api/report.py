@@ -173,14 +173,23 @@ class AnalysisReport:
     @staticmethod
     def from_analysis_result(result: AnalysisResult,
                              analyzer: Optional[str] = None) -> "AnalysisReport":
-        """Wrap a propagation-engine result (PTA, SkipFlow, ablations)."""
+        """Wrap a propagation-engine result (PTA, SkipFlow, ablations).
+
+        The call graph and the poly-call count come from the arena
+        kernel's tables when it ran, so wrapping never inflates its
+        object graph.
+        """
+        backend = result.kernel_backend
+        poly_calls = (backend.image_counters()["poly_calls"]
+                      if backend is not None
+                      else collect_counter_metrics(result).poly_calls)
         return AnalysisReport(
             analyzer=analyzer or getattr(result.config, "name", "unknown"),
             reachable_methods=frozenset(result.reachable_methods),
             stub_methods=frozenset(result.stub_methods),
             call_edges=tuple(result.call_edges()),
             analysis_time_seconds=result.analysis_time_seconds,
-            poly_calls=collect_counter_metrics(result).poly_calls,
+            poly_calls=poly_calls,
             solver_stats=result.stats,
             raw=result,
         )

@@ -47,6 +47,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.api.errors import NoEntryPointError
 from repro.api.registry import get_analyzer, has_engine_config
 from repro.api.report import AnalysisReport
+from repro.core.kernel.arena_kernel import ArenaSolverState
 from repro.core.results import AnalysisResult
 from repro.core.state import SolverState, SolverStateError
 from repro.ir.arena import ArenaProgram, thaw
@@ -71,8 +72,10 @@ class ResumeFallbackWarning(UserWarning):
 
 
 #: What ``run(..., resume=...)`` accepts: a report or result of a previous
-#: session run, or a bare solver state (e.g. restored from a snapshot).
-ResumeSource = Union[AnalysisReport, AnalysisResult, SolverState]
+#: session run, or a bare solver state (e.g. restored from a snapshot) of
+#: either kernel.
+ResumeSource = Union[AnalysisReport, AnalysisResult, SolverState,
+                     ArenaSolverState]
 
 
 def resolve_roots(program: Program,
@@ -162,6 +165,8 @@ class SessionUpdate:
     monotone: bool
     reasons: Tuple[str, ...]
     applied: AppliedDelta
+    #: Whether the update thawed an attached program into a plain one.
+    thawed: bool = False
 
     def summary(self) -> str:
         return f"generation {self.generation}: {self.applied.summary()}"
@@ -231,8 +236,9 @@ class AnalysisSession:
 
         With an engine :class:`~repro.engine.program_store.ProgramStore`,
         the program is the spec's attached arena blob (stored on its first
-        use) instead of being regenerated: a cold run solves it on the
-        arena kernel, and the first :meth:`update` thaws it.  Results are
+        use) instead of being regenerated: runs solve it on the arena
+        kernel, and monotone updates (:meth:`update`) extend it in place,
+        so warm runs resume on the arena kernel too.  Results are
         bit-identical either way.
         """
         if store is not None:
@@ -299,14 +305,21 @@ class AnalysisSession:
         warm.  Returns the application record, including the monotonicity
         verdict and its reasons.
 
-        An attached :class:`~repro.ir.arena.ArenaProgram` is read-only (it
-        may map a shared store blob), so the first update thaws it into an
-        equal mutable program, which then replaces it as :attr:`program`.
-        States solved before stay resumable: the thaw takes over the
-        attached program's hierarchy and the method views it handed out.
+        An attached :class:`~repro.ir.arena.ArenaProgram` stays one under a
+        monotone delta: the delta's classes, fields and methods are lowered
+        and appended after the arena's own ids, nothing is thawed, and a
+        state the arena kernel solved before resumes over the grown arena.
+        A non-monotone delta first thaws the arena into an equal mutable
+        program, which then replaces it as :attr:`program`; states solved
+        before stay resumable on the object kernel (the thaw takes over the
+        attached program's hierarchy and the method views it handed out),
+        though the warm barrier sends the next analysis cold anyway.
         """
-        if isinstance(self.program, ArenaProgram):
+        thawed = False
+        if (isinstance(self.program, ArenaProgram)
+                and not delta.is_monotone_for(self.program)):
             self.program = thaw(self.program)
+            thawed = True
         applied = delta.apply_to(self.program, require_monotone=False)
         self._generation += 1
         if not applied.monotone:
@@ -317,6 +330,7 @@ class AnalysisSession:
             monotone=applied.monotone,
             reasons=applied.reasons,
             applied=applied,
+            thawed=thawed,
         )
 
     # ------------------------------------------------------------------ #
@@ -333,18 +347,18 @@ class AnalysisSession:
         if not has_engine_config(analyzer):
             return None, (f"analysis {analyzer.name!r} has no propagation "
                           f"engine to resume")
-        state: Optional[SolverState]
-        if isinstance(resume, SolverState):
+        state: Union[SolverState, ArenaSolverState, None]
+        if isinstance(resume, (SolverState, ArenaSolverState)):
             state = resume
         elif isinstance(resume, AnalysisReport):
-            raw = resume.raw
-            state = getattr(raw, "solver_state", None)
+            state = getattr(resume.raw, "resumable_state", None)
         elif isinstance(resume, AnalysisResult):
-            state = resume.solver_state
+            state = resume.resumable_state
         else:
             raise TypeError(
-                f"resume must be an AnalysisReport, AnalysisResult, or "
-                f"SolverState, not {type(resume).__name__}")
+                f"resume must be an AnalysisReport, AnalysisResult, "
+                f"SolverState or ArenaSolverState, not "
+                f"{type(resume).__name__}")
         if state is None:
             return None, "the previous result carries no solver state"
         generation = getattr(state, "session_generation", None)
@@ -408,8 +422,9 @@ class AnalysisSession:
         return report
 
     def _stamp(self, report: AnalysisReport) -> None:
-        """Tag the report's state with the session generation it solved."""
-        state = getattr(report.raw, "solver_state", None)
+        """Tag the report's resumable state with the session generation it
+        solved (the arena tables when the arena kernel ran: no inflation)."""
+        state = getattr(report.raw, "resumable_state", None)
         if state is not None:
             state.session_generation = self._generation
 

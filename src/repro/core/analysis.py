@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
-from repro.core.kernel.arena_kernel import ArenaKernelSolver
+from repro.core.kernel.arena_kernel import ArenaKernelSolver, ArenaSolverState
 from repro.core.kernel.saturation import (
     ALLOCATED_TYPE,
     OFF,
@@ -30,7 +30,7 @@ from repro.core.kernel.saturation import (
 )
 from repro.core.results import AnalysisResult, Deferred, SolverStats
 from repro.core.solver import SkipFlowSolver
-from repro.core.state import SolverState
+from repro.core.state import SolverState, SolverStateError
 from repro.ir.arena import ArenaProgram
 from repro.ir.program import Program
 from repro.ir.validate import validate_program
@@ -190,9 +190,10 @@ class SkipFlowAnalysis:
     copy, as the benchmark engine does via the program store.
 
     ``state`` resumes a previous solve instead of starting cold: pass the
-    ``solver_state`` of an earlier :class:`~repro.core.results.
-    AnalysisResult` (or a restored snapshot) after growing the program
-    monotonically, and only the new parts are propagated.  The state's
+    ``resumable_state`` of an earlier :class:`~repro.core.results.
+    AnalysisResult` — its ``arena_state`` when the arena kernel ran, else
+    its ``solver_state`` — or a restored snapshot, after growing the
+    program monotonically, and only the new parts are propagated.  The state's
     counters are cumulative across resumed solves, so a resumed result's
     ``stats`` report total effort; diff them against the previous result to
     get the warm increment.  Resuming consumes the state (it is mutated in
@@ -201,7 +202,7 @@ class SkipFlowAnalysis:
     """
 
     def __init__(self, program: Program, config: Optional[AnalysisConfig] = None,
-                 *, state: Optional[SolverState] = None):
+                 *, state: Union[SolverState, ArenaSolverState, None] = None):
         self.program = program
         self.config = config or AnalysisConfig.skipflow()
         self.state = state
@@ -237,24 +238,33 @@ class SkipFlowAnalysis:
     def _solve(self, roots: Optional[Iterable[str]]):
         """Run the propagation kernel; return ``(solver, seconds)``.
 
-        The kernel is a structural choice, not a setting: a cold solve of
-        an :class:`~repro.ir.arena.ArenaProgram` (attached to a buffer, or
-        over the in-memory lowering the image builder hands in) runs on
+        The kernel is a structural choice, not a setting: an
+        :class:`~repro.ir.arena.ArenaProgram` (attached to a buffer and
+        maybe extended by deltas since, or the in-memory lowering the
+        image builder hands in) runs on
         :class:`~repro.core.kernel.arena_kernel.ArenaKernelSolver`, which
-        propagates straight on the program's flat columns; everything else
-        — a plain program, or a warm resume of an object-graph
-        :class:`~repro.core.state.SolverState` — runs on
+        propagates straight on the program's flat columns — cold, or
+        resuming an :class:`~repro.core.kernel.arena_kernel.
+        ArenaSolverState`.  A plain program, or a resume of an object-graph
+        :class:`~repro.core.state.SolverState`, runs on
         :class:`~repro.core.solver.SkipFlowSolver`.  The two reach the same
         fixpoint with the same counters.  Plain programs are not lowered
-        here: callers that read ``solver_state`` or build reports would
+        here: callers that read ``solver_state`` or walk the PVPG would
         force the arena kernel to inflate its object graph, which costs
         more than the object kernel's whole solve.
         """
         started = time.perf_counter()
-        if self.state is None and isinstance(self.program, ArenaProgram):
+        state = self.state
+        if isinstance(state, ArenaSolverState):
+            if not isinstance(self.program, ArenaProgram):
+                raise SolverStateError(
+                    "cannot resume: an arena solver state resumes only over "
+                    "the arena program it solved, and this program is plain")
+            solver = ArenaKernelSolver(self.program, self.config, state)
+        elif state is None and isinstance(self.program, ArenaProgram):
             solver = ArenaKernelSolver(self.program, self.config)
         else:
-            solver = SkipFlowSolver(self.program, self.config, state=self.state)
+            solver = SkipFlowSolver(self.program, self.config, state=state)
         solver.solve(roots)
         return solver, time.perf_counter() - started
 

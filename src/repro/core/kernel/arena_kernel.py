@@ -34,31 +34,37 @@ mirrors its namesake in ``solver.py``.  When editing one kernel, edit the
 other (the cross-kernel grid in ``tests/core/test_arena_kernel.py`` and the
 CI solver-steps gate both fail loudly on drift).
 
-The kernel runs cold solves of an :class:`~repro.ir.arena.ArenaProgram`
-— attached to a buffer, or over a program's in-memory lowering, which is
-what every image build solves — and
-:class:`~repro.core.analysis.SkipFlowAnalysis` selects it exactly then.  A
-warm resume continues a prior :class:`~repro.core.state.SolverState`, an
-object graph the kernel's flat tables cannot adopt, so resumes (and plain
-programs analyzed directly) run on the object solver.
+The kernel solves every :class:`~repro.ir.arena.ArenaProgram` — attached
+to a buffer, or over a program's in-memory lowering, which is what every
+image build solves — and :class:`~repro.core.analysis.SkipFlowAnalysis`
+selects it exactly then.  Its mutable tables live in an
+:class:`ArenaSolverState` that outlives the solve: after a monotone delta
+extends an attached program (the delta's lowering appended after the
+arena's fids, see :class:`~repro.ir.arena.lowering.ExtendedArena`), a
+solver built around that state *resumes* it — :meth:`ArenaKernelSolver.
+solve` and :meth:`ArenaKernelSolver._reattach` mirror the object solver's
+warm path statement for statement.  Plain programs, and resumes of an
+object-graph :class:`~repro.core.state.SolverState`, run on the object
+solver.
 
-After the fixpoint, the :attr:`ArenaKernelSolver.state` property lazily
-materializes a real :class:`~repro.core.state.SolverState` (PVPG objects,
-ordered edge sets, counters) from the flat tables so every downstream
-consumer — value-state queries, call-graph walks, snapshots, warm
-resumes — sees exactly what the object solver would have produced.
-Inflation reconstructs flows through their real constructors and never
-thaws a method body; it costs more than the propagation itself, which is
-why it is deferred and why the image-report inputs
-(:meth:`ArenaKernelSolver.image_counters`,
-:meth:`ArenaKernelSolver.dead_code_rows`) are computed directly from the
-flat tables instead.
+The result queries — call edges, call targets, parameter / return / field
+states (:meth:`ArenaKernelSolver.call_edges` and friends) and the image
+report inputs (:meth:`ArenaKernelSolver.image_counters`,
+:meth:`ArenaKernelSolver.dead_code_rows`) — read the flat tables
+directly.  Only consumers that walk flows (audits, ``repro pvpg``, the
+object snapshot codec) need the :attr:`ArenaKernelSolver.state` property,
+which lazily materializes a real :class:`~repro.core.state.SolverState`
+(PVPG objects, ordered edge sets, counters) exactly as the object solver
+would have produced it.  Inflation reconstructs flows through their real
+constructors and never thaws a method body; it costs more than the
+propagation itself, which is why it is deferred.
 """
 
 from __future__ import annotations
 
+import pickle
 from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.flows import (
     FilterCompareFlow,
@@ -80,8 +86,9 @@ from repro.core.kernel.saturation import (
     make_saturation_policy,
 )
 from repro.core.pvpg import BranchKind, BranchRecord, MethodPVPG, ProgramPVPG
-from repro.core.state import SolverState
+from repro.core.state import SnapshotMismatchError, SolverState, SolverStateError
 from repro.ir.arena import ArenaProgram, schema
+from repro.ir.delta import ProgramFingerprint, diff_fingerprints
 from repro.ir.instructions import (
     Condition,
     If,
@@ -115,65 +122,252 @@ _INSTRUCTION_KINDS = frozenset({
 })
 
 
+class ArenaSolverState:
+    """The arena kernel's fixpoint: the flat tables, detached from the solver.
+
+    What :class:`~repro.core.state.SolverState` is to the object solver:
+    the mutable half of a solve, which outlives it.  An
+    :class:`ArenaKernelSolver` constructed around a state that already
+    solved *resumes* it over the same :class:`~repro.ir.arena.ArenaProgram`
+    after a monotone delta extended it (old fids keep their meaning; the
+    tables grow by the new ones).  The tables, by fid unless noted:
+
+    * ``st`` / ``inp`` — ``VSout`` / ``VSin`` (hash-consed value states);
+    * ``enabled`` / ``in_worklist`` / ``in_link_queue`` / ``saturated``
+      bits, and ``activated`` by method id;
+    * the edges a solve adds: ``extra_uses`` per source fid (in addition
+      order), ``linked_callees`` per invoke fid, ``pred_on_targets``;
+    * ``activated_mids`` / ``touched_fields`` — activation and first-link
+      order, the object PVPG's method-graph and field-flow orders;
+    * ``reachable`` / ``stub_methods``, the counters, ``seeded_roots`` and
+      ``stub_links`` (invoke fid, callee signature), ``solve_count``.
+
+    Plus ``config`` and the ``program`` the tables index.  A state belongs
+    to one program object and one live solver at a time.
+    :meth:`to_bytes` / :meth:`from_bytes` pickle the tables (value states
+    re-intern on load); a restored state checks that the program it is
+    attached to has the arena and fingerprint it was written against.
+    """
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self.program: Optional[ArenaProgram] = None
+        #: The fingerprint a restored state was verified against (``None``
+        #: for an in-memory state: its session tracks monotonicity).
+        self.fingerprint = None
+        self.st: List[ValueState] = []
+        self.inp: List[ValueState] = []
+        self.enabled = bytearray()
+        self.in_worklist = bytearray()
+        self.in_link_queue = bytearray()
+        self.saturated = bytearray()
+        self.activated = bytearray()
+        self.extra_uses: Dict[int, List[int]] = {}
+        #: Per-source use-target sets for O(1) duplicate-edge checks,
+        #: seeded on first dynamic add (a cache: not persisted).
+        self.use_seen: Dict[int, Set[int]] = {}
+        self.linked_callees: Dict[int, Set[str]] = {}
+        self.pred_on_targets: List[int] = []
+        self.activated_mids: List[int] = []
+        self.touched_fields: List[int] = []
+        self.touched_field_set: Set[int] = set()
+        self.reachable: Set[str] = set()
+        self.stub_methods: Set[str] = set()
+        self.steps = 0
+        self.joins = 0
+        self.transfers = 0
+        self.saturated_flows = 0
+        self.seeded_roots: List[str] = []
+        self.stub_links: List[Tuple[int, MethodSignature]] = []
+        self.solve_count = 0
+
+    def counters(self) -> Dict[str, int]:
+        """The cumulative effort counters (diff around a solve for deltas)."""
+        return {
+            "steps": self.steps,
+            "joins": self.joins,
+            "transfers": self.transfers,
+            "saturated_flows": self.saturated_flows,
+        }
+
+    def grow(self, arena) -> None:
+        """Extend the tables to cover every fid and method id of ``arena``.
+
+        New flows start empty and disabled, except field flows, which are
+        enabled from the start (``FieldFlow.__init__``); they are never
+        predicate targets, so the bit is inert until a store links one.
+        """
+        old = len(self.st)
+        extra = arena.num_flows - old
+        if extra > 0:
+            self.st.extend([_EMPTY] * extra)
+            self.inp.extend([_EMPTY] * extra)
+            for bits in (self.enabled, self.in_worklist, self.in_link_queue,
+                         self.saturated):
+                bits.extend(bytes(extra))
+            enabled = self.enabled
+            for fid in arena.field_flow_ids():
+                if fid >= old:
+                    enabled[fid] = 1
+        methods = arena.num_methods - len(self.activated)
+        if methods > 0:
+            self.activated.extend(bytes(methods))
+
+    def inflate(self) -> SolverState:
+        """The fixpoint as an object-graph :class:`SolverState` (a copy).
+
+        For consumers that walk flows — audits, ``repro pvpg``, the object
+        snapshot codec; see :meth:`ArenaKernelSolver._inflate`.
+        """
+        return ArenaKernelSolver(self.program, self.config, self).state
+
+    # ------------------------------------------------------------------ #
+    # Persistence: the tables, pickled
+    # ------------------------------------------------------------------ #
+    _TABLES = ("st", "inp", "enabled", "in_worklist", "in_link_queue",
+               "saturated", "activated", "extra_uses", "linked_callees",
+               "pred_on_targets", "activated_mids", "touched_fields",
+               "reachable", "stub_methods", "steps", "joins", "transfers",
+               "saturated_flows", "seeded_roots", "stub_links",
+               "solve_count")
+
+    def to_bytes(self, program: ArenaProgram) -> bytes:
+        """Pickle the tables, stamped with ``program``'s arena and fingerprint.
+
+        ``program`` is the one the tables index.  No IR is written: fids,
+        method ids and qualified names refer to the program, which a
+        restore must rebuild identically (:meth:`from_bytes` checks).
+        """
+        payload = {name: getattr(self, name) for name in self._TABLES}
+        payload.update(
+            snapshot_version=ARENA_SNAPSHOT_VERSION, config=self.config,
+            fingerprint=ProgramFingerprint.of(program),
+            num_flows=program.arena.num_flows,
+            num_methods=program.arena.num_methods)
+        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+
+    @classmethod
+    def from_bytes(cls, blob: bytes, program: ArenaProgram) -> "ArenaSolverState":
+        """Restore pickled tables over ``program``.
+
+        Raises :class:`~repro.core.state.SolverStateError` on an unreadable
+        or foreign-version payload, and
+        :class:`~repro.core.state.SnapshotMismatchError` when ``program``
+        does not have the arena (same fid and method counts) and the
+        fingerprint the tables were written against: resuming them would
+        read the wrong flows.
+        """
+        try:
+            payload = pickle.loads(blob)
+        except Exception as error:
+            raise SolverStateError(
+                f"unreadable arena solver-state snapshot: {error}") from error
+        version = (payload.get("snapshot_version")
+                   if isinstance(payload, dict) else None)
+        if version != ARENA_SNAPSHOT_VERSION:
+            raise SolverStateError(
+                f"unsupported arena solver-state snapshot version "
+                f"{version!r} (expected {ARENA_SNAPSHOT_VERSION})")
+        if not isinstance(program, ArenaProgram):
+            raise SnapshotMismatchError(
+                "an arena solver state resumes only over an arena program")
+        arena = program.arena
+        if (arena.num_flows, arena.num_methods) != (
+                payload["num_flows"], payload["num_methods"]):
+            raise SnapshotMismatchError(
+                f"arena snapshot does not match this program: it covers "
+                f"{payload['num_flows']} flows and {payload['num_methods']} "
+                f"methods, the program has {arena.num_flows} and "
+                f"{arena.num_methods}")
+        fingerprint = ProgramFingerprint.of(program)
+        if fingerprint != payload["fingerprint"]:
+            delta = diff_fingerprints(payload["fingerprint"], fingerprint)
+            raise SnapshotMismatchError(
+                "arena snapshot does not match this program: "
+                + ("; ".join(delta.violations) or delta.summary()))
+        state = cls(payload["config"])
+        for name in cls._TABLES:
+            setattr(state, name, payload[name])
+        state.touched_field_set = set(state.touched_fields)
+        state.program = program
+        state.fingerprint = fingerprint
+        return state
+
+
+#: Bumped whenever :meth:`ArenaSolverState.to_bytes`'s payload changes.
+ARENA_SNAPSHOT_VERSION = 1
+
+
 class ArenaKernelSolver:
     """The fixed-point solver over an arena's integer flow ids.
 
-    Drop-in for :class:`~repro.core.solver.SkipFlowSolver` on the cold path
-    of an :class:`~repro.ir.arena.ArenaProgram`: same :meth:`solve`, and
+    Drop-in for :class:`~repro.core.solver.SkipFlowSolver` on an
+    :class:`~repro.ir.arena.ArenaProgram`: same :meth:`solve`, and
     afterwards the same ``state`` / ``pvpg`` / counter surface (``state``
     inflates lazily on first access).  The program's columns — an attached
-    buffer, the zero-decode worker path, or an in-memory lowering — are
-    solved on directly.
+    buffer, the zero-decode worker path, an in-memory lowering, or an
+    attached program extended by deltas — are solved on directly.  Like
+    the object solver, it borrows its mutable tables from an
+    :class:`ArenaSolverState`: a fresh one for a cold solve, or a solved
+    one to resume after the program grew.
     """
 
-    def __init__(self, program: ArenaProgram, config) -> None:
+    def __init__(self, program: ArenaProgram, config,
+                 state: Optional[ArenaSolverState] = None) -> None:
         self.program = program
         self.hierarchy = program.hierarchy
         self.config = config
         self.arena = arena = program.arena
 
-        n = arena.num_flows
+        if state is None:
+            state = ArenaSolverState(config)
+        elif state.config != config:
+            raise SolverStateError(
+                f"cannot resume: the state was solved under configuration "
+                f"{getattr(state.config, 'name', state.config)!r}, not "
+                f"{getattr(config, 'name', config)!r}")
+        elif state.program is not None and state.program is not program:
+            raise SolverStateError(
+                "cannot resume: the arena state was solved over another "
+                "program object")
+        state.program = program
+        state.grow(arena)
+        #: The borrowed tables (see :class:`ArenaSolverState`).
+        self.arena_state = state
         #: ``VSout`` / ``VSin`` per fid (hash-consed ValueState objects).
-        self._st: List[ValueState] = [_EMPTY] * n
-        self._inp: List[ValueState] = [_EMPTY] * n
-        self._enabled = bytearray(n)
-        self._in_worklist = bytearray(n)
-        self._in_link_queue = bytearray(n)
-        self._saturated = bytearray(n)
-        # Field flows are enabled from the start (FieldFlow.__init__); they
-        # are never predicate targets, so pre-setting the bits is inert
-        # until a store links one.
-        for fid in range(1, 1 + arena.num_fields):
-            self._enabled[fid] = 1
+        self._st: List[ValueState] = state.st
+        self._inp: List[ValueState] = state.inp
+        self._enabled = state.enabled
+        self._in_worklist = state.in_worklist
+        self._in_link_queue = state.in_link_queue
+        self._saturated = state.saturated
 
         #: Solve-time use edges per source fid, in addition order (the
         #: object solver adds them to the ordered edge set ``flow.uses``).
-        self._extra_uses: Dict[int, List[int]] = {}
-        #: Per-source use-target sets for O(1) duplicate-edge checks;
-        #: lazily seeded from the static CSR row on first dynamic add.
-        self._use_seen: Dict[int, Set[int]] = {}
+        self._extra_uses: Dict[int, List[int]] = state.extra_uses
+        self._use_seen: Dict[int, Set[int]] = state.use_seen
         #: Mirror of ``InvokeFlow.linked_callees`` per invoke fid.
-        self._linked_callees: Dict[int, Set[str]] = {}
+        self._linked_callees: Dict[int, Set[str]] = state.linked_callees
         #: ``pred_on``'s fan-out, replayed per method activation (the object
         #: solver grows it while *building* each reachable method).
-        self._pred_on_targets: List[int] = []
-        self._activated = bytearray(arena.num_methods)
+        self._pred_on_targets: List[int] = state.pred_on_targets
+        self._activated = state.activated
         #: Activation order — the object PVPG's method-graph insertion order.
-        self._activated_mids: List[int] = []
+        self._activated_mids: List[int] = state.activated_mids
         #: Field fids in first-link order — the object PVPG's lazy
         #: ``FieldFlow`` creation order (``all_flows`` iterates it).
-        self._touched_fields: List[int] = []
-        self._touched_field_set: Set[int] = set()
+        self._touched_fields: List[int] = state.touched_fields
+        self._touched_field_set: Set[int] = state.touched_field_set
 
-        self._reachable: Set[str] = set()
-        self._stub_methods: Set[str] = set()
-        self._steps = 0
-        self._joins = 0
-        self._transfers = 0
-        self._saturated_count = 0
-        self._seeded_roots: List[str] = []
-        self._stub_links: List[Tuple[int, MethodSignature]] = []
-        self._solve_count = 0
+        self._reachable: Set[str] = state.reachable
+        self._stub_methods: Set[str] = state.stub_methods
+        self._steps = state.steps
+        self._joins = state.joins
+        self._transfers = state.transfers
+        self._saturated_count = state.saturated_flows
+        self._seeded_roots: List[str] = state.seeded_roots
+        self._stub_links: List[Tuple[int, MethodSignature]] = state.stub_links
+        self._solve_count = state.solve_count
 
         self._worklist: Deque[int] = deque()
         self._pending_links: Deque[int] = deque()
@@ -183,7 +377,7 @@ class ArenaKernelSolver:
 
         #: Lazily inflated by the :attr:`state` property after :meth:`solve`.
         self._inflated: Optional[SolverState] = None
-        self._solved = False
+        self._solved = state.solve_count > 0
 
     # ------------------------------------------------------------------ #
     # State views (the object solver's read surface)
@@ -323,37 +517,148 @@ class ArenaKernelSolver:
         return rows
 
     # ------------------------------------------------------------------ #
+    # Result queries (no inflation): AnalysisResult delegates here
+    # ------------------------------------------------------------------ #
+    def call_edges(self, callers: Iterable[str]) -> List[Tuple[str, str]]:
+        """The (caller, callee) pairs out of the reachable ``callers``.
+
+        In ``AnalysisResult.call_edges`` order: callers by qualified name,
+        their invokes in body order, each invoke's callees sorted.
+        """
+        arena = self.arena
+        inv_ptr = arena.method_inv_ptr
+        inv_val = arena.method_inv_val
+        linked = self._linked_callees
+        edges: List[Tuple[str, str]] = []
+        for name in sorted(callers):
+            mid = arena.mid_of(name)
+            if mid is None or not self._activated[mid]:
+                continue
+            for fid in inv_val[inv_ptr[mid]:inv_ptr[mid + 1]]:
+                for callee in sorted(linked.get(fid, ())):
+                    edges.append((name, callee))
+        return edges
+
+    def _reachable_mid(self, qualified_name: str) -> int:
+        mid = self.arena.mid_of(qualified_name)
+        if mid is None or not self._activated[mid]:
+            raise KeyError(
+                f"method {qualified_name!r} was not analyzed (not reachable)")
+        return mid
+
+    def call_targets(self, qualified_name: str) -> Dict[str, FrozenSet[str]]:
+        """Call-site label -> linked callees in one reachable method."""
+        arena = self.arena
+        mid = self._reachable_mid(qualified_name)
+        fids = arena.method_inv_val[
+            arena.method_inv_ptr[mid]:arena.method_inv_ptr[mid + 1]]
+        return {f"{arena.string(arena.flow_label[fid])}#{index}":
+                frozenset(self._linked_callees.get(fid, ()))
+                for index, fid in enumerate(fids)}
+
+    def parameter_state(self, qualified_name: str, index: int) -> ValueState:
+        arena = self.arena
+        mid = self._reachable_mid(qualified_name)
+        fids = arena.method_param_val[
+            arena.method_param_ptr[mid]:arena.method_param_ptr[mid + 1]]
+        return self._st[fids[index]]
+
+    def return_state(self, qualified_name: str) -> ValueState:
+        arena = self.arena
+        mid = self._reachable_mid(qualified_name)
+        state = _EMPTY
+        for fid in arena.method_ret_val[
+                arena.method_ret_ptr[mid]:arena.method_ret_ptr[mid + 1]]:
+            if self._enabled[fid]:
+                state = state.join(self._st[fid])
+        return state
+
+    def field_state(self, qualified_field_name: str) -> ValueState:
+        fid = self.arena.field_fid(qualified_field_name)
+        if fid is None or fid not in self._touched_field_set:
+            return _EMPTY
+        return self._st[fid]
+
+    # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
     def solve(self, roots: Optional[Iterable[str]] = None) -> None:
-        """Run the cold solve to a fixed point (mirror of ``SkipFlowSolver.solve``)."""
-        self._enabled[0] = 1
-        self._st[0] = PredOnFlow.artificial_on_enable
+        """Run to a fixed point (mirror of ``SkipFlowSolver.solve``).
 
-        root_names = (list(roots) if roots is not None
-                      else list(self.program.entry_points))
-        if not root_names:
-            raise ValueError("no root methods: provide roots or program entry points")
-        self._saturation = make_saturation_policy(
-            self.config.saturation_policy, self.config.saturation_threshold,
-            self.program, tuple(root_names))
-        self._solve_roots = tuple(dict.fromkeys(root_names))
-        self._refresh_saturation()
-        previously_seeded: Set[str] = set()
-        for root in root_names:
-            mid = self._activate(root)
-            if mid is None:
-                continue
-            self._seed_root_parameters(mid)
-            if root not in previously_seeded:
-                self._seeded_roots.append(root)
-                previously_seeded.add(root)
-        self._solve_count = 1
-        self._run()
-        while self._refresh_saturation():
-            self._recollapse_saturated()
+        On a fresh state this is the cold solve.  On a state that already
+        solved, the iteration *resumes* over the extended arena: the
+        worklist residue is rescheduled, saturated flows re-collapse
+        against the current sentinels, the root seeds and stub effects are
+        re-played (:meth:`_reattach`), and only then are the roots seeded.
+        The counters go back to the state also when the solve raises.
+        """
+        resuming = self._solve_count > 0
+        try:
+            self._enabled[0] = 1
+            self._st[0] = PredOnFlow.artificial_on_enable
+
+            root_names = (list(roots) if roots is not None
+                          else list(self.program.entry_points))
+            if not root_names:
+                raise ValueError(
+                    "no root methods: provide roots or program entry points")
+            self._saturation = make_saturation_policy(
+                self.config.saturation_policy, self.config.saturation_threshold,
+                self.program, tuple(root_names))
+            self._solve_roots = tuple(dict.fromkeys(
+                list(self._seeded_roots) + root_names))
+            self._refresh_saturation()
+            previously_seeded = set(self._seeded_roots)
+            if resuming:
+                self._reattach()
+            for root in root_names:
+                mid = self._activate(root)
+                if mid is None:
+                    continue
+                if resuming and root in previously_seeded:
+                    continue  # _reattach already re-played this root's seed.
+                self._seed_root_parameters(mid)
+                if root not in previously_seeded:
+                    self._seeded_roots.append(root)
+                    previously_seeded.add(root)
+            self._solve_count += 1
             self._run()
+            while self._refresh_saturation():
+                self._recollapse_saturated()
+                self._run()
+        finally:
+            state = self.arena_state
+            state.steps = self._steps
+            state.joins = self._joins
+            state.transfers = self._transfers
+            state.saturated_flows = self._saturated_count
+            state.solve_count = self._solve_count
         self._solved = True
+
+    def _reattach(self) -> None:
+        """Mirror of ``SkipFlowSolver._reattach``: prepare a warm continuation.
+
+        The worklist residue (empty at a fixpoint) re-enters the queues in
+        ``all_flows()`` order, saturated flows re-collapse against the
+        current sentinels, and the conservative root seeds and stub effects
+        are re-played, because the hierarchy may have grown under them.
+        """
+        in_worklist = self._in_worklist
+        in_link_queue = self._in_link_queue
+        if 1 in in_worklist or 1 in in_link_queue:
+            flow_kind = self.arena.flow_kind
+            for fid in self._iter_all_fids():
+                if in_worklist[fid]:
+                    self._worklist.append(fid)
+                if flow_kind[fid] == schema.K_INVOKE and in_link_queue[fid]:
+                    self._pending_links.append(fid)
+        self._recollapse_saturated()
+        for root in self._seeded_roots:
+            mid = self.arena.mid_of(root)
+            if mid is not None and self._activated[mid]:
+                self._seed_root_parameters(mid)
+        for fid, signature in list(self._stub_links):
+            self._apply_stub_effects(fid, signature)
 
     # ------------------------------------------------------------------ #
     # Reachability
@@ -661,6 +966,7 @@ class ArenaKernelSolver:
             arena = self.arena
             seen = set(arena.use_val[
                 arena.use_ptr[source]:arena.use_ptr[source + 1]])
+            seen.update(self._extra_uses.get(source, ()))
             self._use_seen[source] = seen
         if target in seen:
             return
@@ -884,7 +1190,7 @@ class ArenaKernelSolver:
         pvpg = ProgramPVPG()
         flows: Dict[int, Flow] = {0: pvpg.pred_on}
         for field_fid in self._touched_fields:
-            row = field_fid - 1
+            row = arena.flow_aux1[field_fid]
             cls = hierarchy.get(arena.string(arena.field_class[row]))
             declaration = cls.fields[arena.string(arena.field_name[row])]
             flows[field_fid] = pvpg.field_flow(declaration)
@@ -959,18 +1265,24 @@ class ArenaKernelSolver:
             flow.saturated = bool(self._saturated[fid])
 
         state = SolverState(self.config)
+        generation = getattr(self.arena_state, "session_generation", None)
+        if generation is not None:
+            state.session_generation = generation
+        # Counters from the tables, which a later resume keeps current
+        # (this solver's own copies stop at its solve).
+        tables = self.arena_state
         state.pvpg = pvpg
         state.reachable = self._reachable
         state.stub_methods = self._stub_methods
-        state.steps = self._steps
-        state.joins = self._joins
-        state.transfers = self._transfers
-        state.saturated_flows = self._saturated_count
+        state.steps = tables.steps
+        state.joins = tables.joins
+        state.transfers = tables.transfers
+        state.saturated_flows = tables.saturated_flows
         state.seeded_roots = list(self._seeded_roots)
         state.stub_links = [
             (flows[fid], signature) for fid, signature in self._stub_links]
-        state.solve_count = self._solve_count
+        state.solve_count = tables.solve_count
         return state
 
 
-__all__ = ["ArenaKernelSolver"]
+__all__ = ["ARENA_SNAPSHOT_VERSION", "ArenaKernelSolver", "ArenaSolverState"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.core.flows import InvokeFlow
-from repro.core.kernel.arena_kernel import ArenaKernelSolver
+from repro.core.kernel.arena_kernel import ArenaKernelSolver, ArenaSolverState
 from repro.core.pvpg import BranchRecord, MethodPVPG, ProgramPVPG
 from repro.ir.program import Program
 from repro.lattice.value_state import ValueState
@@ -108,9 +108,10 @@ class AnalysisResult:
     the image builder, the metrics collector, and the tests.  ``pvpg`` and
     ``solver_state`` may be constructed with :class:`Deferred` thunks: the
     arena kernel propagates on flat integer tables and only inflates the
-    object graph when one of these fields is actually read, so consumers
-    that stick to counters, reachable sets, and the image reports never
-    trigger it.
+    object graph when one of these fields is actually read.  The call
+    graph and value-state queries below ask the arena kernel's tables
+    directly, so consumers that stick to them, the counters, the
+    reachable sets and the image reports never trigger it.
     """
 
     program: Program
@@ -127,15 +128,34 @@ class AnalysisResult:
     #: counts, sets, stats — are copies taken at solve time and stay put).
     solver_state: Optional[object] = None
     #: The arena kernel solver that produced this result: it answers the
-    #: image-report queries from its own tables (``image_counters`` /
-    #: ``dead_code_rows``); ``None`` for the object kernel, whose only view
+    #: report queries from its own tables (the call graph, value states,
+    #: ``image_counters`` / ``dead_code_rows``), so reading them never
+    #: inflates ``pvpg``; ``None`` for the object kernel, whose only view
     #: *is* the PVPG.
     kernel_backend: Optional[ArenaKernelSolver] = None
-    #: The kernel that ran the solve: ``arena`` for a cold solve of an
-    #: :class:`~repro.ir.arena.ArenaProgram` — attached to a buffer, or the
-    #: in-memory lowering every image build solves — and ``object``
-    #: otherwise (a plain program analyzed directly, or a warm resume).
+    #: The kernel that ran the solve: ``arena`` for a solve of an
+    #: :class:`~repro.ir.arena.ArenaProgram` — attached to a buffer (and
+    #: maybe extended by deltas since), or the in-memory lowering every
+    #: image build solves — and ``object`` otherwise (a plain program, or
+    #: a resume of an object-graph state).
     kernel_ran: str = "object"
+
+    @property
+    def arena_state(self) -> Optional[ArenaSolverState]:
+        """The arena kernel's tables behind this result (``None`` on object).
+
+        What a warm resume continues without inflating anything; like
+        ``solver_state``, resuming it mutates it in place.
+        """
+        backend = self.kernel_backend
+        return backend.arena_state if backend is not None else None
+
+    @property
+    def resumable_state(self) -> Optional[object]:
+        """The state a warm resume continues: :attr:`arena_state` when the
+        arena kernel ran, else the object ``solver_state``."""
+        state = self.arena_state
+        return state if state is not None else self.solver_state
 
     # ------------------------------------------------------------------ #
     # Reachability
@@ -160,10 +180,14 @@ class AnalysisResult:
     # Value states
     # ------------------------------------------------------------------ #
     def parameter_state(self, qualified_name: str, index: int) -> ValueState:
+        if self.kernel_backend is not None:
+            return self.kernel_backend.parameter_state(qualified_name, index)
         graph = self._require_graph(qualified_name)
         return graph.parameter_flows[index].state
 
     def return_state(self, qualified_name: str) -> ValueState:
+        if self.kernel_backend is not None:
+            return self.kernel_backend.return_state(qualified_name)
         graph = self._require_graph(qualified_name)
         state = ValueState.empty()
         for return_flow in graph.return_flows:
@@ -172,6 +196,8 @@ class AnalysisResult:
         return state
 
     def field_state(self, qualified_field_name: str) -> ValueState:
+        if self.kernel_backend is not None:
+            return self.kernel_backend.field_state(qualified_field_name)
         flow = self.pvpg.field_flows.get(qualified_field_name)
         return flow.state if flow is not None else ValueState.empty()
 
@@ -180,6 +206,8 @@ class AnalysisResult:
     # ------------------------------------------------------------------ #
     def call_targets(self, qualified_name: str) -> Dict[str, FrozenSet[str]]:
         """Map from call-site label to the set of linked callees in a method."""
+        if self.kernel_backend is not None:
+            return self.kernel_backend.call_targets(qualified_name)
         graph = self._require_graph(qualified_name)
         targets: Dict[str, FrozenSet[str]] = {}
         for index, invoke_flow in enumerate(graph.invoke_flows):
@@ -189,6 +217,8 @@ class AnalysisResult:
 
     def call_edges(self) -> List[Tuple[str, str]]:
         """All (caller, callee) pairs of the computed call graph."""
+        if self.kernel_backend is not None:
+            return self.kernel_backend.call_edges(self.reachable_methods)
         edges: List[Tuple[str, str]] = []
         for graph in self.reachable_graphs():
             for invoke_flow in graph.invoke_flows:

@@ -18,15 +18,20 @@ its own addressable snapshot.  The payload itself carries
 :meth:`SolverState.from_bytes`), and :meth:`SnapshotStore.store` stamps
 the program fingerprint into it, so even a snapshot loaded against the
 wrong (non-monotone) program refuses to resume at solve time rather than
-producing a stale fixpoint.
+producing a stale fixpoint.  The arena kernel's
+:class:`~repro.core.kernel.arena_kernel.ArenaSolverState` is stored the
+same way (its pickled tables, stamped with the arena's fid and method
+counts and the fingerprint) and read back with :meth:`SnapshotStore.
+load_arena`, which refuses a program that does not rebuild them.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
-from repro.core.state import SolverState, SolverStateError
+from repro.core.kernel.arena_kernel import ArenaSolverState
+from repro.core.state import SnapshotMismatchError, SolverState, SolverStateError
 from repro.engine.cache import BlobStore
 from repro.ir.program import Program
 
@@ -69,7 +74,29 @@ class SnapshotStore(BlobStore):
         self.hits += 1
         return state
 
-    def store(self, spec, config, state: SolverState,
+    def load_arena(self, spec, config,
+                   program: Program) -> Optional[ArenaSolverState]:
+        """The stored arena-kernel tables restored over ``program``.
+
+        ``None`` on a missing, corrupt or stale blob.  A blob that does not
+        match ``program`` — a different arena or fingerprint than it was
+        written against — raises
+        :class:`~repro.core.state.SnapshotMismatchError`: its fids would
+        name other flows, and that is a broken rebuild, not a lost cache.
+        """
+        try:
+            blob = self.path_for(spec, config).read_bytes()
+            state = ArenaSolverState.from_bytes(blob, program)
+        except SnapshotMismatchError:
+            self.misses += 1
+            raise
+        except (OSError, SolverStateError):
+            self.misses += 1
+            return None
+        self.hits += 1
+        return state
+
+    def store(self, spec, config, state: Union[SolverState, ArenaSolverState],
               program: Optional[Program] = None) -> None:
         """Atomically persist ``state``; with ``program``, stamp the snapshot.
 

@@ -30,7 +30,10 @@ trace and audit oracles itself.
 :class:`~repro.api.AnalysisSession` replays the edit script warm
 (``update`` + ``run(resume=...)``) while a cold solve is run per prefix;
 their reachable sets, call edges, and stub sets must be identical at every
-step.  (Full value-state equality of warm and cold solves is asserted by
+step.  An arena-backed twin session (the base frozen, then attached)
+replays the same script: each edit extends its arena and each run resumes
+on the arena kernel, which must run (``kernel-divergence``), pay the
+object chain's counters exactly, and match the cold outputs too.  (Full value-state equality of warm and cold solves is asserted by
 ``tests/core/test_solver_state.py``; the oracle keeps to the canonical
 outputs, which are cheap to compare per prefix.)
 
@@ -362,36 +365,61 @@ def check_case(script: EditScriptSpec, *,
             report.violations.extend(_check_audits(
                 arena.raw.solver_state, attached, alabel, count))
 
-    # Warm chains: one session per combination, resumed across every edit.
+    # Warm chains: one session per combination, resumed across every edit,
+    # and an arena-backed twin of it (the base frozen, then attached) that
+    # resumes on the arena kernel over the arena each edit extends.
     for saturation in saturations:
         report.combos_checked += 1
         label = f"skipflow[{saturation}@{threshold}]"
+        alabel = label[:-1] + "/arena]"
         options = _combo_options(saturation, threshold)
         session = AnalysisSession(generate_benchmark(script.base))
+        twin = AnalysisSession(open_program(freeze(
+            generate_benchmark(script.base))))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a fallback is a failure here
             warm = session.run("skipflow", **options)
             state = warm.raw.solver_state
+            twin_warm = twin.run("skipflow", **options)
             for count in prefixes:
                 if count > 0:
-                    session.update(
-                        build_edit_delta(script.base,
-                                         script.steps[count - 1]))
+                    step = script.steps[count - 1]
+                    session.update(build_edit_delta(script.base, step))
                     warm = session.run("skipflow", resume=state, **options)
                     state = warm.raw.solver_state
+                    twin.update(build_edit_delta(script.base, step))
+                    twin_warm = twin.run("skipflow", resume=twin_warm,
+                                         **options)
+                    if twin_warm.raw.kernel_ran != "arena":
+                        report.violations.append(OracleViolation(
+                            "kernel-divergence", alabel, count,
+                            f"the warm resume of the extended arena ran on "
+                            f"the {twin_warm.raw.kernel_ran} kernel"))
+                    elif twin_warm.solver_stats != warm.solver_stats:
+                        report.violations.append(OracleViolation(
+                            "kernel-divergence", alabel, count,
+                            f"the arena resume diverged from the object "
+                            f"resume: {twin_warm.solver_stats} vs "
+                            f"{warm.solver_stats}"))
                 report.violations.extend(_check_audits(
                     state, session.program, f"{label} warm", count,
                     warm_barrier=session.warm_barrier))
-                warm_outputs = _canonical_outputs(warm)
-                cold_outputs = cold[(saturation, count)]
-                for kind, w, c in zip(
-                        ("reachable", "call-edges", "stubs"),
-                        warm_outputs, cold_outputs):
-                    if w != c:
-                        extra = sorted(w - c)[:3]
-                        missing = sorted(c - w)[:3]
-                        report.violations.append(OracleViolation(
-                            "warm-cold-mismatch", label, count,
-                            f"{kind} differ: warm-only={extra}, "
-                            f"cold-only={missing}"))
+                for chain, result in ((label, warm), (alabel, twin_warm)):
+                    report.violations.extend(_warm_cold_mismatches(
+                        chain, count, _canonical_outputs(result),
+                        cold[(saturation, count)]))
     return report
+
+
+def _warm_cold_mismatches(label: str, step: int, warm_outputs,
+                          cold_outputs) -> List[OracleViolation]:
+    violations: List[OracleViolation] = []
+    for kind, w, c in zip(("reachable", "call-edges", "stubs"),
+                          warm_outputs, cold_outputs):
+        if w != c:
+            extra = sorted(w - c)[:3]
+            missing = sorted(c - w)[:3]
+            violations.append(OracleViolation(
+                "warm-cold-mismatch", label, step,
+                f"{kind} differ: warm-only={extra}, cold-only={missing}"))
+    return violations

@@ -45,6 +45,13 @@ table, entry points, then flows in fid order), and sections are written in
 a fixed order, so the buffer is a pure function of the program, and the
 columns of a lowering equal those of an attached freeze of it.
 
+The same traversal lowers a *segment*: the classes, fields, methods and
+entry points one monotone delta adds to an attached program, with every
+id continuing its base's count (:class:`ExtendedArena`, built by
+:meth:`ArenaProgram.extend <repro.ir.arena.program.ArenaProgram.extend>`).
+Base ids never move, so the arena kernel's tables over the base stay
+valid over the extension.
+
 ``filtering_enabled`` of filter flows is *not* encoded: it is a property
 of the analysis config, reapplied when flows are inflated, which keeps the
 frozen structure config-independent (one arena serves every config).
@@ -54,6 +61,8 @@ from __future__ import annotations
 
 import operator
 import pickle
+from array import array
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Set
 
@@ -63,7 +72,7 @@ from repro.ir.arena import schema
 from repro.ir.arena.layout import BufferWriter
 from repro.ir.arena.program import ArenaProgram, ProgramArena
 from repro.ir.cfg import ControlFlowGraph
-from repro.ir.delta import ProgramFingerprint
+from repro.ir.delta import ProgramFingerprint, class_shape
 from repro.ir.instructions import (
     Assign,
     CompareOp,
@@ -74,23 +83,29 @@ from repro.ir.instructions import (
 )
 from repro.ir.method import Method
 from repro.ir.program import Program
-from repro.ir.types import FieldDecl, TypeHierarchy
+from repro.ir.types import ClassType, FieldDecl, TypeHierarchy
 from repro.ir.values import ConstantExpr, ConstKind
 
 _NONE = schema.NONE_ID
 
 
 class _Strings:
-    """Interning string table: ids in first-intern order."""
+    """Interning string table: ids in first-intern order, from ``first``.
 
-    def __init__(self) -> None:
+    A segment's table starts after its base's strings; it does not look
+    the base's strings up, so a text may have two ids (the kernel compares
+    strings by text, never by id).
+    """
+
+    def __init__(self, first: int = 0) -> None:
         self._ids: Dict[str, int] = {}
         self.texts: List[str] = []
+        self._first = first
 
     def intern(self, text: str) -> int:
         sid = self._ids.get(text)
         if sid is None:
-            sid = self._ids[text] = len(self.texts)
+            sid = self._ids[text] = self._first + len(self.texts)
             self.texts.append(text)
         return sid
 
@@ -125,12 +140,15 @@ _Columns = Dict[str, List[int]]
 
 
 def _store_pairs(columns: _Columns, ptr_name: str, val_name: str,
-                 pairs: List[int], num_rows: int) -> None:
+                 pairs: List[int], num_rows: int, first_row: int = 0) -> None:
     """Store flat ``(row, value, row, value, ...)`` pairs as a CSR.
 
+    Rows are numbered from ``first_row`` (a segment's first fid).
     ``sorted`` is stable, so every row keeps its values' insertion order.
     """
     rows, vals = pairs[0::2], pairs[1::2]
+    if first_row:
+        rows = [row - first_row for row in rows]
     counts = [0] * (num_rows + 1)
     for row in rows:
         counts[row + 1] += 1
@@ -154,11 +172,13 @@ class _ColumnSink:
 
     pred_on = 0
 
-    def __init__(self, strings: _Strings) -> None:
+    def __init__(self, strings: _Strings, base: "_Offsets") -> None:
         self._intern = strings.intern
         self._opt = strings.opt
-        self._next = 0
-        self._method_id = _NONE
+        self._next = base.flows
+        self._method_id = base.methods - 1
+        self._first_const = base.consts
+        self._first_call_site = base.call_sites
         #: One ``_FLOW_COLUMNS`` row per flow, flattened.
         self.flows: List[int] = []
         self.flow_lo: List[int] = []
@@ -196,7 +216,7 @@ class _ColumnSink:
         self._seen_pred: Set[int] = set()
 
     @property
-    def num_flows(self) -> int:
+    def next_fid(self) -> int:
         return self._next
 
     def global_flow(self, kind: int, label: str, aux1: int = _NONE) -> None:
@@ -276,7 +296,8 @@ class _ColumnSink:
                receiver: Optional[int], arguments: List[int]) -> int:
         intern, opt, cols = self._intern, self._opt, self.cs_cols
         sid = intern(label)
-        fid = self._emit(pred, schema.K_INVOKE, sid, len(cols["cs_kind"]),
+        fid = self._emit(pred, schema.K_INVOKE, sid,
+                         self._first_call_site + len(cols["cs_kind"]),
                          _NONE if receiver is None else receiver)
         cols["cs_kind"].append(schema.INVOKE_INDEX[invoke.kind])
         cols["cs_method_name"].append(intern(invoke.method_name))
@@ -316,7 +337,7 @@ class _ColumnSink:
     def _const_row(self, expr: ConstantExpr) -> int:
         row = self._const_ids.get(expr)
         if row is None:
-            row = len(self._const_ids)
+            row = self._first_const + len(self._const_ids)
             self._const_ids[expr] = row
             self.const_kind.append(schema.CONST_INDEX[expr.kind])
             self.const_int.append(expr.int_value if expr.kind is ConstKind.INT else 0)
@@ -376,13 +397,51 @@ def _branches(cfg: ControlFlowGraph) -> List[If]:
     return [end for end in ends if isinstance(end, If)]
 
 
+@dataclass(frozen=True)
+class _Offsets:
+    """Where a lowering's ids start: 0 for a program, a base's counts for
+    a segment appended to it."""
+
+    strings: int = 0
+    fields: int = 0
+    methods: int = 0
+    flows: int = 0
+    consts: int = 0
+    call_sites: int = 0
+
+    @staticmethod
+    def after(arena: ProgramArena) -> "_Offsets":
+        return _Offsets(strings=arena.num_strings, fields=arena.num_fields,
+                        methods=arena.num_methods, flows=arena.num_flows,
+                        consts=len(arena.const_kind),
+                        call_sites=len(arena.cs_kind))
+
+
 def lower(program: Program) -> "LoweredArena":
     """Lower ``program`` into arena columns, in memory.
 
     No body is pickled, no fingerprint taken and no buffer written: the
     result points at the program's live hierarchy and method bodies.
     """
-    strings = _Strings()
+    methods = list(program.methods.values())
+    columns, strings, _ = _lower(list(program.hierarchy), methods,
+                                 list(program.entry_points), _Offsets())
+    return LoweredArena(columns, strings, program.hierarchy, methods,
+                        getattr(program, "program_fingerprint", None))
+
+
+def _lower(classes: List[ClassType], methods: List[Method],
+           entry_points: List[str], base: _Offsets):
+    """The columns of ``classes``, ``methods`` and ``entry_points``.
+
+    With zero offsets this is a whole program (``pred_on``, then every
+    field, then every method's flows); with a base's offsets it is a
+    segment to append to that base: its fields and flows continue the
+    base's fids, its methods, constants and call sites the base's rows,
+    and its pointer columns count from 0 within the segment.  Returns the
+    columns, the new strings and the fids of the new fields.
+    """
+    strings = _Strings(base.strings)
     columns: _Columns = {}
 
     # ------------------------------------------------------------------ #
@@ -404,7 +463,7 @@ def lower(program: Program) -> "LoweredArena":
     sig_static: List[int] = []
     sig_param_rows = _Rows()
 
-    for cls in program.hierarchy:
+    for cls in classes:
         type_name.append(strings.intern(cls.name))
         type_super.append(strings.opt(cls.superclass))
         type_flags.append(
@@ -443,7 +502,6 @@ def lower(program: Program) -> "LoweredArena":
     # ------------------------------------------------------------------ #
     # Method table (its strings precede every flow's)
     # ------------------------------------------------------------------ #
-    methods = list(program.methods.values())
     cfgs = [ControlFlowGraph(method) for method in methods]
     method_name: List[int] = []
     m_sig_class: List[int] = []
@@ -511,14 +569,17 @@ def lower(program: Program) -> "LoweredArena":
                     strings.opt(condition.right.declared_type))
         br_ptr.append(len(branch_ifs))
 
-    entry_points = [strings.intern(name) for name in program.entry_points]
+    entry_sids = [strings.intern(name) for name in entry_points]
 
     # ------------------------------------------------------------------ #
     # Flows: pred_on, the field flows, then every method's graph
     # ------------------------------------------------------------------ #
-    sink = _ColumnSink(strings)
-    sink.global_flow(schema.K_PRED_ON, "pred_on")
-    for index, decl in enumerate(field_decls):
+    sink = _ColumnSink(strings, base)
+    if not base.flows:
+        sink.global_flow(schema.K_PRED_ON, "pred_on")
+    field_fids = []
+    for index, decl in enumerate(field_decls, base.fields):
+        field_fids.append(sink.next_fid)
         sink.global_flow(schema.K_FIELD, decl.qualified_name, index)
     builder = PVPGBuilder(sink)
     for method, cfg in zip(methods, cfgs):
@@ -526,7 +587,7 @@ def lower(program: Program) -> "LoweredArena":
     assert len(sink.branch_ifs) == len(branch_ifs) and all(
         map(operator.is_, sink.branch_ifs, branch_ifs)), (
         "branch string columns out of step with the builder's branch order")
-    num_flows = sink.num_flows
+    num_flows = sink.next_fid - base.flows
 
     # ------------------------------------------------------------------ #
     # Columns, in section order (serialize writes them in this order)
@@ -552,13 +613,15 @@ def lower(program: Program) -> "LoweredArena":
     for name, column in branch_cols.items():
         columns[name] = column
 
-    columns["entry_points"] = entry_points
+    columns["entry_points"] = entry_sids
 
     sink.store_flows(columns)
-    _store_pairs(columns, "use_ptr", "use_val", sink.uses, num_flows)
-    _store_pairs(columns, "obs_ptr", "obs_val", sink.observers, num_flows)
-    _store_pairs(columns, "ptgt_ptr", "ptgt_val", sink.pred_targets, num_flows)
-    _store_pairs(columns, "pin_ptr", "pin_val", sink.predicates, num_flows)
+    for ptr_name, val_name, pairs in (
+            ("use_ptr", "use_val", sink.uses),
+            ("obs_ptr", "obs_val", sink.observers),
+            ("ptgt_ptr", "ptgt_val", sink.pred_targets),
+            ("pin_ptr", "pin_val", sink.predicates)):
+        _store_pairs(columns, ptr_name, val_name, pairs, num_flows, base.flows)
 
     columns["const_kind"] = sink.const_kind
     columns["const_int"] = sink.const_int
@@ -569,9 +632,7 @@ def lower(program: Program) -> "LoweredArena":
     sink.cs_args.store(columns, "cs_args_ptr", "cs_args_name")
     columns["cs_args_type"] = sink.cs_args_type
     sink.inv_args.store(columns, "inv_args_ptr", "inv_args_val")
-
-    return LoweredArena(columns, strings.texts, program.hierarchy, methods,
-                        getattr(program, "program_fingerprint", None))
+    return columns, strings.texts, field_fids
 
 
 class LoweredArena(ProgramArena):
@@ -597,6 +658,7 @@ class LoweredArena(ProgramArena):
         self._fingerprint = fingerprint
         self._name_to_mid = None
         self._field_fids = None
+        self._field_flow_ids = None
 
     @property
     def strings(self) -> List[str]:
@@ -617,31 +679,128 @@ class LoweredArena(ProgramArena):
     def method_blocks(self, mid: int) -> list:
         return self.methods[mid].blocks
 
+    def body_sections(self):
+        return _pickled_bodies(self.methods, [0], b"")
+
     def to_bytes(self) -> bytes:
         return serialize(self)
 
 
-def serialize(lowered: LoweredArena,
-              fingerprint: Optional[ProgramFingerprint] = None) -> bytes:
-    """Write a lowering as one arena buffer, bodies and fingerprint included.
+def _pickled_bodies(methods: List[Method], ptr, blob):
+    """The ``ptr``/``blob`` body sections followed by ``methods``' pickles."""
+    pickles = [pickle.dumps(method.blocks, protocol=pickle.HIGHEST_PROTOCOL)
+               for method in methods]
+    offsets = list(accumulate(map(len, pickles), initial=ptr[-1]))
+    return [*ptr, *offsets[1:]], bytes(blob) + b"".join(pickles)
 
+
+def _ints(column) -> array:
+    """A growable copy of an integer column (a list, array or memoryview)."""
+    if isinstance(column, list):
+        return array("q", column)
+    copy = array("q")
+    copy.frombytes(memoryview(column).cast("B"))
+    return copy
+
+
+class ExtendedArena(ProgramArena):
+    """A base arena with the lowering of one monotone delta appended.
+
+    Every base id keeps its meaning: the segment's types, fields,
+    signatures, methods, branches, constants and call sites are numbered
+    after the base's rows, and its flows after the base's fids, so a
+    fixpoint solved over the base is a valid partial fixpoint of the
+    extension (the arena kernel resumes it).  The integer columns are
+    compact ``array('q')`` copies of the base's with the segment's rows
+    appended; pointer columns continue the base's last offset.  Strings
+    are the base's (decoded lazily) followed by the segment's own, method
+    bodies are the base's followed by the delta's live methods, and the
+    fingerprint extends the base's with the delta's classes, method
+    digests and entry points.  :func:`serialize` writes it like any other
+    arena, fids included, so a re-based session's states stay valid.
+    """
+
+    def __init__(self, base: ProgramArena, classes: List[ClassType],
+                 methods: List[Method], entry_points: List[str],
+                 digests: Dict[str, str]) -> None:
+        columns, strings, field_fids = _lower(
+            classes, methods, entry_points, _Offsets.after(base))
+        self.base = base
+        self.columns = {}
+        for name, segment in columns.items():
+            column = _ints(getattr(base, name))
+            if name.endswith("_ptr"):
+                last = column[-1]
+                column.extend([offset + last for offset in segment[1:]])
+            else:
+                column.extend(segment)
+            self.columns[name] = column
+            setattr(self, name, column)
+        self.str_blob = getattr(base, "str_blob", None)
+        self.str_offsets = getattr(base, "str_offsets", None)
+        self._strings = list(base._strings) + strings
+        self.new_methods = methods
+        self._classes = classes
+        self._digests = digests
+        self._fingerprint = None
+        first_mid = base.num_methods
+        names = base._name_to_mid
+        self._name_to_mid = None if names is None else {
+            **names, **{method.qualified_name: first_mid + index
+                        for index, method in enumerate(methods)}}
+        fields = base._field_fids
+        self._field_fids = None if fields is None else {
+            **fields, **{decl.qualified_name: fid for decl, fid in zip(
+                (decl for cls in classes for decl in cls.fields.values()),
+                field_fids)}}
+        self._field_flow_ids = base.field_flow_ids() + field_fids
+
+    @property
+    def fingerprint(self) -> ProgramFingerprint:
+        """The base's fingerprint extended by the segment's (taken lazily)."""
+        if self._fingerprint is None:
+            base = self.base.fingerprint
+            self._fingerprint = ProgramFingerprint(
+                classes=tuple(sorted(base.classes + tuple(
+                    (cls.name, class_shape(cls)) for cls in self._classes))),
+                methods=tuple(sorted(
+                    base.methods + tuple(self._digests.items()))),
+                entry_points=tuple(self.entry_point_names()))
+        return self._fingerprint
+
+    def method_blocks(self, mid: int) -> list:
+        first = self.base.num_methods
+        if mid < first:
+            return self.base.method_blocks(mid)
+        return self.new_methods[mid - first].blocks
+
+    def body_sections(self):
+        return _pickled_bodies(self.new_methods, *self.base.body_sections())
+
+    def to_bytes(self) -> bytes:
+        return serialize(self)
+
+
+def serialize(lowered: ProgramArena,
+              fingerprint: Optional[ProgramFingerprint] = None) -> bytes:
+    """Write an in-memory arena as one buffer, bodies and fingerprint included.
+
+    ``lowered`` is a :class:`LoweredArena` or an :class:`ExtendedArena`.
     ``fingerprint`` is the lowered program's, when the caller has it
     (:func:`freeze` takes it through the program's memo); otherwise the
-    lowering takes its own.  The section order is part of the bytes: the
+    arena's own is used.  The section order is part of the bytes: the
     lowered columns in their order, with the pickled bodies after the
     allocation-site CSR, then the fingerprint and the string table.
     """
     if fingerprint is None:
         fingerprint = lowered.fingerprint
+    body_ptr, body_blob = lowered.body_sections()
     writer = BufferWriter()
     for name, column in lowered.columns.items():
         writer.add_ints(name, column)
         if name == "method_alloc_val":
-            blobs = [pickle.dumps(method.blocks, protocol=pickle.HIGHEST_PROTOCOL)
-                     for method in lowered.methods]
-            writer.add_ints("method_body_ptr",
-                            accumulate(map(len, blobs), initial=0))
-            writer.add_bytes("body_blob", b"".join(blobs))
+            writer.add_ints("method_body_ptr", body_ptr)
+            writer.add_bytes("body_blob", body_blob)
     writer.add_bytes(
         "fingerprint_blob",
         pickle.dumps(fingerprint, protocol=pickle.HIGHEST_PROTOCOL))

@@ -29,7 +29,6 @@ an attached buffer's.
 from __future__ import annotations
 
 import pickle
-from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -96,6 +95,7 @@ class ProgramArena:
         self._fingerprint = None
         self._name_to_mid: Optional[Dict[str, int]] = None
         self._field_fids: Optional[Dict[str, int]] = None
+        self._field_flow_ids: Optional[List[int]] = None
 
     # ------------------------------------------------------------------ #
     # Table sizes
@@ -116,6 +116,10 @@ class ProgramArena:
     def num_flows(self) -> int:
         return len(self.flow_kind)
 
+    @property
+    def num_strings(self) -> int:
+        return len(self._strings)
+
     def to_bytes(self) -> bytes:
         """The serialized buffer this arena reads from (a copy).
 
@@ -124,6 +128,10 @@ class ProgramArena:
         program store — without re-freezing anything.
         """
         return bytes(self.reader.raw)
+
+    def body_sections(self):
+        """The method-body pointer column and blob (see ``serialize``)."""
+        return self.method_body_ptr, self.body_blob
 
     # ------------------------------------------------------------------ #
     # Strings
@@ -140,6 +148,11 @@ class ProgramArena:
 
     def opt_string(self, sid: int) -> Optional[str]:
         return None if sid == schema.NONE_ID else self.string(sid)
+
+    @property
+    def strings(self) -> List[str]:
+        """The whole string table, by string id (decodes every string)."""
+        return [self.string(sid) for sid in range(self.num_strings)]
 
     # ------------------------------------------------------------------ #
     # Decoded views
@@ -161,13 +174,35 @@ class ProgramArena:
                 self.qualified_name(mid): mid for mid in range(self.num_methods)}
         return self._name_to_mid.get(qualified_name)
 
+    def field_flow_ids(self) -> List[int]:
+        """The flow id of each declared field, by field row.
+
+        A program's lowering puts the fields at fids ``1..num_fields``; an
+        arena extended by deltas (and written out again) has each delta's
+        fields after the flows before them, so those are found by kind.
+        """
+        if self._field_flow_ids is None:
+            count = self.num_fields
+            kind = self.flow_kind
+            if not count or (kind[count] == schema.K_FIELD
+                             and self.flow_aux1[count] == count - 1):
+                self._field_flow_ids = list(range(1, 1 + count))
+            else:
+                rows = self.flow_aux1
+                fids = [0] * count
+                for fid in range(1, len(kind)):
+                    if kind[fid] == schema.K_FIELD:
+                        fids[rows[fid]] = fid
+                self._field_flow_ids = fids
+        return self._field_flow_ids
+
     def field_fid(self, qualified_field_name: str) -> Optional[int]:
-        """The flow id of a declared field (fids ``1..num_fields``)."""
+        """The flow id of a declared field (see :meth:`field_flow_ids`)."""
         if self._field_fids is None:
             self._field_fids = {
                 f"{self.string(self.field_class[row])}."
-                f"{self.string(self.field_name[row])}": 1 + row
-                for row in range(self.num_fields)}
+                f"{self.string(self.field_name[row])}": fid
+                for row, fid in enumerate(self.field_flow_ids())}
         return self._field_fids.get(qualified_field_name)
 
     def method_signature(self, mid: int) -> MethodSignature:
@@ -309,7 +344,11 @@ def _signature_for(arena: ProgramArena, mid: int,
 
 
 class LazyMethodMap(Mapping):
-    """Read-only ``qualified name -> ArenaMethod`` mapping over an arena."""
+    """``qualified name -> ArenaMethod`` mapping over an arena.
+
+    Read-only, except that new methods may be added: the ones a delta
+    extends an attached program with are plain :class:`Method` objects.
+    """
 
     def __init__(self, arena: ProgramArena, hierarchy: TypeHierarchy) -> None:
         self._arena = arena
@@ -330,14 +369,22 @@ class LazyMethodMap(Mapping):
             self._cache[name] = method
         return method
 
+    def __setitem__(self, name: str, method: Method) -> None:
+        """Add a method the arena does not hold (a delta's; see
+        :meth:`ArenaProgram.extend`).  The mapping only grows."""
+        if name in self:
+            raise KeyError(f"method {name!r} is already in the arena")
+        self._names.append(name)
+        self._cache[name] = method
+
     def __iter__(self) -> Iterator[str]:
         return iter(self._names)
 
     def __len__(self) -> int:
         return len(self._names)
 
-    def materialized(self) -> Dict[str, ArenaMethod]:
-        """The method views handed out so far, by qualified name."""
+    def materialized(self) -> Dict[str, Method]:
+        """The methods handed out or added so far, by qualified name."""
         return dict(self._cache)
 
     def __reduce__(self):
@@ -346,13 +393,17 @@ class LazyMethodMap(Mapping):
 
 
 class ArenaProgram(Program):
-    """A :class:`Program` façade over an arena (read-only).
+    """A :class:`Program` façade over an arena.
 
     Attached to a buffer, it rebuilds the hierarchy from the type tables
-    and thaws method bodies lazily.  Over an in-memory lowering of a live
-    ``source`` program (:func:`repro.ir.arena.lowered_program`) it shares
-    the source's hierarchy and method bodies instead — ``methods`` is a
-    read-only proxy of the source's mapping — and copies its entry points.
+    and thaws method bodies lazily.  It only grows: a monotone
+    :class:`~repro.ir.delta.ProgramDelta` applied to it appends a lowering
+    of the delta's classes, fields and methods after the arena's own ids
+    (:meth:`extend`), so solver states over the old arena stay valid over
+    the new one.  Over an in-memory lowering of a live ``source`` program
+    (:func:`repro.ir.arena.lowered_program`) it shares the source's
+    hierarchy and method bodies instead — ``methods`` is a read-only proxy
+    of the source's mapping — copies its entry points, and cannot grow.
     """
 
     def __init__(self, arena: ProgramArena,
@@ -372,12 +423,42 @@ class ArenaProgram(Program):
             )
         self.arena = arena
 
-    @cached_property
+    @property
+    def extendable(self) -> bool:
+        """Whether deltas may extend this program (an attached one)."""
+        return isinstance(self.methods, LazyMethodMap)
+
+    def extend(self, delta) -> None:
+        """Append the lowering of ``delta``, just applied, to the arena.
+
+        :meth:`ProgramDelta.apply_to <repro.ir.delta.ProgramDelta.apply_to>`
+        calls this once it has declared the delta's classes, fields and
+        methods on this program: the arena becomes an
+        :class:`~repro.ir.arena.lowering.ExtendedArena` over the old one.
+        Only the delta's own methods are lowered; no body is thawed.
+        """
+        from repro.ir.arena.lowering import ExtendedArena
+
+        arena = self.arena
+        known = arena.num_types
+        classes = [cls for index, cls in enumerate(self.hierarchy)
+                   if index >= known]
+        self.arena = ExtendedArena(
+            arena, classes, [self.methods[name] for name in delta.method_names],
+            self.entry_points[len(arena.entry_points):],
+            delta.method_digests())
+
+    @property
     def allocation_site_index(self) -> Dict[str, Tuple[str, ...]]:
         """Qualified method name -> types NEW'd in its body (frozen order)."""
         arena = self.arena
-        return {arena.qualified_name(mid): arena.allocation_sites(mid)
-                for mid in range(arena.num_methods)}
+        index = self._site_index
+        if index is None or len(index) < arena.num_methods:
+            index = dict(index or {})
+            for mid in range(len(index), arena.num_methods):
+                index[arena.qualified_name(mid)] = arena.allocation_sites(mid)
+            self._site_index = index
+        return index
 
     @property
     def program_fingerprint(self):
@@ -413,7 +494,9 @@ def thaw(source) -> Program:
     program = Program(hierarchy=hierarchy)
     for mid in range(arena.num_methods):
         view = views.get(arena.qualified_name(mid))
-        program.add_method(view.detach() if view is not None else Method(
+        if isinstance(view, ArenaMethod):
+            view = view.detach()
+        program.add_method(view if view is not None else Method(
             signature=_signature_for(arena, mid, hierarchy),
             blocks=arena.method_blocks(mid),
             never_returns=bool(arena.method_never_returns[mid]),

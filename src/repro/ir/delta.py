@@ -54,7 +54,7 @@ from repro.ir.builder import MethodBuilder
 from repro.ir.method import Method
 from repro.ir.printer import format_method
 from repro.ir.program import Program
-from repro.ir.types import MethodSignature
+from repro.ir.types import ClassType, MethodSignature
 
 _DIGEST_ABBREV = 16
 
@@ -133,20 +133,23 @@ def _fingerprint(program: Program) -> ProgramFingerprint:
         methods.append((name, entry[1]))
     methods.sort()
     classes = tuple(sorted(
-        (cls.name, ClassShape(
-            superclass=cls.superclass,
-            interfaces=tuple(cls.interfaces),
-            is_interface=cls.is_interface,
-            is_abstract=cls.is_abstract,
-            fields=tuple(sorted(
-                (name, decl.declared_type)
-                for name, decl in cls.fields.items())),
-        ))
-        for cls in program.hierarchy))
+        (cls.name, class_shape(cls)) for cls in program.hierarchy))
     return ProgramFingerprint(
         classes=classes,
         methods=tuple(methods),
         entry_points=tuple(program.entry_points),
+    )
+
+
+def class_shape(cls: ClassType) -> ClassShape:
+    """The fingerprinted shape of one declared class."""
+    return ClassShape(
+        superclass=cls.superclass,
+        interfaces=tuple(cls.interfaces),
+        is_interface=cls.is_interface,
+        is_abstract=cls.is_abstract,
+        fields=tuple(sorted(
+            (name, decl.declared_type) for name, decl in cls.fields.items())),
     )
 
 
@@ -364,6 +367,7 @@ class ProgramDelta:
         self._methods: List[Method] = []
         self._entry_points: List[str] = []
         self._call_sites = 0
+        self._digests: Optional[Dict[str, str]] = None
 
     # ------------------------------------------------------------------ #
     # Builder surface (mirrors ProgramBuilder)
@@ -416,6 +420,7 @@ class ProgramDelta:
             raise DeltaError(
                 f"method {method.qualified_name!r} defined twice in delta")
         self._methods.append(method)
+        self._digests = None
         return method
 
     def add_entry_point(self, qualified_name: str) -> None:
@@ -462,6 +467,18 @@ class ProgramDelta:
     @property
     def entry_points(self) -> Tuple[str, ...]:
         return tuple(self._entry_points)
+
+    def method_digests(self) -> Dict[str, str]:
+        """Each method's body digest, taken once per delta.
+
+        An attached program's fingerprint extends its stamped one with
+        these, so replaying a logged delta onto its base again digests
+        nothing.
+        """
+        if self._digests is None:
+            self._digests = {method.qualified_name: _method_digest(method)
+                             for method in self._methods}
+        return self._digests
 
     @property
     def is_empty(self) -> bool:
@@ -551,10 +568,24 @@ class ProgramDelta:
         would invalidate warm resumption.  The returned record carries the
         monotonicity verdict either way, so callers deciding between warm
         and cold re-analysis have it in hand.
+
+        An attached :class:`~repro.ir.arena.ArenaProgram` only grows: it
+        takes a monotone delta by appending the lowering of the delta's
+        classes, fields and methods after its own ids
+        (:meth:`~repro.ir.arena.ArenaProgram.extend`), and refuses a
+        non-monotone one with :class:`NonMonotoneDeltaError` before
+        changing anything (thaw it first).
         """
+        from repro.ir.arena.program import ArenaProgram
+
+        arena = isinstance(program, ArenaProgram)
+        if arena and not program.extendable:
+            raise DeltaError(
+                "a lowered program view is read-only: apply the delta to "
+                "the program it lowers")
         self._check_structure(program)
         reasons = self.non_monotone_reasons(program)
-        if require_monotone and reasons:
+        if reasons and (require_monotone or arena):
             raise NonMonotoneDeltaError(reasons)
         for decl in self._classes:
             program.hierarchy.declare_class(
@@ -567,6 +598,8 @@ class ProgramDelta:
             program.add_method(method)
         for entry in self._entry_points:
             program.add_entry_point(entry)
+        if arena:
+            program.extend(self)
         return AppliedDelta(
             delta_name=self.name,
             monotone=not reasons,

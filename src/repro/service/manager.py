@@ -22,29 +22,32 @@ are spilled least-recently-used.  A session's program derives from a
 **base**: an arena blob in the engine's
 :class:`~repro.engine.program_store.ProgramStore` (a benchmark session's
 is its spec's shared blob), plus the **log** of
-:class:`~repro.ir.delta.ProgramDelta` scripts applied since.  A spill
-lowers nothing: it writes every analyzer slot's solver state to the
-:class:`~repro.engine.snapshots.SnapshotStore` as a snapshot that
-references the program's IR, keyed by a :class:`SessionSpillSpec`
+:class:`~repro.ir.delta.ProgramDelta` scripts applied since; on an
+attached program each monotone delta appended its own lowering to the
+arena.  A spill lowers nothing: it writes every analyzer slot's solver
+state to the :class:`~repro.engine.snapshots.SnapshotStore` — an arena
+kernel state as its pickled tables, an object state as a snapshot that
+references the program's IR — keyed by a :class:`SessionSpillSpec`
 exactly like benchmark blobs are keyed by their specs, and keeps the log
 in memory.  Only a session without a base (a source session, a rebuilt
 one) or whose program has outgrown its base (:data:`REBASE_GROWTH`)
-freezes the program, and that blob becomes its new base.  The next
+writes the program, and that blob becomes its new base.  The next
 request on an evicted session transparently rehydrates it — the base
-attached, thawed and the log replayed when there is one, states resolved
-against the result and re-stamped with their original session
-generations via
+attached and the log replayed, which re-extends the arena to the same
+fids, states restored over the result and re-stamped with their original
+session generations via
 :meth:`~repro.api.session.AnalysisSession.adopt_generations` — so warm
-resumption survives the round trip to disk.  A spill deletes the files
-of the session's previous spill that it did not rewrite, and ``close``
-deletes the session's files, so the spill directory holds at most one
-base and one set of snapshots per session; a benchmark's shared blob is
-never a session's to delete.
+resumption survives the round trip to disk without a thaw.  A spill
+deletes the files of the session's previous spill that it did not
+rewrite, and ``close`` deletes the session's files, so the spill
+directory holds at most one base and one set of snapshots per session; a
+benchmark's shared blob is never a session's to delete.
 
 **Metrics.**  Every request updates a :class:`ServiceMetrics` snapshot:
-request counts, solve modes (cached / warm / cold / cold-fallback), steps
-paid warm vs cold, coalescing depth, eviction traffic (with the spills
-that froze a program and the deltas rehydrations replayed), and latency
+request counts, solve modes (cached / warm / cold / cold-fallback), the
+kernel each analyze reported and the thaws sessions took, steps paid
+warm vs cold, coalescing depth, eviction traffic (with the spills that
+froze a program and the deltas rehydrations replayed), and latency
 percentiles of analyzes, spills and rehydrations.
 
 Warm solves stay *sound*, not just fast: the manager only offers a slot's
@@ -75,9 +78,11 @@ from repro.api.errors import (
 )
 from repro.api.registry import get_analyzer
 from repro.api.session import AnalysisSession, SessionUpdate
+from repro.core.kernel.arena_kernel import ArenaSolverState
+from repro.core.state import SnapshotMismatchError
 from repro.engine.program_store import ProgramStore
 from repro.engine.snapshots import SnapshotStore
-from repro.ir.arena import ArenaProgram, thaw
+from repro.ir.arena import ArenaProgram
 from repro.ir.delta import (
     DeltaError,
     NonMonotoneDeltaError,
@@ -157,6 +162,7 @@ class ServiceMetrics:
             "rehydration_state_misses": 0, "rebuilds": 0,
             "spill_freezes": 0, "replayed_deltas": 0,
             "checks": 0, "check_findings": 0,
+            "analyzes_arena": 0, "analyzes_object": 0, "thaws": 0,
         }
         self.modes: Dict[str, int] = {mode: 0 for mode in ANALYZE_MODES}
         self.warm_steps_paid = 0
@@ -175,9 +181,12 @@ class ServiceMetrics:
             self._latencies[kind].append(seconds)
 
     def record_analyze(self, *, mode: str, steps_paid: int,
-                       coalesced: int, latency_seconds: float) -> None:
+                       coalesced: int, latency_seconds: float,
+                       kernel: Optional[str] = None) -> None:
         with self._lock:
             self.counts["analyzes"] += 1
+            if kernel is not None:
+                self.counts[f"analyzes_{kernel}"] += 1
             self.modes[mode] = self.modes.get(mode, 0) + 1
             if mode == "warm":
                 self.warm_steps_paid += steps_paid
@@ -218,9 +227,10 @@ class _AnalyzerSlot:
     key: str
     analysis: str
     options: Dict[str, object]
-    state: Optional[object]         # SolverState, or None for CHA/RTA
+    state: Optional[object]         # Arena/SolverState, None for CHA/RTA
     payload: Optional[dict]         # AnalysisReport.to_dict() of the solve
     generation: int                 # session generation the slot solved
+    kernel: Optional[str] = None    # the kernel that ran: arena / object
 
 
 @dataclass(frozen=True)
@@ -234,6 +244,7 @@ class _SlotRecord:
     payload: Optional[dict]
     config: Optional[object]        # AnalysisConfig keying the snapshot
     has_state: bool
+    kernel: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -277,7 +288,10 @@ class ManagedSession:
         self.last_used = time.monotonic()
 
     def drain_pending(self) -> List[SessionUpdate]:
-        """Apply every queued delta to the live session, logging each one."""
+        """Apply every queued delta to the live session, logging each one.
+
+        Callers count the updates that thawed an attached program.
+        """
         applied: List[SessionUpdate] = []
         while self.pending:
             delta = self.pending.pop(0)
@@ -356,9 +370,8 @@ class SessionManager:
             origin, spec = "source", None
         else:
             spec = self._find_benchmark(benchmark, scale)
-            # Attach the spec's arena blob (zero decode; analyzers only
-            # read); the first *edit* thaws it into a mutable twin (see
-            # AnalysisSession.update).
+            # Attach the spec's arena blob (zero decode); edits extend it
+            # in place (see AnalysisSession.update).
             program, _ = self._programs.attach_or_build(spec)
             session = AnalysisSession(program, name=name, roots=root_list)
             origin = "benchmark"
@@ -489,7 +502,7 @@ class SessionManager:
             else:
                 # A full-source update diffs against the *current* program,
                 # so queued deltas must land first (still without a solve).
-                managed.drain_pending()
+                self._drain(managed)
                 new_program = compile_source(source, validate=True)
                 try:
                     delta = delta_between(
@@ -566,7 +579,7 @@ class SessionManager:
             self._ensure_live(managed)
             session = managed.session
             coalesced = len(managed.pending)
-            managed.drain_pending()
+            self._drain(managed)
             key = _slot_key(analyzer.name, options)
             slot = managed.slots.get(key)
             fallback_reasons: List[str] = []
@@ -577,6 +590,7 @@ class SessionManager:
                 mode, steps_paid, payload = self._solve(
                     managed, session, analyzer, key, slot, options,
                     fallback_reasons)
+            kernel = managed.slots[key].kernel
             audit_block = None
             if audit:
                 audit_block = self._audit_slot(managed, session, key)
@@ -585,13 +599,14 @@ class SessionManager:
         latency = time.perf_counter() - started
         self.metrics.record_analyze(mode=mode, steps_paid=steps_paid,
                                     coalesced=coalesced,
-                                    latency_seconds=latency)
+                                    latency_seconds=latency, kernel=kernel)
         self._maybe_evict(exclude=name)
         response = {
             "session": name,
             "analysis": analyzer.name,
             "generation": generation,
             "mode": mode,
+            "kernel": kernel,
             "steps_paid": steps_paid,
             "coalesced_updates": coalesced,
             "fallback_reasons": fallback_reasons,
@@ -622,7 +637,7 @@ class SessionManager:
             # CHA/RTA produce no solver state: trivially clean.
             diagnostics = []
         else:
-            diagnostics = audit_state(state, session.program,
+            diagnostics = audit_state(_object_view(state), session.program,
                                       warm_barrier=session.warm_barrier,
                                       snapshot=False)
         if diagnostics:
@@ -662,7 +677,7 @@ class SessionManager:
         with managed.lock:
             self._ensure_live(managed)
             session = managed.session
-            managed.drain_pending()
+            self._drain(managed)
             try:
                 roots = tuple(session.resolve_roots())
             except NoEntryPointError:
@@ -682,7 +697,7 @@ class SessionManager:
                 analyzed = analyzer.name
                 if state is not None:
                     audits = audit_state(
-                        state, session.program,
+                        _object_view(state), session.program,
                         warm_barrier=session.warm_barrier)
                     diagnostics = sort_diagnostics(
                         list(diagnostics) + list(audits))
@@ -723,7 +738,7 @@ class SessionManager:
             report = session.run(analyzer.name, resume=resume_state, **options)
         else:
             report = session.run(analyzer.name, **options)
-        state = getattr(report.raw, "solver_state", None)
+        state = getattr(report.raw, "resumable_state", None)
         total = report.solver_steps or 0
         if resume_state is not None and state is resume_state:
             mode, steps_paid = "warm", total - before
@@ -737,7 +752,8 @@ class SessionManager:
         payload = report.to_dict()
         managed.slots[key] = _AnalyzerSlot(
             key=key, analysis=analyzer.name, options=dict(options),
-            state=state, payload=payload, generation=session.generation)
+            state=state, payload=payload, generation=session.generation,
+            kernel=getattr(report.raw, "kernel_ran", None))
         return mode, steps_paid, payload
 
     # ------------------------------------------------------------------ #
@@ -788,14 +804,16 @@ class SessionManager:
         The program is not written: it is the session's base blob plus the
         delta log, both already in hand.  A session without a base, or
         whose program has grown to :data:`REBASE_GROWTH` times its base's
-        method count, freezes its program once here, and that blob becomes
-        its base with an empty log.  Each state is written as a snapshot
-        that references the program's IR.  Files of the previous spill
-        that this one did not rewrite are superseded (an older own base,
-        older snapshots) and are deleted.
+        method count, writes its program once here (an arena-backed one
+        as its extended arena, fids included), and that blob becomes its
+        base with an empty log.  An arena state is written as its pickled
+        tables, an object state as a snapshot that references the
+        program's IR.  Files of the previous spill that this one did not
+        rewrite are superseded (an older own base, older snapshots) and
+        are deleted.
         """
         started = time.perf_counter()
-        managed.drain_pending()   # The log must hold every queued edit.
+        self._drain(managed)   # The log must hold every queued edit.
         session = managed.session
         program = session.program
         if (managed.base is None or len(program.methods)
@@ -818,7 +836,7 @@ class SessionManager:
                 key=slot.key, analysis=slot.analysis,
                 options=tuple(sorted(slot.options.items())),
                 generation=slot.generation, payload=slot.payload,
-                config=config, has_state=has_state))
+                config=config, has_state=has_state, kernel=slot.kernel))
         _discard(set(managed.spilled) - set(written))
         managed.spilled = tuple(written)
         managed.evicted = _EvictedSession(
@@ -847,13 +865,19 @@ class SessionManager:
     def _ensure_live(self, managed: ManagedSession) -> None:
         """Rehydrate an evicted session in place; caller holds its lock.
 
-        The base blob is attached (zero decode).  With an empty log that is
-        the program; otherwise it is thawed, the log is replayed onto it in
-        order, and the fingerprint the spill took is seeded into the result
-        (no body is digested again).  Each snapshot then resolves its IR
-        references against the program.  A missing or unreadable base, or
-        a log that no longer applies to it, raises
-        :class:`SessionRehydrationError` — loud, never a wrong answer.
+        The base blob is attached (zero decode) and the log is replayed
+        onto it through :meth:`AnalysisSession.update`, so a monotone log
+        re-extends the attached arena exactly as the live session did —
+        same fids, same fingerprint — and nothing is thawed; a log holding
+        a non-monotone delta thaws there, as the live session did, and the
+        fingerprint the spill took is seeded into the thawed result (no
+        body is digested again).  Each parked state is then restored over
+        the program: an arena state loads its pickled tables, an object
+        state resolves its IR references.  A missing or unreadable base, a
+        log that no longer applies to it, or an arena state whose base and
+        log no longer re-extend to the fids and fingerprint it was parked
+        with raises :class:`SessionRehydrationError` — loud, never a wrong
+        answer.
         """
         if managed.session is not None:
             return
@@ -869,31 +893,41 @@ class SessionManager:
                 f"session {managed.name!r}: the base program blob of the "
                 f"evicted generation {evicted.generation} is missing or "
                 f"unreadable")
+        session = AnalysisSession(program, name=managed.name,
+                                  roots=managed.roots)
         if managed.log:
-            program = thaw(program)
             try:
-                for delta in managed.log:
-                    delta.apply_to(program)
-                seed_fingerprint(program, evicted.fingerprint)
+                self._count_thaws(
+                    [session.update(delta) for delta in managed.log])
             except (DeltaError, KeyError) as error:
                 raise SessionRehydrationError(
                     f"session {managed.name!r}: the delta log does not "
                     f"replay onto its base program blob: {error}") from None
+            if not isinstance(session.program, ArenaProgram):
+                seed_fingerprint(session.program, evicted.fingerprint)
             self.metrics.bump("replayed_deltas", len(managed.log))
-        session = AnalysisSession(program, name=managed.name,
-                                  roots=managed.roots)
         session.adopt_generations(evicted.generation, evicted.warm_barrier,
                                   evicted.barrier_reasons)
+        program = session.program
         slots: Dict[str, _AnalyzerSlot] = {}
         state_misses = 0
         for record in evicted.slots:
             state = None
             if record.has_state:
-                state = self._snapshots.load(
-                    SessionSpillSpec(session=managed.name,
-                                     generation=record.generation,
-                                     slot=record.key),
-                    record.config, program)
+                spec = SessionSpillSpec(session=managed.name,
+                                        generation=record.generation,
+                                        slot=record.key)
+                if record.kernel == "arena":
+                    try:
+                        state = self._snapshots.load_arena(
+                            spec, record.config, program)
+                    except SnapshotMismatchError as error:
+                        raise SessionRehydrationError(
+                            f"session {managed.name!r}: the base and log no "
+                            f"longer rebuild the program its parked arena "
+                            f"state was solved over: {error}") from None
+                else:
+                    state = self._snapshots.load(spec, record.config, program)
                 if state is None:
                     # A lost snapshot costs warmth, never correctness: the
                     # slot keeps its payload and the next solve runs cold.
@@ -906,7 +940,8 @@ class SessionManager:
             slots[record.key] = _AnalyzerSlot(
                 key=record.key, analysis=record.analysis,
                 options=dict(record.options), state=state,
-                payload=record.payload, generation=record.generation)
+                payload=record.payload, generation=record.generation,
+                kernel=record.kernel)
         managed.session = session
         managed.slots = slots
         managed.evicted = None
@@ -915,6 +950,15 @@ class SessionManager:
             self.metrics.bump("rehydration_state_misses", state_misses)
         self.metrics.record_latency("rehydrate",
                                     time.perf_counter() - started)
+
+    def _drain(self, managed: ManagedSession) -> None:
+        """Apply a session's queued deltas (see ``drain_pending``)."""
+        self._count_thaws(managed.drain_pending())
+
+    def _count_thaws(self, updates: Sequence[SessionUpdate]) -> None:
+        thaws = sum(1 for update in updates if update.thawed)
+        if thaws:
+            self.metrics.bump("thaws", thaws)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -934,6 +978,13 @@ class SessionManager:
                 if spec.name == name:
                     return spec
         raise ServiceProtocolError(f"unknown benchmark {name!r}")
+
+
+def _object_view(state):
+    """An object-graph view of a slot's state, for the audits."""
+    if isinstance(state, ArenaSolverState):
+        return state.inflate()
+    return state
 
 
 def _discard(paths) -> None:

@@ -17,6 +17,7 @@ from repro.baselines.cha import ClassHierarchyAnalysis
 from repro.core.analysis import run_skipflow
 from repro.engine import ProgramStore
 from repro.ir.arena import ArenaProgram
+from repro.ir.delta import ProgramDelta
 from repro.lang import compile_source
 from repro.workloads.edits import build_edit_delta, default_edit_script
 from repro.workloads.generator import generate_benchmark, spec_from_reduction
@@ -186,31 +187,54 @@ class TestFromSpec:
             assert report.reachable_methods == fresh.reachable_methods
             assert report.solver_stats == fresh.solver_stats
 
-    def test_first_update_thaws_an_attached_program_and_resumes_warm(
+    def test_monotone_update_extends_an_attached_program_and_resumes_warm(
             self, tmp_path):
-        """A store session runs cold on the arena; an edit thaws it first."""
+        """A store session solves on the arena; an edit extends the arena
+        in place, and the warm run resumes on the arena kernel."""
         spec = spec_from_reduction(name="attached", suite="test",
                                    total_methods=80, reduction_percent=10.0)
         store = ProgramStore(tmp_path)
         store.load_or_build(spec)
         session = AnalysisSession(store.attach(spec), name=spec.name)
+        program = session.program
         cold = session.run("skipflow")
         assert cold.raw.kernel_ran == "arena"
-        assert isinstance(session.program, ArenaProgram)
+        flows = program.arena.num_flows
 
         delta = build_edit_delta(spec, default_edit_script(spec, steps=1).steps[0])
         update = session.update(delta)
-        assert update.monotone
-        assert not isinstance(session.program, ArenaProgram)
+        assert update.monotone and not update.thawed
+        assert session.program is program
+        assert program.arena.num_flows > flows
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResumeFallbackWarning)
             warm = session.run("skipflow", resume=cold)
+        assert warm.raw.kernel_ran == "arena"
+        assert warm.raw.arena_state is cold.raw.arena_state
         edited = generate_benchmark(spec)
         delta.apply_to(edited)
         fresh = AnalysisSession(edited).run("skipflow")
         assert warm.reachable_methods == fresh.reachable_methods
+        assert warm.call_edges == fresh.call_edges
         paid = warm.solver_stats.steps - cold.solver_stats.steps
         assert 0 < paid < fresh.solver_stats.steps
+
+    def test_non_monotone_update_thaws_and_falls_back_cold(self, tmp_path):
+        spec = spec_from_reduction(name="attached", suite="test",
+                                   total_methods=80, reduction_percent=10.0)
+        session = AnalysisSession.from_spec(spec, store=ProgramStore(tmp_path))
+        cold = session.run("skipflow")
+        delta = ProgramDelta("graft")
+        builder = delta.method("Main", "grafted", is_static=True)
+        builder.return_void()
+        delta.finish_method(builder)
+        update = session.update(delta)
+        assert not update.monotone and update.thawed
+        assert not isinstance(session.program, ArenaProgram)
+        with pytest.warns(ResumeFallbackWarning, match="Main.grafted"):
+            again = session.run("skipflow", resume=cold)
+        assert again.raw.kernel_ran == "object"
+        assert again.reachable_methods == cold.reachable_methods
 
     def test_from_spec_with_a_store_attaches(self, tmp_path):
         spec = spec_from_reduction(name="attached", suite="test",

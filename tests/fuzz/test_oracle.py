@@ -1,5 +1,7 @@
 """The differential oracle: interpreter trace vs every analyzer."""
 
+from pathlib import Path
+
 from repro.core import analysis as analysis_module
 from repro.core.kernel.arena_kernel import ArenaKernelSolver
 from repro.fuzz.generator import generate_cases
@@ -8,18 +10,17 @@ from repro.fuzz.oracle import (
     execute_all_entry_points,
     synthesize_arguments,
 )
+from repro.fuzz.reprofile import load_repro
 from repro.workloads.edits import EditScriptSpec, EditStepSpec
-from repro.workloads.generator import (
-    BenchmarkSpec,
-    GuardedModuleSpec,
-    generate_benchmark,
-)
+from repro.workloads.generator import BenchmarkSpec, GuardedModuleSpec
 
 SMALL_SPEC = BenchmarkSpec(
     name="oracle-small", suite="fuzz", core_methods=6,
     guarded_modules=(GuardedModuleSpec("null_default", 5),))
 
 SMALL_MATRIX = dict(saturations=("off",))
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 def _script(steps=()):
@@ -113,6 +114,27 @@ class TestCheckCase:
         assert report.violations
         assert all(violation.invariant == "kernel-divergence"
                    and "ran on the object kernel" in violation.detail
+                   for violation in report.violations)
+
+    def test_planted_arena_resume_without_root_seeds_is_reported(
+            self, monkeypatch):
+        """The arena twin's warm chain is checked too: an arena resume that
+        skips re-playing the root seeds is reported on the arena chain, and
+        nothing else fires."""
+        def reattach_without_root_seeds(solver):
+            solver._recollapse_saturated()
+            for fid, signature in list(solver._stub_links):
+                solver._apply_stub_effects(fid, signature)
+
+        monkeypatch.setattr(ArenaKernelSolver, "_reattach",
+                            reattach_without_root_seeds)
+        script, _ = load_repro(CORPUS / "reflection-mesh-mixed-edits.json")
+        report = check_case(script, **SMALL_MATRIX)
+        assert report.violations
+        assert all(violation.analyzer == "skipflow[off@4/arena]"
+                   and violation.step > 0
+                   and violation.invariant in ("kernel-divergence",
+                                               "warm-cold-mismatch")
                    for violation in report.violations)
 
     def test_violation_detail_names_the_method(self):

@@ -1,12 +1,12 @@
-"""Arena-backed service sessions: zero-decode open, thaw-on-edit, spill.
+"""Arena-backed service sessions: zero-decode open, extend-on-edit, spill.
 
 Benchmark sessions attach the program store's arena blob instead of
-unpickling (the tentpole's decode win carried into the service layer).
-The invariants under test: analyzers read the attached arena directly and
-produce byte-identical reports; the first *edit* thaws the read-only arena
-into a mutable twin; spill/rehydrate keeps arena backing for unedited
-sessions, and an edited one parks without lowering anything: its
-rehydration thaws the blob and replays the logged edits.
+unpickling.  The invariants under test: analyzers read the attached arena
+directly and produce byte-identical reports; an *edit* extends the arena
+in place (its lowering appended after the arena's fids) and the warm
+resume runs on the arena kernel; spill/rehydrate keeps arena backing, and
+an edited session parks without lowering anything: its rehydration
+re-extends the blob with the logged edits.
 """
 
 import pytest
@@ -57,16 +57,21 @@ class TestZeroDecodeOpen:
         assert strip(arena_report) == strip(plain_report)
 
 
-class TestThawOnEdit:
-    def test_first_edit_thaws_the_arena(self, manager):
+class TestExtendOnEdit:
+    def test_an_edit_extends_the_arena(self, manager):
         manager.open("s", benchmark=BENCHMARK)
+        attached = _program(manager, "s")
+        flows = attached.arena.num_flows
         cold = manager.analyze("s", "skipflow")
         manager.update("s", edit={"kind": "add-variant", "index": 0})
         warm = manager.analyze("s", "skipflow")
-        assert warm["mode"] == "warm"
+        assert warm["mode"] == "warm" and warm["kernel"] == "arena"
         assert 0 < warm["steps_paid"] < cold["steps_paid"]
-        # The mutable twin replaced the read-only mmap façade.
-        assert not isinstance(_program(manager, "s"), ArenaProgram)
+        # The attached program grew in place: no mutable twin replaced it.
+        assert _program(manager, "s") is attached
+        assert attached.arena.num_flows > flows
+        assert "Wide_flat_64EditInject0.apply" in attached.methods
+        assert manager.metrics_snapshot()["requests"]["thaws"] == 0
 
 
 class TestSpillAndRehydrate:
@@ -98,10 +103,11 @@ class TestSpillAndRehydrate:
         cached = manager.analyze("s", "skipflow")
         assert cached["mode"] == "cached"
         assert cached["report"] == warm["report"]
-        # Rehydration thawed the blob and replayed the edit onto it.
-        assert not isinstance(_program(manager, "s"), ArenaProgram)
+        # Rehydration re-extended the blob with the edit: nothing thawed.
+        assert isinstance(_program(manager, "s"), ArenaProgram)
         assert "Wide_flat_64EditInject0.apply" in _program(manager, "s").methods
-        assert manager.metrics_snapshot()["requests"]["replayed_deltas"] == 1
+        requests = manager.metrics_snapshot()["requests"]
+        assert requests["replayed_deltas"] == 1 and requests["thaws"] == 0
 
     def test_edit_after_rehydrate_still_resumes_warm(self, manager):
         manager.open("s", benchmark=BENCHMARK)
@@ -114,25 +120,29 @@ class TestSpillAndRehydrate:
 
 
 class TestKernelSelection:
-    def test_cold_analyze_runs_on_the_arena_and_resumes_on_object(
-            self, manager, monkeypatch):
-        """The attached arena's cold solve takes the arena kernel; the warm
-        resume after an edit continues its inflated state on the object
-        solver."""
+    def test_cold_and_warm_analyzes_run_on_the_arena(self, manager,
+                                                     monkeypatch):
+        """The attached arena's cold solve takes the arena kernel, and the
+        warm resume after an edit continues its tables there, over the
+        same (extended) program."""
         arena_solves = []
         solve = ArenaKernelSolver.solve
 
         def counting_solve(self, roots=None):
-            arena_solves.append(self.program)
+            arena_solves.append((self.program, self.arena_state))
             return solve(self, roots)
 
         monkeypatch.setattr(ArenaKernelSolver, "solve", counting_solve)
         manager.open("s", benchmark=BENCHMARK)
         attached = _program(manager, "s")
         cold = manager.analyze("s", "skipflow")
-        assert cold["mode"] == "cold"
-        assert arena_solves == [attached]
+        assert cold["mode"] == "cold" and cold["kernel"] == "arena"
         manager.update("s", edit={"kind": "add-variant", "index": 0})
         warm = manager.analyze("s", "skipflow")
-        assert warm["mode"] == "warm"
-        assert arena_solves == [attached]
+        assert warm["mode"] == "warm" and warm["kernel"] == "arena"
+        (first, state), (second, resumed) = arena_solves
+        assert first is second is attached
+        assert resumed is state
+        requests = manager.metrics_snapshot()["requests"]
+        assert requests["analyzes_arena"] == 2
+        assert requests["analyzes_object"] == 0

@@ -2,9 +2,10 @@
 
 A session's program is a base arena blob (a benchmark's shared blob, or
 the session's own frozen program) plus the deltas applied since; a spill
-writes each solver state as a snapshot referencing the program's IR, and a
-rehydration attaches the base, replays the log and resolves the snapshots
-against the result.  Covered here:
+writes each arena solver state as its pickled tables (an object state as
+a snapshot referencing the program's IR), and a rehydration attaches the
+base, replays the log (re-extending the arena) and restores the states
+over the result.  Covered here:
 
 * the files: parking an edited benchmark session lowers nothing and writes
   no program file; a source session freezes at its first spill only, and
@@ -14,7 +15,7 @@ against the result.  Covered here:
   :class:`SessionRehydrationError`;
 * the work: across park -> rehydrate -> edit -> warm resume each method
   body is digested at most once per ``Method`` object; a park pickles no
-  body, and a rehydration decodes each base body once;
+  body, and no base body is decoded across a benchmark session's life;
 * the metrics: spill and rehydrate latency percentiles;
 * equivalence: park/rehydrate cycles mixing ``edit`` steps and ``source``
   updates serve the fixpoint and the wire report of a twin session that
@@ -30,11 +31,13 @@ from collections import Counter
 import pytest
 
 from repro.api.errors import SessionRehydrationError
+from repro.core.kernel.arena_kernel import ArenaSolverState
 from repro.ir import delta as delta_module
 from repro.ir.arena import ProgramArena, lowering
 from repro.ir.blocks import BasicBlock
 from repro.ir.method import Method
 from repro.service import SessionManager
+from repro.workloads.edits import EditStepSpec, build_edit_delta
 from repro.workloads.generator import generate_benchmark
 from repro.workloads.suites import extended_suites
 from tests.conftest import fixpoint_signature
@@ -128,7 +131,10 @@ def _wire(response):
 def _signature(manager, name):
     """:func:`fixpoint_signature` of a session's one solver state."""
     (slot,) = manager._sessions[name].slots.values()
-    return fixpoint_signature(slot.state.pvpg, slot.state.reachable)
+    state = slot.state
+    if isinstance(state, ArenaSolverState):
+        state = state.inflate()
+    return fixpoint_signature(state.pvpg, state.reachable)
 
 
 @pytest.fixture
@@ -227,6 +233,45 @@ class TestSpillFiles:
                 manager.analyze("s", "skipflow")
 
 
+class TestArenaRehydrationChecks:
+    """A parked arena state is a table of fids: rebuilt over a program whose
+    base or log differs, it would read the wrong flows, so rehydration
+    refuses loudly instead of answering."""
+
+    def _park(self, manager):
+        manager.open("s", benchmark=BENCHMARK)
+        manager.analyze("s", "skipflow")
+        _edit(manager, "s", 0)
+        _edit(manager, "s", 1)
+        manager.evict("s")
+        return manager._sessions["s"]
+
+    def test_a_swapped_base_blob_is_refused(self, manager):
+        parked = self._park(manager)
+        # The spec's own blob, extended by an edit the log does not hold:
+        # the log still replays onto it, but every fid after the base's
+        # moves.
+        path = manager._programs.path_for(parked.base)
+        other = manager._programs.attach(parked.base)
+        build_edit_delta(_spec(), EditStepSpec(kind="add-variant",
+                                               index=7)).apply_to(other)
+        swap = path.with_suffix(".swap")
+        swap.write_bytes(other.arena.to_bytes())
+        swap.replace(path)
+        for _ in range(2):   # the session stays parked: every request fails
+            with pytest.raises(SessionRehydrationError,
+                               match="no longer rebuild"):
+                manager.analyze("s", "skipflow")
+
+    def test_a_truncated_log_is_refused(self, manager):
+        parked = self._park(manager)
+        parked.log.pop()
+        with pytest.raises(SessionRehydrationError,
+                           match="no longer rebuild"):
+            manager.update("s", edit={"kind": "add-variant", "index": 2})
+        assert parked.session is None
+
+
 class TestSpillWork:
     def test_each_body_is_digested_once_per_method_object(self, manager,
                                                          monkeypatch):
@@ -258,40 +303,39 @@ class TestSpillWork:
         base = set(generate_benchmark(_spec()).methods)
         assert not base & set(names)
 
-    def test_a_park_pickles_no_body_and_a_rehydration_decodes_each_once(
+    def test_no_body_is_pickled_or_decoded_in_a_sessions_life(
             self, manager, monkeypatch):
+        """Open, edits, park, rehydration and the finishing cold ``pta`` of
+        a benchmark session: the park pickles no body, and no body of the
+        attached blob is ever decoded — the kernel reads columns only."""
+        decoded = []
+        monkeypatch.setattr(ProgramArena, "method_blocks",
+                            lambda self, mid: decoded.append(mid))
         manager.open("s", benchmark=BENCHMARK)
         manager.analyze("s", "skipflow")
         _edit(manager, "s", 0)
-
         pickled = Counter()
 
         def count_pickle(self, protocol):
             pickled[id(self)] += 1
             return object.__reduce_ex__(self, protocol)
 
-        monkeypatch.setattr(BasicBlock, "__reduce_ex__", count_pickle,
-                            raising=False)
-        manager.evict("s")
+        with monkeypatch.context() as patch:
+            patch.setattr(BasicBlock, "__reduce_ex__", count_pickle,
+                          raising=False)
+            manager.evict("s")
         assert not pickled
-        monkeypatch.undo()
-
-        decoded = Counter()
-        original = ProgramArena.method_blocks
-
-        def count_decode(self, mid):
-            decoded[mid] += 1
-            return original(self, mid)
-
-        monkeypatch.setattr(ProgramArena, "method_blocks", count_decode)
         assert _edit(manager, "s", 1)["mode"] == "warm"   # rehydrate + replay
-        # The thaw decodes every base body once; the replayed bodies are
-        # the logged deltas' own methods and are never encoded at all.
-        assert len(decoded) == manager._sessions["s"].base_methods
-        assert set(decoded.values()) == {1}
+        finish = manager.analyze("s", "pta")
+        assert finish["mode"] == "cold" and finish["kernel"] == "arena"
+        assert decoded == []
+        requests = _requests(manager)
+        assert requests["rehydrations"] == 1 and requests["thaws"] == 0
 
-    def test_states_hold_the_thawed_programs_own_methods(self, manager):
-        """After rehydrate + edit, no state keeps an arena view (or buffer)."""
+    def test_states_resume_over_the_rehydrated_program(self, manager):
+        """After rehydrate + edit, the slot's arena tables index the
+        session's own re-extended program, and their object view holds
+        that program's methods."""
         manager.open("s", benchmark=BENCHMARK)
         manager.analyze("s", "skipflow")     # cold, on the attached arena
         _edit(manager, "s", 0)
@@ -300,11 +344,12 @@ class TestSpillWork:
         live = manager._sessions["s"]
         program = live.session.program
         (slot,) = live.slots.values()
-        graphs = slot.state.pvpg.methods
-        assert graphs
+        assert isinstance(slot.state, ArenaSolverState)
+        assert slot.state.program is program
+        graphs = slot.state.inflate().pvpg.methods
+        assert "Wide_flat_64EditInject1.apply" in graphs
         for name, graph in graphs.items():
             assert graph.method is program.methods[name]
-            assert type(graph.method) is Method
 
 
 class TestSpillMetrics:
@@ -440,3 +485,25 @@ class TestRebase:
         manager.update("s", source=_extended(6))
         assert manager.analyze("s", "skipflow")["mode"] == "cached"
         assert _signature(manager, "s") == _signature(twin, "s")
+
+    def test_a_rebase_keeps_the_fids_of_parked_arena_states(self, manager,
+                                                           twin):
+        """After its first spill a source session is arena-backed: a cold
+        ``pta`` there solves on the arena kernel, and when the program
+        doubles the re-base writes the extended arena as it is, so that
+        slot's parked tables still resume over the new base."""
+        for each in (manager, twin):
+            each.open("s", source=SOURCE)
+            each.analyze("s", "skipflow")
+        manager.evict("s")
+        assert manager.analyze("s", "pta")["kernel"] == "arena"
+        twin.analyze("s", "pta")
+        for classes in (2, 4, 5):     # the spill after 4 re-bases
+            manager.update("s", source=_extended(classes))
+            twin.update("s", source=_extended(classes))
+            manager.evict("s")
+            served = manager.analyze("s", "pta")
+            assert served["mode"] == "warm" and served["kernel"] == "arena"
+            assert _wire(served) == _wire(twin.analyze("s", "pta"))
+        assert _requests(manager)["spill_freezes"] == 2
+        assert _requests(manager)["thaws"] == 0
