@@ -13,8 +13,9 @@ numbers identical to the pairwise runs.  A solver-kernel *policy
 matrix* (off/allocated-type saturation) checks the policy-aware cache
 keying: every policy half is keyed distinctly, the ``off`` column is served
 from the halves the first run cached (it *is* the default SkipFlow config),
-a repeat run hits every policy half, and all policies agree on the fixed
-point.  Finally the *incremental* phase
+a repeat run hits every policy half, all policies agree on the fixed
+point, and no half decodes a method body (its halves solve in-process,
+under a spy on the arena's body decoder).  Finally the *incremental* phase
 covers warm re-analysis: an additive edit resumed from the base fixpoint
 must land on the cold fixpoint for strictly fewer steps, the resumed state
 must round-trip through the snapshot store, and a second pass must serve
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
@@ -78,6 +80,108 @@ def _fresh_halves(rows):
         for run in row.runs:
             if not run.from_cache:
                 yield row.benchmark, run.name, run.report
+
+
+def _policy_matrix_phase(specs, cache_dir: str):
+    """The saturation-policy matrix over the store, then its cached re-run.
+
+    Returns ``(failures, rows)``: failure messages (empty = phase green)
+    and the first run's rows.  Expects the default SkipFlow halves of
+    ``specs`` in ``cache_dir`` already (the first pairwise run stores
+    them), since the ``off`` column *is* that config and must be served
+    from the cache.  Every other policy half is keyed distinctly and
+    solved afresh, a re-run hits every half, and all policies agree on
+    the fixed point.  The halves solve in this process, under a spy on
+    :meth:`~repro.ir.arena.program.ProgramArena.method_blocks`: a store
+    half solves the attached blob, so no half may decode a method body
+    (the allocated-type origins come from the arena's allocation-site
+    index, not from the bodies).  A half that raises fails the phase.
+    """
+    from repro.ir.arena.program import ProgramArena
+
+    failures = []
+    policy_grid = _policy_grid()
+    configs = [config for _, config in policy_grid]
+    names = [label for label, _ in policy_grid]
+    policy_cache = ResultCache(cache_dir)
+    # Drop any pre-existing non-default policy entries (reused --cache-dir)
+    # so the hit/miss assertions below are deterministic; the off column
+    # is the default SkipFlow config and *must* stay cached.
+    for spec in specs:
+        for label, config in policy_grid:
+            if label == "off":
+                continue
+            stale = policy_cache.path_for(policy_cache.config_key(spec, config))
+            if stale.exists():
+                stale.unlink()
+
+    method_blocks = ProgramArena.method_blocks
+    decoded = []
+
+    def counting_method_blocks(arena, mid):
+        decoded.append(arena.qualified_name(mid))
+        return method_blocks(arena, mid)
+
+    ProgramArena.method_blocks = counting_method_blocks
+    try:
+        policy_matrix = run_config_matrix(specs, configs, names=names,
+                                          cache=policy_cache)
+        policy_rerun_cache = ResultCache(cache_dir)
+        policy_rerun = run_config_matrix(specs, configs, names=names,
+                                         cache=policy_rerun_cache)
+    except Exception as error:  # a broken half must fail the gate, not crash it
+        traceback.print_exc()
+        return [f"policy matrix: a half raised {error!r}"], []
+    finally:
+        ProgramArena.method_blocks = method_blocks
+    if decoded:
+        failures.append(
+            f"policy matrix: store halves decoded {len(decoded)} method "
+            f"bodies (first: {decoded[0]}), not 0")
+
+    grid_size = len(policy_grid)
+    for spec in specs:
+        keys = {policy_cache.config_key(spec, config) for config in configs}
+        if len(keys) != grid_size:
+            failures.append(
+                f"{spec.name}: expected {grid_size} distinct policy cache "
+                f"keys, got {len(keys)}")
+    expected_policy_misses = (grid_size - 1) * len(specs)
+    if (policy_cache.hits != len(specs)
+            or policy_cache.misses != expected_policy_misses):
+        failures.append(
+            f"expected the policy matrix to hit {len(specs)} off halves "
+            f"and miss {expected_policy_misses} policy halves, got "
+            f"{policy_cache.hits} hits / {policy_cache.misses} misses")
+    expected_policy_hits = grid_size * len(specs)
+    if (policy_rerun_cache.hits != expected_policy_hits
+            or policy_rerun_cache.misses != 0):
+        failures.append(
+            f"expected the policy re-run to hit all {expected_policy_hits} "
+            f"policy halves, got {policy_rerun_cache.hits} hits / "
+            f"{policy_rerun_cache.misses} misses")
+    for row, rerun_row in zip(policy_matrix, policy_rerun):
+        if not row.run("off").from_cache:
+            failures.append(
+                f"{row.benchmark}: policy matrix re-solved the default "
+                f"off half")
+        reachable = {run.report.metrics.reachable_methods for run in row.runs}
+        if len(reachable) != 1:
+            failures.append(
+                f"{row.benchmark}: policies disagree on the fixed point "
+                f"(reachable methods {sorted(reachable)})")
+        # The threshold never fires on the smoke specs, so the off and
+        # allocated-type columns are bit-identical.
+        off = row.report("off")
+        sat = row.report("allocated-type")
+        if off.solver_steps != sat.solver_steps or off.metrics != sat.metrics:
+            failures.append(
+                f"{row.benchmark}: off vs allocated-type columns differ "
+                f"although saturation never fired")
+        if row.as_dict() != rerun_row.as_dict():
+            failures.append(
+                f"{row.benchmark}: cached policy result differs from computed")
+    return failures, policy_matrix
 
 
 def _incremental_phase(cache_dir: str) -> list:
@@ -270,35 +374,13 @@ def main(argv=None) -> int:
             names=("pta", "skipflow", "skipflow-sat"),
             jobs=args.jobs, cache=matrix_cache)
 
-        # Policy matrix: the saturation policies of the grid.  Drop any
-        # pre-existing non-default policy entries (reused --cache-dir) so
-        # the hit/miss assertions below are deterministic; the off column
-        # is the default SkipFlow config and *must* stay cached.
-        policy_grid = _policy_grid()
-        policy_cache = ResultCache(cache_dir)
-        for spec in specs:
-            for label, config in policy_grid:
-                if label == "off":
-                    continue
-                stale = policy_cache.path_for(
-                    policy_cache.config_key(spec, config))
-                if stale.exists():
-                    stale.unlink()
-        policy_matrix = run_config_matrix(
-            specs, [config for _, config in policy_grid],
-            names=[label for label, _ in policy_grid],
-            jobs=args.jobs, cache=policy_cache)
-
-        policy_rerun_cache = ResultCache(cache_dir)
-        policy_rerun = run_config_matrix(
-            specs, [config for _, config in policy_grid],
-            names=[label for label, _ in policy_grid],
-            jobs=args.jobs, cache=policy_rerun_cache)
+        policy_failures, policy_matrix = _policy_matrix_phase(specs, cache_dir)
 
         incremental_failures = _incremental_phase(cache_dir)
         audit_failures = _audit_phase()
 
-    failures = [*incremental_failures, *audit_failures, *_image_phase()]
+    failures = [*policy_failures, *incremental_failures, *audit_failures,
+                *_image_phase()]
     expected_hits = HALVES * len(specs)
     if second_cache.hits != expected_hits or second_cache.misses != 0:
         failures.append(
@@ -356,53 +438,6 @@ def main(argv=None) -> int:
                     f"{row.benchmark}: matrix column {column!r} differs from "
                     f"the pairwise result")
 
-    # Policy matrix: every saturation half is keyed distinctly, the
-    # default off column reuses the halves the first run cached, and only
-    # the non-default policies solve.
-    grid_size = len(policy_grid)
-    for spec in specs:
-        keys = {policy_cache.config_key(spec, config)
-                for _, config in policy_grid}
-        if len(keys) != grid_size:
-            failures.append(
-                f"{spec.name}: expected {grid_size} distinct policy cache "
-                f"keys, got {len(keys)}")
-    expected_policy_misses = (grid_size - 1) * len(specs)
-    if (policy_cache.hits != len(specs)
-            or policy_cache.misses != expected_policy_misses):
-        failures.append(
-            f"expected the policy matrix to hit {len(specs)} off halves "
-            f"and miss {expected_policy_misses} policy halves, got "
-            f"{policy_cache.hits} hits / {policy_cache.misses} misses")
-    expected_policy_hits = grid_size * len(specs)
-    if (policy_rerun_cache.hits != expected_policy_hits
-            or policy_rerun_cache.misses != 0):
-        failures.append(
-            f"expected the policy re-run to hit all {expected_policy_hits} "
-            f"policy halves, got {policy_rerun_cache.hits} hits / "
-            f"{policy_rerun_cache.misses} misses")
-    for row, rerun_row in zip(policy_matrix, policy_rerun):
-        if not row.run("off").from_cache:
-            failures.append(
-                f"{row.benchmark}: policy matrix re-solved the default "
-                f"off half")
-        reachable = {run.report.metrics.reachable_methods for run in row.runs}
-        if len(reachable) != 1:
-            failures.append(
-                f"{row.benchmark}: policies disagree on the fixed point "
-                f"(reachable methods {sorted(reachable)})")
-        # The threshold never fires on the smoke specs, so the off and
-        # allocated-type columns are bit-identical.
-        off = row.report("off")
-        sat = row.report("allocated-type")
-        if off.solver_steps != sat.solver_steps or off.metrics != sat.metrics:
-            failures.append(
-                f"{row.benchmark}: off vs allocated-type columns differ "
-                f"although saturation never fired")
-        if row.as_dict() != rerun_row.as_dict():
-            failures.append(
-                f"{row.benchmark}: cached policy result differs from computed")
-
     # Every freshly solved half had a store behind it, so every one must
     # have run on the arena kernel over the attached blob.
     fresh = list(_fresh_halves([*first, *ablation, *matrix, *policy_matrix]))
@@ -424,8 +459,8 @@ def main(argv=None) -> int:
           f"3-way matrix reused {matrix_cache.hits}/{expected_matrix_hits} halves, "
           f"{len(fresh)} fresh halves on the arena kernel, "
           f"two image builds on one lowering, "
-          f"policy matrix {grid_size}x{len(specs)} keyed distinctly "
-          f"(re-run {policy_rerun_cache.hits}/{expected_policy_hits} hits), "
+          f"policy matrix {len(POLICY_SATURATIONS)}x{len(specs)} keyed "
+          f"distinctly, re-run from the cache, no method body decoded, "
           f"incremental edit resumed warm + snapshot round-trip, "
           f"post-solve audits clean + planted residue caught")
     return 0

@@ -3,7 +3,10 @@
 RTA refines CHA by resolving virtual calls only against receiver types that
 are actually instantiated somewhere in the reachable part of the program.
 Because instantiation discovered later can add targets to already-processed
-call sites, the analysis iterates to a fixed point.
+call sites, the analysis iterates to a fixed point.  A root's callers are
+outside the program, so the instantiable subtypes of its declared
+reference parameters (and of its class, for an instance root) count as
+instantiated from the start, as SkipFlow's conservative root seeds do.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from collections import deque
 from typing import Deque, Iterable, List, Optional, Set, Tuple
 
 from repro.baselines.cha import CallGraphResult, ClassHierarchyAnalysis, _allocated_types
+from repro.core.kernel.saturation import reachable_allocated_types
 from repro.ir.instructions import Invoke, InvokeKind
 from repro.ir.program import Program
 from repro.ir.types import OBJECT_TYPE_NAME
@@ -37,6 +41,10 @@ class RapidTypeAnalysis(ClassHierarchyAnalysis):
         #: whenever a new type becomes instantiated.
         pending_sites: List[Tuple[str, Invoke]] = []
         worklist: Deque[str] = deque()
+        seeded = reachable_allocated_types(self.program, reachable=(),
+                                           roots=tuple(root_names))
+        self._instantiated.update(seeded)
+        result.instantiated_types.update(seeded)
         for root in root_names:
             self._mark_reachable(root, result, worklist)
 

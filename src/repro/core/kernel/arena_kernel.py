@@ -25,14 +25,17 @@ side tables:
 The kernel is **bit-identical** to the object solver: same reachable sets,
 same value states, same ``steps`` / ``joins`` / ``transfers`` /
 ``saturated_flows`` counters under every built-in saturation policy (both
-kernels drain their worklist oldest-first).  :meth:`ArenaKernelSolver._run`
-mirrors ``SkipFlowSolver._run`` statement for statement: both fold the
-per-flow work (delivery along use edges, observer notification, predicate
-enabling) into one drain loop over local bindings, and both leave
-``_recompute``, ``_notify`` and ``_enable`` as methods.  Every other method
-mirrors its namesake in ``solver.py``.  When editing one kernel, edit the
-other (the cross-kernel grid in ``tests/core/test_arena_kernel.py`` and the
-CI solver-steps gate both fail loudly on drift).
+kernels drain their worklist oldest-first).  What stays identical is the
+sequence of events — deliveries, transfers, observer notifications,
+predicate enables, links — their order, the counters and the fixpoint,
+not the code shape: :meth:`ArenaKernelSolver._run` inlines the
+pass-through transfer and the observer dispatch, and the link paths skip
+work the object solver repeats as no-ops (a solve-time use edge is
+deduplicated by one integer edge key, and an invoke re-link resolves only
+the receiver types it has not resolved yet in this solve).  When editing
+one kernel, edit the other (the cross-kernel grid in
+``tests/core/test_arena_kernel.py`` and the CI solver-steps gate both fail
+loudly on drift).
 
 The kernel solves every :class:`~repro.ir.arena.ArenaProgram` — attached
 to a buffer, or over a program's in-memory lowering, which is what every
@@ -111,6 +114,16 @@ _C_NEW = schema.CONST_INDEX[ConstKind.NEW]
 _CS_STATIC = schema.INVOKE_INDEX[InvokeKind.STATIC]
 _CS_VIRTUAL = schema.INVOKE_INDEX[InvokeKind.VIRTUAL]
 
+_K_SOURCE = schema.K_SOURCE
+_K_PRED_ON = schema.K_PRED_ON
+_K_PHI_PRED = schema.K_PHI_PRED
+_K_RETURN = schema.K_RETURN
+_K_INVOKE = schema.K_INVOKE
+_K_LOAD_FIELD = schema.K_LOAD_FIELD
+_K_STORE_FIELD = schema.K_STORE_FIELD
+_K_FILTER_TYPE = schema.K_FILTER_TYPE
+_K_FILTER_COMPARE = schema.K_FILTER_COMPARE
+
 #: Flow kinds that correspond to actual instructions in the method body —
 #: mirror of ``repro.image.dce._INSTRUCTION_FLOW_KINDS`` as kind indices.
 _INSTRUCTION_KINDS = frozenset({
@@ -137,6 +150,12 @@ class ArenaSolverState:
       bits, and ``activated`` by method id;
     * the edges a solve adds: ``extra_uses`` per source fid (in addition
       order), ``linked_callees`` per invoke fid, ``pred_on_targets``;
+    * ``edge_keys`` — every solve-time use edge as one integer key
+      ``source << 32 | target``, the duplicate-edge check.  A cache: it
+      is not persisted, and :meth:`from_bytes` rebuilds it from
+      ``extra_uses``.  No static edge needs a key: build-time use edges
+      target phi, filter, store and return flows, solve-time ones
+      parameter, invoke, load and field flows, so the two never meet;
     * ``activated_mids`` / ``touched_fields`` — activation and first-link
       order, the object PVPG's method-graph and field-flow orders;
     * ``reachable`` / ``stub_methods``, the counters, ``seeded_roots`` and
@@ -163,9 +182,8 @@ class ArenaSolverState:
         self.saturated = bytearray()
         self.activated = bytearray()
         self.extra_uses: Dict[int, List[int]] = {}
-        #: Per-source use-target sets for O(1) duplicate-edge checks,
-        #: seeded on first dynamic add (a cache: not persisted).
-        self.use_seen: Dict[int, Set[int]] = {}
+        #: ``source << 32 | target`` of every edge in ``extra_uses``.
+        self.edge_keys: Set[int] = set()
         self.linked_callees: Dict[int, Set[str]] = {}
         self.pred_on_targets: List[int] = []
         self.activated_mids: List[int] = []
@@ -289,6 +307,9 @@ class ArenaSolverState:
         for name in cls._TABLES:
             setattr(state, name, payload[name])
         state.touched_field_set = set(state.touched_fields)
+        state.edge_keys = {source << 32 | target
+                           for source, targets in state.extra_uses.items()
+                           for target in targets}
         state.program = program
         state.fingerprint = fingerprint
         return state
@@ -345,7 +366,7 @@ class ArenaKernelSolver:
         #: Solve-time use edges per source fid, in addition order (the
         #: object solver adds them to the ordered edge set ``flow.uses``).
         self._extra_uses: Dict[int, List[int]] = state.extra_uses
-        self._use_seen: Dict[int, Set[int]] = state.use_seen
+        self._edge_keys: Set[int] = state.edge_keys
         #: Mirror of ``InvokeFlow.linked_callees`` per invoke fid.
         self._linked_callees: Dict[int, Set[str]] = state.linked_callees
         #: ``pred_on``'s fan-out, replayed per method activation (the object
@@ -374,6 +395,15 @@ class ArenaKernelSolver:
         self._saturation: Optional[AllocatedTypeSaturation] = None
         self._solve_roots: tuple = ()
         self._signatures: Dict[int, MethodSignature] = {}
+        #: Per virtual invoke fid, the receiver types its links resolved in
+        #: this solve (reset by :meth:`solve`: a memo of one solve only).
+        self._resolved_types: Dict[int, FrozenSet[str]] = {}
+        #: Kinds whose transfer is not the pass-through: the filters this
+        #: configuration enables (every other kind copies ``VSin``).
+        self._filtering_kinds = frozenset(
+            kind for kind, on in ((_K_FILTER_TYPE, config.filter_type_checks),
+                                  (_K_FILTER_COMPARE, config.filter_comparisons))
+            if on)
 
         #: Lazily inflated by the :attr:`state` property after :meth:`solve`.
         self._inflated: Optional[SolverState] = None
@@ -593,6 +623,7 @@ class ArenaKernelSolver:
         The counters go back to the state also when the solve raises.
         """
         resuming = self._solve_count > 0
+        self._resolved_types = {}
         try:
             self._enabled[0] = 1
             self._st[0] = PredOnFlow.artificial_on_enable
@@ -684,17 +715,18 @@ class ArenaKernelSolver:
         hi = arena.method_flow_hi[mid]
         enabled = self._enabled
         st = self._st
+        enable = self._enable
         if self.config.use_predicates:
             pin_ptr = arena.pin_ptr
             pin_val = arena.pin_val
             for fid in range(lo, hi):
                 for predicate in pin_val[pin_ptr[fid]:pin_ptr[fid + 1]]:
                     if enabled[predicate] and not st[predicate].is_empty:
-                        self._enable(fid)
+                        enable(fid)
                         break
         else:
             for fid in range(lo, hi):
-                self._enable(fid)
+                enable(fid)
         return mid
 
     def _signature_of(self, mid: int) -> MethodSignature:
@@ -791,19 +823,26 @@ class ArenaKernelSolver:
     def _run(self) -> None:
         """Drain the link queue, then the worklist, to a fixed point.
 
-        Mirror of ``SkipFlowSolver._run``.  Processing a flow — skip it
-        when disabled, deliver ``VSout`` along every use edge (the
-        Propagate rule), notify its observers, and enable its predicate
-        targets once its state is non-empty — is inlined over local
-        bindings; ``steps`` and the delivery ``joins`` are counted in
-        locals and added to the solver on the way out, also when the drain
-        raises.  No edge out of the drained flow is added while it drains
-        (linking runs only off the link queue or on *other* flows), so the
-        static CSR rows are iterated in place; a row with solve-time extras
-        is copied once into a list, because attached programs hold
-        ``memoryview`` columns that do not concatenate with lists.
+        The events and their order are ``SkipFlowSolver._run``'s.
+        Processing a flow — skip it when disabled, deliver ``VSout`` along
+        every use edge (the Propagate rule), notify its observers, and
+        enable its predicate targets once its state is non-empty — is
+        inlined over local bindings, and so are the two hot callees: the
+        pass-through transfer of a delivery target (every kind but a
+        filter this configuration enables, which goes through
+        :meth:`_recompute`) and the observer dispatch by kind.  A
+        predicate target that is already enabled is skipped before the
+        :meth:`_enable` call.  ``steps``, the delivery ``joins`` and the
+        inline ``transfers`` are counted in locals and added to the solver
+        on the way out, also when the drain raises.  No edge out of the
+        drained flow is added while it drains (linking runs only off the
+        link queue or on *other* flows), so the static CSR rows are
+        iterated in place; a row with solve-time extras is copied once
+        into a list, because attached programs hold ``memoryview`` columns
+        that do not concatenate with lists.
         """
         arena = self.arena
+        flow_kind = arena.flow_kind
         use_ptr = arena.use_ptr
         use_val = arena.use_val
         obs_ptr = arena.obs_ptr
@@ -818,15 +857,21 @@ class ArenaKernelSolver:
         inp = self._inp
         extra_uses = self._extra_uses.get
         pred_on_targets = self._pred_on_targets
+        filtering_kinds = self._filtering_kinds
+        saturation = self._saturation
+        threshold = saturation.threshold if saturation is not None else None
         recompute = self._recompute
-        notify = self._notify
+        saturate = self._saturate
+        link_fields = self._link_fields
         enable = self._enable
         link_invoke = self._link_invoke
         worklist = self._worklist
         pending = self._pending_links
         next_flow = worklist.popleft
         next_link = pending.popleft
-        steps = joins = 0
+        schedule_flow = worklist.append
+        schedule_link = pending.append
+        steps = joins = transfers = 0
         try:
             while worklist or pending:
                 if pending:
@@ -850,19 +895,47 @@ class ArenaKernelSolver:
                         continue
                     joins += 1
                     old_input = inp[target]
+                    # Read per target: a use edge may lead back to ``fid``.
                     new_input = old_input.join(st[fid])
-                    if new_input is not old_input:
-                        inp[target] = new_input
+                    if new_input is old_input:
+                        continue
+                    inp[target] = new_input
+                    if flow_kind[target] in filtering_kinds:
                         recompute(target)
+                        continue
+                    transfers += 1
+                    old_state = st[target]
+                    new_state = old_state.join(new_input)
+                    if new_state is old_state:
+                        continue
+                    if (threshold is not None
+                            and len(new_state.reference_types) > threshold):
+                        saturate(target, new_state.join(saturation.sentinel))
+                        continue
+                    st[target] = new_state
+                    if enabled[target] and not in_worklist[target]:
+                        in_worklist[target] = 1
+                        schedule_flow(target)
                 for observer in obs_val[obs_ptr[fid]:obs_ptr[fid + 1]]:
-                    notify(observer)
+                    kind = flow_kind[observer]
+                    if kind == _K_INVOKE:
+                        if enabled[observer] and not in_link_queue[observer]:
+                            in_link_queue[observer] = 1
+                            schedule_link(observer)
+                    elif kind == _K_LOAD_FIELD or kind == _K_STORE_FIELD:
+                        if enabled[observer]:
+                            link_fields(observer)
+                    elif kind == _K_FILTER_COMPARE:
+                        recompute(observer)
                 if not st[fid].is_empty:
                     for target in (pred_on_targets if fid == 0 else
                                    ptgt_val[ptgt_ptr[fid]:ptgt_ptr[fid + 1]]):
-                        enable(target)
+                        if not enabled[target]:
+                            enable(target)
         finally:
             self._steps += steps
             self._joins += joins
+            self._transfers += transfers
 
     def _inject(self, fid: int, state: ValueState) -> None:
         """Join a state into a flow's input (roots, stubs, solve-time edges)."""
@@ -874,26 +947,27 @@ class ArenaKernelSolver:
             self._inp[fid] = new_input
             self._recompute(fid)
 
-    def _transfer(self, fid: int) -> ValueState:
-        """The per-kind transfer function (TypeCheck / Cond / PassThrough)."""
+    def _filter(self, fid: int) -> ValueState:
+        """The transfer of an enabled filter (TypeCheck / Cond)."""
         arena = self.arena
-        kind = arena.flow_kind[fid]
-        if kind == schema.K_FILTER_TYPE and self.config.filter_type_checks:
+        if arena.flow_kind[fid] == _K_FILTER_TYPE:
             return filter_instanceof(
                 self._inp[fid], self.hierarchy,
                 arena.string(arena.flow_aux1[fid]),
                 bool(arena.flow_aux2[fid]))
-        if kind == schema.K_FILTER_COMPARE and self.config.filter_comparisons:
-            observed_fid = arena.flow_aux2[fid]
-            observed = self._st[observed_fid] if observed_fid >= 0 else _EMPTY
-            return compare_states(
-                schema.COMPARE_OPS[arena.flow_aux1[fid]],
-                self._inp[fid], observed)
-        return self._inp[fid]
+        observed_fid = arena.flow_aux2[fid]
+        observed = self._st[observed_fid] if observed_fid >= 0 else _EMPTY
+        return compare_states(
+            schema.COMPARE_OPS[arena.flow_aux1[fid]],
+            self._inp[fid], observed)
 
     def _recompute(self, fid: int) -> None:
+        """Apply the flow's transfer (PassThrough unless an enabled filter)."""
         self._transfers += 1
-        output = self._transfer(fid)
+        if self.arena.flow_kind[fid] in self._filtering_kinds:
+            output = self._filter(fid)
+        else:
+            output = self._inp[fid]
         new_state = self._st[fid].join(output)
         if new_state is not self._st[fid]:
             saturation = self._saturation
@@ -913,17 +987,6 @@ class ArenaKernelSolver:
         if self._enabled[fid]:
             self._schedule(fid)
 
-    def _notify(self, fid: int) -> None:
-        kind = self.arena.flow_kind[fid]
-        if kind == schema.K_INVOKE:
-            if self._enabled[fid]:
-                self._schedule_link(fid)
-        elif kind == schema.K_LOAD_FIELD or kind == schema.K_STORE_FIELD:
-            if self._enabled[fid]:
-                self._link_fields(fid)
-        elif kind == schema.K_FILTER_COMPARE:
-            self._recompute(fid)
-
     def _source_state(self, fid: int) -> ValueState:
         """Mirror of ``SourceFlow.source_state`` from the constant table."""
         arena = self.arena
@@ -940,40 +1003,46 @@ class ArenaKernelSolver:
         return ValueState.null()
 
     def _enable(self, fid: int) -> None:
-        if self._enabled[fid]:
+        enabled = self._enabled
+        if enabled[fid]:
             return
-        self._enabled[fid] = 1
+        enabled[fid] = 1
         kind = self.arena.flow_kind[fid]
         st = self._st
-        if kind == schema.K_SOURCE:
+        if kind == _K_SOURCE:
             st[fid] = st[fid].join(self._source_state(fid))
         # artificial_on_enable: pred_on / phi-pred carry int 1, void
         # returns carry primitive Any.
-        if kind == schema.K_PHI_PRED or kind == schema.K_PRED_ON:
+        if kind == _K_PHI_PRED or kind == _K_PRED_ON:
             st[fid] = st[fid].join(_INT_ONE)
-        elif kind == schema.K_RETURN and self.arena.flow_aux1[fid]:
+        elif kind == _K_RETURN and self.arena.flow_aux1[fid]:
             st[fid] = st[fid].join(ValueState.any_primitive())
-        if kind == schema.K_INVOKE:
+        if kind == _K_INVOKE:
             self._schedule_link(fid)
-        if kind == schema.K_LOAD_FIELD or kind == schema.K_STORE_FIELD:
+        elif kind == _K_LOAD_FIELD or kind == _K_STORE_FIELD:
             self._link_fields(fid)
         if not st[fid].is_empty:
             self._schedule(fid)
 
     def _add_use_edge(self, source: int, target: int) -> None:
-        seen = self._use_seen.get(source)
-        if seen is None:
-            arena = self.arena
-            seen = set(arena.use_val[
-                arena.use_ptr[source]:arena.use_ptr[source + 1]])
-            seen.update(self._extra_uses.get(source, ()))
-            self._use_seen[source] = seen
-        if target in seen:
+        """Mirror of the object solver's: add the edge once, then deliver.
+
+        One integer key per edge in ``edge_keys`` is the duplicate check
+        (see :class:`ArenaSolverState` for why static edges need none).
+        """
+        key = source << 32 | target
+        edge_keys = self._edge_keys
+        if key in edge_keys:
             return
-        seen.add(target)
-        self._extra_uses.setdefault(source, []).append(target)
-        if self._enabled[source] and not self._st[source].is_empty:
-            self._inject(target, self._st[source])
+        edge_keys.add(key)
+        extras = self._extra_uses.get(source)
+        if extras is None:
+            self._extra_uses[source] = [target]
+        else:
+            extras.append(target)
+        state = self._st[source]
+        if self._enabled[source] and not state.is_empty:
+            self._inject(target, state)
 
     # ------------------------------------------------------------------ #
     # Field linking (Load / Store rules)
@@ -1016,9 +1085,24 @@ class ArenaKernelSolver:
                 self._record_unknown_callee(
                     fid, f"{target_class}.{method_name}")
             return
-        receiver_state = self._st[arena.flow_aux2[fid]]
-        for type_name in sorted(receiver_state.reference_types):
-            signature = self.hierarchy.resolve(type_name, method_name)
+        # A receiver type resolved earlier in this solve was linked then, so
+        # the object solver's repeat of it is a no-op: resolve only the new
+        # ones, still in sorted order.  Receiver states only grow, so the
+        # memo is the last type set this invoke linked.
+        types = self._st[arena.flow_aux2[fid]].reference_types
+        resolved = self._resolved_types.get(fid)
+        if resolved is not None:
+            if types is resolved:
+                return
+            new_types = types - resolved
+            if not new_types:
+                return
+        else:
+            new_types = types
+        self._resolved_types[fid] = types
+        resolve = self.hierarchy.resolve
+        for type_name in sorted(new_types):
+            signature = resolve(type_name, method_name)
             if signature is not None:
                 self._link_callee(fid, signature)
 
@@ -1038,10 +1122,13 @@ class ArenaKernelSolver:
 
     def _link_callee(self, fid: int, signature: MethodSignature) -> None:
         qualified = signature.qualified_name
-        callees = self._linked_callees.setdefault(fid, set())
-        if qualified in callees:
+        callees = self._linked_callees.get(fid)
+        if callees is None:
+            self._linked_callees[fid] = {qualified}
+        elif qualified in callees:
             return
-        callees.add(qualified)
+        else:
+            callees.add(qualified)
         mid = self._activate(qualified)
         if mid is None:
             self._stub_links.append((fid, signature))
@@ -1053,11 +1140,12 @@ class ArenaKernelSolver:
             arena.inv_args_ptr[row]:arena.inv_args_ptr[row + 1]]
         parameters = arena.method_param_val[
             arena.method_param_ptr[mid]:arena.method_param_ptr[mid + 1]]
+        add_use_edge = self._add_use_edge
         for argument, parameter in zip(arguments, parameters):
-            self._add_use_edge(argument, parameter)
+            add_use_edge(argument, parameter)
         for return_fid in arena.method_ret_val[
                 arena.method_ret_ptr[mid]:arena.method_ret_ptr[mid + 1]]:
-            self._add_use_edge(return_fid, fid)
+            add_use_edge(return_fid, fid)
 
     def _apply_stub_effects(self, fid: int, signature: MethodSignature) -> None:
         if signature.returns_reference:

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, FrozenSet, Iterable, Optional, Tuple
 
+from repro.ir.arena import ArenaProgram
 from repro.ir.instructions import Assign
 from repro.ir.types import NULL_TYPE_NAME
 from repro.ir.values import ConstKind
@@ -167,10 +168,11 @@ def reachable_allocated_types(
     """
     allocated = set()
     hierarchy = program.hierarchy
-    # Duck-typed fast path: arena-attached programs precompute their
-    # allocation sites per method, so no body is ever decoded here.
-    site_index = getattr(program, "allocation_site_index", None)
-    if site_index is not None:
+    # An arena program lists each method's allocation sites in its columns,
+    # so no body is decoded here; a broken index raises rather than falling
+    # back to the bodies.
+    if isinstance(program, ArenaProgram):
+        site_index = program.allocation_site_index
         for qualified_name in reachable:
             allocated.update(site_index.get(qualified_name, ()))
     else:

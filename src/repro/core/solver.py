@@ -374,8 +374,9 @@ class SkipFlowSolver:
         the way out, also when the drain raises.  No edge out of the
         drained flow is added while it drains (linking runs only off the
         link queue or on *other* flows), so its edge sets are iterated in
-        place, without a copy.  ``ArenaKernelSolver._run`` mirrors this
-        loop statement for statement.
+        place, without a copy.  ``ArenaKernelSolver._run`` runs the same
+        events in the same order, with the pass-through transfer and the
+        observer dispatch inlined as well.
         """
         state = self.state
         recompute = self._recompute

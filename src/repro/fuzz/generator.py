@@ -13,7 +13,10 @@ the application-model families from :mod:`repro.workloads.applications`
 (service meshes, plugin registries with dormant extensions, reflection
 roots).  Edit scripts draw from every monotone edit kind, including the
 family-specific ``add-plugin``/``add-service`` kinds when the spec carries
-the matching family.
+the matching family.  ``add-consumer`` roots a method whose parameter is
+declared as the anchor hierarchy's root class, so an ``add-variant`` after
+it widens a conservative root seed: a warm resume that fails to re-play
+root seeds then answers differently from the cold solve.
 
 Two size profiles:
 
@@ -169,7 +172,8 @@ def random_spec(rng: random.Random, profile: FuzzProfile,
 
 def applicable_edit_kinds(spec: BenchmarkSpec) -> Tuple[str, ...]:
     """The monotone edit kinds a random script may use against ``spec``."""
-    kinds: List[str] = ["add-variant", "add-dispatch", "add-guarded-module"]
+    kinds: List[str] = ["add-variant", "add-dispatch", "add-guarded-module",
+                        "add-consumer"]
     if spec.plugins is not None:
         kinds.append("add-plugin")
     if spec.services is not None:

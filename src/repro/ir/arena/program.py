@@ -9,15 +9,16 @@ memoized, and method bodies unpickle individually on first touch.
 a real :class:`~repro.ir.types.TypeHierarchy` is rebuilt from the (small)
 type/field/signature tables, while ``methods`` is a lazy mapping producing
 :class:`ArenaMethod` views whose ``blocks`` thaw on demand — the arena
-solver kernel never touches them.  Two duck-typed attributes let the rest
-of the system skip object-graph walks entirely:
+solver kernel never touches them.  Two attributes let the rest of the
+system skip object-graph walks entirely:
 
 * ``program_fingerprint`` — the :class:`~repro.ir.delta.ProgramFingerprint`
   stamped at freeze time (``ProgramFingerprint.of`` returns it directly
   instead of re-digesting every body);
 * ``allocation_site_index`` — qualified method name to NEW'd type names,
   which the allocated-type saturation policies scan instead of iterating
-  instructions.
+  instructions (they test for an :class:`ArenaProgram`, so a broken index
+  raises instead of decoding every body).
 
 An :class:`ArenaProgram` is read-only by convention: its method mapping
 does not support insertion, so mutating passes must :func:`thaw` first.
@@ -369,6 +370,11 @@ class LazyMethodMap(Mapping):
             self._cache[name] = method
         return method
 
+    def __contains__(self, name: object) -> bool:
+        # Without a view: ``Mapping.__contains__`` would build one per test.
+        return name in self._cache or (
+            isinstance(name, str) and self._arena.mid_of(name) is not None)
+
     def __setitem__(self, name: str, method: Method) -> None:
         """Add a method the arena does not hold (a delta's; see
         :meth:`ArenaProgram.extend`).  The mapping only grows."""
@@ -422,6 +428,7 @@ class ArenaProgram(Program):
                 entry_points=list(source.entry_points),
             )
         self.arena = arena
+        self._site_index: Optional[Dict[str, Tuple[str, ...]]] = None
 
     @property
     def extendable(self) -> bool:

@@ -36,6 +36,13 @@ Edit kinds
 ``add-service``
     A new service deployed into the spec's mesh backbone by a new rooted
     driver.  Requires the spec to carry a ``services`` family.
+``add-consumer``
+    A new rooted consumer of the anchor hierarchy: a static entry point
+    whose one parameter is declared as the anchor's root class, dispatching
+    ``run`` on it.  Conservative root seeding gives that parameter every
+    instantiable subtype of the root class, so a later ``add-variant``
+    widens a seed that a warm resume must re-play.  Outside the default
+    rotation; the fuzzer draws it.
 ``touch-existing``
     Deliberately **non-monotone**: a new method on a pre-existing class.
     Excluded from :func:`default_edit_script`; exists so fallback paths
@@ -72,8 +79,10 @@ MONOTONE_EDIT_KINDS = ("add-variant", "add-dispatch", "add-guarded-module")
 #: Monotone kinds that require an application-model family on the spec.
 APPLICATION_EDIT_KINDS = ("add-plugin", "add-service")
 
-#: Every edit kind, including the deliberately non-monotone one.
-EDIT_KINDS = MONOTONE_EDIT_KINDS + APPLICATION_EDIT_KINDS + ("touch-existing",)
+#: Every edit kind: the rotation, the family kinds, ``add-consumer`` and
+#: the deliberately non-monotone one.
+EDIT_KINDS = (MONOTONE_EDIT_KINDS + APPLICATION_EDIT_KINDS
+              + ("add-consumer", "touch-existing"))
 
 
 @dataclass(frozen=True)
@@ -256,6 +265,15 @@ def build_edit_delta(spec: BenchmarkSpec, step: EditStepSpec) -> ProgramDelta:
         mb.return_void()
         delta.finish_method(mb)
         delta.add_entry_point(f"{driver}.apply")
+    elif step.kind == "add-consumer":
+        consumer = f"{prefix}EditConsumer{k}"
+        delta.declare_class(consumer)
+        mb = delta.method(consumer, "consume", params=(anchor.root_class,),
+                          is_static=True)
+        mb.invoke_virtual(mb.param(0), "run", result_type="int")
+        mb.return_void()
+        delta.finish_method(mb)
+        delta.add_entry_point(f"{consumer}.consume")
     elif step.kind == "touch-existing":
         mb = delta.method(anchor.container_class, f"probe{k}",
                           return_type="int")

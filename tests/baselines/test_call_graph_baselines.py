@@ -101,6 +101,27 @@ class TestRTA:
         assert result.is_method_reachable("LateHandler.on")
         assert result.is_method_reachable("LateLib.touch")
 
+    def test_rta_instantiates_the_types_a_root_parameter_admits(self):
+        # A root's caller is outside the program: any subtype of its
+        # declared parameter type may arrive, allocated in the program or not.
+        source = """
+            class Handler { void on() { } }
+            class FastHandler extends Handler { void on() { } }
+            class Unrelated { void on() { } }
+            class Host {
+                static void serve(Handler handler) { handler.on(); }
+            }
+            class Main { static void main() { } }
+        """
+        program = compile_source(source,
+                                 entry_points=["Main.main", "Host.serve"])
+        result = RapidTypeAnalysis(program).run()
+        assert {"Handler", "FastHandler"} <= result.instantiated_types
+        assert "Unrelated" not in result.instantiated_types
+        assert result.is_method_reachable("Handler.on")
+        assert result.is_method_reachable("FastHandler.on")
+        assert not result.is_method_reachable("Unrelated.on")
+
     def test_rta_static_call_resolution(self, program):
         result = RapidTypeAnalysis(program).run()
         assert result.is_method_reachable("CircleRenderer.render")

@@ -11,7 +11,7 @@ from repro.fuzz.generator import (
     get_profile,
     random_spec,
 )
-from repro.workloads.edits import build_edit_delta
+from repro.workloads.edits import build_edit_delta, edit_anchor
 from repro.workloads.generator import generate_benchmark
 
 import pytest
@@ -67,6 +67,37 @@ class TestSpecValidity:
             else:
                 assert "add-service" in kinds
         assert saw_plugin_kind and saw_no_plugin
+
+
+class TestWideningRoots:
+    def test_every_spec_may_draw_a_parameter_root(self):
+        rng = random.Random(5)
+        for index in range(10):
+            spec = random_spec(rng, QUICK_PROFILE, index)
+            assert "add-consumer" in applicable_edit_kinds(spec)
+
+    def test_some_quick_cases_widen_a_rooted_parameter(self):
+        """A consumer root, then a variant of its parameter type: the shape
+        in which a resume that skips re-playing root seeds answers wrong."""
+        def widens(script):
+            kinds = [step.kind for step in script.steps]
+            return ("add-consumer" in kinds and "add-variant"
+                    in kinds[kinds.index("add-consumer") + 1:])
+
+        assert any(widens(script) for script in generate_cases(11, 50))
+
+    def test_the_consumer_root_takes_the_anchor_type(self):
+        script = next(script for script in generate_cases(11, 50)
+                      if "add-consumer" in [s.kind for s in script.steps])
+        program = generate_benchmark(script.base)
+        for step in script.steps:
+            build_edit_delta(script.base, step).apply_to(
+                program, require_monotone=True)
+        (root,) = [name for name in program.entry_points
+                   if name.endswith(".consume")]
+        signature = program.methods[root].signature
+        assert signature.is_static
+        assert signature.param_types == (edit_anchor(script.base).root_class,)
 
 
 class TestProfiles:

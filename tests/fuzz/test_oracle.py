@@ -4,6 +4,7 @@ from pathlib import Path
 
 from repro.core import analysis as analysis_module
 from repro.core.kernel.arena_kernel import ArenaKernelSolver
+from repro.core.solver import SkipFlowSolver
 from repro.fuzz.generator import generate_cases
 from repro.fuzz.oracle import (
     check_case,
@@ -25,6 +26,26 @@ CORPUS = Path(__file__).parent / "corpus"
 
 def _script(steps=()):
     return EditScriptSpec(base=SMALL_SPEC, steps=tuple(steps))
+
+
+#: A root whose parameter is declared as the anchor's root class, then a
+#: new subclass of that class: the root's conservative seed widens.
+WIDENING_STEPS = (EditStepSpec(kind="add-consumer", index=0),
+                  EditStepSpec(kind="add-variant", index=1))
+
+
+def _reattach_without_root_seeds(solver):
+    """``ArenaKernelSolver._reattach`` minus the root-seed replay."""
+    solver._recollapse_saturated()
+    for fid, signature in list(solver._stub_links):
+        solver._apply_stub_effects(fid, signature)
+
+
+def _object_reattach_without_root_seeds(solver, seeded_roots):
+    """``SkipFlowSolver._reattach`` minus the root-seed replay."""
+    solver._recollapse_saturated()
+    for invoke_flow, signature in list(solver.state.stub_links):
+        solver._apply_stub_effects(invoke_flow, signature)
 
 
 class TestExecution:
@@ -121,13 +142,8 @@ class TestCheckCase:
         """The arena twin's warm chain is checked too: an arena resume that
         skips re-playing the root seeds is reported on the arena chain, and
         nothing else fires."""
-        def reattach_without_root_seeds(solver):
-            solver._recollapse_saturated()
-            for fid, signature in list(solver._stub_links):
-                solver._apply_stub_effects(fid, signature)
-
         monkeypatch.setattr(ArenaKernelSolver, "_reattach",
-                            reattach_without_root_seeds)
+                            _reattach_without_root_seeds)
         script, _ = load_repro(CORPUS / "reflection-mesh-mixed-edits.json")
         report = check_case(script, **SMALL_MATRIX)
         assert report.violations
@@ -136,6 +152,40 @@ class TestCheckCase:
                    and violation.invariant in ("kernel-divergence",
                                                "warm-cold-mismatch")
                    for violation in report.violations)
+
+    def test_a_resume_without_root_seeds_answers_wrong_on_a_widened_root(
+            self, monkeypatch):
+        """``add-consumer`` roots a method whose parameter type the later
+        ``add-variant`` subclasses: an arena resume that skips re-playing
+        the root seeds misses the variant's call edge, a wrong answer, not
+        only a counter drift."""
+        monkeypatch.setattr(ArenaKernelSolver, "_reattach",
+                            _reattach_without_root_seeds)
+        report = check_case(_script(WIDENING_STEPS), **SMALL_MATRIX)
+        mismatches = [violation for violation in report.violations
+                      if violation.invariant == "warm-cold-mismatch"]
+        assert [(violation.analyzer, violation.step)
+                for violation in mismatches] == [
+            ("skipflow[off@4/arena]", 2)]
+        assert "call-edges differ" in mismatches[0].detail
+        assert "Oracle_smallEditVariant1.run" in mismatches[0].detail
+
+    def test_a_resume_fault_both_kernels_share_is_a_warm_cold_mismatch(
+            self, monkeypatch):
+        """Planted in both kernels, the fault moves no counter between the
+        warm chains: no kernel divergence, but both chains miss the cold
+        answer (and the object chain's state fails its audit)."""
+        monkeypatch.setattr(ArenaKernelSolver, "_reattach",
+                            _reattach_without_root_seeds)
+        monkeypatch.setattr(SkipFlowSolver, "_reattach",
+                            _object_reattach_without_root_seeds)
+        report = check_case(_script(WIDENING_STEPS), **SMALL_MATRIX)
+        found = {(violation.invariant, violation.analyzer, violation.step)
+                 for violation in report.violations}
+        assert {("warm-cold-mismatch", "skipflow[off@4]", 2),
+                ("warm-cold-mismatch", "skipflow[off@4/arena]", 2)} <= found
+        assert {invariant for invariant, _, _ in found} == {
+            "warm-cold-mismatch", "audit"}
 
     def test_violation_detail_names_the_method(self):
         def drop_main(analyzer, reachable):
