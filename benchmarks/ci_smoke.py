@@ -16,10 +16,12 @@ from the halves the first run cached (it *is* the default SkipFlow config),
 a repeat run hits every policy half, all policies agree on the fixed
 point, and no half decodes a method body (its halves solve in-process,
 under a spy on the arena's body decoder).  Finally the *incremental* phase
-covers warm re-analysis: an additive edit resumed from the base fixpoint
-must land on the cold fixpoint for strictly fewer steps, the resumed state
+covers warm re-analysis on the arena kernel over the spec's attached
+program store blob: an additive edit resumed from the base fixpoint must
+land on the cold fixpoint for strictly fewer steps, the resumed tables
 must round-trip through the snapshot store, and a second pass must serve
-the snapshot from the store (a hit) and resume it to the same fixpoint.
+the snapshot from the store (a hit) over a fresh attach re-extended by
+the edit and resume it to the same fixpoint.
 Every half the pairwise and matrix phases solve afresh is store-backed (the
 cache derives a program store), so each must report that the arena kernel
 ran it on the attached blob (``kernel_ran == "arena"``).  The *image* phase
@@ -41,7 +43,14 @@ import traceback
 from pathlib import Path
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
-from repro.engine import ResultCache, SnapshotStore, run_config_matrix, run_specs
+from repro.engine import (
+    ProgramStore,
+    ResultCache,
+    SnapshotStore,
+    run_config_matrix,
+    run_specs,
+)
+from repro.ir.arena import ArenaProgram, freeze, open_program
 from repro.workloads.edits import build_edit_delta, default_edit_script
 from repro.workloads.generator import generate_benchmark, spec_from_reduction
 
@@ -187,15 +196,25 @@ def _policy_matrix_phase(specs, cache_dir: str):
 def _incremental_phase(cache_dir: str) -> list:
     """Warm re-analysis smoke: edit → resume beats cold, snapshots round-trip.
 
-    Returns a list of failure messages (empty = phase green).  Uses the
-    engine's snapshot store under the shared cache directory, so the GC
-    smoke downstream also exercises snapshot files.
+    Returns a list of failure messages (empty = phase green).  The chain
+    is the arena kernel's over the spec's attached program store blob, as
+    every persisted state is: the edit extends the attached program and
+    the tables resume over it.  Uses the engine's program and snapshot
+    stores under the shared cache directory, so the GC smoke downstream
+    also exercises snapshot files.
     """
     failures = []
     spec = _smoke_specs()[0]
     config = AnalysisConfig.skipflow()
     script = default_edit_script(spec, steps=1)
-    program = generate_benchmark(spec)
+    programs = ProgramStore(Path(cache_dir) / "programs")
+
+    def attached_and_edited(edited: bool):
+        program, _ = programs.attach_or_build(spec)
+        if edited:
+            build_edit_delta(spec, script.steps[0]).apply_to(
+                program, require_monotone=True)
+        return program
 
     snapshots = SnapshotStore(Path(cache_dir) / "snapshots")
     # Drop any entries a previous run against a reused --cache-dir left, so
@@ -205,16 +224,23 @@ def _incremental_phase(cache_dir: str) -> list:
         if path.exists():
             path.unlink()
 
+    program = attached_and_edited(False)
+    if not isinstance(program, ArenaProgram):
+        return [f"{spec.name}: the program store did not attach its blob"]
     cold_base = SkipFlowAnalysis(program, config).run()
-    chain = cold_base.solver_state
+    chain = cold_base.arena_state
     snapshots.store(script.prefix(0), config, chain, program)
 
-    delta = build_edit_delta(spec, script.steps[0])
-    delta.apply_to(program, require_monotone=True)
+    build_edit_delta(spec, script.steps[0]).apply_to(
+        program, require_monotone=True)
     before = chain.counters()
     warm = SkipFlowAnalysis(program, config, state=chain).run()
     warm_steps = warm.steps - before["steps"]
-    cold = SkipFlowAnalysis(program, config).run()
+    cold = SkipFlowAnalysis(attached_and_edited(True), config).run()
+    if warm.kernel_ran != "arena" or cold.kernel_ran != "arena":
+        failures.append(
+            f"{spec.name}: the chain ran on the {warm.kernel_ran} kernel and "
+            f"the cold solve on the {cold.kernel_ran} kernel, not the arena")
     if warm.reachable_methods != cold.reachable_methods or \
             sorted(warm.call_edges()) != sorted(cold.call_edges()):
         failures.append(
@@ -224,11 +250,13 @@ def _incremental_phase(cache_dir: str) -> list:
         failures.append(
             f"{spec.name}: warm resume was not cheaper than the cold solve "
             f"({warm_steps} >= {cold.steps} steps)")
-    snapshots.store(script.prefix(1), config, warm.solver_state, program)
+    snapshots.store(script.prefix(1), config, warm.arena_state, program)
 
-    # Second pass: the stored snapshot must be a hit and resume to the
-    # identical fixpoint without extra solver work.
+    # Second pass: the stored snapshot must be a hit over a fresh attach
+    # re-extended by the same edit, and resume to the identical fixpoint
+    # without extra solver work.
     reread = SnapshotStore(Path(cache_dir) / "snapshots")
+    program = attached_and_edited(True)
     restored = reread.load(script.prefix(1), config, program)
     if restored is None or reread.hits != 1 or reread.misses != 0:
         failures.append(
@@ -251,24 +279,31 @@ def _audit_phase() -> list:
     """Post-solve audits over the policy grid, plus a planted corruption.
 
     Returns a list of failure messages (empty = phase green).  Every
-    saturation policy on every smoke spec must pass the
-    full audits (snapshot round-trip included), and a deliberately planted
-    corruption must be detected — an auditor is only trustworthy if it can
-    fail.
+    saturation policy on every smoke spec must pass the audits on both
+    kernels: the object kernel's state on the plain program, and the full
+    audits (the arena tables' snapshot round-trip included) on the
+    attached freeze.  A deliberately planted corruption must be detected —
+    an auditor is only trustworthy if it can fail.
     """
     from repro.checks import audit_state
 
     failures = []
     for spec in _smoke_specs():
         program = generate_benchmark(spec)
+        attached = open_program(freeze(program))
         for label, config in _policy_grid():
-            result = SkipFlowAnalysis(program, config).run()
-            diagnostics = audit_state(result.solver_state, program)
-            if diagnostics:
-                failures.append(
-                    f"{spec.name} [{label}]: post-solve audit reported "
-                    f"{len(diagnostics)} finding(s), first: "
-                    f"{diagnostics[0].render()}")
+            for state, solved_over, full in (
+                    (SkipFlowAnalysis(program, config).run().solver_state,
+                     program, False),
+                    (SkipFlowAnalysis(attached, config).run().arena_state,
+                     attached, True)):
+                diagnostics = audit_state(state, solved_over, snapshot=full)
+                if diagnostics:
+                    failures.append(
+                        f"{spec.name} [{label} "
+                        f"{'arena' if full else 'object'}]: post-solve audit "
+                        f"reported {len(diagnostics)} finding(s), first: "
+                        f"{diagnostics[0].render()}")
 
     # Canary: a worklist bit forced back on must trip the residue audit.
     spec = _smoke_specs()[0]

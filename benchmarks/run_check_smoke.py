@@ -17,9 +17,10 @@ suites plus ``WideHierarchy``), the smoke
   ``skipflow``) under every saturation policy and runs
   the post-solve audits (:func:`repro.checks.audit_state`) on each solver
   state, requiring zero findings;
-* round-trips one snapshot per benchmark through
-  ``SolverState.to_bytes``/``from_bytes`` with the full audit (the
-  ``snapshot`` integrity check included) — priced separately, because the
+* round-trips one snapshot per benchmark — the default ``skipflow``
+  state of the arena kernel over the attached freeze, through
+  ``ArenaSolverState.to_bytes``/``from_bytes`` — with the full audit (the
+  ``snapshot`` integrity check included), priced separately, because the
   serialization probe is not part of the per-solve audit surface;
 * gates the **aggregate** audit cost against a fixed reference: right
   after each fast audit, a reference walk over the same state visits
@@ -51,6 +52,7 @@ from repro.checks import audit_state, has_errors, lint_program
 from repro.core.analysis import SkipFlowAnalysis
 from repro.core.kernel import available_saturation_policies
 from repro.engine.scheduler import estimated_cost
+from repro.ir.arena import freeze, open_program
 from repro.workloads.generator import generate_benchmark
 from repro.workloads.suites import extended_suites
 
@@ -172,7 +174,6 @@ def main(argv=None) -> int:
             failures.append(f"{spec.name}: lint reported "
                             f"{len(errors)} error(s): {errors[0].render()}")
 
-        snapshot_state = None
         for analyzer_name in analyzers:
             analyzer = get_analyzer(analyzer_name)
             for label, threshold, saturation in policies:
@@ -194,14 +195,16 @@ def main(argv=None) -> int:
                         f"{spec.name} [{analyzer_name} {label}]: audit "
                         f"reported {len(findings)} finding(s), first: "
                         f"{findings[0].render()}")
-                if analyzer_name == "skipflow" and label == "off":
-                    snapshot_state = result.solver_state
 
         # One serialization integrity probe per benchmark: the full audit
-        # on the default skipflow state, snapshot round-trip included.
-        if snapshot_state is not None:
+        # on the default skipflow state's arena tables, snapshot round-trip
+        # included.
+        if "skipflow" in analyzers:
+            attached = open_program(freeze(program))
+            state = SkipFlowAnalysis(
+                attached, get_analyzer("skipflow").config()).run().arena_state
             started = time.perf_counter()
-            findings = audit_state(snapshot_state, program)
+            findings = audit_state(state, attached)
             snapshot_seconds += time.perf_counter() - started
             if findings:
                 failures.append(

@@ -26,8 +26,10 @@ The first step is always the single-method ``add-variant`` edit; its
 ``Warm%`` column is the study's headline number (a few percent of the cold
 solve on the larger specs).
 
-With ``--cache-dir``, built base IR comes from the engine's program store
-and every post-edit solver state is persisted into the
+Every solve runs on the arena kernel over an attached program, which each
+edit extends in place.  With ``--cache-dir``, the base program is the
+engine's program store blob and every post-edit solver state (the arena
+tables) is persisted into the
 :class:`~repro.engine.snapshots.SnapshotStore` under
 ``<cache dir>/snapshots``, keyed by the edit-script prefix — a later run
 (or the CI smoke) can resume any step without replaying the chain.
@@ -50,6 +52,7 @@ from typing import List
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.engine import ProgramStore, ResultCache, SnapshotStore
 from repro.engine.scheduler import estimated_cost
+from repro.ir.arena import ArenaProgram, freeze, open_program
 from repro.reporting.incremental import (
     IncrementalPoint,
     format_incremental_study,
@@ -75,17 +78,25 @@ def _study_config(args) -> AnalysisConfig:
 
 def run_edit_sequence(spec, config, steps, *, program_store=None,
                       snapshot_store=None):
-    """One spec's edit sequence; returns (script, points, snapshots stored)."""
+    """One spec's edit sequence; returns (script, points, snapshots stored).
+
+    The chain is the arena kernel's over an attached program (the program
+    store's blob, or a freeze of the generated program): each edit extends
+    it in place, the tables resume over the extension, and the cold solve
+    of each step runs on the arena kernel over the same program.
+    """
     if program_store is not None:
-        program, _ = program_store.load_or_build(spec)
+        program, _ = program_store.attach_or_build(spec)
     else:
         program = generate_benchmark(spec)
+    if not isinstance(program, ArenaProgram):
+        program = open_program(freeze(program))
     script = default_edit_script(spec, steps)
 
     started = time.perf_counter()
     base = SkipFlowAnalysis(program, config).run()
     base_time = time.perf_counter() - started
-    chain = base.solver_state
+    chain = base.arena_state
     stored = 0
     if snapshot_store is not None:
         snapshot_store.store(script.prefix(0), config, chain, program)
@@ -118,7 +129,7 @@ def run_edit_sequence(spec, config, steps, *, program_store=None,
                 warm.reachable_methods == cold.reachable_methods
                 and sorted(warm.call_edges()) == sorted(cold.call_edges())),
         ))
-        chain = warm.solver_state
+        chain = warm.arena_state
         if snapshot_store is not None:
             snapshot_store.store(script.prefix(count), config, chain, program)
             stored += 1
@@ -192,13 +203,13 @@ def main(argv=None) -> int:
             snapshot_store=snapshot_store)
         summary = summarize_incremental(points)
         trajectory_rows.append(TrajectoryRow(
-            spec=spec.name, policy="warm", kernel="object",
+            spec=spec.name, policy="warm", kernel="arena",
             steps=summary["total_warm_steps"],
             joins=sum(point.warm_joins for point in points),
             wall_time_seconds=sum(
                 point.warm_time_seconds for point in points)))
         trajectory_rows.append(TrajectoryRow(
-            spec=spec.name, policy="cold", kernel="object",
+            spec=spec.name, policy="cold", kernel="arena",
             steps=summary["total_cold_steps"],
             joins=sum(point.cold_joins for point in points),
             wall_time_seconds=sum(

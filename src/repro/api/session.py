@@ -25,8 +25,8 @@ per-analysis wrappers:
   ``run(name, resume=previous_report)`` warm-starts the solve from the
   previous fixpoint instead of solving cold.  The session tracks whether
   every update since the resumed state was monotone; when one was not (or
-  the state does not fit — different configuration, foreign snapshot whose
-  fingerprint rejects the program), the run falls back to a cold solve and
+  the state does not fit — different configuration, an arena state whose
+  tables index another program), the run falls back to a cold solve and
   says so with a :class:`ResumeFallbackWarning` rather than failing or,
   worse, resuming unsoundly.
 
@@ -50,7 +50,7 @@ from repro.api.report import AnalysisReport
 from repro.core.kernel.arena_kernel import ArenaSolverState
 from repro.core.results import AnalysisResult
 from repro.core.state import SolverState, SolverStateError
-from repro.ir.arena import ArenaProgram, thaw
+from repro.ir.arena import ArenaProgram, freeze, open_program, thaw
 from repro.ir.delta import AppliedDelta, ProgramDelta
 from repro.ir.program import Program
 from repro.lang.api import compile_source
@@ -65,15 +65,15 @@ class ResumeFallbackWarning(UserWarning):
     Emitted — never silently swallowed — whenever ``run(..., resume=...)``
     cannot honor the resume: a non-monotone update happened since the state
     was produced, the state was solved under a different configuration, the
-    analyzer has no propagation engine, or a stamped snapshot rejects the
-    current program.  The cold result is correct either way; the warning
-    exists so the *cost* surprise is visible.
+    analyzer has no propagation engine, or an arena state's tables index
+    another program than the session's.  The cold result is correct either
+    way; the warning exists so the *cost* surprise is visible.
     """
 
 
 #: What ``run(..., resume=...)`` accepts: a report or result of a previous
-#: session run, or a bare solver state (e.g. restored from a snapshot) of
-#: either kernel.
+#: session run, or a bare solver state of either kernel (an arena state
+#: restored from a snapshot, say).
 ResumeSource = Union[AnalysisReport, AnalysisResult, SolverState,
                      ArenaSolverState]
 
@@ -165,7 +165,8 @@ class SessionUpdate:
     monotone: bool
     reasons: Tuple[str, ...]
     applied: AppliedDelta
-    #: Whether the update thawed an attached program into a plain one.
+    #: Whether the update thawed an attached program (and re-attached the
+    #: edited one).
     thawed: bool = False
 
     def summary(self) -> str:
@@ -305,22 +306,25 @@ class AnalysisSession:
         warm.  Returns the application record, including the monotonicity
         verdict and its reasons.
 
-        An attached :class:`~repro.ir.arena.ArenaProgram` stays one under a
-        monotone delta: the delta's classes, fields and methods are lowered
-        and appended after the arena's own ids, nothing is thawed, and a
-        state the arena kernel solved before resumes over the grown arena.
-        A non-monotone delta first thaws the arena into an equal mutable
-        program, which then replaces it as :attr:`program`; states solved
-        before stay resumable on the object kernel (the thaw takes over the
-        attached program's hierarchy and the method views it handed out),
-        though the warm barrier sends the next analysis cold anyway.
+        An attached :class:`~repro.ir.arena.ArenaProgram` stays attached.
+        Under a monotone delta the delta's classes, fields and methods are
+        lowered and appended after the arena's own ids, nothing is thawed,
+        and a state the arena kernel solved before resumes over the grown
+        arena.  A non-monotone delta thaws the arena into an equal mutable
+        program, applies the delta there and re-attaches the frozen result
+        as :attr:`program` (``SessionUpdate.thawed`` records it): states
+        solved before index the old arena, and the warm barrier sends the
+        next analysis cold, on the arena kernel.
         """
         thawed = False
-        if (isinstance(self.program, ArenaProgram)
-                and not delta.is_monotone_for(self.program)):
-            self.program = thaw(self.program)
+        program = self.program
+        if (isinstance(program, ArenaProgram)
+                and not delta.is_monotone_for(program)):
+            program = thaw(program)
             thawed = True
-        applied = delta.apply_to(self.program, require_monotone=False)
+        applied = delta.apply_to(program, require_monotone=False)
+        if thawed:
+            self.program = open_program(freeze(program))
         self._generation += 1
         if not applied.monotone:
             self._warm_barrier = self._generation
@@ -367,7 +371,7 @@ class AnalysisSession:
                           "state was produced"
                           + self._barrier_detail())
         if (generation is None and self._warm_barrier > 0
-                and state.fingerprint is None):
+                and getattr(state, "fingerprint", None) is None):
             # A foreign, unstamped state in a session whose program has seen
             # a non-monotone update: nothing can prove the state predates or
             # postdates the break, so warm is not defensible.

@@ -3,8 +3,11 @@
 The solver's result is trusted by everything downstream — the image
 builder, the service layer's warm resumes, the evaluation tables.  These
 passes re-verify that trust *statically*, by replaying the solver's own
-monotone operations over the final :class:`~repro.core.state.SolverState`
-and asserting that nothing changes:
+monotone operations over the final state — an object-kernel
+:class:`~repro.core.state.SolverState`, or the arena kernel's
+:class:`~repro.core.kernel.arena_kernel.ArenaSolverState`, whose
+inflated copy the per-flow passes walk — and asserting that nothing
+changes:
 
 * **AUD001 — residue**: a finished solve leaves no worklist or link-queue
   bits set; pending work means the state is mid-solve, not a fixpoint.
@@ -28,11 +31,13 @@ and asserting that nothing changes:
   With saturation off no flow is saturated; otherwise every saturated
   flow's state dominates the policy's current sentinel for it (dominance,
   because a collapse joins the sentinel over the triggering state).
-* **AUD006 — snapshot**: the state round-trips through the snapshot codec,
-  the restored state accepts the program (fingerprint check) and
-  re-audits clean.  With :attr:`CheckContext.snapshot` bytes, those bytes
-  are verified instead — the rehydration path, which is how a forged or
-  stale snapshot file is caught.
+* **AUD006 — snapshot**: the arena state's tables round-trip through
+  their codec, the restored tables accept the program (arena and
+  fingerprint check) and their inflated copy re-audits clean.  With
+  :attr:`CheckContext.snapshot` bytes, those bytes are verified instead —
+  the rehydration path, which is how a forged or stale snapshot file is
+  caught.  An object state has no persisted form: asking AUD006 of one
+  raises :class:`TypeError` rather than passing silently.
 * **AUD007 — warm barrier**: a state stamped with a session generation
   older than the session's warm barrier must not be offered for resume; a
   non-monotone edit happened after it was produced.
@@ -50,7 +55,7 @@ breaks at least one replay.  See ``docs/checks.md``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.checks.diagnostics import Diagnostic, Location, Severity
 from repro.checks.registry import Check, CheckContext, register_check
@@ -64,6 +69,7 @@ from repro.core.flows import (
     SourceFlow,
     StoreFieldFlow,
 )
+from repro.core.kernel.arena_kernel import ArenaSolverState
 from repro.core.kernel.saturation import make_saturation_policy
 from repro.core.state import SolverState, SolverStateError
 from repro.ir.instructions import InvokeKind
@@ -151,6 +157,8 @@ def _sweep(context: CheckContext) -> Dict[str, List[Diagnostic]]:
     state = context.state
     if state is None:
         return findings
+    if isinstance(state, ArenaSolverState):
+        state = state.inflate()
     program = context.program
     hierarchy = program.hierarchy
     config = state.config
@@ -461,22 +469,27 @@ def _sweep_check(name: str):
 # --------------------------------------------------------------------------- #
 def _check_snapshot(context: CheckContext) -> List[Diagnostic]:
     state = context.state
-    if state is None and context.snapshot is None:
-        return []
+    blob = context.snapshot
+    if blob is None:
+        if state is None:
+            return []
+        if not isinstance(state, ArenaSolverState):
+            raise TypeError(
+                "the snapshot audit (AUD006) round-trips the arena kernel's "
+                "tables, and an object-kernel SolverState has no persisted "
+                "form: audit the arena state of a solve over an attached "
+                "program, or pass snapshot=False")
     program = context.program
     try:
-        blob = context.snapshot
         if blob is None:
-            assert state is not None
             blob = state.to_bytes(program)
-        restored = SolverState.from_bytes(blob, program)
-        restored.validate_resume(program)
+        restored = ArenaSolverState.from_bytes(blob, program)
     except SolverStateError as error:
         return [_diag(
             "AUD006", "snapshot",
             f"snapshot does not restore cleanly against this program: "
             f"{error}")]
-    if state is not None and context.snapshot is None:
+    if context.snapshot is None:
         if restored.counters() != state.counters():
             return [_diag(
                 "AUD006", "snapshot",
@@ -537,7 +550,7 @@ AUDIT_CHECKS: Tuple[Check, ...] = (
           "saturated flows dominate the configured policy's sentinels",
           _sweep_check("saturation")),
     _make("snapshot", ("AUD006",),
-          "the state survives the snapshot codec and re-audits clean",
+          "the arena state's tables survive their codec and re-audit clean",
           _check_snapshot),
     _make("warm-barrier", ("AUD007",),
           "resumable states do not predate the session's warm barrier",
@@ -548,15 +561,17 @@ AUDIT_CHECKS: Tuple[Check, ...] = (
 # --------------------------------------------------------------------------- #
 # Convenience wrappers
 # --------------------------------------------------------------------------- #
-def audit_state(state: SolverState, program: Program, *,
-                warm_barrier: int = 0,
+def audit_state(state: Union[SolverState, ArenaSolverState],
+                program: Program, *, warm_barrier: int = 0,
                 snapshot: bool = True) -> List[Diagnostic]:
-    """Run the audit passes over one solver state.
+    """Run the audit passes over one solver state of either kernel.
 
-    ``snapshot=False`` skips the codec round-trip (``AUD006``) — the other
-    passes are one fused sweep over the live state, which is what latency-
-    sensitive callers (the fuzz oracle's per-combo hook, audit-on-analyze)
-    want.
+    ``program`` is the one the state was solved over (for an arena state,
+    the attached program its tables index).  ``snapshot=False`` skips the
+    codec round-trip (``AUD006``) — the other passes are one fused sweep
+    over the state, which is what latency-sensitive callers (the fuzz
+    oracle's per-combo hook, audit-on-analyze) want.  ``AUD006`` needs an
+    arena state: an object state raises :class:`TypeError`.
     """
     from repro.checks.registry import run_checks
 
@@ -572,11 +587,13 @@ def audit_result(result: "AnalysisResult", *,
                  snapshot: bool = True) -> List[Diagnostic]:
     """Run the audit passes over an engine analysis result.
 
-    Results without a solver state (the CHA/RTA call-graph baselines have
-    none) audit trivially clean: the audits verify *solver* artifacts, and
-    there is no solver artifact to verify.
+    The audited state is the result's resumable one: the arena tables when
+    the arena kernel ran, else the object state (which needs
+    ``snapshot=False``).  Results without a solver state (the CHA/RTA
+    call-graph baselines have none) audit trivially clean: the audits
+    verify *solver* artifacts, and there is no solver artifact to verify.
     """
-    state = getattr(result, "solver_state", None)
+    state = getattr(result, "resumable_state", None)
     if state is None:
         return []
     return audit_state(state, result.program, warm_barrier=warm_barrier,
@@ -584,7 +601,8 @@ def audit_result(result: "AnalysisResult", *,
 
 
 def audit_snapshot(blob: bytes, program: Program) -> List[Diagnostic]:
-    """Verify serialized snapshot bytes against a program (rehydration path)."""
+    """Verify serialized arena tables against the attached program they
+    index (the rehydration path)."""
     from repro.checks.registry import run_checks
 
     return run_checks(CheckContext(program=program, snapshot=blob),

@@ -7,9 +7,9 @@ exist:
 
 * ``lint`` checks inspect the input **program** (and optionally a pending
   :class:`~repro.ir.delta.ProgramDelta`) — they need no analysis result;
-* ``audit`` checks inspect **analysis artifacts** — the final
-  :class:`~repro.core.state.SolverState` of a solve, its snapshot codec
-  round-trip, and its relation to the owning session's warm barrier.
+* ``audit`` checks inspect **analysis artifacts** — the final solver
+  state of a solve (either kernel's), the round trip of the arena
+  kernel's tables, and its relation to the owning session's warm barrier.
 
 Both kinds consume one :class:`CheckContext` and return
 :class:`~repro.checks.diagnostics.Diagnostic` lists; a check whose inputs
@@ -21,11 +21,12 @@ whole registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.checks.diagnostics import Baseline, Diagnostic, sort_diagnostics
 
 if TYPE_CHECKING:  # pragma: no cover — typing only, avoids import cycles
+    from repro.core.kernel.arena_kernel import ArenaSolverState
     from repro.core.state import SolverState
     from repro.ir.delta import ProgramDelta
     from repro.ir.program import Program
@@ -45,9 +46,10 @@ class CheckContext:
 
     ``program`` is always required.  ``roots`` are the analysis roots the
     lint reachability pass starts from (defaults to the program's entry
-    points).  ``state`` is the post-solve artifact audits verify;
-    ``snapshot`` optionally carries serialized snapshot bytes to verify
-    instead of round-tripping ``state`` in memory (the rehydration path).
+    points).  ``state`` is the post-solve artifact audits verify (an
+    object ``SolverState`` or an ``ArenaSolverState``); ``snapshot``
+    optionally carries serialized arena tables to verify instead of
+    round-tripping ``state`` in memory (the rehydration path).
     ``warm_barrier`` is the owning session's barrier generation for the
     warm-monotonicity audit.  ``delta`` is a pending edit script for the
     delta-risk lint.
@@ -55,7 +57,7 @@ class CheckContext:
 
     program: "Program"
     roots: Tuple[str, ...] = ()
-    state: Optional["SolverState"] = None
+    state: Optional[Union["SolverState", "ArenaSolverState"]] = None
     snapshot: Optional[bytes] = None
     warm_barrier: int = 0
     delta: Optional["ProgramDelta"] = None

@@ -23,8 +23,9 @@ The input is a file in the Java-like surface language of :mod:`repro.lang`;
 the benchmark engine's cache status for each.  Analyses are resolved by name
 through the :mod:`repro.api` registry, so newly registered analyzers appear
 in ``--analysis`` and ``compare`` without CLI changes.  ``--save-state`` /
-``--resume-from`` persist and warm-start solver-state snapshots: resuming
-against a program that is not a monotone extension of the snapshotted one
+``--resume-from`` persist and warm-start solver-state snapshots — one file
+holding the program's arena blob plus the arena kernel's tables: resuming
+against a program that is not a monotone extension of the saved one
 falls back to a cold solve with a warning on stderr (``repro delta`` shows
 the diff and the monotonicity verdict ahead of time; it exits 1 when the
 edit is non-monotone).  A reader that closes stdout early (``repro bench |
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import sys
 import warnings
 from pathlib import Path
@@ -54,11 +56,18 @@ from repro.api import (
 )
 from repro.api.errors import EXIT_CHECK, exit_code_for
 from repro.core.analysis import AnalysisConfig
-from repro.core.state import SnapshotMismatchError, SolverState
+from repro.core.kernel.arena_kernel import ArenaSolverState
+from repro.core.state import SnapshotMismatchError, SolverStateError
 from repro.image.builder import NativeImageBuilder
 from repro.image.optimizations import collect_optimizations
 from repro.image.reflection import ReflectionConfig
-from repro.ir.delta import DeltaError, diff_programs
+from repro.ir.arena import freeze, open_program
+from repro.ir.delta import (
+    DeltaError,
+    NonMonotoneDeltaError,
+    delta_between,
+    diff_programs,
+)
 from repro.ir.program import ProgramError
 from repro.ir.validate import ValidationError
 from repro.lang.api import compile_source
@@ -66,18 +75,51 @@ from repro.lang.errors import LangError
 from repro.reporting.graphviz import call_graph_to_dot, pvpg_to_dot
 
 
-def _load_session(args) -> AnalysisSession:
-    source = Path(args.source).read_text()
-    reflection = None
+def _load_session(args, attach: bool = False) -> AnalysisSession:
+    """The session over the compiled source; ``attach`` freezes it first.
+
+    Commands that save, resume or audit a solver state attach the frozen
+    program, so the solve runs on the arena kernel, whose tables are the
+    persisted state.  The DOT exports stay plain: their node ids differ on
+    a graph inflated from the tables.
+    """
+    program = compile_source(Path(args.source).read_text())
     if args.reflection_config:
-        reflection = ReflectionConfig.from_file(Path(args.reflection_config))
+        ReflectionConfig.from_file(Path(args.reflection_config)).apply_to(program)
+    if attach:
+        program = open_program(freeze(program))
     # --entry names become session default roots (validated by
     # resolve_roots, so a misspelling is a clean NoEntryPointError / exit 3)
     # rather than compiled-in entry points (where it would surface as a
     # ProgramError during compilation).
-    return AnalysisSession.from_source(
-        source, roots=args.entry or None, reflection=reflection,
-        name=args.source)
+    return AnalysisSession(program, name=args.source, roots=args.entry or None)
+
+
+def _save_state_file(path: str, session: AnalysisSession, state) -> None:
+    """Write one ``--save-state`` file: the program's arena blob plus the
+    arena state's tables, so a resume needs nothing else."""
+    program = session.program
+    Path(path).write_bytes(pickle.dumps(
+        {"program": program.arena.to_bytes(), "state": state.to_bytes(program)},
+        protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _load_state_file(path: str):
+    """The saved program, attached, and its arena state's tables over it.
+
+    An unreadable file raises :class:`SolverStateError` (a usage error);
+    tables that do not match their own program raise
+    :class:`SnapshotMismatchError` (the caller solves cold).
+    """
+    blob = Path(path).read_bytes()
+    try:
+        bundle = pickle.loads(blob)
+        saved = open_program(bundle["program"])
+        tables = bundle["state"]
+    except Exception as error:  # unpickling or attaching: any garbage
+        raise SolverStateError(
+            f"unreadable solver-state snapshot {path}: {error}") from error
+    return saved, ArenaSolverState.from_bytes(tables, saved)
 
 
 def _selected_analysis(args) -> str:
@@ -183,7 +225,11 @@ def _analyze_with_state(session: AnalysisSession, args) -> int:
     snapshot is the solver state, so the output is the call-graph report
     plus the cumulative solver counters, and the mode line says whether the
     solve actually resumed or fell back cold (the fallback reasons go to
-    stderr either way).
+    stderr either way).  A resume attaches the saved program, extends it
+    by the structural diff to the current source
+    (:func:`~repro.ir.delta.delta_between`) and resumes the saved tables
+    over it; a diff that is not monotone, or tables that do not match,
+    solve the current source cold.
     """
     name = _selected_analysis(args)
     require_config_analyzer(name, purpose="solver-state snapshots")
@@ -191,14 +237,27 @@ def _analyze_with_state(session: AnalysisSession, args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResumeFallbackWarning)
         if args.resume_from:
+            # A readable snapshot this program cannot take is as loud and
+            # as cold as a resume the session refuses.
+            refused = None
             try:
-                resume_state = SolverState.from_bytes(
-                    Path(args.resume_from).read_bytes(), session.program)
+                saved, resume_state = _load_state_file(args.resume_from)
+                delta = delta_between(saved, session.program,
+                                      name=args.source)
             except SnapshotMismatchError as error:
-                # A readable snapshot this program cannot take: as loud
-                # and as cold as a resume the session refuses.
-                warnings.warn(f"falling back to a cold solve: {error}",
+                refused = str(error)
+            except NonMonotoneDeltaError as error:
+                refused = ("the program is not a monotone extension of the "
+                           "saved one: " + "; ".join(error.reasons))
+            if refused is not None:
+                resume_state = None
+                warnings.warn(f"falling back to a cold solve: {refused}",
                               ResumeFallbackWarning)
+            else:
+                session = AnalysisSession(saved, name=session.name,
+                                          roots=args.entry or None)
+                if not delta.is_empty:
+                    session.update(delta)
         report = session.run(name, resume=resume_state,
                              **_policy_options(args))
     fallbacks = [str(entry.message) for entry in caught
@@ -218,8 +277,7 @@ def _analyze_with_state(session: AnalysisSession, args) -> int:
     print(f"  solver joins:       {stats.joins}")
     print(f"  analysis time:      {report.analysis_time_seconds * 1000:.1f} ms")
     if args.save_state:
-        state = report.raw.solver_state
-        Path(args.save_state).write_bytes(state.to_bytes(session.program))
+        _save_state_file(args.save_state, session, report.raw.arena_state)
         print(f"  saved state:        {args.save_state}")
     if args.audit:
         return _print_audit(report.raw, warm_barrier=session.warm_barrier)
@@ -227,7 +285,8 @@ def _analyze_with_state(session: AnalysisSession, args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    session = _load_session(args)
+    session = _load_session(
+        args, attach=bool(args.save_state or args.resume_from or args.audit))
     if args.audit and (args.json or args.compare or args.optimizations):
         raise ValueError(
             "--audit cannot be combined with --json/--compare/"
@@ -386,7 +445,7 @@ def _cmd_check(args) -> int:
         return 0
     if not args.source:
         raise ValueError("a source file is required unless --list is given")
-    session = _load_session(args)
+    session = _load_session(args, attach=args.audit)
     baseline = Baseline.from_file(args.baseline) if args.baseline else None
     try:
         roots = tuple(session.resolve_roots())
@@ -647,8 +706,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--list-unreachable", action="store_true",
                          help="list methods proven unreachable")
     analyze.add_argument("--save-state", metavar="PATH",
-                         help="write the solver-state snapshot after the "
-                              "solve (for later --resume-from)")
+                         help="write the program and its solver-state "
+                              "snapshot after the solve (for later "
+                              "--resume-from)")
     analyze.add_argument("--resume-from", metavar="PATH",
                          help="warm-start from a solver-state snapshot; "
                               "falls back to a cold solve (with a warning) "

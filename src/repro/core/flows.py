@@ -28,6 +28,7 @@ PassThrough rules).
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.compare import compare_states
@@ -55,38 +56,9 @@ class FlowKind(enum.Enum):
     FIELD = "field"
 
 
-class _UidAllocator:
-    """Monotone uid source for flows, with a raisable floor.
-
-    Flow uids are the flows' identity in a snapshot: the codec refers to
-    edge targets, receivers and arguments by uid, so uids must be unique
-    *within any one PVPG*.  A solver state restored from a snapshot carries
-    flows with their original uids; :func:`ensure_uid_floor` raises the
-    allocator past them so that flows built while resuming can never
-    collide with restored ones.
-    """
-
-    __slots__ = ("_next",)
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def allocate(self) -> int:
-        uid = self._next
-        self._next += 1
-        return uid
-
-    def ensure_floor(self, floor: int) -> None:
-        if floor > self._next:
-            self._next = floor
-
-
-_flow_ids = _UidAllocator()
-
-
-def ensure_uid_floor(floor: int) -> None:
-    """Guarantee that future flow uids are ``>= floor`` (snapshot restore)."""
-    _flow_ids.ensure_floor(floor)
+#: Flow uids: unique per process, hence within any one PVPG (a fork keeps
+#: its original's uids, which no later flow reuses).
+_flow_ids = itertools.count()
 
 
 #: The shared empty edge set of the lazily allocated edge kinds.  It is an
@@ -121,7 +93,7 @@ class Flow:
     )
 
     def __init__(self, label: str, method: Optional[str] = None):
-        self.uid: int = _flow_ids.allocate()
+        self.uid: int = next(_flow_ids)
         self.label = label
         self.method = method
         self.state: ValueState = ValueState.empty()

@@ -54,11 +54,10 @@ The result queries — call edges, call targets, parameter / return / field
 states (:meth:`ArenaKernelSolver.call_edges` and friends) and the image
 report inputs (:meth:`ArenaKernelSolver.image_counters`,
 :meth:`ArenaKernelSolver.dead_code_rows`) — read the flat tables
-directly.  Only consumers that walk flows (audits, ``repro pvpg``, the
-object snapshot codec) need the :attr:`ArenaKernelSolver.state` property,
-which lazily materializes a real :class:`~repro.core.state.SolverState`
-(PVPG objects, ordered edge sets, counters) exactly as the object solver
-would have produced it.  Inflation reconstructs flows through their real
+directly.  Only consumers that walk flows (audits, ``repro pvpg``) need
+the :attr:`ArenaKernelSolver.state` property, which lazily materializes a
+real :class:`~repro.core.state.SolverState` (PVPG objects, ordered edge
+sets, counters) exactly as the object solver would have produced it.  Inflation reconstructs flows through their real
 constructors and never thaws a method body; it costs more than the
 propagation itself, which is why it is deferred.
 """
@@ -67,6 +66,7 @@ from __future__ import annotations
 
 import pickle
 from collections import deque
+from dataclasses import replace
 from typing import Deque, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.flows import (
@@ -164,8 +164,10 @@ class ArenaSolverState:
     Plus ``config`` and the ``program`` the tables index.  A state belongs
     to one program object and one live solver at a time.
     :meth:`to_bytes` / :meth:`from_bytes` pickle the tables (value states
-    re-intern on load); a restored state checks that the program it is
-    attached to has the arena and fingerprint it was written against.
+    re-intern on load) — the one persisted form of a solver state, which
+    ``--save-state`` files, the snapshot store and daemon parks all use; a
+    restored state checks that the program it is attached to has the arena
+    and fingerprint it was written against.
     """
 
     def __init__(self, config) -> None:
@@ -234,8 +236,10 @@ class ArenaSolverState:
     def inflate(self) -> SolverState:
         """The fixpoint as an object-graph :class:`SolverState` (a copy).
 
-        For consumers that walk flows — audits, ``repro pvpg``, the object
-        snapshot codec; see :meth:`ArenaKernelSolver._inflate`.
+        For consumers that walk flows — the audits, ``repro pvpg``; see
+        :meth:`ArenaKernelSolver._inflate`.  Every bit the tables hold is
+        carried over, worklist residue included, so an audit of the copy
+        audits the tables.
         """
         return ArenaKernelSolver(self.program, self.config, self).state
 
@@ -252,10 +256,19 @@ class ArenaSolverState:
     def to_bytes(self, program: ArenaProgram) -> bytes:
         """Pickle the tables, stamped with ``program``'s arena and fingerprint.
 
-        ``program`` is the one the tables index.  No IR is written: fids,
-        method ids and qualified names refer to the program, which a
-        restore must rebuild identically (:meth:`from_bytes` checks).
+        ``program`` is the one the tables index (the one they were solved
+        or restored over, maybe extended by deltas since).  No IR is
+        written: fids, method ids and qualified names refer to the
+        program, which a restore must rebuild identically
+        (:meth:`from_bytes` checks).  Any other program — a thawed or
+        re-frozen copy, whose ids need not match — raises
+        :class:`~repro.core.state.SolverStateError` instead of stamping
+        tables that index another arena.
         """
+        if program is None or self.program is not program:
+            raise SolverStateError(
+                "cannot snapshot: the arena state's tables index another "
+                "program than the one given")
         payload = {name: getattr(self, name) for name in self._TABLES}
         payload.update(
             snapshot_version=ARENA_SNAPSHOT_VERSION, config=self.config,
@@ -269,11 +282,13 @@ class ArenaSolverState:
         """Restore pickled tables over ``program``.
 
         Raises :class:`~repro.core.state.SolverStateError` on an unreadable
-        or foreign-version payload, and
-        :class:`~repro.core.state.SnapshotMismatchError` when ``program``
-        does not have the arena (same fid and method counts) and the
-        fingerprint the tables were written against: resuming them would
-        read the wrong flows.
+        or foreign-version payload or one whose config no longer validates
+        (unpickling skips ``AnalysisConfig.__post_init__``: a policy this
+        code no longer has would otherwise fail deep inside the resumed
+        solve), and :class:`~repro.core.state.SnapshotMismatchError` when
+        ``program`` does not have the arena (same fid and method counts)
+        and the fingerprint the tables were written against: resuming them
+        would read the wrong flows.
         """
         try:
             payload = pickle.loads(blob)
@@ -303,7 +318,7 @@ class ArenaSolverState:
             raise SnapshotMismatchError(
                 "arena snapshot does not match this program: "
                 + ("; ".join(delta.violations) or delta.summary()))
-        state = cls(payload["config"])
+        state = cls(_revalidated(payload["config"]))
         for name in cls._TABLES:
             setattr(state, name, payload[name])
         state.touched_field_set = set(state.touched_fields)
@@ -317,6 +332,16 @@ class ArenaSolverState:
 
 #: Bumped whenever :meth:`ArenaSolverState.to_bytes`'s payload changes.
 ARENA_SNAPSHOT_VERSION = 1
+
+
+def _revalidated(config):
+    """Re-run a config's own validation, which unpickling skips."""
+    try:
+        return replace(config)
+    except (TypeError, ValueError) as error:
+        raise SolverStateError(
+            f"solver-state snapshot carries an invalid config: {error}"
+        ) from error
 
 
 class ArenaKernelSolver:
@@ -1269,8 +1294,8 @@ class ArenaKernelSolver:
         ordered edge sets in the same order, same scalar bits, the
         method-graph map in activation order and the field flows in
         creation order.  The only documented divergence is the order of
-        each flow's incoming ``predicates`` set, which the snapshot codec
-        already treats as semantically inert.  Method bodies stay frozen:
+        each flow's incoming ``predicates`` set, which the solver only asks
+        "is any enabled" of, so it is semantically inert.  Method bodies stay frozen:
         flows are rebuilt from columns.
         """
         arena = self.arena
@@ -1344,13 +1369,15 @@ class ArenaKernelSolver:
                 if callees:
                     flow.linked_callees = set(callees)
 
-        # Scalars: value states, enabled/saturated bits (worklist bits are
-        # all clear at a fixpoint).
+        # Scalars: value states, enabled/saturated bits and the worklist
+        # bits (all clear at a fixpoint; an audit reads them as residue).
         for fid, flow in flows.items():
             flow.state = self._st[fid]
             flow.input_state = self._inp[fid]
             flow.enabled = bool(self._enabled[fid])
             flow.saturated = bool(self._saturated[fid])
+            flow.in_worklist = bool(self._in_worklist[fid])
+            flow.in_link_queue = bool(self._in_link_queue[fid])
 
         state = SolverState(self.config)
         generation = getattr(self.arena_state, "session_generation", None)

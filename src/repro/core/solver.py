@@ -177,8 +177,6 @@ class SkipFlowSolver:
         """
         state = self.state
         resuming = not state.is_fresh
-        if resuming:
-            state.validate_resume(self.program)
         pred_on = self.pvpg.pred_on
         pred_on.enabled = True
         pred_on.state = pred_on.artificial_on_enable
@@ -229,7 +227,7 @@ class SkipFlowSolver:
         Three things can be stale after a monotone program change:
 
         * the worklist residue — flows whose intrusive membership bits were
-          set when the state was snapshotted mid-solve (empty at a fixpoint)
+          set when the state was forked mid-solve (empty at a fixpoint)
           must re-enter the fresh worklist;
         * saturated flows — their sentinel was computed against the *old*
           program, and every sentinel only widens as the world grows

@@ -25,9 +25,10 @@ arbitrary N-way matrix) from *how* the results are produced:
   half attaches that blob and solves it on the arena kernel instead of
   regenerating or re-lowering it.
 * :mod:`repro.engine.snapshots` persists *solver-state* snapshots — the
-  resumable fixpoint of one (spec, configuration) solve — keyed like
-  result halves, so warm re-analysis after a monotone program edit
-  survives process boundaries (``benchmarks/run_incremental_study.py``).
+  arena kernel's tables of one (spec, configuration) solve over an
+  attached program — keyed like result halves, so warm re-analysis after
+  a monotone program edit survives process boundaries
+  (``benchmarks/run_incremental_study.py``).
 
 Invariant: with both configurations at their defaults the engine's numbers
 are bit-identical to running :class:`~repro.image.builder.NativeImageBuilder`

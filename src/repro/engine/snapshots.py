@@ -1,47 +1,43 @@
 """On-disk store of solver-state snapshots for warm re-analysis.
 
-A :class:`SnapshotStore` keeps the serialized
-:class:`~repro.core.state.SolverState` of a solved (spec, configuration)
-pair, so a later process can *resume* the fixpoint after a monotone program
-edit instead of re-deriving it: the warm path of
-``benchmarks/run_incremental_study.py`` and the CI incremental phase.  A
-snapshot is valid under exactly the circumstances of the result it
-accompanies, so it is keyed like a result half (kind ``state``; the store
-layout is described in :mod:`repro.engine`).
+A :class:`SnapshotStore` keeps the arena kernel's tables
+(:class:`~repro.core.kernel.arena_kernel.ArenaSolverState`) of a solved
+(spec, configuration) pair, so a later process can *resume* the fixpoint
+after a monotone program edit instead of re-deriving it: the warm path of
+``benchmarks/run_incremental_study.py``, the CI incremental phase and the
+daemon's parked sessions.  A snapshot is valid under exactly the
+circumstances of the result it accompanies, so it is keyed like a result
+half (kind ``state``; the store layout is described in
+:mod:`repro.engine`).
 
 ``spec`` is any dataclass :func:`~repro.engine.cache.hash_dataclass` can
 digest: a plain :class:`~repro.workloads.generator.BenchmarkSpec` for base
-programs, or an :class:`~repro.workloads.edits.EditScriptSpec` prefix for a
+programs, an :class:`~repro.workloads.edits.EditScriptSpec` prefix for a
 program-plus-edits state, which is how every step of an edit sequence gets
-its own addressable snapshot.  The payload itself carries
-``SNAPSHOT_VERSION`` (refused on mismatch by
-:meth:`SolverState.from_bytes`), and :meth:`SnapshotStore.store` stamps
-the program fingerprint into it, so even a snapshot loaded against the
-wrong (non-monotone) program refuses to resume at solve time rather than
-producing a stale fixpoint.  The arena kernel's
-:class:`~repro.core.kernel.arena_kernel.ArenaSolverState` is stored the
-same way (its pickled tables, stamped with the arena's fid and method
-counts and the fingerprint) and read back with :meth:`SnapshotStore.
-load_arena`, which refuses a program that does not rebuild them.
+its own addressable snapshot, or a daemon session's spill spec.  The
+payload is the pickled tables, versioned and stamped with the arena's fid
+and method counts and the program fingerprint; it holds no IR, so it is
+restored over an attached program that rebuilds the same arena (the
+program store's blob, extended by the same deltas).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.kernel.arena_kernel import ArenaSolverState
-from repro.core.state import SnapshotMismatchError, SolverState, SolverStateError
+from repro.core.state import SnapshotMismatchError, SolverStateError
 from repro.engine.cache import BlobStore
-from repro.ir.program import Program
+from repro.ir.arena import ArenaProgram
 
 
 class SnapshotStore(BlobStore):
     """A directory of solver-state snapshots, one per (spec, config) pair.
 
     ``hits`` counts successful :meth:`load` calls and ``misses`` the
-    missing/corrupt ones, so smoke tests can assert "the second run resumed
-    from the stored snapshot".
+    missing/corrupt/mismatched ones, so smoke tests can assert "the second
+    run resumed from the stored snapshot".
     """
 
     kind = "state"
@@ -58,24 +54,8 @@ class SnapshotStore(BlobStore):
         """Whether a snapshot exists, without touching the hit/miss counters."""
         return self.path_for(spec, config).is_file()
 
-    def load(self, spec, config, program: Program) -> Optional[SolverState]:
-        """The stored state restored against ``program``, or ``None``.
-
-        ``None`` on a missing, corrupt or stale blob, and on one that does
-        not resolve against ``program`` (a method it references is missing
-        or changed): snapshots store the program's IR by reference.
-        """
-        try:
-            blob = self.path_for(spec, config).read_bytes()
-            state = SolverState.from_bytes(blob, program)
-        except (OSError, SolverStateError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return state
-
-    def load_arena(self, spec, config,
-                   program: Program) -> Optional[ArenaSolverState]:
+    def load(self, spec, config,
+             program: ArenaProgram) -> Optional[ArenaSolverState]:
         """The stored arena-kernel tables restored over ``program``.
 
         ``None`` on a missing, corrupt or stale blob.  A blob that does not
@@ -96,13 +76,12 @@ class SnapshotStore(BlobStore):
         self.hits += 1
         return state
 
-    def store(self, spec, config, state: Union[SolverState, ArenaSolverState],
-              program: Optional[Program] = None) -> None:
-        """Atomically persist ``state``; with ``program``, stamp the snapshot.
+    def store(self, spec, config, state: ArenaSolverState,
+              program: ArenaProgram) -> None:
+        """Atomically persist ``state``'s tables over ``program``.
 
-        Stamping records the program's fingerprint inside the serialized
-        snapshot (the live ``state`` is untouched), so any later resume
-        against a non-monotone program fails loudly at solve time even if
-        the cache keying were somehow bypassed.
+        ``program`` is the attached program the tables index; its arena
+        counts and fingerprint are stamped into the snapshot, so a restore
+        over any other program refuses instead of misreading the fids.
         """
         self._write_atomic(self.path_for(spec, config), state.to_bytes(program))

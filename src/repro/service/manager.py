@@ -18,24 +18,27 @@ whenever sound) solve.  An editor streaming keystroke-sized edits gets one
 resumed fixpoint per analysis request, not one per edit.
 
 **Eviction and rehydration.**  Idle sessions past ``max_live_sessions``
-are spilled least-recently-used.  A session's program derives from a
-**base**: an arena blob in the engine's
-:class:`~repro.engine.program_store.ProgramStore` (a benchmark session's
-is its spec's shared blob), plus the **log** of
-:class:`~repro.ir.delta.ProgramDelta` scripts applied since; on an
-attached program each monotone delta appended its own lowering to the
-arena.  A spill lowers nothing: it writes every analyzer slot's solver
-state to the :class:`~repro.engine.snapshots.SnapshotStore` — an arena
-kernel state as its pickled tables, an object state as a snapshot that
-references the program's IR — keyed by a :class:`SessionSpillSpec`
-exactly like benchmark blobs are keyed by their specs, and keeps the log
-in memory.  Only a session without a base (a source session, a rebuilt
-one) or whose program has outgrown its base (:data:`REBASE_GROWTH`)
-writes the program, and that blob becomes its new base.  The next
-request on an evicted session transparently rehydrates it — the base
-attached and the log replayed, which re-extends the arena to the same
-fids, states restored over the result and re-stamped with their original
-session generations via
+are spilled least-recently-used.  Every session's program is attached
+(:class:`~repro.ir.arena.ArenaProgram`): a benchmark session attaches its
+spec's shared blob, and a source session, a rebuilt one, or a benchmark
+whose blob could not be stored attaches its own freeze at open.  A
+program derives from a **base**: an arena blob in the engine's
+:class:`~repro.engine.program_store.ProgramStore`, plus the **log** of
+:class:`~repro.ir.delta.ProgramDelta` scripts applied since, each of
+which appended its own lowering to the arena.  A spill lowers nothing:
+it writes every resumable analyzer slot's arena solver state (its
+pickled tables) to the :class:`~repro.engine.snapshots.SnapshotStore`,
+keyed by a :class:`SessionSpillSpec` exactly like benchmark blobs are
+keyed by their specs, and keeps the log in memory.  A state that
+predates the session's warm barrier can never resume, so it is parked
+without its tables.  Only a session without a base (a source session, a
+rebuilt one, one whose update thawed and re-froze its program) or whose
+program has outgrown its base (:data:`REBASE_GROWTH`) writes the
+program, and that blob becomes its new base; so a replayed log is always
+monotone.  The next request on an evicted session transparently
+rehydrates it — the base attached and the log replayed, which re-extends
+the arena to the same fids, states restored over the result and
+re-stamped with their original session generations via
 :meth:`~repro.api.session.AnalysisSession.adopt_generations` — so warm
 resumption survives the round trip to disk without a thaw.  A spill
 deletes the files of the session's previous spill that it did not
@@ -76,20 +79,17 @@ from repro.api.errors import (
     SessionNotFoundError,
     SessionRehydrationError,
 )
-from repro.api.registry import get_analyzer
+from repro.api.registry import get_analyzer, has_engine_config
 from repro.api.session import AnalysisSession, SessionUpdate
-from repro.core.kernel.arena_kernel import ArenaSolverState
 from repro.core.state import SnapshotMismatchError
 from repro.engine.program_store import ProgramStore
 from repro.engine.snapshots import SnapshotStore
-from repro.ir.arena import ArenaProgram
+from repro.ir.arena import ArenaProgram, freeze, open_program
 from repro.ir.delta import (
     DeltaError,
     NonMonotoneDeltaError,
     ProgramDelta,
-    ProgramFingerprint,
     delta_between,
-    seed_fingerprint,
 )
 from repro.lang.api import compile_source
 from repro.service.wire import WIRE_OPTIONS
@@ -227,10 +227,10 @@ class _AnalyzerSlot:
     key: str
     analysis: str
     options: Dict[str, object]
-    state: Optional[object]         # Arena/SolverState, None for CHA/RTA
+    state: Optional[object]         # ArenaSolverState, None for CHA/RTA
     payload: Optional[dict]         # AnalysisReport.to_dict() of the solve
     generation: int                 # session generation the slot solved
-    kernel: Optional[str] = None    # the kernel that ran: arena / object
+    kernel: Optional[str] = None    # the kernel that ran (arena), or None
 
 
 @dataclass(frozen=True)
@@ -242,9 +242,8 @@ class _SlotRecord:
     options: Tuple[Tuple[str, object], ...]
     generation: int
     payload: Optional[dict]
-    config: Optional[object]        # AnalysisConfig keying the snapshot
-    has_state: bool
-    kernel: Optional[str] = None
+    config: Optional[object]        # AnalysisConfig, None for CHA/RTA
+    has_state: bool                 # whether its tables were written
 
 
 @dataclass(frozen=True)
@@ -255,9 +254,6 @@ class _EvictedSession:
     warm_barrier: int
     slots: Tuple[_SlotRecord, ...]
     barrier_reasons: Tuple[str, ...] = ()
-    #: The spilled program's fingerprint when the log is not empty: the
-    #: replayed program adopts it, so no body is digested again.
-    fingerprint: Optional[ProgramFingerprint] = None
 
 
 @dataclass
@@ -290,13 +286,18 @@ class ManagedSession:
     def drain_pending(self) -> List[SessionUpdate]:
         """Apply every queued delta to the live session, logging each one.
 
-        Callers count the updates that thawed an attached program.
+        An update that thawed the program re-attached a new freeze, which
+        no stored blob holds: the session loses its base, so the next
+        spill rebases.  Callers count those updates.
         """
         applied: List[SessionUpdate] = []
         while self.pending:
             delta = self.pending.pop(0)
-            applied.append(self.session.update(delta))
+            update = self.session.update(delta)
+            applied.append(update)
             self.log.append(delta)
+            if update.thawed:
+                self.base = None
         return applied
 
 
@@ -365,22 +366,23 @@ class SessionManager:
         root_list = list(roots) if roots else None
         # Build outside every lock: compiling / generating can be slow.
         if source is not None:
-            session = AnalysisSession.from_source(
-                source, roots=root_list, name=name)
-            origin, spec = "source", None
+            program, spec, origin = compile_source(source), None, "source"
         else:
-            spec = self._find_benchmark(benchmark, scale)
+            spec, origin = self._find_benchmark(benchmark, scale), "benchmark"
             # Attach the spec's arena blob (zero decode); edits extend it
             # in place (see AnalysisSession.update).
             program, _ = self._programs.attach_or_build(spec)
-            session = AnalysisSession(program, name=name, roots=root_list)
-            origin = "benchmark"
+        base = spec
+        if not isinstance(program, ArenaProgram):
+            # No stored blob: attach a freeze, which the first spill writes
+            # as the session's own base.
+            program, base = open_program(freeze(program)), None
+        session = AnalysisSession(program, name=name, roots=root_list)
         managed = ManagedSession(name=name, origin=origin, session=session,
-                                 spec=spec, roots=root_list)
-        if isinstance(session.program, ArenaProgram):
+                                 spec=spec, roots=root_list, base=base)
+        if base is not None:
             # The attached blob is the session's base; spills never write it.
-            managed.base = spec
-            managed.base_methods = len(session.program.methods)
+            managed.base_methods = len(program.methods)
         with self._lock:
             replaced = self._sessions.get(name)
             if replaced is not None and not replace:
@@ -529,8 +531,8 @@ class SessionManager:
                  reasons: Tuple[str, ...] = ()) -> dict:
         """Replace a session's program wholesale after a non-monotone edit."""
         old = managed.session
-        fresh = AnalysisSession(new_program, name=managed.name,
-                                roots=managed.roots)
+        fresh = AnalysisSession(open_program(freeze(new_program)),
+                                name=managed.name, roots=managed.roots)
         # One generation past the old history, with the barrier at the new
         # generation: every pre-rebuild state is cold by construction.  The
         # rebuild's reasons become the barrier reasons, so later fallback
@@ -637,7 +639,7 @@ class SessionManager:
             # CHA/RTA produce no solver state: trivially clean.
             diagnostics = []
         else:
-            diagnostics = audit_state(_object_view(state), session.program,
+            diagnostics = audit_state(state, session.program,
                                       warm_barrier=session.warm_barrier,
                                       snapshot=False)
         if diagnostics:
@@ -697,7 +699,7 @@ class SessionManager:
                 analyzed = analyzer.name
                 if state is not None:
                     audits = audit_state(
-                        _object_view(state), session.program,
+                        state, session.program,
                         warm_barrier=session.warm_barrier)
                     diagnostics = sort_diagnostics(
                         list(diagnostics) + list(audits))
@@ -719,18 +721,24 @@ class SessionManager:
                analyzer, key: str, slot: Optional[_AnalyzerSlot],
                options: dict,
                fallback_reasons: List[str]) -> Tuple[str, int, dict]:
-        """One solve of ``analyzer`` over ``session``; returns mode/steps/payload."""
+        """One solve of ``analyzer`` over ``session``; returns mode/steps/payload.
+
+        A slot of an engine analysis that predates the warm barrier solves
+        ``cold-fallback``, naming the offenders, whether its state is still
+        in hand or was parked without it.
+        """
         resume_state = None
-        if slot is not None and slot.state is not None:
-            if slot.generation >= session.warm_barrier:
-                resume_state = slot.state
-            else:
-                offenders = "; ".join(session.warm_barrier_reasons)
-                fallback_reasons.append(
-                    f"a non-monotone update (generation "
-                    f"{session.warm_barrier}) invalidated the state solved "
-                    f"at generation {slot.generation}"
-                    + (f": {offenders}" if offenders else ""))
+        stale = (slot is not None and has_engine_config(analyzer)
+                 and slot.generation < session.warm_barrier)
+        if stale:
+            offenders = "; ".join(session.warm_barrier_reasons)
+            fallback_reasons.append(
+                f"a non-monotone update (generation "
+                f"{session.warm_barrier}) invalidated the state solved "
+                f"at generation {slot.generation}"
+                + (f": {offenders}" if offenders else ""))
+        elif slot is not None:
+            resume_state = slot.state
         before = resume_state.counters()["steps"] if resume_state is not None else 0
         if resume_state is not None:
             # The session re-validates the resume; it may still refuse (and
@@ -742,7 +750,7 @@ class SessionManager:
         total = report.solver_steps or 0
         if resume_state is not None and state is resume_state:
             mode, steps_paid = "warm", total - before
-        elif slot is not None and slot.state is not None:
+        elif stale or resume_state is not None:
             if resume_state is not None:
                 fallback_reasons.append(
                     "the session refused the resume and solved cold")
@@ -804,13 +812,14 @@ class SessionManager:
         The program is not written: it is the session's base blob plus the
         delta log, both already in hand.  A session without a base, or
         whose program has grown to :data:`REBASE_GROWTH` times its base's
-        method count, writes its program once here (an arena-backed one
-        as its extended arena, fids included), and that blob becomes its
-        base with an empty log.  An arena state is written as its pickled
-        tables, an object state as a snapshot that references the
-        program's IR.  Files of the previous spill that this one did not
-        rewrite are superseded (an older own base, older snapshots) and
-        are deleted.
+        method count, writes its attached arena (extension included, fids
+        unchanged) once here, and that blob becomes its base with an empty
+        log.  Each slot state is written as its pickled tables, except a
+        state that predates the warm barrier: it indexes an arena the
+        session no longer has and could never resume, so its slot parks
+        without it.  Files of the previous spill that this one did not
+        rewrite are superseded (an older own base, older snapshots) and are
+        deleted.
         """
         started = time.perf_counter()
         self._drain(managed)   # The log must hold every queued edit.
@@ -824,8 +833,9 @@ class SessionManager:
             written.append(self._programs.path_for(managed.base))
         records = []
         for slot in managed.slots.values():
-            has_state = slot.state is not None
-            config = slot.state.config if has_state else None
+            config = slot.state.config if slot.state is not None else None
+            has_state = (config is not None
+                         and slot.generation >= session.warm_barrier)
             if has_state:
                 state_spec = SessionSpillSpec(session=managed.name,
                                               generation=slot.generation,
@@ -836,23 +846,20 @@ class SessionManager:
                 key=slot.key, analysis=slot.analysis,
                 options=tuple(sorted(slot.options.items())),
                 generation=slot.generation, payload=slot.payload,
-                config=config, has_state=has_state, kernel=slot.kernel))
+                config=config, has_state=has_state))
         _discard(set(managed.spilled) - set(written))
         managed.spilled = tuple(written)
         managed.evicted = _EvictedSession(
             generation=session.generation, warm_barrier=session.warm_barrier,
             slots=tuple(records),
-            barrier_reasons=session.warm_barrier_reasons,
-            # Memoized: the snapshot stamps above took the same fingerprint.
-            fingerprint=(ProgramFingerprint.of(program) if managed.log
-                         else None))
+            barrier_reasons=session.warm_barrier_reasons)
         managed.session = None
         managed.slots = {}
         self.metrics.bump("evictions")
         self.metrics.record_latency("spill", time.perf_counter() - started)
 
     def _rebase(self, managed: ManagedSession) -> None:
-        """Freeze the live program as the session's own base blob."""
+        """Write the live attached program as the session's own base blob."""
         session = managed.session
         base = SessionSpillSpec(session=managed.name,
                                 generation=session.generation)
@@ -865,19 +872,15 @@ class SessionManager:
     def _ensure_live(self, managed: ManagedSession) -> None:
         """Rehydrate an evicted session in place; caller holds its lock.
 
-        The base blob is attached (zero decode) and the log is replayed
-        onto it through :meth:`AnalysisSession.update`, so a monotone log
-        re-extends the attached arena exactly as the live session did —
-        same fids, same fingerprint — and nothing is thawed; a log holding
-        a non-monotone delta thaws there, as the live session did, and the
-        fingerprint the spill took is seeded into the thawed result (no
-        body is digested again).  Each parked state is then restored over
-        the program: an arena state loads its pickled tables, an object
-        state resolves its IR references.  A missing or unreadable base, a
-        log that no longer applies to it, or an arena state whose base and
-        log no longer re-extend to the fids and fingerprint it was parked
-        with raises :class:`SessionRehydrationError` — loud, never a wrong
-        answer.
+        The base blob is attached (zero decode) and the log — monotone,
+        since a thawing update drops the base — is replayed onto it through
+        :meth:`AnalysisSession.update`, which re-extends the attached arena
+        exactly as the live session did: same fids, same fingerprint,
+        nothing thawed.  Each parked state then loads its pickled tables
+        over the program.  A missing or unreadable base, a log that no
+        longer applies to it, or a state whose base and log no longer
+        re-extend to the fids and fingerprint it was parked with raises
+        :class:`SessionRehydrationError` — loud, never a wrong answer.
         """
         if managed.session is not None:
             return
@@ -903,8 +906,6 @@ class SessionManager:
                 raise SessionRehydrationError(
                     f"session {managed.name!r}: the delta log does not "
                     f"replay onto its base program blob: {error}") from None
-            if not isinstance(session.program, ArenaProgram):
-                seed_fingerprint(session.program, evicted.fingerprint)
             self.metrics.bump("replayed_deltas", len(managed.log))
         session.adopt_generations(evicted.generation, evicted.warm_barrier,
                                   evicted.barrier_reasons)
@@ -917,17 +918,13 @@ class SessionManager:
                 spec = SessionSpillSpec(session=managed.name,
                                         generation=record.generation,
                                         slot=record.key)
-                if record.kernel == "arena":
-                    try:
-                        state = self._snapshots.load_arena(
-                            spec, record.config, program)
-                    except SnapshotMismatchError as error:
-                        raise SessionRehydrationError(
-                            f"session {managed.name!r}: the base and log no "
-                            f"longer rebuild the program its parked arena "
-                            f"state was solved over: {error}") from None
-                else:
+                try:
                     state = self._snapshots.load(spec, record.config, program)
+                except SnapshotMismatchError as error:
+                    raise SessionRehydrationError(
+                        f"session {managed.name!r}: the base and log no "
+                        f"longer rebuild the program its parked state was "
+                        f"solved over: {error}") from None
                 if state is None:
                     # A lost snapshot costs warmth, never correctness: the
                     # slot keeps its payload and the next solve runs cold.
@@ -941,7 +938,7 @@ class SessionManager:
                 key=record.key, analysis=record.analysis,
                 options=dict(record.options), state=state,
                 payload=record.payload, generation=record.generation,
-                kernel=record.kernel)
+                kernel="arena" if record.config is not None else None)
         managed.session = session
         managed.slots = slots
         managed.evicted = None
@@ -978,13 +975,6 @@ class SessionManager:
                 if spec.name == name:
                     return spec
         raise ServiceProtocolError(f"unknown benchmark {name!r}")
-
-
-def _object_view(state):
-    """An object-graph view of a slot's state, for the audits."""
-    if isinstance(state, ArenaSolverState):
-        return state.inflate()
-    return state
 
 
 def _discard(paths) -> None:

@@ -19,8 +19,10 @@ from repro.api import AnalysisSession
 from repro.api.errors import EXIT_USAGE
 from repro.cli import main as cli_main
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
+from repro.core.kernel.arena_kernel import ArenaSolverState
 from repro.core.results import AnalysisResult
-from repro.core.state import SolverState, SolverStateError
+from repro.core.state import SolverStateError
+from repro.ir.arena import freeze, open_program
 from repro.lang import compile_source
 from repro.service import ServiceClient, ServiceClientError, serving
 
@@ -125,15 +127,15 @@ def test_scheduling_flag_is_a_usage_error_on_every_command(tmp_path, capsys,
 
 
 def test_snapshot_naming_a_removed_policy_is_refused():
-    """A v3 payload whose config still names ``closed-world`` fails at load
+    """Arena tables whose config still names ``closed-world`` fail at load
     time with a ``SolverStateError``, not inside the resumed solve."""
-    program = compile_source(SOURCE)
+    program = open_program(freeze(compile_source(SOURCE)))
     config = AnalysisConfig.skipflow().with_saturation_threshold(8)
     result = SkipFlowAnalysis(program, config).run()
-    payload = pickle.loads(result.solver_state.to_bytes(program))
+    payload = pickle.loads(result.arena_state.to_bytes(program))
     object.__setattr__(payload["config"], "saturation_policy", "closed-world")
     with pytest.raises(SolverStateError, match="closed-world"):
-        SolverState.from_bytes(pickle.dumps(payload), program)
+        ArenaSolverState.from_bytes(pickle.dumps(payload), program)
 
 
 def test_policy_option_is_rejected_by_the_session():

@@ -219,7 +219,11 @@ class TestFromSpec:
         paid = warm.solver_stats.steps - cold.solver_stats.steps
         assert 0 < paid < fresh.solver_stats.steps
 
-    def test_non_monotone_update_thaws_and_falls_back_cold(self, tmp_path):
+    def test_non_monotone_update_stays_attached_and_falls_back_cold(
+            self, tmp_path):
+        """A non-monotone edit thaws, applies and re-attaches: the cold
+        fallback runs on the arena kernel, and the next monotone edit
+        extends the new arena and resumes warm."""
         spec = spec_from_reduction(name="attached", suite="test",
                                    total_methods=80, reduction_percent=10.0)
         session = AnalysisSession.from_spec(spec, store=ProgramStore(tmp_path))
@@ -230,11 +234,23 @@ class TestFromSpec:
         delta.finish_method(builder)
         update = session.update(delta)
         assert not update.monotone and update.thawed
-        assert not isinstance(session.program, ArenaProgram)
+        assert isinstance(session.program, ArenaProgram)
+        assert "Main.grafted" in session.program.methods
         with pytest.warns(ResumeFallbackWarning, match="Main.grafted"):
             again = session.run("skipflow", resume=cold)
-        assert again.raw.kernel_ran == "object"
+        assert again.raw.kernel_ran == "arena"
         assert again.reachable_methods == cold.reachable_methods
+
+        grow = build_edit_delta(spec, default_edit_script(spec, steps=1).steps[0])
+        update = session.update(grow)
+        assert update.monotone and not update.thawed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResumeFallbackWarning)
+            warm = session.run("skipflow", resume=again)
+        assert warm.raw.kernel_ran == "arena"
+        assert warm.raw.arena_state is again.raw.arena_state
+        assert warm.reachable_methods == AnalysisSession(
+            session.program).run("skipflow").reachable_methods
 
     def test_from_spec_with_a_store_attaches(self, tmp_path):
         spec = spec_from_reduction(name="attached", suite="test",

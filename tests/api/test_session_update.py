@@ -5,8 +5,10 @@ import warnings
 import pytest
 
 from repro.api import AnalysisSession, ResumeFallbackWarning
-from repro.core.state import SolverState
+from repro.core.kernel.arena_kernel import ArenaSolverState
+from repro.ir.arena import freeze, open_program
 from repro.ir.delta import DeltaError, ProgramDelta
+from repro.lang import compile_source
 
 SOURCE = """
 class Base { int run() { return 1; } }
@@ -22,6 +24,11 @@ class Main {
 
 def session_fixture():
     return AnalysisSession.from_source(SOURCE, name="incremental")
+
+
+def attached_session_fixture():
+    return AnalysisSession(open_program(freeze(compile_source(SOURCE))),
+                           name="incremental")
 
 
 def growth_delta():
@@ -160,9 +167,9 @@ class TestResume:
     def test_unprovable_foreign_state_falls_back_after_the_barrier(self):
         session = session_fixture()
         base = session.run("skipflow")
-        # Un-stamped, generation-free snapshot (to_bytes without a program).
-        foreign = SolverState.from_bytes(base.raw.solver_state.to_bytes(),
-                                         session.program)
+        # A generation-free state, as if it came from elsewhere.
+        foreign = base.raw.solver_state.fork()
+        del foreign.session_generation
         session.update(touch_delta())  # non-monotone
         with pytest.warns(ResumeFallbackWarning, match="neither") as caught:
             session.run("skipflow", resume=foreign)
@@ -185,26 +192,27 @@ class TestResume:
         assert report.analyzer == "cha"
 
     def test_resume_from_restored_snapshot(self):
-        session = session_fixture()
+        session = attached_session_fixture()
         base = session.run("skipflow")
-        blob = base.raw.solver_state.to_bytes(session.program)
+        blob = base.raw.arena_state.to_bytes(session.program)
+        restored = ArenaSolverState.from_bytes(blob, session.program)
         session.update(growth_delta())
-        restored = SolverState.from_bytes(blob, session.program)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResumeFallbackWarning)
             warm = session.run("skipflow", resume=restored)
+        assert warm.raw.kernel_ran == "arena"
         assert "Impl2.run" in warm.reachable_methods
 
-    def test_stale_stamped_snapshot_falls_back_loudly(self):
-        first = session_fixture()
+    def test_snapshot_of_another_program_falls_back_loudly(self):
+        first = attached_session_fixture()
         base = first.run("skipflow")
-        blob = base.raw.solver_state.to_bytes(first.program)
-        # A session over a *different* program cannot use that snapshot.
-        other = AnalysisSession.from_source(
-            SOURCE.replace("return 2", "return 9"), name="other")
-        with pytest.warns(ResumeFallbackWarning, match="monotone"):
-            report = other.run("skipflow",
-                               resume=SolverState.from_bytes(blob, first.program))
+        restored = ArenaSolverState.from_bytes(
+            base.raw.arena_state.to_bytes(first.program), first.program)
+        # A session over a *different* program cannot use those tables.
+        other = AnalysisSession(open_program(freeze(compile_source(
+            SOURCE.replace("return 2", "return 9")))), name="other")
+        with pytest.warns(ResumeFallbackWarning, match="another program"):
+            report = other.run("skipflow", resume=restored)
         assert report.reachable_method_count == 2
 
     def test_compare_rejects_resume_option(self):

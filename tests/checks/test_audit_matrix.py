@@ -2,7 +2,8 @@
 
 The matrix is the contract the fuzz oracle and the daemon rely on: a
 *correct* solve — any config-backed analyzer, saturation on or off, cold
-or warm — audits clean, including the snapshot round-trip.
+or warm, on either kernel — audits clean, and the arena kernel's tables
+survive the snapshot round-trip.
 """
 
 import pytest
@@ -57,7 +58,8 @@ def test_every_combo_audits_clean(analyzer_name, saturation, threshold):
     config = get_analyzer(analyzer_name).config(threshold, saturation)
     for label, program in _programs():
         result = SkipFlowAnalysis(program, config).run()
-        findings = audit_state(result.solver_state, program)
+        assert result.kernel_ran == "object"
+        findings = audit_state(result.solver_state, program, snapshot=False)
         assert findings == [], (
             f"{label} [{analyzer_name} {saturation}@{threshold}]: "
             + "; ".join(d.render() for d in findings))
@@ -67,42 +69,50 @@ def test_every_combo_audits_clean(analyzer_name, saturation, threshold):
 @pytest.mark.parametrize("saturation,threshold", SATURATIONS)
 def test_arena_kernel_state_audits_clean(analyzer_name, saturation,
                                          threshold):
-    """The arena kernel's inflated state (a cold solve of the attached
-    freeze) passes the same audits."""
+    """The arena kernel's tables (a cold solve of the attached freeze) pass
+    the same audits, and their round trip re-audits clean."""
     config = get_analyzer(analyzer_name).config(threshold, saturation)
     for label, program in _programs():
         attached = open_program(freeze(program))
         result = SkipFlowAnalysis(attached, config).run()
         assert result.kernel_ran == "arena"
-        findings = audit_state(result.solver_state, attached)
+        findings = audit_state(result.arena_state, attached)
         assert findings == [], (
             f"{label} [{analyzer_name} {saturation}@{threshold} arena]: "
             + "; ".join(d.render() for d in findings))
 
 
 def test_audit_result_reads_the_report_payload():
-    program = compile_source(SOURCE)
+    program = open_program(freeze(compile_source(SOURCE)))
     report = get_analyzer("skipflow").analyze(program)
-    assert audit_result(report) == []
+    assert report.raw.kernel_ran == "arena"
+    assert audit_result(report.raw) == []
+
+
+def test_audit_result_of_an_object_solve_skips_only_on_request():
+    report = get_analyzer("skipflow").analyze(compile_source(SOURCE))
+    assert audit_result(report.raw, snapshot=False) == []
+    with pytest.raises(TypeError, match="AUD006"):
+        audit_result(report.raw)
 
 
 def test_audit_result_without_solver_state_is_empty():
     program = compile_source(SOURCE)
     report = get_analyzer("cha").analyze(program)
-    assert audit_result(report) == []
+    assert audit_result(report.raw) == []
 
 
 def test_stamped_snapshot_blob_audits_clean():
-    program = compile_source(SOURCE)
+    program = open_program(freeze(compile_source(SOURCE)))
     result = SkipFlowAnalysis(program,
                               get_analyzer("skipflow").config()).run()
-    blob = result.solver_state.to_bytes(program)
+    blob = result.arena_state.to_bytes(program)
     assert audit_snapshot(blob, program) == []
 
 
 def test_warm_resumed_session_state_audits_clean():
-    session = AnalysisSession.from_source(SOURCE)
-    session.run("skipflow")
+    session = AnalysisSession(open_program(freeze(compile_source(SOURCE))))
+    first = session.run("skipflow")
     delta = ProgramDelta("extend")
     delta.declare_class("LoudConfig", superclass="Config")
     mb = delta.method("LoudConfig", "isFeatureEnabled", return_type="boolean")
@@ -110,7 +120,8 @@ def test_warm_resumed_session_state_audits_clean():
     mb.return_(one)
     delta.finish_method(mb)
     session.update(delta)
-    report = session.run("skipflow")
-    findings = audit_state(report.raw.solver_state, session.program,
+    report = session.run("skipflow", resume=first)
+    assert report.raw.arena_state is first.raw.arena_state
+    findings = audit_state(report.raw.arena_state, session.program,
                            warm_barrier=session.warm_barrier)
     assert findings == []

@@ -13,6 +13,7 @@ import pytest
 from repro.checks import audit_snapshot, audit_state
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.core.flows import InvokeFlow
+from repro.ir.arena import freeze, open_program
 from repro.ir.delta import ProgramFingerprint
 from repro.lang import compile_source
 from repro.lattice.value_state import ValueState
@@ -40,13 +41,38 @@ def solved():
     return program, result.solver_state
 
 
+@pytest.fixture
+def solved_arena():
+    """The arena kernel's tables over the attached freeze: the state that
+    persists, so the one the snapshot audit (AUD006) verifies."""
+    program = open_program(freeze(compile_source(SOURCE)))
+    result = SkipFlowAnalysis(program, AnalysisConfig.skipflow()).run()
+    return program, result.arena_state
+
+
 def _ids(diagnostics):
     return {diag.id for diag in diagnostics}
 
 
-def test_clean_state_is_the_control(solved):
+def test_clean_state_is_the_control(solved, solved_arena):
     program, state = solved
+    assert audit_state(state, program, snapshot=False) == []
+    program, state = solved_arena
     assert audit_state(state, program) == []
+
+
+def test_aud006_of_an_object_state_raises(solved):
+    """An object state has no persisted form: the snapshot audit refuses
+    it instead of passing silently."""
+    program, state = solved
+    with pytest.raises(TypeError, match="AUD006"):
+        audit_state(state, program)
+
+
+def test_aud001_reads_residue_in_arena_tables(solved_arena):
+    program, state = solved_arena
+    state.in_worklist[0] = 1
+    assert "AUD001" in _ids(audit_state(state, program, snapshot=False))
 
 
 def test_aud001_worklist_residue(solved):
@@ -118,11 +144,11 @@ def test_aud005_saturated_flow_under_policy_off(solved):
     assert "AUD005" in _ids(findings)
 
 
-def test_aud006_forged_snapshot_fingerprint(solved):
+def test_aud006_forged_snapshot_fingerprint(solved_arena):
     # Pickle-level surgery: replace the stamped fingerprint with one of a
     # program whose method body differs, as if the snapshot were reused
     # across a non-monotone edit.  The restore validation must refuse it.
-    program, state = solved
+    program, state = solved_arena
     edited = compile_source(SOURCE.replace("return 1", "return 9"))
     payload = pickle.loads(state.to_bytes(program))
     payload["fingerprint"] = ProgramFingerprint.of(edited)
@@ -131,18 +157,18 @@ def test_aud006_forged_snapshot_fingerprint(solved):
     assert _ids(findings) == {"AUD006"}
 
 
-def test_aud006_truncated_snapshot_blob(solved):
-    program, state = solved
+def test_aud006_truncated_snapshot_blob(solved_arena):
+    program, state = solved_arena
     blob = state.to_bytes(program)
     findings = audit_snapshot(blob[: len(blob) // 2], program)
     assert _ids(findings) == {"AUD006"}
 
 
-def test_aud006_wraps_corruption_found_after_restore(solved):
+def test_aud006_wraps_corruption_found_after_restore(solved_arena):
     # The corruption lives *inside* the snapshot: the restored state fails
     # its own re-audit, reported under the snapshot check's id.
-    program, state = solved
-    next(iter(state.pvpg.all_flows())).in_worklist = True
+    program, state = solved_arena
+    state.in_worklist[0] = 1
     blob = state.to_bytes(program)
     findings = audit_snapshot(blob, program)
     assert _ids(findings) == {"AUD006"}

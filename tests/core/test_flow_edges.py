@@ -5,7 +5,7 @@ Every edge kind of a :class:`~repro.core.flows.Flow` is an insertion-ordered
 kinds most flows never use (``observers``, ``predicate_targets`` and the
 incoming ``predicates``) share the immutable ``NO_EDGES`` until their first
 add.  These tests pin the set semantics, the order, the absence of
-cross-flow sharing, the snapshot round trip, and the allocation count.
+cross-flow sharing, the fork round trip, and the allocation count.
 """
 
 import gc
@@ -15,7 +15,6 @@ import pytest
 from repro.checks import audit_state
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.core.flows import NO_EDGES, PhiFlow
-from repro.core.state import SolverState
 from repro.workloads.generator import (
     BenchmarkSpec,
     GuardedModuleSpec,
@@ -132,16 +131,16 @@ def _edge_uids(flows):
             for flow in flows}
 
 
-class TestSnapshotRoundTrip:
+class TestForkRoundTrip:
     def test_empty_containers_survive_and_re_audit_clean(self):
         program = generate_benchmark(SPEC)
         result = SkipFlowAnalysis(program, AnalysisConfig.skipflow()).run()
         state = result.solver_state
-        restored = SolverState.from_bytes(state.to_bytes(program), program)
+        restored = state.fork()
         flows = restored.pvpg.all_flows()
         # The fixture must exercise both shapes of every lazy kind.
         for kind in ("observers", "predicate_targets", "predicates"):
             assert any(getattr(flow, kind) is NO_EDGES for flow in flows)
             assert any(getattr(flow, kind) for flow in flows)
         assert _edge_uids(flows) == _edge_uids(state.pvpg.all_flows())
-        assert audit_state(restored, program) == []
+        assert audit_state(restored, program, snapshot=False) == []

@@ -4,23 +4,28 @@ The contract under test, in increasing strength:
 
 * the cold path is "resume from the empty state" and behaves exactly like
   the pre-refactor solver (same counters, same results);
-* a state snapshot round-trips through bytes and resumes as a no-op when
-  nothing changed;
+* a persisted state (the arena kernel's tables) round-trips through bytes
+  and resumes as a no-op when nothing changed, and across an edit;
 * after *any* additive (monotone) edit sequence, the resumed fixpoint
   equals the from-scratch fixpoint — reachable set, call edges, and the
   final value state of every flow — under **every** saturation policy;
-* non-monotone situations are refused loudly (config mismatch, stamped
-  fingerprint rejecting the program).
+* non-monotone situations are refused loudly (config mismatch, tables
+  whose fingerprint rejects the program).
 """
 
+import enum
+import io
 import pickle
 
 import pytest
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.core.solver import SkipFlowSolver
-from repro.core.state import SNAPSHOT_VERSION, SolverState, SolverStateError
+from repro.core.kernel.arena_kernel import ARENA_SNAPSHOT_VERSION, ArenaSolverState
+from repro.core.state import SnapshotMismatchError, SolverState, SolverStateError
 from repro.ir.arena import freeze, open_program
+from repro.ir.blocks import BasicBlock
+from repro.ir.method import Method
 from repro.ir.delta import ProgramDelta
 from repro.lang import compile_source
 from repro.workloads.edits import build_edit_delta, default_edit_script
@@ -94,33 +99,106 @@ class TestColdPath:
                            state=result.solver_state)
 
 
+def _attached_solve(source_or_program, config=None):
+    """A cold solve over the attached freeze; returns (program, result)."""
+    program = source_or_program
+    if isinstance(program, str):
+        program = compile_source(program)
+    attached = open_program(freeze(program))
+    return attached, SkipFlowAnalysis(attached, config).run()
+
+
 class TestSnapshots:
+    """The one persisted solver state: the arena kernel's tables."""
+
     def test_round_trip_preserves_the_fixpoint(self):
-        program = generate_benchmark(WIDE_SPEC)
-        result = SkipFlowAnalysis(program).run()
-        restored = SolverState.from_bytes(result.solver_state.to_bytes(),
-                                          program)
-        assert restored.counters() == result.solver_state.counters()
-        assert restored.reachable == result.solver_state.reachable
+        program, result = _attached_solve(generate_benchmark(WIDE_SPEC))
+        state = result.arena_state
+        restored = ArenaSolverState.from_bytes(state.to_bytes(program),
+                                               program)
+        assert restored.counters() == state.counters()
+        assert restored.reachable == state.reachable
         resumed = SkipFlowAnalysis(program, state=restored).run()
+        assert resumed.kernel_ran == "arena"
         assert (fixpoint_signature(resumed.pvpg, resumed.reachable_methods)
                 == fixpoint_signature(result.pvpg, result.reachable_methods))
 
     def test_resuming_an_unchanged_program_is_a_no_op(self):
-        program = generate_benchmark(WIDE_SPEC)
-        result = SkipFlowAnalysis(program).run()
-        state = SolverState.from_bytes(result.solver_state.to_bytes(program),
-                                       program)
+        program, result = _attached_solve(generate_benchmark(WIDE_SPEC))
+        state = ArenaSolverState.from_bytes(
+            result.arena_state.to_bytes(program), program)
         before = state.counters()
         resumed = SkipFlowAnalysis(program, state=state).run()
         assert resumed.steps - before["steps"] == 0
 
-    def test_restored_flows_never_collide_with_fresh_uids(self):
+    def test_resume_across_an_edit(self):
+        """Tables saved over the base resume over a re-attached copy that
+        the same monotone edit extended, to the cold fixpoint."""
+        program, result = _attached_solve(generate_benchmark(WIDE_SPEC))
+        blob = result.arena_state.to_bytes(program)
+        copy = open_program(program.arena.to_bytes())
+        restored = ArenaSolverState.from_bytes(blob, copy)
+        step = default_edit_script(WIDE_SPEC, steps=1).steps[0]
+        build_edit_delta(WIDE_SPEC, step).apply_to(copy,
+                                                   require_monotone=True)
+        before = restored.counters()["steps"]
+        warm = SkipFlowAnalysis(copy, state=restored).run()
+        plain = generate_benchmark(WIDE_SPEC)
+        build_edit_delta(WIDE_SPEC, step).apply_to(plain,
+                                                   require_monotone=True)
+        cold = SkipFlowAnalysis(plain).run()
+        assert warm.kernel_ran == "arena"
+        assert warm.reachable_methods == cold.reachable_methods
+        assert sorted(warm.call_edges()) == sorted(cold.call_edges())
+        assert 0 < warm.steps - before < cold.steps
+
+    def test_payload_holds_no_ir_objects(self):
+        """The tables name flows by fid and methods by name: a restricted
+        unpickler that refuses every IR class still loads them."""
+        program, result = _attached_solve(generate_benchmark(WIDE_SPEC))
+
+        class NoIRUnpickler(pickle.Unpickler):
+            loaded = set()
+
+            def find_class(self, module, name):
+                cls = super().find_class(module, name)
+                if isinstance(cls, type) and (
+                        issubclass(cls, (Method, BasicBlock))
+                        or (module == "repro.ir.instructions"
+                            and not issubclass(cls, enum.Enum))):
+                    raise pickle.UnpicklingError(
+                        f"snapshot carries IR: {module}.{name}")
+                self.loaded.add(f"{module}.{name}")
+                return cls
+
+        unpickler = NoIRUnpickler(io.BytesIO(
+            result.arena_state.to_bytes(program)))
+        payload = unpickler.load()
+        # The refusal is live: value payloads and the stamp did load.
+        assert "repro.ir.delta.ProgramFingerprint" in unpickler.loaded
+        assert any(name.startswith("repro.lattice.")
+                   for name in unpickler.loaded)
+        assert payload["linked_callees"] and payload["reachable"]
+
+    def test_fork_keeps_direct_references(self):
+        program = generate_benchmark(WIDE_SPEC)
+        state = SkipFlowAnalysis(program).run().solver_state
+        branch = state.fork()
+        for name, graph in branch.pvpg.methods.items():
+            original = state.pvpg.methods[name]
+            assert graph.method is original.method
+            for flow, before in zip(graph.invoke_flows,
+                                    original.invoke_flows):
+                assert flow.invoke is before.invoke
+            for record, before in zip(graph.branch_records,
+                                      original.branch_records):
+                assert record.instruction is before.instruction
+
+    def test_forked_flows_never_collide_with_fresh_uids(self):
         program = compile_source(SMALL_SOURCE)
         result = SkipFlowAnalysis(program).run()
-        restored = SolverState.from_bytes(result.solver_state.to_bytes(),
-                                          program)
-        floor = restored.max_flow_uid()
+        branch = result.solver_state.fork()
+        floor = branch.max_flow_uid()
         from repro.core.flows import SourceFlow
         from repro.ir.values import ConstantExpr
 
@@ -142,69 +220,75 @@ class TestSnapshots:
         # The original state was not consumed by the branch's resume.
         assert result.solver_state.reachable == result.reachable_methods
 
-    def test_stamped_snapshot_rejects_non_monotone_programs(self):
-        program = compile_source(SMALL_SOURCE)
-        result = SkipFlowAnalysis(program).run()
-        blob = result.solver_state.to_bytes(program)
-        edited = compile_source(SMALL_SOURCE.replace("return 2", "return 9"))
-        state = SolverState.from_bytes(blob, program)
-        with pytest.raises(SolverStateError, match="monotone"):
-            SkipFlowAnalysis(edited, state=state).run()
+    def test_tables_refuse_a_program_with_another_body(self):
+        program, result = _attached_solve(SMALL_SOURCE)
+        blob = result.arena_state.to_bytes(program)
+        edited = open_program(freeze(compile_source(
+            SMALL_SOURCE.replace("return 2", "return 9"))))
+        with pytest.raises(SnapshotMismatchError,
+                           match="method Impl.run changed its body"):
+            ArenaSolverState.from_bytes(blob, edited)
+
+    def test_tables_refuse_a_plain_program(self):
+        program, result = _attached_solve(SMALL_SOURCE)
+        blob = result.arena_state.to_bytes(program)
+        with pytest.raises(SnapshotMismatchError, match="arena program"):
+            ArenaSolverState.from_bytes(blob, compile_source(SMALL_SOURCE))
+
+    def test_to_bytes_refuses_a_program_the_tables_do_not_index(self):
+        """A thawed or re-frozen copy has its own ids: stamping the tables
+        with it would hand a later restore the wrong flows."""
+        program, result = _attached_solve(SMALL_SOURCE)
+        state = result.arena_state
+        with pytest.raises(SolverStateError, match="another program"):
+            state.to_bytes(open_program(program.arena.to_bytes()))
+        with pytest.raises(SolverStateError, match="another program"):
+            state.to_bytes(compile_source(SMALL_SOURCE))
 
     def test_corrupt_blobs_are_refused(self):
-        program = compile_source(SMALL_SOURCE)
+        program, _ = _attached_solve(SMALL_SOURCE)
         with pytest.raises(SolverStateError):
-            SolverState.from_bytes(b"not a snapshot", program)
+            ArenaSolverState.from_bytes(b"not a snapshot", program)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, SNAPSHOT_VERSION + 1])
+    @pytest.mark.parametrize("version", [0, ARENA_SNAPSHOT_VERSION + 1])
     def test_foreign_snapshot_versions_are_refused(self, version):
-        """Version 1 pickled an ``AnalysisConfig`` that still had a
-        ``scheduling`` field, a version-2 config with a bare threshold
-        names the deleted closed-world policy, and version 3 pickled the
-        IR itself where version 4 stores references; no such layout may be
-        half-read."""
-        program = compile_source(SMALL_SOURCE)
-        blob = SkipFlowAnalysis(program).run().solver_state.to_bytes(program)
-        payload = pickle.loads(blob)
-        assert payload["snapshot_version"] == SNAPSHOT_VERSION == 4
+        program, result = _attached_solve(SMALL_SOURCE)
+        payload = pickle.loads(result.arena_state.to_bytes(program))
+        assert payload["snapshot_version"] == ARENA_SNAPSHOT_VERSION
         payload["snapshot_version"] = version
         with pytest.raises(SolverStateError,
                            match=f"snapshot version {version}"):
-            SolverState.from_bytes(pickle.dumps(payload), program)
+            ArenaSolverState.from_bytes(pickle.dumps(payload), program)
 
     def test_snapshot_config_is_revalidated_on_load(self):
         """Unpickling skips ``AnalysisConfig.__post_init__``; decoding
         re-runs it, so an unknown policy fails at load time with a
         ``SolverStateError`` instead of deep inside the resumed solve."""
-        program = compile_source(SMALL_SOURCE)
         config = AnalysisConfig.skipflow().with_saturation_threshold(4)
-        result = SkipFlowAnalysis(program, config).run()
-        payload = pickle.loads(result.solver_state.to_bytes(program))
-        assert payload["snapshot_version"] == 4
+        program, result = _attached_solve(SMALL_SOURCE, config)
+        payload = pickle.loads(result.arena_state.to_bytes(program))
         object.__setattr__(payload["config"], "saturation_policy",
                            "open-world")
         with pytest.raises(SolverStateError,
                            match="unknown saturation policy 'open-world'"):
-            SolverState.from_bytes(pickle.dumps(payload), program)
+            ArenaSolverState.from_bytes(pickle.dumps(payload), program)
 
     def test_valid_snapshot_config_round_trips(self):
-        program = compile_source(SMALL_SOURCE)
         config = AnalysisConfig.skipflow().with_saturation_threshold(4)
-        result = SkipFlowAnalysis(program, config).run()
-        state = SolverState.from_bytes(result.solver_state.to_bytes(program),
-                                       program)
+        program, result = _attached_solve(SMALL_SOURCE, config)
+        state = ArenaSolverState.from_bytes(
+            result.arena_state.to_bytes(program), program)
         assert state.config == config
         assert state.config.saturation_policy == "allocated-type"
 
     def test_to_bytes_stamps_the_snapshot_not_the_live_state(self):
-        program = compile_source(SMALL_SOURCE)
-        result = SkipFlowAnalysis(program).run()
-        state = result.solver_state
+        program, result = _attached_solve(SMALL_SOURCE)
+        state = result.arena_state
         blob = state.to_bytes(program)
-        # The live chain stays unstamped (no fingerprint re-validation cost
-        # on its later warm solves); the persisted snapshot carries it.
+        # The live chain stays unstamped (its session tracks monotonicity);
+        # a restored state carries the fingerprint it was verified against.
         assert state.fingerprint is None
-        assert SolverState.from_bytes(blob, program).fingerprint is not None
+        assert ArenaSolverState.from_bytes(blob, program).fingerprint is not None
 
 
 class TestWarmVsColdEquivalence:

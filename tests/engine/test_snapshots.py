@@ -1,7 +1,14 @@
-"""The engine's snapshot store: keying, round-trips, crash-safety, GC."""
+"""The engine's snapshot store: keying, round-trips, crash-safety, GC.
+
+Stored states are the arena kernel's tables over an attached program.
+"""
+
+import pytest
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
+from repro.core.state import SnapshotMismatchError
 from repro.engine import SnapshotStore
+from repro.ir.arena import freeze, open_program
 from repro.workloads.edits import build_edit_delta, default_edit_script
 from repro.workloads.generator import generate_benchmark, spec_from_reduction
 
@@ -12,8 +19,8 @@ OTHER_SPEC = spec_from_reduction(name="snap-other", suite="test",
 CONFIG = AnalysisConfig.skipflow()
 
 
-def solved_state(program=None):
-    program = program if program is not None else generate_benchmark(SPEC)
+def solved_state(spec=SPEC):
+    program = open_program(freeze(generate_benchmark(spec)))
     return SkipFlowAnalysis(program, CONFIG).run(), program
 
 
@@ -46,7 +53,7 @@ class TestRoundTrip:
     def test_store_load_resume(self, tmp_path):
         result, program = solved_state()
         store = SnapshotStore(tmp_path)
-        store.store(SPEC, CONFIG, result.solver_state, program)
+        store.store(SPEC, CONFIG, result.arena_state, program)
         assert store.contains(SPEC, CONFIG)
 
         reread = SnapshotStore(tmp_path)
@@ -54,34 +61,49 @@ class TestRoundTrip:
         assert state is not None and reread.hits == 1
         before = state.counters()
         resumed = SkipFlowAnalysis(program, CONFIG, state=state).run()
+        assert resumed.kernel_ran == "arena"
         assert resumed.steps - before["steps"] == 0
         assert resumed.reachable_methods == result.reachable_methods
 
     def test_stored_snapshot_is_stamped(self, tmp_path):
         result, program = solved_state()
         store = SnapshotStore(tmp_path)
-        store.store(SPEC, CONFIG, result.solver_state, program)
+        store.store(SPEC, CONFIG, result.arena_state, program)
         state = store.load(SPEC, CONFIG, program)
         assert state.fingerprint is not None
 
     def test_resume_across_an_edit(self, tmp_path):
         result, program = solved_state()
         store = SnapshotStore(tmp_path)
-        store.store(SPEC, CONFIG, result.solver_state, program)
+        store.store(SPEC, CONFIG, result.arena_state, program)
 
+        # Restore over a re-attached copy of the base, then extend it.
+        copy = open_program(program.arena.to_bytes())
+        state = store.load(SPEC, CONFIG, copy)
         script = default_edit_script(SPEC, steps=1)
         build_edit_delta(SPEC, script.steps[0]).apply_to(
-            program, require_monotone=True)
-        state = store.load(SPEC, CONFIG, program)
+            copy, require_monotone=True)
         before = state.counters()
-        warm = SkipFlowAnalysis(program, CONFIG, state=state).run()
-        cold = SkipFlowAnalysis(program, CONFIG).run()
+        warm = SkipFlowAnalysis(copy, CONFIG, state=state).run()
+        cold = SkipFlowAnalysis(copy, CONFIG).run()
+        assert warm.kernel_ran == "arena"
         assert warm.reachable_methods == cold.reachable_methods
         assert warm.steps - before["steps"] < cold.steps
 
+    def test_a_program_that_does_not_rebuild_the_arena_raises(self, tmp_path):
+        """Tables over another arena would name other flows: a broken
+        rebuild, not a lost cache, so the load raises (and counts a miss)."""
+        result, _ = solved_state()
+        store = SnapshotStore(tmp_path)
+        store.store(SPEC, CONFIG, result.arena_state, result.program)
+        _, other = solved_state(OTHER_SPEC)
+        with pytest.raises(SnapshotMismatchError):
+            store.load(SPEC, CONFIG, other)
+        assert store.misses == 1 and store.hits == 0
+
     def test_missing_and_corrupt_blobs_are_misses(self, tmp_path):
         store = SnapshotStore(tmp_path)
-        program = generate_benchmark(SPEC)
+        program = open_program(freeze(generate_benchmark(SPEC)))
         assert store.load(SPEC, CONFIG, program) is None
         store.path_for(SPEC, CONFIG).write_bytes(b"garbage")
         assert store.load(SPEC, CONFIG, program) is None
@@ -92,6 +114,6 @@ class TestMaintenance:
     def test_clear(self, tmp_path):
         result, program = solved_state()
         store = SnapshotStore(tmp_path)
-        store.store(SPEC, CONFIG, result.solver_state, program)
+        store.store(SPEC, CONFIG, result.arena_state, program)
         assert store.clear() == 1
         assert not store.contains(SPEC, CONFIG)

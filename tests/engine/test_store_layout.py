@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.engine import ProgramStore, ResultCache, SnapshotStore
+from repro.ir.arena import freeze, open_program
 from repro.workloads.generator import generate_benchmark
 from repro.workloads.suites import microservices_suite
 
@@ -28,8 +29,8 @@ def _write_result(directory):
 
 
 def _write_snapshot(directory):
-    program = generate_benchmark(SPEC)
-    state = SkipFlowAnalysis(program, CONFIG).run().solver_state
+    program = open_program(freeze(generate_benchmark(SPEC)))
+    state = SkipFlowAnalysis(program, CONFIG).run().arena_state
     store = SnapshotStore(directory, code_version="cv0")
     store.store(SPEC, CONFIG, state, program)
     assert store.load(SPEC, CONFIG, program) is not None

@@ -7,6 +7,11 @@ subsystem.  Each one replays through the full differential oracle and must
 come back clean: a violation here means a previously-understood case
 regressed.  Nightly-found failures get fixed, then their shrunk repro file
 lands in ``corpus/`` so the bug stays fixed.
+
+Every corpus program is also a freeze golden
+(``tests/ir/test_freeze_golden.py``), so filing a case needs one more
+step: regenerate the golden digests with
+``PYTHONPATH=src python tests/ir/test_freeze_golden.py --update``.
 """
 
 from pathlib import Path

@@ -25,8 +25,9 @@ compare, as CI does::
     PYTHONHASHSEED=1 PYTHONPATH=src python tests/ir/test_freeze_golden.py --print > d1
     diff d0 d1
 
-Regenerate (only for a deliberate format change, with ``ARENA_VERSION``
-bumped)::
+Regenerate after filing or removing a ``tests/fuzz/corpus`` case (the
+set of pinned programs changed), or for a deliberate format change with
+``ARENA_VERSION`` bumped, on the Python version the file records::
 
     PYTHONPATH=src python tests/ir/test_freeze_golden.py --update
 """
@@ -94,8 +95,21 @@ def _python() -> str:
 _PROGRAMS = list(golden_programs())
 
 
+UPDATE_COMMAND = "PYTHONPATH=src python tests/ir/test_freeze_golden.py --update"
+
+
 def test_golden_covers_every_program():
-    assert sorted(_load_golden()["digests"]) == sorted(key for key, _ in _PROGRAMS)
+    """Filing or removing a ``tests/fuzz/corpus`` case changes the golden
+    program set; the failure says which keys and how to regenerate."""
+    recorded = sorted(_load_golden()["digests"])
+    expected = sorted(key for key, _ in _PROGRAMS)
+    missing = sorted(set(expected) - set(recorded))
+    extra = sorted(set(recorded) - set(expected))
+    assert recorded == expected, (
+        f"{GOLDEN_PATH.name} does not cover the golden programs: missing "
+        f"{missing or 'none'}, extra {extra or 'none'}.  A new or removed "
+        f"corpus case changes the set; regenerate the digests on Python "
+        f"{_load_golden()['python']} with `{UPDATE_COMMAND}`")
 
 
 @pytest.mark.parametrize("key,build", _PROGRAMS,

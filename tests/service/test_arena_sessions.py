@@ -32,9 +32,10 @@ class TestZeroDecodeOpen:
         manager.open("s", benchmark=BENCHMARK)
         assert isinstance(_program(manager, "s"), ArenaProgram)
 
-    def test_source_sessions_stay_plain_programs(self, manager):
+    def test_source_sessions_attach_at_open(self, manager):
         manager.open("s", source="class Main { static void main() { } }")
-        assert not isinstance(_program(manager, "s"), ArenaProgram)
+        assert isinstance(_program(manager, "s"), ArenaProgram)
+        assert manager.analyze("s", "skipflow")["kernel"] == "arena"
 
     def test_analyze_reads_the_arena_in_place(self, manager):
         manager.open("s", benchmark=BENCHMARK)

@@ -39,10 +39,11 @@ def manager(tmp_path):
 
 
 def _corrupt_slot(manager, name):
-    """Flip a worklist bit in every solved slot — a mid-solve state."""
+    """Flip a worklist bit in every solved slot's tables — a mid-solve
+    state."""
     managed = manager._sessions[name]
     for slot in managed.slots.values():
-        next(iter(slot.state.pvpg.all_flows())).in_worklist = True
+        slot.state.in_worklist[0] = 1
 
 
 class TestManagerCheck:

@@ -2,14 +2,14 @@
 
 A session's program is a base arena blob (a benchmark's shared blob, or
 the session's own frozen program) plus the deltas applied since; a spill
-writes each arena solver state as its pickled tables (an object state as
-a snapshot referencing the program's IR), and a rehydration attaches the
-base, replays the log (re-extending the arena) and restores the states
-over the result.  Covered here:
+writes each arena solver state as its pickled tables, and a rehydration
+attaches the base, replays the log (re-extending the arena) and restores
+the states over the result.  Covered here:
 
 * the files: parking an edited benchmark session lowers nothing and writes
-  no program file; a source session freezes at its first spill only, and
-  a rebuild makes the next spill freeze again; repeated park/rehydrate
+  no program file; a source session freezes once, at open, and writes
+  that blob at its first spill only, and a rebuild freezes again and
+  makes the next spill write the new base; repeated park/rehydrate
   cycles leave at most one base and one set of snapshots per session,
   ``close`` leaves none, and a missing base blob is a loud
   :class:`SessionRehydrationError`;
@@ -23,13 +23,17 @@ over the result.  Covered here:
 * ownership: ``close`` deletes a session-owned base, never a benchmark's
   shared store blob;
 * the rebase rule: a spill freezes once the program has doubled since its
-  base, and later replays start from the new base.
+  base, and later replays start from the new base;
+* non-monotone edits: the thawed and re-frozen program makes the next
+  spill rebase, a state from before the edit parks without its tables,
+  and the rehydrated slot answers ``cold-fallback`` naming the offenders.
 """
 
 from collections import Counter
 
 import pytest
 
+from repro.api import AnalysisSession
 from repro.api.errors import SessionRehydrationError
 from repro.core.kernel.arena_kernel import ArenaSolverState
 from repro.ir import delta as delta_module
@@ -507,3 +511,56 @@ class TestRebase:
             assert _wire(served) == _wire(twin.analyze("s", "pta"))
         assert _requests(manager)["spill_freezes"] == 2
         assert _requests(manager)["thaws"] == 0
+
+
+class TestNonMonotoneParks:
+    """A non-monotone edit thaws and re-freezes the program, so a state
+    solved before indexes an arena the session no longer has.  It can never
+    resume: its slot parks without it, and the next spill rebases."""
+
+    TOUCH = {"kind": "touch-existing", "index": 0}
+
+    def test_parking_after_a_non_monotone_edit(self, tmp_path):
+        manager = SessionManager(max_live_sessions=1,
+                                 spill_dir=tmp_path / "spill")
+        cache = _open(manager, "s")
+        manager.analyze("s", "skipflow")
+        manager.update("s", edit=self.TOUCH)
+        assert manager.evict("s") == {"session": "s", "evicted": True}
+        parked = manager._sessions["s"]
+        # The thaw dropped the shared base: the spill wrote the session's
+        # own, and no tables for the stale slot.
+        files = _files(manager, cache)
+        assert len(files) == 1 and files[0].endswith(".arena")
+        assert [record.has_state for record in parked.evicted.slots] == [False]
+        assert parked.log == []
+        requests = _requests(manager)
+        assert requests["thaws"] == 1 and requests["spill_freezes"] == 1
+
+        served = manager.analyze("s", "skipflow")
+        assert served["mode"] == "cold-fallback"
+        assert served["kernel"] == "arena"
+        assert any("non-monotone" in reason and "generation 1" in reason
+                   for reason in served["fallback_reasons"])
+        edited = generate_benchmark(_spec())
+        build_edit_delta(_spec(), EditStepSpec(**self.TOUCH)).apply_to(edited)
+        cold = AnalysisSession(edited).run("skipflow")
+        assert served["report"]["call_graph"] == cold.to_dict()["call_graph"]
+
+        # The session resumes warm again from its post-barrier state.
+        manager.evict("s")
+        assert _edit(manager, "s", 0)["mode"] == "warm"
+        assert _requests(manager)["thaws"] == 1
+
+    def test_lru_pressure_after_a_non_monotone_edit(self, tmp_path):
+        manager = SessionManager(max_live_sessions=1,
+                                 spill_dir=tmp_path / "spill")
+        manager.open("s", benchmark=BENCHMARK)
+        manager.analyze("s", "skipflow")
+        manager.update("s", edit=self.TOUCH)
+        # A second client's open spills the least recently used session.
+        manager.open("t", source="class Main { static void main() { } }")
+        assert manager.metrics_snapshot()["sessions"] == {
+            "live": 1, "evicted": 1, "max_live": 1}
+        assert manager.analyze("s", "skipflow")["mode"] == "cold-fallback"
+        assert manager.metrics_snapshot()["sessions"]["live"] == 1
