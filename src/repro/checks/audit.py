@@ -79,6 +79,7 @@ from repro.ir.values import ConstKind
 from repro.lattice.value_state import ValueState
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
+    from repro.api.report import AnalysisReport
     from repro.core.results import AnalysisResult
 
 
@@ -582,17 +583,23 @@ def audit_state(state: Union[SolverState, ArenaSolverState],
         names=names)
 
 
-def audit_result(result: "AnalysisResult", *,
+def audit_result(result: Union["AnalysisResult", "AnalysisReport"], *,
                  warm_barrier: int = 0,
                  snapshot: bool = True) -> List[Diagnostic]:
     """Run the audit passes over an engine analysis result.
 
-    The audited state is the result's resumable one: the arena tables when
-    the arena kernel ran, else the object state (which needs
+    ``result`` is an :class:`~repro.core.results.AnalysisResult` or an
+    :class:`~repro.api.report.AnalysisReport`, whose ``raw`` result is
+    audited.  The audited state is the result's resumable one: the arena
+    tables when the arena kernel ran, else the object state (which needs
     ``snapshot=False``).  Results without a solver state (the CHA/RTA
     call-graph baselines have none) audit trivially clean: the audits
     verify *solver* artifacts, and there is no solver artifact to verify.
     """
+    from repro.api.report import AnalysisReport
+
+    if isinstance(result, AnalysisReport):
+        result = result.raw
     state = getattr(result, "resumable_state", None)
     if state is None:
         return []

@@ -91,6 +91,7 @@ from repro.core.kernel.saturation import (
 from repro.core.pvpg import BranchKind, BranchRecord, MethodPVPG, ProgramPVPG
 from repro.core.state import SnapshotMismatchError, SolverState, SolverStateError
 from repro.ir.arena import ArenaProgram, schema
+from repro.ir.arena.lowering import ExtendedArena
 from repro.ir.delta import ProgramFingerprint, diff_fingerprints
 from repro.ir.instructions import (
     Condition,
@@ -165,9 +166,10 @@ class ArenaSolverState:
     to one program object and one live solver at a time.
     :meth:`to_bytes` / :meth:`from_bytes` pickle the tables (value states
     re-intern on load) — the one persisted form of a solver state, which
-    ``--save-state`` files, the snapshot store and daemon parks all use; a
-    restored state checks that the program it is attached to has the arena
-    and fingerprint it was written against.
+    ``--save-state`` files, the snapshot store, daemon parks and the
+    daemon's stored base fixpoints all use; a restored state checks that
+    the program it is attached to has the arena and fingerprint it was
+    written against, or extends that arena by monotone deltas.
     """
 
     def __init__(self, config) -> None:
@@ -281,12 +283,20 @@ class ArenaSolverState:
     def from_bytes(cls, blob: bytes, program: ArenaProgram) -> "ArenaSolverState":
         """Restore pickled tables over ``program``.
 
+        ``program`` is the one the tables were written against, or one
+        that *extends* it: an attached program grown by monotone deltas,
+        whose :class:`~repro.ir.arena.lowering.ExtendedArena` chain leads
+        back to an arena with the stamped fid and method counts.  That
+        arena's fingerprint must be the stamped one; the tables then index
+        a prefix of ``program``'s fids, and they grow to the rest when a
+        solver resumes them.
+
         Raises :class:`~repro.core.state.SolverStateError` on an unreadable
         or foreign-version payload or one whose config no longer validates
         (unpickling skips ``AnalysisConfig.__post_init__``: a policy this
         code no longer has would otherwise fail deep inside the resumed
         solve), and :class:`~repro.core.state.SnapshotMismatchError` when
-        ``program`` does not have the arena (same fid and method counts)
+        neither ``program``'s arena nor any base it extends has the counts
         and the fingerprint the tables were written against: resuming them
         would read the wrong flows.
         """
@@ -304,15 +314,18 @@ class ArenaSolverState:
         if not isinstance(program, ArenaProgram):
             raise SnapshotMismatchError(
                 "an arena solver state resumes only over an arena program")
+        stamped = (payload["num_flows"], payload["num_methods"])
         arena = program.arena
-        if (arena.num_flows, arena.num_methods) != (
-                payload["num_flows"], payload["num_methods"]):
+        while ((arena.num_flows, arena.num_methods) != stamped
+               and isinstance(arena, ExtendedArena)):
+            arena = arena.base
+        if (arena.num_flows, arena.num_methods) != stamped:
             raise SnapshotMismatchError(
                 f"arena snapshot does not match this program: it covers "
                 f"{payload['num_flows']} flows and {payload['num_methods']} "
-                f"methods, the program has {arena.num_flows} and "
-                f"{arena.num_methods}")
-        fingerprint = ProgramFingerprint.of(program)
+                f"methods, the program has {program.arena.num_flows} and "
+                f"{program.arena.num_methods}")
+        fingerprint = arena.fingerprint
         if fingerprint != payload["fingerprint"]:
             delta = diff_fingerprints(payload["fingerprint"], fingerprint)
             raise SnapshotMismatchError(

@@ -118,9 +118,10 @@ from repro.engine.runner import (
     run_specs,
 )
 from repro.engine.scheduler import order_by_cost
-from repro.engine.snapshots import SnapshotStore
+from repro.engine.snapshots import BaseFixpointSpec, SnapshotStore
 
 __all__ = [
+    "BaseFixpointSpec",
     "ConfigRunView",
     "MatrixRow",
     "ProgramStore",

@@ -14,22 +14,41 @@ half (kind ``state``; the store layout is described in
 digest: a plain :class:`~repro.workloads.generator.BenchmarkSpec` for base
 programs, an :class:`~repro.workloads.edits.EditScriptSpec` prefix for a
 program-plus-edits state, which is how every step of an edit sequence gets
-its own addressable snapshot, or a daemon session's spill spec.  The
-payload is the pickled tables, versioned and stamped with the arena's fid
-and method counts and the program fingerprint; it holds no IR, so it is
-restored over an attached program that rebuilds the same arena (the
-program store's blob, extended by the same deltas).
+its own addressable snapshot, a daemon session's spill spec, or a
+:class:`BaseFixpointSpec`: the daemon's stored fixpoint of a shared base
+program, which later sessions on that base load and resume over their own
+deltas (:meth:`SnapshotStore.load_base`).  The payload is the pickled
+tables, versioned and stamped with the arena's fid and method counts and
+the program fingerprint; it holds no IR, so it is restored over an
+attached program that rebuilds the same arena (the program store's blob,
+extended by the same deltas) or extends it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.kernel.arena_kernel import ArenaSolverState
 from repro.core.state import SnapshotMismatchError, SolverStateError
 from repro.engine.cache import BlobStore
 from repro.ir.arena import ArenaProgram
+
+
+@dataclass(frozen=True)
+class BaseFixpointSpec:
+    """The key of one base program's stored fixpoint (with its config).
+
+    ``program`` is the program-store key of the base's arena blob (the
+    spec's hash and the code version), and ``roots`` the resolved roots the
+    fixpoint was seeded from.  The roots belong to the key because a
+    resume only ever adds roots (``seeded_roots`` grows): tables solved
+    from other roots would keep answering for those roots.
+    """
+
+    program: str
+    roots: Tuple[str, ...]
 
 
 class SnapshotStore(BlobStore):
@@ -76,6 +95,44 @@ class SnapshotStore(BlobStore):
         self.hits += 1
         return state
 
+    def load_base(self, spec: BaseFixpointSpec, config,
+                  program: ArenaProgram) -> Optional[ArenaSolverState]:
+        """A stored base fixpoint restored over ``program``, to resume.
+
+        ``program`` is the base itself or an attached extension of it by
+        monotone deltas.  ``None`` when no table is stored.  Unlike
+        :meth:`load`, a stored table that cannot serve raises
+        :class:`~repro.core.state.SolverStateError` saying why: it is
+        unreadable or of a foreign version, it indexes another arena or
+        fingerprint (:class:`~repro.core.state.SnapshotMismatchError`), or
+        it was solved under another configuration or from other roots than
+        its key names.  The caller solves cold and rewrites it.
+        """
+        try:
+            blob = self.path_for(spec, config).read_bytes()
+        except FileNotFoundError:
+            self.misses += 1
+            return None
+        except OSError as error:
+            self.misses += 1
+            raise SolverStateError(
+                f"unreadable stored fixpoint: {error}") from error
+        try:
+            state = ArenaSolverState.from_bytes(blob, program)
+            if state.config != config:
+                raise SolverStateError(
+                    f"the stored fixpoint was solved under configuration "
+                    f"{_label(state.config)}, not {_label(config)}")
+            if set(state.seeded_roots) != set(spec.roots):
+                raise SolverStateError(
+                    f"the stored fixpoint was seeded from roots "
+                    f"{sorted(state.seeded_roots)}, not {sorted(spec.roots)}")
+        except SolverStateError:
+            self.misses += 1
+            raise
+        self.hits += 1
+        return state
+
     def store(self, spec, config, state: ArenaSolverState,
               program: ArenaProgram) -> None:
         """Atomically persist ``state``'s tables over ``program``.
@@ -85,3 +142,11 @@ class SnapshotStore(BlobStore):
         over any other program refuses instead of misreading the fids.
         """
         self._write_atomic(self.path_for(spec, config), state.to_bytes(program))
+
+
+def _label(config) -> str:
+    """A configuration's name plus its saturation cutoff, for messages."""
+    if config.saturation_threshold is None:
+        return repr(config.name)
+    return (f"{config.name!r} ({config.saturation_policy}"
+            f"@{config.saturation_threshold})")

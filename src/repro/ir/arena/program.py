@@ -480,21 +480,28 @@ def open_program(buffer: BufferLike) -> ArenaProgram:
 def thaw(source) -> Program:
     """Fully decode an arena back into a plain mutable Program.
 
-    ``source`` is a buffer, a :class:`ProgramArena`, or an attached
+    ``source`` is a buffer, a :class:`ProgramArena`, or an
     :class:`ArenaProgram`.  Thawing an attached program *consumes* it: the
     new program takes over its hierarchy and adopts every method view it
     handed out, detached into plain methods (:meth:`ArenaMethod.detach`),
     so a body decoded before (a snapshot restored against the attached
     program decodes the reachable ones) is not decoded again, and whatever
     held those views now holds the new program's own methods.  The
-    attached program must not be used afterwards.  The new program's
-    fingerprint memo is seeded from the fingerprint stamped into the
-    buffer, so no body is re-digested.
+    attached program must not be used afterwards.  A view of a live
+    program's lowering (:func:`~repro.ir.arena.lowered_program`) shares
+    that program's hierarchy and methods, so thawing it copies the source
+    program instead: a new hierarchy from the type tables and new method
+    objects around the (never edited in place) bodies, leaving the source
+    and its view untouched.  The new program's fingerprint memo is seeded
+    from the arena's fingerprint, so no body is re-digested.
     """
     views: Dict[str, ArenaMethod] = {}
-    if isinstance(source, ArenaProgram):
+    if isinstance(source, ArenaProgram) and source.extendable:
         arena, hierarchy = source.arena, source.hierarchy
         views = source.methods.materialized()
+    elif isinstance(source, ArenaProgram):
+        arena = source.arena
+        hierarchy = arena.build_hierarchy()
     else:
         arena = source if isinstance(source, ProgramArena) else ProgramArena(source)
         hierarchy = arena.build_hierarchy()

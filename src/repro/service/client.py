@@ -138,6 +138,15 @@ class ServiceClient:
     def analyze(self, session: str, analysis: str,
                 options: Optional[dict] = None, *,
                 audit: bool = False) -> dict:
+        """Solve one analysis on a session (``/v1/analyze``).
+
+        The response's ``mode`` is one of
+        :data:`~repro.service.manager.ANALYZE_MODES`: ``cached``,
+        ``warm`` (the slot's own state resumed), ``stored`` (the base's
+        stored fixpoint resumed over the session's edits), ``cold`` or
+        ``cold-fallback`` (a resume refused; ``fallback_reasons`` says
+        why).  ``steps_paid`` is what this request's solve cost.
+        """
         payload = {"session": session, "analysis": analysis}
         if options:
             payload["options"] = options

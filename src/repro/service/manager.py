@@ -46,12 +46,24 @@ rewrite, and ``close`` deletes the session's files, so the spill
 directory holds at most one base and one set of snapshots per session; a
 benchmark's shared blob is never a session's to delete.
 
+**Stored fixpoints.**  Sessions on a benchmark's shared blob re-solve
+the same (base, config) pairs, so the manager keeps each base's fixpoint:
+the arena tables of a cold solve of the unedited base, in a second
+:class:`~repro.engine.snapshots.SnapshotStore` under the spill directory,
+keyed by the blob's store key, the config and the roots
+(:class:`~repro.engine.snapshots.BaseFixpointSpec`).  A session's first
+solve of a config loads them over its program (base plus delta log) and
+resumes them — mode ``stored`` — or, when none are stored, solves and
+writes them first (``cold``); a stored table that cannot serve is refused
+by name and rewritten (``cold-fallback``).  ``close`` never deletes one.
+
 **Metrics.**  Every request updates a :class:`ServiceMetrics` snapshot:
-request counts, solve modes (cached / warm / cold / cold-fallback), the
-kernel each analyze reported and the thaws sessions took, steps paid
-warm vs cold, coalescing depth, eviction traffic (with the spills that
-froze a program and the deltas rehydrations replayed), and latency
-percentiles of analyzes, spills and rehydrations.
+request counts, solve modes (:data:`ANALYZE_MODES`), the kernel each
+analyze reported and the thaws sessions took, steps paid warm, stored and
+cold, the stored fixpoint tables written and refused, coalescing depth,
+eviction traffic (with the spills that froze a program and the deltas
+rehydrations replayed), and latency percentiles of analyzes, spills and
+rehydrations.
 
 Warm solves stay *sound*, not just fast: the manager only offers a slot's
 state for resumption when the slot's generation is at or past the
@@ -81,10 +93,12 @@ from repro.api.errors import (
 )
 from repro.api.registry import get_analyzer, has_engine_config
 from repro.api.session import AnalysisSession, SessionUpdate
-from repro.core.state import SnapshotMismatchError
+from repro.core.analysis import SkipFlowAnalysis
+from repro.core.state import SnapshotMismatchError, SolverStateError
 from repro.engine.program_store import ProgramStore
-from repro.engine.snapshots import SnapshotStore
+from repro.engine.snapshots import BaseFixpointSpec, SnapshotStore
 from repro.ir.arena import ArenaProgram, freeze, open_program
+from repro.ir.arena.lowering import ExtendedArena
 from repro.ir.delta import (
     DeltaError,
     NonMonotoneDeltaError,
@@ -111,7 +125,7 @@ LATENCY_KINDS = ("analyze", "spill", "rehydrate")
 REBASE_GROWTH = 2
 
 #: Solve modes an ``analyze`` request can report.
-ANALYZE_MODES = ("cached", "warm", "cold", "cold-fallback")
+ANALYZE_MODES = ("cached", "warm", "stored", "cold", "cold-fallback")
 
 
 @dataclass(frozen=True)
@@ -163,9 +177,11 @@ class ServiceMetrics:
             "spill_freezes": 0, "replayed_deltas": 0,
             "checks": 0, "check_findings": 0,
             "analyzes_arena": 0, "analyzes_object": 0, "thaws": 0,
+            "stored_tables_written": 0, "stored_table_refusals": 0,
         }
         self.modes: Dict[str, int] = {mode: 0 for mode in ANALYZE_MODES}
         self.warm_steps_paid = 0
+        self.stored_steps_paid = 0
         self.cold_steps_paid = 0
         self.coalesced_updates = 0
         self.max_coalesced = 0
@@ -190,6 +206,8 @@ class ServiceMetrics:
             self.modes[mode] = self.modes.get(mode, 0) + 1
             if mode == "warm":
                 self.warm_steps_paid += steps_paid
+            elif mode == "stored":
+                self.stored_steps_paid += steps_paid
             elif mode in ("cold", "cold-fallback"):
                 self.cold_steps_paid += steps_paid
             self.coalesced_updates += coalesced
@@ -200,12 +218,13 @@ class ServiceMetrics:
         """One JSON-ready view of every counter (the ``/v1/metrics`` body)."""
         with self._lock:
             warm = self.modes["warm"]
-            solved = warm + self.modes["cold"] + self.modes["cold-fallback"]
+            solved = sum(self.modes.values()) - self.modes["cached"]
             snapshot = {
                 "requests": dict(self.counts),
                 "analyze_modes": dict(self.modes),
                 "warm_resume_ratio": (warm / solved) if solved else None,
                 "warm_steps_paid": self.warm_steps_paid,
+                "stored_steps_paid": self.stored_steps_paid,
                 "cold_steps_paid": self.cold_steps_paid,
                 "coalesced_updates": self.coalesced_updates,
                 "max_coalesced": self.max_coalesced,
@@ -336,6 +355,8 @@ class SessionManager:
         self.spill_dir = Path(spill_dir)
         self._programs = ProgramStore(self.spill_dir / "programs")
         self._snapshots = SnapshotStore(self.spill_dir / "snapshots")
+        #: The stored fixpoints of shared base blobs, by BaseFixpointSpec.
+        self._fixpoints = SnapshotStore(self.spill_dir / "fixpoints")
         self._lock = threading.Lock()
         self._sessions: Dict[str, ManagedSession] = {}
         self.metrics = ServiceMetrics()
@@ -560,7 +581,8 @@ class SessionManager:
         them), then solves: ``cached`` if this (analyzer, options) slot
         already solved the current generation, ``warm`` resuming the slot's
         state when no non-monotone update intervened, ``cold-fallback``
-        when one did, plain ``cold`` on a first solve.  The response embeds
+        when one did, and on a first solve ``stored`` or ``cold`` (see
+        :meth:`_solve`).  The response embeds
         the full versioned report payload plus the mode, the steps this
         request actually paid, and the coalescing depth.
 
@@ -723,11 +745,17 @@ class SessionManager:
                fallback_reasons: List[str]) -> Tuple[str, int, dict]:
         """One solve of ``analyzer`` over ``session``; returns mode/steps/payload.
 
-        A slot of an engine analysis that predates the warm barrier solves
-        ``cold-fallback``, naming the offenders, whether its state is still
-        in hand or was parked without it.
+        A slot that solved before resumes its own state, ``warm``.  A slot
+        of an engine analysis that predates the warm barrier solves
+        ``cold-fallback``, naming the offenders, whether its state is
+        still in hand or was parked without it.  A first solve resumes the
+        base's stored fixpoint over the session's delta log when the
+        session has one (:meth:`_stored_fixpoint`): ``stored`` paying only
+        the resume's steps, ``cold`` when the table had to be solved first,
+        ``cold-fallback`` when a stored table was refused.  Any other first
+        solve is ``cold``.
         """
-        resume_state = None
+        resume_state, resumed_mode = None, "warm"
         stale = (slot is not None and has_engine_config(analyzer)
                  and slot.generation < session.warm_barrier)
         if stale:
@@ -739,7 +767,13 @@ class SessionManager:
                 + (f": {offenders}" if offenders else ""))
         elif slot is not None:
             resume_state = slot.state
-        before = resume_state.counters()["steps"] if resume_state is not None else 0
+        else:
+            resume_state, resumed_mode = self._stored_fixpoint(
+                managed, session, analyzer, options, fallback_reasons)
+        # A request that had to solve the base's table pays for it too.
+        before = (resume_state.counters()["steps"]
+                  if resume_state is not None
+                  and resumed_mode in ("warm", "stored") else 0)
         if resume_state is not None:
             # The session re-validates the resume; it may still refuse (and
             # warn) — detected below by state identity, never assumed.
@@ -749,20 +783,95 @@ class SessionManager:
         state = getattr(report.raw, "resumable_state", None)
         total = report.solver_steps or 0
         if resume_state is not None and state is resume_state:
-            mode, steps_paid = "warm", total - before
-        elif stale or resume_state is not None:
+            mode, steps_paid = resumed_mode, total - before
+        else:
             if resume_state is not None:
                 fallback_reasons.append(
                     "the session refused the resume and solved cold")
-            mode, steps_paid = "cold-fallback", total
-        else:
-            mode, steps_paid = "cold", total
+            mode = "cold-fallback" if fallback_reasons else "cold"
+            steps_paid = total
         payload = report.to_dict()
         managed.slots[key] = _AnalyzerSlot(
             key=key, analysis=analyzer.name, options=dict(options),
             state=state, payload=payload, generation=session.generation,
             kernel=getattr(report.raw, "kernel_ran", None))
         return mode, steps_paid, payload
+
+    def _stored_fixpoint(self, managed: ManagedSession,
+                         session: AnalysisSession, analyzer, options: dict,
+                         fallback_reasons: List[str]
+                         ) -> Tuple[Optional[object], str]:
+        """The base's fixpoint for a session's first solve of a config.
+
+        Returns the tables to resume over the session's program (base plus
+        delta log) and the mode that resume reports, or ``(None, "cold")``
+        when there are none.  Only a session on a benchmark's shared blob
+        has them: that blob is what later sessions open again, while a
+        session's own base dies with it.  The key is the blob's store key,
+        the config and those of the session's resolved roots that the base
+        defines (:class:`~repro.engine.snapshots.BaseFixpointSpec`); the
+        resume seeds the roots the log added.  A stored table loads as
+        ``stored``.  Without one, the config is solved cold on the unedited
+        base, and the tables are written and then loaded like stored ones
+        (``cold``).  A table that is stored but refused (unreadable,
+        foreign version, another arena, config or roots) is solved and
+        rewritten the same way, ``cold-fallback`` with the reason.
+        """
+        base = managed.base
+        if not (isinstance(base, BenchmarkSpec)
+                and has_engine_config(analyzer)):
+            return None, "cold"
+        program = session.program
+        base_arena = program.arena
+        while isinstance(base_arena, ExtendedArena):
+            base_arena = base_arena.base
+        # The resume seeds the other roots, as a warm resume seeds an entry
+        # point that an edit added.
+        roots = tuple(root for root in session.resolve_roots()
+                      if base_arena.mid_of(root) is not None)
+        if not roots:
+            return None, "cold"
+        config = analyzer.config(**options)
+        spec = BaseFixpointSpec(program=self._programs.key(base), roots=roots)
+        try:
+            state = self._fixpoints.load_base(spec, config, program)
+        except SolverStateError as error:
+            self.metrics.bump("stored_table_refusals")
+            fallback_reasons.append(
+                f"the stored fixpoint of this base was refused: {error}")
+            mode = "cold-fallback"
+        else:
+            if state is not None:
+                return state, "stored"
+            mode = "cold"
+        if not self._store_base_fixpoint(managed, spec, config):
+            return None, "cold"
+        return self._fixpoints.load_base(spec, config, program), mode
+
+    def _store_base_fixpoint(self, managed: ManagedSession,
+                             spec: BaseFixpointSpec, config) -> bool:
+        """Solve ``config`` cold on the unedited base and store its tables.
+
+        An unedited session solves its own program; an edited one attaches
+        the base blob once more, just for this solve.  Both that attach and
+        the solved tables die when this returns, before the caller loads
+        and resumes the written table.  False when the base or the table
+        store cannot be read or written.
+        """
+        if managed.log:
+            base_program = self._programs.attach(managed.base)
+            if base_program is None:
+                return False
+        else:
+            base_program = managed.session.program
+        state = SkipFlowAnalysis(base_program, config).run(
+            list(spec.roots)).arena_state
+        try:
+            self._fixpoints.store(spec, config, state, base_program)
+        except OSError:
+            return False
+        self.metrics.bump("stored_tables_written")
+        return True
 
     # ------------------------------------------------------------------ #
     # Eviction and rehydration

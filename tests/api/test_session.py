@@ -16,7 +16,7 @@ from repro.api import (
 from repro.baselines.cha import ClassHierarchyAnalysis
 from repro.core.analysis import run_skipflow
 from repro.engine import ProgramStore
-from repro.ir.arena import ArenaProgram
+from repro.ir.arena import ArenaProgram, lowered_program
 from repro.ir.delta import ProgramDelta
 from repro.lang import compile_source
 from repro.workloads.edits import build_edit_delta, default_edit_script
@@ -251,6 +251,30 @@ class TestFromSpec:
         assert warm.raw.arena_state is again.raw.arena_state
         assert warm.reachable_methods == AnalysisSession(
             session.program).run("skipflow").reachable_methods
+
+    def test_non_monotone_update_of_a_lowered_view_thaws_a_copy(self):
+        """A session over ``lowered_program(p)`` shares ``p``'s hierarchy
+        and methods: a non-monotone edit thaws a copy of ``p``, applies the
+        delta there and re-attaches it, leaving ``p`` untouched."""
+        source = compile_source(
+            "class Main { static void main() { Main.y(); } "
+            "static int y() { return 1; } }")
+        session = AnalysisSession(lowered_program(source))
+        cold = session.run("skipflow")
+        delta = ProgramDelta("graft")
+        builder = delta.method("Main", "grafted", is_static=True)
+        builder.return_void()
+        delta.finish_method(builder)
+        update = session.update(delta)
+        assert not update.monotone and update.thawed
+        assert isinstance(session.program, ArenaProgram)
+        assert "Main.grafted" in session.program.methods
+        assert "Main.grafted" not in source.methods
+        assert "grafted" not in source.hierarchy.get("Main").declared_methods
+        with pytest.warns(ResumeFallbackWarning, match="Main.grafted"):
+            again = session.run("skipflow", resume=cold)
+        assert again.raw.kernel_ran == "arena"
+        assert again.reachable_methods == cold.reachable_methods
 
     def test_from_spec_with_a_store_attaches(self, tmp_path):
         spec = spec_from_reduction(name="attached", suite="test",

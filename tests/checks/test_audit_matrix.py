@@ -89,6 +89,18 @@ def test_audit_result_reads_the_report_payload():
     assert audit_result(report.raw) == []
 
 
+def test_audit_result_of_a_report_audits_its_raw_result():
+    """Handed the report itself, ``audit_result`` audits ``report.raw``:
+    worklist residue planted in the tables is found either way."""
+    program = open_program(freeze(compile_source(SOURCE)))
+    report = get_analyzer("skipflow").analyze(program)
+    assert audit_result(report) == []
+    report.raw.arena_state.in_worklist[0] = 1
+    for audited in (report, report.raw):
+        findings = audit_result(audited, snapshot=False)
+        assert "AUD001" in {finding.id for finding in findings}
+
+
 def test_audit_result_of_an_object_solve_skips_only_on_request():
     report = get_analyzer("skipflow").analyze(compile_source(SOURCE))
     assert audit_result(report.raw, snapshot=False) == []

@@ -152,6 +152,51 @@ class TestSnapshots:
         assert sorted(warm.call_edges()) == sorted(cold.call_edges())
         assert 0 < warm.steps - before < cold.steps
 
+    def test_tables_load_over_an_extension_of_their_program(self):
+        """Tables saved over the base load over a copy that monotone edits
+        extended *before* the load (the chain leads back to the stamped
+        arena), and resume there to the cold fixpoint."""
+        program, result = _attached_solve(generate_benchmark(WIDE_SPEC))
+        blob = result.arena_state.to_bytes(program)
+        copy = open_program(program.arena.to_bytes())
+        plain = generate_benchmark(WIDE_SPEC)
+        for step in default_edit_script(WIDE_SPEC, steps=2).steps:
+            for target in (copy, plain):
+                build_edit_delta(WIDE_SPEC, step).apply_to(
+                    target, require_monotone=True)
+        assert copy.arena.num_flows > program.arena.num_flows
+        restored = ArenaSolverState.from_bytes(blob, copy)
+        assert restored.program is copy
+        assert len(restored.st) == program.arena.num_flows
+        warm = SkipFlowAnalysis(copy, state=restored).run()
+        cold = SkipFlowAnalysis(plain).run()
+        assert warm.kernel_ran == "arena"
+        assert (fixpoint_signature(warm.pvpg, warm.reachable_methods)
+                == fixpoint_signature(cold.pvpg, cold.reachable_methods))
+
+    def test_an_extension_of_another_program_is_refused(self):
+        """The chain must hold an arena with the stamped counts *and*
+        fingerprint: an edited body extended by a delta is refused by name,
+        and a chain with no arena of the stamped size by its counts."""
+        program, result = _attached_solve(SMALL_SOURCE)
+        blob = result.arena_state.to_bytes(program)
+        edited = open_program(freeze(compile_source(
+            SMALL_SOURCE.replace("return 2", "return 9"))))
+        grown = open_program(freeze(compile_source(
+            SMALL_SOURCE + "class Extra { int run() { return 3; } }")))
+        for target in (edited, grown):
+            delta = ProgramDelta("later")
+            delta.declare_class("Later")
+            builder = delta.method("Later", "go", is_static=True)
+            builder.return_void()
+            delta.finish_method(builder)
+            delta.apply_to(target, require_monotone=True)
+        with pytest.raises(SnapshotMismatchError,
+                           match="method Impl.run changed its body"):
+            ArenaSolverState.from_bytes(blob, edited)
+        with pytest.raises(SnapshotMismatchError, match="it covers"):
+            ArenaSolverState.from_bytes(blob, grown)
+
     def test_payload_holds_no_ir_objects(self):
         """The tables name flows by fid and methods by name: a restricted
         unpickler that refuses every IR class still loads them."""

@@ -221,7 +221,7 @@ class TestEviction:
             manager.analyze("s", "skipflow")
             manager.update("s", edit={"kind": "add-variant", "index": 0})
         assert spilled.evict("s")["evicted"]
-        snapshots = sorted((tmp_path / "spilled").rglob("*.state"))
+        snapshots = sorted((tmp_path / "spilled" / "snapshots").glob("*.state"))
         assert len(snapshots) == 1
         snapshots[0].write_bytes(b"not a solver state")
 
@@ -286,7 +286,10 @@ class TestConcurrency:
         for thread in threads:
             thread.join()
         assert not errors
-        assert all(results[name]["mode"] == "cold" for name in names)
+        # The sessions share one base: whichever solves first stores its
+        # fixpoint, and one that finds it stored resumes it instead.
+        modes = {results[name]["mode"] for name in names}
+        assert "cold" in modes and modes <= {"cold", "stored"}, modes
         graphs = {frozenset(results[name]["report"]["call_graph"]
                             ["reachable_methods"]) for name in names}
         assert len(graphs) == 1  # identical program, identical fixpoint
@@ -344,7 +347,8 @@ class TestMetrics:
         manager.analyze("s", "skipflow")
         snapshot = manager.metrics_snapshot()
         assert snapshot["analyze_modes"] == {
-            "cached": 1, "warm": 1, "cold": 1, "cold-fallback": 0}
+            "cached": 1, "warm": 1, "stored": 0, "cold": 1,
+            "cold-fallback": 0}
         assert snapshot["warm_resume_ratio"] == 0.5
         assert snapshot["warm_steps_paid"] < snapshot["cold_steps_paid"]
         assert snapshot["analyze_latency_ms"]["count"] == 3

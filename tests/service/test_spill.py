@@ -86,9 +86,16 @@ def manager(tmp_path):
 
 
 def _files(manager, besides=()):
-    """Spill files: everything in the spill directory except ``besides``."""
+    """Spill files: everything in the spill directory except ``besides``.
+
+    The stored base fixpoints are left out too: like the program cache,
+    they are the daemon's, shared by every session of a spec, and no
+    session's spill (``TestStoredFixpointFiles`` covers them).
+    """
+    fixpoints = manager.spill_dir / "fixpoints"
     return sorted(path.name for path in manager.spill_dir.rglob("*")
-                  if path.is_file() and path.name not in besides)
+                  if path.is_file() and path.name not in besides
+                  and path.parent != fixpoints)
 
 
 def _open(manager, name):
