@@ -3,11 +3,12 @@
 The solver's result is trusted by everything downstream — the image
 builder, the service layer's warm resumes, the evaluation tables.  These
 passes re-verify that trust *statically*, by replaying the solver's own
-monotone operations over the final state — an object-kernel
-:class:`~repro.core.state.SolverState`, or the arena kernel's
-:class:`~repro.core.kernel.arena_kernel.ArenaSolverState`, whose
-inflated copy the per-flow passes walk — and asserting that nothing
-changes:
+monotone operations over the final state — the arena kernel's
+:class:`~repro.core.kernel.arena_kernel.ArenaSolverState`, whose inflated
+copy (a :class:`~repro.core.state.SolverState`) the per-flow passes walk —
+and asserting that nothing changes.  The conservative states they replay
+(root seeds, stub effects) come from the executable specification,
+:mod:`repro.checks.reference`, not from the kernel under audit:
 
 * **AUD001 — residue**: a finished solve leaves no worklist or link-queue
   bits set; pending work means the state is mid-solve, not a fixpoint.
@@ -58,6 +59,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.checks.diagnostics import Diagnostic, Location, Severity
+from repro.checks.reference import (
+    conservative_state,
+    declared_parameter_type,
+    stub_effect,
+)
 from repro.checks.registry import Check, CheckContext, register_check
 from repro.core.flows import (
     FilterCompareFlow,
@@ -65,16 +71,16 @@ from repro.core.flows import (
     Flow,
     InvokeFlow,
     LoadFieldFlow,
-    ParameterFlow,
     SourceFlow,
     StoreFieldFlow,
 )
 from repro.core.kernel.arena_kernel import ArenaSolverState
 from repro.core.kernel.saturation import make_saturation_policy
 from repro.core.state import SolverState, SolverStateError
+from repro.ir.arena import lowered_program
 from repro.ir.instructions import InvokeKind
 from repro.ir.program import Program
-from repro.ir.types import INT_TYPE_NAME, NULL_TYPE_NAME, MethodSignature
+from repro.ir.types import MethodSignature
 from repro.ir.values import ConstKind
 from repro.lattice.value_state import ValueState
 
@@ -92,43 +98,6 @@ def _diag(id: str, check: str, message: str,
           location: Location = Location()) -> Diagnostic:
     return Diagnostic(id=id, severity=Severity.ERROR, message=message,
                       check=check, location=location)
-
-
-# --------------------------------------------------------------------------- #
-# Mirrors of the solver's conservative-state computations
-# --------------------------------------------------------------------------- #
-def _conservative_state(program: Program,
-                        declared_type: Optional[str]) -> ValueState:
-    """Mirror of ``SkipFlowSolver._conservative_state`` (kept in lockstep)."""
-    if declared_type is None or declared_type in (INT_TYPE_NAME, "void"):
-        return ValueState.any_primitive()
-    if declared_type in program.hierarchy:
-        types = set(program.hierarchy.instantiable_subtypes(declared_type))
-        types.add(NULL_TYPE_NAME)
-        return ValueState.of_types(types)
-    return ValueState.any_primitive()
-
-
-def _declared_parameter_type(signature: MethodSignature,
-                             flow: ParameterFlow) -> Optional[str]:
-    """Mirror of ``SkipFlowSolver._declared_parameter_type``."""
-    if flow.declared_type is not None:
-        return flow.declared_type
-    index = flow.index
-    if not signature.is_static:
-        if index == 0:
-            return signature.declaring_class
-        index -= 1
-    if 0 <= index < len(signature.param_types):
-        return signature.param_types[index]
-    return None
-
-
-def _stub_effect(program: Program, signature: MethodSignature) -> ValueState:
-    """Mirror of ``SkipFlowSolver._apply_stub_effects``."""
-    if signature.returns_reference:
-        return _conservative_state(program, signature.return_type)
-    return ValueState.any_primitive()
 
 
 # --------------------------------------------------------------------------- #
@@ -434,10 +403,11 @@ def _sweep(context: CheckContext) -> Dict[str, List[Diagnostic]]:
         for flow in graph.parameter_flows:
             if flow.saturated:
                 continue
-            declared = _declared_parameter_type(signature, flow)
+            declared = declared_parameter_type(
+                signature, flow.declared_type, flow.index)
             seed = seed_cache.get(declared)
             if seed is None:
-                seed = _conservative_state(program, declared)
+                seed = conservative_state(program.hierarchy, declared)
                 seed_cache[declared] = seed
             if flow.input_state.join(seed) is not flow.input_state:
                 stability.append(_diag(
@@ -448,7 +418,7 @@ def _sweep(context: CheckContext) -> Dict[str, List[Diagnostic]]:
     for invoke_flow, signature in state.stub_links:
         if invoke_flow.saturated:
             continue
-        effect = _stub_effect(program, signature)
+        effect = stub_effect(program.hierarchy, signature)
         if invoke_flow.input_state.join(effect) is not invoke_flow.input_state:
             stability.append(_diag(
                 "AUD002", "stability",
@@ -477,10 +447,10 @@ def _check_snapshot(context: CheckContext) -> List[Diagnostic]:
         if not isinstance(state, ArenaSolverState):
             raise TypeError(
                 "the snapshot audit (AUD006) round-trips the arena kernel's "
-                "tables, and an object-kernel SolverState has no persisted "
-                "form: audit the arena state of a solve over an attached "
-                "program, or pass snapshot=False")
-    program = context.program
+                "tables, and an inflated SolverState has no persisted "
+                "form: audit the arena state, or pass snapshot=False")
+    # A plain program's tables index its current lowering.
+    program = lowered_program(context.program)
     try:
         if blob is None:
             blob = state.to_bytes(program)
@@ -565,14 +535,16 @@ AUDIT_CHECKS: Tuple[Check, ...] = (
 def audit_state(state: Union[SolverState, ArenaSolverState],
                 program: Program, *, warm_barrier: int = 0,
                 snapshot: bool = True) -> List[Diagnostic]:
-    """Run the audit passes over one solver state of either kernel.
+    """Run the audit passes over one solver state.
 
-    ``program`` is the one the state was solved over (for an arena state,
-    the attached program its tables index).  ``snapshot=False`` skips the
-    codec round-trip (``AUD006``) — the other passes are one fused sweep
-    over the state, which is what latency-sensitive callers (the fuzz
-    oracle's per-combo hook, audit-on-analyze) want.  ``AUD006`` needs an
-    arena state: an object state raises :class:`TypeError`.
+    ``state`` is an arena state, or an inflated copy of one.  ``program``
+    is the one the state was solved over (an arena program its tables
+    index, or the plain program whose lowering they index).
+    ``snapshot=False`` skips the codec round-trip (``AUD006``) — the other
+    passes are one fused sweep over the state, which is what
+    latency-sensitive callers (the fuzz oracle's per-combo hook,
+    audit-on-analyze) want.  ``AUD006`` needs the arena state: an inflated
+    copy raises :class:`TypeError`.
     """
     from repro.checks.registry import run_checks
 
@@ -590,9 +562,7 @@ def audit_result(result: Union["AnalysisResult", "AnalysisReport"], *,
 
     ``result`` is an :class:`~repro.core.results.AnalysisResult` or an
     :class:`~repro.api.report.AnalysisReport`, whose ``raw`` result is
-    audited.  The audited state is the result's resumable one: the arena
-    tables when the arena kernel ran, else the object state (which needs
-    ``snapshot=False``).  Results without a solver state (the CHA/RTA
+    audited: its arena tables.  Results without a solver state (the CHA/RTA
     call-graph baselines have none) audit trivially clean: the audits
     verify *solver* artifacts, and there is no solver artifact to verify.
     """
@@ -600,7 +570,7 @@ def audit_result(result: Union["AnalysisResult", "AnalysisReport"], *,
 
     if isinstance(result, AnalysisReport):
         result = result.raw
-    state = getattr(result, "resumable_state", None)
+    state = getattr(result, "arena_state", None)
     if state is None:
         return []
     return audit_state(state, result.program, warm_barrier=warm_barrier,

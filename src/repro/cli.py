@@ -613,8 +613,11 @@ def _cmd_fuzz(args) -> int:
 
     if args.smoke:
         report, original, shrunk = run_mutation_smoke(seed=args.seed)
+        invariants = sorted({violation.invariant
+                             for violation in report.violations})
         print(f"repro fuzz: mutation smoke caught "
-              f"{len(report.violations)} violation(s) from the planted "
+              f"{len(report.violations)} violation(s) "
+              f"({', '.join(invariants)}) from the planted "
               f"analyzer bug and shrank the case from "
               f"{original.base.expected_total_methods} to "
               f"{shrunk.base.expected_total_methods} methods")

@@ -19,26 +19,28 @@ parameter value states (the same invariants as
 solver; each one must also cover the executed methods and call edges.  Saturated states only ever move up the lattice, so the dynamic
 trace is a sound oracle for all of them.
 
-**Object = arena.**  Every combination also runs cold on the prefix's
-attached arena (``open_program(freeze(program))``), which
-:class:`~repro.core.analysis.SkipFlowAnalysis` solves on the arena kernel;
-its canonical outputs *and step count* must equal the object kernel's on
-the plain program (the ``kernel-divergence`` invariant), and it passes the
-trace and audit oracles itself.
+**Kernel = reference.**  Every combination's cold fixpoint must equal the
+fixpoint of the executable specification, :mod:`repro.checks.reference`
+(the ``kernel-divergence`` invariant): reachable and stub methods, every
+invoke flow's callees, and every flow's value state, enabled bit and
+saturation bit.  The reference shares no code path with the arena kernel's
+worklist, edge-key cache, re-linking or resume, so a bug that makes the
+kernel's cold and warm answers equally wrong still shows here.
 
 **Warm = cold.**  For every combination, an
 :class:`~repro.api.AnalysisSession` replays the edit script warm
 (``update`` + ``run(resume=...)``) while a cold solve is run per prefix;
 their reachable sets, call edges, and stub sets must be identical at every
-step.  An arena-backed twin session (the base frozen, then attached)
-replays the same script: each edit extends its arena and each run resumes
-on the arena kernel, which must run (``kernel-divergence``), pay the
-object chain's counters exactly, and match the cold outputs too.  (Full value-state equality of warm and cold solves is asserted by
-``tests/core/test_solver_state.py``; the oracle keeps to the canonical
-outputs, which are cheap to compare per prefix.)
+step, and the last warm fixpoint must equal the reference's on the program
+it resumed over (``kernel-divergence`` again).  An arena-backed twin session
+(the base frozen, then attached) replays the same script: each edit
+extends its attached arena, where the plain session extends its program's
+lowering, and the twin must pay the same counters
+(``kernel-divergence``) and match the cold outputs too.
 
 **Static audits.**  Every solver state the case produces — the exact and
-baseline solves, each cold combo, and every step of each warm chain — is
+baseline solves, each saturated cold combo, and the last step of each warm
+chain — is
 additionally run through the post-solve audits of :mod:`repro.checks`
 (fixpoint stability, link closure, saturation and warm-barrier
 consistency; the snapshot round-trip is skipped for speed).  This is the
@@ -60,10 +62,11 @@ from repro.api import AnalysisSession
 from repro.baselines.cha import ClassHierarchyAnalysis
 from repro.baselines.rta import RapidTypeAnalysis
 from repro.checks import audit_state
+from repro.checks.reference import fixpoint_divergences
 from repro.core.analysis import run_baseline, run_skipflow
 from repro.core.kernel import available_saturation_policies
 from repro.core.kernel.saturation import OFF
-from repro.ir.arena import freeze, open_program
+from repro.ir.arena import freeze, lowered_program, open_program
 from repro.ir.interpreter import ExecutionTrace, HeapObject, Interpreter
 from repro.ir.program import Program
 from repro.workloads.edits import EditScriptSpec, build_edit_delta
@@ -227,31 +230,31 @@ def _check_value_coverage(result, step: int,
     """Observed parameter values vs. exact SkipFlow's parameter states."""
     violations: List[OracleViolation] = []
     for method_name in sorted(trace.executed_methods):
-        graph = result.method_graph(method_name)
-        if graph is None:
+        if method_name not in result.reachable_methods:
             continue
-        for flow in graph.parameter_flows:
-            name = graph.method.parameters[flow.index].name
+        method = result.program.methods[method_name]
+        for index, parameter in enumerate(method.parameters):
+            name = parameter.name
+            state = result.parameter_state(method_name, index)
             for value in trace.observed_values.get((method_name, name), []):
                 if isinstance(value, HeapObject):
-                    if value.type_name not in flow.state.types:
+                    if value.type_name not in state.types:
                         violations.append(OracleViolation(
                             "value-not-covered", "skipflow", step,
                             f"{method_name}.{name}: runtime type "
-                            f"{value.type_name} not in {flow.state!r}"))
+                            f"{value.type_name} not in {state!r}"))
                 elif value is None:
-                    if not flow.state.contains_null:
+                    if not state.contains_null:
                         violations.append(OracleViolation(
                             "value-not-covered", "skipflow", step,
                             f"{method_name}.{name}: runtime null not in "
-                            f"{flow.state!r}"))
+                            f"{state!r}"))
                 elif isinstance(value, int):
-                    if not (flow.state.has_any
-                            or flow.state.primitive == value):
+                    if not (state.has_any or state.primitive == value):
                         violations.append(OracleViolation(
                             "value-not-covered", "skipflow", step,
                             f"{method_name}.{name}: runtime int {value} "
-                            f"not covered by {flow.state!r}"))
+                            f"not covered by {state!r}"))
     return violations
 
 
@@ -280,6 +283,18 @@ def _check_audits(state, program: Program, label: str, step: int,
                                     snapshot=False)]
 
 
+def _check_reference(state, program, roots, label: str,
+                     step: int) -> List[OracleViolation]:
+    """The kernel's fixpoint against the reference's (``kernel-divergence``)."""
+    found = fixpoint_divergences(program, state, roots)
+    if not found:
+        return []
+    return [OracleViolation(
+        "kernel-divergence", label, step,
+        "the arena kernel's fixpoint differs from the reference's: "
+        + "; ".join(found))]
+
+
 def _combo_options(saturation: str, threshold: int) -> dict:
     """Session options of one policy cell; ``off`` takes no threshold."""
     return dict(saturation_policy=saturation,
@@ -295,14 +310,11 @@ def check_case(script: EditScriptSpec, *,
     """Run one case through the full differential oracle.
 
     ``saturations`` defaults to *every* built-in policy; pass a smaller
-    sequence for cheap smoke checks.  Every cold combination runs on both
-    kernels: the object kernel on the plain prefix program is
-    the reference, and the arena kernel on its attached freeze must
-    reproduce the reference's canonical outputs *and step count* exactly
-    (the ``kernel-divergence`` invariant) on top of passing the trace and
-    audit oracles itself.  Returns an :class:`OracleReport` whose
-    ``violations`` is empty iff every invariant held at every edit prefix
-    for every combination.
+    sequence for cheap smoke checks.  Every cold combination's fixpoint
+    must equal the reference's (the ``kernel-divergence`` invariant) on
+    top of passing the trace and audit oracles.  Returns an
+    :class:`OracleReport` whose ``violations`` is empty iff every
+    invariant held at every edit prefix for every combination.
     """
     if saturations is None:
         saturations = available_saturation_policies()
@@ -313,7 +325,6 @@ def check_case(script: EditScriptSpec, *,
     cold: Dict[Tuple[str, int], Tuple] = {}
     for count in prefixes:
         program = _prefix_program(script, count)
-        attached = open_program(freeze(program))
         trace = execute_all_entry_points(program, max_steps=max_steps)
         traces[count] = trace
         report.prefixes_checked += 1
@@ -331,7 +342,7 @@ def check_case(script: EditScriptSpec, *,
             report.violations.extend(_check_trace_against(
                 result, analyzer, count, trace, mutator))
             report.violations.extend(_check_audits(
-                getattr(result, "solver_state", None), program,
+                getattr(result, "arena_state", None), program,
                 analyzer, count))
         if check_values:
             report.violations.extend(
@@ -344,34 +355,20 @@ def check_case(script: EditScriptSpec, *,
             cold[(saturation, count)] = _canonical_outputs(combo)
             report.violations.extend(_check_trace_against(
                 combo, label, count, trace, mutator))
-            report.violations.extend(_check_audits(
-                combo.raw.solver_state, program, label, count))
-            alabel = label[:-1] + "/arena]"
-            arena = AnalysisSession(attached).run("skipflow", **options)
-            if arena.raw.kernel_ran != "arena":
-                report.violations.append(OracleViolation(
-                    "kernel-divergence", alabel, count,
-                    f"the attached program ran on the "
-                    f"{arena.raw.kernel_ran} kernel"))
-            elif (_canonical_outputs(arena) != cold[(saturation, count)]
-                    or arena.solver_steps != combo.solver_steps):
-                report.violations.append(OracleViolation(
-                    "kernel-divergence", alabel, count,
-                    f"the arena kernel diverged from the object "
-                    f"kernel: steps {arena.solver_steps} vs "
-                    f"{combo.solver_steps}"))
-            report.violations.extend(_check_trace_against(
-                arena, alabel, count, trace, mutator))
-            report.violations.extend(_check_audits(
-                arena.raw.solver_state, attached, alabel, count))
+            if saturation != OFF:  # ``off`` is the audited exact solve
+                report.violations.extend(_check_audits(
+                    combo.raw.arena_state, program, label, count))
+            report.violations.extend(_check_reference(
+                combo.raw.arena_state, lowered_program(program),
+                program.entry_points, label, count))
 
     # Warm chains: one session per combination, resumed across every edit,
     # and an arena-backed twin of it (the base frozen, then attached) that
-    # resumes on the arena kernel over the arena each edit extends.
+    # resumes over the arena each edit extends.
     for saturation in saturations:
         report.combos_checked += 1
         label = f"skipflow[{saturation}@{threshold}]"
-        alabel = label[:-1] + "/arena]"
+        alabel = label[:-1] + "/attached]"
         options = _combo_options(saturation, threshold)
         session = AnalysisSession(generate_benchmark(script.base))
         twin = AnalysisSession(open_program(freeze(
@@ -379,31 +376,31 @@ def check_case(script: EditScriptSpec, *,
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a fallback is a failure here
             warm = session.run("skipflow", **options)
-            state = warm.raw.solver_state
             twin_warm = twin.run("skipflow", **options)
             for count in prefixes:
                 if count > 0:
                     step = script.steps[count - 1]
                     session.update(build_edit_delta(script.base, step))
-                    warm = session.run("skipflow", resume=state, **options)
-                    state = warm.raw.solver_state
+                    warm = session.run("skipflow", resume=warm, **options)
                     twin.update(build_edit_delta(script.base, step))
                     twin_warm = twin.run("skipflow", resume=twin_warm,
                                          **options)
-                    if twin_warm.raw.kernel_ran != "arena":
+                    if twin_warm.solver_stats != warm.solver_stats:
                         report.violations.append(OracleViolation(
                             "kernel-divergence", alabel, count,
-                            f"the warm resume of the extended arena ran on "
-                            f"the {twin_warm.raw.kernel_ran} kernel"))
-                    elif twin_warm.solver_stats != warm.solver_stats:
-                        report.violations.append(OracleViolation(
-                            "kernel-divergence", alabel, count,
-                            f"the arena resume diverged from the object "
-                            f"resume: {twin_warm.solver_stats} vs "
-                            f"{warm.solver_stats}"))
-                report.violations.extend(_check_audits(
-                    state, session.program, f"{label} warm", count,
-                    warm_barrier=session.warm_barrier))
+                            f"the attached arena's resume diverged from the "
+                            f"program lowering's: {twin_warm.solver_stats} "
+                            f"vs {warm.solver_stats}"))
+                if count == len(script.steps) > 0:
+                    report.violations.extend(_check_reference(
+                        warm.raw.arena_state,
+                        lowered_program(session.program),
+                        session.program.entry_points, f"{label} warm",
+                        count))
+                    report.violations.extend(_check_audits(
+                        warm.raw.arena_state, session.program,
+                        f"{label} warm", count,
+                        warm_barrier=session.warm_barrier))
                 for chain, result in ((label, warm), (alabel, twin_warm)):
                     report.violations.extend(_warm_cold_mismatches(
                         chain, count, _canonical_outputs(result),

@@ -160,8 +160,7 @@ def run_mutation_smoke(*, seed: int = 0, profile: str = "quick"
 
     Runs one generated case against mutated analyzers (a cheap single-combo
     matrix — the planted bug is policy-independent), asserts violations
-    fire, and asserts the shrinker reduces the case.  The mutated solves run
-    on both kernels, as every oracle combo does.  Returns the failing
+    fire, and asserts the shrinker reduces the case.  Returns the failing
     report plus the (original, shrunk) scripts.
 
     Raises ``AssertionError`` when the oracle misses the planted bug — the

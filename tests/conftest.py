@@ -111,28 +111,52 @@ def virtual_threads_program_with_virtual() -> Program:
     return build_virtual_threads_program(use_virtual_threads=True)
 
 
-def _object_image_report(program: Program, config, benchmark_name: str = "program"):
-    """The image report of ``program`` solved on the object kernel.
+def _walked_image_report(program: Program, config, benchmark_name: str = "program"):
+    """The image report of ``program`` with metrics and dead code walked.
 
-    ``NativeImageBuilder.build`` solves every program on the arena kernel;
-    this reference solves the plain program with ``SkipFlowAnalysis`` (the
-    object kernel) and assembles the report from the PVPG walks
-    (``collect_metrics`` / ``eliminate_dead_code``), so comparing the two
-    keeps the cross-kernel bit-identity coverage of image reports.
+    ``NativeImageBuilder`` reads the Section 6 counters and the dead-code
+    rows from the arena kernel's tables; this report walks the inflated
+    PVPG instead (``walked_reports``), so comparing the two keeps the
+    table fast path honest.
     """
+    from dataclasses import replace
+
     from repro.core.analysis import SkipFlowAnalysis
-    from repro.image.builder import NativeImageBuilder
+    from repro.image.builder import NativeImageBuilder, walked_reports
 
     result = SkipFlowAnalysis(program, config).run()
-    assert result.kernel_ran == "object"
-    return NativeImageBuilder(program, config,
-                              benchmark_name=benchmark_name).report(result)
+    builder = NativeImageBuilder(program, config,
+                                 benchmark_name=benchmark_name)
+    metrics, dead_code = walked_reports(result)
+    return replace(builder.report(result), metrics=metrics,
+                   dead_code=dead_code,
+                   binary_size_bytes=builder.size_model.estimate(
+                       result, dead_code))
+
+
+walked_image_report_of = _walked_image_report
 
 
 @pytest.fixture
-def object_image_report():
-    """:func:`_object_image_report`: an image report from the object kernel."""
-    return _object_image_report
+def walked_image_report():
+    """:func:`_walked_image_report`: an image report from the PVPG walks."""
+    return _walked_image_report
+
+
+def reference_divergences(result, roots=None):
+    """How ``result``'s arena fixpoint differs from the reference's.
+
+    ``result`` is an :class:`~repro.core.results.AnalysisResult`, an
+    :class:`~repro.api.report.AnalysisReport` or an arena solver state;
+    the reference (:mod:`repro.checks.reference`) solves the program the
+    tables index from ``roots`` (default: its entry points).  Empty when
+    reachable and stub methods, every invoke flow's callees and every
+    flow's value state, enabled bit and saturation bit agree.
+    """
+    from repro.checks.reference import fixpoint_divergences
+
+    state = getattr(getattr(result, "raw", result), "arena_state", result)
+    return fixpoint_divergences(state.program, state, roots)
 
 
 def fixpoint_signature(pvpg, reachable):

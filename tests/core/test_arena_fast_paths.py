@@ -1,11 +1,11 @@
-"""The arena kernel's link fast paths: new work only, the object kernel's answers.
+"""The arena kernel's link fast paths: new work only, the reference's answers.
 
 A solve-time use edge is deduplicated by one integer edge key, and an
 invoke re-link resolves only the receiver types it has not resolved yet in
-this solve.  Each program here drives one of those paths, and the arena
-kernel must still pay the object kernel's counters (steps, joins,
-transfers, saturated flows) and reach its fixpoint (reachable set, linked
-callees, every flow's state):
+this solve.  Each program here drives one of those paths, and the kernel
+must still reach the executable specification's fixpoint
+(:mod:`repro.checks.reference`: reachable set, linked callees, every
+flow's state), with the same counters on attached and lowered columns:
 
 * one argument flow passed to the same callee from two call sites, whose
   second link finds the edge already there;
@@ -24,7 +24,7 @@ from repro.ir.arena import freeze, open_program
 from repro.ir.delta import ProgramDelta
 from repro.ir.types import TypeHierarchy
 from repro.lang import compile_source
-from tests.conftest import fixpoint_signature
+from tests.conftest import fixpoint_signature, reference_divergences
 
 TWO_CALL_SITES = """
 class Item { }
@@ -140,12 +140,12 @@ def _answers(result):
             fixpoint_signature(state.pvpg, state.reachable))
 
 
-def _assert_kernels_agree(program, config):
-    """Solve ``program`` on both kernels; return the arena result."""
-    reference = SkipFlowAnalysis(program, config).run()
+def _assert_matches_reference(program, config):
+    """Solve ``program``'s attached freeze; return the result."""
+    lowered = SkipFlowAnalysis(program, config).run()
     arena = SkipFlowAnalysis(open_program(freeze(program)), config).run()
-    assert (reference.kernel_ran, arena.kernel_ran) == ("object", "arena")
-    assert _answers(arena) == _answers(reference)
+    assert not reference_divergences(arena)
+    assert _answers(arena) == _answers(lowered)
     return arena
 
 
@@ -171,7 +171,7 @@ def _solve_time_edges(result):
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_a_duplicate_argument_edge_is_added_once(config):
-    arena = _assert_kernels_agree(_program(TWO_CALL_SITES), CONFIGS[config])
+    arena = _assert_matches_reference(_program(TWO_CALL_SITES), CONFIGS[config])
     tables = arena.arena_state
     program = arena.kernel_backend.arena
     mid = program.mid_of("Sink.take")
@@ -187,7 +187,7 @@ def test_a_duplicate_argument_edge_is_added_once(config):
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_a_load_through_an_inherited_field_links_one_edge(config):
-    arena = _assert_kernels_agree(_program(INHERITED_FIELD), CONFIGS[config])
+    arena = _assert_matches_reference(_program(INHERITED_FIELD), CONFIGS[config])
     assert arena.field_state("Base.slot").types == frozenset({"Payload"})
     tables = arena.arena_state
     field = arena.kernel_backend.arena.field_fid("Base.slot")
@@ -200,20 +200,13 @@ def test_a_load_through_an_inherited_field_links_one_edge(config):
 
 def test_a_growing_receiver_resolves_each_type_once(resolved):
     config = AnalysisConfig.skipflow()
-    program = _program(GROWING_RECEIVER)
-    reference = SkipFlowAnalysis(program, config).run()
-    object_draws = [receiver for receiver, method in resolved
-                    if method == "draw"]
-    del resolved[:]
-    arena = SkipFlowAnalysis(open_program(freeze(program)), config).run()
+    program = open_program(freeze(_program(GROWING_RECEIVER)))
+    arena = SkipFlowAnalysis(program, config).run()
     arena_draws = [receiver for receiver, method in resolved
                    if method == "draw"]
-    assert _answers(arena) == _answers(reference)
-    # The object kernel re-resolves the whole sorted receiver set at each
-    # link of ``shape.draw()`` (three or more, as the set grows); the arena
+    assert not reference_divergences(arena)
+    # ``shape.draw()`` is linked three times as its receiver set grows; the
     # kernel resolves only the types each link adds.
-    assert object_draws.count("Circle") >= 3
-    assert object_draws[-3:] == ["Circle", "Square", "Star"]
     assert arena_draws == ["Circle", "Square", "Star"]
     assert {"Circle.draw", "Square.draw", "Star.draw"} <= (
         arena.reachable_methods)
@@ -237,17 +230,18 @@ def test_a_resume_after_a_new_subclass_re_resolves_old_types(config,
     config = CONFIGS[config]
     plain = _program(RESUMED_RECEIVER, roots=("Host.boot",))
     attached = open_program(freeze(plain))
-    objects = SkipFlowAnalysis(plain, config).run()
+    lowered = SkipFlowAnalysis(plain, config).run()
     arenas = SkipFlowAnalysis(attached, config).run()
     state = arenas.arena_state
-    assert _answers(arenas) == _answers(objects)
+    assert _answers(arenas) == _answers(lowered)
     for program in (plain, attached):
         _star_delta().apply_to(program, require_monotone=True)
-    objects = SkipFlowAnalysis(plain, config, state=objects.solver_state).run()
+    lowered = SkipFlowAnalysis(plain, config, state=lowered.arena_state).run()
     del resolved[:]
     arenas = SkipFlowAnalysis(attached, config, state=state).run()
-    assert arenas.kernel_ran == "arena" and arenas.arena_state is state
-    assert _answers(arenas) == _answers(objects)
+    assert arenas.arena_state is state
+    assert not reference_divergences(arenas)
+    assert _answers(arenas) == _answers(lowered)
     assert "Star.draw" in arenas.reachable_methods
     assert {"Circle", "Shape", "Star"} <= {
         receiver for receiver, method in resolved if method == "draw"}

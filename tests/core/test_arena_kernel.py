@@ -1,19 +1,16 @@
-"""The arena propagation kernel: bit-identical to the object kernel.
+"""The arena propagation kernel against the executable specification.
 
-A cold solve of an attached arena program runs on the flat integer-id
-tables of :mod:`repro.ir.arena` instead of the object-graph PVPG; its
-contract is *exact* equality of every canonical output — reachable sets,
-call edges, step/join/transfer counters, saturated-flow counts, and the
-image layer's metrics and per-method dead-code reports — under every
-saturation policy, on generated benchmarks from the paper (tier-1), wide,
-and composed suites alike.  Each cell solves the plain program (object
-kernel) and its attached freeze (arena kernel); the first three grid tests
-also solve the in-memory lowering, whose columns are lists where an attached
-buffer's are ``memoryview`` slices.  The grid here is the in-repo anchor for
-the CI gates (solver-steps baseline, fuzz ``kernel-divergence`` invariant).
+Every solve runs on the flat integer-id tables of :mod:`repro.ir.arena`.
+Its fixpoint must equal the reference's (:mod:`repro.checks.reference`):
+reachable and stub methods, every invoke flow's callees and every flow's
+value state, enabled bit and saturation bit — under every saturation
+policy, on generated benchmarks from the paper (tier-1), wide, and
+composed suites alike.  Cells solve the attached freeze (``memoryview``
+columns) and the in-memory lowering (list columns), which must also agree
+on every counter.  The grid here is the in-repo anchor for the CI gates
+(solver-steps baseline, fuzz ``kernel-divergence`` invariant).
 """
 
-from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -30,6 +27,7 @@ from repro.workloads.suites import (
     suite_by_name,
     wide_hierarchy_suite,
 )
+from tests.conftest import reference_divergences, walked_image_report_of
 
 
 def _workload(suite, name):
@@ -110,19 +108,22 @@ def _canonical(result):
             result.stats.saturated_flows)
 
 
-def _solve(key, config):
-    result = SkipFlowAnalysis(_program(key), config).run()
-    assert result.kernel_ran == "object"
-    return result
-
-
 def _solve_arena(key, config, columns="attached"):
     make, column_type = COLUMNS[columns]
     program = make(key)
     assert isinstance(program.arena.use_val, column_type)
-    result = SkipFlowAnalysis(program, config).run()
-    assert result.kernel_ran == "arena"
-    return result
+    return SkipFlowAnalysis(program, config).run()
+
+
+def _assert_matches_reference(key, config):
+    """Both column types reach the reference's fixpoint, with the same
+    counters."""
+    attached = _solve_arena(key, config, "attached")
+    lowered = _solve_arena(key, config, "lowered")
+    assert not reference_divergences(attached)
+    assert not reference_divergences(lowered)
+    assert _canonical(attached) == _canonical(lowered)
+    return attached
 
 
 #: Every built-in cutoff sentinel (``off`` has no sentinel to mirror).
@@ -130,180 +131,105 @@ CUTOFFS = tuple(name for name in available_saturation_policies()
                 if name != "off")
 
 
-def _flow_states(result):
-    """Every flow's value state and saturation bit, plus linked callees.
-
-    Flow uids differ between kernels, so flows are keyed by (method,
-    label, kind) in a multiset; value states are hash-consed and compare
-    structurally.  On an arena result this walks the inflated PVPG.
-    """
-    pvpg = result.pvpg
-    states = Counter()
-    edges = set()
-    for graph in pvpg.methods.values():
-        for flow in graph.flows:
-            states[(graph.qualified_name, flow.label, flow.kind.value,
-                    flow.state, flow.saturated)] += 1
-        for invoke in graph.invoke_flows:
-            for callee in invoke.linked_callees:
-                edges.add((graph.qualified_name, invoke.label, callee))
-    for name, field_flow in pvpg.field_flows.items():
-        states[("<fields>", name, field_flow.kind.value, field_flow.state,
-                field_flow.saturated)] += 1
-    return states, edges
-
-
-def _fixpoint(result):
-    """Reachability, call edges and every flow's final state."""
-    return frozenset(result.reachable_methods), _flow_states(result)
-
-
-class TestBitIdenticalGrid:
-    @pytest.mark.parametrize("columns", sorted(COLUMNS))
+class TestReferenceGrid:
     @pytest.mark.parametrize("saturation", available_saturation_policies())
-    def test_full_grid_on_wide(self, saturation, columns):
+    def test_full_grid_on_wide(self, saturation):
         config = AnalysisConfig.skipflow()
         if saturation != "off":
             config = config.with_saturation_policy(saturation, 4)
-        reference = _solve("wide-flat-64", config)
-        arena = _solve_arena("wide-flat-64", config, columns)
-        assert _canonical(arena) == _canonical(reference)
+        _assert_matches_reference("wide-flat-64", config)
 
-    @pytest.mark.parametrize("columns", sorted(COLUMNS))
     @pytest.mark.parametrize("workload", ["dacapo-pmd", "composed-duo-112"])
-    def test_default_config_on_tier1_and_composed(self, workload, columns):
-        config = AnalysisConfig.skipflow()
-        reference = _solve(workload, config)
-        arena = _solve_arena(workload, config, columns)
-        assert _canonical(arena) == _canonical(reference)
+    def test_default_config_on_tier1_and_composed(self, workload):
+        _assert_matches_reference(workload, AnalysisConfig.skipflow())
 
-    @pytest.mark.parametrize("columns", sorted(COLUMNS))
     @pytest.mark.parametrize("workload", ["dacapo-pmd", "composed-duo-112"])
     @pytest.mark.parametrize("saturation", CUTOFFS)
-    def test_saturations_on_tier1_and_composed(self, workload, saturation,
-                                               columns):
-        config = (AnalysisConfig.skipflow()
-                  .with_saturation_policy(saturation, 8))
-        reference = _solve(workload, config)
-        arena = _solve_arena(workload, config, columns)
-        assert _canonical(arena) == _canonical(reference)
+    def test_saturations_on_tier1_and_composed(self, workload, saturation):
+        _assert_matches_reference(workload, AnalysisConfig.skipflow()
+                                  .with_saturation_policy(saturation, 8))
 
     @pytest.mark.parametrize("workload", sorted(WIDE_SPECS))
     @pytest.mark.parametrize("saturation", CUTOFFS)
     def test_every_wide_spec_at_the_lowest_study_threshold(self, workload,
                                                             saturation):
         """Threshold 2, the policy study's lowest, saturates flows on every
-        hierarchy shape; both kernels must still agree bit for bit."""
+        hierarchy shape; the kernel must still reach the reference's
+        fixpoint."""
         config = (AnalysisConfig.skipflow()
                   .with_saturation_policy(saturation, 2))
-        reference = _solve(workload, config)
-        arena = _solve_arena(workload, config)
-        assert reference.stats.saturated_flows > 0
-        assert _canonical(arena) == _canonical(reference)
+        result = _solve_arena(workload, config)
+        assert result.stats.saturated_flows > 0
+        assert not reference_divergences(result)
 
-    def test_baseline_pta_is_bit_identical_too(self):
-        config = AnalysisConfig.baseline_pta()
-        reference = _solve("dacapo-pmd", config)
-        arena = _solve_arena("dacapo-pmd", config)
-        assert _canonical(arena) == _canonical(reference)
-
-
-class TestPerFlowStates:
-    """Beyond the canonical outputs: every flow ends in the same state."""
+    @pytest.mark.parametrize("config_name", [
+        "baseline_pta", "predicates_only", "primitives_only"])
+    def test_baseline_and_ablations(self, config_name):
+        _assert_matches_reference("dacapo-pmd",
+                                  getattr(AnalysisConfig, config_name)())
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    @pytest.mark.parametrize("saturation,threshold", (("off", None),) + tuple(
+    @pytest.mark.parametrize("saturation,threshold", tuple(
         (saturation, threshold) for saturation in CUTOFFS
         for threshold in (4, 1)))
-    def test_flow_states_match_the_object_kernel(self, workload, saturation,
-                                                  threshold):
+    def test_saturated_bits_at_every_threshold(self, workload, saturation,
+                                               threshold):
         """Threshold 1 collapses every flow that sees a second type, so the
         saturated bits and sentinel states are checked at scale too."""
-        config = AnalysisConfig.skipflow()
-        if saturation != "off":
-            config = config.with_saturation_policy(saturation, threshold)
-        reference = _solve(workload, config)
-        arena = _solve_arena(workload, config)
-        assert _flow_states(arena) == _flow_states(reference)
+        result = _solve_arena(workload, AnalysisConfig.skipflow()
+                              .with_saturation_policy(saturation, threshold))
+        assert not reference_divergences(result)
 
 
 class TestImageFastPath:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_image_reports_identical(self, workload):
-        """The arena-native image counters equal the PVPG-walking ones."""
+        """The table-read image counters equal the PVPG-walking ones."""
         config = AnalysisConfig.skipflow()
-        reference = NativeImageBuilder(
-            _program(workload), config,
-            benchmark_name=workload).build()
+        walked = walked_image_report_of(_program(workload), config, workload)
         arena = NativeImageBuilder(
             _attached(workload), config, benchmark_name=workload).build()
-        assert arena.result.kernel_ran == "arena"
         assert (replace(arena.metrics, analysis_time_seconds=0.0)
-                == replace(reference.metrics, analysis_time_seconds=0.0))
-        assert arena.binary_size_bytes == reference.binary_size_bytes
+                == replace(walked.metrics, analysis_time_seconds=0.0))
+        assert arena.binary_size_bytes == walked.binary_size_bytes
         assert (sorted(arena.dead_code.methods)
-                == sorted(reference.dead_code.methods))
-        for name, dead in reference.dead_code.methods.items():
+                == sorted(walked.dead_code.methods))
+        for name, dead in walked.dead_code.methods.items():
             assert arena.dead_code.methods[name] == dead
 
 
 class TestLazyInflation:
     def test_pvpg_and_state_inflate_on_demand(self):
         result = _solve_arena("wide-flat-64", AnalysisConfig.skipflow())
-        assert result.kernel_backend is not None
-        # Inflation is lazy but complete: the inflated state matches the
-        # object kernel's canonical outputs.
-        reference = _solve("wide-flat-64", AnalysisConfig.skipflow())
+        backend = result.kernel_backend
+        assert backend._inflated is None
         assert result.pvpg is not None
-        assert (frozenset(result.reachable_methods)
-                == frozenset(reference.reachable_methods))
-        assert sorted(result.call_edges()) == sorted(reference.call_edges())
-        assert result.solver_state.counters() == reference.solver_state.counters()
-
-    def test_object_kernel_has_no_backend(self):
-        result = _solve("wide-flat-64", AnalysisConfig.skipflow())
-        assert result.kernel_backend is None
-
-
-class TestKernelSelection:
-    """The program and the solve pick the kernel; every pick agrees.
-
-    Plain program → object, attached arena solved cold → arena, attached
-    arena resumed from a state → object; all three land on the same
-    fixpoint (reachability, call edges and every flow's state, plus each
-    flow's saturation bit).
-    """
-
-    @pytest.mark.parametrize("saturation", available_saturation_policies())
-    def test_each_route_reaches_the_same_fixpoint(self, saturation):
-        config = AnalysisConfig.skipflow()
-        if saturation != "off":
-            config = config.with_saturation_policy(saturation, 4)
-        self._assert_routes_agree(_program("wide-flat-64"),
-                                  _attached("wide-flat-64"), config)
+        assert backend._inflated is not None
+        assert result.solver_state.counters() == result.arena_state.counters()
+        assert set(result.pvpg.methods) == set(result.reachable_methods)
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS) + ["feature-flag"])
-    def test_each_route_agrees_on_every_workload(self, workload):
-        """The default config over each suite family and a compiled source."""
+    def test_queries_agree_with_the_inflated_graph(self, workload):
+        """The table queries answer what the inflated PVPG says."""
         if workload == "feature-flag":
             program = compile_source(FEATURE_FLAG_SOURCE)
-            attached = open_program(freeze(program))
         else:
-            program, attached = _program(workload), _attached(workload)
-        self._assert_routes_agree(program, attached, AnalysisConfig.skipflow())
-
-    @staticmethod
-    def _assert_routes_agree(program, attached, config):
-        plain = SkipFlowAnalysis(program, config).run()
-        cold = SkipFlowAnalysis(attached, config).run()
-        resumed = SkipFlowAnalysis(
-            attached, config, state=cold.solver_state.fork()).run()
-        assert [result.kernel_ran for result in (plain, cold, resumed)] == [
-            "object", "arena", "object"]
-        assert resumed.kernel_backend is None
-        expected = _fixpoint(plain)
-        assert _fixpoint(cold) == expected
-        assert _fixpoint(resumed) == expected
+            program = _program(workload)
+        result = SkipFlowAnalysis(program, AnalysisConfig.skipflow()).run()
+        assert not reference_divergences(result)
+        pvpg = result.pvpg
+        edges = [(graph.qualified_name, callee)
+                 for graph in result.reachable_graphs()
+                 for invoke in graph.invoke_flows
+                 for callee in sorted(invoke.linked_callees)]
+        assert result.call_edges() == edges
+        for name in sorted(result.reachable_methods)[:20]:
+            graph = pvpg.method_graph(name)
+            for index, flow in enumerate(graph.parameter_flows):
+                assert result.parameter_state(name, index) is flow.state
+            assert result.call_targets(name) == {
+                f"{flow.label}#{index}": frozenset(flow.linked_callees)
+                for index, flow in enumerate(graph.invoke_flows)}
 
 
 class _MixedRowProbe(dict):
@@ -337,9 +263,4 @@ class TestColumnTypes:
         probe = solver._extra_uses = _MixedRowProbe(program.arena)
         solver.solve()
         assert probe.mixed_rows > 0
-        reference = _solve(workload, config)
-        assert (frozenset(solver.reachable), solver.steps, solver.joins,
-                solver.transfers, solver.saturated_flows) == (
-            frozenset(reference.reachable_methods), reference.steps,
-            reference.stats.joins, reference.stats.transfers,
-            reference.stats.saturated_flows)
+        assert not reference_divergences(solver.arena_state)

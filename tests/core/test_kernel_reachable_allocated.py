@@ -20,6 +20,7 @@ from repro.core.kernel import (
 from repro.lang import compile_source
 from repro.workloads.edits import EditStepSpec, build_edit_delta
 from repro.workloads.generator import BenchmarkSpec, generate_benchmark
+from tests.conftest import reference_divergences
 from tests.core.test_kernel_scheduling import ORDERS, solve_in_order
 
 THRESHOLD = 3
@@ -143,7 +144,7 @@ class TestRefinedSolve:
         options = dict(saturation_policy="allocated-type-reachable",
                        saturation_threshold=THRESHOLD)
         warm_session = AnalysisSession(generate_benchmark(PLUGIN_SPEC))
-        state = warm_session.run("skipflow", **options).raw.solver_state
+        state = warm_session.run("skipflow", **options).raw.arena_state
 
         step = EditStepSpec(kind="add-guarded-module", index=0)
         warm_session.update(build_edit_delta(PLUGIN_SPEC, step))
@@ -157,6 +158,7 @@ class TestRefinedSolve:
                 == set(cold.reachable_methods))
         assert set(warm.call_edges) == set(cold.call_edges)
         assert set(warm.stub_methods) == set(cold.stub_methods)
+        assert not reference_divergences(warm)
 
     def test_off_policy_keeps_exact_solver_steps(self):
         """The refinement hook must not disturb the default hot path: with

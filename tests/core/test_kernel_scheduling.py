@@ -1,4 +1,4 @@
-"""Worklist order: both kernels drain oldest-first, the seed solver's order.
+"""Worklist order: the kernel drains oldest-first, the seed solver's order.
 
 The worklist order is not configurable.  ``fifo`` is the order the seed
 solver used, so the default configuration must reproduce the seed's exact
@@ -6,11 +6,11 @@ step counts (the checked-in regression baseline).
 
 The chaotic-iteration argument (see :mod:`repro.core.kernel`) promises that
 the drain order changes solver *effort* only.  These tests pin that promise
-down without a knob: they swap each kernel's worklist ``deque`` for a
+down without a knob: they swap the kernel's worklist ``deque`` for a
 test-only double that drains newest-first or in a seeded random order, and
-require the reachable set, the linked call edges and the final value state
-of every flow to equal the oldest-first reference — on small example
-programs and on wide and composed benchmark specs, on both kernels.
+require the fixpoint to equal the executable specification's
+(:mod:`repro.checks.reference`) — on small example programs and on wide and
+composed benchmark specs, lowered and attached.
 """
 
 import json
@@ -21,7 +21,6 @@ from pathlib import Path
 import pytest
 
 import repro.core.kernel.arena_kernel as arena_kernel
-import repro.core.solver as object_solver
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.ir.arena import freeze, open_program
 from repro.lang import compile_source
@@ -31,7 +30,7 @@ from repro.workloads.generator import (
     generate_benchmark,
     spec_from_reduction,
 )
-from tests.conftest import fixpoint_signature
+from tests.conftest import reference_divergences
 
 QUICKSTART_SOURCE = """
 class Config {
@@ -114,13 +113,12 @@ ORDERS = {"newest-first": NewestFirst, "seeded-random": SeededRandom}
 
 
 def solve_in_order(program, config, order, monkeypatch):
-    """Run one analysis with both kernels' queues replaced by ``order``.
+    """Run one analysis with the kernel's queues replaced by ``order``.
 
-    Each kernel module builds its worklist and link queue from the module's
+    The kernel module builds its worklist and link queue from the module's
     ``deque`` name, so patching that name reorders every drain of the solve.
     """
     with monkeypatch.context() as patch:
-        patch.setattr(object_solver, "deque", ORDERS[order])
         patch.setattr(arena_kernel, "deque", ORDERS[order])
         return SkipFlowAnalysis(program, config).run()
 
@@ -134,50 +132,41 @@ def _programs():
     }
 
 
-def _routed(program, kernel):
-    """The plain program (object kernel) or its attached freeze (arena)."""
-    return program if kernel == "object" else open_program(freeze(program))
+def _routed(program, form):
+    """The plain program (solved on its lowering) or its attached freeze."""
+    return program if form == "lowered" else open_program(freeze(program))
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("kernel", ["object", "arena"])
+    @pytest.mark.parametrize("form", ["lowered", "attached"])
     @pytest.mark.parametrize("config_name", ["skipflow", "baseline_pta"])
     @pytest.mark.parametrize("order", sorted(ORDERS))
-    def test_every_order_reaches_the_identical_fixpoint(
-            self, order, config_name, kernel, monkeypatch):
+    def test_every_order_reaches_the_reference_fixpoint(
+            self, order, config_name, form, monkeypatch):
         config = getattr(AnalysisConfig, config_name)()
         for label, make_program in _programs().items():
-            reference = SkipFlowAnalysis(make_program(), config).run()
-            assert reference.kernel_ran == "object"
-            expected = fixpoint_signature(reference.pvpg,
-                                          reference.reachable_methods)
-            result = solve_in_order(_routed(make_program(), kernel), config,
+            result = solve_in_order(_routed(make_program(), form), config,
                                     order, monkeypatch)
-            assert result.kernel_ran == kernel
-            signature = fixpoint_signature(result.pvpg,
-                                           result.reachable_methods)
-            assert signature == expected, (
-                f"{order} diverged from oldest-first on {label}")
+            assert not reference_divergences(result), (
+                f"{order} diverged from the reference on {label}")
 
-    @pytest.mark.parametrize("kernel", ["object", "arena"])
+    @pytest.mark.parametrize("form", ["lowered", "attached"])
     @pytest.mark.parametrize(
         "saturation", ["allocated-type", "allocated-type-reachable"])
     @pytest.mark.parametrize("order", sorted(ORDERS))
     def test_orders_agree_under_saturation_too(self, order, saturation,
-                                               kernel, monkeypatch):
+                                               form, monkeypatch):
         """With a cutoff the fixpoint is coarser but still order-invariant."""
         config = AnalysisConfig.skipflow().with_saturation_policy(
             saturation, 4)
-        reference = SkipFlowAnalysis(generate_benchmark(WIDE_SPEC),
-                                     config).run()
-        assert reference.stats.saturated_flows > 0
-        result = solve_in_order(_routed(generate_benchmark(WIDE_SPEC), kernel),
+        oldest_first = SkipFlowAnalysis(generate_benchmark(WIDE_SPEC),
+                                        config).run()
+        assert oldest_first.stats.saturated_flows > 0
+        result = solve_in_order(_routed(generate_benchmark(WIDE_SPEC), form),
                                 config, order, monkeypatch)
-        assert result.kernel_ran == kernel
         assert (result.stats.saturated_flows
-                == reference.stats.saturated_flows)
-        assert (fixpoint_signature(result.pvpg, result.reachable_methods)
-                == fixpoint_signature(reference.pvpg, reference.reachable_methods))
+                == oldest_first.stats.saturated_flows)
+        assert not reference_divergences(result)
 
     @pytest.mark.parametrize("order", sorted(ORDERS))
     def test_orders_really_differ_in_effort(self, order, monkeypatch):

@@ -7,14 +7,19 @@ never be coarser than the ``allocated-type`` top a bare threshold engages,
 change nothing while the threshold is out of reach, and keep its one
 flow-independent top inside the closed world.  The grid runs each property
 for every registered sentinel over a plain wide hierarchy, a composed
-(interleaved) one, and a generated WideHierarchy spec.
+(interleaved) one, and a generated WideHierarchy spec, and each saturated
+fixpoint must equal the executable specification's
+(:mod:`repro.checks.reference`) — saturation bits and sentinel states
+included — which makes the claim that a policy's answer does not depend on
+event order testable.
 """
 
 import pytest
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.core.kernel import available_saturation_policies
-from repro.core.solver import SkipFlowSolver
+from repro.core.kernel.arena_kernel import ArenaKernelSolver
+from repro.ir.arena import lowered_program
 from repro.ir.builder import ProgramBuilder
 from repro.ir.types import OBJECT_TYPE_NAME
 from repro.workloads.generator import (
@@ -24,6 +29,7 @@ from repro.workloads.generator import (
 )
 from repro.workloads.patterns import add_wide_hierarchy_module
 from repro.workloads.suites import suite_by_name
+from tests.conftest import reference_divergences
 
 SENTINELS = tuple(name for name in available_saturation_policies()
                   if name != "off")
@@ -99,6 +105,12 @@ def test_cutoff_fires_at_a_low_threshold(program, sentinel):
     assert _run(program, sentinel).stats.saturated_flows > 0
 
 
+@pytest.mark.parametrize("threshold", (LOW, 1))
+def test_the_saturated_fixpoint_is_the_reference_one(program, sentinel,
+                                                     threshold):
+    assert not reference_divergences(_run(program, sentinel, threshold))
+
+
 def test_sound_superset_of_exact(program, sentinel):
     exact = _run(program, "off")
     saturated = _run(program, sentinel)
@@ -125,7 +137,8 @@ def test_one_top_inside_the_closed_world_and_it_is_dominated(program,
                                                              sentinel):
     """The flow-independent sentinel holds only declared concrete types
     (and ``null``), and lies below every saturated flow's final state."""
-    solver = SkipFlowSolver(_program(program), _config(sentinel, LOW))
+    solver = ArenaKernelSolver(lowered_program(_program(program)),
+                               _config(sentinel, LOW))
     solver.solve()
     top = solver._saturation.sentinel
     flows = [flow for graph in solver.pvpg.methods.values()

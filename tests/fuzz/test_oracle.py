@@ -1,17 +1,12 @@
 """The differential oracle: interpreter trace vs every analyzer."""
 
-from pathlib import Path
-
-from repro.core import analysis as analysis_module
 from repro.core.kernel.arena_kernel import ArenaKernelSolver
-from repro.core.solver import SkipFlowSolver
 from repro.fuzz.generator import generate_cases
 from repro.fuzz.oracle import (
     check_case,
     execute_all_entry_points,
     synthesize_arguments,
 )
-from repro.fuzz.reprofile import load_repro
 from repro.workloads.edits import EditScriptSpec, EditStepSpec
 from repro.workloads.generator import BenchmarkSpec, GuardedModuleSpec
 
@@ -20,8 +15,6 @@ SMALL_SPEC = BenchmarkSpec(
     guarded_modules=(GuardedModuleSpec("null_default", 5),))
 
 SMALL_MATRIX = dict(saturations=("off",))
-
-CORPUS = Path(__file__).parent / "corpus"
 
 
 def _script(steps=()):
@@ -41,11 +34,9 @@ def _reattach_without_root_seeds(solver):
         solver._apply_stub_effects(fid, signature)
 
 
-def _object_reattach_without_root_seeds(solver, seeded_roots):
-    """``SkipFlowSolver._reattach`` minus the root-seed replay."""
-    solver._recollapse_saturated()
-    for invoke_flow, signature in list(solver.state.stub_links):
-        solver._apply_stub_effects(invoke_flow, signature)
+def _filter_without_filtering(solver, fid):
+    """``ArenaKernelSolver._filter`` that lets every input value through."""
+    return solver._inp[fid]
 
 
 class TestExecution:
@@ -112,53 +103,33 @@ class TestCheckCase:
         analyzers = {v.analyzer for v in report.violations}
         assert {"cha", "rta", "pta", "skipflow"} <= analyzers
 
-    def test_planted_arena_step_fault_is_a_kernel_divergence(self, monkeypatch):
-        """The object/arena cross-check can fail: an arena kernel that
-        counts one step too many diverges, and nothing else fires."""
+    def test_planted_filter_fault_is_a_kernel_divergence(self, monkeypatch):
+        """The reference can fail the kernel: a filter that filters nothing
+        stays sound and consistent (traces, audits and warm == cold all
+        pass), so only the reference sees it."""
+        monkeypatch.setattr(ArenaKernelSolver, "_filter",
+                            _filter_without_filtering)
+        report = check_case(_script(), **SMALL_MATRIX)
+        assert report.violations
+        assert {violation.invariant for violation in report.violations} == {
+            "kernel-divergence"}
+        assert all("differs from the reference" in violation.detail
+                   for violation in report.violations)
+
+    def test_counters_are_not_compared(self, monkeypatch):
+        """The reference judges fixpoints only: a kernel that counts one
+        step too many is the steps gate's business, not the oracle's."""
         steps = ArenaKernelSolver.steps
         monkeypatch.setattr(ArenaKernelSolver, "steps",
                             property(lambda solver: steps.fget(solver) + 1))
-        report = check_case(_script(), **SMALL_MATRIX)
-        assert report.violations
-        assert all(violation.invariant == "kernel-divergence"
-                   and violation.analyzer == "skipflow[off@4/arena]"
-                   for violation in report.violations)
-
-    def test_planted_routing_fault_is_a_kernel_divergence(self, monkeypatch):
-        """An attached program that is not routed to the arena kernel is
-        reported, even though its outputs still match."""
-        class NotAnArena:
-            pass
-
-        monkeypatch.setattr(analysis_module, "ArenaProgram", NotAnArena)
-        report = check_case(_script(), **SMALL_MATRIX)
-        assert report.violations
-        assert all(violation.invariant == "kernel-divergence"
-                   and "ran on the object kernel" in violation.detail
-                   for violation in report.violations)
-
-    def test_planted_arena_resume_without_root_seeds_is_reported(
-            self, monkeypatch):
-        """The arena twin's warm chain is checked too: an arena resume that
-        skips re-playing the root seeds is reported on the arena chain, and
-        nothing else fires."""
-        monkeypatch.setattr(ArenaKernelSolver, "_reattach",
-                            _reattach_without_root_seeds)
-        script, _ = load_repro(CORPUS / "reflection-mesh-mixed-edits.json")
-        report = check_case(script, **SMALL_MATRIX)
-        assert report.violations
-        assert all(violation.analyzer == "skipflow[off@4/arena]"
-                   and violation.step > 0
-                   and violation.invariant in ("kernel-divergence",
-                                               "warm-cold-mismatch")
-                   for violation in report.violations)
+        assert check_case(_script(), **SMALL_MATRIX).ok
 
     def test_a_resume_without_root_seeds_answers_wrong_on_a_widened_root(
             self, monkeypatch):
         """``add-consumer`` roots a method whose parameter type the later
-        ``add-variant`` subclasses: an arena resume that skips re-playing
-        the root seeds misses the variant's call edge, a wrong answer, not
-        only a counter drift."""
+        ``add-variant`` subclasses: a resume that skips re-playing the root
+        seeds misses the variant's call edge on both warm chains, a wrong
+        answer the reference and the audits see too."""
         monkeypatch.setattr(ArenaKernelSolver, "_reattach",
                             _reattach_without_root_seeds)
         report = check_case(_script(WIDENING_STEPS), **SMALL_MATRIX)
@@ -166,26 +137,14 @@ class TestCheckCase:
                       if violation.invariant == "warm-cold-mismatch"]
         assert [(violation.analyzer, violation.step)
                 for violation in mismatches] == [
-            ("skipflow[off@4/arena]", 2)]
+            ("skipflow[off@4]", 2), ("skipflow[off@4/attached]", 2)]
         assert "call-edges differ" in mismatches[0].detail
         assert "Oracle_smallEditVariant1.run" in mismatches[0].detail
-
-    def test_a_resume_fault_both_kernels_share_is_a_warm_cold_mismatch(
-            self, monkeypatch):
-        """Planted in both kernels, the fault moves no counter between the
-        warm chains: no kernel divergence, but both chains miss the cold
-        answer (and the object chain's state fails its audit)."""
-        monkeypatch.setattr(ArenaKernelSolver, "_reattach",
-                            _reattach_without_root_seeds)
-        monkeypatch.setattr(SkipFlowSolver, "_reattach",
-                            _object_reattach_without_root_seeds)
-        report = check_case(_script(WIDENING_STEPS), **SMALL_MATRIX)
         found = {(violation.invariant, violation.analyzer, violation.step)
                  for violation in report.violations}
-        assert {("warm-cold-mismatch", "skipflow[off@4]", 2),
-                ("warm-cold-mismatch", "skipflow[off@4/arena]", 2)} <= found
+        assert ("kernel-divergence", "skipflow[off@4] warm", 2) in found
         assert {invariant for invariant, _, _ in found} == {
-            "warm-cold-mismatch", "audit"}
+            "warm-cold-mismatch", "kernel-divergence", "audit"}
 
     def test_violation_detail_names_the_method(self):
         def drop_main(analyzer, reachable):
