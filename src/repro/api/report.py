@@ -24,7 +24,6 @@ from typing import FrozenSet, Optional, Protocol, Tuple, runtime_checkable
 from repro.api.errors import SchemaVersionError
 from repro.baselines.cha import CallGraphResult
 from repro.core.results import AnalysisResult, SolverStats
-from repro.image.metrics import collect_counter_metrics
 
 #: Version of the JSON report schema produced by :meth:`AnalysisReport.
 #: to_dict` and consumed by :meth:`AnalysisReport.from_dict`.  One wire
@@ -176,13 +175,9 @@ class AnalysisReport:
         """Wrap a propagation-engine result (PTA, SkipFlow, ablations).
 
         The call graph and the poly-call count come from the arena
-        kernel's tables when it ran, so wrapping never inflates its
-        object graph.
+        kernel's tables, so wrapping never inflates its object graph.
         """
-        backend = result.kernel_backend
-        poly_calls = (backend.image_counters()["poly_calls"]
-                      if backend is not None
-                      else collect_counter_metrics(result).poly_calls)
+        poly_calls = result.kernel_backend.image_counters()["poly_calls"]
         return AnalysisReport(
             analyzer=analyzer or getattr(result.config, "name", "unknown"),
             reachable_methods=frozenset(result.reachable_methods),

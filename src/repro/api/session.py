@@ -49,7 +49,7 @@ from repro.api.registry import get_analyzer, has_engine_config
 from repro.api.report import AnalysisReport
 from repro.core.kernel.arena_kernel import ArenaSolverState
 from repro.core.results import AnalysisResult
-from repro.core.state import SolverState, SolverStateError
+from repro.core.state import SolverStateError
 from repro.ir.arena import ArenaProgram, freeze, open_program, thaw
 from repro.ir.delta import AppliedDelta, ProgramDelta
 from repro.ir.program import Program
@@ -72,10 +72,8 @@ class ResumeFallbackWarning(UserWarning):
 
 
 #: What ``run(..., resume=...)`` accepts: a report or result of a previous
-#: session run, or a bare solver state of either kernel (an arena state
-#: restored from a snapshot, say).
-ResumeSource = Union[AnalysisReport, AnalysisResult, SolverState,
-                     ArenaSolverState]
+#: session run, or a bare arena solver state (restored from a snapshot, say).
+ResumeSource = Union[AnalysisReport, AnalysisResult, ArenaSolverState]
 
 
 def resolve_roots(program: Program,
@@ -314,7 +312,9 @@ class AnalysisSession:
         program, applies the delta there and re-attaches the frozen result
         as :attr:`program` (``SessionUpdate.thawed`` records it): states
         solved before index the old arena, and the warm barrier sends the
-        next analysis cold, on the arena kernel.
+        next analysis cold.  A plain program is edited in place; a
+        monotone delta extends its current in-memory lowering the same
+        way, so states solved over it resume without re-lowering.
         """
         thawed = False
         program = self.program
@@ -346,23 +346,22 @@ class AnalysisSession:
             self.program, roots if roots is not None else self._default_roots)
 
     def _resolve_resume(self, resume: ResumeSource,
-                        analyzer) -> Tuple[Optional[SolverState], str]:
+                        analyzer) -> Tuple[Optional[ArenaSolverState], str]:
         """The state to resume from, or (None, why a cold run is needed)."""
         if not has_engine_config(analyzer):
             return None, (f"analysis {analyzer.name!r} has no propagation "
                           f"engine to resume")
-        state: Union[SolverState, ArenaSolverState, None]
-        if isinstance(resume, (SolverState, ArenaSolverState)):
+        state: Optional[ArenaSolverState]
+        if isinstance(resume, ArenaSolverState):
             state = resume
         elif isinstance(resume, AnalysisReport):
-            state = getattr(resume.raw, "resumable_state", None)
+            state = getattr(resume.raw, "arena_state", None)
         elif isinstance(resume, AnalysisResult):
-            state = resume.resumable_state
+            state = resume.arena_state
         else:
             raise TypeError(
-                f"resume must be an AnalysisReport, AnalysisResult, "
-                f"SolverState or ArenaSolverState, not "
-                f"{type(resume).__name__}")
+                f"resume must be an AnalysisReport, AnalysisResult or "
+                f"ArenaSolverState, not {type(resume).__name__}")
         if state is None:
             return None, "the previous result carries no solver state"
         generation = getattr(state, "session_generation", None)
@@ -400,8 +399,7 @@ class AnalysisSession:
         foreign programs (see :class:`ResumeFallbackWarning`).  Resuming
         *consumes* the state: it is mutated in place, and the previous
         report's deep PVPG views (``raw``) follow the continued solve while
-        its scalar fields stay as captured.  Fork the state first to keep a
-        reusable branch point.  Counters on a resumed report are cumulative
+        its scalar fields stay as captured.  Counters on a resumed report are cumulative
         across the state's solves.
         """
         analyzer = get_analyzer(analysis)
@@ -426,9 +424,9 @@ class AnalysisSession:
         return report
 
     def _stamp(self, report: AnalysisReport) -> None:
-        """Tag the report's resumable state with the session generation it
-        solved (the arena tables when the arena kernel ran: no inflation)."""
-        state = getattr(report.raw, "resumable_state", None)
+        """Tag the report's arena tables with the session generation it
+        solved (no inflation)."""
+        state = getattr(report.raw, "arena_state", None)
         if state is not None:
             state.session_generation = self._generation
 

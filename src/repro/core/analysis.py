@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from repro.core.kernel.arena_kernel import ArenaKernelSolver, ArenaSolverState
 from repro.core.kernel.saturation import (
@@ -29,9 +29,8 @@ from repro.core.kernel.saturation import (
     available_saturation_policies,
 )
 from repro.core.results import AnalysisResult, Deferred, SolverStats
-from repro.core.solver import SkipFlowSolver
-from repro.core.state import SolverState, SolverStateError
-from repro.ir.arena import ArenaProgram
+from repro.core.state import SolverStateError
+from repro.ir.arena import lowered_program
 from repro.ir.program import Program
 from repro.ir.validate import validate_program
 
@@ -70,9 +69,7 @@ class AnalysisConfig:
         default ``off`` is the seed solver, bit-identical down to step
         counts.
 
-    Which propagation kernel runs is not a switch: it follows from the
-    program and the solve (see :meth:`SkipFlowAnalysis._solve`).  Nor is
-    the worklist order: both kernels drain it oldest-first.
+    Nor is the worklist order a switch: the kernel drains it oldest-first.
     """
 
     name: str = "skipflow"
@@ -190,19 +187,17 @@ class SkipFlowAnalysis:
     copy, as the benchmark engine does via the program store.
 
     ``state`` resumes a previous solve instead of starting cold: pass the
-    ``resumable_state`` of an earlier :class:`~repro.core.results.
-    AnalysisResult` — its ``arena_state`` when the arena kernel ran, else
-    its ``solver_state`` — or a restored snapshot, after growing the
-    program monotonically, and only the new parts are propagated.  The state's
+    ``arena_state`` of an earlier :class:`~repro.core.results.
+    AnalysisResult`, or a restored snapshot, after growing the program
+    monotonically, and only the new parts are propagated.  The state's
     counters are cumulative across resumed solves, so a resumed result's
     ``stats`` report total effort; diff them against the previous result to
     get the warm increment.  Resuming consumes the state (it is mutated in
-    place); :meth:`~repro.core.state.SolverState.fork` first to keep a
-    branch point.
+    place).
     """
 
     def __init__(self, program: Program, config: Optional[AnalysisConfig] = None,
-                 *, state: Union[SolverState, ArenaSolverState, None] = None):
+                 *, state: Optional[ArenaSolverState] = None):
         self.program = program
         self.config = config or AnalysisConfig.skipflow()
         self.state = state
@@ -212,10 +207,8 @@ class SkipFlowAnalysis:
         if self.config.validate:
             validate_program(self.program)
         solver, elapsed = self._solve(roots)
-        arena = not isinstance(solver, SkipFlowSolver)
-        # ``pvpg`` / ``solver_state`` are handed over as thunks: the object
-        # solver already holds both (the thunk is free), while the arena
-        # kernel inflates its object graph only if a consumer actually asks.
+        # ``pvpg`` / ``solver_state`` are handed over as thunks: the kernel
+        # inflates its object graph only if a consumer actually asks.
         return AnalysisResult(
             program=self.program,
             config=self.config,
@@ -231,40 +224,29 @@ class SkipFlowAnalysis:
                 saturated_flows=solver.saturated_flows,
             ),
             solver_state=Deferred(lambda: solver.state),
-            kernel_backend=solver if arena else None,
-            kernel_ran="arena" if arena else "object",
+            kernel_backend=solver,
         )
 
     def _solve(self, roots: Optional[Iterable[str]]):
-        """Run the propagation kernel; return ``(solver, seconds)``.
+        """Run the arena propagation kernel; return ``(solver, seconds)``.
 
-        The kernel is a structural choice, not a setting: an
-        :class:`~repro.ir.arena.ArenaProgram` (attached to a buffer and
-        maybe extended by deltas since, or the in-memory lowering the
-        image builder hands in) runs on
-        :class:`~repro.core.kernel.arena_kernel.ArenaKernelSolver`, which
-        propagates straight on the program's flat columns — cold, or
+        :class:`~repro.core.kernel.arena_kernel.ArenaKernelSolver`
+        propagates straight on an :class:`~repro.ir.arena.ArenaProgram`'s
+        flat columns — an attached buffer, maybe extended by deltas since,
+        or a plain program's in-memory lowering (:func:`~repro.ir.arena.
+        lowered_program`, memoized per revision and grown in place by a
+        monotone delta, so a state solved over it resumes) — cold, or
         resuming an :class:`~repro.core.kernel.arena_kernel.
-        ArenaSolverState`.  A plain program, or a resume of an object-graph
-        :class:`~repro.core.state.SolverState`, runs on
-        :class:`~repro.core.solver.SkipFlowSolver`.  The two reach the same
-        fixpoint with the same counters.  Plain programs are not lowered
-        here: callers that read ``solver_state`` or walk the PVPG would
-        force the arena kernel to inflate its object graph, which costs
-        more than the object kernel's whole solve.
+        ArenaSolverState`.  A state of any other kind is refused.
         """
         started = time.perf_counter()
         state = self.state
-        if isinstance(state, ArenaSolverState):
-            if not isinstance(self.program, ArenaProgram):
-                raise SolverStateError(
-                    "cannot resume: an arena solver state resumes only over "
-                    "the arena program it solved, and this program is plain")
-            solver = ArenaKernelSolver(self.program, self.config, state)
-        elif state is None and isinstance(self.program, ArenaProgram):
-            solver = ArenaKernelSolver(self.program, self.config)
-        else:
-            solver = SkipFlowSolver(self.program, self.config, state=state)
+        if state is not None and not isinstance(state, ArenaSolverState):
+            raise SolverStateError(
+                f"cannot resume: only an arena solver state resumes, not a "
+                f"{type(state).__name__}")
+        solver = ArenaKernelSolver(lowered_program(self.program),
+                                   self.config, state)
         solver.solve(roots)
         return solver, time.perf_counter() - started
 

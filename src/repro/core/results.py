@@ -104,14 +104,13 @@ class _LazyField:
 class AnalysisResult:
     """The outcome of one analysis run.
 
-    Exposes the fixed-point PVPG together with convenience accessors used by
-    the image builder, the metrics collector, and the tests.  ``pvpg`` and
-    ``solver_state`` may be constructed with :class:`Deferred` thunks: the
-    arena kernel propagates on flat integer tables and only inflates the
-    object graph when one of these fields is actually read.  The call
-    graph and value-state queries below ask the arena kernel's tables
-    directly, so consumers that stick to them, the counters, the
-    reachable sets and the image reports never trigger it.
+    The call graph and value-state queries ask the arena kernel's tables
+    directly (:attr:`kernel_backend`), so consumers that stick to them,
+    the counters, the reachable sets and the image reports never inflate
+    anything.  ``pvpg`` and ``solver_state`` may be constructed with
+    :class:`Deferred` thunks: the object graph is inflated from the
+    tables only when one of them is actually read (audits, ``repro
+    pvpg``, the per-method summaries).
     """
 
     program: Program
@@ -122,40 +121,25 @@ class AnalysisResult:
     analysis_time_seconds: float
     steps: int
     stats: Optional[SolverStats] = None
-    #: The live :class:`~repro.core.state.SolverState` behind this result.
-    #: ``pvpg`` above *is* this state's graph; resuming a later solve from
-    #: the state continues mutating it (the scalar fields of this result —
-    #: counts, sets, stats — are copies taken at solve time and stay put).
+    #: The fixpoint as an object-graph :class:`~repro.core.state.
+    #: SolverState`, inflated from the kernel's tables; ``pvpg`` above is
+    #: this state's graph.  The scalar fields of this result — counts,
+    #: sets, stats — are copies taken at solve time and stay put.
     solver_state: Optional[object] = None
     #: The arena kernel solver that produced this result: it answers the
     #: report queries from its own tables (the call graph, value states,
-    #: ``image_counters`` / ``dead_code_rows``), so reading them never
-    #: inflates ``pvpg``; ``None`` for the object kernel, whose only view
-    #: *is* the PVPG.
+    #: ``image_counters`` / ``dead_code_rows``).
     kernel_backend: Optional[ArenaKernelSolver] = None
-    #: The kernel that ran the solve: ``arena`` for a solve of an
-    #: :class:`~repro.ir.arena.ArenaProgram` — attached to a buffer (and
-    #: maybe extended by deltas since), or the in-memory lowering every
-    #: image build solves — and ``object`` otherwise (a plain program, or
-    #: a resume of an object-graph state).
-    kernel_ran: str = "object"
 
     @property
     def arena_state(self) -> Optional[ArenaSolverState]:
-        """The arena kernel's tables behind this result (``None`` on object).
+        """The arena kernel's tables behind this result.
 
-        What a warm resume continues without inflating anything; like
-        ``solver_state``, resuming it mutates it in place.
+        What a warm resume continues without inflating anything; resuming
+        it mutates it in place.
         """
         backend = self.kernel_backend
         return backend.arena_state if backend is not None else None
-
-    @property
-    def resumable_state(self) -> Optional[object]:
-        """The state a warm resume continues: :attr:`arena_state` when the
-        arena kernel ran, else the object ``solver_state``."""
-        state = self.arena_state
-        return state if state is not None else self.solver_state
 
     # ------------------------------------------------------------------ #
     # Reachability
@@ -180,51 +164,24 @@ class AnalysisResult:
     # Value states
     # ------------------------------------------------------------------ #
     def parameter_state(self, qualified_name: str, index: int) -> ValueState:
-        if self.kernel_backend is not None:
-            return self.kernel_backend.parameter_state(qualified_name, index)
-        graph = self._require_graph(qualified_name)
-        return graph.parameter_flows[index].state
+        return self.kernel_backend.parameter_state(qualified_name, index)
 
     def return_state(self, qualified_name: str) -> ValueState:
-        if self.kernel_backend is not None:
-            return self.kernel_backend.return_state(qualified_name)
-        graph = self._require_graph(qualified_name)
-        state = ValueState.empty()
-        for return_flow in graph.return_flows:
-            if return_flow.enabled:
-                state = state.join(return_flow.state)
-        return state
+        return self.kernel_backend.return_state(qualified_name)
 
     def field_state(self, qualified_field_name: str) -> ValueState:
-        if self.kernel_backend is not None:
-            return self.kernel_backend.field_state(qualified_field_name)
-        flow = self.pvpg.field_flows.get(qualified_field_name)
-        return flow.state if flow is not None else ValueState.empty()
+        return self.kernel_backend.field_state(qualified_field_name)
 
     # ------------------------------------------------------------------ #
     # Call graph
     # ------------------------------------------------------------------ #
     def call_targets(self, qualified_name: str) -> Dict[str, FrozenSet[str]]:
         """Map from call-site label to the set of linked callees in a method."""
-        if self.kernel_backend is not None:
-            return self.kernel_backend.call_targets(qualified_name)
-        graph = self._require_graph(qualified_name)
-        targets: Dict[str, FrozenSet[str]] = {}
-        for index, invoke_flow in enumerate(graph.invoke_flows):
-            key = f"{invoke_flow.label}#{index}"
-            targets[key] = frozenset(invoke_flow.linked_callees)
-        return targets
+        return self.kernel_backend.call_targets(qualified_name)
 
     def call_edges(self) -> List[Tuple[str, str]]:
         """All (caller, callee) pairs of the computed call graph."""
-        if self.kernel_backend is not None:
-            return self.kernel_backend.call_edges(self.reachable_methods)
-        edges: List[Tuple[str, str]] = []
-        for graph in self.reachable_graphs():
-            for invoke_flow in graph.invoke_flows:
-                for callee in sorted(invoke_flow.linked_callees):
-                    edges.append((graph.qualified_name, callee))
-        return edges
+        return self.kernel_backend.call_edges(self.reachable_methods)
 
     def invoke_flows(self) -> Iterator[InvokeFlow]:
         for graph in self.reachable_graphs():

@@ -36,8 +36,7 @@ IR graph is built.  A half that still gets a plain
 :class:`~repro.ir.program.Program` — no store, or a store that could not
 be written — runs on the arena kernel too: the image builder solves the
 program's in-memory lowering (:func:`~repro.ir.arena.lowered_program`),
-memoized on the program.  Each payload records which kernel ran
-(``kernel_ran``).
+memoized on the program.
 
 On top of the store, each worker *process* memoizes the programs it has
 already attached or generated (:func:`_program_for`), so an
@@ -69,8 +68,9 @@ from repro.workloads.generator import BenchmarkSpec, generate_benchmark
 #: directories can outlive wheels) are treated as misses.  Version 2 switched
 #: from whole-comparison payloads to per-configuration halves; version 3
 #: records which kernel ran each half (``kernel_ran``); version 4 dropped
-#: version 3's ``fallback`` (the kernel no longer refuses a solve).
-PAYLOAD_VERSION = 4
+#: version 3's ``fallback`` (the kernel no longer refuses a solve); version
+#: 5 dropped ``kernel_ran`` (one kernel runs every half).
+PAYLOAD_VERSION = 5
 
 
 
@@ -98,8 +98,6 @@ class ReportView:
     solver_joins: int
     solver_transfers: int
     saturated_flows: int
-    #: The propagation kernel that solved this half (``object``/``arena``).
-    kernel_ran: str
 
     @property
     def reachable_methods(self) -> int:
@@ -132,7 +130,7 @@ def _report_payload(report: ImageBuildReport) -> Dict[str, Any]:
     }
 
 
-def _view_from_payload(payload: Dict[str, Any], kernel_ran: str) -> ReportView:
+def _view_from_payload(payload: Dict[str, Any]) -> ReportView:
     return ReportView(
         configuration=payload["configuration"],
         metrics=MetricsView(
@@ -149,7 +147,6 @@ def _view_from_payload(payload: Dict[str, Any], kernel_ran: str) -> ReportView:
         solver_joins=payload["solver_joins"],
         solver_transfers=payload["solver_transfers"],
         saturated_flows=payload["saturated_flows"],
-        kernel_ran=kernel_ran,
     )
 
 
@@ -158,7 +155,7 @@ def view_from_half(payload: Dict[str, Any]) -> ReportView:
     if payload.get("payload_version") != PAYLOAD_VERSION:
         raise ValueError(
             f"unsupported payload version {payload.get('payload_version')!r}")
-    return _view_from_payload(payload["report"], payload["kernel_ran"])
+    return _view_from_payload(payload["report"])
 
 
 #: Per-process memo of programs already obtained for a half: attached from
@@ -229,8 +226,7 @@ def solve_config(spec: BenchmarkSpec,
     store's blobs, or fresh generation (which fills the store), in that
     order; ``program_from_store`` records whether generation was skipped.
     The image build solves every program on the arena kernel — an attached
-    one on its buffer, a plain one on its memoized in-memory lowering — and
-    the payload's ``kernel_ran`` says which kernel ran.
+    one on its buffer, a plain one on its memoized in-memory lowering.
     """
     started = time.perf_counter()
     program, from_store = _program_for(spec, store)
@@ -241,7 +237,6 @@ def solve_config(spec: BenchmarkSpec,
         "suite": spec.suite,
         "config_name": config.name,
         "program_from_store": from_store,
-        "kernel_ran": report.result.kernel_ran,
         "report": _report_payload(report),
         "elapsed_seconds": time.perf_counter() - started,
     }

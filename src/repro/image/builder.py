@@ -16,11 +16,7 @@ from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.core.results import AnalysisResult
 from repro.image.binary import BinarySizeModel
 from repro.image.dce import DeadCodeReport, MethodDeadCode, eliminate_dead_code
-from repro.image.metrics import (
-    CounterMetrics,
-    ImageMetrics,
-    collect_metrics,
-)
+from repro.image.metrics import CounterMetrics, ImageMetrics, collect_metrics
 from repro.image.reflection import ReflectionConfig
 from repro.ir.arena import lowered_program
 from repro.ir.program import Program
@@ -69,20 +65,25 @@ def _config_from_analyzer_name(name: str) -> AnalysisConfig:
     return require_config_analyzer(name, purpose="the image builder").config()
 
 
-def _kernel_fast_reports(
-    result: AnalysisResult,
-) -> Optional[tuple[ImageMetrics, DeadCodeReport]]:
-    """Metrics and DCE straight from the producing kernel, when it offers them.
+def walked_reports(result: AnalysisResult) -> tuple[ImageMetrics, DeadCodeReport]:
+    """Metrics and DCE from walks of the inflated PVPG.
 
-    The arena kernel answers the image-report queries from its flat integer
+    What :meth:`NativeImageBuilder.report` reads from the kernel's tables,
+    computed the slow way (:func:`collect_metrics`,
+    :func:`eliminate_dead_code`), for checks of the table fast path.
+    """
+    return collect_metrics(result), eliminate_dead_code(result)
+
+
+def _kernel_reports(result: AnalysisResult) -> tuple[ImageMetrics, DeadCodeReport]:
+    """Metrics and DCE straight from the arena kernel's tables.
+
+    The kernel answers the image-report queries from its flat integer
     tables (``image_counters`` / ``dead_code_rows``) — bit-identical to the
     PVPG walks in :mod:`repro.image.metrics` / :mod:`repro.image.dce`, but
-    without inflating the object graph the PVPG walks would force.  Returns
-    ``None`` when the result has no such backend (the object kernel).
+    without inflating the object graph the PVPG walks would force.
     """
     backend = result.kernel_backend
-    if backend is None:
-        return None
     counts = backend.image_counters()
     metrics = ImageMetrics(
         configuration=getattr(result.config, "name", "unknown"),
@@ -151,16 +152,9 @@ class NativeImageBuilder:
     def report(self, result: AnalysisResult) -> ImageBuildReport:
         """Assemble the build report of a solved analysis of this program.
 
-        Metrics and dead code come from the kernel's flat tables when it
-        offers them (the arena kernel), else from the PVPG walks of
-        :func:`collect_metrics` and :func:`eliminate_dead_code`.
+        Metrics and dead code come from the kernel's flat tables.
         """
-        fast = _kernel_fast_reports(result)
-        if fast is not None:
-            metrics, dead_code = fast
-        else:
-            metrics = collect_metrics(result)
-            dead_code = eliminate_dead_code(result)
+        metrics, dead_code = _kernel_reports(result)
         binary_size = self.size_model.estimate(result, dead_code)
         compile_time = (
             _COMPILE_FIXED_SECONDS

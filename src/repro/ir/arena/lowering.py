@@ -2,9 +2,8 @@
 
 Freezing is two steps.  :func:`lower` lowers the IR of *every* method
 straight into the struct-of-arrays schema of :mod:`repro.ir.arena.layout`
-(the object solver builds method graphs lazily per reachable method;
-lowering all of them up front pays off once two configs share it), as
-integer columns held in memory beside the live method bodies and
+(lowering all of them up front, reachable or not, pays off once two
+configs share it), as integer columns held in memory beside the live method bodies and
 hierarchy.  :func:`serialize` adds what only a stored buffer needs — the
 pickled method bodies and the program fingerprint — and writes the one
 buffer.  ``freeze(program)`` is ``serialize(lower(program))``; the program
@@ -29,8 +28,7 @@ object flow, object graph or flow-id map exists:
   and a stable sort by row keeps each row in insertion order.  Edges
   created *during* a solve (field linking, call linking, ``pred_on``
   fan-out to activated methods) are intentionally absent: the kernel adds
-  them to dynamic side tables, exactly as the object solver grows the
-  object graph;
+  them to dynamic side tables;
 * per-kind flow payloads (constants, call sites, compared operands, ...)
   become integer columns over small auxiliary tables;
 * on serialization, method bodies are pickled *individually* so an
@@ -63,7 +61,7 @@ import operator
 import pickle
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Dict, List, Optional, Set
 
 from repro.core.pvpg import BranchKind
@@ -72,7 +70,7 @@ from repro.ir.arena import schema
 from repro.ir.arena.layout import BufferWriter
 from repro.ir.arena.program import ArenaProgram, ProgramArena
 from repro.ir.cfg import ControlFlowGraph
-from repro.ir.delta import ProgramFingerprint, class_shape
+from repro.ir.delta import ProgramFingerprint, class_shape, fingerprint_of
 from repro.ir.instructions import (
     Assign,
     CompareOp,
@@ -162,7 +160,7 @@ _FLOW_COLUMNS = ("flow_kind", "flow_label", "flow_method", "flow_aux1", "flow_au
 
 
 class _ColumnSink:
-    """A :class:`~repro.core.pvpg_builder.FlowSink` writing arena columns.
+    """The :class:`~repro.core.pvpg_builder.PVPGBuilder`'s sink: arena columns.
 
     Handles are fids, handed out in registration order after the
     ``pred_on`` and field rows (:meth:`global_flow`).  Strings are interned
@@ -245,7 +243,8 @@ class _ColumnSink:
               aux1: int = _NONE, aux2: int = _NONE) -> int:
         """Append a method flow guarded by ``pred``; returns its fid.
 
-        The predicate edge needs no dedup (see ``FlowSink``).
+        The predicate edge needs no dedup: only phi_preds receive
+        :meth:`add_predicate` edges.
         """
         fid = self._next
         self._next = fid + 1
@@ -667,13 +666,15 @@ class LoweredArena(ProgramArena):
 
     @property
     def fingerprint(self) -> ProgramFingerprint:
-        """The fingerprint of the lowered program, taken on first use."""
+        """The fingerprint of the lowered program, taken on first use.
+
+        Only the classes lowered count: the hierarchy is the live one,
+        which a delta extending this arena may have grown since.
+        """
         if self._fingerprint is None:
-            self._fingerprint = ProgramFingerprint.of(Program(
-                hierarchy=self.hierarchy,
-                methods={method.qualified_name: method
-                         for method in self.methods},
-                entry_points=self.entry_point_names()))
+            self._fingerprint = fingerprint_of(
+                islice(self.hierarchy, self.num_types), self.methods,
+                self.entry_point_names())
         return self._fingerprint
 
     def method_blocks(self, mid: int) -> list:
@@ -824,14 +825,29 @@ def _view(program: Program) -> ArenaProgram:
     return ArenaProgram(lower(program), program)
 
 
+def current_lowering(program: Program) -> Optional[ArenaProgram]:
+    """``program``'s memoized :func:`lowered_program` if it is current
+    (``None`` otherwise; nothing is lowered)."""
+    return program.peek(_view)
+
+
+def prime_lowering(program: Program, view: ArenaProgram) -> None:
+    """Record ``view`` — a lowering of ``program`` that a monotone delta
+    just extended (:meth:`ArenaProgram.extend`) — as its current one."""
+    program.prime(_view, view)
+
+
 def lowered_program(program: Program) -> ArenaProgram:
     """A read-only :class:`ArenaProgram` over ``program``'s lowering.
 
     The live hierarchy, methods and entry points, plus in-memory columns;
-    :class:`~repro.core.analysis.SkipFlowAnalysis` solves it cold on the
-    arena kernel.  Lowered at most once per :attr:`Program.revision`
+    :class:`~repro.core.analysis.SkipFlowAnalysis` solves it on the arena
+    kernel.  Lowered at most once per :attr:`Program.revision`
     (:meth:`Program.memoized`), so every config built over an unchanged
-    program shares one lowering.  An ``ArenaProgram`` is returned as is.
+    program shares one lowering; a monotone
+    :class:`~repro.ir.delta.ProgramDelta` extends the current lowering in
+    place instead of invalidating it, so solver states over it resume.  An
+    ``ArenaProgram`` is returned as is.
     """
     if isinstance(program, ArenaProgram):
         return program

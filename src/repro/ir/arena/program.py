@@ -408,8 +408,10 @@ class ArenaProgram(Program):
     (:meth:`extend`), so solver states over the old arena stay valid over
     the new one.  Over an in-memory lowering of a live ``source`` program
     (:func:`repro.ir.arena.lowered_program`) it shares the source's
-    hierarchy and method bodies instead — ``methods`` is a read-only proxy
-    of the source's mapping — copies its entry points, and cannot grow.
+    hierarchy, method bodies and entry points instead — ``methods`` is a
+    read-only proxy of the source's mapping — and grows only when a
+    monotone delta is applied to the source (which extends it the same
+    way).
     """
 
     def __init__(self, arena: ProgramArena,
@@ -425,7 +427,7 @@ class ArenaProgram(Program):
             super().__init__(
                 hierarchy=source.hierarchy,
                 methods=MappingProxyType(source.methods),
-                entry_points=list(source.entry_points),
+                entry_points=source.entry_points,
             )
         self.arena = arena
         self._site_index: Optional[Dict[str, Tuple[str, ...]]] = None

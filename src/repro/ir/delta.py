@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ir.builder import MethodBuilder
 from repro.ir.method import Method
@@ -139,6 +139,17 @@ def _fingerprint(program: Program) -> ProgramFingerprint:
         methods=tuple(methods),
         entry_points=tuple(program.entry_points),
     )
+
+
+def fingerprint_of(classes: Iterable[ClassType], methods: Iterable[Method],
+                   entry_points: Iterable[str]) -> ProgramFingerprint:
+    """The fingerprint of exactly these classes, methods and entry points
+    (every body digested: for a lowering, which has no digest memo)."""
+    return ProgramFingerprint(
+        classes=tuple(sorted((cls.name, class_shape(cls)) for cls in classes)),
+        methods=tuple(sorted((method.qualified_name, _method_digest(method))
+                             for method in methods)),
+        entry_points=tuple(entry_points))
 
 
 def class_shape(cls: ClassType) -> ClassShape:
@@ -574,8 +585,13 @@ class ProgramDelta:
         classes, fields and methods after its own ids
         (:meth:`~repro.ir.arena.ArenaProgram.extend`), and refuses a
         non-monotone one with :class:`NonMonotoneDeltaError` before
-        changing anything (thaw it first).
+        changing anything (thaw it first).  A plain program's current
+        in-memory lowering (:func:`~repro.ir.arena.lowered_program`) grows
+        the same way under a monotone delta, so arena solver states over
+        it stay resumable; any other change makes the next
+        ``lowered_program`` lower afresh.
         """
+        from repro.ir.arena.lowering import current_lowering, prime_lowering
         from repro.ir.arena.program import ArenaProgram
 
         arena = isinstance(program, ArenaProgram)
@@ -587,6 +603,7 @@ class ProgramDelta:
         reasons = self.non_monotone_reasons(program)
         if reasons and (require_monotone or arena):
             raise NonMonotoneDeltaError(reasons)
+        lowered = None if arena or reasons else current_lowering(program)
         for decl in self._classes:
             program.hierarchy.declare_class(
                 decl.name, decl.superclass, decl.interfaces,
@@ -600,6 +617,9 @@ class ProgramDelta:
             program.add_entry_point(entry)
         if arena:
             program.extend(self)
+        elif lowered is not None:
+            lowered.extend(self)
+            prime_lowering(program, lowered)
         return AppliedDelta(
             delta_name=self.name,
             monotone=not reasons,

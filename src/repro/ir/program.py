@@ -92,6 +92,14 @@ class Program:
         memo[build] = (revision, value)
         return value
 
+    def peek(self, build: Callable[["Program"], T]) -> Optional[T]:
+        """:meth:`memoized` ``build`` if it is current, else ``None``
+        (nothing is built)."""
+        entry = (self._memo or {}).get(build)
+        if entry is not None and entry[0] == self.revision:
+            return entry[1]
+        return None
+
     def prime(self, build: Callable[["Program"], T], value: T) -> None:
         """Record ``value`` as :meth:`memoized` ``build`` at this revision.
 

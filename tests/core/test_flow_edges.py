@@ -5,7 +5,8 @@ Every edge kind of a :class:`~repro.core.flows.Flow` is an insertion-ordered
 kinds most flows never use (``observers``, ``predicate_targets`` and the
 incoming ``predicates``) share the immutable ``NO_EDGES`` until their first
 add.  These tests pin the set semantics, the order, the absence of
-cross-flow sharing, the fork round trip, and the allocation count.
+cross-flow sharing, repeated inflation of the kernel's tables, and the
+allocation count.
 """
 
 import gc
@@ -124,23 +125,26 @@ class TestAllocation:
         assert tracked == [flow.uses]
 
 
-def _edge_uids(flows):
-    return {flow.uid: tuple([target.uid for target in getattr(flow, kind)]
-                            for kind in ("uses", "observers",
-                                         "predicate_targets"))
-            for flow in flows}
+def _edge_positions(flows):
+    """Each flow's edges as positions in ``flows`` (uids differ between
+    inflations)."""
+    position = {flow.uid: index for index, flow in enumerate(flows)}
+    return [tuple([position[target.uid] for target in getattr(flow, kind)]
+                  for kind in ("uses", "observers", "predicate_targets"))
+            for flow in flows]
 
 
-class TestForkRoundTrip:
+class TestInflation:
     def test_empty_containers_survive_and_re_audit_clean(self):
         program = generate_benchmark(SPEC)
         result = SkipFlowAnalysis(program, AnalysisConfig.skipflow()).run()
         state = result.solver_state
-        restored = state.fork()
-        flows = restored.pvpg.all_flows()
+        again = result.arena_state.inflate()
+        flows = again.pvpg.all_flows()
         # The fixture must exercise both shapes of every lazy kind.
         for kind in ("observers", "predicate_targets", "predicates"):
             assert any(getattr(flow, kind) is NO_EDGES for flow in flows)
             assert any(getattr(flow, kind) for flow in flows)
-        assert _edge_uids(flows) == _edge_uids(state.pvpg.all_flows())
-        assert audit_state(restored, program, snapshot=False) == []
+        assert _edge_positions(flows) == _edge_positions(
+            state.pvpg.all_flows())
+        assert audit_state(again, program, snapshot=False) == []

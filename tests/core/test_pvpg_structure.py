@@ -1,8 +1,13 @@
-"""Structural tests for PVPG construction (Appendix B.4)."""
+"""Structural tests for PVPG construction (Appendix B.4).
+
+The builder lowers each method into arena columns; the graphs here are
+the inflated view of a solve rooted at the method under test, so they hold
+every flow and build-time edge of its lowering.
+"""
 
 import pytest
 
-from repro.core.analysis import AnalysisConfig
+from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.core.flows import (
     FilterCompareFlow,
     FilterTypeFlow,
@@ -12,16 +17,16 @@ from repro.core.flows import (
     SourceFlow,
 )
 from repro.core.pvpg import BranchKind, ProgramPVPG
-from repro.core.pvpg_builder import ObjectSink, PVPGBuilder
 from repro.ir.builder import ProgramBuilder
 from repro.ir.instructions import CompareOp
 from tests.conftest import build_virtual_threads_program
 
 
 def build_graph(program, method_name, config=None):
-    pvpg = ProgramPVPG()
-    builder = PVPGBuilder(ObjectSink(pvpg, config or AnalysisConfig.skipflow()))
-    return builder.build_method(program.method(method_name)), pvpg
+    """``method_name``'s graph and the program PVPG of a solve rooted there."""
+    result = SkipFlowAnalysis(program, config or AnalysisConfig.skipflow()
+                              ).run([method_name])
+    return result.method_graph(method_name), result.pvpg
 
 
 @pytest.fixture
@@ -175,13 +180,11 @@ class TestProgramPVPG:
 
     def test_total_flow_count(self, vt_program):
         graph, pvpg = build_graph(vt_program, "Thread.isVirtual")
-        pvpg.add_method_graph(graph)
         assert pvpg.total_flow_count == graph.flow_count + 1
         assert graph in [pvpg.method_graph("Thread.isVirtual")]
 
     def test_all_flows_lists_globals_and_methods(self, vt_program):
         graph, pvpg = build_graph(vt_program, "Thread.isVirtual")
-        pvpg.add_method_graph(graph)
         flows = pvpg.all_flows()
         assert pvpg.pred_on in flows
         assert graph.flows[0] in flows

@@ -1,14 +1,17 @@
-"""SolverState: snapshotable fixpoint state and warm re-analysis.
+"""Solver states: the arena kernel's tables and warm re-analysis.
 
 The contract under test, in increasing strength:
 
-* the cold path is "resume from the empty state" and behaves exactly like
-  the pre-refactor solver (same counters, same results);
+* the cold path is "resume from a fresh state" (same counters, same
+  results), and only arena tables resume;
 * a persisted state (the arena kernel's tables) round-trips through bytes
   and resumes as a no-op when nothing changed, and across an edit;
 * after *any* additive (monotone) edit sequence, the resumed fixpoint
-  equals the from-scratch fixpoint — reachable set, call edges, and the
-  final value state of every flow — under **every** saturation policy;
+  equals the from-scratch fixpoint and the executable specification's
+  (:mod:`repro.checks.reference`) at every prefix — reachable set, call
+  edges, and the final value state of every flow — under **every**
+  saturation policy, over a plain program's lowering and an attached
+  arena alike;
 * non-monotone situations are refused loudly (config mismatch, tables
   whose fingerprint rejects the program).
 """
@@ -20,10 +23,13 @@ import pickle
 import pytest
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
-from repro.core.solver import SkipFlowSolver
-from repro.core.kernel.arena_kernel import ARENA_SNAPSHOT_VERSION, ArenaSolverState
+from repro.core.kernel.arena_kernel import (
+    ARENA_SNAPSHOT_VERSION,
+    ArenaKernelSolver,
+    ArenaSolverState,
+)
 from repro.core.state import SnapshotMismatchError, SolverState, SolverStateError
-from repro.ir.arena import freeze, open_program
+from repro.ir.arena import freeze, lowered_program, open_program
 from repro.ir.blocks import BasicBlock
 from repro.ir.method import Method
 from repro.ir.delta import ProgramDelta
@@ -35,7 +41,7 @@ from repro.workloads.generator import (
     HierarchySpec,
     generate_benchmark,
 )
-from tests.conftest import fixpoint_signature
+from tests.conftest import fixpoint_signature, reference_divergences
 
 WIDE_SPEC = BenchmarkSpec(
     name="state-wide", suite="test", core_methods=25,
@@ -70,12 +76,12 @@ def config_for(saturation, threshold):
 
 
 class TestColdPath:
-    def test_explicit_empty_state_matches_default(self):
+    def test_explicit_fresh_state_matches_default(self):
         program = compile_source(SMALL_SOURCE)
-        default = SkipFlowAnalysis(program, AnalysisConfig.skipflow()).run()
+        config = AnalysisConfig.skipflow()
+        default = SkipFlowAnalysis(program, config).run()
         explicit = SkipFlowAnalysis(
-            program, AnalysisConfig.skipflow(),
-            state=SolverState.empty()).run()
+            program, config, state=ArenaSolverState(config)).run()
         assert default.steps == explicit.steps
         assert default.reachable_methods == explicit.reachable_methods
         assert (fixpoint_signature(default.pvpg, default.reachable_methods)
@@ -84,19 +90,31 @@ class TestColdPath:
     def test_result_carries_its_state(self):
         program = compile_source(SMALL_SOURCE)
         result = SkipFlowAnalysis(program).run()
-        state = result.solver_state
-        assert isinstance(state, SolverState)
-        assert state.pvpg is result.pvpg
+        state = result.arena_state
+        assert isinstance(state, ArenaSolverState)
+        assert state.program is lowered_program(program)
         assert state.counters()["steps"] == result.steps
-        assert not state.is_fresh
+        assert state.solve_count == 1
         assert state.seeded_roots == ["Main.main"]
+        inflated = result.solver_state
+        assert isinstance(inflated, SolverState)
+        assert inflated.pvpg is result.pvpg
+        assert inflated.counters() == state.counters()
 
     def test_state_rejects_other_configs(self):
         program = compile_source(SMALL_SOURCE)
         result = SkipFlowAnalysis(program, AnalysisConfig.skipflow()).run()
         with pytest.raises(SolverStateError, match="configuration"):
-            SkipFlowSolver(program, AnalysisConfig.baseline_pta(),
-                           state=result.solver_state)
+            ArenaKernelSolver(lowered_program(program),
+                              AnalysisConfig.baseline_pta(),
+                              result.arena_state)
+
+    def test_only_arena_tables_resume(self):
+        """An inflated object-graph state is a view, not a resumable state."""
+        program = compile_source(SMALL_SOURCE)
+        result = SkipFlowAnalysis(program).run()
+        with pytest.raises(SolverStateError, match="only an arena solver"):
+            SkipFlowAnalysis(program, state=result.solver_state).run()
 
 
 def _attached_solve(source_or_program, config=None):
@@ -119,7 +137,6 @@ class TestSnapshots:
         assert restored.counters() == state.counters()
         assert restored.reachable == state.reachable
         resumed = SkipFlowAnalysis(program, state=restored).run()
-        assert resumed.kernel_ran == "arena"
         assert (fixpoint_signature(resumed.pvpg, resumed.reachable_methods)
                 == fixpoint_signature(result.pvpg, result.reachable_methods))
 
@@ -147,7 +164,6 @@ class TestSnapshots:
         build_edit_delta(WIDE_SPEC, step).apply_to(plain,
                                                    require_monotone=True)
         cold = SkipFlowAnalysis(plain).run()
-        assert warm.kernel_ran == "arena"
         assert warm.reachable_methods == cold.reachable_methods
         assert sorted(warm.call_edges()) == sorted(cold.call_edges())
         assert 0 < warm.steps - before < cold.steps
@@ -170,7 +186,7 @@ class TestSnapshots:
         assert len(restored.st) == program.arena.num_flows
         warm = SkipFlowAnalysis(copy, state=restored).run()
         cold = SkipFlowAnalysis(plain).run()
-        assert warm.kernel_ran == "arena"
+        assert not reference_divergences(warm)
         assert (fixpoint_signature(warm.pvpg, warm.reachable_methods)
                 == fixpoint_signature(cold.pvpg, cold.reachable_methods))
 
@@ -224,46 +240,6 @@ class TestSnapshots:
         assert any(name.startswith("repro.lattice.")
                    for name in unpickler.loaded)
         assert payload["linked_callees"] and payload["reachable"]
-
-    def test_fork_keeps_direct_references(self):
-        program = generate_benchmark(WIDE_SPEC)
-        state = SkipFlowAnalysis(program).run().solver_state
-        branch = state.fork()
-        for name, graph in branch.pvpg.methods.items():
-            original = state.pvpg.methods[name]
-            assert graph.method is original.method
-            for flow, before in zip(graph.invoke_flows,
-                                    original.invoke_flows):
-                assert flow.invoke is before.invoke
-            for record, before in zip(graph.branch_records,
-                                      original.branch_records):
-                assert record.instruction is before.instruction
-
-    def test_forked_flows_never_collide_with_fresh_uids(self):
-        program = compile_source(SMALL_SOURCE)
-        result = SkipFlowAnalysis(program).run()
-        branch = result.solver_state.fork()
-        floor = branch.max_flow_uid()
-        from repro.core.flows import SourceFlow
-        from repro.ir.values import ConstantExpr
-
-        fresh = SourceFlow("probe", "Test.test", ConstantExpr.int_const(1))
-        assert fresh.uid > floor
-
-    def test_fork_is_independent(self):
-        program = compile_source(SMALL_SOURCE)
-        result = SkipFlowAnalysis(program).run()
-        branch = result.solver_state.fork()
-        delta = ProgramDelta()
-        delta.declare_class("Impl2", superclass="Base")
-        mb = delta.method("Impl2", "run", return_type="int")
-        mb.return_(mb.assign_int(3))
-        delta.finish_method(mb)
-        delta.add_call_site("Main", "main")
-        delta.apply_to(program, require_monotone=True)
-        SkipFlowAnalysis(program, state=branch).run()
-        # The original state was not consumed by the branch's resume.
-        assert result.solver_state.reachable == result.reachable_methods
 
     def test_tables_refuse_a_program_with_another_body(self):
         program, result = _attached_solve(SMALL_SOURCE)
@@ -340,49 +316,49 @@ class TestWarmVsColdEquivalence:
     """The satellite contract: warm == cold under every policy combination."""
 
     @pytest.mark.parametrize("saturation,threshold", SATURATIONS)
-    def test_edit_sequence_reaches_the_cold_fixpoint(self, saturation,
-                                                     threshold):
-        """Warm == cold for every policy: reachability, call edges, and the
-        value state of every flow, saturated ones included."""
+    def test_edit_sequence_over_a_plain_program(self, saturation, threshold):
+        """Warm == cold == reference for every policy, resumed over a plain
+        program's lowering (which each monotone edit extends): reachability,
+        call edges, and the value state of every flow, saturated ones
+        included, at every prefix."""
         self._assert_warm_chain_matches_cold(
-            config_for(saturation, threshold), "object")
+            config_for(saturation, threshold), attached=False)
 
     @pytest.mark.parametrize("saturation,threshold", SATURATIONS)
-    def test_edit_sequence_from_an_arena_cold_solve(self, saturation,
-                                                    threshold):
-        """The same contract when the cold solves run on the arena kernel
-        (over the attached freeze): the warm chain starts from its inflated
-        state, and the resumes themselves run on the object solver."""
+    def test_edit_sequence_over_an_attached_arena(self, saturation,
+                                                  threshold):
+        """The same contract resumed over an attached freeze, which each
+        monotone edit extends in place."""
         self._assert_warm_chain_matches_cold(
-            config_for(saturation, threshold), "arena")
+            config_for(saturation, threshold), attached=True)
 
     @staticmethod
-    def _assert_warm_chain_matches_cold(config, cold_kernel):
-        def cold_solve(program):
-            if cold_kernel == "arena":
-                program = open_program(freeze(program))
-            return SkipFlowAnalysis(program, config).run()
-
+    def _assert_warm_chain_matches_cold(config, attached):
         program = generate_benchmark(WIDE_SPEC)
+        fresh = generate_benchmark(WIDE_SPEC)
+        if attached:
+            program = open_program(freeze(program))
         script = default_edit_script(WIDE_SPEC, steps=3)
-        chain = cold_solve(program).solver_state
+        chain = SkipFlowAnalysis(program, config).run().arena_state
         for step in script.steps:
-            delta = build_edit_delta(WIDE_SPEC, step)
-            delta.apply_to(program, require_monotone=True)
+            build_edit_delta(WIDE_SPEC, step).apply_to(
+                program, require_monotone=True)
+            build_edit_delta(WIDE_SPEC, step).apply_to(
+                fresh, require_monotone=True)
             warm = SkipFlowAnalysis(program, config, state=chain).run()
-            chain = warm.solver_state
-        cold = cold_solve(program)
-        assert (cold.kernel_ran, warm.kernel_ran) == (cold_kernel, "object")
-        assert warm.reachable_methods == cold.reachable_methods
-        assert sorted(warm.call_edges()) == sorted(cold.call_edges())
-        assert (fixpoint_signature(warm.pvpg, warm.reachable_methods)
-                == fixpoint_signature(cold.pvpg, cold.reachable_methods))
+            assert warm.arena_state is chain
+            assert not reference_divergences(warm)
+            cold = SkipFlowAnalysis(fresh, config).run()
+            assert warm.reachable_methods == cold.reachable_methods
+            assert sorted(warm.call_edges()) == sorted(cold.call_edges())
+            assert (fixpoint_signature(warm.pvpg, warm.reachable_methods)
+                    == fixpoint_signature(cold.pvpg, cold.reachable_methods))
 
     def test_single_method_edit_is_much_cheaper_warm(self):
         program = generate_benchmark(WIDE_SPEC)
         config = AnalysisConfig.skipflow()
         script = default_edit_script(WIDE_SPEC, steps=1)
-        chain = SkipFlowAnalysis(program, config).run().solver_state
+        chain = SkipFlowAnalysis(program, config).run().arena_state
         build_edit_delta(WIDE_SPEC, script.steps[0]).apply_to(
             program, require_monotone=True)
         before = chain.counters()
@@ -411,7 +387,7 @@ class Host {
         program = compile_source(source)
         roots = ["Host.boot"]
         cold_before = SkipFlowAnalysis(program).run(roots)
-        state = cold_before.solver_state
+        state = cold_before.arena_state
         delta = ProgramDelta()
         delta.declare_class("TurboPlugin", superclass="Plugin")
         mb = delta.method("TurboPlugin", "start")
@@ -422,6 +398,7 @@ class Host {
         cold = SkipFlowAnalysis(program).run(roots)
         assert warm.reachable_methods == cold.reachable_methods
         assert "TurboPlugin.start" in warm.reachable_methods
+        assert not reference_divergences(warm, roots)
         assert (fixpoint_signature(warm.pvpg, warm.reachable_methods)
                 == fixpoint_signature(cold.pvpg, cold.reachable_methods))
 
@@ -432,6 +409,6 @@ class Host {
         build_edit_delta(WIDE_SPEC, default_edit_script(WIDE_SPEC, 1).steps[0]
                          ).apply_to(program, require_monotone=True)
         warm = SkipFlowAnalysis(program, config,
-                                state=base.solver_state).run()
+                                state=base.arena_state).run()
         assert warm.steps > base.steps
-        assert warm.solver_state.solve_count == 2
+        assert warm.arena_state.solve_count == 2

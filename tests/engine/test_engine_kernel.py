@@ -1,11 +1,10 @@
-"""Which kernel an engine half ran on.
+"""Engine halves with and without a program store.
 
-No config names a kernel: a store-backed half is solved on the program the
-store attaches, and a half without a store on its generated program's
-in-memory lowering, so both run on the arena kernel under every built-in
-saturation policy.  Both produce the report the object kernel produces on
-the plain program, and the payload records only which kernel ran
-(``kernel_ran``) — there is no fallback to report.
+A store-backed half is solved on the program the store attaches, and a
+half without a store on its generated program's in-memory lowering; both
+run on the arena kernel under every built-in saturation policy, and both
+produce the report the PVPG walks produce (metrics and dead code).  The
+payload carries no kernel name and no fallback: there is one kernel.
 """
 
 import pytest
@@ -44,28 +43,26 @@ def _counts(payload):
 
 @pytest.mark.parametrize("saturation", available_saturation_policies())
 @pytest.mark.parametrize("spec", sorted(SPECS))
-def test_store_half_runs_on_arena_under_every_builtin_policy(
-        tmp_path, spec, saturation, object_image_report):
+def test_store_half_matches_under_every_builtin_policy(
+        tmp_path, spec, saturation, walked_image_report):
     spec = SPECS[spec]
     config = AnalysisConfig.skipflow().with_saturation_policy(saturation, 8)
     store = ProgramStore(tmp_path)
     store.load_or_build(spec)
     half = solve_config(spec, config, store)
     assert half["program_from_store"]
-    assert half["kernel_ran"] == "arena"
     without_store = solve_config(spec, config)
-    assert without_store["kernel_ran"] == "arena"
     assert _counts(half) == _counts(without_store)
     reference = _report_payload(
-        object_image_report(generate_benchmark(spec), config, spec.name))
+        walked_image_report(generate_benchmark(spec), config, spec.name))
     assert _counts(half) == _counts({"report": reference})
 
 
-def test_payload_records_the_kernel_and_no_fallback(tmp_path):
+def test_payload_records_no_kernel_and_no_fallback(tmp_path):
     store = ProgramStore(tmp_path)
     store.load_or_build(SPECS["table1"])
     half = solve_config(SPECS["table1"], AnalysisConfig.skipflow(), store)
-    assert half["payload_version"] == PAYLOAD_VERSION == 4
+    assert half["payload_version"] == PAYLOAD_VERSION == 5
     assert set(half) == {"payload_version", "benchmark", "suite",
-                         "config_name", "program_from_store", "kernel_ran",
+                         "config_name", "program_from_store",
                          "report", "elapsed_seconds"}

@@ -211,7 +211,6 @@ class TestArenaAttach:
         store.load_or_build(_spec())
         config = AnalysisConfig.skipflow()
         from_arena = SkipFlowAnalysis(store.attach(_spec()), config).run()
-        assert from_arena.kernel_ran == "arena"
         from_fresh = SkipFlowAnalysis(generate_benchmark(_spec()), config).run()
         assert from_arena.reachable_methods == from_fresh.reachable_methods
         assert from_arena.steps == from_fresh.steps
@@ -228,37 +227,34 @@ class TestArenaAttach:
                 == store.path_for(_spec()).read_bytes())
 
     def test_arena_kernel_config_routes_through_attach(
-            self, tmp_path, monkeypatch, object_image_report):
+            self, tmp_path, monkeypatch, walked_image_report):
         """Every store-backed half maps the blob instead of thawing it,
         and the engine solves the attached program on the arena kernel."""
         store = ProgramStore(tmp_path)
         store.load_or_build(_spec())
         monkeypatch.setattr(ProgramStore, "load", _no_thaw)
         cold = solve_config(_spec(), AnalysisConfig.skipflow())
-        assert cold["kernel_ran"] == "arena"
         _WORKER_PROGRAMS.clear()
         warm = solve_config(_spec(), AnalysisConfig.skipflow(), store)
         assert warm["program_from_store"]
-        assert warm["kernel_ran"] == "arena"
         assert _report(warm) == _report(cold)
-        assert _report(warm) == _object_report(
-            object_image_report, _spec(), AnalysisConfig.skipflow())
+        assert _report(warm) == _walked_report(
+            walked_image_report, _spec(), AnalysisConfig.skipflow())
 
-    def test_report_view_says_which_kernel_ran(self, tmp_path):
-        """A matrix row's ``ReportView`` carries the half's ``kernel_ran``."""
+    def test_report_view_of_a_stored_half_equals_a_generated_one(
+            self, tmp_path):
+        """A matrix row's ``ReportView`` reads the same from a store."""
         _WORKER_PROGRAMS.clear()
         configs = [AnalysisConfig.skipflow()]
         stored = run_config_matrix([_spec()], configs, names=["skipflow"],
                                    program_store=ProgramStore(tmp_path))[0]
         generated = run_config_matrix([_spec()], configs,
                                       names=["skipflow"])[0]
-        assert stored.report("skipflow").kernel_ran == "arena"
-        assert generated.report("skipflow").kernel_ran == "arena"
         assert (stored.report("skipflow").metrics
                 == generated.report("skipflow").metrics)
 
     def test_read_only_store_lowers_the_plain_program(
-            self, tmp_path, monkeypatch, object_image_report):
+            self, tmp_path, monkeypatch, walked_image_report):
         """A blob that cannot be written leaves a plain program, which the
         image build lowers in memory and solves on the arena kernel."""
         _WORKER_PROGRAMS.clear()
@@ -277,11 +273,10 @@ class TestArenaAttach:
         finally:
             tmp_path.chmod(0o755)
         assert not half["program_from_store"]
-        assert half["kernel_ran"] == "arena"
         assert not store.contains(_spec())
         assert _report(half) == _report(solve_config(_spec(), AnalysisConfig.skipflow()))
-        assert _report(half) == _object_report(
-            object_image_report, _spec(), AnalysisConfig.skipflow())
+        assert _report(half) == _walked_report(
+            walked_image_report, _spec(), AnalysisConfig.skipflow())
 
 
 def _no_thaw(self, spec):
@@ -294,9 +289,9 @@ def _report(payload):
             if key not in ("analysis_time_seconds", "total_time_seconds")}
 
 
-def _object_report(object_image_report, spec, config):
-    """``_report`` of the object kernel's image report of a generated spec."""
-    report = object_image_report(generate_benchmark(spec), config, spec.name)
+def _walked_report(walked_image_report, spec, config):
+    """``_report`` of the PVPG-walked image report of a generated spec."""
+    report = walked_image_report(generate_benchmark(spec), config, spec.name)
     return _report({"report": _report_payload(report)})
 
 
@@ -322,20 +317,18 @@ def filled_store(tmp_path_factory):
 @pytest.mark.parametrize("config", sorted(BIT_IDENTITY_CONFIGS))
 @pytest.mark.parametrize("spec", BIT_IDENTITY_SPECS, ids=lambda spec: spec.name)
 def test_store_backed_half_is_bit_identical_to_a_generated_one(
-        filled_store, spec, config, object_image_report):
-    """Arena-kernel halves on attached blobs and on in-memory lowerings of
-    freshly generated programs match the object kernel's report of the
-    generated program, field for field except the wall clocks."""
+        filled_store, spec, config, walked_image_report):
+    """Halves on attached blobs and on in-memory lowerings of freshly
+    generated programs match the PVPG-walked report of the generated
+    program, field for field except the wall clocks."""
     _WORKER_PROGRAMS.clear()
     config = BIT_IDENTITY_CONFIGS[config]
     stored = solve_config(spec, config, filled_store)
     generated = solve_config(spec, config)
     assert stored["program_from_store"]
-    assert stored["kernel_ran"] == "arena"
-    assert generated["kernel_ran"] == "arena"
     assert stored["config_name"] == generated["config_name"]
     assert _report(stored) == _report(generated)
-    assert _report(stored) == _object_report(object_image_report, spec, config)
+    assert _report(stored) == _walked_report(walked_image_report, spec, config)
 
 
 class TestKeying:

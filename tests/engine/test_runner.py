@@ -240,9 +240,8 @@ class TestStorelessProgramMemo:
         assert sorted(counted["generate"]) == sorted(
             spec.name for spec in SPECS[:2])
         assert len(counted["lower"]) == 2
-        for row in rows:
-            for name in row.names:
-                assert row.report(name).kernel_ran == "arena"
+        assert all(row.report(name).solver_steps > 0
+                   for row in rows for name in row.names)
 
     def test_memo_hits_are_not_store_hits(self, counted):
         halves = [solve_config(SPECS[2], config) for config in

@@ -5,9 +5,9 @@ a read-only ``ArenaProgram`` over the program's in-memory arena lowering,
 solved cold on the arena kernel.  The lowering is memoized on the program
 per revision, so a PTA and a SkipFlow build of one program lower it once;
 every mutation path bumps the revision, so a build after a mutation lowers
-the program again and reports what a fresh program reports.  The reports
-must equal the object kernel's reports (``SkipFlowAnalysis`` on the plain
-program plus the PVPG walks) exactly.
+the program again and reports what a fresh program reports.  The reports,
+read from the kernel's tables, must equal the PVPG walks'
+(``collect_metrics`` / ``eliminate_dead_code``) exactly.
 """
 
 from __future__ import annotations
@@ -31,9 +31,14 @@ from repro.ir.arena import (
     open_program,
 )
 from repro.ir.builder import MethodBuilder
+from repro.ir.delta import ProgramFingerprint
 from repro.ir.method import Method
 from repro.ir.types import MethodSignature
-from repro.workloads.edits import build_edit_delta, default_edit_script
+from repro.workloads.edits import (
+    EditStepSpec,
+    build_edit_delta,
+    default_edit_script,
+)
 from repro.workloads.generator import generate_benchmark, spec_from_reduction
 from repro.workloads.suites import all_suites, suite_by_name
 
@@ -79,14 +84,13 @@ class TestSharedLowering:
         program = generate_benchmark(SPEC)
         reports = [_build(program, config) for config in CONFIGS.values()]
         assert lowerings == [program]
-        assert [report.result.kernel_ran for report in reports] == ["arena", "arena"]
         assert reports[0].result.program is reports[1].result.program
 
-    def test_builds_match_the_object_kernel(self, object_image_report):
+    def test_builds_match_the_pvpg_walks(self, walked_image_report):
         program = generate_benchmark(SPEC)
         for config in CONFIGS.values():
             assert (_answer(_build(program, config))
-                    == _answer(object_image_report(program, config)))
+                    == _answer(walked_image_report(program, config)))
 
     def test_the_view_shares_the_live_program(self):
         program = generate_benchmark(SPEC)
@@ -104,7 +108,7 @@ class TestSharedLowering:
         attached = open_program(freeze(generate_benchmark(SPEC)))
         lowerings.clear()  # freeze's own lowering
         assert lowered_program(attached) is attached
-        assert _build(attached, CONFIGS["skipflow"]).result.kernel_ran == "arena"
+        assert _build(attached, CONFIGS["skipflow"]).result.program is attached
         assert lowerings == []
 
     def test_the_memo_is_released_with_its_program(self):
@@ -164,13 +168,37 @@ MUTATIONS = {
         "Main").declare_method(
             MethodSignature("Main", "declaredByTest", is_static=True)),
     "ProgramDelta.apply_to": lambda program: build_edit_delta(
-        SPEC, default_edit_script(SPEC).steps[0]).apply_to(program),
+        SPEC, EditStepSpec(kind="touch-existing", index=0)).apply_to(program),
     "ReflectionConfig.apply_to": _reflect,
 }
 
 
+def test_a_monotone_delta_extends_the_lowering(lowerings):
+    """A monotone delta appends its own lowering to the current view
+    instead of invalidating it: the next build lowers nothing, reuses the
+    view, whose old fids keep their meaning, and answers what a fresh
+    program answers."""
+    config = CONFIGS["skipflow"]
+    program = generate_benchmark(SPEC)
+    first = _build(program, config)
+    view = lowered_program(program)
+    flows = view.arena.num_flows
+    step = default_edit_script(SPEC).steps[0]
+    applied = build_edit_delta(SPEC, step).apply_to(program)
+    assert applied.monotone
+    after = _build(program, config)
+    assert lowerings == [program]
+    assert lowered_program(program) is view
+    assert view.arena.num_flows > flows
+    assert after.result.program is first.result.program
+    fresh = generate_benchmark(SPEC)
+    build_edit_delta(SPEC, step).apply_to(fresh)
+    assert _answer(after) == _answer(_build(fresh, config))
+    assert view.program_fingerprint == ProgramFingerprint.of(fresh)
+
+
 @pytest.mark.parametrize("path", sorted(MUTATIONS))
-def test_mutation_invalidates_the_lowering(path, lowerings, object_image_report):
+def test_mutation_invalidates_the_lowering(path, lowerings, walked_image_report):
     config = CONFIGS["skipflow"]
     program = generate_benchmark(SPEC)
     _build(program, config)
@@ -186,7 +214,7 @@ def test_mutation_invalidates_the_lowering(path, lowerings, object_image_report)
     fresh = generate_benchmark(SPEC)
     MUTATIONS[path](fresh)
     assert _answer(after) == _answer(_build(fresh, config))
-    assert _answer(after) == _answer(object_image_report(fresh, config))
+    assert _answer(after) == _answer(walked_image_report(fresh, config))
 
 
 def test_reflection_is_applied_before_lowering(lowerings):
@@ -200,7 +228,7 @@ def test_reflection_is_applied_before_lowering(lowerings):
 
 
 # ---------------------------------------------------------------------- #
-# Arena image reports == object-walk reports, every policy
+# Table-read image reports == PVPG-walk reports, every policy
 # ---------------------------------------------------------------------- #
 GRID_SPECS = [specs[0] for specs in all_suites(0.5).values()] + [
     spec for spec in suite_by_name("WideHierarchy")
@@ -210,12 +238,11 @@ GRID_THRESHOLD = 4
 
 @pytest.mark.parametrize("policy", available_saturation_policies())
 @pytest.mark.parametrize("spec", GRID_SPECS, ids=lambda spec: spec.name)
-def test_image_reports_equal_the_object_walk(spec, policy, object_image_report):
+def test_image_reports_equal_the_pvpg_walk(spec, policy, walked_image_report):
     program = generate_benchmark(spec)
     for config in CONFIGS.values():
         if policy != "off":
             config = config.with_saturation_policy(policy, GRID_THRESHOLD)
         report = _build(program, config, benchmark_name=spec.name)
-        assert report.result.kernel_ran == "arena"
         assert _answer(report) == _answer(
-            object_image_report(program, config, spec.name))
+            walked_image_report(program, config, spec.name))

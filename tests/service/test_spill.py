@@ -338,7 +338,7 @@ class TestSpillWork:
         assert not pickled
         assert _edit(manager, "s", 1)["mode"] == "warm"   # rehydrate + replay
         finish = manager.analyze("s", "pta")
-        assert finish["mode"] == "cold" and finish["kernel"] == "arena"
+        assert finish["mode"] == "cold"
         assert decoded == []
         requests = _requests(manager)
         assert requests["rehydrations"] == 1 and requests["thaws"] == 0
@@ -507,14 +507,14 @@ class TestRebase:
             each.open("s", source=SOURCE)
             each.analyze("s", "skipflow")
         manager.evict("s")
-        assert manager.analyze("s", "pta")["kernel"] == "arena"
+        assert manager.analyze("s", "pta")["mode"] == "cold"
         twin.analyze("s", "pta")
         for classes in (2, 4, 5):     # the spill after 4 re-bases
             manager.update("s", source=_extended(classes))
             twin.update("s", source=_extended(classes))
             manager.evict("s")
             served = manager.analyze("s", "pta")
-            assert served["mode"] == "warm" and served["kernel"] == "arena"
+            assert served["mode"] == "warm"
             assert _wire(served) == _wire(twin.analyze("s", "pta"))
         assert _requests(manager)["spill_freezes"] == 2
         assert _requests(manager)["thaws"] == 0
@@ -546,7 +546,6 @@ class TestNonMonotoneParks:
 
         served = manager.analyze("s", "skipflow")
         assert served["mode"] == "cold-fallback"
-        assert served["kernel"] == "arena"
         assert any("non-monotone" in reason and "generation 1" in reason
                    for reason in served["fallback_reasons"])
         edited = generate_benchmark(_spec())

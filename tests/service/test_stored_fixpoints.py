@@ -124,7 +124,6 @@ def test_stored_path_serves_the_cold_fixpoint(tmp_path, spec_name):
             _open(manager, name, spec_name, edits)
             served = manager.analyze(name, analysis, options)
             assert served["mode"] == ("cold" if edits == 0 else "stored")
-            assert served["kernel"] == "arena"
             cold = _cold_reference(manager, spec_name, edits, analysis,
                                    options)
             state = _state(manager, name)
@@ -151,7 +150,6 @@ class TestModes:
         stored = manager.analyze("second", "skipflow")
         assert stored["mode"] == "stored"
         assert stored["steps_paid"] == 0
-        assert stored["kernel"] == "arena"
         assert stored["fallback_reasons"] == []
         assert (stored["report"]["call_graph"]
                 == cold["report"]["call_graph"])

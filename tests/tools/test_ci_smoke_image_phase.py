@@ -1,10 +1,10 @@
 """The CI smoke's image phase can pass and can fail.
 
 ``benchmarks/ci_smoke.py`` builds one plain program under PTA and SkipFlow
-and fails unless both builds ran on the arena kernel over one lowering.
-The planted faults make the per-program memo always miss (two lowerings)
-and make the builder skip the lowering (the object kernel runs); the phase
-must report each.
+and fails unless both builds share one lowering and their reports, read
+from the arena kernel's tables, match the PVPG walks.  The planted faults
+make the per-program memo always miss (two lowerings) and make the table
+counters drift from the walks; the phase must report each.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.image import builder
+from repro.core.kernel.arena_kernel import ArenaKernelSolver
 from repro.ir.program import Program
 
 SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "ci_smoke.py"
@@ -40,8 +40,14 @@ def test_image_phase_fails_when_the_memo_always_misses(ci_smoke, monkeypatch):
         "not once"]
 
 
-def test_image_phase_fails_when_builds_skip_the_lowering(ci_smoke, monkeypatch):
-    monkeypatch.setattr(builder, "lowered_program", lambda program: program)
+def test_image_phase_fails_when_the_table_counters_drift(ci_smoke,
+                                                        monkeypatch):
+    counters = ArenaKernelSolver.image_counters
+
+    def drifted(solver):
+        return {**counters(solver), "poly_calls": -1}
+
+    monkeypatch.setattr(ArenaKernelSolver, "image_counters", drifted)
     failures = ci_smoke._image_phase()
-    assert any("ran on the object kernel" in failure for failure in failures)
-    assert failures[-1].endswith("lowered it 0 times, not once")
+    assert failures and all("differs from the PVPG walks" in failure
+                            for failure in failures)

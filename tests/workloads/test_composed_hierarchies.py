@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis, run_baseline, run_skipflow
-from repro.core.solver import SkipFlowSolver
 from repro.ir.builder import ProgramBuilder
 from repro.ir.validate import validate_program
 from repro.workloads.generator import BenchmarkSpec, HierarchySpec, generate_benchmark
@@ -53,12 +52,11 @@ class TestComposedModule:
         """The router field must end up holding the union of the leaf sets —
         megamorphism neither hierarchy produces alone."""
         program, handle = _composed_program()
-        solver = SkipFlowSolver(program, AnalysisConfig.skipflow())
-        solver.solve()
-        mixed = solver.pvpg.field_flows[f"{handle.router_class}.mixed"]
+        result = SkipFlowAnalysis(program, AnalysisConfig.skipflow()).run()
+        mixed = result.field_state(f"{handle.router_class}.mixed")
         leaves = {leaf for sub in handle.hierarchies
                   for leaf in sub.leaf_classes}
-        assert set(mixed.state.reference_types) == leaves
+        assert set(mixed.reference_types) == leaves
 
     def test_exact_analysis_proves_cross_payloads_dead(self):
         program, handle = _composed_program()
