@@ -21,14 +21,11 @@ program store blob: an additive edit resumed from the base fixpoint must
 land on the cold fixpoint for strictly fewer steps, the resumed tables
 must round-trip through the snapshot store, and a second pass must serve
 the snapshot from the store (a hit) over a fresh attach re-extended by
-the edit and resume it to the same fixpoint.
-Every half the pairwise and matrix phases solve afresh is store-backed (the
-cache derives a program store), so each must report that the arena kernel
-ran it on the attached blob (``kernel_ran == "arena"``).  The *image* phase
-builds one plain generated program under PTA and SkipFlow, as a fresh
-native-image build does: both builds must run on the arena kernel, the
-program must be lowered exactly once for the two, and both reports must
-match the object kernel's PVPG walks.
+the edit and resume it to the same fixpoint.  The *image* phase builds one
+plain generated program under PTA and SkipFlow, as a fresh native-image
+build does: the program must be lowered exactly once for the two, and
+both reports, read from the arena kernel's tables, must match the PVPG
+walks of the same solve.
 Exits non-zero (with a message) on any violation, so it can gate CI::
 
     python benchmarks/ci_smoke.py --jobs 2 --cache-dir .bench-cache
@@ -81,14 +78,6 @@ def _smoke_specs():
         spec_from_reduction(name="smoke-medium", suite="smoke",
                             total_methods=160, reduction_percent=8.0),
     ]
-
-
-def _fresh_halves(rows):
-    """(benchmark, column, report) of every half solved rather than cached."""
-    for row in rows:
-        for run in row.runs:
-            if not run.from_cache:
-                yield row.benchmark, run.name, run.report
 
 
 def _policy_matrix_phase(specs, cache_dir: str):
@@ -237,10 +226,6 @@ def _incremental_phase(cache_dir: str) -> list:
     warm = SkipFlowAnalysis(program, config, state=chain).run()
     warm_steps = warm.steps - before["steps"]
     cold = SkipFlowAnalysis(attached_and_edited(True), config).run()
-    if warm.kernel_ran != "arena" or cold.kernel_ran != "arena":
-        failures.append(
-            f"{spec.name}: the chain ran on the {warm.kernel_ran} kernel and "
-            f"the cold solve on the {cold.kernel_ran} kernel, not the arena")
     if warm.reachable_methods != cold.reachable_methods or \
             sorted(warm.call_edges()) != sorted(cold.call_edges()):
         failures.append(
@@ -279,11 +264,11 @@ def _audit_phase() -> list:
     """Post-solve audits over the policy grid, plus a planted corruption.
 
     Returns a list of failure messages (empty = phase green).  Every
-    saturation policy on every smoke spec must pass the audits on both
-    kernels: the object kernel's state on the plain program, and the full
-    audits (the arena tables' snapshot round-trip included) on the
-    attached freeze.  A deliberately planted corruption must be detected —
-    an auditor is only trustworthy if it can fail.
+    saturation policy on every smoke spec must pass the full audits (the
+    tables' snapshot round-trip included) over the plain program's
+    lowering and over its attached freeze.  A deliberately planted
+    corruption must be detected — an auditor is only trustworthy if it can
+    fail.
     """
     from repro.checks import audit_state
 
@@ -292,16 +277,13 @@ def _audit_phase() -> list:
         program = generate_benchmark(spec)
         attached = open_program(freeze(program))
         for label, config in _policy_grid():
-            for state, solved_over, full in (
-                    (SkipFlowAnalysis(program, config).run().solver_state,
-                     program, False),
-                    (SkipFlowAnalysis(attached, config).run().arena_state,
-                     attached, True)):
-                diagnostics = audit_state(state, solved_over, snapshot=full)
+            for form, solved_over in (("lowered", program),
+                                      ("attached", attached)):
+                state = SkipFlowAnalysis(solved_over, config).run().arena_state
+                diagnostics = audit_state(state, solved_over)
                 if diagnostics:
                     failures.append(
-                        f"{spec.name} [{label} "
-                        f"{'arena' if full else 'object'}]: post-solve audit "
+                        f"{spec.name} [{label} {form}]: post-solve audit "
                         f"reported {len(diagnostics)} finding(s), first: "
                         f"{diagnostics[0].render()}")
 
@@ -324,12 +306,11 @@ def _image_phase() -> list:
     Returns a list of failure messages (empty = phase green).  Counts the
     calls of :func:`repro.ir.arena.lowering.lower` during a PTA and a
     SkipFlow build of one freshly generated program: anything but one call
-    means the per-program memo missed (or the builds bypassed it), and a
-    build that did not run on the arena kernel means the image builder
-    stopped handing the analysis the lowering.  The reports are checked
-    against the object kernel's reports of the same program.
+    means the per-program memo missed.  The reports, which the builder
+    reads from the kernel's tables, are checked against the PVPG walks
+    (``walked_reports``) of the same solve.
     """
-    from repro.image.builder import NativeImageBuilder
+    from repro.image.builder import NativeImageBuilder, walked_reports
     from repro.ir.arena import lowering
 
     failures = []
@@ -348,18 +329,14 @@ def _image_phase() -> list:
             builder = NativeImageBuilder(program, config,
                                          benchmark_name=spec.name)
             report = builder.build()
-            if report.result.kernel_ran != "arena":
+            walked, dead_code = walked_reports(report.result)
+            if (report.metrics.reachable_methods, report.metrics.counters,
+                    report.binary_size_bytes) != (
+                    walked.reachable_methods, walked.counters,
+                    builder.size_model.estimate(report.result, dead_code)):
                 failures.append(
-                    f"{spec.name} [{config.name}]: image build of a plain "
-                    f"program ran on the {report.result.kernel_ran} kernel")
-            reference = builder.report(SkipFlowAnalysis(program, config).run())
-            if (report.metrics.reachable_methods,
-                    report.metrics.counters, report.binary_size_bytes) != (
-                    reference.metrics.reachable_methods,
-                    reference.metrics.counters, reference.binary_size_bytes):
-                failures.append(
-                    f"{spec.name} [{config.name}]: the arena image report "
-                    f"differs from the object kernel's")
+                    f"{spec.name} [{config.name}]: the image report read "
+                    f"from the kernel's tables differs from the PVPG walks")
     finally:
         lowering.lower = lower
     if len(lowerings) != 1:
@@ -473,17 +450,6 @@ def main(argv=None) -> int:
                     f"{row.benchmark}: matrix column {column!r} differs from "
                     f"the pairwise result")
 
-    # Every freshly solved half had a store behind it, so every one must
-    # have run on the arena kernel over the attached blob.
-    fresh = list(_fresh_halves([*first, *ablation, *matrix, *policy_matrix]))
-    if not fresh:
-        failures.append("no freshly solved store-backed half to check")
-    for benchmark, column, report in fresh:
-        if report.kernel_ran != "arena":
-            failures.append(
-                f"{benchmark} [{column}]: store-backed half ran on the "
-                f"{report.kernel_ran} kernel")
-
     if failures:
         for failure in failures:
             print(f"SMOKE FAIL: {failure}", file=sys.stderr)
@@ -492,7 +458,6 @@ def main(argv=None) -> int:
           f"second run {second_cache.hits}/{expected_hits} half hits, "
           f"ablation reused {ablation_cache.hits} baseline halves, "
           f"3-way matrix reused {matrix_cache.hits}/{expected_matrix_hits} halves, "
-          f"{len(fresh)} fresh halves on the arena kernel, "
           f"two image builds on one lowering, "
           f"policy matrix {len(POLICY_SATURATIONS)}x{len(specs)} keyed "
           f"distinctly, re-run from the cache, no method body decoded, "

@@ -180,15 +180,16 @@ def main(argv=None) -> int:
                 config = analyzer.config(threshold, saturation)
                 started = time.perf_counter()
                 result = SkipFlowAnalysis(program, config).run()
+                # The inflated graph the per-flow audits and the walk read.
+                state = result.solver_state
                 solve_seconds += time.perf_counter() - started
 
                 started = time.perf_counter()
-                findings = audit_state(result.solver_state, program,
-                                       snapshot=False)
+                findings = audit_state(state, program, snapshot=False)
                 audit_seconds += time.perf_counter() - started
 
                 started = time.perf_counter()
-                _reference_walk(result.solver_state)
+                _reference_walk(state)
                 walk_seconds += time.perf_counter() - started
                 if findings:
                     failures.append(

@@ -169,7 +169,7 @@ def main(argv=None) -> int:
         for point in points:
             trajectory_rows.append(TrajectoryRow(
                 spec=spec.name, policy=point.label,
-                kernel=row.report(point.label).kernel_ran,
+                kernel="arena",
                 steps=point.solver_steps, joins=point.solver_joins,
                 wall_time_seconds=point.analysis_time_seconds))
             total_steps += point.solver_steps

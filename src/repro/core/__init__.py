@@ -1,4 +1,4 @@
-"""SkipFlow core: predicated value propagation graphs and the fixed-point solver.
+"""SkipFlow core: predicated value propagation graphs and the fixed-point solve.
 
 The public entry point is :class:`~repro.core.analysis.SkipFlowAnalysis`, which
 wraps PVPG construction (Appendix B) and the value-propagation rules
@@ -31,9 +31,8 @@ from repro.core.flows import (
 )
 from repro.core.kernel import available_saturation_policies
 from repro.core.pvpg import BranchKind, BranchRecord, MethodPVPG, ProgramPVPG
-from repro.core.pvpg_builder import ObjectSink, PVPGBuilder
+from repro.core.pvpg_builder import PVPGBuilder
 from repro.core.results import AnalysisResult, MethodSummary
-from repro.core.solver import SkipFlowSolver
 from repro.core.state import SnapshotMismatchError, SolverState, SolverStateError
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "LoadFieldFlow",
     "MethodPVPG",
     "MethodSummary",
-    "ObjectSink",
     "ParameterFlow",
     "PhiFlow",
     "PhiPredFlow",
@@ -59,7 +57,6 @@ __all__ = [
     "PVPGBuilder",
     "ReturnFlow",
     "SkipFlowAnalysis",
-    "SkipFlowSolver",
     "SnapshotMismatchError",
     "SolverState",
     "SolverStateError",

@@ -1,6 +1,8 @@
 """Flows: the vertices of a predicated value propagation graph.
 
-Each flow carries
+The arena kernel keeps flows as rows of flat tables; these objects are the
+view it inflates for consumers that walk a graph (the audits, ``repro
+pvpg``).  Each flow carries
 
 * a *value state* (``state``), the conservative over-approximation of the
   values the underlying code element can hold at runtime — this is the
@@ -11,8 +13,7 @@ Each flow carries
   (Predicate rule);
 * outgoing ordered edge sets: ``uses`` (use edges), ``observers`` (observe
   edges) and ``predicate_targets`` (predicate edges), plus the incoming
-  ``predicates`` used when a freshly built method graph is attached to the
-  already-running solver.  Each is an insertion-ordered ``dict`` keyed by
+  ``predicates``.  Each is an insertion-ordered ``dict`` keyed by
   the other flow (values are ``None``), so iteration follows addition order
   and a duplicate edge is a no-op.  ``uses`` is allocated with the flow;
   the other three start as the shared immutable :data:`NO_EDGES` and get

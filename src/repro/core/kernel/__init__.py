@@ -1,9 +1,7 @@
 """The solver kernel: the saturation policies and the arena propagation kernel.
 
-:class:`~repro.core.solver.SkipFlowSolver` used to be a monolith in which
-worklist order, the saturation cutoff, and invoke/field linking were
-interleaved in one class.  This package splits the *policy* decision out of
-the *propagation core* so it can be swapped without touching the solver:
+The package splits the *policy* decision out of the *propagation core*, so
+a cutoff can be swapped without touching the solve:
 
 * :mod:`repro.core.kernel.saturation` — when a megamorphic flow collapses
   and which top element it collapses to (``off``, ``allocated-type`` —
@@ -11,10 +9,10 @@ the *propagation core* so it can be swapped without touching the solver:
   ``allocated-type-reachable``), named by
   ``AnalysisConfig.saturation_policy`` with its
   ``saturation_threshold``;
-* :mod:`repro.core.kernel.arena_kernel` — the same propagation core over
-  an attached arena's integer flow ids.
+* :mod:`repro.core.kernel.arena_kernel` — the propagation core over an
+  arena's integer flow ids.
 
-The worklist order is not a policy: both kernels drain a plain ``deque``
+The worklist order is not a policy: the kernel drains a plain ``deque``
 oldest-first, the seed solver's order.  The fixpoint is the same under any
 fair order; a measured ``degree`` order (hub flows first) saved 2–3% of
 steps but cost 10–26% of wall time, so it was deleted.
@@ -31,7 +29,7 @@ redirect it.
 
 The propagation/linking core (delivery, predicate enabling, invoke and
 field linking) stays in the solver and is identical under every policy;
-with ``off`` both kernels reproduce the seed's exact step counts.
+with ``off`` the kernel reproduces the seed's exact step counts.
 """
 
 from repro.core.kernel.saturation import (

@@ -1,64 +1,52 @@
 """The arena propagation kernel: the fixed-point solve over integer flow ids.
 
-:class:`ArenaKernelSolver` is a transliteration of
-:class:`~repro.core.solver.SkipFlowSolver` onto the struct-of-arrays program
-encoding of :mod:`repro.ir.arena`.  Where the object solver walks a graph of
-:class:`~repro.core.flows.Flow` objects that it builds lazily per reachable
-method, the arena kernel works on *flow ids* (fids) into preallocated flat
+:class:`ArenaKernelSolver` is the one propagation loop: it runs the
+SkipFlow rules (Appendix C) on the struct-of-arrays program encoding of
+:mod:`repro.ir.arena`, working on *flow ids* (fids) into preallocated flat
 side tables:
 
 * value states and input states live in two plain lists indexed by fid
-  (the states themselves are the same hash-consed
-  :class:`~repro.lattice.value_state.ValueState` objects, so ``is``-based
-  change detection carries over unchanged);
+  (the states themselves are hash-consed
+  :class:`~repro.lattice.value_state.ValueState` objects, so change
+  detection uses ``is``);
 * the enabled / worklist-membership / link-queue / saturated bits live in
-  ``bytearray``\\ s instead of per-object attributes;
+  ``bytearray``\\ s;
 * the build-time edges (uses, observers, predicate targets, incoming
   predicates) are read straight from the arena's CSR columns — slices of
   an attached buffer's ``memoryview`` columns, or of an in-memory
   lowering's lists — while the edges the solve *adds* (field links, call
-  links, ``pred_on`` fan-out) go to small dynamic side tables, exactly like
-  the object solver grows its graph;
+  links, ``pred_on`` fan-out) go to small dynamic side tables;
 * "make a method reachable" is "enable an fid range" — no PVPG build, no
   method-body decode: the kernel never touches ``method.blocks``.
 
-The kernel is **bit-identical** to the object solver: same reachable sets,
-same value states, same ``steps`` / ``joins`` / ``transfers`` /
-``saturated_flows`` counters under every built-in saturation policy (both
-kernels drain their worklist oldest-first).  What stays identical is the
-sequence of events — deliveries, transfers, observer notifications,
-predicate enables, links — their order, the counters and the fixpoint,
-not the code shape: :meth:`ArenaKernelSolver._run` inlines the
-pass-through transfer and the observer dispatch, and the link paths skip
-work the object solver repeats as no-ops (a solve-time use edge is
-deduplicated by one integer edge key, and an invoke re-link resolves only
-the receiver types it has not resolved yet in this solve).  When editing
-one kernel, edit the other (the cross-kernel grid in
-``tests/core/test_arena_kernel.py`` and the CI solver-steps gate both fail
-loudly on drift).
+The worklist drains oldest-first; the counters (``steps`` / ``joins`` /
+``transfers`` / ``saturated_flows``) are pinned by the CI solver-steps
+gate.  A solve-time use edge is deduplicated by one integer edge key, and
+an invoke re-link resolves only the receiver types it has not resolved yet
+in this solve.  The executable specification in
+:mod:`repro.checks.reference` is the independent check of the fixpoint:
+the fuzz oracle's ``kernel-divergence`` invariant and the identity grids
+compare the two.
 
 The kernel solves every :class:`~repro.ir.arena.ArenaProgram` — attached
-to a buffer, or over a program's in-memory lowering, which is what every
-image build solves — and :class:`~repro.core.analysis.SkipFlowAnalysis`
-selects it exactly then.  Its mutable tables live in an
+to a buffer, or over a plain program's in-memory lowering
+(:func:`~repro.ir.arena.lowered_program`); :class:`~repro.core.analysis.
+SkipFlowAnalysis` always runs it.  Its mutable tables live in an
 :class:`ArenaSolverState` that outlives the solve: after a monotone delta
-extends an attached program (the delta's lowering appended after the
-arena's fids, see :class:`~repro.ir.arena.lowering.ExtendedArena`), a
-solver built around that state *resumes* it — :meth:`ArenaKernelSolver.
-solve` and :meth:`ArenaKernelSolver._reattach` mirror the object solver's
-warm path statement for statement.  Plain programs, and resumes of an
-object-graph :class:`~repro.core.state.SolverState`, run on the object
-solver.
+extends the program (the delta's lowering appended after the arena's fids,
+see :class:`~repro.ir.arena.lowering.ExtendedArena`), a solver built
+around that state *resumes* it (:meth:`ArenaKernelSolver.solve`,
+:meth:`ArenaKernelSolver._reattach`).
 
 The result queries — call edges, call targets, parameter / return / field
 states (:meth:`ArenaKernelSolver.call_edges` and friends) and the image
 report inputs (:meth:`ArenaKernelSolver.image_counters`,
 :meth:`ArenaKernelSolver.dead_code_rows`) — read the flat tables
 directly.  Only consumers that walk flows (audits, ``repro pvpg``) need
-the :attr:`ArenaKernelSolver.state` property, which lazily materializes a
-real :class:`~repro.core.state.SolverState` (PVPG objects, ordered edge
-sets, counters) exactly as the object solver would have produced it.  Inflation reconstructs flows through their real
-constructors and never thaws a method body; it costs more than the
+the :attr:`ArenaKernelSolver.state` property, which lazily inflates the
+tables into a :class:`~repro.core.state.SolverState` (PVPG objects,
+ordered edge sets, counters).  Inflation reconstructs flows through their
+real constructors and never thaws a method body; it costs more than the
 propagation itself, which is why it is deferred.
 """
 
@@ -139,8 +127,7 @@ _INSTRUCTION_KINDS = frozenset({
 class ArenaSolverState:
     """The arena kernel's fixpoint: the flat tables, detached from the solver.
 
-    What :class:`~repro.core.state.SolverState` is to the object solver:
-    the mutable half of a solve, which outlives it.  An
+    The mutable half of a solve, which outlives it.  An
     :class:`ArenaKernelSolver` constructed around a state that already
     solved *resumes* it over the same :class:`~repro.ir.arena.ArenaProgram`
     after a monotone delta extended it (old fids keep their meaning; the
@@ -158,7 +145,7 @@ class ArenaSolverState:
       target phi, filter, store and return flows, solve-time ones
       parameter, invoke, load and field flows, so the two never meet;
     * ``activated_mids`` / ``touched_fields`` — activation and first-link
-      order, the object PVPG's method-graph and field-flow orders;
+      order, the inflated PVPG's method-graph and field-flow orders;
     * ``reachable`` / ``stub_methods``, the counters, ``seeded_roots`` and
       ``stub_links`` (invoke fid, callee signature), ``solve_count``.
 
@@ -360,13 +347,11 @@ def _revalidated(config):
 class ArenaKernelSolver:
     """The fixed-point solver over an arena's integer flow ids.
 
-    Drop-in for :class:`~repro.core.solver.SkipFlowSolver` on an
-    :class:`~repro.ir.arena.ArenaProgram`: same :meth:`solve`, and
-    afterwards the same ``state`` / ``pvpg`` / counter surface (``state``
-    inflates lazily on first access).  The program's columns — an attached
-    buffer, the zero-decode worker path, an in-memory lowering, or an
-    attached program extended by deltas — are solved on directly.  Like
-    the object solver, it borrows its mutable tables from an
+    After :meth:`solve` it offers the ``state`` / ``pvpg`` / counter
+    surface (``state`` inflates lazily on first access).  The program's
+    columns — an attached buffer, the zero-decode worker path, an
+    in-memory lowering, or either extended by deltas — are solved on
+    directly.  It borrows its mutable tables from an
     :class:`ArenaSolverState`: a fresh one for a cold solve, or a solved
     one to resume after the program grew.
     """
@@ -401,20 +386,18 @@ class ArenaKernelSolver:
         self._in_link_queue = state.in_link_queue
         self._saturated = state.saturated
 
-        #: Solve-time use edges per source fid, in addition order (the
-        #: object solver adds them to the ordered edge set ``flow.uses``).
+        #: Solve-time use edges per source fid, in addition order.
         self._extra_uses: Dict[int, List[int]] = state.extra_uses
         self._edge_keys: Set[int] = state.edge_keys
-        #: Mirror of ``InvokeFlow.linked_callees`` per invoke fid.
+        #: The callees linked per invoke fid.
         self._linked_callees: Dict[int, Set[str]] = state.linked_callees
-        #: ``pred_on``'s fan-out, replayed per method activation (the object
-        #: solver grows it while *building* each reachable method).
+        #: ``pred_on``'s fan-out, grown per method activation.
         self._pred_on_targets: List[int] = state.pred_on_targets
         self._activated = state.activated
-        #: Activation order — the object PVPG's method-graph insertion order.
+        #: Activation order — the inflated PVPG's method-graph order.
         self._activated_mids: List[int] = state.activated_mids
-        #: Field fids in first-link order — the object PVPG's lazy
-        #: ``FieldFlow`` creation order (``all_flows`` iterates it).
+        #: Field fids in first-link order — the inflated PVPG's
+        #: ``FieldFlow`` order (``all_flows`` iterates it).
         self._touched_fields: List[int] = state.touched_fields
         self._touched_field_set: Set[int] = state.touched_field_set
 
@@ -448,7 +431,7 @@ class ArenaKernelSolver:
         self._solved = state.solve_count > 0
 
     # ------------------------------------------------------------------ #
-    # State views (the object solver's read surface)
+    # State views
     # ------------------------------------------------------------------ #
     @property
     def reachable(self) -> Set[str]:
@@ -651,7 +634,7 @@ class ArenaKernelSolver:
     # Public API
     # ------------------------------------------------------------------ #
     def solve(self, roots: Optional[Iterable[str]] = None) -> None:
-        """Run to a fixed point (mirror of ``SkipFlowSolver.solve``).
+        """Run the analysis to a fixed point from the root methods.
 
         On a fresh state this is the cold solve.  On a state that already
         solved, the iteration *resumes* over the extended arena: the
@@ -705,12 +688,15 @@ class ArenaKernelSolver:
         self._solved = True
 
     def _reattach(self) -> None:
-        """Mirror of ``SkipFlowSolver._reattach``: prepare a warm continuation.
+        """Prepare a previously solved state for a warm continuation.
 
         The worklist residue (empty at a fixpoint) re-enters the queues in
-        ``all_flows()`` order, saturated flows re-collapse against the
-        current sentinels, and the conservative root seeds and stub effects
-        are re-played, because the hierarchy may have grown under them.
+        ``all_flows()`` order.  Saturated flows re-collapse against the
+        current sentinels: joins into a saturated flow are skipped, and a
+        sentinel only widens as the program grows, so without the
+        re-collapse a resume would under-approximate a cold solve.  The
+        conservative root seeds and stub effects are re-played, because
+        the hierarchy may have grown under them (a no-op join otherwise).
         """
         in_worklist = self._in_worklist
         in_link_queue = self._in_link_queue
@@ -733,7 +719,7 @@ class ArenaKernelSolver:
     # Reachability
     # ------------------------------------------------------------------ #
     def _activate(self, qualified_name: str) -> Optional[int]:
-        """Mirror of ``_make_reachable``: enable a method's fid range."""
+        """Make a method reachable: enable its fid range."""
         arena = self.arena
         mid = arena.mid_of(qualified_name)
         if mid is None:
@@ -744,8 +730,7 @@ class ArenaKernelSolver:
         self._activated[mid] = 1
         self._activated_mids.append(mid)
         self._reachable.add(qualified_name)
-        # The object solver records pred_on fan-out while *building* the
-        # method graph, i.e. before the enable loop below runs.
+        # pred_on's fan-out grows before the enable loop below runs.
         plo = arena.method_pred_ptr[mid]
         phi = arena.method_pred_ptr[mid + 1]
         self._pred_on_targets.extend(arena.method_pred_val[plo:phi])
@@ -808,7 +793,7 @@ class ArenaKernelSolver:
         return ValueState.any_primitive()
 
     # ------------------------------------------------------------------ #
-    # Saturation refinement (mirrors of the object solver's loop hooks)
+    # Saturation refinement
     # ------------------------------------------------------------------ #
     def _refresh_saturation(self) -> bool:
         saturation = self._saturation
@@ -820,8 +805,8 @@ class ArenaKernelSolver:
             self._solve_roots)
 
     def _iter_all_fids(self) -> Iterator[int]:
-        """Fids in the object PVPG's ``all_flows()`` order: pred_on, field
-        flows in creation (first-link) order, then per-method flows in
+        """Fids in the inflated PVPG's ``all_flows()`` order: pred_on,
+        field flows in first-link order, then per-method flows in
         activation order."""
         arena = self.arena
         yield 0
@@ -861,7 +846,6 @@ class ArenaKernelSolver:
     def _run(self) -> None:
         """Drain the link queue, then the worklist, to a fixed point.
 
-        The events and their order are ``SkipFlowSolver._run``'s.
         Processing a flow — skip it when disabled, deliver ``VSout`` along
         every use edge (the Propagate rule), notify its observers, and
         enable its predicate targets once its state is non-empty — is
@@ -1026,7 +1010,7 @@ class ArenaKernelSolver:
             self._schedule(fid)
 
     def _source_state(self, fid: int) -> ValueState:
-        """Mirror of ``SourceFlow.source_state`` from the constant table."""
+        """What enabling a source flow produces (the Source rule)."""
         arena = self.arena
         row = arena.flow_aux1[fid]
         kind = arena.const_kind[row]
@@ -1063,7 +1047,7 @@ class ArenaKernelSolver:
             self._schedule(fid)
 
     def _add_use_edge(self, source: int, target: int) -> None:
-        """Mirror of the object solver's: add the edge once, then deliver.
+        """Add a solve-time use edge once, then deliver along it.
 
         One integer key per edge in ``edge_keys`` is the duplicate check
         (see :class:`ArenaSolverState` for why static edges need none).
@@ -1097,8 +1081,7 @@ class ArenaKernelSolver:
             field_fid = arena.field_fid(declaration.qualified_name)
             if field_fid is None:  # pragma: no cover — fields are all frozen
                 continue
-            # The object PVPG creates the FieldFlow here (lazily); record
-            # the creation order for all_flows()-order mirrors.
+            # Record the first-link order (the inflated PVPG's field order).
             if field_fid not in self._touched_field_set:
                 self._touched_field_set.add(field_fid)
                 self._touched_fields.append(field_fid)
@@ -1124,8 +1107,8 @@ class ArenaKernelSolver:
                     fid, f"{target_class}.{method_name}")
             return
         # A receiver type resolved earlier in this solve was linked then, so
-        # the object solver's repeat of it is a no-op: resolve only the new
-        # ones, still in sorted order.  Receiver states only grow, so the
+        # linking it again is a no-op: resolve only the new ones, still in
+        # sorted order.  Receiver states only grow, so the
         # memo is the last type set this invoke linked.
         types = self._st[arena.flow_aux2[fid]].reference_types
         resolved = self._resolved_types.get(fid)
@@ -1193,7 +1176,7 @@ class ArenaKernelSolver:
         self._inject(fid, result)
 
     # ------------------------------------------------------------------ #
-    # Inflation: flat tables -> the object solver's SolverState
+    # Inflation: flat tables -> an object-graph SolverState
     # ------------------------------------------------------------------ #
     def _value_of(self, name_sid: int, type_sid: int) -> Optional[Value]:
         if name_sid == schema.NONE_ID:
@@ -1302,14 +1285,13 @@ class ArenaKernelSolver:
     def _inflate(self) -> SolverState:
         """Materialize the fixpoint as a real :class:`SolverState`.
 
-        The inflated PVPG is structurally identical to what the object
-        solver builds: same flows (value-equal payloads, fresh uids), same
-        ordered edge sets in the same order, same scalar bits, the
+        One flow per fid of the activated methods (fresh uids), the field
+        flows linked so far and ``pred_on``; the static CSR edges, then
+        the solve-time ones in addition order; every scalar bit; the
         method-graph map in activation order and the field flows in
-        creation order.  The only documented divergence is the order of
-        each flow's incoming ``predicates`` set, which the solver only asks
-        "is any enabled" of, so it is semantically inert.  Method bodies stay frozen:
-        flows are rebuilt from columns.
+        first-link order.  Each flow's incoming ``predicates`` set follows
+        the wiring order (only "is any enabled" is ever asked of it).
+        Method bodies stay frozen: flows are rebuilt from columns.
         """
         arena = self.arena
         hierarchy = self.hierarchy
@@ -1344,7 +1326,7 @@ class ArenaKernelSolver:
             pvpg.add_method_graph(graph)
 
         # Wiring: static CSR edges first (build order), then the solve-time
-        # additions in addition order — exactly how the object edge sets grew.
+        # additions in addition order.
         for fid, flow in flows.items():
             for target in arena.use_val[
                     arena.use_ptr[fid]:arena.use_ptr[fid + 1]]:

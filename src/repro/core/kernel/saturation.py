@@ -158,7 +158,7 @@ def reachable_allocated_types(
     (a) types with a ``new`` site in a method of ``reachable``;
     (b) the instantiable subtypes of the root methods' declared reference
         parameter types, which conservative root seeding injects without an
-        allocation (mirrors ``SkipFlowSolver._conservative_state``; roots
+        allocation (the conservative root seed's types; roots
         default to the program's entry points, and are seeded
         unconditionally, reachable or not);
     (c) the instantiable subtypes of the reference *return* types of the

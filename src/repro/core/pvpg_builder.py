@@ -17,39 +17,25 @@ explicit phis the collision rule of the paper's ``propagate`` function creates
 phi flows lazily, which is only sound for acyclic control flow.
 
 The traversal does not create flows itself: it hands every flow and edge to
-a *sink* (:class:`FlowSink`) and only keeps the sink's opaque flow handles in
-its block states.  :class:`ObjectSink` builds
-:class:`~repro.core.flows.Flow` objects into a :class:`MethodPVPG` (the
-object solver's lazily built graph); the arena freeze pass
-(:mod:`repro.ir.arena.lowering`) plugs in a sink whose handles are integer
-flow ids and which writes the arena's columns directly.  Handles compare
-with ``==`` and hash, so both kinds share one traversal.
+the arena lowering's column sink (``_ColumnSink`` in
+:mod:`repro.ir.arena.lowering`), whose flow handles are integer flow ids and
+which writes the arena's columns directly; the block states keep those ids.
+Every flow constructor except ``phi_pred`` takes the predicate flow guarding
+the new flow and adds that predicate edge itself (only phi_preds receive
+``add_predicate`` edges), and the ``add_*`` edge methods ignore an edge that
+already exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Set
+from typing import TYPE_CHECKING, Any, Dict, Optional, Set
 
-from repro.core.flows import (
-    FilterCompareFlow,
-    FilterTypeFlow,
-    Flow,
-    InvokeFlow,
-    LoadFieldFlow,
-    ParameterFlow,
-    PhiFlow,
-    PhiPredFlow,
-    ReturnFlow,
-    SourceFlow,
-    StoreFieldFlow,
-)
-from repro.core.pvpg import BranchKind, BranchRecord, MethodPVPG, ProgramPVPG
+from repro.core.pvpg import BranchKind
 from repro.ir.blocks import BasicBlock
 from repro.ir.cfg import ControlFlowGraph
 from repro.ir.instructions import (
     Assign,
-    CompareOp,
     Condition,
     If,
     InstanceOfCondition,
@@ -63,10 +49,13 @@ from repro.ir.instructions import (
     flip_compare_op,
 )
 from repro.ir.method import Method
-from repro.ir.values import ConstantExpr, ConstKind, Value
+from repro.ir.values import ConstKind, Value
 
-#: An opaque flow handle issued by a sink (a ``Flow`` or an integer fid).
-Handle = Any
+if TYPE_CHECKING:  # pragma: no cover — typing only
+    from repro.ir.arena.lowering import _ColumnSink
+
+#: A flow handle issued by the sink: an integer flow id.
+Handle = int
 
 #: Read once per assignment; enum member lookups are slow attribute reads.
 _NULL = ConstKind.NULL
@@ -74,148 +63,6 @@ _NULL = ConstKind.NULL
 
 class PVPGBuildError(Exception):
     """Raised when a method body cannot be translated into a PVPG."""
-
-
-class FlowSink(Protocol):
-    """Where the builder's flows and edges go.
-
-    Every flow constructor except :meth:`phi_pred` takes the predicate flow
-    guarding the new flow and adds that predicate edge itself; it is never
-    repeated, because only phi_preds receive :meth:`add_predicate` edges.
-    The ``add_*`` edge methods ignore an edge that already exists, like
-    :meth:`Flow.add_use` and friends.
-    """
-
-    pred_on: Handle
-
-    def begin_method(self, method: Method) -> None: ...
-    def end_method(self) -> Any: ...
-
-    def phi_pred(self, label: str) -> Handle: ...
-    def phi(self, pred: Handle, label: str) -> Handle: ...
-    def parameter(self, pred: Handle, label: str, index: int,
-                  declared_type: Optional[str]) -> Handle: ...
-    def source(self, pred: Handle, label: str, expr: ConstantExpr) -> Handle: ...
-    def load_field(self, pred: Handle, label: str, field_name: str,
-                   receiver: Handle) -> Handle: ...
-    def store_field(self, pred: Handle, label: str, field_name: str,
-                    receiver: Handle) -> Handle: ...
-    def invoke(self, pred: Handle, label: str, invoke: Invoke,
-               receiver: Optional[Handle], arguments: List[Handle]) -> Handle: ...
-    def return_(self, pred: Handle, label: str, returns_void: bool) -> Handle: ...
-    def filter_type(self, pred: Handle, label: str, type_name: str,
-                    negated: bool) -> Handle: ...
-    def filter_compare(self, pred: Handle, label: str, op: CompareOp,
-                       observed: Handle) -> Handle: ...
-
-    def add_use(self, source: Handle, target: Handle) -> None: ...
-    def add_observer(self, source: Handle, target: Handle) -> None: ...
-    def add_predicate(self, source: Handle, target: Handle) -> None: ...
-
-    def branch(self, instruction: If, kind: BranchKind, then_pred: Handle,
-               else_pred: Handle, block_pred: Handle) -> None: ...
-
-
-class ObjectSink:
-    """Builds :class:`Flow` objects into one :class:`MethodPVPG` per method."""
-
-    def __init__(self, program_pvpg: ProgramPVPG, config) -> None:
-        self.pred_on = program_pvpg.pred_on
-        self.config = config
-        self._graph: Optional[MethodPVPG] = None
-        self._qualified = ""
-
-    def begin_method(self, method: Method) -> None:
-        self._graph = MethodPVPG(method)
-        self._qualified = method.qualified_name
-
-    def end_method(self) -> MethodPVPG:
-        graph = self._graph
-        self._graph = None
-        return graph
-
-    # -- flows ----------------------------------------------------------- #
-    # Each constructor registers the flow and adds its predicate edge
-    # inline: this path runs once per flow the object solver builds.
-    def phi_pred(self, label: str) -> Flow:
-        flow = PhiPredFlow(label, self._qualified)
-        self._graph.flows.append(flow)
-        return flow
-
-    def phi(self, pred: Flow, label: str) -> Flow:
-        flow = PhiFlow(label, self._qualified)
-        self._graph.flows.append(flow)
-        pred.add_predicate_target(flow)
-        return flow
-
-    def parameter(self, pred: Flow, label: str, index: int,
-                  declared_type: Optional[str]) -> Flow:
-        flow = ParameterFlow(label, self._qualified, index, declared_type)
-        self._graph.flows.append(flow)
-        pred.add_predicate_target(flow)
-        self._graph.parameter_flows.append(flow)
-        return flow
-
-    def source(self, pred: Flow, label: str, expr: ConstantExpr) -> Flow:
-        flow = SourceFlow(label, self._qualified, expr)
-        self._graph.flows.append(flow)
-        pred.add_predicate_target(flow)
-        return flow
-
-    def load_field(self, pred: Flow, label: str, field_name: str,
-                   receiver: Flow) -> Flow:
-        flow = LoadFieldFlow(label, self._qualified, field_name, receiver)
-        self._graph.flows.append(flow)
-        pred.add_predicate_target(flow)
-        return flow
-
-    def store_field(self, pred: Flow, label: str, field_name: str,
-                    receiver: Flow) -> Flow:
-        flow = StoreFieldFlow(label, self._qualified, field_name, receiver)
-        self._graph.flows.append(flow)
-        pred.add_predicate_target(flow)
-        return flow
-
-    def invoke(self, pred: Flow, label: str, invoke: Invoke,
-               receiver: Optional[Flow], arguments: List[Flow]) -> Flow:
-        flow = InvokeFlow(label, self._qualified, invoke, receiver, arguments)
-        self._graph.flows.append(flow)
-        pred.add_predicate_target(flow)
-        self._graph.invoke_flows.append(flow)
-        return flow
-
-    def return_(self, pred: Flow, label: str, returns_void: bool) -> Flow:
-        flow = ReturnFlow(label, self._qualified, returns_void)
-        self._graph.flows.append(flow)
-        pred.add_predicate_target(flow)
-        self._graph.return_flows.append(flow)
-        return flow
-
-    def filter_type(self, pred: Flow, label: str, type_name: str,
-                    negated: bool) -> Flow:
-        flow = FilterTypeFlow(label, self._qualified, type_name, negated,
-                              self.config.filter_type_checks)
-        self._graph.flows.append(flow)
-        pred.add_predicate_target(flow)
-        return flow
-
-    def filter_compare(self, pred: Flow, label: str, op: CompareOp,
-                       observed: Flow) -> Flow:
-        flow = FilterCompareFlow(label, self._qualified, op, observed=observed,
-                                 filtering_enabled=self.config.filter_comparisons)
-        self._graph.flows.append(flow)
-        pred.add_predicate_target(flow)
-        return flow
-
-    # -- edges: the Flow methods themselves, called as (source, target) --- #
-    add_use = staticmethod(Flow.add_use)
-    add_observer = staticmethod(Flow.add_observer)
-    add_predicate = staticmethod(Flow.add_predicate_target)
-
-    def branch(self, instruction: If, kind: BranchKind, then_pred: Flow,
-               else_pred: Flow, block_pred: Flow) -> None:
-        self._graph.branch_records.append(
-            BranchRecord(instruction, kind, then_pred, else_pred, block_pred))
 
 
 @dataclass
@@ -227,13 +74,9 @@ class _BlockState:
 
 
 class PVPGBuilder:
-    """Builds the PVPG of individual methods, one at a time, into ``sink``.
+    """Builds the PVPG of individual methods, one at a time, into ``sink``."""
 
-    ``PVPGBuilder(ObjectSink(program_pvpg, config))`` builds the object
-    graphs of one program-wide :class:`ProgramPVPG`.
-    """
-
-    def __init__(self, sink: FlowSink) -> None:
+    def __init__(self, sink: "_ColumnSink") -> None:
         self.sink = sink
         # Per-method traversal state, reset by build_method.
         self._qualified = ""
@@ -247,9 +90,7 @@ class PVPGBuilder:
                      cfg: Optional[ControlFlowGraph] = None) -> Any:
         """Build one method through the sink; returns ``sink.end_method()``.
 
-        With an :class:`ObjectSink` that is the method's
-        :class:`MethodPVPG`.  ``cfg`` reuses an already computed control-flow
-        graph of ``method``.
+        ``cfg`` reuses an already computed control-flow graph of ``method``.
         """
         sink = self.sink
         if cfg is None:
@@ -394,14 +235,12 @@ class PVPGBuilder:
             source = self._lookup(state, jump.phi_arguments[index])
             sink.add_use(source, target_state.m[phi.result.name])
         # Remaining variables: inherit, or create a phi flow on collision.
-        # Handles are compared by value (fids are ints); the identity test
-        # first settles the common "same flow" case cheaply.
         lazy_phis = self._lazy_phis
         for name, flow in state.m.items():
             existing = target_state.m.get(name)
             if existing is None:
                 target_state.m[name] = flow
-            elif existing is not flow and existing != flow:
+            elif existing != flow:
                 if existing in lazy_phis:
                     sink.add_use(flow, existing)
                 else:

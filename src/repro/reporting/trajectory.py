@@ -5,8 +5,8 @@ A *trajectory* records one benchmark run as rows of
 that successive runs of the same study become a numbered series the repo
 can keep forever: ``BENCH_1.json`` is the first recorded run,
 ``BENCH_2.json`` the next, and so on.  The files are written by the study
-runners (``benchmarks/run_arena_study.py`` writes the arena cold-solve
-matrix) and read back by :func:`format_trend`, a tiny renderer that lines
+runners (``benchmarks/run_policy_study.py`` and
+``benchmarks/run_incremental_study.py`` given ``--bench-dir``) and read back by :func:`format_trend`, a tiny renderer that lines
 the series up per cell and shows how the headline metric moved.
 
 The payload is versioned (``trajectory_version``) independently of the
@@ -115,7 +115,7 @@ def write_trajectory(directory, *, study: str,
     """Persist one run as the next ``BENCH_<n>.json`` under ``directory``.
 
     ``headline`` is the study's one number — the value the trend renderer
-    tracks across runs (the arena study passes its measured speedup).
+    tracks across runs.
     ``extra`` lands verbatim in the payload for human context (config
     labels, host notes); it is never interpreted.  Pass ``index`` to
     overwrite a specific slot (the CI smoke pins index 1 so reruns do not

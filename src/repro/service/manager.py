@@ -58,8 +58,8 @@ writes them first (``cold``); a stored table that cannot serve is refused
 by name and rewritten (``cold-fallback``).  ``close`` never deletes one.
 
 **Metrics.**  Every request updates a :class:`ServiceMetrics` snapshot:
-request counts, solve modes (:data:`ANALYZE_MODES`), the kernel each
-analyze reported and the thaws sessions took, steps paid warm, stored and
+request counts, solve modes (:data:`ANALYZE_MODES`), the thaws sessions
+took, steps paid warm, stored and
 cold, the stored fixpoint tables written and refused, coalescing depth,
 eviction traffic (with the spills that froze a program and the deltas
 rehydrations replayed), and latency percentiles of analyzes, spills and
@@ -176,7 +176,7 @@ class ServiceMetrics:
             "rehydration_state_misses": 0, "rebuilds": 0,
             "spill_freezes": 0, "replayed_deltas": 0,
             "checks": 0, "check_findings": 0,
-            "analyzes_arena": 0, "analyzes_object": 0, "thaws": 0,
+            "thaws": 0,
             "stored_tables_written": 0, "stored_table_refusals": 0,
         }
         self.modes: Dict[str, int] = {mode: 0 for mode in ANALYZE_MODES}
@@ -197,12 +197,9 @@ class ServiceMetrics:
             self._latencies[kind].append(seconds)
 
     def record_analyze(self, *, mode: str, steps_paid: int,
-                       coalesced: int, latency_seconds: float,
-                       kernel: Optional[str] = None) -> None:
+                       coalesced: int, latency_seconds: float) -> None:
         with self._lock:
             self.counts["analyzes"] += 1
-            if kernel is not None:
-                self.counts[f"analyzes_{kernel}"] += 1
             self.modes[mode] = self.modes.get(mode, 0) + 1
             if mode == "warm":
                 self.warm_steps_paid += steps_paid
@@ -249,7 +246,6 @@ class _AnalyzerSlot:
     state: Optional[object]         # ArenaSolverState, None for CHA/RTA
     payload: Optional[dict]         # AnalysisReport.to_dict() of the solve
     generation: int                 # session generation the slot solved
-    kernel: Optional[str] = None    # the kernel that ran (arena), or None
 
 
 @dataclass(frozen=True)
@@ -357,6 +353,10 @@ class SessionManager:
         self._snapshots = SnapshotStore(self.spill_dir / "snapshots")
         #: The stored fixpoints of shared base blobs, by BaseFixpointSpec.
         self._fixpoints = SnapshotStore(self.spill_dir / "fixpoints")
+        # A spill directory reused across code versions keeps the older
+        # versions' blobs and tables, which no lookup here can hit.
+        for store in (self._programs, self._snapshots, self._fixpoints):
+            store.gc()
         self._lock = threading.Lock()
         self._sessions: Dict[str, ManagedSession] = {}
         self.metrics = ServiceMetrics()
@@ -614,7 +614,6 @@ class SessionManager:
                 mode, steps_paid, payload = self._solve(
                     managed, session, analyzer, key, slot, options,
                     fallback_reasons)
-            kernel = managed.slots[key].kernel
             audit_block = None
             if audit:
                 audit_block = self._audit_slot(managed, session, key)
@@ -623,14 +622,13 @@ class SessionManager:
         latency = time.perf_counter() - started
         self.metrics.record_analyze(mode=mode, steps_paid=steps_paid,
                                     coalesced=coalesced,
-                                    latency_seconds=latency, kernel=kernel)
+                                    latency_seconds=latency)
         self._maybe_evict(exclude=name)
         response = {
             "session": name,
             "analysis": analyzer.name,
             "generation": generation,
             "mode": mode,
-            "kernel": kernel,
             "steps_paid": steps_paid,
             "coalesced_updates": coalesced,
             "fallback_reasons": fallback_reasons,
@@ -780,7 +778,7 @@ class SessionManager:
             report = session.run(analyzer.name, resume=resume_state, **options)
         else:
             report = session.run(analyzer.name, **options)
-        state = getattr(report.raw, "resumable_state", None)
+        state = getattr(report.raw, "arena_state", None)
         total = report.solver_steps or 0
         if resume_state is not None and state is resume_state:
             mode, steps_paid = resumed_mode, total - before
@@ -793,8 +791,7 @@ class SessionManager:
         payload = report.to_dict()
         managed.slots[key] = _AnalyzerSlot(
             key=key, analysis=analyzer.name, options=dict(options),
-            state=state, payload=payload, generation=session.generation,
-            kernel=getattr(report.raw, "kernel_ran", None))
+            state=state, payload=payload, generation=session.generation)
         return mode, steps_paid, payload
 
     def _stored_fixpoint(self, managed: ManagedSession,
@@ -1046,8 +1043,7 @@ class SessionManager:
             slots[record.key] = _AnalyzerSlot(
                 key=record.key, analysis=record.analysis,
                 options=dict(record.options), state=state,
-                payload=record.payload, generation=record.generation,
-                kernel="arena" if record.config is not None else None)
+                payload=record.payload, generation=record.generation)
         managed.session = session
         managed.slots = slots
         managed.evicted = None

@@ -1,12 +1,15 @@
 """Removed kernel and policy names are rejected at every input surface.
 
-The ``kernel`` choice (the program and the solve now pick the kernel), the
+The ``kernel`` choice (one kernel runs every solve), the
 parallel kernel's ``partitions`` worker count, the ``scheduling`` choice
-(both kernels drain the worklist oldest-first) with every scheduling name,
+(the kernel drains the worklist oldest-first) with every scheduling name,
 the bundled ``policy`` option, and the ``declared-type`` and
 ``closed-world`` saturation sentinels no longer exist.  Each name must fail
 loudly wherever a user can write it down — the config, the CLI, and the
-daemon's wire — instead of being ignored or crashing the server.
+daemon's wire — instead of being ignored or crashing the server.  The
+object solver went with its names: ``SkipFlowSolver``, ``ObjectSink`` and
+the ``FlowSink`` protocol, ``SolverState.fork``, a ``SolverState`` offered
+for resumption, ``kernel_ran`` and the wire's ``kernel`` fields.
 """
 
 import dataclasses
@@ -146,7 +149,8 @@ def test_policy_option_is_rejected_by_the_session():
         session.compare(["pta", "skipflow"], policy=("fifo", "off", None))
 
 
-@pytest.mark.parametrize("module", ["repro.core.kernel.scheduling",
+@pytest.mark.parametrize("module", ["repro.core.solver",
+                                    "repro.core.kernel.scheduling",
                                     "repro.core.kernel.policy",
                                     "repro.reporting.saturation"])
 def test_removed_module_is_gone(module):
@@ -185,6 +189,12 @@ REMOVED_ATTRIBUTES = [
     ("repro.core.kernel.saturation", "AllocatedTypeSaturation.collapse"),
     ("repro.core.kernel.saturation", "AllocatedTypeSaturation.sentinel_for"),
     ("repro.core.kernel.arena_kernel", "ArenaKernelSolver._sentinel_for"),
+    ("repro.core.pvpg_builder", "ObjectSink"),
+    ("repro.core.pvpg_builder", "FlowSink"),
+    ("repro.core.state", "SolverState.fork"),
+    ("repro.core.state", "SolverState.empty"),
+    ("repro.core.state", "SolverState.is_fresh"),
+    ("repro.core.results", "AnalysisResult.resumable_state"),
 ]
 
 
@@ -199,6 +209,8 @@ def test_removed_python_name_is_gone(module, name):
 
 
 @pytest.mark.parametrize("module, name", [
+    ("repro.core", "SkipFlowSolver"),
+    ("repro.core", "ObjectSink"),
     ("repro.core", "SolverPolicy"),
     ("repro.core", "DEFAULT_POLICY"),
     ("repro.core", "available_scheduling_policies"),
@@ -224,5 +236,29 @@ def test_results_and_configs_carry_no_kernel_choice():
     assert "kernel" not in config_fields
     assert "scheduling" not in config_fields
     result_fields = {field.name for field in dataclasses.fields(AnalysisResult)}
-    assert "kernel_ran" in result_fields
+    assert "kernel_ran" not in result_fields
     assert "fallback" not in result_fields
+
+
+def test_an_object_solver_state_is_not_a_resume_source():
+    """Only the arena kernel's tables resume: the inflated object-graph
+    state is a view, refused by the session and by the analysis."""
+    session = AnalysisSession.from_source(SOURCE)
+    report = session.run("skipflow")
+    inflated = report.raw.solver_state
+    with pytest.raises(TypeError, match="resume must be"):
+        session.run("skipflow", resume=inflated)
+    with pytest.raises(SolverStateError, match="only an arena solver"):
+        SkipFlowAnalysis(session.program, state=inflated).run()
+
+
+def test_the_wire_names_no_kernel():
+    """``/v1/analyze`` carries no ``kernel`` and ``/v1/metrics`` no
+    per-kernel analyze counts: one kernel runs every request."""
+    with serving() as server:
+        client = ServiceClient.for_address(*server.server_address)
+        client.open("app", source=SOURCE)
+        response = client.analyze("app", "skipflow")
+        metrics = client.metrics()
+    assert "kernel" not in response
+    assert not {"analyzes_arena", "analyzes_object"} & set(metrics["requests"])

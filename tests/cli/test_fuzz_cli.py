@@ -1,9 +1,8 @@
-"""``repro fuzz``: every campaign cross-checks the object and arena kernels.
+"""``repro fuzz``: every campaign checks the arena kernel against the reference.
 
-No flag turns the cross-check on: each combo of each case also runs cold
-on the case's attached freeze, so a campaign solves on the arena kernel
-every time, and an arena kernel that drifts from the object kernel fails
-the campaign with a recorded ``kernel-divergence``.
+No flag turns the check on: each combo of each case compares the kernel's
+fixpoint with the reference solver's, so an arena kernel that drifts from
+the rules fails the campaign with a recorded ``kernel-divergence``.
 """
 
 import json

@@ -134,9 +134,6 @@ def _walked_image_report(program: Program, config, benchmark_name: str = "progra
                        result, dead_code))
 
 
-walked_image_report_of = _walked_image_report
-
-
 @pytest.fixture
 def walked_image_report():
     """:func:`_walked_image_report`: an image report from the PVPG walks."""

@@ -239,12 +239,12 @@ def test_a_resume_after_a_new_subclass_re_resolves_old_types(config,
     lowered = SkipFlowAnalysis(plain, config, state=lowered.arena_state).run()
     del resolved[:]
     arenas = SkipFlowAnalysis(attached, config, state=state).run()
+    draws = {receiver for receiver, method in resolved if method == "draw"}
     assert arenas.arena_state is state
     assert not reference_divergences(arenas)
     assert _answers(arenas) == _answers(lowered)
     assert "Star.draw" in arenas.reachable_methods
-    assert {"Circle", "Shape", "Star"} <= {
-        receiver for receiver, method in resolved if method == "draw"}
+    assert {"Circle", "Shape", "Star"} <= draws
     cold = SkipFlowAnalysis(plain, config).run()
     assert _answers(arenas)[2] == _answers(cold)[2]
 

@@ -27,7 +27,7 @@ from repro.workloads.suites import (
     suite_by_name,
     wide_hierarchy_suite,
 )
-from tests.conftest import reference_divergences, walked_image_report_of
+from tests.conftest import reference_divergences
 
 
 def _workload(suite, name):
@@ -183,10 +183,10 @@ class TestReferenceGrid:
 
 class TestImageFastPath:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    def test_image_reports_identical(self, workload):
+    def test_image_reports_identical(self, workload, walked_image_report):
         """The table-read image counters equal the PVPG-walking ones."""
         config = AnalysisConfig.skipflow()
-        walked = walked_image_report_of(_program(workload), config, workload)
+        walked = walked_image_report(_program(workload), config, workload)
         arena = NativeImageBuilder(
             _attached(workload), config, benchmark_name=workload).build()
         assert (replace(arena.metrics, analysis_time_seconds=0.0)

@@ -356,3 +356,33 @@ class TestMetrics:
             snapshot["analyze_latency_ms"]["p50"] >= 0
         assert snapshot["sessions"] == {
             "live": 1, "evicted": 0, "max_live": 4}
+
+
+class TestSpillDirectoryCollection:
+    """A reused spill directory drops other code versions' files at start."""
+
+    STORES = {"programs": (".arena", ".pickle"), "snapshots": (".state",),
+              "fixpoints": (".state",)}
+
+    def test_other_versions_are_collected_and_this_one_kept(self, tmp_path):
+        from repro.engine.cache import compute_code_version
+
+        current = compute_code_version()
+        spill = tmp_path / "spill"
+        stale, kept = [], []
+        for directory, suffixes in self.STORES.items():
+            (spill / directory).mkdir(parents=True)
+            for suffix in suffixes:
+                for name in (f"0ld{current[:6]}-key{suffix}",
+                             f"0ld{current[:6]}-key{suffix}.tmp1-2"):
+                    stale.append(spill / directory / name)
+                kept.append(spill / directory / f"{current}-key{suffix}")
+            kept.append(spill / directory / "notes.txt")
+        for path in stale + kept:
+            path.write_bytes(b"x")
+
+        manager = SessionManager(spill_dir=spill)
+        assert [path for path in stale if path.exists()] == []
+        assert all(path.exists() for path in kept)
+        manager.open("s", source=SOURCE_V1)
+        assert manager.analyze("s", "skipflow")["mode"] == "cold"
