@@ -308,9 +308,11 @@ def _image_phase() -> list:
     SkipFlow build of one freshly generated program: anything but one call
     means the per-program memo missed.  The reports, which the builder
     reads from the kernel's tables, are checked against the PVPG walks
-    (``walked_reports``) of the same solve.
+    (``collect_metrics``, ``eliminate_dead_code``) of the same solve.
     """
-    from repro.image.builder import NativeImageBuilder, walked_reports
+    from repro.image.builder import NativeImageBuilder
+    from repro.image.dce import eliminate_dead_code
+    from repro.image.metrics import collect_metrics
     from repro.ir.arena import lowering
 
     failures = []
@@ -329,7 +331,8 @@ def _image_phase() -> list:
             builder = NativeImageBuilder(program, config,
                                          benchmark_name=spec.name)
             report = builder.build()
-            walked, dead_code = walked_reports(report.result)
+            walked = collect_metrics(report.result)
+            dead_code = eliminate_dead_code(report.result)
             if (report.metrics.reachable_methods, report.metrics.counters,
                     report.binary_size_bytes) != (
                     walked.reachable_methods, walked.counters,

@@ -29,6 +29,9 @@ _EMPTY = ValueState.empty()
 _INT_ONE = ValueState.of_int(1)
 _ANY = ValueState.any_primitive()
 _FILTERS = (schema.K_FILTER_TYPE, schema.K_FILTER_COMPARE)
+_LINKING = frozenset((schema.K_PARAMETER, schema.K_FIELD, schema.K_INVOKE,
+                      schema.K_LOAD_FIELD, schema.K_STORE_FIELD))
+_LISTED_FLOWS = 5  # per-flow differences a divergence report lists
 
 
 def conservative_state(hierarchy: TypeHierarchy,
@@ -98,10 +101,8 @@ class ReferenceFixpoint:
         for source in range(count):
             for target in _row(arena.use_ptr, arena.use_val, source):
                 self.uses_in[target].append(source)
-        self.param_index = {
-            fid: index for mid in range(arena.num_methods) for index, fid
-            in enumerate(_row(arena.method_param_ptr, arena.method_param_val,
-                              mid))}
+        self.param_index = {fid: index for mid in range(arena.num_methods) for index, fid
+                            in enumerate(_row(arena.method_param_ptr, arena.method_param_val, mid))}
         self.root_mids = {arena.mid_of(root) for root in roots} - {None}
         self.states, self.enabled = [_EMPTY] * count, bytearray(count)
         self.saturated = bytearray(count)
@@ -120,6 +121,8 @@ class ReferenceFixpoint:
         self.writers: Dict[int, Set[int]] = {}
         self.resolved: Dict[tuple, Optional[MethodSignature]] = {}
         self.threshold = config.saturation_threshold
+        #: What enabling each flow joins into its state.
+        self.grants = [self._granted(fid, kind) for fid, kind in enumerate(arena.flow_kind)]
         self.reachable_origins = (
             config.saturation_policy == "allocated-type-reachable")
         self.sentinel = _EMPTY
@@ -220,10 +223,8 @@ class ReferenceFixpoint:
     def _visit(self, fid: int) -> bool:
         """Recompute one live flow from the current states; ``True`` when
         its enabled bit, links, state or saturation bit changed."""
-        arena, hierarchy = self.arena, self.hierarchy
-        states, enabled, saturated = self.states, self.enabled, self.saturated
+        arena, states, enabled = self.arena, self.states, self.enabled
         kind = arena.flow_kind[fid]
-        mid = arena.flow_method[fid]
         changed = False
         if not enabled[fid] and (not self.config.use_predicates or any(
                 enabled[p] and not states[p].is_empty
@@ -232,6 +233,33 @@ class ReferenceFixpoint:
             changed = True
         sources = [source for source in self.uses_in[fid] if enabled[source]]
         injected = _EMPTY
+        if kind in _LINKING:
+            injected, relinked = self._link(fid, kind, sources)
+            changed = relinked or changed
+        state = _join_all([states[source] for source in sources]).join(injected)
+        if kind in _FILTERS:
+            state = self._transfer(fid, kind, state)
+        if enabled[fid]:
+            state = state.join(self.grants[fid])
+        saturated = self.saturated
+        if self.threshold is not None and (
+                saturated[fid] or len(state.reference_types) > self.threshold):
+            changed = changed or not saturated[fid]
+            saturated[fid] = 1
+            state = state.join(self.sentinel)
+        # Joins return their left operand when they add nothing.
+        state = states[fid].join(state)
+        if state is not states[fid]:
+            states[fid] = state
+            changed = True
+        return changed
+
+    def _link(self, fid: int, kind: int, sources: List[int]):
+        """Add a flow's inputs through links (calls, field accesses) to
+        ``sources``; return what it injects and whether its links changed."""
+        arena, hierarchy = self.arena, self.hierarchy
+        enabled, mid = self.enabled, arena.flow_method[fid]
+        injected, changed = _EMPTY, False
         if kind == schema.K_PARAMETER:
             index = self.param_index[fid]
             for caller in self.callers.get(mid, ()):
@@ -245,7 +273,7 @@ class ReferenceFixpoint:
                     arena.method_signature(mid),
                     arena.opt_string(arena.flow_aux2[fid]),
                     arena.flow_aux1[fid]))
-        elif kind == schema.K_FIELD:
+        elif kind == schema.K_FIELD:  # its ``writers`` are enabled stores
             sources.extend(self.writers.get(fid, ()))
         elif kind == schema.K_INVOKE and enabled[fid]:
             linked = self._callees(fid)
@@ -265,7 +293,7 @@ class ReferenceFixpoint:
                 self.callers.setdefault(callee, set()).add(fid)
                 sources.extend(ret for ret in _row(
                     arena.method_ret_ptr, arena.method_ret_val, callee) if enabled[ret])
-        elif enabled[fid] and kind in (schema.K_LOAD_FIELD, schema.K_STORE_FIELD):
+        elif enabled[fid] and kind != schema.K_INVOKE:
             fields = self._fields(fid)
             if set(fields) != set(self.fields.get(fid, ())):
                 self.fields[fid] = fields
@@ -274,23 +302,7 @@ class ReferenceFixpoint:
                 sources.extend(fields)
             for field in fields if kind == schema.K_STORE_FIELD else ():
                 self.writers.setdefault(field, set()).add(fid)
-        # Field flows, and the stores in ``writers``, are always enabled.
-        state = _join_all([states[source] for source in sources] + [injected])
-        if kind in _FILTERS:
-            state = self._transfer(fid, kind, state)
-        if enabled[fid]:
-            state = state.join(self._granted(fid, kind))
-        if self.threshold is not None and (
-                saturated[fid] or len(state.reference_types) > self.threshold):
-            changed = changed or not saturated[fid]
-            saturated[fid] = 1
-            state = state.join(self.sentinel)
-        # Joins return their left operand when they add nothing.
-        state = states[fid].join(state)
-        if state is not states[fid]:
-            states[fid] = state
-            changed = True
-        return changed
+        return injected, changed
 
     def _pass(self, mid: int) -> bool:
         """Visit the field flows a method links, then its flows, once."""
@@ -321,12 +333,11 @@ class ReferenceFixpoint:
 
     def _solve(self) -> None:
         """Rounds until one changes nothing: the field flows, then every
-        reachable method settled in id order; after a round that changed
-        something, once more in reverse (arguments flow down a call graph,
-        returns up).  The order only decides how many rounds it takes, not
-        the fixpoint."""
+        reachable method settled, in id order and in reverse by turns
+        (arguments flow down a call graph, returns up).  The order only
+        decides how many rounds it takes, not the fixpoint."""
         arena = self.arena
-        methods = range(arena.num_methods)
+        order = range(arena.num_methods)
         while True:
             if self.threshold is not None and self.reachable_origins:
                 self.sentinel = self.sentinel.join(self._sentinel(
@@ -337,33 +348,22 @@ class ReferenceFixpoint:
                         and arena.mid_of(name) is None]))
             changed = any([self._visit(fid)
                            for fid in arena.field_flow_ids()])
-            changed = any([self._settle(mid) for mid in methods
+            changed = any([self._settle(mid) for mid in order
                            if mid in self.reachable]) or changed
             if not changed:
                 return
-            for mid in reversed(methods):
-                if mid in self.reachable:
-                    self._settle(mid)
-
-
-def reference_fixpoint(program: ArenaProgram, config,
-                       roots: Optional[Iterable[str]] = None
-                       ) -> ReferenceFixpoint:
-    """Solve ``program`` under ``config`` from ``roots`` (default: its
-    entry points)."""
-    return ReferenceFixpoint(program, config, program.entry_points
-                             if roots is None else roots)
+            order = order[::-1]
 
 
 def fixpoint_divergences(program: ArenaProgram, state,
-                         roots: Optional[Iterable[str]] = None,
-                         limit: int = 5) -> List[str]:
+                         roots: Optional[Iterable[str]] = None) -> List[str]:
     """How an arena kernel ``state`` over ``program`` differs from the
     reference's fixpoint of the same program, config and ``roots``: empty
     when reachable and stub methods, every invoke flow's callees and every
     flow's value state, enabled and saturation bits agree.  At most
-    ``limit`` per-flow differences are listed."""
-    expected = reference_fixpoint(program, state.config, roots)
+    ``_LISTED_FLOWS`` per-flow differences are listed."""
+    expected = ReferenceFixpoint(program, state.config, program.entry_points
+                                 if roots is None else roots)
     arena = program.arena
     reachable = {arena.qualified_name(mid) for mid in expected.reachable}
     found = [f"{what} differ: kernel-only {sorted(got - want)[:3]}, "
@@ -390,9 +390,9 @@ def fixpoint_divergences(program: ArenaProgram, state,
                 + "; ".join(parts))
     if flows:
         found.append(f"{len(flows)} flows differ")
-        found.extend(flows[:limit])
+        found.extend(flows[:_LISTED_FLOWS])
     return found
 
 
 __all__ = ["ReferenceFixpoint", "conservative_state", "declared_parameter_type",
-           "fixpoint_divergences", "reference_fixpoint", "stub_effect"]
+           "fixpoint_divergences", "stub_effect"]

@@ -120,26 +120,25 @@ class AnalysisResult:
     stub_methods: Set[str]
     analysis_time_seconds: float
     steps: int
+    #: The arena kernel solver that produced this result: it answers the
+    #: report queries from its own tables (the call graph, value states,
+    #: ``image_counters`` / ``dead_code_rows``).
+    kernel_backend: ArenaKernelSolver
     stats: Optional[SolverStats] = None
     #: The fixpoint as an object-graph :class:`~repro.core.state.
     #: SolverState`, inflated from the kernel's tables; ``pvpg`` above is
     #: this state's graph.  The scalar fields of this result — counts,
     #: sets, stats — are copies taken at solve time and stay put.
     solver_state: Optional[object] = None
-    #: The arena kernel solver that produced this result: it answers the
-    #: report queries from its own tables (the call graph, value states,
-    #: ``image_counters`` / ``dead_code_rows``).
-    kernel_backend: Optional[ArenaKernelSolver] = None
 
     @property
-    def arena_state(self) -> Optional[ArenaSolverState]:
+    def arena_state(self) -> ArenaSolverState:
         """The arena kernel's tables behind this result.
 
         What a warm resume continues without inflating anything; resuming
         it mutates it in place.
         """
-        backend = self.kernel_backend
-        return backend.arena_state if backend is not None else None
+        return self.kernel_backend.arena_state
 
     # ------------------------------------------------------------------ #
     # Reachability

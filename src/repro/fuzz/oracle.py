@@ -391,16 +391,13 @@ def check_case(script: EditScriptSpec, *,
                             f"the attached arena's resume diverged from the "
                             f"program lowering's: {twin_warm.solver_stats} "
                             f"vs {warm.solver_stats}"))
-                if count == len(script.steps) > 0:
-                    report.violations.extend(_check_reference(
-                        warm.raw.arena_state,
-                        lowered_program(session.program),
-                        session.program.entry_points, f"{label} warm",
-                        count))
-                    report.violations.extend(_check_audits(
-                        warm.raw.arena_state, session.program,
-                        f"{label} warm", count,
-                        warm_barrier=session.warm_barrier))
+                report.violations.extend(_check_reference(
+                    warm.raw.arena_state, lowered_program(session.program),
+                    session.program.entry_points, f"{label} warm", count))
+                report.violations.extend(_check_audits(
+                    warm.raw.arena_state, session.program,
+                    f"{label} warm", count,
+                    warm_barrier=session.warm_barrier))
                 for chain, result in ((label, warm), (alabel, twin_warm)):
                     report.violations.extend(_warm_cold_mismatches(
                         chain, count, _canonical_outputs(result),

@@ -15,8 +15,12 @@ from typing import Iterable, Optional, Union
 from repro.core.analysis import AnalysisConfig, SkipFlowAnalysis
 from repro.core.results import AnalysisResult
 from repro.image.binary import BinarySizeModel
-from repro.image.dce import DeadCodeReport, MethodDeadCode, eliminate_dead_code
-from repro.image.metrics import CounterMetrics, ImageMetrics, collect_metrics
+from repro.image.dce import DeadCodeReport, MethodDeadCode
+from repro.image.metrics import CounterMetrics, ImageMetrics
+# Not called here (the report reads the kernel's tables), but importable
+# from this module: the e2ebench span probes patch these two names.
+from repro.image.dce import eliminate_dead_code  # noqa: F401
+from repro.image.metrics import collect_metrics  # noqa: F401
 from repro.image.reflection import ReflectionConfig
 from repro.ir.arena import lowered_program
 from repro.ir.program import Program
@@ -63,16 +67,6 @@ def _config_from_analyzer_name(name: str) -> AnalysisConfig:
     from repro.api.registry import require_config_analyzer
 
     return require_config_analyzer(name, purpose="the image builder").config()
-
-
-def walked_reports(result: AnalysisResult) -> tuple[ImageMetrics, DeadCodeReport]:
-    """Metrics and DCE from walks of the inflated PVPG.
-
-    What :meth:`NativeImageBuilder.report` reads from the kernel's tables,
-    computed the slow way (:func:`collect_metrics`,
-    :func:`eliminate_dead_code`), for checks of the table fast path.
-    """
-    return collect_metrics(result), eliminate_dead_code(result)
 
 
 def _kernel_reports(result: AnalysisResult) -> tuple[ImageMetrics, DeadCodeReport]:

@@ -116,18 +116,20 @@ def _walked_image_report(program: Program, config, benchmark_name: str = "progra
 
     ``NativeImageBuilder`` reads the Section 6 counters and the dead-code
     rows from the arena kernel's tables; this report walks the inflated
-    PVPG instead (``walked_reports``), so comparing the two keeps the
-    table fast path honest.
+    PVPG instead (``collect_metrics``, ``eliminate_dead_code``), so
+    comparing the two keeps the table fast path honest.
     """
     from dataclasses import replace
 
     from repro.core.analysis import SkipFlowAnalysis
-    from repro.image.builder import NativeImageBuilder, walked_reports
+    from repro.image.builder import NativeImageBuilder
+    from repro.image.dce import eliminate_dead_code
+    from repro.image.metrics import collect_metrics
 
     result = SkipFlowAnalysis(program, config).run()
     builder = NativeImageBuilder(program, config,
                                  benchmark_name=benchmark_name)
-    metrics, dead_code = walked_reports(result)
+    metrics, dead_code = collect_metrics(result), eliminate_dead_code(result)
     return replace(builder.report(result), metrics=metrics,
                    dead_code=dead_code,
                    binary_size_bytes=builder.size_model.estimate(
