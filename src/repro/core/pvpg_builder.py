@@ -177,7 +177,8 @@ class PVPGBuilder:
         elif isinstance(statement, Invoke):
             self._process_invoke(statement, state)
         else:
-            raise PVPGBuildError(f"unsupported statement {statement!r}")
+            raise PVPGBuildError(
+                f"unsupported statement {statement!r} in {self._qualified}")
 
     def _process_invoke(self, invoke: Invoke, state: _BlockState) -> None:
         sink = self.sink
@@ -216,7 +217,8 @@ class PVPGBuilder:
             raise PVPGBuildError(
                 f"block {block.name!r} in {self._qualified} is not terminated")
         else:
-            raise PVPGBuildError(f"unsupported block end {end!r}")
+            raise PVPGBuildError(
+                f"unsupported block end {end!r} in {self._qualified}")
 
     # ------------------------------------------------------------------ #
     # Control-flow transfer: jumps (propagate) and ifs (initBlock)
@@ -259,7 +261,8 @@ class PVPGBuilder:
             return self._init_unary(state, condition, target_state)
         if isinstance(condition, Condition):
             return self._init_binary(state, condition, target_state)
-        raise PVPGBuildError(f"unsupported condition {condition!r}")
+        raise PVPGBuildError(
+            f"unsupported condition {condition!r} in {self._qualified}")
 
     def _init_unary(self, state: _BlockState, condition: InstanceOfCondition,
                     target_state: _BlockState) -> Handle:

@@ -101,6 +101,42 @@ def build_virtual_threads_program(use_virtual_threads: bool = False) -> Program:
     return pb.build()
 
 
+def build_no_phi_merge_program() -> Program:
+    """A merge with no explicit phis and four predecessors.
+
+    Every predecessor redefines ``x`` or the constants through branch
+    filters.  In reverse postorder the ``split`` side reaches the merge
+    first, so its collision creates a phi flow lazily; then ``s2`` and
+    ``s1`` both join the same ``x`` flow into that existing lazy phi, the
+    second time as a duplicate use edge.
+    """
+    pb = ProgramBuilder()
+    pb.declare_class("Main")
+    mb = pb.method("Main", "pick", params=["int"], return_type="int",
+                   is_static=True, param_names=["x"])
+    x = mb.param(0)
+    a = mb.assign_int(1)
+    mb.if_lt(x, a, "same", "split")
+    mb.label("same")
+    b = mb.assign_int(2)
+    mb.if_eq(a, b, "s1", "s2")
+    mb.label("s1")
+    mb.jump("done")
+    mb.label("s2")
+    mb.jump("done")
+    mb.label("split")
+    mb.if_eq(x, a, "eq", "ne")
+    mb.label("eq")
+    mb.jump("done")
+    mb.label("ne")
+    mb.jump("done")
+    mb.merge("done")
+    mb.return_(x)
+    pb.finish_method(mb)
+    pb.program.add_entry_point("Main.pick")
+    return pb.program
+
+
 @pytest.fixture
 def virtual_threads_program() -> Program:
     return build_virtual_threads_program(use_virtual_threads=False)

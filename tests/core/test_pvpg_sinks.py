@@ -15,11 +15,13 @@ import pytest
 
 from repro.fuzz.generator import generate_cases
 from repro.ir.arena import freeze, open_program, schema
-from repro.ir.builder import ProgramBuilder
 from repro.ir.instructions import If, Invoke, Return
 from repro.workloads.edits import build_edit_delta
 from repro.workloads.generator import generate_benchmark
-from tests.conftest import build_virtual_threads_program
+from tests.conftest import (
+    build_no_phi_merge_program,
+    build_virtual_threads_program,
+)
 
 _CASES = generate_cases(seed=11, count=6)
 
@@ -33,47 +35,11 @@ def _fuzz_program(index: int, edited: bool):
     return program
 
 
-def _no_phi_program():
-    """A merge with no explicit phis and four predecessors.
-
-    Every predecessor redefines ``x`` or the constants through branch
-    filters.  In reverse postorder the ``split`` side reaches the merge
-    first, so its collision creates a phi flow lazily; then ``s2`` and
-    ``s1`` both join the same ``x`` flow into that existing lazy phi, the
-    second time as a duplicate use edge.
-    """
-    pb = ProgramBuilder()
-    pb.declare_class("Main")
-    mb = pb.method("Main", "pick", params=["int"], return_type="int",
-                   is_static=True, param_names=["x"])
-    x = mb.param(0)
-    a = mb.assign_int(1)
-    mb.if_lt(x, a, "same", "split")
-    mb.label("same")
-    b = mb.assign_int(2)
-    mb.if_eq(a, b, "s1", "s2")
-    mb.label("s1")
-    mb.jump("done")
-    mb.label("s2")
-    mb.jump("done")
-    mb.label("split")
-    mb.if_eq(x, a, "eq", "ne")
-    mb.label("eq")
-    mb.jump("done")
-    mb.label("ne")
-    mb.jump("done")
-    mb.merge("done")
-    mb.return_(x)
-    pb.finish_method(mb)
-    pb.program.add_entry_point("Main.pick")
-    return pb.program
-
-
 PROGRAMS = {
     **{f"fuzz{i}": (lambda i=i: _fuzz_program(i, False)) for i in range(len(_CASES))},
     **{f"fuzz{i}-edited": (lambda i=i: _fuzz_program(i, True)) for i in range(2)},
     "virtual-threads": build_virtual_threads_program,
-    "no-phi-merge": _no_phi_program,
+    "no-phi-merge": build_no_phi_merge_program,
 }
 
 
@@ -157,7 +123,7 @@ def _method_flows(arena, mid):
 
 def test_no_phi_merge_takes_the_lazy_phi_paths():
     """The hand-written method really exercises collisions and dedup."""
-    program = _no_phi_program()
+    program = build_no_phi_merge_program()
     arena = open_program(freeze(program)).arena
     flows = _method_flows(arena, 0)
     lazy = {arena.string(arena.flow_label[fid]): fid for fid in flows

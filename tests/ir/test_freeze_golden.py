@@ -6,7 +6,12 @@ the ``matrix-store`` benchmark fills its store with) and for every program
 a ``tests/fuzz/corpus`` script passes through: its base program and the
 program after each of its edits.  A changed digest means the arena buffer
 changed, which the program store, the arena kernel and daemon
-spill/rehydrate all read, so any change must be deliberate.  ``freeze`` is
+spill/rehydrate all read, so any change must be deliberate.  A few
+programs pin IR shapes the generated ones lack: ``examples/app.java``
+compiled by :mod:`repro.lang` (the frontend's explicit phis) and the
+hand-written programs of ``tests/conftest.py`` (the virtual-thread
+example, and a merge without explicit phis that takes the lazy-phi
+paths).  ``freeze`` is
 ``serialize(lower(program))``; every golden program also pins that identity
 and that the in-memory columns of ``lower`` equal an attached freeze's.
 
@@ -43,16 +48,25 @@ from typing import Callable, Dict, Iterator, Tuple
 
 import pytest
 
+if __name__ == "__main__":  # run as a script: make ``tests`` importable
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+
 from repro.fuzz.reprofile import load_repro
 from repro.ir import values
 from repro.ir.arena import ProgramArena, freeze, lower, serialize
 from repro.ir.program import Program
+from repro.lang import compile_source
 from repro.workloads.edits import build_edit_delta
 from repro.workloads.generator import generate_benchmark
 from repro.workloads.suites import all_suites, wide_hierarchy_suite
+from tests.conftest import (
+    build_no_phi_merge_program,
+    build_virtual_threads_program,
+)
 
 GOLDEN_PATH = Path(__file__).with_name("freeze_golden.json")
 CORPUS_DIR = Path(__file__).parent.parent / "fuzz" / "corpus"
+APP_JAVA = Path(__file__).parents[2] / "examples" / "app.java"
 SCALE = 0.5
 
 
@@ -78,6 +92,12 @@ def golden_programs() -> Iterator[Tuple[str, Callable[[], Program]]]:
         for steps in range(len(script.steps) + 1):
             yield f"corpus/{path.stem}@{steps}", (
                 lambda path=path, steps=steps: _corpus_program(path, steps))
+    yield "lang/examples-app", (
+        lambda: compile_source(APP_JAVA.read_text()))
+    yield "ir/virtual-threads", build_virtual_threads_program
+    yield "ir/virtual-threads-used", (
+        lambda: build_virtual_threads_program(use_virtual_threads=True))
+    yield "ir/no-phi-merge", build_no_phi_merge_program
 
 
 def freeze_digest(program: Program) -> str:
