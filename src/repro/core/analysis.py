@@ -238,15 +238,19 @@ class SkipFlowAnalysis:
         monotone delta, so a state solved over it resumes) — cold, or
         resuming an :class:`~repro.core.kernel.arena_kernel.
         ArenaSolverState`.  A state of any other kind is refused.
+
+        The seconds are the solve's only: the lowering is memoized and
+        shared by every config, so the first config would otherwise be
+        charged for all of them.
         """
-        started = time.perf_counter()
         state = self.state
         if state is not None and not isinstance(state, ArenaSolverState):
             raise SolverStateError(
                 f"cannot resume: only an arena solver state resumes, not a "
                 f"{type(state).__name__}")
-        solver = ArenaKernelSolver(lowered_program(self.program),
-                                   self.config, state)
+        program = lowered_program(self.program)
+        started = time.perf_counter()
+        solver = ArenaKernelSolver(program, self.config, state)
         solver.solve(roots)
         return solver, time.perf_counter() - started
 

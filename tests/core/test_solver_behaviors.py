@@ -1,8 +1,11 @@
 """Unit tests for the solver: fields, invokes, phis, predicates, stubs, loops."""
 
+import time
+
 import pytest
 
 from repro import AnalysisConfig, SkipFlowAnalysis
+from repro.ir.arena import lowering
 from repro.ir.builder import ProgramBuilder
 from repro.lattice.value_state import ValueState
 
@@ -375,3 +378,22 @@ class TestConfigurations:
         result = analyze(virtual_threads_program)
         assert result.steps > 0
         assert result.analysis_time_seconds >= 0.0
+
+    def test_analysis_time_excludes_the_lowering(self, virtual_threads_program,
+                                                  monkeypatch):
+        """The lowering is memoized: whichever config runs first must not be
+        charged for it (nor any config, for a slow one)."""
+        delay = 0.5
+        real_lower = lowering.lower
+
+        def slow_lower(program):
+            time.sleep(delay)
+            return real_lower(program)
+
+        monkeypatch.setattr(lowering, "lower", slow_lower)
+        started = time.perf_counter()
+        results = [analyze(virtual_threads_program, config) for config in (
+            AnalysisConfig.baseline_pta(), AnalysisConfig.skipflow())]
+        assert time.perf_counter() - started >= delay  # it did lower, slowly
+        for result in results:
+            assert result.analysis_time_seconds < delay, result.config.name
