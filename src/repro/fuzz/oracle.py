@@ -363,16 +363,17 @@ def check_case(script: EditScriptSpec, *,
                 program.entry_points, label, count))
 
     # Warm chains: one session per combination, resumed across every edit,
-    # and an arena-backed twin of it (the base frozen, then attached) that
-    # resumes over the arena each edit extends.
+    # and an arena-backed twin of it (the base frozen once per case, then
+    # attached afresh per combination) that resumes over the arena each
+    # edit extends.
+    base_blob = freeze(generate_benchmark(script.base))
     for saturation in saturations:
         report.combos_checked += 1
         label = f"skipflow[{saturation}@{threshold}]"
         alabel = label[:-1] + "/attached]"
         options = _combo_options(saturation, threshold)
         session = AnalysisSession(generate_benchmark(script.base))
-        twin = AnalysisSession(open_program(freeze(
-            generate_benchmark(script.base))))
+        twin = AnalysisSession(open_program(base_blob))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a fallback is a failure here
             warm = session.run("skipflow", **options)
