@@ -31,7 +31,6 @@ from repro.core.flows import (
 )
 from repro.core.kernel import available_saturation_policies
 from repro.core.pvpg import BranchKind, BranchRecord, MethodPVPG, ProgramPVPG
-from repro.core.pvpg_builder import PVPGBuilder
 from repro.core.results import AnalysisResult, MethodSummary
 from repro.core.state import SnapshotMismatchError, SolverState, SolverStateError
 
@@ -54,7 +53,6 @@ __all__ = [
     "PhiPredFlow",
     "PredOnFlow",
     "ProgramPVPG",
-    "PVPGBuilder",
     "ReturnFlow",
     "SkipFlowAnalysis",
     "SnapshotMismatchError",

@@ -13,19 +13,19 @@ needs no buffer: :func:`lowered_program` hands the analysis a read-only
 per program revision, so a program built under two configs is lowered
 once and solved twice on the arena kernel.
 
-Lowering runs the PVPG builder's one traversal
-(:class:`~repro.core.pvpg_builder.PVPGBuilder`) with a column sink,
-:class:`_ColumnSink`, whose flow handles *are* the integer flow ids, so no
-object flow, object graph or flow-id map exists:
+Each method's PVPG is built by one traversal, the PVPG builder of
+Appendix B.4 (:class:`_PVPGBuilder`), which appends every flow and edge
+to the arena rows itself, so no object flow, object graph or flow-id map
+exists:
 
 * every flow gets a dense integer id (*fid*): fid 0 is ``pred_on``, fids
   ``1..NF`` are the program's declared fields in declaration order, and
-  each method owns the contiguous fid range of its flows in registration
+  each method owns the contiguous fid range of its flows in creation
   order — so "activate a method" becomes "enable an fid range";
 * build-time edges (uses / observers / predicate targets / incoming
-  predicates) become CSR ranges over fids: the sink appends each edge as a
-  (source, target) pair, deduplicated like the object ``add_*`` methods,
-  and a stable sort by row keeps each row in insertion order.  Edges
+  predicates) become CSR ranges over fids: the builder appends each edge
+  as a (source, target) pair, once, and a stable sort by row keeps each
+  row in insertion order.  Edges
   created *during* a solve (field linking, call linking, ``pred_on``
   fan-out to activated methods) are intentionally absent: the kernel adds
   them to dynamic side tables;
@@ -57,19 +57,20 @@ frozen structure config-independent (one arena serves every config).
 
 from __future__ import annotations
 
-import operator
+import itertools
 import pickle
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.pvpg import BranchKind
-from repro.core.pvpg_builder import PVPGBuilder
+from repro.core.pvpg_builder import PVPGBuildError
 from repro.ir.arena import schema
 from repro.ir.arena.layout import BufferWriter
 from repro.ir.arena.program import ArenaProgram, ProgramArena
-from repro.ir.cfg import ControlFlowGraph
+from repro.ir.blocks import BasicBlock
+from repro.ir.cfg import reverse_postorder
 from repro.ir.delta import ProgramFingerprint, class_shape, fingerprint_of
 from repro.ir.instructions import (
     Assign,
@@ -78,6 +79,14 @@ from repro.ir.instructions import (
     If,
     InstanceOfCondition,
     Invoke,
+    Jump,
+    LoadField,
+    Merge,
+    Return,
+    Start,
+    StoreField,
+    flip_compare_op,
+    invert_compare_op,
 )
 from repro.ir.method import Method
 from repro.ir.program import Program
@@ -155,17 +164,50 @@ def _store_pairs(columns: _Columns, ptr_name: str, val_name: str,
     columns[val_name] = list(map(vals.__getitem__, order))
 
 
-#: Columns of one flow row, in the order of :attr:`_ColumnSink.flows`.
+#: Columns of one flow row, in the order of :attr:`_PVPGBuilder.flows`.
 _FLOW_COLUMNS = ("flow_kind", "flow_label", "flow_method", "flow_aux1", "flow_aux2")
 
+_TYPE_CHECK = schema.BRANCH_INDEX[BranchKind.TYPE_CHECK]
+_NULL_CHECK = schema.BRANCH_INDEX[BranchKind.NULL_CHECK]
+_PRIMITIVE_CHECK = schema.BRANCH_INDEX[BranchKind.PRIMITIVE_CHECK]
 
-class _ColumnSink:
-    """The :class:`~repro.core.pvpg_builder.PVPGBuilder`'s sink: arena columns.
 
-    Handles are fids, handed out in registration order after the
-    ``pred_on`` and field rows (:meth:`global_flow`).  Strings are interned
-    label first, then payload, flow by flow.  Columns accumulate in flat
-    lists (cheaper to extend than arrays) and become arrays when serialized.
+class _BlockState:
+    """Traversal state of one block: ``m``, the flow now standing for each
+    SSA name, and ``pred``, the latest predicate flow."""
+
+    __slots__ = ("m", "pred", "merge")
+
+    def __init__(self) -> None:
+        self.m: Dict[str, int] = {}
+        self.pred: Optional[int] = None
+        #: The block's ``merge`` begin, if it has one.
+        self.merge: Optional[Merge] = None
+
+
+class _PVPGBuilder:
+    """Builds each method's PVPG (Appendix B.4) straight into arena rows.
+
+    One sequential pass per method: its blocks in reverse postorder, each
+    block's instructions top to bottom.  Per block it keeps ``m`` and
+    ``pred`` (:class:`_BlockState`): ``pred`` is ``pred_on`` at the start
+    of the entry block, a fresh ``phi_pred`` flow at every merge, the
+    invoke flow after every call, and a condition's filter flows inside
+    the branches of an ``if``.
+
+    Loops rely on the explicit phis of merge blocks (the frontend and the
+    IR builder always emit them).  For hand-written IR without them, the
+    collision rule of the paper's ``propagate`` creates phi flows lazily,
+    which is only sound for acyclic control flow.
+
+    A flow is an fid, handed out in creation order after the ``pred_on``
+    and field rows (:meth:`global_flow`), and a row of :attr:`flows`.
+    Every flow but a ``phi_pred`` gets the predicate edge of the flow
+    guarding it; a ``phi_pred`` gets one from the end of each block that
+    jumps to its merge.  Only edges into phis and phi_preds can repeat, so
+    only they are deduplicated.  Label strings are interned once per
+    distinct name, in the order a per-flow intern would meet them, so the
+    string table is the same as interning every label.
     """
 
     pred_on = 0
@@ -173,7 +215,8 @@ class _ColumnSink:
     def __init__(self, strings: _Strings, base: "_Offsets") -> None:
         self._intern = strings.intern
         self._opt = strings.opt
-        self._next = base.flows
+        self._first_fid = base.flows
+        self._new_fid = itertools.count(base.flows).__next__
         self._method_id = base.methods - 1
         self._first_const = base.consts
         self._first_call_site = base.call_sites
@@ -194,9 +237,6 @@ class _ColumnSink:
         self.method_inv = _Rows()
         self.branch_cols: Dict[str, List[int]] = {
             name: [] for name in ("br_kind", "br_then", "br_else", "br_block")}
-        #: The ``if`` instructions behind the ``branch_cols`` rows.
-        self.branch_ifs: List[If] = []
-        self._const_ids: Dict[ConstantExpr, int] = {}
         self.const_kind: List[int] = []
         self.const_int: List[int] = []
         self.const_type: List[int] = []
@@ -207,47 +247,42 @@ class _ColumnSink:
         self.cs_args = _Rows()
         self.cs_args_type: List[int] = []
         self.inv_args = _Rows()
-        # Edge dedup keys of the current method (build-time edges never
-        # leave a method, apart from pred_on's, whose targets are in it).
-        self._seen_use: Set[int] = set()
-        self._seen_obs: Set[int] = set()
-        self._seen_pred: Set[int] = set()
+        # Label string ids by name; a source's also carry its const row.
+        self._phi_labels: Dict[str, int] = {}
+        self._phi_pred_labels: Dict[str, int] = {}
+        self._param_labels: Dict[str, int] = {}
+        self._load_labels: Dict[str, Tuple[int, int]] = {}
+        self._store_labels: Dict[str, Tuple[int, int]] = {}
+        self._invoke_labels: Dict[str, Tuple[int, int]] = {}
+        self._return_label: Optional[int] = None
+        self._sources: Dict[ConstantExpr, Tuple[int, int, bool]] = {}
+        # An if's filter labels by (value, type, negated) or (left, right, op).
+        self._type_checks: Dict[tuple, Tuple[int, int, int]] = {}
+        self._comparisons: Dict[tuple, list] = {}
+        # Per-method state, reset by build.
+        self._qualified = ""
+        self._lazy_phis: Set[int] = set()
+        self._null_sources: Set[int] = set()
+        self._seen_uses: Set[int] = set()
+        self._seen_preds: Set[int] = set()
 
     @property
     def next_fid(self) -> int:
-        return self._next
+        return self._first_fid + len(self.flows) // len(_FLOW_COLUMNS)
 
     def global_flow(self, kind: int, label: str, aux1: int = _NONE) -> None:
         """Append a flow no method owns (``pred_on``, a field)."""
-        self._next += 1
+        self._new_fid()
         self.flows.extend((kind, self._intern(label), _NONE, aux1, _NONE))
 
     def store_flows(self, columns: _Columns) -> None:
         for index, name in enumerate(_FLOW_COLUMNS):
             columns[name] = self.flows[index::len(_FLOW_COLUMNS)]
 
-    def begin_method(self, method: Method) -> None:
-        self._method_id += 1
-        self.flow_lo.append(self._next)
-
-    def end_method(self) -> None:
-        self.flow_hi.append(self._next)
-        for rows in (self.method_pred, self.method_param,
-                     self.method_ret, self.method_inv):
-            rows.end_row()
-        self._seen_use.clear()
-        self._seen_obs.clear()
-        self._seen_pred.clear()
-
-    def _emit(self, pred: int, kind: int, label: int,
+    def _flow(self, pred: int, kind: int, label: int,
               aux1: int = _NONE, aux2: int = _NONE) -> int:
-        """Append a method flow guarded by ``pred``; returns its fid.
-
-        The predicate edge needs no dedup: only phi_preds receive
-        :meth:`add_predicate` edges.
-        """
-        fid = self._next
-        self._next = fid + 1
+        """Append a method flow guarded by ``pred``; returns its fid."""
+        fid = self._new_fid()
         self.flows.extend((kind, label, self._method_id, aux1, aux2))
         if pred:
             self.pred_targets.extend((pred, fid))
@@ -256,124 +291,324 @@ class _ColumnSink:
         self.predicates.extend((fid, pred))
         return fid
 
-    # -- flows ----------------------------------------------------------- #
-    def phi_pred(self, label: str) -> int:
-        fid = self._next
-        self._next = fid + 1
-        self.flows.extend(
-            (schema.K_PHI_PRED, self._intern(label), self._method_id, _NONE, _NONE))
-        return fid
+    def _phi_label(self, name: str) -> int:
+        sid = self._phi_labels.get(name)
+        if sid is None:
+            sid = self._phi_labels[name] = self._intern("phi:" + name)
+        return sid
 
-    def phi(self, pred: int, label: str) -> int:
-        return self._emit(pred, schema.K_PHI, self._intern(label))
+    def _phi_use(self, source: int, phi: int) -> None:
+        key = source << 32 | phi
+        if key not in self._seen_uses:
+            self._seen_uses.add(key)
+            self.uses.extend((source, phi))
 
-    def parameter(self, pred: int, label: str, index: int,
-                  declared_type: Optional[str]) -> int:
-        sid = self._intern(label)
-        fid = self._emit(pred, schema.K_PARAMETER, sid,
-                         index, self._opt(declared_type))
-        self.method_param.val.append(fid)
-        return fid
+    # -- the traversal ---------------------------------------------------- #
+    def build(self, method: Method, order: List[BasicBlock]) -> None:
+        """Append the rows of ``method``, whose reachable blocks are
+        ``order`` (in reverse postorder)."""
+        self._method_id += 1
+        self.flow_lo.append(self.next_fid)
+        self._qualified = method.qualified_name
+        self._lazy_phis = set()
+        self._null_sources = null_sources = set()
+        self._seen_uses.clear()
+        self._seen_preds.clear()
+        intern, flow = self._intern, self._flow
+        uses, observers = self.uses, self.observers
+        sources = self._sources
+        loads, stores = self._load_labels, self._store_labels
 
-    def source(self, pred: int, label: str, expr: ConstantExpr) -> int:
-        sid = self._intern(label)
-        return self._emit(pred, schema.K_SOURCE, sid, self._const_row(expr))
+        # Pre-create the phi_pred and phi flows of every merge, so that
+        # forward and backward jumps alike can link against them.
+        states: Dict[str, _BlockState] = {}
+        for block in order:
+            state = states[block.name] = _BlockState()
+            merge = block.begin
+            if isinstance(merge, Merge):
+                state.merge = merge
+                sid = self._phi_pred_labels.get(block.name)
+                if sid is None:
+                    sid = self._phi_pred_labels[block.name] = intern(
+                        "phi_pred@" + block.name)
+                state.pred = phi_pred = self._new_fid()
+                self.flows.extend(
+                    (schema.K_PHI_PRED, sid, self._method_id, _NONE, _NONE))
+                for phi in merge.phis:
+                    name = phi.result.name
+                    state.m[name] = flow(phi_pred, schema.K_PHI,
+                                         self._phi_label(name))
 
-    def load_field(self, pred: int, label: str, field_name: str,
-                   receiver: int) -> int:
-        sid = self._intern(label)
-        return self._emit(pred, schema.K_LOAD_FIELD, sid,
-                          self._intern(field_name), receiver)
+        for block in order:
+            state = states[block.name]
+            m = state.m
+            start = block.begin
+            if isinstance(start, Start):
+                state.pred = self.pred_on
+                self._parameters(start, m)
+            pred = state.pred
+            if pred is None:
+                # A label block whose predecessor set no predicate would be
+                # invalid IR; fall back to pred_on to stay sound.
+                pred = self.pred_on
+            # Every subscript of ``m`` is an SSA lookup; a missing name is
+            # a use before definition.
+            try:
+                for statement in block.statements:
+                    if isinstance(statement, Assign):
+                        expr = statement.expr
+                        source = sources.get(expr)
+                        if source is None:
+                            source = self._source(expr)
+                        fid = flow(pred, schema.K_SOURCE, source[0], source[1])
+                        if source[2]:
+                            null_sources.add(fid)
+                        m[statement.result.name] = fid
+                    elif isinstance(statement, LoadField):
+                        receiver = m[statement.receiver.name]
+                        name = statement.field_name
+                        labels = loads.get(name)
+                        if labels is None:
+                            labels = loads[name] = (
+                                intern("load:" + name), intern(name))
+                        fid = flow(pred, schema.K_LOAD_FIELD, labels[0],
+                                   labels[1], receiver)
+                        observers.extend((receiver, fid))
+                        m[statement.result.name] = fid
+                    elif isinstance(statement, StoreField):
+                        receiver = m[statement.receiver.name]
+                        value = m[statement.value.name]
+                        name = statement.field_name
+                        labels = stores.get(name)
+                        if labels is None:
+                            labels = stores[name] = (
+                                intern("store:" + name), intern(name))
+                        fid = flow(pred, schema.K_STORE_FIELD, labels[0],
+                                   labels[1], receiver)
+                        uses.extend((value, fid))
+                        observers.extend((receiver, fid))
+                    elif isinstance(statement, Invoke):
+                        # Every invocation is a predicate for the statements
+                        # after it (Section 3, "Method Invocations as
+                        # Predicates").
+                        pred = self._invoke(statement, m, pred)
+                    else:
+                        raise PVPGBuildError(
+                            f"unsupported statement {statement!r} "
+                            f"in {self._qualified}")
+                state.pred = pred
+                self._end(block, state, states)
+            except KeyError as missing:
+                raise PVPGBuildError(
+                    f"value {missing.args[0]!r} has no flow in "
+                    f"{self._qualified} (use before definition or missing "
+                    "phi)") from None
 
-    def store_field(self, pred: int, label: str, field_name: str,
-                    receiver: int) -> int:
-        sid = self._intern(label)
-        return self._emit(pred, schema.K_STORE_FIELD, sid,
-                          self._intern(field_name), receiver)
+        self.flow_hi.append(self.next_fid)
+        for rows in (self.method_pred, self.method_param,
+                     self.method_ret, self.method_inv):
+            rows.end_row()
 
-    def invoke(self, pred: int, label: str, invoke: Invoke,
-               receiver: Optional[int], arguments: List[int]) -> int:
+    def _parameters(self, start: Start, m: Dict[str, int]) -> None:
+        labels = self._param_labels
+        for index, param in enumerate(start.params):
+            name = param.name
+            sid = labels.get(name)
+            if sid is None:
+                sid = labels[name] = self._intern("param:" + name)
+            m[name] = fid = self._flow(self.pred_on, schema.K_PARAMETER, sid,
+                                       index, self._opt(param.declared_type))
+            self.method_param.val.append(fid)
+
+    def _source(self, expr: ConstantExpr) -> Tuple[int, int, bool]:
+        """The label, const row and null-ness of a new constant."""
+        label = self._intern(str(expr))
+        row = self._first_const + len(self.const_kind)
+        self.const_kind.append(schema.CONST_INDEX[expr.kind])
+        self.const_int.append(expr.int_value if expr.kind is ConstKind.INT else 0)
+        self.const_type.append(self._opt(expr.type_name))
+        source = self._sources[expr] = (label, row, expr.kind is ConstKind.NULL)
+        return source
+
+    def _invoke(self, invoke: Invoke, m: Dict[str, int], pred: int) -> int:
+        """Append an invoke flow and its call site; returns the flow."""
         intern, opt, cols = self._intern, self._opt, self.cs_cols
-        sid = intern(label)
-        fid = self._emit(pred, schema.K_INVOKE, sid,
-                         self._first_call_site + len(cols["cs_kind"]),
-                         _NONE if receiver is None else receiver)
+        recv = invoke.receiver
+        receiver = _NONE if recv is None else m[recv.name]
+        arguments = [m[value.name] for value in invoke.arguments]
+        name = invoke.method_name
+        labels = self._invoke_labels.get(name)
+        if labels is None:
+            labels = self._invoke_labels[name] = (
+                intern("invoke:" + name), intern(name))
+        fid = self._flow(pred, schema.K_INVOKE, labels[0],
+                         self._first_call_site + len(cols["cs_kind"]), receiver)
         cols["cs_kind"].append(schema.INVOKE_INDEX[invoke.kind])
-        cols["cs_method_name"].append(intern(invoke.method_name))
+        cols["cs_method_name"].append(labels[1])
         cols["cs_target_class"].append(opt(invoke.target_class))
         result = invoke.result
         cols["cs_result_name"].append(_NONE if result is None else intern(result.name))
         cols["cs_result_type"].append(
             _NONE if result is None else opt(result.declared_type))
-        recv = invoke.receiver
         cols["cs_recv_name"].append(_NONE if recv is None else intern(recv.name))
         cols["cs_recv_type"].append(
             _NONE if recv is None else opt(recv.declared_type))
         self.cs_args.add_row([intern(value.name) for value in invoke.arguments])
         self.cs_args_type.extend(
             [opt(value.declared_type) for value in invoke.arguments])
+        if recv is not None:
+            arguments.insert(0, receiver)
+            self.observers.extend((receiver, fid))
         self.inv_args.add_row(arguments)
         self.method_inv.val.append(fid)
+        if result is not None:
+            m[result.name] = fid
         return fid
 
-    def return_(self, pred: int, label: str, returns_void: bool) -> int:
-        fid = self._emit(pred, schema.K_RETURN, self._intern(label),
-                         1 if returns_void else 0)
-        self.method_ret.val.append(fid)
-        return fid
+    def _end(self, block: BasicBlock, state: _BlockState,
+             states: Dict[str, _BlockState]) -> None:
+        end = block.end
+        if isinstance(end, Return):
+            sid = self._return_label
+            if sid is None:
+                sid = self._return_label = self._intern("return")
+            fid = self._flow(state.pred, schema.K_RETURN, sid,
+                             1 if end.value is None else 0)
+            self.method_ret.val.append(fid)
+            if end.value is not None:
+                self.uses.extend((state.m[end.value.name], fid))
+        elif isinstance(end, Jump):
+            self._jump(state, end, states[end.target])
+        elif isinstance(end, If):
+            self._branch(state, end, states[end.then_label],
+                         states[end.else_label])
+        elif end is None:
+            raise PVPGBuildError(
+                f"block {block.name!r} in {self._qualified} is not terminated")
+        else:
+            raise PVPGBuildError(
+                f"unsupported block end {end!r} in {self._qualified}")
 
-    def filter_type(self, pred: int, label: str, type_name: str,
-                    negated: bool) -> int:
-        sid = self._intern(label)
-        return self._emit(pred, schema.K_FILTER_TYPE, sid,
-                          self._intern(type_name), 1 if negated else 0)
-
-    def filter_compare(self, pred: int, label: str, op: CompareOp,
-                       observed: int) -> int:
-        return self._emit(pred, schema.K_FILTER_COMPARE, self._intern(label),
-                          schema.OP_INDEX[op], observed)
-
-    def _const_row(self, expr: ConstantExpr) -> int:
-        row = self._const_ids.get(expr)
-        if row is None:
-            row = self._first_const + len(self._const_ids)
-            self._const_ids[expr] = row
-            self.const_kind.append(schema.CONST_INDEX[expr.kind])
-            self.const_int.append(expr.int_value if expr.kind is ConstKind.INT else 0)
-            self.const_type.append(self._opt(expr.type_name))
-        return row
-
-    # -- edges ----------------------------------------------------------- #
-    def add_use(self, source: int, target: int) -> None:
-        key = source << 32 | target
-        if key not in self._seen_use:
-            self._seen_use.add(key)
-            self.uses.extend((source, target))
-
-    def add_observer(self, source: int, target: int) -> None:
-        key = source << 32 | target
-        if key not in self._seen_obs:
-            self._seen_obs.add(key)
-            self.observers.extend((source, target))
-
-    def add_predicate(self, source: int, target: int) -> None:
-        key = source << 32 | target
-        if key not in self._seen_pred:
-            self._seen_pred.add(key)
+    # -- control-flow transfer: jumps (propagate) and ifs (initBlock) ------ #
+    def _jump(self, state: _BlockState, jump: Jump,
+              target: _BlockState) -> None:
+        merge = target.merge
+        assert merge is not None, f"jump to non-merge block {jump.target!r}"
+        # The end of this block being reachable makes the merge reachable.
+        source, phi_pred = state.pred, target.pred
+        key = source << 32 | phi_pred
+        if key not in self._seen_preds:
+            self._seen_preds.add(key)
             if source:
-                self.pred_targets.extend((source, target))
+                self.pred_targets.extend((source, phi_pred))
             else:
-                self.method_pred.val.append(target)
-            self.predicates.extend((target, source))
+                self.method_pred.val.append(phi_pred)
+            self.predicates.extend((phi_pred, source))
+        # Explicit phi operands contributed by this jump.
+        m, target_m = state.m, target.m
+        for phi, argument in zip(merge.phis, jump.phi_arguments):
+            self._phi_use(m[argument.name], target_m[phi.result.name])
+        # Remaining variables: inherit, or create a phi flow on collision.
+        lazy_phis = self._lazy_phis
+        for name, flow in m.items():
+            existing = target_m.get(name)
+            if existing is None:
+                target_m[name] = flow
+            elif existing != flow:
+                if existing in lazy_phis:
+                    self._phi_use(flow, existing)
+                else:
+                    phi = self._flow(phi_pred, schema.K_PHI, self._phi_label(name))
+                    self._phi_use(existing, phi)
+                    self._phi_use(flow, phi)
+                    target_m[name] = phi
+                    lazy_phis.add(phi)
 
-    def branch(self, instruction: If, kind: BranchKind, then_pred: int,
-               else_pred: int, block_pred: int) -> None:
-        self.branch_ifs.append(instruction)
+    def _branch(self, state: _BlockState, end: If, then_state: _BlockState,
+                else_state: _BlockState) -> None:
+        """The filter flows of both branches of ``end`` and its branch row."""
+        condition, m, pred = end.condition, state.m, state.pred
+        if isinstance(condition, InstanceOfCondition):
+            name = condition.value.name
+            key = (name, condition.type_name, condition.negated)
+            labels = self._type_checks.get(key)
+            if labels is None:
+                intern = self._intern
+                labels = self._type_checks[key] = (
+                    intern(str(condition)), intern(condition.type_name),
+                    intern(str(condition.inverted())))
+            tested = m[name]
+            then_pred = self._type_branch(state, then_state, name, tested,
+                                          labels[0], labels[1], condition.negated)
+            else_pred = self._type_branch(state, else_state, name, tested,
+                                          labels[2], labels[1], not condition.negated)
+            kind = _TYPE_CHECK
+        elif isinstance(condition, Condition):
+            left, right = condition.left.name, condition.right.name
+            key = (left, right, condition.op)
+            labels = self._comparisons.get(key)
+            if labels is None:
+                labels = self._comparisons[key] = self._compare_labels(
+                    left, right, condition.op)
+            left_flow, right_flow = m[left], m[right]
+            then_pred = self._compare_branch(
+                state, then_state, left, right, left_flow, right_flow, *labels[0])
+            else_pred = self._compare_branch(
+                state, else_state, left, right, left_flow, right_flow, *labels[1])
+            null_sources = self._null_sources
+            kind = _NULL_CHECK if (m.get(left) in null_sources or m.get(right)
+                                   in null_sources) else _PRIMITIVE_CHECK
+        else:
+            raise PVPGBuildError(
+                f"unsupported condition {condition!r} in {self._qualified}")
         cols = self.branch_cols
-        cols["br_kind"].append(schema.BRANCH_INDEX[kind])
+        cols["br_kind"].append(kind)
         cols["br_then"].append(then_pred)
         cols["br_else"].append(else_pred)
-        cols["br_block"].append(block_pred)
+        cols["br_block"].append(pred)
+
+    def _compare_labels(self, left: str, right: str, op: CompareOp):
+        """Label ids and op indexes of the filters of ``left op right``:
+        ``(left label, right label, left op, right op)`` per branch."""
+        branches = []
+        for branch_op in (op, invert_compare_op(op)):
+            flipped = flip_compare_op(branch_op)
+            branches.append((
+                self._intern(f"{left} {branch_op} {right}"),
+                self._intern(f"{right} {flipped} {left}"),
+                schema.OP_INDEX[branch_op], schema.OP_INDEX[flipped]))
+        return branches
+
+    def _type_branch(self, state: _BlockState, target: _BlockState, name: str,
+                     tested: int, label: int, type_sid: int,
+                     negated: bool) -> int:
+        """One branch of a type check; returns its predicate flow."""
+        # Label blocks have a single predecessor: inherit its whole map.
+        target.m.update(state.m)
+        fid = self._flow(state.pred, schema.K_FILTER_TYPE, label, type_sid,
+                         1 if negated else 0)
+        self.uses.extend((tested, fid))
+        target.m[name] = target.pred = fid
+        return fid
+
+    def _compare_branch(self, state: _BlockState, target: _BlockState,
+                        left: str, right: str, left_flow: int, right_flow: int,
+                        left_label: int, right_label: int, left_op: int,
+                        right_op: int) -> int:
+        """One branch of a comparison: a filter per operand, each observing
+        the other; returns the branch's predicate flow (the second)."""
+        target.m.update(state.m)
+        left_filter = self._flow(state.pred, schema.K_FILTER_COMPARE,
+                                 left_label, left_op, right_flow)
+        self.uses.extend((left_flow, left_filter))
+        self.observers.extend((right_flow, left_filter))
+        target.m[left] = left_filter
+        right_filter = self._flow(left_filter, schema.K_FILTER_COMPARE,
+                                  right_label, right_op, left_flow)
+        self.uses.extend((right_flow, right_filter))
+        self.observers.extend((left_flow, right_filter))
+        target.m[right] = target.pred = right_filter
+        return right_filter
 
 
 def _allocation_sites(method) -> List[str]:
@@ -383,17 +618,6 @@ def _allocation_sites(method) -> List[str]:
         if isinstance(statement, Assign) and statement.expr.kind is ConstKind.NEW:
             seen.setdefault(statement.expr.type_name)
     return list(seen)
-
-
-def _branches(cfg: ControlFlowGraph) -> List[If]:
-    """The ``if`` block ends in reverse postorder.
-
-    Their strings must be interned before any flow's, so this predicts the
-    order in which the builder reports them; ``lower`` checks the
-    prediction against the column sink's ``branch_ifs``.
-    """
-    ends = (cfg.blocks[name].end for name in cfg.reverse_postorder)
-    return [end for end in ends if isinstance(end, If)]
 
 
 @dataclass(frozen=True)
@@ -501,7 +725,7 @@ def _lower(classes: List[ClassType], methods: List[Method],
     # ------------------------------------------------------------------ #
     # Method table (its strings precede every flow's)
     # ------------------------------------------------------------------ #
-    cfgs = [ControlFlowGraph(method) for method in methods]
+    orders = [reverse_postorder(method) for method in methods]
     method_name: List[int] = []
     m_sig_class: List[int] = []
     m_sig_name: List[int] = []
@@ -514,8 +738,8 @@ def _lower(classes: List[ClassType], methods: List[Method],
     br_ptr = [0]
 
     # The fid columns of each branch (br_kind/then/else/block) come from
-    # the traversal below, which must meet the ifs in this same order.
-    branch_ifs: List[If] = []
+    # the traversal below, which meets the ifs in this same order; their
+    # strings must be interned before any flow's.
     branch_cols: Dict[str, List[int]] = {name: [] for name in (
         "br_then_label", "br_else_label", "br_is_instanceof",
         "br_val_name", "br_val_type", "br_type_name", "br_negated",
@@ -523,7 +747,7 @@ def _lower(classes: List[ClassType], methods: List[Method],
         "br_right_name", "br_right_type",
     )}
 
-    for method, cfg in zip(methods, cfgs):
+    for method, order in zip(methods, orders):
         sig = method.signature
         method_name.append(strings.intern(method.qualified_name))
         m_sig_class.append(strings.intern(sig.declaring_class))
@@ -536,8 +760,7 @@ def _lower(classes: List[ClassType], methods: List[Method],
         alloc_rows.add_row(
             [strings.intern(name) for name in _allocation_sites(method)])
 
-        ifs = _branches(cfg)
-        branch_ifs.extend(ifs)
+        ifs = [block.end for block in order if isinstance(block.end, If)]
         for instruction in ifs:
             condition = instruction.condition
             cols = branch_cols
@@ -566,27 +789,23 @@ def _lower(classes: List[ClassType], methods: List[Method],
                 cols["br_right_name"].append(strings.intern(condition.right.name))
                 cols["br_right_type"].append(
                     strings.opt(condition.right.declared_type))
-        br_ptr.append(len(branch_ifs))
+        br_ptr.append(br_ptr[-1] + len(ifs))
 
     entry_sids = [strings.intern(name) for name in entry_points]
 
     # ------------------------------------------------------------------ #
     # Flows: pred_on, the field flows, then every method's graph
     # ------------------------------------------------------------------ #
-    sink = _ColumnSink(strings, base)
+    builder = _PVPGBuilder(strings, base)
     if not base.flows:
-        sink.global_flow(schema.K_PRED_ON, "pred_on")
+        builder.global_flow(schema.K_PRED_ON, "pred_on")
     field_fids = []
     for index, decl in enumerate(field_decls, base.fields):
-        field_fids.append(sink.next_fid)
-        sink.global_flow(schema.K_FIELD, decl.qualified_name, index)
-    builder = PVPGBuilder(sink)
-    for method, cfg in zip(methods, cfgs):
-        builder.build_method(method, cfg)
-    assert len(sink.branch_ifs) == len(branch_ifs) and all(
-        map(operator.is_, sink.branch_ifs, branch_ifs)), (
-        "branch string columns out of step with the builder's branch order")
-    num_flows = sink.next_fid - base.flows
+        field_fids.append(builder.next_fid)
+        builder.global_flow(schema.K_FIELD, decl.qualified_name, index)
+    for method, order in zip(methods, orders):
+        builder.build(method, order)
+    num_flows = builder.next_fid - base.flows
 
     # ------------------------------------------------------------------ #
     # Columns, in section order (serialize writes them in this order)
@@ -599,38 +818,38 @@ def _lower(classes: List[ClassType], methods: List[Method],
     m_sig_param_rows.store(columns, "method_sig_params_ptr", "method_sig_params_val")
     columns["method_never_returns"] = m_never_returns
     columns["method_instr_count"] = m_instr_count
-    columns["method_flow_lo"] = sink.flow_lo
-    columns["method_flow_hi"] = sink.flow_hi
-    sink.method_pred.store(columns, "method_pred_ptr", "method_pred_val")
-    sink.method_param.store(columns, "method_param_ptr", "method_param_val")
-    sink.method_ret.store(columns, "method_ret_ptr", "method_ret_val")
-    sink.method_inv.store(columns, "method_inv_ptr", "method_inv_val")
+    columns["method_flow_lo"] = builder.flow_lo
+    columns["method_flow_hi"] = builder.flow_hi
+    builder.method_pred.store(columns, "method_pred_ptr", "method_pred_val")
+    builder.method_param.store(columns, "method_param_ptr", "method_param_val")
+    builder.method_ret.store(columns, "method_ret_ptr", "method_ret_val")
+    builder.method_inv.store(columns, "method_inv_ptr", "method_inv_val")
     alloc_rows.store(columns, "method_alloc_ptr", "method_alloc_val")
     columns["method_br_ptr"] = br_ptr
     for name in ("br_kind", "br_then", "br_else", "br_block"):
-        columns[name] = sink.branch_cols[name]
+        columns[name] = builder.branch_cols[name]
     for name, column in branch_cols.items():
         columns[name] = column
 
     columns["entry_points"] = entry_sids
 
-    sink.store_flows(columns)
+    builder.store_flows(columns)
     for ptr_name, val_name, pairs in (
-            ("use_ptr", "use_val", sink.uses),
-            ("obs_ptr", "obs_val", sink.observers),
-            ("ptgt_ptr", "ptgt_val", sink.pred_targets),
-            ("pin_ptr", "pin_val", sink.predicates)):
+            ("use_ptr", "use_val", builder.uses),
+            ("obs_ptr", "obs_val", builder.observers),
+            ("ptgt_ptr", "ptgt_val", builder.pred_targets),
+            ("pin_ptr", "pin_val", builder.predicates)):
         _store_pairs(columns, ptr_name, val_name, pairs, num_flows, base.flows)
 
-    columns["const_kind"] = sink.const_kind
-    columns["const_int"] = sink.const_int
-    columns["const_type"] = sink.const_type
-    for name, column in sink.cs_cols.items():
+    columns["const_kind"] = builder.const_kind
+    columns["const_int"] = builder.const_int
+    columns["const_type"] = builder.const_type
+    for name, column in builder.cs_cols.items():
         columns[name] = column
     # cs_args_type shares cs_args_ptr (one name and one type per argument).
-    sink.cs_args.store(columns, "cs_args_ptr", "cs_args_name")
-    columns["cs_args_type"] = sink.cs_args_type
-    sink.inv_args.store(columns, "inv_args_ptr", "inv_args_val")
+    builder.cs_args.store(columns, "cs_args_ptr", "cs_args_name")
+    columns["cs_args_type"] = builder.cs_args_type
+    builder.inv_args.store(columns, "inv_args_ptr", "inv_args_val")
     return columns, strings.texts, field_fids
 
 

@@ -1,16 +1,52 @@
 """Control-flow graph utilities over method bodies.
 
 The PVPG builder processes blocks in reverse postorder (Appendix B.4);
-this module computes successor/predecessor maps, reverse postorder, and
-back edges (which identify loop merges).
+:func:`reverse_postorder` computes that order alone, and
+:class:`ControlFlowGraph` adds successor/predecessor maps and back edges
+(which identify loop merges) for the validator and the lint.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.blocks import BasicBlock
 from repro.ir.method import Method
+
+
+def reverse_postorder(method: Method,
+                      blocks: Optional[Dict[str, BasicBlock]] = None
+                      ) -> List[BasicBlock]:
+    """The blocks reachable from the entry, in reverse postorder (entry first).
+
+    A depth-first search that takes each block's successors in block-end
+    order (``then`` before ``else``), iterative so generated programs hit
+    no recursion limit.  ``blocks`` is ``method.block_map()``, if the
+    caller has it.  A jump to a block the method lacks raises ``KeyError``.
+    """
+    if blocks is None:
+        blocks = method.block_map()
+    entry = method.entry_block
+    visited = {entry.name}
+    postorder: List[BasicBlock] = []
+    stack = [(entry, iter(entry.successor_names()))]
+    while stack:
+        block, successors = stack[-1]
+        for name in successors:
+            if name not in visited:
+                child = blocks.get(name)
+                if child is None:
+                    raise KeyError(
+                        f"block {block.name!r} jumps to undefined block "
+                        f"{name!r} in {method.qualified_name}")
+                visited.add(name)
+                stack.append((child, iter(child.successor_names())))
+                break
+        else:
+            stack.pop()
+            postorder.append(block)
+    postorder.reverse()
+    return postorder
 
 
 class ControlFlowGraph:
@@ -31,30 +67,11 @@ class ControlFlowGraph:
                         f"in {method.qualified_name}"
                     )
                 self.predecessors[succ].append(name)
-        self._rpo: List[str] = self._compute_reverse_postorder()
+        self._rpo: List[str] = [
+            block.name for block in reverse_postorder(method, self.blocks)]
         self._back_edges: Set[Tuple[str, str]] = self._compute_back_edges()
 
     # ------------------------------------------------------------------ #
-    def _compute_reverse_postorder(self) -> List[str]:
-        entry = self.method.entry_block.name
-        visited: Set[str] = set()
-        postorder: List[str] = []
-
-        # Iterative DFS to avoid recursion limits on generated programs.
-        stack: List[Tuple[str, int]] = [(entry, 0)]
-        visited.add(entry)
-        while stack:
-            name, child_index = stack.pop()
-            succs = self.successors[name]
-            if child_index < len(succs):
-                stack.append((name, child_index + 1))
-                child = succs[child_index]
-                if child not in visited:
-                    visited.add(child)
-                    stack.append((child, 0))
-            else:
-                postorder.append(name)
-        return list(reversed(postorder))
 
     def _compute_back_edges(self) -> Set[Tuple[str, str]]:
         order = {name: index for index, name in enumerate(self._rpo)}

@@ -9,7 +9,8 @@ loudly wherever a user can write it down — the config, the CLI, and the
 daemon's wire — instead of being ignored or crashing the server.  The
 object solver went with its names: ``SkipFlowSolver``, ``ObjectSink`` and
 the ``FlowSink`` protocol, ``SolverState.fork``, a ``SolverState`` offered
-for resumption, ``kernel_ran`` and the wire's ``kernel`` fields.
+for resumption, ``kernel_ran`` and the wire's ``kernel`` fields.  The
+``PVPGBuilder`` class went when the arena lowering took over its traversal.
 """
 
 import dataclasses
@@ -191,6 +192,7 @@ REMOVED_ATTRIBUTES = [
     ("repro.core.kernel.arena_kernel", "ArenaKernelSolver._sentinel_for"),
     ("repro.core.pvpg_builder", "ObjectSink"),
     ("repro.core.pvpg_builder", "FlowSink"),
+    ("repro.core.pvpg_builder", "PVPGBuilder"),
     ("repro.core.state", "SolverState.fork"),
     ("repro.core.state", "SolverState.empty"),
     ("repro.core.state", "SolverState.is_fresh"),
@@ -211,6 +213,7 @@ def test_removed_python_name_is_gone(module, name):
 @pytest.mark.parametrize("module, name", [
     ("repro.core", "SkipFlowSolver"),
     ("repro.core", "ObjectSink"),
+    ("repro.core", "PVPGBuilder"),
     ("repro.core", "SolverPolicy"),
     ("repro.core", "DEFAULT_POLICY"),
     ("repro.core", "available_scheduling_policies"),

@@ -1,8 +1,9 @@
-"""The column sink lowers every method into a well-formed arena.
+"""The lowering writes every method into a well-formed arena.
 
-``freeze`` runs the PVPG builder's one traversal with the column sink of
-:mod:`repro.ir.arena.lowering`, whose flow handles are flow ids.  Here the
-frozen buffer of a range of programs is checked against their IR: the fid
+``freeze`` runs the PVPG builder's one traversal of
+:mod:`repro.ir.arena.lowering`, which writes flow ids and arena rows
+itself.  Here the frozen buffer of a range of programs is checked against
+their IR: the fid
 layout (fid 0 ``pred_on``, fids ``1..NF`` the fields, then each method's
 contiguous range), the per-method parameter, invoke, return and branch
 rows against the instructions, every build-time edge staying inside its
