@@ -351,8 +351,9 @@ class _PVPGBuilder:
                 # A label block whose predecessor set no predicate would be
                 # invalid IR; fall back to pred_on to stay sound.
                 pred = self.pred_on
-            # Every subscript of ``m`` is an SSA lookup; a missing name is
-            # a use before definition.
+            # The only subscripts below that can miss are SSA lookups in a
+            # block map (reverse_postorder resolved every jump target), so
+            # a missing key is a value used before its definition.
             try:
                 for statement in block.statements:
                     if isinstance(statement, Assign):
@@ -493,7 +494,10 @@ class _PVPGBuilder:
     def _jump(self, state: _BlockState, jump: Jump,
               target: _BlockState) -> None:
         merge = target.merge
-        assert merge is not None, f"jump to non-merge block {jump.target!r}"
+        if merge is None:
+            raise PVPGBuildError(
+                f"jump to {jump.target!r}, which is not a merge block, "
+                f"in {self._qualified}")
         # The end of this block being reachable makes the merge reachable.
         source, phi_pred = state.pred, target.pred
         key = source << 32 | phi_pred

@@ -3,9 +3,9 @@
 Each malformed body fails with a typed error that names the method:
 :class:`~repro.core.pvpg_builder.PVPGBuildError` for what the traversal
 meets (a value used before its definition, an unterminated block, a
-statement it does not know), and ``KeyError`` for a jump to a block the
-method does not have, as the control-flow utilities of :mod:`repro.ir.cfg`
-report it.
+statement it does not know, a jump to a block that is not a merge), and
+``KeyError`` for a jump to a block the method does not have, as the
+control-flow utilities of :mod:`repro.ir.cfg` report it.
 """
 
 import pytest
@@ -67,6 +67,15 @@ def test_unsupported_statement():
     _block(program, "small").statements.append(Return())
     with pytest.raises(PVPGBuildError,
                        match=r"unsupported statement Return\(.*\) in Main.f"):
+        lower(program)
+
+
+def test_jump_to_a_block_that_is_not_a_merge():
+    program = _program()
+    _block(program, "large").end = Jump("small")
+    with pytest.raises(PVPGBuildError,
+                       match="jump to 'small', which is not a merge block, "
+                             "in Main.f"):
         lower(program)
 
 
