@@ -57,7 +57,6 @@ frozen structure config-independent (one arena serves every config).
 
 from __future__ import annotations
 
-import itertools
 import pickle
 from array import array
 from dataclasses import dataclass
@@ -215,8 +214,8 @@ class _PVPGBuilder:
     def __init__(self, strings: _Strings, base: "_Offsets") -> None:
         self._intern = strings.intern
         self._opt = strings.opt
-        self._first_fid = base.flows
-        self._new_fid = itertools.count(base.flows).__next__
+        #: The fid the next flow gets.
+        self.next_fid = base.flows
         self._method_id = base.methods - 1
         self._first_const = base.consts
         self._first_call_site = base.call_sites
@@ -266,13 +265,9 @@ class _PVPGBuilder:
         self._seen_uses: Set[int] = set()
         self._seen_preds: Set[int] = set()
 
-    @property
-    def next_fid(self) -> int:
-        return self._first_fid + len(self.flows) // len(_FLOW_COLUMNS)
-
     def global_flow(self, kind: int, label: str, aux1: int = _NONE) -> None:
         """Append a flow no method owns (``pred_on``, a field)."""
-        self._new_fid()
+        self.next_fid += 1
         self.flows.extend((kind, self._intern(label), _NONE, aux1, _NONE))
 
     def store_flows(self, columns: _Columns) -> None:
@@ -282,7 +277,8 @@ class _PVPGBuilder:
     def _flow(self, pred: int, kind: int, label: int,
               aux1: int = _NONE, aux2: int = _NONE) -> int:
         """Append a method flow guarded by ``pred``; returns its fid."""
-        fid = self._new_fid()
+        fid = self.next_fid
+        self.next_fid = fid + 1
         self.flows.extend((kind, label, self._method_id, aux1, aux2))
         if pred:
             self.pred_targets.extend((pred, fid))
@@ -331,7 +327,8 @@ class _PVPGBuilder:
                 if sid is None:
                     sid = self._phi_pred_labels[block.name] = intern(
                         "phi_pred@" + block.name)
-                state.pred = phi_pred = self._new_fid()
+                state.pred = phi_pred = self.next_fid
+                self.next_fid += 1
                 self.flows.extend(
                     (schema.K_PHI_PRED, sid, self._method_id, _NONE, _NONE))
                 for phi in merge.phis:

@@ -8,24 +8,21 @@ The PVPG builder processes blocks in reverse postorder (Appendix B.4);
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.ir.blocks import BasicBlock
 from repro.ir.method import Method
 
 
-def reverse_postorder(method: Method,
-                      blocks: Optional[Dict[str, BasicBlock]] = None
-                      ) -> List[BasicBlock]:
+def reverse_postorder(method: Method) -> List[BasicBlock]:
     """The blocks reachable from the entry, in reverse postorder (entry first).
 
     A depth-first search that takes each block's successors in block-end
     order (``then`` before ``else``), iterative so generated programs hit
-    no recursion limit.  ``blocks`` is ``method.block_map()``, if the
-    caller has it.  A jump to a block the method lacks raises ``KeyError``.
+    no recursion limit.  A jump to a block the method lacks raises
+    ``KeyError``.
     """
-    if blocks is None:
-        blocks = method.block_map()
+    blocks = method.block_map()
     entry = method.entry_block
     visited = {entry.name}
     postorder: List[BasicBlock] = []
@@ -68,11 +65,10 @@ class ControlFlowGraph:
                     )
                 self.predecessors[succ].append(name)
         self._rpo: List[str] = [
-            block.name for block in reverse_postorder(method, self.blocks)]
+            block.name for block in reverse_postorder(method)]
         self._back_edges: Set[Tuple[str, str]] = self._compute_back_edges()
 
     # ------------------------------------------------------------------ #
-
     def _compute_back_edges(self) -> Set[Tuple[str, str]]:
         order = {name: index for index, name in enumerate(self._rpo)}
         back_edges: Set[Tuple[str, str]] = set()
